@@ -67,7 +67,8 @@ class Tensor:
     computation graph and visits each node exactly once.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_backward", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_backward", "_seq",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -77,7 +78,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._op = "leaf"
         self._parents: tuple = ()
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._seq = next(_SEQ)
 
     @property
@@ -139,7 +140,7 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for t in nodes:
             if t._backward is not None and t.grad is not None:
-                t._backward()
+                t._backward(t.grad)
         for t in nodes:
             prior = stashed.get(id(t))
             if prior is not None:
@@ -180,12 +181,17 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], op: str) -> Tensor:
+def _node(data: np.ndarray, parents: Sequence[Tensor], op: str,
+          backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap an op's output; the graph edge and `backward(grad)` are kept only
+    when gradients are recorded and some parent requires them, so no-grad
+    results hold no reference to their inputs."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._op = op
+        out._backward = backward
     return out
 
 
@@ -214,61 +220,50 @@ def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.data, b.data, "add")
-    out = _node(a.data + b.data, (a, b), "add")
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    out._backward = bw
-    return out
+    return _node(a.data + b.data, (a, b), "add", bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.data, b.data, "sub")
-    out = _node(a.data - b.data, (a, b), "sub")
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
-    out._backward = bw
-    return out
+    return _node(a.data - b.data, (a, b), "sub", bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.data, b.data, "mul")
-    out = _node(a.data * b.data, (a, b), "mul")
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    out._backward = bw
-    return out
+    return _node(a.data * b.data, (a, b), "mul", bw)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    out = _node(-a.data, (a,), "neg")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(-out.grad)
+            a._accumulate(-g)
 
-    out._backward = bw
-    return out
+    return _node(-a.data, (a,), "neg", bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -278,10 +273,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     kb = b.shape[0] if b.ndim else None
     if a.ndim == 0 or b.ndim == 0 or ka != kb:
         raise TensorError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    out = _node(a.data @ b.data, (a, b), "matmul")
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.ndim == 2 and b.ndim == 2:
             if a.requires_grad:
                 a._accumulate(g @ b.data.T)
@@ -303,35 +296,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 b._accumulate(g * a.data)
 
-    out._backward = bw
-    return out
+    return _node(a.data @ b.data, (a, b), "matmul", bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise TensorError(f"transpose expects a 2-d tensor, got shape {a.shape}")
-    out = _node(a.data.T.copy(), (a,), "transpose")
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w.T for a (k,) or (m, k) input and an (n, k) weight; w is read in
+    place, never transposed into a copy."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
+        raise TensorError(f"linear: input {x.shape} does not match weight {w.shape}")
 
-    def bw():
-        if a.requires_grad:
-            a._accumulate(out.grad.T)
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data)
+        if w.requires_grad:
+            w._accumulate(np.outer(g, x.data) if x.ndim == 1 else g.T @ x.data)
 
-    out._backward = bw
-    return out
+    return _node(x.data @ w.data.T, (x, w), "linear", bw)
+
+
+def attention_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
+    """Additive attention scores v . tanh(keys_i + query) for every key row.
+
+    keys is (n, a) and v is (a,).  A (a,) query gives (n,) scores; a (m, a)
+    query gives (m, n), one row per query.  The (m, n, a) activation stays
+    inside the node, so no 3-d tensor enters the graph.
+    """
+    keys, query, v = _as_tensor(keys), _as_tensor(query), _as_tensor(v)
+    if (keys.ndim != 2 or v.shape != keys.shape[1:] or query.ndim not in (1, 2)
+            or query.shape[-1] != keys.shape[1]):
+        raise TensorError(f"attention_scores: keys {keys.shape}, query {query.shape} "
+                          f"and v {v.shape} do not match")
+    t = np.tanh(keys.data + (query.data if query.ndim == 1 else query.data[:, None, :]))
+
+    def bw(g):
+        d = g[..., None] * v.data * (1.0 - t * t)
+        if keys.requires_grad:
+            keys._accumulate(d if d.ndim == 2 else d.sum(axis=0))
+        if query.requires_grad:
+            query._accumulate(d.sum(axis=-2))
+        if v.requires_grad:
+            v._accumulate(np.tensordot(g, t, axes=g.ndim))
+
+    return _node(t @ v.data, (keys, query, v), "attention_scores", bw)
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
-    out = _node(y, (a,), "tanh")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * (1.0 - y * y))
+            a._accumulate(g * (1.0 - y * y))
 
-    out._backward = bw
-    return out
+    return _node(y, (a,), "tanh", bw)
 
 
 def sigmoid(a) -> Tensor:
@@ -339,26 +357,22 @@ def sigmoid(a) -> Tensor:
     x = a.data
     # split by sign to avoid overflow in exp
     y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = _node(y, (a,), "sigmoid")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * y * (1.0 - y))
+            a._accumulate(g * y * (1.0 - y))
 
-    out._backward = bw
-    return out
+    return _node(y, (a,), "sigmoid", bw)
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    out = _node(np.maximum(a.data, 0.0), (a,), "relu")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * (a.data > 0))
+            a._accumulate(g * (a.data > 0))
 
-    out._backward = bw
-    return out
+    return _node(np.maximum(a.data, 0.0), (a,), "relu", bw)
 
 
 def exp(a) -> Tensor:
@@ -367,28 +381,24 @@ def exp(a) -> Tensor:
         y = np.exp(a.data)
     if not np.isfinite(y).all():
         raise TensorError("exp overflow: input outside the supported domain")
-    out = _node(y, (a,), "exp")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * y)
+            a._accumulate(g * y)
 
-    out._backward = bw
-    return out
+    return _node(y, (a,), "exp", bw)
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     if np.any(a.data <= 0):
         raise TensorError("log of non-positive value")
-    out = _node(np.log(a.data), (a,), "log")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad / a.data)
+            a._accumulate(g / a.data)
 
-    out._backward = bw
-    return out
+    return _node(np.log(a.data), (a,), "log", bw)
 
 
 def maximum(a, b) -> Tensor:
@@ -396,31 +406,26 @@ def maximum(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.data, b.data, "maximum")
     take_a = a.data >= b.data
-    out = _node(np.where(take_a, a.data, b.data), (a, b), "maximum")
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * take_a, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * ~take_a, b.shape))
 
-    out._backward = bw
-    return out
+    return _node(np.where(take_a, a.data, b.data), (a, b), "maximum", bw)
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor); gradient flows only where a > floor."""
     a = _as_tensor(a)
     keep = a.data > floor
-    out = _node(np.maximum(a.data, floor), (a,), "clamp_min")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * keep)
+            a._accumulate(g * keep)
 
-    out._backward = bw
-    return out
+    return _node(np.maximum(a.data, floor), (a,), "clamp_min", bw)
 
 
 def softmax(a, mask: Optional[np.ndarray] = None) -> Tensor:
@@ -441,51 +446,43 @@ def softmax(a, mask: Optional[np.ndarray] = None) -> Tensor:
     m = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _node(y, (a,), "softmax")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            g = out.grad
             inner = (g * y).sum(axis=-1, keepdims=True)
             a._accumulate(y * (g - inner))
 
-    out._backward = bw
-    return out
+    return _node(y, (a,), "softmax", bw)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise TensorError("concat of empty list")
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat")
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    out._backward = bw
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat", bw)
 
 
 def slice_(a: Tensor, key) -> Tensor:
     """Basic (integer/slice) indexing with gradient scatter on backward."""
     a = _as_tensor(a)
-    out = _node(a.data[key].copy(), (a,), "slice")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[key] += out.grad
-            a._accumulate(g)
+            full = np.zeros_like(a.data)
+            full[key] += g
+            a._accumulate(full)
 
-    out._backward = bw
-    return out
+    return _node(a.data[key].copy(), (a,), "slice", bw)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -496,43 +493,36 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         raise TensorError("gather_rows expects a 2-d table")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise TensorError(f"gather_rows: id out of range for table with {table.shape[0]} rows")
-    out = _node(table.data[ids], (table,), "gather")
 
-    def bw():
+    def bw(g):
         if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids, out.grad)
-            table._accumulate(g)
+            full = np.zeros_like(table.data)
+            np.add.at(full, ids, g)
+            table._accumulate(full)
 
-    out._backward = bw
-    return out
+    return _node(table.data[ids], (table,), "gather", bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
-    out = _node(a.data.reshape(shape), (a,), "reshape")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad.reshape(a.shape))
+            a._accumulate(g.reshape(a.shape))
 
-    out._backward = bw
-    return out
+    return _node(a.data.reshape(shape), (a,), "reshape", bw)
 
 
 def sum_(a: Tensor, axis: Optional[int] = None) -> Tensor:
     a = _as_tensor(a)
-    out = _node(a.data.sum(axis=axis), (a,), "sum")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            g = out.grad
             if axis is not None:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.shape).copy())
 
-    out._backward = bw
-    return out
+    return _node(a.data.sum(axis=axis), (a,), "sum", bw)
 
 
 def mean_(a: Tensor) -> Tensor:
@@ -555,14 +545,12 @@ def dropout(a: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
     if mode != "train":
         raise TensorError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    out = _node(a.data * keep, (a,), "dropout")
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * keep)
+            a._accumulate(g * keep)
 
-    out._backward = bw
-    return out
+    return _node(a.data * keep, (a,), "dropout", bw)
 
 
 CHECKPOINT_FORMAT_VERSION = 1

@@ -2,17 +2,19 @@
 
 At every step the generation and copy paths are merged per surface token
 (probabilities of identical strings summed) before pruning; hypotheses are
-ranked by length-normalized log-probability and finish on <EOS>.
+ranked by length-normalized log-probability and finish on <EOS>.  One decoder
+step advances every live hypothesis, their states stacked as rows.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .autodiff import Tensor, no_grad
-from .corpus import EOS, SOS, AnnotatedExample
-from .decoder import decode_step, init_decoder, zero_context
+import numpy as np
+
+from . import autodiff as ad
+from .corpus import EOS, SOS, SPECIAL_TOKENS, AnnotatedExample
+from .decoder import ExtendedDistribution, attention_keys, decode_step, init_decoder
 from .encoder import encode
 from .model import QgModel
 from .training import PROB_FLOOR
@@ -22,9 +24,6 @@ from .training import PROB_FLOOR
 class BeamHypothesis:
     tokens: list[str]      # emitted surface tokens; <EOS> terminates
     log_prob: float
-    s: Tensor
-    c: Tensor
-    w_prev: Tensor
     finished: bool
 
     @property
@@ -36,20 +35,30 @@ class BeamHypothesis:
         return [t for t in self.tokens if t != EOS]
 
 
-def _surface_probs(dist, passage_texts: list[str], reduced) -> dict[str, float]:
-    """Merge generation and copy probabilities by emitted string."""
-    gate = dist.gate.item()
-    probs: dict[str, float] = {}
-    gen = dist.gen.data
-    for idx in range(len(gen)):
-        token = reduced.token_of(idx)
-        if token == SOS:
-            continue
-        probs[token] = probs.get(token, 0.0) + (1.0 - gate) * float(gen[idx])
-    copy = dist.copy.data
-    for i, text in enumerate(passage_texts):
-        probs[text] = probs.get(text, 0.0) + gate * float(copy[i])
-    return probs
+class SurfaceTable:
+    """The strings one decoder step can emit for a passage: the reduced
+    vocabulary without <SOS>, and the passage words.  Columns are in string
+    order, so a stable sort by descending probability breaks ties by string."""
+
+    def __init__(self, model: QgModel, passage_texts: list[str]):
+        vocab = [model.reduced.token_of(i) for i in range(len(model.reduced))]
+        self.gen_ids = np.array([i for i, token in enumerate(vocab) if token != SOS])
+        sources = [vocab[i] for i in self.gen_ids] + passage_texts
+        self.tokens = sorted(set(sources))
+        column = {token: j for j, token in enumerate(self.tokens)}
+        self.columns = np.array([column[t] for t in sources])
+        self.eos = column[EOS]
+        self.word_rows = np.array([model.embedder.decoder_word_row_id(t) for t in self.tokens])
+
+    def merge(self, dist: ExtendedDistribution) -> np.ndarray:
+        """(K, surfaces) emission probabilities, one row per hypothesis.  Each
+        sum takes the generation term first, then copy terms in passage order."""
+        gate = dist.gate.data.astype(np.float64)[:, None]
+        terms = np.concatenate([(1.0 - gate) * dist.gen.data[:, self.gen_ids],
+                                gate * dist.copy.data], axis=1)
+        k, width = len(terms), len(self.tokens)
+        bins = (np.arange(k)[:, None] * width + self.columns).ravel()
+        return np.bincount(bins, terms.ravel(), minlength=k * width).reshape(k, width)
 
 
 def generate(
@@ -61,54 +70,44 @@ def generate(
     """Ranked question hypotheses for a passage + answer span.
 
     Clue indicators come from the deterministic eval-mode predictor; decoding
-    stops per hypothesis on <EOS> and globally at max_len.
+    stops per hypothesis on <EOS> and globally at max_len.  Every live
+    hypothesis proposes its `beam_width` likeliest surfaces, ties in string
+    order; the `beam_width` best proposals by score survive, ties in
+    hypothesis-then-proposal order.
     """
     beam_width = beam_width if beam_width is not None else model.config.beam
     max_len = max_len if max_len is not None else model.config.max_len
-    passage_texts = [t.text for t in example.passage]
+    table = SurfaceTable(model, [t.text for t in example.passage])
     p = model.decoder_params()
+    words = model.params["embed.word"]
 
-    with no_grad():
+    with ad.no_grad():
         clue = model.predict_clues(example, rng=None, mode="eval")
         enc_features = model.embedder.embed_passage(example, clue_weights=clue.weights)
         fwd, bwd = model.encoder_params()
         enc_out = encode(enc_features, fwd, bwd, model.config.enc_hidden, mode="eval")
-        s0 = init_decoder(enc_out.last_backward, p.w_init, p.b_init)
-        beam = [BeamHypothesis(
-            tokens=[], log_prob=0.0, s=s0,
-            c=zero_context(enc_out.states.shape[1]),
-            w_prev=model.embedder.special_word_embedding(SOS),
-            finished=False,
-        )]
+        keys = attention_keys(enc_out.states, p)
+        s = ad.reshape(init_decoder(enc_out.last_backward, p.w_init, p.b_init), (1, -1))
+        c = ad.Tensor(np.zeros((1, enc_out.states.shape[1])))
+        w_prev = ad.gather_rows(words, [SPECIAL_TOKENS.index(SOS)])
+        live = [BeamHypothesis(tokens=[], log_prob=0.0, finished=False)]
         done: list[BeamHypothesis] = []
 
-        for _ in range(max_len):
-            live = [h for h in beam if not h.finished]
-            if not live:
-                break
-            candidates: list[BeamHypothesis] = []
-            for hyp in live:
-                state, dist = decode_step(hyp.w_prev, hyp.c, hyp.s, enc_out.states, p, mode="eval")
-                merged = _surface_probs(dist, passage_texts, model.reduced)
-                top = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width]
-                for token, prob in top:
-                    lp = hyp.log_prob + math.log(max(prob, PROB_FLOOR))
-                    if token == EOS:
-                        candidates.append(replace(
-                            hyp, tokens=hyp.tokens + [token], log_prob=lp, finished=True))
-                    else:
-                        candidates.append(BeamHypothesis(
-                            tokens=hyp.tokens + [token], log_prob=lp,
-                            s=state.s, c=state.c,
-                            w_prev=model.embedder.decoder_word_embedding(token),
-                            finished=False,
-                        ))
-            candidates.sort(key=lambda h: -h.score)
-            beam = candidates[:beam_width]
-            newly_done = [h for h in beam if h.finished]
-            done.extend(newly_done)
-            beam = [h for h in beam if not h.finished]
+        while live and len(live[0].tokens) < max_len:   # live hypotheses share one length
+            state, dist = decode_step(w_prev, c, s, enc_out.states, keys, p, mode="eval")
+            probs = table.merge(dist)
+            proposals = np.argsort(-probs, axis=1, kind="stable")[:, :beam_width]
+            log_probs = (np.array([h.log_prob for h in live])[:, None] + np.log(
+                np.maximum(np.take_along_axis(probs, proposals, axis=1), PROB_FLOOR))).ravel()
+            scores = log_probs / (len(live[0].tokens) + 1)
+            best = np.argsort(-scores, kind="stable")[:beam_width]
+            rows, cols = best // proposals.shape[1], proposals.ravel()[best]
+            hyps = [BeamHypothesis(live[r].tokens + [table.tokens[j]], float(lp), bool(j == table.eos))
+                    for r, j, lp in zip(rows, cols, log_probs[best])]
+            done += [h for h in hyps if h.finished]
+            live = [h for h in hyps if not h.finished]
+            going = cols != table.eos
+            s, c = ad.gather_rows(state.s, rows[going]), ad.gather_rows(state.c, rows[going])
+            w_prev = ad.gather_rows(words, table.word_rows[cols[going]])
 
-        pool = done + beam
-        pool.sort(key=lambda h: -h.score)
-        return pool
+        return sorted(done + live, key=lambda h: -h.score)

@@ -50,7 +50,7 @@ def gcn_layer(h_prev: Tensor, adj: DependencyAdjacency, w: Tensor, b: Tensor,
         raise ad.TensorError(
             f"gcn_layer: weight expects input width {w.shape[1]}, features have {h_prev.shape[1]}"
         )
-    mixed = ad.matmul(Tensor(adj.norm), ad.matmul(h_prev, ad.transpose(w)))
+    mixed = ad.matmul(Tensor(adj.norm), ad.linear(h_prev, w))
     return _NONLINEARITIES[nonlinearity](ad.add(mixed, b))
 
 
@@ -68,7 +68,7 @@ def encode_clue_features(features: Tensor, adj: DependencyAdjacency,
 
 def clue_logits(h: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
     """Per-token unnormalized [not-clue, clue] scores."""
-    return ad.add(ad.matmul(h, ad.transpose(w_out)), b_out)
+    return ad.add(ad.linear(h, w_out), b_out)
 
 
 @dataclass
@@ -113,14 +113,12 @@ def st_discretize(y: Tensor) -> Tensor:
         hard[idx] = 1.0
     else:
         hard[np.arange(y.data.shape[0]), idx] = 1.0
-    out = _node(hard, (y,), "st_discretize")
 
-    def bw():
+    def bw(g):
         if y.requires_grad:
-            y._accumulate(out.grad)
+            y._accumulate(g)
 
-    out._backward = bw
-    return out
+    return _node(hard, (y,), "st_discretize", bw)
 
 
 @dataclass

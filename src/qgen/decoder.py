@@ -75,7 +75,7 @@ class DecoderState:
     alpha: Tensor    # attention weights over source positions
     readout: Tensor
     maxout: Tensor
-    gate: Tensor     # scalar copy probability in (0, 1)
+    gate: Tensor     # copy probability in (0, 1): scalar, or (K,) for K stacked states
 
 
 @dataclass
@@ -86,9 +86,9 @@ class ExtendedDistribution:
     distribution over emission events.
     """
 
-    gen: Tensor    # (|reduced vocab|,)
-    copy: Tensor   # (|passage|,), the attention weights
-    gate: Tensor   # scalar
+    gen: Tensor    # (|reduced vocab|,), or (K, |reduced vocab|)
+    copy: Tensor   # (|passage|,) or (K, |passage|), the attention weights
+    gate: Tensor   # scalar, or (K,)
 
 
 def init_decoder(last_backward: Tensor, w_init: Tensor, b_init: Tensor) -> Tensor:
@@ -96,21 +96,29 @@ def init_decoder(last_backward: Tensor, w_init: Tensor, b_init: Tensor) -> Tenso
     return ad.tanh(ad.add(ad.matmul(w_init, last_backward), b_init))
 
 
-def attention(s_t: Tensor, enc_states: Tensor, p: DecoderParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Concatenated attention: scores, softmax weights, weighted context."""
-    keys = ad.matmul(enc_states, ad.transpose(p.w_h))       # (n, attn)
-    query = ad.matmul(p.w_s, s_t)                            # (attn,)
-    scores = ad.matmul(ad.tanh(ad.add(keys, query)), p.v)    # (n,)
+def attention_keys(enc_states: Tensor, p: DecoderParams) -> Tensor:
+    """W_h h_i for every source position: (n, attn), computed once per sequence."""
+    return ad.linear(enc_states, p.w_h)
+
+
+def attention(s_t: Tensor, enc_states: Tensor, keys: Tensor,
+              p: DecoderParams) -> tuple[Tensor, Tensor, Tensor]:
+    """Concatenated attention: scores, softmax weights, weighted context.
+
+    A (dec_hidden,) state gives (n,) weights and an (enc_width,) context; a
+    (K, dec_hidden) stack of states gives one row of each per state.
+    """
+    scores = ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v)
     alpha = ad.softmax(scores)
     context = ad.matmul(alpha, enc_states)
     return alpha, context, scores
 
 
 def pairwise_max(r: Tensor) -> Tensor:
-    """Maxout over consecutive pairs, halving the width."""
-    if r.shape[0] % 2 != 0:
-        raise ad.TensorError(f"pairwise_max requires even width, got {r.shape[0]}")
-    return ad.maximum(r[0::2], r[1::2])
+    """Maxout over consecutive pairs of the last axis, halving its width."""
+    if r.shape[-1] % 2 != 0:
+        raise ad.TensorError(f"pairwise_max requires even width, got {r.shape[-1]}")
+    return ad.maximum(r[..., 0::2], r[..., 1::2])
 
 
 def decode_step(
@@ -118,20 +126,24 @@ def decode_step(
     c_prev: Tensor,
     s_prev: Tensor,
     enc_states: Tensor,
+    keys: Tensor,
     p: DecoderParams,
     mode: str = "eval",
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[DecoderState, ExtendedDistribution]:
-    s_t = gru_cell(ad.concat([w_prev, c_prev]), s_prev, p.gru)
-    alpha, context, _ = attention(s_t, enc_states, p)
-    r_t = ad.add(ad.add(ad.matmul(p.w_rw, w_prev), ad.matmul(p.w_rc, context)),
-                 ad.matmul(p.w_rs, s_t))
+    """One decoder step for a single hypothesis (1-d `w_prev`, `c_prev`,
+    `s_prev`) or for K of them stacked as rows; every output gains the same
+    leading K axis.  `keys` is `attention_keys(enc_states, p)`."""
+    s_t = gru_cell(ad.concat([w_prev, c_prev], axis=-1), s_prev, p.gru)
+    alpha, context, _ = attention(s_t, enc_states, keys, p)
+    r_t = ad.add(ad.add(ad.linear(w_prev, p.w_rw), ad.linear(context, p.w_rc)),
+                 ad.linear(s_t, p.w_rs))
     m_t = pairwise_max(r_t)
     if dropout_p > 0 and mode == "train":
         m_t = ad.dropout(m_t, dropout_p, mode, rng)
-    gen = ad.softmax(ad.matmul(p.w_out, m_t))
-    gate = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_cs, s_t), ad.matmul(p.w_cc, context)), p.b_gate))
+    gen = ad.softmax(ad.linear(m_t, p.w_out))
+    gate = ad.sigmoid(ad.add(ad.add(ad.matmul(s_t, p.w_cs), ad.matmul(context, p.w_cc)), p.b_gate))
     state = DecoderState(s=s_t, c=context, alpha=alpha, readout=r_t, maxout=m_t, gate=gate)
     return state, ExtendedDistribution(gen=gen, copy=alpha, gate=gate)
 
@@ -158,10 +170,11 @@ def teacher_forced_unroll(
     """
     s = init_decoder(last_backward, p.w_init, p.b_init)
     c = zero_context(enc_states.shape[1])
+    keys = attention_keys(enc_states, p)
     steps = []
     w_prev = sos_embedding
     for t in range(len(question) + 1):
-        state, dist = decode_step(w_prev, c, s, enc_states, p, mode, dropout_p, rng)
+        state, dist = decode_step(w_prev, c, s, enc_states, keys, p, mode, dropout_p, rng)
         steps.append((state, dist))
         if t < len(question):
             w_prev = embed_prev_word(question[t])

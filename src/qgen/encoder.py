@@ -38,12 +38,15 @@ class GruCellParams:
 
 
 def gru_cell(x: Tensor, h_prev: Tensor, p: GruCellParams) -> Tensor:
-    """Standard GRU update: reset gate applied to h before the candidate."""
-    xh = ad.concat([x, h_prev])
-    z = ad.sigmoid(ad.add(ad.matmul(p.w_z, xh), p.b_z))
-    r = ad.sigmoid(ad.add(ad.matmul(p.w_r, xh), p.b_r))
-    xrh = ad.concat([x, ad.mul(r, h_prev)])
-    h_cand = ad.tanh(ad.add(ad.matmul(p.w_h, xrh), p.b_h))
+    """Standard GRU update: reset gate applied to h before the candidate.
+
+    Takes one (input,) / (hidden,) pair, or K of them stacked as rows.
+    """
+    xh = ad.concat([x, h_prev], axis=-1)
+    z = ad.sigmoid(ad.add(ad.linear(xh, p.w_z), p.b_z))
+    r = ad.sigmoid(ad.add(ad.linear(xh, p.w_r), p.b_r))
+    xrh = ad.concat([x, ad.mul(r, h_prev)], axis=-1)
+    h_cand = ad.tanh(ad.add(ad.linear(xrh, p.w_h), p.b_h))
     return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 

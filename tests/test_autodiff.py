@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 import qgen.autodiff as ad
 from qgen.autodiff import ParamStore, Tensor, TensorError
+from qgen.decoder import DecoderParams, attention_keys, decode_step
 
 from conftest import assert_grads_match
 
@@ -211,7 +215,12 @@ OP_CASES = [
     ("softmax", lambda a: ad.sum_(ad.mul(ad.softmax(a), a)), 1, None),
     ("maximum", lambda a, b: ad.sum_(ad.maximum(a, b)), 2, "apart"),
     ("clamp", lambda a: ad.sum_(ad.clamp_min(a, 0.0)), 1, "nonzero"),
-    ("transpose2d", lambda a: ad.sum_(ad.transpose(a)), 1, "matrix"),
+    ("linear1d", lambda x, w: ad.sum_(ad.tanh(ad.linear(x[0], w))), 2, "matrix"),
+    ("linear2d", lambda x, w: ad.sum_(ad.tanh(ad.linear(x, w))), 2, "matrix"),
+    ("attention1d", lambda k, q, v: ad.sum_(ad.mul(ad.attention_scores(k, q[0], v[0]), 1.5)),
+     3, "matrix"),
+    ("attention2d", lambda k, q, v: ad.sum_(ad.tanh(ad.attention_scores(k, q, v[0]))),
+     3, "matrix"),
     ("reshape", lambda a: ad.sum_(ad.mul(ad.reshape(a, (-1,)), 2.0)), 1, None),
     ("mean", lambda a: ad.mean_(a), 1, None),
 ]
@@ -255,6 +264,32 @@ def test_gather_gradients():
         lambda t: ad.sum_(ad.tanh(ad.gather_rows(t, [0, 2, 2, 5]))), [table], tol=1e-4)
 
 
+class TestLinear:
+    def test_matches_transposed_product(self):
+        rng = np.random.default_rng(11)
+        x, w = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        np.testing.assert_allclose(ad.linear(Tensor(x), Tensor(w)).data, x @ w.T)
+        np.testing.assert_allclose(ad.linear(Tensor(x[1]), Tensor(w)).data, w @ x[1])
+
+    def test_width_mismatch_reports_both_shapes(self):
+        with pytest.raises(TensorError, match=r"\(4,\).*\(5, 3\)"):
+            ad.linear(Tensor(np.zeros(4)), Tensor(np.zeros((5, 3))))
+
+
+class TestAttentionScores:
+    def test_query_rows_match_single_queries(self):
+        rng = np.random.default_rng(12)
+        keys, queries, v = rng.normal(size=(6, 4)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        rows = ad.attention_scores(Tensor(keys), Tensor(queries), Tensor(v)).data
+        assert rows.shape == (3, 6)
+        for q, row in zip(queries, rows):
+            np.testing.assert_allclose(row, np.tanh(keys + q) @ v, rtol=0, atol=1e-12)
+
+    def test_mismatched_query_rejected(self):
+        with pytest.raises(TensorError, match="attention_scores"):
+            ad.attention_scores(Tensor(np.zeros((6, 4))), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+
 class TestNoGrad:
     def test_ops_detached(self):
         x = Tensor(2.0, requires_grad=True)
@@ -262,6 +297,38 @@ class TestNoGrad:
             y = ad.mul(x, x)
         assert not y.requires_grad
         assert y._parents == ()
+        assert y._backward is None
+
+    def test_decode_step_keeps_no_history_alive(self, monkeypatch):
+        """Under no_grad an op's output refers neither to its inputs nor to
+        itself: with the cycle collector off, a step's intermediates are
+        freed while its outputs live, and the outputs once dropped."""
+        rng = np.random.default_rng(13)
+        p = DecoderParams.create(ParamStore(), 3, 8, 4, 5, 6, rng)
+        enc = Tensor(rng.normal(size=(5, 8)))
+        created = []
+        node = ad._node
+
+        def recording_node(*args):
+            out = node(*args)
+            created.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(ad, "_node", recording_node)
+        gc.disable()
+        try:
+            with ad.no_grad():
+                keys = attention_keys(enc, p)
+                created.clear()
+                state, dist = decode_step(Tensor(rng.normal(size=(2, 3))), Tensor(np.zeros((2, 8))),
+                                          Tensor(rng.normal(size=(2, 4))), enc, keys, p)
+            assert len(created) > 20
+            returned = {id(t) for t in (*vars(state).values(), *vars(dist).values())}
+            assert {id(ref()) for ref in created if ref() is not None} <= returned
+            del state, dist
+            assert all(ref() is None for ref in created)
+        finally:
+            gc.enable()
 
 
 class TestParamStore:

@@ -1,17 +1,21 @@
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
-from qgen.autodiff import no_grad
-from qgen.beam import _surface_probs, generate
+from qgen.autodiff import Tensor, no_grad
+from qgen.beam import generate
 from qgen.corpus import EOS, SOS, build_vocabulary, stopword_set
-from qgen.decoder import decode_step, init_decoder, zero_context
+from qgen.decoder import attention_keys, decode_step, init_decoder, zero_context
 from qgen.encoder import encode
 from qgen.features import FeatureVocab
 from qgen.labeling import label_corpus
 from qgen.model import QgModel
 from qgen.toydata import make_toy_data
+from qgen.training import PROB_FLOOR
 
-from conftest import tiny_config
+from conftest import chain_example, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -25,20 +29,96 @@ def setup():
     return model, corpus
 
 
+def _encode(model, example):
+    clue = model.predict_clues(example, rng=None, mode="eval")
+    feats = model.embedder.embed_passage(example, clue_weights=clue.weights)
+    fwd, bwd = model.encoder_params()
+    return encode(feats, fwd, bwd, model.config.enc_hidden, mode="eval")
+
+
+def _surface_probs(dist, passage_texts: list[str], reduced) -> dict[str, float]:
+    """Merge generation and copy probabilities by emitted string."""
+    gate = dist.gate.item()
+    probs: dict[str, float] = {}
+    gen = dist.gen.data
+    for idx in range(len(gen)):
+        token = reduced.token_of(idx)
+        if token == SOS:
+            continue
+        probs[token] = probs.get(token, 0.0) + (1.0 - gate) * float(gen[idx])
+    copy = dist.copy.data
+    for i, text in enumerate(passage_texts):
+        probs[text] = probs.get(text, 0.0) + gate * float(copy[i])
+    return probs
+
+
+@dataclass
+class RefHypothesis:
+    tokens: list[str]
+    log_prob: float
+    s: Tensor
+    c: Tensor
+    w_prev: Tensor
+    finished: bool
+
+    @property
+    def score(self) -> float:
+        return self.log_prob / max(len(self.tokens), 1)
+
+
+def reference_generate(model, example, beam_width, max_len):
+    """The per-hypothesis beam: one 1-d decoder step and one dict merge for
+    every live hypothesis, ties broken by (-prob, token) then list order."""
+    passage_texts = [t.text for t in example.passage]
+    p = model.decoder_params()
+    with no_grad():
+        enc = _encode(model, example)
+        keys = attention_keys(enc.states, p)
+        beam = [RefHypothesis(
+            tokens=[], log_prob=0.0, s=init_decoder(enc.last_backward, p.w_init, p.b_init),
+            c=zero_context(enc.states.shape[1]),
+            w_prev=model.embedder.special_word_embedding(SOS), finished=False)]
+        done = []
+        for _ in range(max_len):
+            live = [h for h in beam if not h.finished]
+            if not live:
+                break
+            candidates = []
+            for hyp in live:
+                state, dist = decode_step(hyp.w_prev, hyp.c, hyp.s, enc.states, keys, p)
+                merged = _surface_probs(dist, passage_texts, model.reduced)
+                top = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width]
+                for token, prob in top:
+                    lp = hyp.log_prob + math.log(max(prob, PROB_FLOOR))
+                    if token == EOS:
+                        candidates.append(replace(
+                            hyp, tokens=hyp.tokens + [token], log_prob=lp, finished=True))
+                    else:
+                        candidates.append(RefHypothesis(
+                            tokens=hyp.tokens + [token], log_prob=lp, s=state.s, c=state.c,
+                            w_prev=model.embedder.decoder_word_embedding(token),
+                            finished=False))
+            candidates.sort(key=lambda h: -h.score)
+            beam = candidates[:beam_width]
+            done.extend(h for h in beam if h.finished)
+            beam = [h for h in beam if not h.finished]
+        pool = done + beam
+        pool.sort(key=lambda h: -h.score)
+        return pool
+
+
 def greedy_oracle(model, example, max_len):
     """Independent argmax chain over the merged surface distribution."""
     p = model.decoder_params()
     with no_grad():
-        clue = model.predict_clues(example, rng=None, mode="eval")
-        feats = model.embedder.embed_passage(example, clue_weights=clue.weights)
-        fwd, bwd = model.encoder_params()
-        enc = encode(feats, fwd, bwd, model.config.enc_hidden, mode="eval")
+        enc = _encode(model, example)
+        keys = attention_keys(enc.states, p)
         s = init_decoder(enc.last_backward, p.w_init, p.b_init)
         c = zero_context(enc.states.shape[1])
         w_prev = model.embedder.special_word_embedding(SOS)
         tokens = []
         for _ in range(max_len):
-            state, dist = decode_step(w_prev, c, s, enc.states, p, mode="eval")
+            state, dist = decode_step(w_prev, c, s, enc.states, keys, p, mode="eval")
             merged = _surface_probs(dist, [t.text for t in example.passage], model.reduced)
             token = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
             tokens.append(token)
@@ -47,6 +127,56 @@ def greedy_oracle(model, example, max_len):
             s, c = state.s, state.c
             w_prev = model.embedder.decoder_word_embedding(token)
     return tokens
+
+
+def _repeating_passage():
+    """Passage words that repeat and that are also reduced-vocabulary words."""
+    return chain_example(["Erin", "repaired", "the", "bridge", "in", "the", "bridge", "."])
+
+
+def _assert_matches_reference(model, example, beam_width, max_len):
+    got = generate(model, example, beam_width=beam_width, max_len=max_len)
+    want = reference_generate(model, example, beam_width, max_len)
+    assert [h.tokens for h in got] == [h.tokens for h in want]
+    assert [h.finished for h in got] == [h.finished for h in want]
+    np.testing.assert_allclose([h.log_prob for h in got], [h.log_prob for h in want],
+                               rtol=0, atol=1e-9)
+    return got
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("max_len", [1, 4, 12])
+    @pytest.mark.parametrize("beam_width", [1, 3, 5, 20])
+    def test_batched_beam_equals_per_hypothesis_beam(self, setup, beam_width, max_len):
+        model, corpus = setup
+        repeating = _repeating_passage()
+        texts = [t.text for t in repeating.passage]
+        assert len(set(texts)) < len(texts)
+        assert set(texts) & set(model.reduced.words)
+        for ex in corpus[:3] + [repeating]:
+            _assert_matches_reference(model, ex, beam_width, max_len)
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("case", ["one_token_passage", "max_len_1", "wide_beam",
+                                      "empty_question"])
+    def test_ranked_and_terminated(self, setup, case):
+        model, corpus = setup
+        ex, beam_width, max_len = {
+            "one_token_passage": (chain_example(["Erin"]), 4, 6),
+            "max_len_1": (corpus[0], 4, 1),
+            "wide_beam": (corpus[1], 60, 3),
+            "empty_question": (replace(corpus[2], question=[]), 4, 6),
+        }[case]
+        if case == "wide_beam":
+            surfaces = {t.text for t in ex.passage}
+            surfaces |= {model.reduced.token_of(i) for i in range(len(model.reduced))} - {SOS}
+            assert beam_width > len(surfaces)
+        hyps = _assert_matches_reference(model, ex, beam_width, max_len)
+        scores = [h.score for h in hyps]
+        assert scores == sorted(scores, reverse=True)
+        for hyp in hyps:
+            assert hyp.tokens[-1] == EOS or len(hyp.tokens) == max_len
 
 
 class TestGenerate:
@@ -103,10 +233,7 @@ class TestRiggedCopy:
         ex = corpus[0]
         cfg = model.config
         with no_grad():
-            clue = model.predict_clues(ex, rng=None, mode="eval")
-            feats = model.embedder.embed_passage(ex, clue_weights=clue.weights)
-            fwd, bwd = model.encoder_params()
-            enc = encode(feats, fwd, bwd, cfg.enc_hidden, mode="eval")
+            enc = _encode(model, ex)
         h = enc.states.data  # (9, 2*hidden)
         n = h.shape[0]
         assert cfg.attn_dim == n

@@ -6,6 +6,7 @@ from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.decoder import (
     DecoderParams,
     attention,
+    attention_keys,
     decode_step,
     init_decoder,
     pairwise_max,
@@ -13,6 +14,14 @@ from qgen.decoder import (
 )
 
 from conftest import assert_grads_match
+
+
+def _attend(s, enc, p):
+    return attention(s, enc, attention_keys(enc, p), p)
+
+
+def _step(w_prev, c_prev, s_prev, enc, p):
+    return decode_step(w_prev, c_prev, s_prev, enc, attention_keys(enc, p), p)
 
 
 def _params(rng, word_dim=3, enc_width=8, dec_hidden=4, attn_dim=5, vocab_out=6):
@@ -46,7 +55,7 @@ class TestAttention:
         # zero attention weights make every score equal
         p.w_s, p.w_h, p.v = Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 8))), Tensor(np.zeros(5))
         enc = Tensor(rng.normal(size=(6, 8)))
-        alpha, context, _ = attention(Tensor(rng.normal(size=4)), enc, p)
+        alpha, context, _ = _attend(Tensor(rng.normal(size=4)), enc, p)
         np.testing.assert_allclose(alpha.data, np.full(6, 1 / 6))
         np.testing.assert_allclose(context.data, enc.data.mean(axis=0))
 
@@ -54,7 +63,7 @@ class TestAttention:
         rng = np.random.default_rng(2)
         p, _ = _params(rng)
         enc = Tensor(rng.normal(size=(1, 8)))
-        alpha, context, _ = attention(Tensor(rng.normal(size=4)), enc, p)
+        alpha, context, _ = _attend(Tensor(rng.normal(size=4)), enc, p)
         np.testing.assert_allclose(alpha.data, [1.0])
         np.testing.assert_allclose(context.data, enc.data[0])
 
@@ -63,7 +72,7 @@ class TestAttention:
         p, _ = _params(rng)
         s = rng.normal(size=4)
         enc = rng.normal(size=(4, 8))
-        alpha, context, scores = attention(Tensor(s), Tensor(enc), p)
+        alpha, context, scores = _attend(Tensor(s), Tensor(enc), p)
         # direct per-position evaluation
         e = np.array([p.v.data @ np.tanh(p.w_s.data @ s + p.w_h.data @ h) for h in enc])
         a = np.exp(e - e.max())
@@ -77,8 +86,8 @@ class TestAttention:
         rng = np.random.default_rng(4)
         p, _ = _params(rng)
         for n in (1, 3, 9):
-            alpha, _, _ = attention(Tensor(rng.normal(size=4)),
-                                    Tensor(rng.normal(size=(n, 8))), p)
+            alpha, _, _ = _attend(Tensor(rng.normal(size=4)),
+                                  Tensor(rng.normal(size=(n, 8))), p)
             assert alpha.data.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -94,22 +103,26 @@ class TestMaxout:
     def test_halves_width(self):
         assert pairwise_max(Tensor(np.zeros(10))).shape == (5,)
 
+    def test_rows_pair_independently(self):
+        out = pairwise_max(Tensor(np.array([[3.0, 1.0, 0.0, 2.0], [-1.0, 4.0, 5.0, 5.5]])))
+        np.testing.assert_array_equal(out.data, [[3.0, 2.0], [4.0, 5.5]])
+
 
 class TestDecodeStep:
     def test_zero_output_weights_give_uniform_generation(self):
         rng = np.random.default_rng(5)
         p, _ = _params(rng, vocab_out=6)
         p.w_out = Tensor(np.zeros((6, 4)))
-        _, dist = decode_step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
-                              Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(5, 8))), p)
+        _, dist = _step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
+                        Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(5, 8))), p)
         np.testing.assert_allclose(dist.gen.data, np.full(6, 1 / 6))
 
     def test_mixture_normalizes(self):
         rng = np.random.default_rng(6)
         p, _ = _params(rng)
-        state, dist = decode_step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
-                                  Tensor(rng.normal(size=4)),
-                                  Tensor(rng.normal(size=(5, 8))), p)
+        state, dist = _step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
+                            Tensor(rng.normal(size=4)),
+                            Tensor(rng.normal(size=(5, 8))), p)
         g = dist.gate.item()
         total = (1 - g) * dist.gen.data.sum() + g * dist.copy.data.sum()
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -119,11 +132,26 @@ class TestDecodeStep:
         rng = np.random.default_rng(7)
         p, _ = _params(rng)
         p.b_gate = Tensor(np.asarray(50.0))
-        _, dist = decode_step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
-                              Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(5, 8))), p)
+        _, dist = _step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
+                        Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(5, 8))), p)
         g = dist.gate.item()
         assert g > 1 - 1e-9
         assert g * dist.copy.data.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_stacked_rows_match_single_steps(self):
+        rng = np.random.default_rng(12)
+        p, _ = _params(rng)
+        w, c, s = rng.normal(size=(3, 3)), rng.normal(size=(3, 8)), rng.normal(size=(3, 4))
+        enc = Tensor(rng.normal(size=(5, 8)))
+        state, dist = _step(Tensor(w), Tensor(c), Tensor(s), enc, p)
+        assert dist.gen.shape == (3, 6) and dist.copy.shape == (3, 5) and dist.gate.shape == (3,)
+        for k in range(3):
+            one_state, one = _step(Tensor(w[k]), Tensor(c[k]), Tensor(s[k]), enc, p)
+            np.testing.assert_allclose(state.s.data[k], one_state.s.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.c.data[k], one_state.c.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist.gen.data[k], one.gen.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist.copy.data[k], one.copy.data, rtol=0, atol=1e-12)
+            assert dist.gate.data[k] == pytest.approx(one.gate.item(), abs=1e-12)
 
     def test_gradients_through_full_step(self):
         rng = np.random.default_rng(8)
@@ -132,8 +160,8 @@ class TestDecodeStep:
         enc = rng.normal(size=(4, 8))
 
         def loss(w):
-            state, dist = decode_step(w, Tensor(np.zeros(8)), Tensor(np.ones(4) * 0.1),
-                                      Tensor(enc), p)
+            state, dist = _step(w, Tensor(np.zeros(8)), Tensor(np.ones(4) * 0.1),
+                                Tensor(enc), p)
             return ad.add(ad.sum_(ad.mul(dist.gen, dist.gen)), ad.mul(state.gate, 2.0))
 
         assert_grads_match(loss, [w_prev], tol=1e-4)
