@@ -29,6 +29,10 @@ class TensorError(ValueError):
     """Raised on shape/domain violations in tensor operations."""
 
 
+class CheckpointError(ValueError):
+    """Raised when a checkpoint file is unreadable or does not fit the model."""
+
+
 def set_default_dtype(dtype) -> None:
     """Set the dtype used for all subsequently created tensors.
 
@@ -40,10 +44,6 @@ def set_default_dtype(dtype) -> None:
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise TensorError(f"unsupported dtype {dtype}")
     _DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DTYPE
 
 
 @contextmanager
@@ -355,8 +355,9 @@ def tanh(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    # split by sign to avoid overflow in exp
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|) <= 1: no overflow
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def bw(g):
         if a.requires_grad:
@@ -596,11 +597,15 @@ class ParamStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        extra = sorted(set(arrays) - set(self._params))
+        if extra:
+            raise CheckpointError(f"checkpoint has unknown parameters {extra}")
         for name, t in self._params.items():
             if name not in arrays:
-                raise TensorError(f"checkpoint missing parameter {name!r}")
+                raise CheckpointError(f"checkpoint missing parameter {name!r}")
             if arrays[name].shape != t.data.shape:
-                raise TensorError(f"checkpoint shape mismatch for {name!r}")
+                raise CheckpointError(f"checkpoint shape mismatch for {name!r}: "
+                                      f"{arrays[name].shape} vs model {t.data.shape}")
             t.data = arrays[name].astype(t.data.dtype, copy=True)
 
     def save(self, path, meta: Optional[dict] = None) -> None:
@@ -618,30 +623,20 @@ class ParamStore:
     def read(path) -> tuple[dict[str, np.ndarray], dict]:
         """Return (arrays, meta) from a checkpoint written by `save`."""
         arrays: dict[str, np.ndarray] = {}
-        with zipfile.ZipFile(path, "r") as zf:
+        try:
+            zf = zipfile.ZipFile(path, "r")
+        except zipfile.BadZipFile:
+            raise CheckpointError(f"{path} is not a checkpoint (not a zip file)") from None
+        with zf:
+            if "meta.json" not in zf.namelist():
+                raise CheckpointError(f"{path} has no meta.json")
             meta = json.loads(zf.read("meta.json").decode("utf-8"))
             if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-                raise TensorError(f"unsupported checkpoint format version {meta.get('format_version')}")
+                raise CheckpointError(f"unsupported checkpoint format version {meta.get('format_version')}, "
+                                      f"expected {CHECKPOINT_FORMAT_VERSION}")
             for entry in zf.namelist():
                 if entry.startswith("params/") and entry.endswith(".npy"):
                     arrays[entry[len("params/"):-len(".npy")]] = np.load(
                         io.BytesIO(zf.read(entry)), allow_pickle=False
                     )
         return arrays, meta
-
-
-def finite_difference(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function of an array."""
-    x = x.astype(np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return g

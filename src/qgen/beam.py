@@ -83,7 +83,7 @@ def generate(
 
     with ad.no_grad():
         clue = model.predict_clues(example, rng=None, mode="eval")
-        enc_features = model.embedder.embed_passage(example, clue_weights=clue.weights)
+        enc_features = model.embedder.append_clue_slot(clue.features, clue.weights)
         fwd, bwd = model.encoder_params()
         enc_out = encode(enc_features, fwd, bwd, model.config.enc_hidden, mode="eval")
         keys = attention_keys(enc_out.states, p)

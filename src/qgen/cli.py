@@ -10,6 +10,7 @@ import os
 import sys
 from pathlib import Path
 
+from .autodiff import CheckpointError
 from .beam import generate as beam_generate
 from .config import ConfigError, ModelConfig
 from .corpus import IngestError, build_vocabulary, load_corpus, stopword_set, write_corpus
@@ -274,8 +275,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ConfigError, IngestError, MetricError, TrainingError,
-            FileNotFoundError) as e:
+    except (CliError, CheckpointError, ConfigError, IngestError, MetricError,
+            TrainingError, FileNotFoundError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
 

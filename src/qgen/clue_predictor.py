@@ -40,29 +40,24 @@ def build_adjacency(example: AnnotatedExample) -> DependencyAdjacency:
     return DependencyAdjacency(a_tilde=a, degrees=d, norm=a / d[:, None])
 
 
-_NONLINEARITIES = {"relu": ad.relu, "tanh": ad.tanh}
-
-
-def gcn_layer(h_prev: Tensor, adj: DependencyAdjacency, w: Tensor, b: Tensor,
-              nonlinearity: str = "relu") -> Tensor:
-    """One propagation step: h_i = f(sum_j A~_ij (W h_j) / d_i + b)."""
+def gcn_layer(h_prev: Tensor, adj: DependencyAdjacency, w: Tensor, b: Tensor) -> Tensor:
+    """One propagation step: h_i = relu(sum_j A~_ij (W h_j) / d_i + b)."""
     if w.shape[1] != h_prev.shape[1]:
         raise ad.TensorError(
             f"gcn_layer: weight expects input width {w.shape[1]}, features have {h_prev.shape[1]}"
         )
     mixed = ad.matmul(Tensor(adj.norm), ad.linear(h_prev, w))
-    return _NONLINEARITIES[nonlinearity](ad.add(mixed, b))
+    return ad.relu(ad.add(mixed, b))
 
 
 def encode_clue_features(features: Tensor, adj: DependencyAdjacency,
-                         layer_params: list[tuple[Tensor, Tensor]],
-                         nonlinearity: str = "relu") -> Tensor:
+                         layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     """Stack GCN layers; the receptive field grows one hop per layer."""
     if not layer_params:
         raise ConfigError("encode_clue_features requires at least one GCN layer")
     h = features
     for w, b in layer_params:
-        h = gcn_layer(h, adj, w, b, nonlinearity)
+        h = gcn_layer(h, adj, w, b)
     return h
 
 
@@ -123,6 +118,7 @@ def st_discretize(y: Tensor) -> Tensor:
 
 @dataclass
 class ClueForward:
+    features: Tensor       # (n, width) the passage features the predictor read
     probs: Tensor          # (n, 2) softmax of the logits
     weights: Tensor        # (n, 2) what the encoder's clue slot consumes
     indicators: np.ndarray  # (n,) binary decisions
@@ -146,13 +142,13 @@ def run_clue_predictor(features: Tensor, adj: DependencyAdjacency,
         idx = np.argmax(probs.data, axis=-1)
         onehot = np.zeros_like(probs.data)
         onehot[np.arange(len(idx)), idx] = 1.0
-        return ClueForward(probs=probs, weights=Tensor(onehot), indicators=idx)
+        return ClueForward(features=features, probs=probs, weights=Tensor(onehot), indicators=idx)
     if mode == "train":
         sample = gumbel_softmax_sample(logits, tau, rng, noise=noise)
         idx = np.argmax(sample.y_st.data, axis=-1)
-        return ClueForward(probs=probs, weights=sample.y_st, indicators=idx)
+        return ClueForward(features=features, probs=probs, weights=sample.y_st, indicators=idx)
     if mode == "soft":
         sample = gumbel_softmax_sample(logits, tau, rng, noise=noise)
         idx = np.argmax(sample.y.data, axis=-1)
-        return ClueForward(probs=probs, weights=sample.y, indicators=idx)
+        return ClueForward(features=features, probs=probs, weights=sample.y, indicators=idx)
     raise ConfigError(f"clue predictor mode must be train/eval/soft, got {mode!r}")

@@ -282,13 +282,16 @@ class ReducedTargetVocab:
         return self.words[idx - self._N_SPECIALS]
 
 
-def build_reduced_target_vocab(labeled_corpus, n: int = 2000) -> ReducedTargetVocab:
-    """Top-n question words, counted only over tokens labeled as generated."""
+def build_reduced_target_vocab(questions, n: int = 2000) -> ReducedTargetVocab:
+    """Top-n question words, counted only over tokens labeled as generated.
+
+    `questions` yields (question tokens, copy labels) pairs.
+    """
     counts: Counter[str] = Counter()
     first_seen: dict[str, int] = {}
     idx = 0
-    for ex in labeled_corpus:
-        for token, copied in zip(ex.base.question, ex.question_copy_label):
+    for question, copy_labels in questions:
+        for token, copied in zip(question, copy_labels):
             w = normalize(token)
             if not copied:
                 counts[w] += 1

@@ -1,8 +1,9 @@
 """Per-token input vectors: word embeddings plus feature-tag embeddings.
 
 Slot order is fixed: [word | NER | POS | DEP | is_lower | is_digit |
-like_num | answer-BIO | frequency-tier | clue-indicator], where the clue
-slot is omitted for the clue predictor's own input.  Low-frequency (tier L)
+like_num | answer-BIO | frequency-tier | clue-indicator].  The clue
+predictor reads the first nine slots; the encoder reads the same matrix with
+the clue slot appended from the predictor's output.  Low-frequency (tier L)
 words use a shared <l> row in place of their word embedding; every other
 slot stays token-specific.
 """
@@ -164,46 +165,19 @@ class FeatureEmbedder:
     def decoder_word_embedding(self, token: str) -> Tensor:
         return ad.gather_rows(self.params["embed.word"], [self.decoder_word_row_id(token)])[0]
 
-    def clue_slot(self, clue_weights) -> Tensor:
-        """Clue-indicator embedding rows mixed by (possibly relaxed) weights.
-
-        `clue_weights` is an (n, 2) tensor of [not-clue, clue] weights; a hard
-        indicator is the one-hot case.  Keeping this a matmul lets straight-
-        through gradients reach the clue predictor.
-        """
-        if not isinstance(clue_weights, Tensor):
-            arr = np.asarray(clue_weights, dtype=float)
-            if arr.ndim == 1:  # binary indicators -> one-hot rows
-                onehot = np.zeros((arr.shape[0], 2))
-                onehot[np.arange(arr.shape[0]), arr.astype(int)] = 1.0
-                arr = onehot
-            clue_weights = Tensor(arr)
-        return ad.matmul(clue_weights, self.params["embed.clue"])
-
-    def embed_passage(
-        self,
-        example: AnnotatedExample,
-        bio_tags: list[str] | None = None,
-        clue_weights=None,
-        mask_low_freq: bool = True,
-    ) -> Tensor:
-        """(n, width) feature matrix for the passage.
-
-        With `clue_weights=None` the clue slot is omitted (the clue
-        predictor's input variant); otherwise it is appended last.
-        """
+    def embed_passage(self, example: AnnotatedExample,
+                      bio_tags: list[str] | None = None) -> Tensor:
+        """(n, clue_input_width) matrix of the shared slots: the clue
+        predictor's input, and the encoder's once `append_clue_slot` adds
+        the clue indicator."""
         tokens = example.passage
         bio_tags = bio_tags if bio_tags is not None else tag_answer_bio(example)
-        if mask_low_freq:
-            word_ids = [self.word_row_id(t.text) for t in tokens]
-        else:
-            word_ids = [self.vocab.id_of(t.text) for t in tokens]
         tiers = [
             _TIER_INDEX[tier_of(t.text, self.vocab, self.config.r_h, self.config.r_l)]
             for t in tokens
         ]
         slots = [
-            ad.gather_rows(self.params["embed.word"], word_ids),
+            ad.gather_rows(self.params["embed.word"], [self.word_row_id(t.text) for t in tokens]),
             ad.gather_rows(self.params["embed.ner"], [self.features.index("ner", t.ner) for t in tokens]),
             ad.gather_rows(self.params["embed.pos"], [self.features.index("pos", t.pos) for t in tokens]),
             ad.gather_rows(self.params["embed.dep"], [self.features.index("dep", t.dep) for t in tokens]),
@@ -213,6 +187,21 @@ class FeatureEmbedder:
             ad.gather_rows(self.params["embed.bio"], [_BIO_INDEX[b] for b in bio_tags]),
             ad.gather_rows(self.params["embed.tier"], tiers),
         ]
-        if clue_weights is not None:
-            slots.append(self.clue_slot(clue_weights))
         return ad.concat(slots, axis=1)
+
+    def append_clue_slot(self, features: Tensor, clue_weights) -> Tensor:
+        """The encoder input: `features` from `embed_passage` with the clue-
+        indicator embedding rows, mixed by (possibly relaxed) weights, last.
+
+        `clue_weights` is an (n, 2) tensor of [not-clue, clue] weights, or
+        (n,) binary indicators for the one-hot case.  Keeping the mix a
+        matmul lets straight-through gradients reach the clue predictor.
+        """
+        if not isinstance(clue_weights, Tensor):
+            arr = np.asarray(clue_weights, dtype=float)
+            if arr.ndim == 1:  # binary indicators -> one-hot rows
+                onehot = np.zeros((arr.shape[0], 2))
+                onehot[np.arange(arr.shape[0]), arr.astype(int)] = 1.0
+                arr = onehot
+            clue_weights = Tensor(arr)
+        return ad.concat([features, ad.matmul(clue_weights, self.params["embed.clue"])], axis=1)

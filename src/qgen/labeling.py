@@ -14,7 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .corpus import AnnotatedExample, ReducedTargetVocab, Vocabulary, normalize
+from .corpus import (
+    AnnotatedExample,
+    ReducedTargetVocab,
+    Vocabulary,
+    build_reduced_target_vocab,
+    normalize,
+)
 
 BIO_BEGIN, BIO_INSIDE, BIO_OUTSIDE = "B", "I", "O"
 
@@ -94,6 +100,11 @@ def label_example(
     r_h: int,
 ) -> LabeledExample:
     copy_labels, alignments = label_copy_words(example, vocab, stopwords, r_h)
+    return _labeled(example, copy_labels, alignments, reduced_vocab, stopwords)
+
+
+def _labeled(example: AnnotatedExample, copy_labels: list[bool], alignments: list[list[int]],
+             reduced_vocab: ReducedTargetVocab, stopwords: frozenset[str]) -> LabeledExample:
     return LabeledExample(
         base=example,
         question_copy_label=copy_labels,
@@ -113,32 +124,12 @@ def label_corpus(
 ) -> tuple[list[LabeledExample], ReducedTargetVocab]:
     """Label a whole corpus; the reduced vocabulary comes from a first pass
     over the copy labels (generated-word counts), then targets are mapped."""
-    from .corpus import build_reduced_target_vocab
-
-    partial = []
-    for ex in corpus:
-        copy_labels, alignments = label_copy_words(ex, vocab, stopwords, r_h)
-        partial.append((ex, copy_labels, alignments))
-
-    class _CopyView:
-        def __init__(self, base, labels):
-            self.base = base
-            self.question_copy_label = labels
-
+    copies = [label_copy_words(ex, vocab, stopwords, r_h) for ex in corpus]
     reduced = build_reduced_target_vocab(
-        [_CopyView(ex, labels) for ex, labels, _ in partial], n=reduced_size
+        ((ex.question, labels) for ex, (labels, _) in zip(corpus, copies)), n=reduced_size
     )
-    labeled = [
-        LabeledExample(
-            base=ex,
-            question_copy_label=copy_labels,
-            question_target_id=map_question_targets(ex, reduced),
-            copy_alignment=alignments,
-            passage_clue_label=label_clue_words(ex, stopwords),
-            answer_bio=tag_answer_bio(ex),
-        )
-        for ex, copy_labels, alignments in partial
-    ]
+    labeled = [_labeled(ex, labels, alignments, reduced, stopwords)
+               for ex, (labels, alignments) in zip(corpus, copies)]
     return labeled, reduced
 
 

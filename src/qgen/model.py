@@ -8,12 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, set_default_dtype
-from .clue_predictor import (
-    ClueForward,
-    DependencyAdjacency,
-    build_adjacency,
-    run_clue_predictor,
-)
+from .clue_predictor import ClueForward, build_adjacency, run_clue_predictor
 from .config import ModelConfig
 from .corpus import SOS, AnnotatedExample, ReducedTargetVocab, Vocabulary
 from .decoder import DecoderParams, DecoderState, ExtendedDistribution, teacher_forced_unroll
@@ -25,13 +20,12 @@ from .features import (
     clue_input_width,
     encoder_input_width,
 )
-from .labeling import LabeledExample, tag_answer_bio
+from .labeling import LabeledExample
 
 
 @dataclass
 class ModelForward:
     clue: ClueForward
-    adjacency: DependencyAdjacency
     encoder: EncoderOutput
     steps: list[tuple[DecoderState, ExtendedDistribution]] | None
 
@@ -96,12 +90,14 @@ class QgModel:
     def predict_clues(self, example: AnnotatedExample, rng: np.random.Generator | None,
                       mode: str = "eval", noise: np.ndarray | None = None,
                       bio_tags: list[str] | None = None) -> ClueForward:
-        """Clue probabilities plus indicators; stochastic only in train/soft mode."""
-        bio = bio_tags if bio_tags is not None else tag_answer_bio(example)
-        feats = self.embedder.embed_passage(example, bio_tags=bio, clue_weights=None)
-        adj = build_adjacency(example)
+        """Clue probabilities plus indicators; stochastic only in train/soft mode.
+
+        The returned features are the passage's one embedding per pass; the
+        encoder reuses them with the clue slot appended.
+        """
+        feats = self.embedder.embed_passage(example, bio_tags=bio_tags)
         return run_clue_predictor(
-            feats, adj, self.gcn_params(),
+            feats, build_adjacency(example), self.gcn_params(),
             self.params["clue.out.w"], self.params["clue.out.b"],
             self.config.tau, rng, mode, noise=noise,
         )
@@ -125,18 +121,16 @@ class QgModel:
         if isinstance(example, LabeledExample):
             base, bio = example.base, example.answer_bio
         else:
-            base, bio = example, tag_answer_bio(example)
+            base, bio = example, None
         clue_mode = clue_mode or ("train" if mode == "train" else "eval")
         clue = self.predict_clues(base, gumbel_rng, mode=clue_mode, noise=gumbel_noise, bio_tags=bio)
-        adj = build_adjacency(base)
-
         if clue_source == "gold":
             if not isinstance(example, LabeledExample):
                 raise ValueError("clue_source='gold' requires a labeled example")
             clue_weights = np.asarray(example.passage_clue_label, dtype=int)
         else:
             clue_weights = clue.weights
-        enc_features = self.embedder.embed_passage(base, bio_tags=bio, clue_weights=clue_weights)
+        enc_features = self.embedder.append_clue_slot(clue.features, clue_weights)
         fwd, bwd = self.encoder_params()
         enc_out = encode(enc_features, fwd, bwd, self.config.enc_hidden,
                          dropout_p=self.config.dropout, mode=mode, rng=dropout_rng)
@@ -154,7 +148,7 @@ class QgModel:
                 dropout_p=self.config.dropout,
                 rng=dropout_rng,
             )
-        return ModelForward(clue=clue, adjacency=adj, encoder=enc_out, steps=steps)
+        return ModelForward(clue=clue, encoder=enc_out, steps=steps)
 
     # persistence
     def save(self, path) -> None:

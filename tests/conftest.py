@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgen.autodiff import Tensor, finite_difference
+from qgen.autodiff import Tensor
 from qgen.config import ModelConfig
 from qgen.corpus import AnnotatedExample, AnnotatedToken
 
@@ -75,6 +75,23 @@ def toy_config(**overrides):
                 ema=0.9, seed=3)
     base.update(overrides)
     return ModelConfig(**base).validate()
+
+
+def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Central finite differences of a scalar function of an array."""
+    x = x.astype(np.float64)
+    g = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = f(x)
+        flat[i] = orig - eps
+        lo = f(x)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return g
 
 
 def assert_grads_match(make_loss, arrays, eps=1e-5, tol=1e-4, floor=1e-6):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgen.autodiff as ad
-from qgen.autodiff import ParamStore, Tensor, TensorError
+from qgen.autodiff import CheckpointError, ParamStore, Tensor, TensorError
 from qgen.decoder import DecoderParams, attention_keys, decode_step
 
 from conftest import assert_grads_match
@@ -64,6 +64,14 @@ class TestElementwise:
         out = ad.sigmoid(Tensor([-1e4, 1e4]))
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
+
+    def test_sigmoid_bit_identical_to_three_exp_form(self):
+        x = np.concatenate([[-1e4, -745.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 745.0, 1e4],
+                            np.linspace(-50.0, 50.0, 2001)])
+        reference = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        out = ad.sigmoid(Tensor(x)).data
+        assert out.tobytes() == reference.tobytes()
 
     def test_row_broadcast_add(self):
         m = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -361,7 +369,7 @@ class TestParamStore:
         other = ParamStore()
         other.add("w", np.zeros(3))
         other.add("extra", np.zeros(2))
-        with pytest.raises(TensorError, match="missing"):
+        with pytest.raises(CheckpointError, match="missing"):
             other.load_arrays(arrays)
 
     def test_zero_grad(self):

@@ -31,7 +31,7 @@ def setup():
 
 def _encode(model, example):
     clue = model.predict_clues(example, rng=None, mode="eval")
-    feats = model.embedder.embed_passage(example, clue_weights=clue.weights)
+    feats = model.embedder.append_clue_slot(clue.features, clue.weights)
     fwd, bwd = model.encoder_params()
     return encode(feats, fwd, bwd, model.config.enc_hidden, mode="eval")
 

@@ -1,7 +1,11 @@
+import io
 import json
+import zipfile
 
+import numpy as np
 import pytest
 
+from qgen.autodiff import ParamStore
 from qgen.cli import main
 from qgen.config import ConfigError, ModelConfig
 from qgen.corpus import build_vocabulary, load_corpus, stopword_set
@@ -183,6 +187,65 @@ class TestTrainGenerateEvaluate:
         code, _, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--ref", str(data))
         assert code == 1
         assert "ghost" in err
+
+
+def _write_checkpoint(path, arrays, meta):
+    """A checkpoint zip laid out like `ParamStore.save`, meta.json optional."""
+    with zipfile.ZipFile(path, "w") as zf:
+        if meta is not None:
+            zf.writestr("meta.json", json.dumps(meta))
+        for name, a in arrays.items():
+            buf = io.BytesIO()
+            np.save(buf, a)
+            zf.writestr(f"params/{name}.npy", buf.getvalue())
+
+
+def _corrupt(arrays, meta, defect):
+    """Apply one checkpoint defect to a read checkpoint; returns the meta to
+    write, None for none."""
+    first = next(iter(arrays))
+    if defect == "no_meta":
+        return None
+    if defect == "wrong_version":
+        meta["format_version"] = 99
+    elif defect == "missing_param":
+        del arrays[first]
+    elif defect == "extra_param":
+        arrays["bogus.w"] = np.zeros(2)
+    elif defect == "misshaped_param":
+        arrays[first] = np.zeros(3)
+    return meta
+
+
+class TestCheckpointErrors:
+    def _generate(self, capsys, pipeline, checkpoint):
+        tmp, data, _, _ = pipeline
+        code, out, err = run_cli(capsys, "generate", "--checkpoint", str(checkpoint),
+                                 "--data", str(data), "--out", str(tmp / "never.jsonl"))
+        assert code == 1 and out == ""
+        return json.loads(err)
+
+    def test_not_a_zip(self, pipeline, capsys, tmp_path):
+        bad = tmp_path / "model.npz"
+        bad.write_text("not a checkpoint\n")
+        report = self._generate(capsys, pipeline, bad)
+        assert report["error"] == "CheckpointError"
+        assert "not a zip" in report["message"]
+
+    @pytest.mark.parametrize("defect, words", [
+        ("no_meta", "meta.json"),
+        ("wrong_version", "format version 99"),
+        ("missing_param", "missing parameter"),
+        ("extra_param", "bogus.w"),
+        ("misshaped_param", "shape mismatch"),
+    ])
+    def test_defect_is_reported_as_json(self, pipeline, capsys, tmp_path, defect, words):
+        arrays, meta = ParamStore.read(pipeline[3] / "model_ema.npz")
+        bad = tmp_path / "model.npz"
+        _write_checkpoint(bad, arrays, _corrupt(arrays, meta, defect))
+        report = self._generate(capsys, pipeline, bad)
+        assert report["error"] == "CheckpointError"
+        assert words in report["message"]
 
 
 class TestCliErrors:

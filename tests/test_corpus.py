@@ -167,34 +167,25 @@ class TestTiers:
         assert tier_of(word, vocab, r_h=1, r_l=2) in ("H", "M", "L")
 
 
-class _CopyView:
-    def __init__(self, question, labels):
-        self.base = chain_example(["p"], question=question)
-        self.base.question = list(question)
-        self.question_copy_label = labels
-
-
 class TestReducedTargetVocab:
     def test_all_copied_gives_specials_only(self):
-        view = _CopyView(["a", "b"], [True, True])
-        reduced = build_reduced_target_vocab([view], n=5)
+        reduced = build_reduced_target_vocab([(["a", "b"], [True, True])], n=5)
         assert reduced.words == []
         assert len(reduced) == 3
 
     def test_n_larger_than_distinct(self):
-        view = _CopyView(["a", "b", "a"], [False, False, False])
-        reduced = build_reduced_target_vocab([view], n=100)
+        reduced = build_reduced_target_vocab([(["a", "b", "a"], [False, False, False])], n=100)
         assert set(reduced.words) == {"a", "b"}
 
     def test_top_n_by_generated_count(self):
-        views = [_CopyView(["what"] * 5 + ["is"] * 3 + ["rare"], [False] * 9)]
-        reduced = build_reduced_target_vocab(views, n=2)
+        questions = [(["what"] * 5 + ["is"] * 3 + ["rare"], [False] * 9)]
+        reduced = build_reduced_target_vocab(questions, n=2)
         assert reduced.words == ["what", "is"]
         assert reduced.id_of("rare") == ReducedTargetVocab.UNK_ID
 
     def test_copied_tokens_not_counted(self):
-        views = [_CopyView(["bridge"] * 9 + ["who"], [True] * 9 + [False])]
-        reduced = build_reduced_target_vocab(views, n=5)
+        questions = [(["bridge"] * 9 + ["who"], [True] * 9 + [False])]
+        reduced = build_reduced_target_vocab(questions, n=5)
         assert reduced.words == ["who"]
 
     def test_special_ids_and_token_of(self):
@@ -205,10 +196,9 @@ class TestReducedTargetVocab:
         assert reduced.token_of(reduced.id_of("who")) == "who"
 
     def test_order_invariance_up_to_tiebreak(self):
-        views = [_CopyView(["b"] * 2 + ["a"] * 3, [False] * 5),
-                 _CopyView(["c"], [False])]
-        r1 = build_reduced_target_vocab(views, n=10)
-        r2 = build_reduced_target_vocab(list(views), n=10)
+        questions = [(["b"] * 2 + ["a"] * 3, [False] * 5), (["c"], [False])]
+        r1 = build_reduced_target_vocab(questions, n=10)
+        r2 = build_reduced_target_vocab(list(questions), n=10)
         assert r1.words == r2.words
 
 

@@ -33,7 +33,7 @@ def setup():
 class TestWidths:
     def test_encoder_width_is_configured_sum(self, setup):
         ex, cfg, _, embedder, _ = setup
-        out = embedder.embed_passage(ex, clue_weights=np.zeros(len(ex.passage), dtype=int))
+        out = embedder.append_clue_slot(embedder.embed_passage(ex), np.zeros(len(ex.passage), dtype=int))
         assert out.shape == (len(ex.passage), encoder_input_width(cfg))
         assert encoder_input_width(cfg) == cfg.word_dim + 8 * cfg.feat_dim + cfg.tier_dim
 
@@ -73,10 +73,11 @@ class TestMasking:
     def test_clue_toggle_changes_only_last_slot(self, setup):
         ex, cfg, _, embedder, _ = setup
         n = len(ex.passage)
-        off = embedder.embed_passage(ex, clue_weights=np.zeros(n, dtype=int)).data
+        shared = embedder.embed_passage(ex)
+        off = embedder.append_clue_slot(shared, np.zeros(n, dtype=int)).data
         flags = np.zeros(n, dtype=int)
         flags[3] = 1
-        on = embedder.embed_passage(ex, clue_weights=flags).data
+        on = embedder.append_clue_slot(shared, flags).data
         width = encoder_input_width(cfg)
         np.testing.assert_array_equal(on[:, :width - cfg.feat_dim], off[:, :width - cfg.feat_dim])
         assert not np.array_equal(on[3, width - cfg.feat_dim:], off[3, width - cfg.feat_dim:])

@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
+import qgen.beam
+import qgen.model
 from qgen.autodiff import ParamStore, Tensor
 from qgen.clue_predictor import gumbel_noise
 from qgen.config import rng_stream
 from qgen.corpus import build_vocabulary, stopword_set
-from qgen.features import FeatureVocab
+from qgen.features import FeatureEmbedder, FeatureVocab
 from qgen.labeling import label_corpus
 from qgen.model import QgModel
 from qgen.toydata import make_toy_data
@@ -118,6 +120,44 @@ class TestLossOracles:
         fwd = model.forward(labeled[0], mode="train", clue_source="gold",
                             gumbel_rng=rng_stream(0, "gumbel"))
         assert fwd.steps is not None
+
+
+class TestOnePassagePass:
+    """Each example's passage is embedded and its tree built once; the
+    encoder reads the clue predictor's input with the clue slot appended."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen: dict[str, list] = {}
+        for owner, attr in [(FeatureEmbedder, "embed_passage"), (qgen.model, "build_adjacency"),
+                            (qgen.model, "run_clue_predictor"), (qgen.model, "encode"),
+                            (qgen.beam, "encode")]:
+            def spy(*args, _fn=getattr(owner, attr), _attr=attr, **kwargs):
+                seen.setdefault(_attr, []).append(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, spy)
+        return seen
+
+    @pytest.mark.parametrize("clue_source", ["predicted", "gold"])
+    def test_forward_embeds_once(self, calls, clue_source):
+        model, labeled = build_tiny_model()
+        model.forward(labeled[0], mode="train", clue_source=clue_source,
+                      gumbel_rng=rng_stream(0, "gumbel"))
+        assert len(calls["embed_passage"]) == 1
+        assert len(calls["build_adjacency"]) == 1
+        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0]
+        assert encoder_input._op == "concat" and encoder_input._parents[0] is clue_input
+        assert encoder_input.shape[1] == clue_input.shape[1] + model.config.feat_dim
+
+    def test_generate_embeds_once(self, calls):
+        model, labeled = build_tiny_model()
+        qgen.beam.generate(model, labeled[0].base, beam_width=3, max_len=4)
+        assert len(calls["embed_passage"]) == 1
+        assert len(calls["build_adjacency"]) == 1
+        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0]
+        width = clue_input.shape[1]
+        assert encoder_input.shape[1] == width + model.config.feat_dim
+        np.testing.assert_array_equal(encoder_input.data[:, :width], clue_input.data)
 
 
 class TestAdam:
