@@ -68,7 +68,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_backward", "_seq",
-                 "__weakref__")
+                 "_outer", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -80,6 +80,8 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._seq = next(_SEQ)
+        # (g, x) rows of `linear` uses not yet summed into grad; see `_flush_outer`
+        self._outer: Optional[list] = None
 
     @property
     def shape(self):
@@ -106,8 +108,27 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
+
+    def _grad_buffer(self) -> np.ndarray:
+        """This pass's grad array, zero-filled on first use, for ops that
+        scatter into part of it."""
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        return self.grad
+
+    def _flush_outer(self) -> None:
+        """Add every deferred `linear` contribution sum_i g_i.T @ x_i as one
+        product of the stacked rows."""
+        gs, xs = zip(*self._outer)
+        self._outer = None
+        total = (np.concatenate(gs).T @ np.concatenate(xs)).astype(self.data.dtype, copy=False)
+        if self.grad is None:
+            self.grad = total
+        else:
+            self.grad += total
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -117,6 +138,10 @@ class Tensor:
 
         Repeated calls without zeroing accumulate into `grad`: each pass
         computes a fresh d(loss)/d(tensor) and adds it to what was there.
+
+        Every consumer of a tensor has a larger `_seq` than the tensor, so
+        when the walk reaches it all of its consumers have run and the
+        weight-gradient rows `linear` deferred to it are complete.
         """
         if self.data.size != 1:
             raise TensorError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -139,6 +164,8 @@ class Tensor:
                 t.grad = None
         self._accumulate(np.ones_like(self.data))
         for t in nodes:
+            if t._outer is not None:
+                t._flush_outer()
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
         for t in nodes:
@@ -301,7 +328,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """x @ w.T for a (k,) or (m, k) input and an (n, k) weight; w is read in
-    place, never transposed into a copy."""
+    place, never transposed into a copy.
+
+    Backward defers w's gradient g.T @ x: the (g, x) rows wait on w until
+    `Tensor.backward` reaches w and sums every use in one GEMM, so an
+    unrolled recurrence costs one product per weight, not one per step.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
         raise TensorError(f"linear: input {x.shape} does not match weight {w.shape}")
@@ -310,7 +342,10 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g @ w.data)
         if w.requires_grad:
-            w._accumulate(np.outer(g, x.data) if x.ndim == 1 else g.T @ x.data)
+            if w._outer is None:
+                w._outer = []
+            w._outer.append((g.reshape(1, -1), x.data.reshape(1, -1)) if x.ndim == 1
+                            else (g, x.data))
 
     return _node(x.data @ w.data.T, (x, w), "linear", bw)
 
@@ -479,9 +514,7 @@ def slice_(a: Tensor, key) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[key] += g
-            a._accumulate(full)
+            a._grad_buffer()[key] += g
 
     return _node(a.data[key].copy(), (a,), "slice", bw)
 
@@ -497,9 +530,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     def bw(g):
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
-            table._accumulate(full)
+            np.add.at(table._grad_buffer(), ids, g)
 
     return _node(table.data[ids], (table,), "gather", bw)
 
@@ -630,7 +661,12 @@ class ParamStore:
         with zf:
             if "meta.json" not in zf.namelist():
                 raise CheckpointError(f"{path} has no meta.json")
-            meta = json.loads(zf.read("meta.json").decode("utf-8"))
+            try:
+                meta = json.loads(zf.read("meta.json").decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise CheckpointError(f"{path} has a meta.json that is not JSON: {exc}") from None
+            if not isinstance(meta, dict):
+                raise CheckpointError(f"{path} has a meta.json that is not a JSON object")
             if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint format version {meta.get('format_version')}, "
                                       f"expected {CHECKPOINT_FORMAT_VERSION}")

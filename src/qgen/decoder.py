@@ -93,7 +93,7 @@ class ExtendedDistribution:
 
 def init_decoder(last_backward: Tensor, w_init: Tensor, b_init: Tensor) -> Tensor:
     """s_0 = tanh(W lastback + b)."""
-    return ad.tanh(ad.add(ad.matmul(w_init, last_backward), b_init))
+    return ad.tanh(ad.add(ad.linear(last_backward, w_init), b_init))
 
 
 def attention_keys(enc_states: Tensor, p: DecoderParams) -> Tensor:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, set_default_dtype
+from .autodiff import CheckpointError, ParamStore, Tensor, set_default_dtype
 from .clue_predictor import ClueForward, build_adjacency, run_clue_predictor
 from .config import ModelConfig
 from .corpus import SOS, AnnotatedExample, ReducedTargetVocab, Vocabulary
@@ -21,6 +21,9 @@ from .features import (
     encoder_input_width,
 )
 from .labeling import LabeledExample
+
+# what `QgModel.save` writes to meta.json besides the format version
+_META_KEYS = ("config", "vocab_words", "reduced_words", "feature_vocab")
 
 
 @dataclass
@@ -163,6 +166,9 @@ class QgModel:
     @classmethod
     def load(cls, path) -> "QgModel":
         arrays, meta = ParamStore.read(path)
+        missing = [k for k in _META_KEYS if k not in meta]
+        if missing:
+            raise CheckpointError(f"{path} has a meta.json without {missing}")
         config = ModelConfig.from_dict(meta["config"])
         set_default_dtype(config.precision)
         vocab = Vocabulary(words=list(meta["vocab_words"]))

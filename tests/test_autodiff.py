@@ -130,6 +130,17 @@ class TestGatherConcatSlice:
         np.testing.assert_array_equal(table.grad[0], 2 * np.ones(4))
         np.testing.assert_array_equal(table.grad[1:], np.zeros((2, 4)))
 
+    def test_gather_and_slice_scatter_across_passes(self):
+        table = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        loss = ad.add(ad.add(ad.sum_(ad.gather_rows(table, [2, 0, 2])),
+                             ad.sum_(ad.mul(table[1:3], 2.0))),
+                      ad.sum_(ad.mul(table, table)))
+        expected = 2 * table.data + np.array([[1.0], [2.0], [4.0]])
+        loss.backward()
+        np.testing.assert_array_equal(table.grad, expected)
+        loss.backward()
+        np.testing.assert_array_equal(table.grad, 2 * expected)
+
     def test_gather_out_of_range(self):
         with pytest.raises(TensorError, match="out of range"):
             ad.gather_rows(Tensor(np.ones((3, 4))), [3])
@@ -193,6 +204,15 @@ class TestBackward:
         first = x.grad.copy()
         loss.backward()
         np.testing.assert_array_equal(x.grad, 2 * first)
+
+    def test_first_contribution_is_not_shared(self):
+        # add hands the same g to both inputs; b's later += must not reach a
+        a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+        t = ad.mul(b, 3.0)
+        s = ad.add(a, b)
+        ad.add(ad.sum_(s), ad.sum_(t)).backward()
+        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(b.grad, [4.0, 4.0])
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(TensorError, match="scalar"):
@@ -282,6 +302,75 @@ class TestLinear:
     def test_width_mismatch_reports_both_shapes(self):
         with pytest.raises(TensorError, match=r"\(4,\).*\(5, 3\)"):
             ad.linear(Tensor(np.zeros(4)), Tensor(np.zeros((5, 3))))
+
+
+class TestDeferredWeightGradients:
+    """`linear` defers w's g.T @ x to one GEMM when `backward` reaches w; the
+    result must equal the explicit sum of one outer product per row."""
+
+    @staticmethod
+    def _dtanh(y):
+        return 1.0 - np.tanh(y) ** 2
+
+    def _arrays(self):
+        rng = np.random.default_rng(13)
+        return rng.normal(size=(4, 3)), rng.normal(size=3), rng.normal(size=(5, 3))
+
+    def test_linear_1d_2d_and_add_share_a_weight(self):
+        w, x1, x2 = self._arrays()
+
+        def loss(w, x1, x2):
+            return ad.add(ad.add(ad.sum_(ad.mul(ad.tanh(ad.linear(x1, w)), 2.0)),
+                                 ad.sum_(ad.tanh(ad.linear(x2, w)))),
+                          ad.sum_(ad.tanh(ad.add(w, 0.5))))
+
+        assert_grads_match(loss, [w, x1, x2], tol=1e-4)
+        wt = Tensor(w, requires_grad=True)
+        loss(wt, Tensor(x1), Tensor(x2)).backward()
+        expected = np.outer(2.0 * self._dtanh(w @ x1), x1) + self._dtanh(w + 0.5)
+        for row, y in zip(x2, x2 @ w.T):
+            expected += np.outer(self._dtanh(y), row)
+        np.testing.assert_allclose(wt.grad, expected, rtol=0, atol=1e-12)
+
+    def test_non_leaf_weight(self):
+        w, x1, x2 = self._arrays()
+
+        def loss(w, x1, x2):
+            v = ad.tanh(w)
+            return ad.add(ad.sum_(ad.tanh(ad.linear(x1, v))), ad.sum_(ad.linear(x2, v)))
+
+        assert_grads_match(loss, [w, x1, x2], tol=1e-4)
+        wt = Tensor(w, requires_grad=True)
+        loss(wt, Tensor(x1), Tensor(x2)).backward()
+        v = np.tanh(w)
+        grad_v = np.outer(self._dtanh(v @ x1), x1)
+        for row in x2:
+            grad_v += np.outer(np.ones(len(w)), row)
+        np.testing.assert_allclose(wt.grad, grad_v * (1.0 - v * v), rtol=0, atol=1e-12)
+
+    def test_two_backward_calls_accumulate(self):
+        w, x1, x2 = self._arrays()
+        wt = Tensor(w, requires_grad=True)
+        loss = ad.add(ad.sum_(ad.tanh(ad.linear(Tensor(x1), wt))),
+                      ad.sum_(ad.tanh(ad.linear(Tensor(x2), wt))))
+        loss.backward()
+        first = wt.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(wt.grad, 2 * first)
+
+    def test_pass_without_linear_contribution(self):
+        w, x1, _ = self._arrays()
+        wt = Tensor(w, requires_grad=True)
+        ad.sum_(ad.linear(Tensor(x1), wt)).backward()
+        np.testing.assert_allclose(wt.grad, np.outer(np.ones(len(w)), x1), rtol=0, atol=1e-12)
+        # a loss that does not reach w leaves its grad alone
+        other = Tensor(x1, requires_grad=True)
+        ad.sum_(ad.tanh(other)).backward()
+        np.testing.assert_allclose(wt.grad, np.outer(np.ones(len(w)), x1), rtol=0, atol=1e-12)
+        # a pass that reaches w only through a non-linear op flushes nothing stale
+        wt.zero_grad()
+        ad.sum_(ad.mul(wt, wt)).backward()
+        np.testing.assert_array_equal(wt.grad, 2 * w)
 
 
 class TestAttentionScores:

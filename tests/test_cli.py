@@ -190,10 +190,11 @@ class TestTrainGenerateEvaluate:
 
 
 def _write_checkpoint(path, arrays, meta):
-    """A checkpoint zip laid out like `ParamStore.save`, meta.json optional."""
+    """A checkpoint zip laid out like `ParamStore.save`, meta.json optional;
+    a str meta is written as it is."""
     with zipfile.ZipFile(path, "w") as zf:
         if meta is not None:
-            zf.writestr("meta.json", json.dumps(meta))
+            zf.writestr("meta.json", meta if isinstance(meta, str) else json.dumps(meta))
         for name, a in arrays.items():
             buf = io.BytesIO()
             np.save(buf, a)
@@ -206,6 +207,12 @@ def _corrupt(arrays, meta, defect):
     first = next(iter(arrays))
     if defect == "no_meta":
         return None
+    if defect == "meta_not_json":
+        return json.dumps(meta)[:-1]
+    if defect == "meta_not_object":
+        return json.dumps([meta])
+    if defect.startswith("meta_without_"):
+        del meta[defect[len("meta_without_"):]]
     if defect == "wrong_version":
         meta["format_version"] = 99
     elif defect == "missing_param":
@@ -238,6 +245,12 @@ class TestCheckpointErrors:
         ("missing_param", "missing parameter"),
         ("extra_param", "bogus.w"),
         ("misshaped_param", "shape mismatch"),
+        ("meta_not_json", "not JSON"),
+        ("meta_not_object", "not a JSON object"),
+        ("meta_without_config", "'config'"),
+        ("meta_without_vocab_words", "'vocab_words'"),
+        ("meta_without_reduced_words", "'reduced_words'"),
+        ("meta_without_feature_vocab", "'feature_vocab'"),
     ])
     def test_defect_is_reported_as_json(self, pipeline, capsys, tmp_path, defect, words):
         arrays, meta = ParamStore.read(pipeline[3] / "model_ema.npz")

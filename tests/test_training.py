@@ -6,7 +6,7 @@ import pytest
 
 import qgen.beam
 import qgen.model
-from qgen.autodiff import ParamStore, Tensor
+from qgen.autodiff import ParamStore, Tensor, set_default_dtype
 from qgen.clue_predictor import gumbel_noise
 from qgen.config import rng_stream
 from qgen.corpus import build_vocabulary, stopword_set
@@ -302,3 +302,31 @@ class TestTrainLoop:
         result = train(corpus, cfg, dev_corpus=make_toy_data(3, seed=8))
         assert result.best_dev_arrays is not None
         assert all(r.dev_total is not None for r in result.log)
+
+
+class TestFloat32:
+    @pytest.fixture(autouse=True)
+    def restore_default_dtype(self):
+        # training and loading a float32 model switch the process-global dtype
+        yield
+        set_default_dtype(np.float64)
+
+    def test_tracks_float64_losses_and_round_trips(self, tmp_path):
+        corpus = make_toy_data(8, seed=1)
+        kw = dict(epochs=4, batch=4, seed=5, word_dim=24, enc_hidden=24, dec_hidden=24,
+                  attn_dim=16, gcn_hidden=12)
+        ref = train(corpus, toy_config(**kw))
+        f32 = train(corpus, toy_config(precision="float32", **kw))
+        # float32 rounding (eps 1.2e-7) accumulated over 8 Adam steps, with margin
+        for a, b in zip(ref.log, f32.log):
+            assert b.total == pytest.approx(a.total, rel=1e-5)
+        for name, t in f32.model.params.items():
+            assert t.data.dtype == np.float32, name
+            assert t.grad is not None and t.grad.dtype == np.float32, name
+        path = tmp_path / "model.npz"
+        f32.model.save(path)
+        set_default_dtype(np.float64)
+        loaded = QgModel.load(path)
+        for name, t in loaded.params.items():
+            assert t.data.dtype == np.float32, name
+            np.testing.assert_array_equal(t.data, f32.model.params[name].data)
