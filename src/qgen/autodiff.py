@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-_DTYPE = np.float64
 _GRAD_ENABLED = True
 _SEQ = itertools.count()
 
@@ -31,19 +30,6 @@ class TensorError(ValueError):
 
 class CheckpointError(ValueError):
     """Raised when a checkpoint file is unreadable or does not fit the model."""
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for all subsequently created tensors.
-
-    float64 is the default (and what the test suite assumes); float32 can be
-    selected for faster training.
-    """
-    global _DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise TensorError(f"unsupported dtype {dtype}")
-    _DTYPE = dtype.type
 
 
 @contextmanager
@@ -61,6 +47,8 @@ def no_grad():
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff.
 
+    float32 and float64 data keep their dtype; anything else becomes float64.
+
     `_seq` is a global creation counter: parents always carry a smaller
     sequence number than their outputs, so walking reachable nodes in
     decreasing `_seq` order is a reverse topological traversal of the
@@ -71,7 +59,8 @@ class Tensor:
                  "_outer", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype.char in "fd" else data.astype(np.float64)
         if self.data.ndim > 2:
             raise TensorError(f"only 0/1/2-d tensors supported, got shape {self.data.shape}")
         self.requires_grad = bool(requires_grad)
@@ -208,6 +197,23 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+def _operands(xs: tuple) -> Sequence[Tensor]:
+    """An op's inputs as tensors of one dtype: numbers and arrays take the
+    dtype of the tensor operands, and tensors of two dtypes raise instead of
+    upcasting."""
+    dtype, constants = None, False
+    for x in xs:
+        if not isinstance(x, Tensor):
+            constants = True
+        elif dtype is None:
+            dtype = x.data.dtype
+        elif x.data.dtype != dtype:
+            raise TensorError(f"operands of dtypes {dtype} and {x.data.dtype} do not mix")
+    if constants:
+        return [x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype)) for x in xs]
+    return xs
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], op: str,
           backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op's output; the graph edge and `backward(grad)` are kept only
@@ -245,7 +251,7 @@ def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands((a, b))
     _check_broadcast(a.data, b.data, "add")
 
     def bw(g):
@@ -258,7 +264,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands((a, b))
     _check_broadcast(a.data, b.data, "sub")
 
     def bw(g):
@@ -271,7 +277,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands((a, b))
     _check_broadcast(a.data, b.data, "mul")
 
     def bw(g):
@@ -295,7 +301,7 @@ def neg(a) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix/vector product for (m,k)x(k,n), (k,)x(k,n), (m,k)x(k,) and (k,)x(k,)."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands((a, b))
     ka = a.shape[-1] if a.ndim else None
     kb = b.shape[0] if b.ndim else None
     if a.ndim == 0 or b.ndim == 0 or ka != kb:
@@ -334,7 +340,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     `Tensor.backward` reaches w and sums every use in one GEMM, so an
     unrolled recurrence costs one product per weight, not one per step.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w = _operands((x, w))
     if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
         raise TensorError(f"linear: input {x.shape} does not match weight {w.shape}")
 
@@ -357,7 +363,7 @@ def attention_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
     query gives (m, n), one row per query.  The (m, n, a) activation stays
     inside the node, so no 3-d tensor enters the graph.
     """
-    keys, query, v = _as_tensor(keys), _as_tensor(query), _as_tensor(v)
+    keys, query, v = _operands((keys, query, v))
     if (keys.ndim != 2 or v.shape != keys.shape[1:] or query.ndim not in (1, 2)
             or query.shape[-1] != keys.shape[1]):
         raise TensorError(f"attention_scores: keys {keys.shape}, query {query.shape} "
@@ -439,7 +445,7 @@ def log(a) -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands((a, b))
     _check_broadcast(a.data, b.data, "maximum")
     take_a = a.data >= b.data
 
@@ -471,7 +477,7 @@ def softmax(a, mask: Optional[np.ndarray] = None) -> Tensor:
     entry of a row is masked.
     """
     a = _as_tensor(a)
-    x = a.data.astype(_DTYPE, copy=True)
+    x = a.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != x.shape:
@@ -492,7 +498,7 @@ def softmax(a, mask: Optional[np.ndarray] = None) -> Tensor:
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = _operands(tuple(tensors))
     if not tensors:
         raise TensorError("concat of empty list")
     sizes = [t.shape[axis] for t in tensors]
@@ -576,7 +582,7 @@ def dropout(a: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
         return a
     if mode != "train":
         raise TensorError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
+    keep = ((rng.random(a.shape) >= p) / (1.0 - p)).astype(a.data.dtype, copy=False)
 
     def bw(g):
         if a.requires_grad:
@@ -589,16 +595,16 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 class ParamStore:
-    """Named map of trainable tensors with lossless checkpoint round-trips."""
+    """Named trainable tensors of one dtype, with lossless checkpoint round-trips."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise TensorError(f"duplicate parameter name {name!r}")
-        t = data if isinstance(data, Tensor) else Tensor(data)
-        t.requires_grad = True
+        t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
         return t
 

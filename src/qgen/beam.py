@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import check_positive_int
 from .corpus import EOS, SOS, SPECIAL_TOKENS, AnnotatedExample
 from .decoder import ExtendedDistribution, attention_keys, decode_step, init_decoder
 from .encoder import encode
@@ -77,6 +78,8 @@ def generate(
     """
     beam_width = beam_width if beam_width is not None else model.config.beam
     max_len = max_len if max_len is not None else model.config.max_len
+    check_positive_int("beam_width", beam_width)
+    check_positive_int("max_len", max_len)
     table = SurfaceTable(model, [t.text for t in example.passage])
     p = model.decoder_params()
     words = model.params["embed.word"]
@@ -88,7 +91,7 @@ def generate(
         enc_out = encode(enc_features, fwd, bwd, model.config.enc_hidden, mode="eval")
         keys = attention_keys(enc_out.states, p)
         s = ad.reshape(init_decoder(enc_out.last_backward, p.w_init, p.b_init), (1, -1))
-        c = ad.Tensor(np.zeros((1, enc_out.states.shape[1])))
+        c = ad.Tensor(np.zeros((1, enc_out.states.shape[1]), enc_out.states.data.dtype))
         w_prev = ad.gather_rows(words, [SPECIAL_TOKENS.index(SOS)])
         live = [BeamHypothesis(tokens=[], log_prob=0.0, finished=False)]
         done: list[BeamHypothesis] = []

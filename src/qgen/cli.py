@@ -193,11 +193,18 @@ def _cmd_evaluate(args) -> int:
     pairs = []
     missing = []
     with open(args.pred, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                obj = None
+            if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+                    and isinstance(obj.get("prediction"), str)):
+                raise CliError(f"{args.pred} line {lineno}: expected a JSON object with "
+                               f"string \"id\" and \"prediction\" fields")
             if obj["id"] not in refs:
                 missing.append(obj["id"])
                 continue

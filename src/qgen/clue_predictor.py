@@ -46,7 +46,7 @@ def gcn_layer(h_prev: Tensor, adj: DependencyAdjacency, w: Tensor, b: Tensor) ->
         raise ad.TensorError(
             f"gcn_layer: weight expects input width {w.shape[1]}, features have {h_prev.shape[1]}"
         )
-    mixed = ad.matmul(Tensor(adj.norm), ad.linear(h_prev, w))
+    mixed = ad.matmul(adj.norm, ad.linear(h_prev, w))
     return ad.relu(ad.add(mixed, b))
 
 
@@ -95,7 +95,7 @@ def gumbel_softmax_sample(logits: Tensor, tau: float, rng: np.random.Generator,
     else:
         g = np.asarray(noise, dtype=float)
         u = np.exp(-np.exp(-g))
-    perturbed = ad.mul(ad.add(logits, Tensor(g)), 1.0 / tau)
+    perturbed = ad.mul(ad.add(logits, g), 1.0 / tau)
     y = ad.softmax(perturbed)
     return GumbelSample(u=u, g=g, y=y, y_st=st_discretize(y), tau=tau)
 

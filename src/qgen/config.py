@@ -18,6 +18,11 @@ class ConfigError(ValueError):
 _STREAMS = {"init": 0, "dropout": 1, "gumbel": 2, "shuffle": 3, "toy": 4}
 
 
+def check_positive_int(name: str, value) -> None:
+    if not isinstance(value, int) or value <= 0:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
 def rng_stream(seed: int, name: str) -> np.random.Generator:
     if name not in _STREAMS:
         raise ConfigError(f"unknown rng stream {name!r}; expected one of {sorted(_STREAMS)}")
@@ -73,9 +78,7 @@ class ModelConfig:
             "gcn_hidden", "batch", "beam", "max_len",
         ]
         for name in positive_ints:
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+            check_positive_int(name, getattr(self, name))
         if not isinstance(self.epochs, int) or self.epochs < 0:
             raise ConfigError(f"epochs must be a non-negative integer, got {self.epochs!r}")
         if self.r_h >= self.r_l:

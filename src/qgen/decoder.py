@@ -148,8 +148,8 @@ def decode_step(
     return state, ExtendedDistribution(gen=gen, copy=alpha, gate=gate)
 
 
-def zero_context(enc_width: int) -> Tensor:
-    return Tensor(np.zeros(enc_width))
+def zero_context(enc_states: Tensor) -> Tensor:
+    return Tensor(np.zeros(enc_states.shape[1], enc_states.data.dtype))
 
 
 def teacher_forced_unroll(
@@ -169,7 +169,7 @@ def teacher_forced_unroll(
     `embed_prev_word(token) -> Tensor` supplies gold-token input embeddings.
     """
     s = init_decoder(last_backward, p.w_init, p.b_init)
-    c = zero_context(enc_states.shape[1])
+    c = zero_context(enc_states)
     keys = attention_keys(enc_states, p)
     steps = []
     w_prev = sos_embedding

@@ -75,7 +75,7 @@ def encode(
         raise ad.TensorError("encode requires a non-empty sequence")
     if dropout_p > 0 and mode == "train":
         features = ad.dropout(features, dropout_p, mode, rng)
-    zero = Tensor(np.zeros(hidden))
+    zero = Tensor(np.zeros(hidden, features.data.dtype))
 
     h = zero
     fwd = []

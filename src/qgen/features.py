@@ -198,10 +198,7 @@ class FeatureEmbedder:
         matmul lets straight-through gradients reach the clue predictor.
         """
         if not isinstance(clue_weights, Tensor):
-            arr = np.asarray(clue_weights, dtype=float)
-            if arr.ndim == 1:  # binary indicators -> one-hot rows
-                onehot = np.zeros((arr.shape[0], 2))
-                onehot[np.arange(arr.shape[0]), arr.astype(int)] = 1.0
-                arr = onehot
-            clue_weights = Tensor(arr)
+            clue_weights = np.asarray(clue_weights, dtype=float)
+            if clue_weights.ndim == 1:  # binary indicators -> one-hot rows
+                clue_weights = np.eye(2)[clue_weights.astype(int)]
         return ad.concat([features, ad.matmul(clue_weights, self.params["embed.clue"])], axis=1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import CheckpointError, ParamStore, Tensor, set_default_dtype
+from .autodiff import CheckpointError, ParamStore, Tensor
 from .clue_predictor import ClueForward, build_adjacency, run_clue_predictor
 from .config import ModelConfig
 from .corpus import SOS, AnnotatedExample, ReducedTargetVocab, Vocabulary
@@ -49,8 +49,7 @@ class QgModel:
     def build(cls, config: ModelConfig, vocab: Vocabulary, reduced: ReducedTargetVocab,
               feature_vocab: FeatureVocab, rng: np.random.Generator,
               vectors_file=None) -> "QgModel":
-        set_default_dtype(config.precision)
-        params = ParamStore()
+        params = ParamStore(config.precision)
         build_feature_tables(params, config, vocab, feature_vocab, rng, vectors_file)
 
         gcn_in = clue_input_width(config)
@@ -170,7 +169,6 @@ class QgModel:
         if missing:
             raise CheckpointError(f"{path} has a meta.json without {missing}")
         config = ModelConfig.from_dict(meta["config"])
-        set_default_dtype(config.precision)
         vocab = Vocabulary(words=list(meta["vocab_words"]))
         reduced = ReducedTargetVocab(words=list(meta["reduced_words"]))
         feature_vocab = FeatureVocab.from_dict(meta["feature_vocab"])

@@ -4,7 +4,7 @@ content words with generated function words."""
 
 from __future__ import annotations
 
-from .config import rng_stream
+from .config import ConfigError, rng_stream
 from .corpus import AnnotatedExample, AnnotatedToken
 
 _NAMES = ["Alice", "Bob", "Carol", "David", "Erin", "Frank", "Grace", "Henry",
@@ -51,10 +51,10 @@ def make_toy_data(n: int, seed: int) -> list[AnnotatedExample]:
     combinations).
     """
     if n < 1:
-        raise ValueError(f"need n >= 1 toy examples, got {n}")
+        raise ConfigError(f"need n >= 1 toy examples, got {n}")
     capacity = len(_NAMES) * len(_VERBS) * len(_OBJECTS) * len(_CITIES)
     if n > capacity:
-        raise ValueError(f"at most {capacity} distinct toy examples, requested {n}")
+        raise ConfigError(f"at most {capacity} distinct toy examples, requested {n}")
     rng = rng_stream(seed, "toy")
 
     examples = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor, set_default_dtype
+from .autodiff import ParamStore, Tensor
 from .config import ModelConfig, rng_stream
 from .corpus import AnnotatedExample, build_vocabulary, stopword_set
 from .features import FeatureVocab
@@ -54,7 +54,7 @@ def clue_loss(clue_probs: Tensor, gold_labels: list[bool]) -> Tensor:
     n = len(gold_labels)
     gold = np.zeros((n, 2))
     gold[np.arange(n), np.asarray(gold_labels, dtype=int)] = 1.0
-    p_gold = ad.sum_(ad.mul(clue_probs, Tensor(gold)), axis=1)
+    p_gold = ad.sum_(ad.mul(clue_probs, gold), axis=1)
     return ad.mean_(_neg_log(p_gold))
 
 
@@ -69,7 +69,7 @@ def sequence_losses(steps, example: LabeledExample) -> tuple[Tensor, Tensor]:
             gate_terms.append(_neg_log(state.gate))
             mask = np.zeros(n)
             mask[example.copy_alignment[t]] = 1.0
-            p_copy = ad.matmul(dist.copy, Tensor(mask))
+            p_copy = ad.matmul(dist.copy, mask)
             gen_terms.append(_neg_log(ad.mul(state.gate, p_copy)))
         else:
             gate_terms.append(_neg_log(ad.sub(1.0, state.gate)))
@@ -126,11 +126,15 @@ def adam_step(params: ParamStore, state: OptimizerState, config: ModelConfig) ->
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        tensor.data = tensor.data - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        # in place, in the operation order of data - lr * m_hat / (sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        denom = np.sqrt(v / (1 - b2 ** t))
+        denom += config.eps
+        tensor.data -= config.lr * (m / (1 - b1 ** t)) / denom
 
 
 class EmaState:
@@ -143,7 +147,9 @@ class EmaState:
     def update(self, params: ParamStore) -> None:
         d = self.decay
         for name, t in params.items():
-            self.shadow[name] = d * self.shadow[name] + (1 - d) * t.data
+            shadow = self.shadow[name]
+            shadow *= d
+            shadow += (1 - d) * t.data
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: a.copy() for name, a in self.shadow.items()}
@@ -190,7 +196,6 @@ def train(
     config.seed through named substreams.  `stop_total` ends training early
     once an epoch's mean total loss drops below it."""
     config.validate()
-    set_default_dtype(config.precision)
     init_rng = rng_stream(config.seed, "init")
     gumbel_rng = rng_stream(config.seed, "gumbel")
     dropout_rng = rng_stream(config.seed, "dropout")

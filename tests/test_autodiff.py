@@ -468,3 +468,47 @@ class TestParamStore:
         assert w.grad is not None
         store.zero_grad()
         assert w.grad is None
+
+
+class TestDtypes:
+    def test_float32_kept_and_other_data_becomes_float64(self):
+        assert Tensor(np.zeros(2, np.float32)).data.dtype == np.float32
+        assert Tensor(np.zeros(2)).data.dtype == np.float64
+        for data in ([1, 2], np.array([True, False]), 3, 2.5, np.zeros(2, np.float16)):
+            assert Tensor(data).data.dtype == np.float64
+
+    def test_constants_take_the_tensor_dtype(self):
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        outs = [ad.add(x, np.arange(3.0)), ad.sub(1.0, x), ad.mul(x, 0.5),
+                ad.maximum(x, np.zeros(3)), ad.matmul(np.eye(3), x),
+                ad.concat([x, np.zeros(2)])]
+        for out in outs:
+            assert out.data.dtype == np.float32, out._op
+            assert all(p.data.dtype == np.float32 for p in out._parents), out._op
+        assert ad.add(1.0, 2.0).data.dtype == np.float64
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: ad.add(a, b),
+        lambda a, b: ad.linear(a, ad.reshape(b, (1, 3))),
+        lambda a, b: ad.concat([a, b]),
+    ])
+    def test_mixed_tensor_dtypes_raise(self, op):
+        a32 = Tensor(np.ones(3, np.float32))
+        a64 = Tensor(np.ones(3))
+        with pytest.raises(TensorError, match="float32 and float64|float64 and float32"):
+            op(a32, a64)
+        with pytest.raises(TensorError, match="float32 and float64|float64 and float32"):
+            op(a64, a32)
+
+    def test_param_store_casts_to_its_dtype(self):
+        store = ParamStore(np.float32)
+        w = store.add("w", np.arange(3.0))
+        assert w.data.dtype == np.float32 and w.requires_grad
+        assert ParamStore().add("b", [1, 2]).data.dtype == np.float64
+
+    def test_dropout_mask_keeps_float32(self):
+        x = Tensor(np.ones((4, 5), np.float32), requires_grad=True)
+        out = ad.dropout(x, 0.5, "train", np.random.default_rng(0))
+        assert out.data.dtype == np.float32
+        ad.sum_(out).backward()
+        assert x.grad.dtype == np.float32

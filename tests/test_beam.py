@@ -6,6 +6,7 @@ import pytest
 
 from qgen.autodiff import Tensor, no_grad
 from qgen.beam import generate
+from qgen.config import ConfigError
 from qgen.corpus import EOS, SOS, build_vocabulary, stopword_set
 from qgen.decoder import attention_keys, decode_step, init_decoder, zero_context
 from qgen.encoder import encode
@@ -76,7 +77,7 @@ def reference_generate(model, example, beam_width, max_len):
         keys = attention_keys(enc.states, p)
         beam = [RefHypothesis(
             tokens=[], log_prob=0.0, s=init_decoder(enc.last_backward, p.w_init, p.b_init),
-            c=zero_context(enc.states.shape[1]),
+            c=zero_context(enc.states),
             w_prev=model.embedder.special_word_embedding(SOS), finished=False)]
         done = []
         for _ in range(max_len):
@@ -114,7 +115,7 @@ def greedy_oracle(model, example, max_len):
         enc = _encode(model, example)
         keys = attention_keys(enc.states, p)
         s = init_decoder(enc.last_backward, p.w_init, p.b_init)
-        c = zero_context(enc.states.shape[1])
+        c = zero_context(enc.states)
         w_prev = model.embedder.special_word_embedding(SOS)
         tokens = []
         for _ in range(max_len):
@@ -220,6 +221,23 @@ class TestGenerate:
         hyps = generate(model, corpus[0], beam_width=6, max_len=8)
         scores = [h.score for h in hyps]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("beam_width, max_len, field", [
+        (0, 8, "beam_width"), (-3, 2, "beam_width"), (2, 0, "max_len")])
+    def test_bad_width_or_length_rejected(self, setup, beam_width, max_len, field):
+        model, corpus = setup
+        with pytest.raises(ConfigError, match=f"{field} must be a positive integer"):
+            generate(model, corpus[0], beam_width=beam_width, max_len=max_len)
+
+    def test_float32_model(self, setup):
+        model, corpus = setup
+        m32 = QgModel.build(replace(model.config, precision="float32"), model.vocab,
+                            model.reduced, model.features, np.random.default_rng(21))
+        for ex in corpus[:3]:
+            hyps = generate(m32, ex, beam_width=4, max_len=8)
+            scores = [h.score for h in hyps]
+            assert len(hyps) == 4 and np.isfinite(scores).all()
+            assert scores == sorted(scores, reverse=True)
 
     def test_surface_strips_eos(self, setup):
         model, corpus = setup

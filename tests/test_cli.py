@@ -61,6 +61,14 @@ class TestMakeToyData:
         for ex in labeled:
             assert any(ex.passage_clue_label)
 
+    def test_zero_examples_is_reported_as_json(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "make-toy-data", "--n", "0", "--out",
+                                 str(tmp_path / "none.jsonl"))
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "ConfigError"
+        assert "n >= 1" in report["message"]
+
     def test_seeds_differ(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_cli(capsys, "make-toy-data", "--n", "8", "--seed", "1", "--out", str(a))
@@ -179,6 +187,35 @@ class TestTrainGenerateEvaluate:
         report = json.loads(out)
         assert report["bleu4"] == pytest.approx(100.0)
         assert report["rougeL"] == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--beam-width", "0", "beam_width"), ("--beam-width", "-3", "beam_width"),
+        ("--max-len", "0", "max_len")])
+    def test_generate_rejects_bad_width_or_length(self, pipeline, capsys, flag, value, field):
+        tmp, data, _, out_dir = pipeline
+        code, out, err = run_cli(capsys, "generate", "--checkpoint", str(out_dir / "model.npz"),
+                                 "--data", str(data), "--out", str(tmp / "bad.jsonl"),
+                                 flag, value)
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "ConfigError"
+        assert report["message"] == f"{field} must be a positive integer, got {value}"
+
+    @pytest.mark.parametrize("defect", ["not_json", "no_id", "no_prediction", "not_object"])
+    def test_evaluate_rejects_malformed_prediction_line(self, pipeline, capsys, defect):
+        tmp, data, _, _ = pipeline
+        good = {"id": load_corpus(data)[0].id, "prediction": "what ?"}
+        line = {"not_json": "{not json",
+                "no_id": json.dumps({"prediction": "what ?"}),
+                "no_prediction": json.dumps({"id": good["id"]}),
+                "not_object": json.dumps([good["id"], "what ?"])}[defect]
+        pred = tmp / "malformed.jsonl"
+        pred.write_text(json.dumps(good) + "\n\n" + line + "\n")
+        code, out, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--ref", str(data))
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "CliError"
+        assert "line 3" in report["message"]
 
     def test_unknown_prediction_id_fails(self, pipeline, capsys):
         tmp, data, _, _ = pipeline

@@ -6,7 +6,7 @@ import pytest
 
 import qgen.beam
 import qgen.model
-from qgen.autodiff import ParamStore, Tensor, set_default_dtype
+from qgen.autodiff import ParamStore, Tensor
 from qgen.clue_predictor import gumbel_noise
 from qgen.config import rng_stream
 from qgen.corpus import build_vocabulary, stopword_set
@@ -26,9 +26,9 @@ from qgen.training import (
 from conftest import micro_corpus, tiny_config, toy_config
 
 
-def build_tiny_model(seed=11):
+def build_tiny_model(seed=11, **overrides):
     corpus = micro_corpus()
-    cfg = tiny_config(seed=seed)
+    cfg = tiny_config(seed=seed, **overrides)
     vocab = build_vocabulary(corpus, cfg.vocab_max)
     fv = FeatureVocab.from_corpus(corpus)
     labeled, reduced = label_corpus(corpus, vocab, stopword_set(), cfg.r_h,
@@ -212,6 +212,42 @@ class TestAdam:
             assert float(w.data) == pytest.approx(x, rel=1e-12)
 
 
+def _reference_adam(data, grad, m, v, t, cfg):
+    """The allocating form of one clipped Adam step: (data, m, v)."""
+    g = np.clip(grad, -cfg.clip, cfg.clip)
+    m = cfg.beta1 * m + (1 - cfg.beta1) * g
+    v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+    m_hat = m / (1 - cfg.beta1 ** t)
+    v_hat = v / (1 - cfg.beta2 ** t)
+    return data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps), m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_in_place_adam_and_ema_match_reference_bit_for_bit(dtype):
+    cfg = tiny_config(lr=0.01, clip=0.5)
+    rng = np.random.default_rng(4)
+    store = ParamStore(dtype)
+    for name, shape in [("w", (3, 4)), ("b", (4,)), ("s", ())]:
+        store.add(name, 1e-3 * rng.normal(size=shape))  # small, so the step sets the low bits
+    state, ema = OptimizerState(), EmaState(store, decay=0.9)
+    ref = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data), t.data.copy())
+           for name, t in store.items()}
+    for step in range(1, 4):
+        for name, t in store.items():
+            t.grad = rng.normal(size=t.shape).astype(dtype)  # about a third beyond the clip
+            data, m, v, shadow = ref[name]
+            data, m, v = _reference_adam(data, t.grad, m, v, step, cfg)
+            ref[name] = (data, m, v, 0.9 * shadow + (1 - 0.9) * data)
+        adam_step(store, state, cfg)
+        ema.update(store)
+        for name, t in store.items():
+            data, m, v, shadow = ref[name]
+            for got, want in [(t.data, data), (state.m[name], m), (state.v[name], v),
+                              (ema.shadow[name], shadow)]:
+                assert got.dtype == dtype, name
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, step)
+
+
 class TestEma:
     def test_update_formula(self):
         store = ParamStore()
@@ -305,12 +341,6 @@ class TestTrainLoop:
 
 
 class TestFloat32:
-    @pytest.fixture(autouse=True)
-    def restore_default_dtype(self):
-        # training and loading a float32 model switch the process-global dtype
-        yield
-        set_default_dtype(np.float64)
-
     def test_tracks_float64_losses_and_round_trips(self, tmp_path):
         corpus = make_toy_data(8, seed=1)
         kw = dict(epochs=4, batch=4, seed=5, word_dim=24, enc_hidden=24, dec_hidden=24,
@@ -325,8 +355,35 @@ class TestFloat32:
             assert t.grad is not None and t.grad.dtype == np.float32, name
         path = tmp_path / "model.npz"
         f32.model.save(path)
-        set_default_dtype(np.float64)
         loaded = QgModel.load(path)
         for name, t in loaded.params.items():
             assert t.data.dtype == np.float32, name
             np.testing.assert_array_equal(t.data, f32.model.params[name].data)
+
+    def test_loading_float32_leaves_a_float64_model_alone(self, tmp_path):
+        m64, labeled = build_tiny_model()
+        before = qgen.beam.generate(m64, labeled[0].base, 3, 6)
+        build_tiny_model(precision="float32")[0].save(tmp_path / "m32.npz")
+        loaded = QgModel.load(tmp_path / "m32.npz")
+        after = qgen.beam.generate(m64, labeled[0].base, 3, 6)
+        assert [(h.tokens, h.log_prob) for h in after] == [(h.tokens, h.log_prob) for h in before]
+        assert Tensor(np.zeros(2)).data.dtype == np.float64
+        assert all(t.data.dtype == np.float32 for t in loaded.params.tensors())
+
+    def test_training_graph_is_float32_throughout(self):
+        model, labeled = build_tiny_model(precision="float32", dropout=0.3)
+        loss = compute_losses(model, labeled[0], rng_stream(1, "gumbel"),
+                              rng_stream(1, "dropout"), mode="train").total
+        ops, seen, stack = set(), {id(loss)}, [loss]
+        while stack:
+            t = stack.pop()
+            ops.add(t._op)
+            assert t.data.dtype == np.float32, t._op
+            for p in t._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert {"dropout", "st_discretize", "attention_scores", "linear"} <= ops
+        loss.backward()
+        for name, t in model.params.items():
+            assert t.grad is None or t.grad.dtype == np.float32, name
