@@ -69,8 +69,9 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._seq = next(_SEQ)
-        # (g, x) rows of `linear` uses not yet summed into grad; see `_flush_outer`
-        self._outer: Optional[list] = None
+        # (g, x) rows of `linear` uses not yet summed into grad, by column
+        # range; see `_flush_outer`
+        self._outer: Optional[dict] = None
 
     @property
     def shape(self):
@@ -109,15 +110,16 @@ class Tensor:
         return self.grad
 
     def _flush_outer(self) -> None:
-        """Add every deferred `linear` contribution sum_i g_i.T @ x_i as one
-        product of the stacked rows."""
-        gs, xs = zip(*self._outer)
-        self._outer = None
-        total = (np.concatenate(gs).T @ np.concatenate(xs)).astype(self.data.dtype, copy=False)
-        if self.grad is None:
-            self.grad = total
-        else:
-            self.grad += total
+        """Add every deferred `linear` contribution sum_i g_i.T @ x_i to its
+        columns, one product of the stacked rows per column range."""
+        outer, self._outer = self._outer, None
+        for (lo, hi), rows in outer.items():
+            gs, xs = zip(*rows)
+            total = (np.concatenate(gs).T @ np.concatenate(xs)).astype(self.data.dtype, copy=False)
+            if self.grad is None and hi - lo == self.data.shape[1]:
+                self.grad = total
+            else:
+                self._grad_buffer()[:, lo:hi] += total
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -161,31 +163,6 @@ class Tensor:
             prior = stashed.get(id(t))
             if prior is not None:
                 t.grad = prior if t.grad is None else t.grad + prior
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -332,54 +309,100 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), "matmul", bw)
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tensor:
     """x @ w.T for a (k,) or (m, k) input and an (n, k) weight; w is read in
     place, never transposed into a copy.
 
-    Backward defers w's gradient g.T @ x: the (g, x) rows wait on w until
-    `Tensor.backward` reaches w and sums every use in one GEMM, so an
-    unrolled recurrence costs one product per weight, not one per step.
+    `cols=(lo, hi)` multiplies x by the weight's columns lo:hi only, a view,
+    so one parameter can hold the blocks of a product over [x; h] that are
+    computed at different times.
+
+    Backward defers w's gradient g.T @ x: the (g, x) rows wait on w, grouped
+    by column range, until `Tensor.backward` reaches w and sums every use of
+    each range in one GEMM, so an unrolled recurrence costs one product per
+    weight and range, not one per step.
     """
     x, w = _operands((x, w))
-    if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
+    if w.ndim != 2 or x.ndim not in (1, 2):
         raise TensorError(f"linear: input {x.shape} does not match weight {w.shape}")
+    lo, hi = cols if cols is not None else (0, w.shape[1])
+    if not 0 <= lo <= hi <= w.shape[1] or x.shape[-1] != hi - lo:
+        raise TensorError(f"linear: input {x.shape} does not match columns {lo}:{hi} "
+                          f"of weight {w.shape}")
+    full = hi - lo == w.shape[1]
 
     def bw(g):
         if x.requires_grad:
-            x._accumulate(g @ w.data)
+            x._accumulate(g @ (w.data if full else w.data[:, lo:hi]))
         if w.requires_grad:
             if w._outer is None:
-                w._outer = []
-            w._outer.append((g.reshape(1, -1), x.data.reshape(1, -1)) if x.ndim == 1
-                            else (g, x.data))
+                w._outer = {}
+            w._outer.setdefault((lo, hi), []).append(
+                (g.reshape(1, -1), x.data.reshape(1, -1)) if x.ndim == 1 else (g, x.data))
 
-    return _node(x.data @ w.data.T, (x, w), "linear", bw)
+    return _node(x.data @ (w.data if full else w.data[:, lo:hi]).T, (x, w), "linear", bw)
 
 
-def attention_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
+def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) -> Tensor:
     """Additive attention scores v . tanh(keys_i + query) for every key row.
 
-    keys is (n, a) and v is (a,).  A (a,) query gives (n,) scores; a (m, a)
-    query gives (m, n), one row per query.  The (m, n, a) activation stays
-    inside the node, so no 3-d tensor enters the graph.
+    keys is (blocks * n, a), `blocks` passages of n rows each, and v is (a,).
+    With one block, a (a,) query gives (n,) scores and a (m, a) query gives
+    (m, n), one row per query.  With B blocks, row b of the (B, a) query
+    scores block b only: (B, n).  The (m, n, a) activation stays inside the
+    node, so no 3-d tensor enters the graph.
     """
     keys, query, v = _operands((keys, query, v))
     if (keys.ndim != 2 or v.shape != keys.shape[1:] or query.ndim not in (1, 2)
-            or query.shape[-1] != keys.shape[1]):
-        raise TensorError(f"attention_scores: keys {keys.shape}, query {query.shape} "
-                          f"and v {v.shape} do not match")
-    t = np.tanh(keys.data + (query.data if query.ndim == 1 else query.data[:, None, :]))
+            or query.shape[-1] != keys.shape[1] or blocks < 1 or keys.shape[0] % blocks
+            or (blocks > 1 and (query.ndim != 2 or query.shape[0] != blocks))):
+        raise TensorError(f"attention_scores: keys {keys.shape}, query {query.shape}, "
+                          f"v {v.shape} and {blocks} blocks do not match")
+    if query.ndim == 1:
+        t = np.tanh(keys.data + query.data)
+    else:
+        t = np.tanh(keys.data.reshape(blocks, -1, keys.shape[1]) + query.data[:, None, :])
 
     def bw(g):
         d = g[..., None] * v.data * (1.0 - t * t)
         if keys.requires_grad:
-            keys._accumulate(d if d.ndim == 2 else d.sum(axis=0))
+            keys._accumulate(d.sum(axis=0) if d.ndim == 3 and blocks == 1
+                             else d.reshape(keys.shape))
         if query.requires_grad:
             query._accumulate(d.sum(axis=-2))
         if v.requires_grad:
             v._accumulate(np.tensordot(g, t, axes=g.ndim))
 
     return _node(t @ v.data, (keys, query, v), "attention_scores", bw)
+
+
+def attention_context(alpha: Tensor, values: Tensor) -> Tensor:
+    """Attention-weighted sums of value rows.
+
+    values is (blocks * n, d) for weights alpha of width n.  With one block
+    this is `matmul(alpha, values)`: every row of alpha weights all of
+    values.  With B blocks, row b of the (B, n) alpha weights block b only:
+    (B, d).  The (B, n, d) products stay inside the node.
+    """
+    alpha, values = _operands((alpha, values))
+    n = alpha.shape[-1] if alpha.ndim else 0
+    if values.ndim != 2 or alpha.ndim not in (1, 2) or n == 0 or values.shape[0] % n:
+        raise TensorError(f"attention_context: weights {alpha.shape} do not match "
+                          f"values {values.shape}")
+    blocks = values.shape[0] // n
+    if blocks == 1:
+        return matmul(alpha, values)
+    if alpha.ndim != 2 or alpha.shape[0] != blocks:
+        raise TensorError(f"attention_context: {alpha.shape} weights for {blocks} blocks")
+    v3 = values.data.reshape(blocks, n, -1)
+
+    def bw(g):
+        if alpha.requires_grad:
+            alpha._accumulate((v3 @ g[:, :, None])[:, :, 0])
+        if values.requires_grad:
+            values._accumulate((alpha.data[:, :, None] * g[:, None, :]).reshape(values.shape))
+
+    return _node((alpha.data[:, None, :] @ v3)[:, 0, :], (alpha, values), "attention_context", bw)
 
 
 def tanh(a) -> Tensor:
@@ -541,6 +564,23 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _node(table.data[ids], (table,), "gather", bw)
 
 
+def take_along(a: Tensor, ids) -> Tensor:
+    """Entry ids[i] of row i of a 2-d tensor, as an (m,) vector."""
+    a = _as_tensor(a)
+    ids = np.asarray(ids, dtype=np.int64)
+    if a.ndim != 2 or ids.shape != a.shape[:1]:
+        raise TensorError(f"take_along: {ids.shape} ids for a tensor of shape {a.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[1]):
+        raise TensorError(f"take_along: id out of range for rows of width {a.shape[1]}")
+    rows = np.arange(len(ids))
+
+    def bw(g):
+        if a.requires_grad:
+            a._grad_buffer()[rows, ids] += g
+
+    return _node(a.data[rows, ids], (a,), "take_along", bw)
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
 
@@ -568,21 +608,23 @@ def mean_(a: Tensor) -> Tensor:
     return mul(sum_(a), 1.0 / n)
 
 
-def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack 0-d tensors into a vector (used for per-step loss reduction)."""
-    return concat([reshape(s, (1,)) for s in scalars], axis=0)
-
-
-def dropout(a: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scale survivors by 1/(1-p) in train mode, identity in eval."""
+def dropout_keep(rng: np.random.Generator, shape, p: float, dtype=np.float64) -> np.ndarray:
+    """Inverted-dropout multipliers from one `rng.random(shape)` draw: 0
+    where dropped, 1/(1-p) where kept."""
     if not 0.0 <= p < 1.0:
         raise TensorError(f"dropout rate must be in [0, 1), got {p}")
+    return ((rng.random(shape) >= p) / (1.0 - p)).astype(dtype, copy=False)
+
+
+def dropout(a: Tensor, keep: Optional[np.ndarray]) -> Tensor:
+    """Inverted dropout with multipliers drawn by `dropout_keep`; None (eval
+    mode, or no dropout) leaves `a` as it is."""
     a = _as_tensor(a)
-    if mode == "eval" or p == 0.0:
+    if keep is None:
         return a
-    if mode != "train":
-        raise TensorError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    keep = ((rng.random(a.shape) >= p) / (1.0 - p)).astype(a.data.dtype, copy=False)
+    if keep.shape != a.shape:
+        raise TensorError(f"dropout multipliers {keep.shape} do not match input {a.shape}")
+    keep = keep.astype(a.data.dtype, copy=False)
 
     def bw(g):
         if a.requires_grad:

@@ -87,17 +87,16 @@ def generate(
     with ad.no_grad():
         clue = model.predict_clues(example, rng=None, mode="eval")
         enc_features = model.embedder.append_clue_slot(clue.features, clue.weights)
-        fwd, bwd = model.encoder_params()
-        enc_out = encode(enc_features, fwd, bwd, model.config.enc_hidden, mode="eval")
+        enc_out = encode([enc_features], *model.encoder_params())
         keys = attention_keys(enc_out.states, p)
-        s = ad.reshape(init_decoder(enc_out.last_backward, p.w_init, p.b_init), (1, -1))
+        s = init_decoder(enc_out.last_backward, p.w_init, p.b_init)
         c = ad.Tensor(np.zeros((1, enc_out.states.shape[1]), enc_out.states.data.dtype))
         w_prev = ad.gather_rows(words, [SPECIAL_TOKENS.index(SOS)])
         live = [BeamHypothesis(tokens=[], log_prob=0.0, finished=False)]
         done: list[BeamHypothesis] = []
 
         while live and len(live[0].tokens) < max_len:   # live hypotheses share one length
-            state, dist = decode_step(w_prev, c, s, enc_out.states, keys, p, mode="eval")
+            state, dist = decode_step(w_prev, c, s, enc_out.states, keys, p)
             probs = table.merge(dist)
             proposals = np.argsort(-probs, axis=1, kind="stable")[:, :beam_width]
             log_probs = (np.array([h.log_prob for h in live])[:, None] + np.log(

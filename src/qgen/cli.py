@@ -8,11 +8,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .autodiff import CheckpointError
 from .beam import generate as beam_generate
-from .config import ConfigError, ModelConfig
+from .config import ConfigError, ModelConfig, check_positive_int
 from .corpus import IngestError, build_vocabulary, load_corpus, stopword_set, write_corpus
 from .labeling import dump_labeled_corpus, label_corpus
 from .metrics import MetricError, evaluate_pairs
@@ -154,36 +155,51 @@ def _cmd_train(args) -> int:
     return 0
 
 
+@contextmanager
+def _replaced_on_success(path):
+    """A text file that replaces `path` only when the block completes; until
+    then it is a temporary file next to `path`, deleted on failure."""
+    if path is None:
+        yield None
+        return
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _cmd_generate(args) -> int:
     if not Path(args.checkpoint).exists():
         raise CliError(f"checkpoint not found: {args.checkpoint}")
+    for name, value in (("beam_width", args.beam_width), ("max_len", args.max_len)):
+        if value is not None:
+            check_positive_int(name, value)
     model = QgModel.load(args.checkpoint)
     corpus = load_corpus(args.data, require_question=False)
-    clues_fh = open(args.clues_out, "w", encoding="utf-8") if args.clues_out else None
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for ex in corpus:
-                hyps = beam_generate(model, ex, beam_width=args.beam_width, max_len=args.max_len)
-                best = hyps[0]
-                fh.write(json.dumps({
+    with _replaced_on_success(args.out) as fh, _replaced_on_success(args.clues_out) as clues_fh:
+        for ex in corpus:
+            hyps = beam_generate(model, ex, beam_width=args.beam_width, max_len=args.max_len)
+            best = hyps[0]
+            fh.write(json.dumps({
+                "id": ex.id,
+                "prediction": " ".join(best.surface()),
+                "score": best.score,
+            }, sort_keys=True) + "\n")
+            if clues_fh is not None:
+                clue = model.predict_clues(ex, rng=None, mode="eval")
+                clues_fh.write(json.dumps({
                     "id": ex.id,
-                    "prediction": " ".join(best.surface()),
-                    "score": best.score,
+                    "clues": [
+                        {"token": t.text,
+                         "probability": float(clue.probs.data[i, 1]),
+                         "indicator": int(clue.indicators[i])}
+                        for i, t in enumerate(ex.passage)
+                    ],
                 }, sort_keys=True) + "\n")
-                if clues_fh is not None:
-                    clue = model.predict_clues(ex, rng=None, mode="eval")
-                    clues_fh.write(json.dumps({
-                        "id": ex.id,
-                        "clues": [
-                            {"token": t.text,
-                             "probability": float(clue.probs.data[i, 1]),
-                             "indicator": int(clue.indicators[i])}
-                            for i, t in enumerate(ex.passage)
-                        ],
-                    }, sort_keys=True) + "\n")
-    finally:
-        if clues_fh is not None:
-            clues_fh.close()
     print(json.dumps({"generated": len(corpus), "out": str(args.out)}, sort_keys=True))
     return 0
 

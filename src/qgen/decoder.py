@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .encoder import GruCellParams, gru_cell
+from .encoder import EncoderOutput, GruCellParams, gru_inputs, gru_step
 
 
 @dataclass
@@ -73,9 +73,6 @@ class DecoderState:
     s: Tensor        # hidden state
     c: Tensor        # attention context
     alpha: Tensor    # attention weights over source positions
-    readout: Tensor
-    maxout: Tensor
-    gate: Tensor     # copy probability in (0, 1): scalar, or (K,) for K stacked states
 
 
 @dataclass
@@ -83,7 +80,8 @@ class ExtendedDistribution:
     """Per-step output distribution over reduced vocab and source positions.
 
     (1 - gate) * gen and gate * copy together form one normalized
-    distribution over emission events.
+    distribution over emission events.  Rows are steps: of K hypotheses in a
+    beam step, or of every step of every example in a teacher-forced batch.
     """
 
     gen: Tensor    # (|reduced vocab|,), or (K, |reduced vocab|)
@@ -101,16 +99,20 @@ def attention_keys(enc_states: Tensor, p: DecoderParams) -> Tensor:
     return ad.linear(enc_states, p.w_h)
 
 
-def attention(s_t: Tensor, enc_states: Tensor, keys: Tensor,
-              p: DecoderParams) -> tuple[Tensor, Tensor, Tensor]:
+def attention(s_t: Tensor, enc_states: Tensor, keys: Tensor, p: DecoderParams,
+              mask: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Concatenated attention: scores, softmax weights, weighted context.
 
-    A (dec_hidden,) state gives (n,) weights and an (enc_width,) context; a
-    (K, dec_hidden) stack of states gives one row of each per state.
+    Without `mask`, enc_states is one passage: a (dec_hidden,) state gives
+    (n,) weights and an (enc_width,) context, and a (K, dec_hidden) stack of
+    states one row of each per state.  A (B, n) `mask` makes enc_states and
+    keys B passages padded to n rows each (`EncoderOutput`): state row b
+    attends to the real positions of passage b only.
     """
-    scores = ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v)
-    alpha = ad.softmax(scores)
-    context = ad.matmul(alpha, enc_states)
+    blocks = 1 if mask is None else len(mask)
+    scores = ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v, blocks)
+    alpha = ad.softmax(scores, mask=mask)
+    context = ad.attention_context(alpha, enc_states)
     return alpha, context, scores
 
 
@@ -121,6 +123,34 @@ def pairwise_max(r: Tensor) -> Tensor:
     return ad.maximum(r[..., 0::2], r[..., 1::2])
 
 
+def output_head(w_prev: Tensor, state: DecoderState, p: DecoderParams,
+                maxout_keep: np.ndarray | None = None) -> ExtendedDistribution:
+    """The step outputs from its input word, state and context, row by row:
+    maxout readout, dropout, generation softmax and copy gate.  The next
+    step reads none of it, so a teacher-forced unroll runs it once over all
+    its steps."""
+    r_t = ad.add(ad.add(ad.linear(w_prev, p.w_rw), ad.linear(state.c, p.w_rc)),
+                 ad.linear(state.s, p.w_rs))
+    m_t = ad.dropout(pairwise_max(r_t), maxout_keep)
+    gen = ad.softmax(ad.linear(m_t, p.w_out))
+    gate = ad.sigmoid(ad.add(ad.add(ad.matmul(state.s, p.w_cs), ad.matmul(state.c, p.w_cc)),
+                             p.b_gate))
+    return ExtendedDistribution(gen=gen, copy=state.alpha, gate=gate)
+
+
+def recurrent_step(inputs: list[Tensor], context: Tensor, s_prev: Tensor, enc_states: Tensor,
+                   keys: Tensor, p: DecoderParams, mask: np.ndarray | None = None) -> DecoderState:
+    """GRU over [w_prev; c_prev], then attention; `mask` as in `attention`.
+
+    `inputs` and `context` split the GRU input as `gru_step` takes it: the
+    word's `gru_inputs` and c_prev when the word's share is computed ahead
+    for every step, or the biases and all of [w_prev; c_prev].
+    """
+    s_t = gru_step(inputs, s_prev, p.gru, context=context)
+    alpha, context, _ = attention(s_t, enc_states, keys, p, mask)
+    return DecoderState(s=s_t, c=context, alpha=alpha)
+
+
 def decode_step(
     w_prev: Tensor,
     c_prev: Tensor,
@@ -128,55 +158,54 @@ def decode_step(
     enc_states: Tensor,
     keys: Tensor,
     p: DecoderParams,
-    mode: str = "eval",
-    dropout_p: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> tuple[DecoderState, ExtendedDistribution]:
-    """One decoder step for a single hypothesis (1-d `w_prev`, `c_prev`,
-    `s_prev`) or for K of them stacked as rows; every output gains the same
-    leading K axis.  `keys` is `attention_keys(enc_states, p)`."""
-    s_t = gru_cell(ad.concat([w_prev, c_prev], axis=-1), s_prev, p.gru)
-    alpha, context, _ = attention(s_t, enc_states, keys, p)
-    r_t = ad.add(ad.add(ad.linear(w_prev, p.w_rw), ad.linear(context, p.w_rc)),
-                 ad.linear(s_t, p.w_rs))
-    m_t = pairwise_max(r_t)
-    if dropout_p > 0 and mode == "train":
-        m_t = ad.dropout(m_t, dropout_p, mode, rng)
-    gen = ad.softmax(ad.linear(m_t, p.w_out))
-    gate = ad.sigmoid(ad.add(ad.add(ad.matmul(s_t, p.w_cs), ad.matmul(context, p.w_cc)), p.b_gate))
-    state = DecoderState(s=s_t, c=context, alpha=alpha, readout=r_t, maxout=m_t, gate=gate)
-    return state, ExtendedDistribution(gen=gen, copy=alpha, gate=gate)
-
-
-def zero_context(enc_states: Tensor) -> Tensor:
-    return Tensor(np.zeros(enc_states.shape[1], enc_states.data.dtype))
+    """One decoder step over one passage for a single hypothesis (1-d
+    `w_prev`, `c_prev`, `s_prev`) or for K of them stacked as rows; every
+    output gains the same leading K axis.  `keys` is
+    `attention_keys(enc_states, p)`."""
+    gru = p.gru
+    state = recurrent_step([gru.b_z, gru.b_r, gru.b_h], ad.concat([w_prev, c_prev], axis=-1),
+                           s_prev, enc_states, keys, p)
+    return state, output_head(w_prev, state, p)
 
 
 def teacher_forced_unroll(
-    question: list[str],
-    embed_prev_word,
-    sos_embedding: Tensor,
-    enc_states: Tensor,
-    last_backward: Tensor,
+    prev_ids: list[list[int]],
+    words: Tensor,
+    enc: EncoderOutput,
     p: DecoderParams,
-    mode: str = "eval",
-    dropout_p: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> list[tuple[DecoderState, ExtendedDistribution]]:
-    """Unroll with gold previous tokens; returns len(question)+1 steps, the
-    final one predicting <EOS>.
+    maxout_keep: np.ndarray | None = None,
+) -> ExtendedDistribution:
+    """Decode a batch with gold previous tokens: example b reads the rows
+    `prev_ids[b]` of the word table, <SOS> and then its question, so it
+    takes len(prev_ids[b]) steps, the last one predicting <EOS>.
 
-    `embed_prev_word(token) -> Tensor` supplies gold-token input embeddings.
+    The B examples advance together as rows of one recurrent step; each
+    attends to its own passage in `enc`.  The output head then runs once
+    over every example's steps, stacked example after example, which is
+    also the row order of `maxout_keep`.
     """
-    s = init_decoder(last_backward, p.w_init, p.b_init)
-    c = zero_context(enc_states)
-    keys = attention_keys(enc_states, p)
-    steps = []
-    w_prev = sos_embedding
-    for t in range(len(question) + 1):
-        state, dist = decode_step(w_prev, c, s, enc_states, keys, p, mode, dropout_p, rng)
-        steps.append((state, dist))
-        if t < len(question):
-            w_prev = embed_prev_word(question[t])
-            s, c = state.s, state.c
-    return steps
+    steps = np.array([len(ids) for ids in prev_ids])
+    batch = len(steps)
+    w_prev = ad.gather_rows(words, np.concatenate(prev_ids))       # example-major rows
+    first = np.cumsum(steps) - steps
+    t = np.arange(steps.max())[:, None]
+    # step t of example b reads row first[b] + t; finished rows repeat their last
+    # step, and nothing reads what they compute
+    inputs = [ad.gather_rows(g, (first + np.minimum(t, steps - 1)).ravel())
+              for g in gru_inputs(w_prev, p.gru)]
+    keys = attention_keys(enc.states, p)
+    mask = enc.mask()
+    s = init_decoder(enc.last_backward, p.w_init, p.b_init)
+    c = Tensor(np.zeros((batch, enc.states.shape[1]), enc.states.data.dtype))
+    rows: list[DecoderState] = []
+    for i in range(len(t)):
+        state = recurrent_step([g[i * batch:(i + 1) * batch] for g in inputs], c, s,
+                               enc.states, keys, p, mask)
+        rows.append(state)
+        s, c = state.s, state.c
+    # step-major row t * B + b of every step, in example-major order
+    order = np.concatenate([np.arange(n) * batch + b for b, n in enumerate(steps)])
+    stacked = DecoderState(*(ad.gather_rows(ad.concat([getattr(r, f) for r in rows]), order)
+                             for f in ("s", "c", "alpha")))
+    return output_head(w_prev, stacked, p, maxout_keep)

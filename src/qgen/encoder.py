@@ -1,4 +1,4 @@
-"""Bidirectional GRU over token feature vectors."""
+"""Bidirectional GRU over token feature vectors, a batch of passages at a time."""
 
 from __future__ import annotations
 
@@ -37,60 +37,115 @@ class GruCellParams:
         return cls(*(params[f"{prefix}.{n}"] for n in ("w_z", "b_z", "w_r", "b_r", "w_h", "b_h")))
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, p: GruCellParams) -> Tensor:
-    """Standard GRU update: reset gate applied to h before the candidate.
+def gru_inputs(x: Tensor, p: GruCellParams) -> list[Tensor]:
+    """The input's share of the z, r and candidate pre-activations, bias
+    included: x times the first x-width columns of each weight.  A recurrence
+    takes it for all its inputs at once, before the time loop."""
+    cols = (0, x.shape[-1])
+    return [ad.add(ad.linear(x, w, cols), b) for w, b in ((p.w_z, p.b_z), (p.w_r, p.b_r), (p.w_h, p.b_h))]
 
-    Takes one (input,) / (hidden,) pair, or K of them stacked as rows.
+
+def gru_step(inputs: list[Tensor], h_prev: Tensor, p: GruCellParams,
+             context: Tensor | None = None, keep: np.ndarray | None = None) -> Tensor:
+    """Standard GRU update, reset gate applied to h before the candidate.
+
+    `inputs` are the z, r and candidate pre-activation shares of the
+    weights' first columns, bias included (`gru_inputs`); the remaining
+    columns act on [context; h], context optional.  When `context` is the
+    whole step input, `inputs` are the three biases alone.  Takes one state
+    or K of them stacked as rows.  A 0/1 `keep` mask the shape of h leaves
+    the rows where it is 0 unchanged.
     """
-    xh = ad.concat([x, h_prev], axis=-1)
-    z = ad.sigmoid(ad.add(ad.linear(xh, p.w_z), p.b_z))
-    r = ad.sigmoid(ad.add(ad.linear(xh, p.w_r), p.b_r))
-    xrh = ad.concat([x, ad.mul(r, h_prev)], axis=-1)
-    h_cand = ad.tanh(ad.add(ad.linear(xrh, p.w_h), p.b_h))
+    xz, xr, xh = inputs
+
+    def recurrent(h):
+        return h if context is None else ad.concat([context, h], axis=-1)
+
+    def columns(w, x):
+        return w.shape[1] - x.shape[-1], w.shape[1]
+
+    zr_in = recurrent(h_prev)
+    z = ad.sigmoid(ad.add(xz, ad.linear(zr_in, p.w_z, columns(p.w_z, zr_in))))
+    r = ad.sigmoid(ad.add(xr, ad.linear(zr_in, p.w_r, columns(p.w_r, zr_in))))
+    cand_in = recurrent(ad.mul(r, h_prev))
+    h_cand = ad.tanh(ad.add(xh, ad.linear(cand_in, p.w_h, columns(p.w_h, cand_in))))
+    if keep is not None:
+        z = ad.mul(z, keep)
     return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 
 @dataclass
 class EncoderOutput:
-    states: Tensor         # (n, 2*hidden): [forward; backward] per token
-    last_backward: Tensor  # backward state at the first token
+    """A batch of B passages, each right-padded to the longest, n rows."""
+
+    states: Tensor         # (B * n, 2 * hidden): [forward; backward] per token, passage-major
+    last_backward: Tensor  # (B, hidden): backward state at each passage's first token
+    lengths: np.ndarray    # (B,) passage lengths
+
+    def mask(self) -> np.ndarray:
+        """(B, n), True at each passage's real positions."""
+        return np.arange(self.lengths.max()) < self.lengths[:, None]
+
+
+def _direction(gates: list[Tensor], positions: np.ndarray, live: np.ndarray,
+               p: GruCellParams) -> tuple[Tensor, Tensor]:
+    """One direction over B sequences in lockstep: step i reads row
+    positions[i, b] of the input shares for sequence b, and carries h of the
+    sequences with live[i, b] False.  Returns the states, step-major
+    (n * B, hidden), and the last state."""
+    n, batch = positions.shape
+    gates = [ad.gather_rows(g, positions.ravel()) for g in gates]
+    hidden = p.w_z.shape[0]
+    h = Tensor(np.zeros((batch, hidden), gates[0].data.dtype))
+    states = []
+    for i in range(n):
+        keep = None if live[i].all() else np.repeat(live[i][:, None], hidden, axis=1)
+        h = gru_step([g[i * batch:(i + 1) * batch] for g in gates], h, p, keep=keep)
+        states.append(h)
+    return ad.concat(states), h
 
 
 def encode(
-    features: Tensor,
+    passages: list[Tensor],
     forward_params: GruCellParams,
     backward_params: GruCellParams,
-    hidden: int,
-    dropout_p: float = 0.0,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
+    input_keep: np.ndarray | None = None,
+    output_keep: np.ndarray | None = None,
 ) -> EncoderOutput:
-    """Run both directions from zero initial states and concatenate.
+    """Run both directions over every passage from zero initial states and
+    concatenate.
 
-    Dropout (train mode) applies to the input features and to the
-    concatenated output states.
+    The passages' B rows advance together, one time step per GRU step; the
+    backward direction starts at each passage's own last token.  The input
+    shares of the gates are one product over all tokens.  `input_keep` and
+    `output_keep` are dropout multipliers for the stacked input rows and the
+    stacked output states, passage after passage.
     """
-    n = features.shape[0]
-    if n == 0:
-        raise ad.TensorError("encode requires a non-empty sequence")
-    if dropout_p > 0 and mode == "train":
-        features = ad.dropout(features, dropout_p, mode, rng)
-    zero = Tensor(np.zeros(hidden, features.data.dtype))
+    lengths = np.array([f.shape[0] for f in passages])
+    if not len(lengths) or lengths.min() == 0:
+        raise ad.TensorError("encode requires non-empty sequences")
+    batch, n = len(lengths), int(lengths.max())
+    starts = np.cumsum(lengths) - lengths
+    x = ad.dropout(passages[0] if batch == 1 else ad.concat(passages), input_keep)
 
-    h = zero
-    fwd = []
-    for i in range(n):
-        h = gru_cell(features[i], h, forward_params)
-        fwd.append(ad.reshape(h, (1, hidden)))
+    step = np.arange(n)[:, None]
+    live = step < lengths                                    # (n, B)
+    fwd, _ = _direction(gru_inputs(x, forward_params),
+                        starts + np.minimum(step, lengths - 1), live, forward_params)
+    bwd, last_backward = _direction(gru_inputs(x, backward_params),
+                                    starts + np.maximum(lengths - 1 - step, 0), live,
+                                    backward_params)
 
-    h = zero
-    bwd = [None] * n
-    for i in reversed(range(n)):
-        h = gru_cell(features[i], h, backward_params)
-        bwd[i] = ad.reshape(h, (1, hidden))
-    last_backward = ad.reshape(bwd[0], (hidden,))
-
-    states = ad.concat([ad.concat(fwd, axis=0), ad.concat(bwd, axis=0)], axis=1)
-    if dropout_p > 0 and mode == "train":
-        states = ad.dropout(states, dropout_p, mode, rng)
-    return EncoderOutput(states=states, last_backward=last_backward)
+    # passage-major rows b * n + i, from step-major rows i * B + b; the
+    # backward direction reached position i at step length - 1 - i
+    position = np.arange(n)
+    column = np.arange(batch)[:, None]
+    states = ad.concat([
+        ad.gather_rows(fwd, (position * batch + column).ravel()),
+        ad.gather_rows(bwd, (np.maximum(lengths[:, None] - 1 - position, 0) * batch + column).ravel()),
+    ], axis=1)
+    if output_keep is not None:
+        padded = np.ones(states.shape, output_keep.dtype)
+        padded[(column * n + position)[position < lengths[:, None]]] = output_keep
+        states = ad.dropout(states, padded)
+    return EncoderOutput(states=states, last_backward=last_backward, lengths=lengths)

@@ -159,12 +159,6 @@ class FeatureEmbedder:
             return SPECIAL_TOKENS.index(UNK)
         return self.word_row_id(token)
 
-    def special_word_embedding(self, token: str) -> Tensor:
-        return ad.gather_rows(self.params["embed.word"], [SPECIAL_TOKENS.index(token)])[0]
-
-    def decoder_word_embedding(self, token: str) -> Tensor:
-        return ad.gather_rows(self.params["embed.word"], [self.decoder_word_row_id(token)])[0]
-
     def embed_passage(self, example: AnnotatedExample,
                       bio_tags: list[str] | None = None) -> Tensor:
         """(n, clue_input_width) matrix of the shared slots: the clue

@@ -7,11 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import CheckpointError, ParamStore, Tensor
 from .clue_predictor import ClueForward, build_adjacency, run_clue_predictor
 from .config import ModelConfig
-from .corpus import SOS, AnnotatedExample, ReducedTargetVocab, Vocabulary
-from .decoder import DecoderParams, DecoderState, ExtendedDistribution, teacher_forced_unroll
+from .corpus import SOS, SPECIAL_TOKENS, AnnotatedExample, ReducedTargetVocab, Vocabulary
+from .decoder import DecoderParams, ExtendedDistribution, teacher_forced_unroll
 from .encoder import EncoderOutput, GruCellParams, encode
 from .features import (
     FeatureEmbedder,
@@ -28,9 +29,9 @@ _META_KEYS = ("config", "vocab_words", "reduced_words", "feature_vocab")
 
 @dataclass
 class ModelForward:
-    clue: ClueForward
+    clues: list[ClueForward]        # one per example, in batch order
     encoder: EncoderOutput
-    steps: list[tuple[DecoderState, ExtendedDistribution]] | None
+    decoder: ExtendedDistribution   # every example's steps as rows, example after example
 
 
 class QgModel:
@@ -106,51 +107,58 @@ class QgModel:
 
     def forward(
         self,
-        example: LabeledExample | AnnotatedExample,
+        batch: list[LabeledExample],
         mode: str = "eval",
         clue_mode: str | None = None,
         clue_source: str = "predicted",
         gumbel_rng: np.random.Generator | None = None,
         dropout_rng: np.random.Generator | None = None,
-        gumbel_noise: np.ndarray | None = None,
+        gumbel_noise: list[np.ndarray] | None = None,
     ) -> ModelForward:
-        """Run clue prediction, encoding, and (when a question is present)
-        the teacher-forced decoder unroll.
+        """Run clue prediction example by example, then the encoder and the
+        teacher-forced decoder unroll once over the whole batch.
 
         `clue_source='gold'` feeds gold clue labels to the encoder while the
-        predictor still runs for its loss.
+        predictor still runs for its loss.  `gumbel_noise`, one array per
+        example, replaces the Gumbel draws (test hook).  The Gumbel and
+        dropout streams are read example by example, in the order a
+        one-example-at-a-time pass reads them.
         """
-        if isinstance(example, LabeledExample):
-            base, bio = example.base, example.answer_bio
-        else:
-            base, bio = example, None
         clue_mode = clue_mode or ("train" if mode == "train" else "eval")
-        clue = self.predict_clues(base, gumbel_rng, mode=clue_mode, noise=gumbel_noise, bio_tags=bio)
-        if clue_source == "gold":
-            if not isinstance(example, LabeledExample):
-                raise ValueError("clue_source='gold' requires a labeled example")
-            clue_weights = np.asarray(example.passage_clue_label, dtype=int)
-        else:
-            clue_weights = clue.weights
-        enc_features = self.embedder.append_clue_slot(clue.features, clue_weights)
+        clues, enc_inputs = [], []
+        for i, example in enumerate(batch):
+            clue = self.predict_clues(example.base, gumbel_rng, mode=clue_mode,
+                                      noise=None if gumbel_noise is None else gumbel_noise[i],
+                                      bio_tags=example.answer_bio)
+            weights = (np.asarray(example.passage_clue_label, dtype=int)
+                       if clue_source == "gold" else clue.weights)
+            clues.append(clue)
+            enc_inputs.append(self.embedder.append_clue_slot(clue.features, weights))
+        keep = [None] * 3
+        if mode == "train" and self.config.dropout > 0:
+            keep = self.dropout_keeps(batch, enc_inputs[0].shape[1], dropout_rng)
         fwd, bwd = self.encoder_params()
-        enc_out = encode(enc_features, fwd, bwd, self.config.enc_hidden,
-                         dropout_p=self.config.dropout, mode=mode, rng=dropout_rng)
+        enc_out = encode(enc_inputs, fwd, bwd, keep[0], keep[1])
+        sos = SPECIAL_TOKENS.index(SOS)
+        prev_ids = [[sos] + [self.embedder.decoder_word_row_id(t) for t in ex.base.question]
+                    for ex in batch]
+        decoder = teacher_forced_unroll(prev_ids, self.params["embed.word"], enc_out,
+                                        self.decoder_params(), keep[2])
+        return ModelForward(clues=clues, encoder=enc_out, decoder=decoder)
 
-        steps = None
-        if isinstance(example, LabeledExample):
-            steps = teacher_forced_unroll(
-                base.question,
-                self.embedder.decoder_word_embedding,
-                self.embedder.special_word_embedding(SOS),
-                enc_out.states,
-                enc_out.last_backward,
-                self.decoder_params(),
-                mode=mode,
-                dropout_p=self.config.dropout,
-                rng=dropout_rng,
-            )
-        return ModelForward(clue=clue, encoder=enc_out, steps=steps)
+    def dropout_keeps(self, batch: list[LabeledExample], input_width: int,
+                      rng: np.random.Generator) -> list[np.ndarray]:
+        """Dropout multipliers for the encoder input, the encoder states and
+        the decoder's maxout, each stacked example after example.  Each
+        example draws its three in that order before the next example
+        draws."""
+        cfg = self.config
+        draws = [[ad.dropout_keep(rng, shape, cfg.dropout, self.params.dtype) for shape in (
+                    (len(ex.base.passage), input_width),
+                    (len(ex.base.passage), 2 * cfg.enc_hidden),
+                    (len(ex.base.question) + 1, cfg.dec_hidden))]
+                 for ex in batch]
+        return [np.concatenate(part) for part in zip(*draws)]
 
     # persistence
     def save(self, path) -> None:

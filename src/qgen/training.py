@@ -31,61 +31,85 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class LossBreakdown:
+    """Each example's losses in a batch, as (B,) tensors."""
+
     loss_clue: Tensor
     loss_gen: Tensor
     loss_gate: Tensor
     total: Tensor
 
-    def values(self) -> dict[str, float]:
-        return {
-            "loss_clue": self.loss_clue.item(),
-            "loss_gen": self.loss_gen.item(),
-            "loss_gate": self.loss_gate.item(),
-            "total": self.total.item(),
-        }
+    def per_example(self) -> list[dict[str, float]]:
+        names = ("loss_clue", "loss_gen", "loss_gate", "total")
+        columns = [getattr(self, name).data.tolist() for name in names]
+        return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 def _neg_log(p: Tensor) -> Tensor:
     return ad.neg(ad.log(ad.clamp_min(p, PROB_FLOOR)))
 
 
-def clue_loss(clue_probs: Tensor, gold_labels: list[bool]) -> Tensor:
-    """Mean cross-entropy of the per-token clue probabilities."""
-    n = len(gold_labels)
-    gold = np.zeros((n, 2))
-    gold[np.arange(n), np.asarray(gold_labels, dtype=int)] = 1.0
-    p_gold = ad.sum_(ad.mul(clue_probs, gold), axis=1)
-    return ad.mean_(_neg_log(p_gold))
+def _segment_means(terms: Tensor, lengths: list[int]) -> Tensor:
+    """(B,) means of consecutive runs of `lengths` entries of a vector."""
+    lengths = np.asarray(lengths)
+    segments = np.repeat(np.eye(len(lengths)), lengths, axis=1)
+    return ad.mul(ad.matmul(segments, terms), 1.0 / lengths)
 
 
-def sequence_losses(steps, example: LabeledExample) -> tuple[Tensor, Tensor]:
-    """(generation CE, copy-gate CE), each averaged over decode steps."""
-    n = len(example.base.passage)
-    gate_terms = []
-    gen_terms = []
-    copy_labels = list(example.question_copy_label) + [False]  # final step predicts <EOS>
-    for t, (state, dist) in enumerate(steps):
-        if copy_labels[t]:
-            gate_terms.append(_neg_log(state.gate))
-            mask = np.zeros(n)
-            mask[example.copy_alignment[t]] = 1.0
-            p_copy = ad.matmul(dist.copy, mask)
-            gen_terms.append(_neg_log(ad.mul(state.gate, p_copy)))
-        else:
-            gate_terms.append(_neg_log(ad.sub(1.0, state.gate)))
-            p_gen = dist.gen[example.question_target_id[t]]
-            gen_terms.append(_neg_log(ad.mul(ad.sub(1.0, state.gate), p_gen)))
-    return ad.mean_(ad.stack_scalars(gen_terms)), ad.mean_(ad.stack_scalars(gate_terms))
+def clue_loss(clue_probs: list[Tensor], gold_labels: list[list[bool]]) -> Tensor:
+    """(B,) mean cross-entropies of each passage's per-token clue probabilities."""
+    gold = np.eye(2)[np.concatenate([np.asarray(g, dtype=int) for g in gold_labels])]
+    p_gold = ad.sum_(ad.mul(ad.concat(clue_probs), gold), axis=1)
+    return _segment_means(_neg_log(p_gold), [len(g) for g in gold_labels])
 
 
-def losses_from_forward(config: ModelConfig, fwd, example: LabeledExample) -> LossBreakdown:
-    loss_clue = clue_loss(fwd.clue.probs, example.passage_clue_label)
-    loss_gen, loss_gate = sequence_losses(fwd.steps, example)
+def sequence_losses(dist, batch: list[LabeledExample]) -> tuple[Tensor, Tensor]:
+    """(B,) generation CEs and copy-gate CEs, each averaged over an example's
+    decode steps.  `dist` holds every example's steps as rows, example after
+    example; each example's last step predicts <EOS>."""
+    copied = np.concatenate([list(ex.question_copy_label) + [False] for ex in batch])
+    aligned = np.zeros(dist.copy.shape)
+    row = 0
+    for ex in batch:
+        for t, positions in enumerate(ex.copy_alignment):
+            aligned[row + t, positions] = 1.0
+        row += len(ex.question_target_id)
+    # the gate's probability of the labeled branch: g_c to copy, 1 - g_c to generate
+    p_branch = ad.add(ad.mul(dist.gate, 2.0 * copied - 1.0), 1.0 - copied)
+    p_copy = ad.sum_(ad.mul(dist.copy, aligned), axis=1)
+    p_gen = ad.take_along(dist.gen, np.concatenate([ex.question_target_id for ex in batch]))
+    p_word = ad.mul(p_branch, ad.add(ad.mul(p_copy, copied), ad.mul(p_gen, 1.0 - copied)))
+    steps = [len(ex.question_target_id) for ex in batch]
+    return _segment_means(_neg_log(p_word), steps), _segment_means(_neg_log(p_branch), steps)
+
+
+def losses_from_forward(config: ModelConfig, fwd, batch: list[LabeledExample]) -> LossBreakdown:
+    loss_clue = clue_loss([clue.probs for clue in fwd.clues],
+                          [ex.passage_clue_label for ex in batch])
+    loss_gen, loss_gate = sequence_losses(fwd.decoder, batch)
     total = ad.add(
         ad.add(ad.mul(loss_clue, config.lambda_clue), ad.mul(loss_gen, config.lambda_gen)),
         ad.mul(loss_gate, config.lambda_gate),
     )
     return LossBreakdown(loss_clue=loss_clue, loss_gen=loss_gen, loss_gate=loss_gate, total=total)
+
+
+def batch_losses(
+    model: QgModel,
+    batch: list[LabeledExample],
+    gumbel_rng: np.random.Generator | None = None,
+    dropout_rng: np.random.Generator | None = None,
+    mode: str = "train",
+    clue_mode: str | None = None,
+    clue_source: str = "predicted",
+    gumbel_noise: list[np.ndarray] | None = None,
+) -> LossBreakdown:
+    """Each example's average cross-entropies (over tokens / decode steps),
+    from one forward pass over the batch."""
+    fwd = model.forward(
+        batch, mode=mode, clue_mode=clue_mode, clue_source=clue_source,
+        gumbel_rng=gumbel_rng, dropout_rng=dropout_rng, gumbel_noise=gumbel_noise,
+    )
+    return losses_from_forward(model.config, fwd, batch)
 
 
 def compute_losses(
@@ -98,12 +122,9 @@ def compute_losses(
     clue_source: str = "predicted",
     gumbel_noise: np.ndarray | None = None,
 ) -> LossBreakdown:
-    """Average cross-entropies for one example (over tokens / decode steps)."""
-    fwd = model.forward(
-        example, mode=mode, clue_mode=clue_mode, clue_source=clue_source,
-        gumbel_rng=gumbel_rng, dropout_rng=dropout_rng, gumbel_noise=gumbel_noise,
-    )
-    return losses_from_forward(model.config, fwd, example)
+    """`batch_losses` of one example: every field has one entry."""
+    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode, clue_mode, clue_source,
+                        None if gumbel_noise is None else [gumbel_noise])
 
 
 @dataclass
@@ -179,8 +200,12 @@ class TrainResult:
 
 def dev_loss(model: QgModel, labeled_dev: list[LabeledExample]) -> float:
     total = 0.0
-    for ex in labeled_dev:
-        total += compute_losses(model, ex, mode="eval", clue_mode="eval").total.item()
+    with ad.no_grad():
+        for start in range(0, len(labeled_dev), model.config.batch):
+            losses = batch_losses(model, labeled_dev[start:start + model.config.batch],
+                                  mode="eval", clue_mode="eval")
+            for value in losses.total.data.tolist():
+                total += value
     return total / max(len(labeled_dev), 1)
 
 
@@ -223,21 +248,17 @@ def train(
         for batch_id, start in enumerate(range(0, len(order), config.batch)):
             batch = [labeled[i] for i in order[start:start + config.batch]]
             model.params.zero_grad()
-            totals = []
-            for ex in batch:
-                breakdown = compute_losses(model, ex, gumbel_rng, dropout_rng, mode="train")
-                vals = breakdown.values()
+            breakdown = batch_losses(model, batch, gumbel_rng, dropout_rng, mode="train")
+            for ex, vals in zip(batch, breakdown.per_example()):
                 if not all(np.isfinite(v) for v in vals.values()):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch} batch {batch_id} "
                         f"(example {ex.base.id}): {vals}"
                     )
-                totals.append(breakdown.total)
                 for k in sums:
                     sums[k] += vals[k]
                 seen += 1
-            batch_loss = ad.mean_(ad.stack_scalars(totals))
-            batch_loss.backward()
+            ad.mean_(breakdown.total).backward()
             adam_step(model.params, opt, config)
             ema.update(model.params)
         record = EpochLog(

@@ -1,0 +1,143 @@
+"""The one-example-at-a-time forward pass and losses, kept as the reference
+for the batched path.
+
+Every GRU and decoder step here is its own 1-row graph: the encoder runs
+each direction over one passage, the decoder runs its whole step (GRU,
+attention, readout, maxout, dropout, softmax, copy gate) once per question
+token, and the losses add a few nodes per step.  Dropout multipliers and
+Gumbel noise are drawn where the computation reaches them.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+
+import qgen.autodiff as ad
+from qgen.autodiff import Tensor
+from qgen.corpus import SOS, SPECIAL_TOKENS
+from qgen.decoder import pairwise_max
+from qgen.training import PROB_FLOOR
+
+
+def _dropout(x, p, mode, rng):
+    if mode != "train" or p == 0:
+        return x
+    return ad.dropout(x, ad.dropout_keep(rng, x.shape, p, x.data.dtype))
+
+
+def gru_cell(x, h_prev, p):
+    """GRU update over [x; h], each gate one product over the whole row."""
+    xh = ad.concat([x, h_prev], axis=-1)
+    z = ad.sigmoid(ad.add(ad.linear(xh, p.w_z), p.b_z))
+    r = ad.sigmoid(ad.add(ad.linear(xh, p.w_r), p.b_r))
+    xrh = ad.concat([x, ad.mul(r, h_prev)], axis=-1)
+    h_cand = ad.tanh(ad.add(ad.linear(xrh, p.w_h), p.b_h))
+    return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
+
+
+def encode(features, forward_params, backward_params, dropout_p=0.0, mode="eval", rng=None):
+    """(states (n, 2H), last_backward (H,)) of one passage."""
+    n, hidden = features.shape[0], forward_params.w_z.shape[0]
+    features = _dropout(features, dropout_p, mode, rng)
+    zero = Tensor(np.zeros(hidden, features.data.dtype))
+    h, fwd = zero, []
+    for i in range(n):
+        h = gru_cell(features[i], h, forward_params)
+        fwd.append(ad.reshape(h, (1, hidden)))
+    h, bwd = zero, [None] * n
+    for i in reversed(range(n)):
+        h = gru_cell(features[i], h, backward_params)
+        bwd[i] = ad.reshape(h, (1, hidden))
+    states = ad.concat([ad.concat(fwd, axis=0), ad.concat(bwd, axis=0)], axis=1)
+    return _dropout(states, dropout_p, mode, rng), ad.reshape(bwd[0], (hidden,))
+
+
+def decode_step(w_prev, c_prev, s_prev, enc_states, keys, p, mode, dropout_p, rng):
+    """One 1-d decoder step: (s, c, gen, copy, gate)."""
+    s_t = gru_cell(ad.concat([w_prev, c_prev], axis=-1), s_prev, p.gru)
+    alpha = ad.softmax(ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v))
+    context = ad.matmul(alpha, enc_states)
+    r_t = ad.add(ad.add(ad.linear(w_prev, p.w_rw), ad.linear(context, p.w_rc)),
+                 ad.linear(s_t, p.w_rs))
+    m_t = _dropout(pairwise_max(r_t), dropout_p, mode, rng)
+    gen = ad.softmax(ad.linear(m_t, p.w_out))
+    gate = ad.sigmoid(ad.add(ad.add(ad.matmul(s_t, p.w_cs), ad.matmul(context, p.w_cc)), p.b_gate))
+    return SimpleNamespace(s=s_t, c=context, gen=gen, copy=alpha, gate=gate)
+
+
+def teacher_forced_unroll(question, word_row, words, enc_states, last_backward, p,
+                          mode="eval", dropout_p=0.0, rng=None):
+    """len(question) + 1 steps, the last one predicting <EOS>."""
+    s = ad.tanh(ad.add(ad.linear(last_backward, p.w_init), p.b_init))
+    c = Tensor(np.zeros(enc_states.shape[1], enc_states.data.dtype))
+    keys = ad.linear(enc_states, p.w_h)
+    w_prev = ad.gather_rows(words, [SPECIAL_TOKENS.index(SOS)])[0]
+    steps = []
+    for t in range(len(question) + 1):
+        step = decode_step(w_prev, c, s, enc_states, keys, p, mode, dropout_p, rng)
+        steps.append(step)
+        if t < len(question):
+            w_prev = ad.gather_rows(words, [word_row(question[t])])[0]
+            s, c = step.s, step.c
+    return steps
+
+
+def _neg_log(p):
+    return ad.neg(ad.log(ad.clamp_min(p, PROB_FLOOR)))
+
+
+def _mean(scalars):
+    return ad.mean_(ad.concat([ad.reshape(s, (1,)) for s in scalars]))
+
+
+def sequence_losses(steps, example):
+    """(generation CE, copy-gate CE), each averaged over decode steps."""
+    n = len(example.base.passage)
+    gate_terms, gen_terms = [], []
+    copy_labels = list(example.question_copy_label) + [False]
+    for t, step in enumerate(steps):
+        if copy_labels[t]:
+            gate_terms.append(_neg_log(step.gate))
+            mask = np.zeros(n)
+            mask[example.copy_alignment[t]] = 1.0
+            gen_terms.append(_neg_log(ad.mul(step.gate, ad.matmul(step.copy, mask))))
+        else:
+            gate_terms.append(_neg_log(ad.sub(1.0, step.gate)))
+            p_gen = step.gen[example.question_target_id[t]]
+            gen_terms.append(_neg_log(ad.mul(ad.sub(1.0, step.gate), p_gen)))
+    return _mean(gen_terms), _mean(gate_terms)
+
+
+def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="train",
+                   clue_mode=None, clue_source="predicted", gumbel_noise=None):
+    """One example's scalar losses, its steps and its clue pass."""
+    cfg = model.config
+    clue_mode = clue_mode or ("train" if mode == "train" else "eval")
+    clue = model.predict_clues(example.base, gumbel_rng, mode=clue_mode, noise=gumbel_noise,
+                               bio_tags=example.answer_bio)
+    weights = (np.asarray(example.passage_clue_label, dtype=int) if clue_source == "gold"
+               else clue.weights)
+    features = model.embedder.append_clue_slot(clue.features, weights)
+    states, last_backward = encode(features, *model.encoder_params(), cfg.dropout, mode,
+                                   dropout_rng)
+    steps = teacher_forced_unroll(example.base.question, model.embedder.decoder_word_row_id,
+                                  model.params["embed.word"], states, last_backward,
+                                  model.decoder_params(), mode, cfg.dropout, dropout_rng)
+    gold = np.eye(2)[np.asarray(example.passage_clue_label, dtype=int)]
+    loss_clue = ad.mean_(_neg_log(ad.sum_(ad.mul(clue.probs, gold), axis=1)))
+    loss_gen, loss_gate = sequence_losses(steps, example)
+    total = ad.add(ad.add(ad.mul(loss_clue, cfg.lambda_clue), ad.mul(loss_gen, cfg.lambda_gen)),
+                   ad.mul(loss_gate, cfg.lambda_gate))
+    return SimpleNamespace(loss_clue=loss_clue, loss_gen=loss_gen, loss_gate=loss_gate,
+                           total=total, steps=steps, clue=clue)
+
+
+def batch_loss(model, batch, gumbel_rng=None, dropout_rng=None, gumbel_noise=None, **kwargs):
+    """(the batch's mean total, each example's losses), one example at a time;
+    `gumbel_noise` holds one array per example."""
+    noise = gumbel_noise or [None] * len(batch)
+    per_example = [example_losses(model, ex, gumbel_rng, dropout_rng, gumbel_noise=g, **kwargs)
+                   for ex, g in zip(batch, noise)]
+    return _mean([r.total for r in per_example]), per_example

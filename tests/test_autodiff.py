@@ -158,32 +158,43 @@ class TestGatherConcatSlice:
 
 class TestDropout:
     def test_eval_identity(self):
+        # eval mode draws no multipliers
         x = Tensor(np.arange(5.0))
-        out = ad.dropout(x, 0.5, "eval", np.random.default_rng(0))
-        np.testing.assert_array_equal(out.data, x.data)
+        assert ad.dropout(x, None) is x
 
     def test_p_zero_identity(self):
         x = Tensor(np.arange(5.0))
-        out = ad.dropout(x, 0.0, "train", np.random.default_rng(0))
+        out = ad.dropout(x, ad.dropout_keep(np.random.default_rng(0), x.shape, 0.0))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(7)
-        out = ad.dropout(Tensor(np.ones(100_000)), 0.5, "train", rng)
+        out = ad.dropout(Tensor(np.ones(100_000)), ad.dropout_keep(rng, (100_000,), 0.5))
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_invalid_rate(self):
         with pytest.raises(TensorError, match="rate"):
-            ad.dropout(Tensor([1.0]), 1.0, "train", np.random.default_rng(0))
+            ad.dropout_keep(np.random.default_rng(0), (1,), 1.0)
 
     def test_backward_uses_mask(self):
         rng = np.random.default_rng(3)
         x = Tensor(np.ones(100), requires_grad=True)
-        out = ad.dropout(x, 0.3, "train", rng)
+        out = ad.dropout(x, ad.dropout_keep(rng, (100,), 0.3))
         ad.sum_(out).backward()
         kept = out.data != 0
         np.testing.assert_allclose(x.grad[kept], 1 / 0.7)
         np.testing.assert_allclose(x.grad[~kept], 0.0)
+
+    def test_multipliers_are_one_draw_of_the_stream(self):
+        # (3, 4) multipliers read the stream as three (4,) draws would
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        whole = ad.dropout_keep(a, (3, 4), 0.4)
+        rows = np.stack([ad.dropout_keep(b, (4,), 0.4) for _ in range(3)])
+        np.testing.assert_array_equal(whole, rows)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(TensorError, match="multipliers"):
+            ad.dropout(Tensor(np.ones(3)), np.ones(4))
 
 
 class TestBackward:
@@ -302,6 +313,109 @@ class TestLinear:
     def test_width_mismatch_reports_both_shapes(self):
         with pytest.raises(TensorError, match=r"\(4,\).*\(5, 3\)"):
             ad.linear(Tensor(np.zeros(4)), Tensor(np.zeros((5, 3))))
+
+
+class TestColumnRanges:
+    """`linear(x, w, cols)` multiplies by a column block of w in place; the
+    weight gradient is summed per block."""
+
+    def _arrays(self):
+        rng = np.random.default_rng(21)
+        return rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), rng.normal(size=(2, 5))
+
+    def test_blocks_add_up_to_the_full_product(self):
+        w, x, _ = self._arrays()
+        parts = ad.add(ad.linear(Tensor(x[:, :2]), Tensor(w), (0, 2)),
+                       ad.linear(Tensor(x[:, 2:]), Tensor(w), (2, 5)))
+        np.testing.assert_allclose(parts.data, x @ w.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ad.linear(Tensor(x[0, 1:4]), Tensor(w), (1, 4)).data,
+                                   w[:, 1:4] @ x[0, 1:4], rtol=0, atol=1e-12)
+
+    def test_gradients_of_every_range(self):
+        w, x1, x2 = self._arrays()
+
+        def loss(w, x1, x2):
+            return ad.add(ad.sum_(ad.tanh(ad.add(ad.linear(x1[:, :2], w, (0, 2)),
+                                                 ad.linear(x1[:, 2:], w, (2, 5))))),
+                          ad.add(ad.sum_(ad.tanh(ad.linear(x2[:, 1:3], w, (1, 3)))),
+                                 ad.sum_(ad.tanh(ad.linear(x2[0, :2], w, (0, 2))))))
+
+        assert_grads_match(loss, [w, x1, x2], tol=1e-4)
+
+    def test_weight_gradient_equals_sum_of_outer_products(self):
+        w, x1, x2 = self._arrays()
+        wt = Tensor(w, requires_grad=True)
+        ad.add(ad.sum_(ad.linear(Tensor(x1[:, :2]), wt, (0, 2))),
+               ad.add(ad.sum_(ad.linear(Tensor(x2[:, 2:]), wt, (2, 5))),
+                      ad.sum_(ad.linear(Tensor(x2), wt)))).backward()
+        expected = np.outer(np.ones(4), x2.sum(axis=0))
+        expected[:, :2] += np.outer(np.ones(4), x1[:, :2].sum(axis=0))
+        expected[:, 2:] += np.outer(np.ones(4), x2[:, 2:].sum(axis=0))
+        np.testing.assert_allclose(wt.grad, expected, rtol=0, atol=1e-12)
+        assert wt._outer is None
+
+    @pytest.mark.parametrize("width, cols", [(3, (3, 7)), (2, (1, 4)), (3, (-1, 2)), (3, None)])
+    def test_bad_range_rejected(self, width, cols):
+        with pytest.raises(TensorError, match="columns"):
+            ad.linear(Tensor(np.zeros(width)), Tensor(np.zeros((4, 5))), cols)
+
+
+class TestBlockAttention:
+    """With B blocks, row b of the query and of the weights sees block b of
+    the keys and values only."""
+
+    def _arrays(self, blocks=3, n=4):
+        rng = np.random.default_rng(22)
+        return (rng.normal(size=(blocks * n, 5)), rng.normal(size=(blocks, 5)),
+                rng.normal(size=5), rng.normal(size=(blocks * n, 6)))
+
+    def test_scores_and_context_match_each_block_alone(self):
+        keys, query, v, values = self._arrays()
+        scores = ad.attention_scores(Tensor(keys), Tensor(query), Tensor(v), 3)
+        alpha = ad.softmax(scores)
+        context = ad.attention_context(alpha, Tensor(values))
+        assert scores.shape == (3, 4) and context.shape == (3, 6)
+        for b in range(3):
+            block = slice(4 * b, 4 * b + 4)
+            one = ad.attention_scores(Tensor(keys[block]), Tensor(query[b]), Tensor(v))
+            np.testing.assert_allclose(scores.data[b], one.data, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(context.data[b], alpha.data[b] @ values[block],
+                                       rtol=0, atol=1e-14)
+
+    def test_gradients(self):
+        keys, query, v, values = self._arrays()
+
+        def loss(k, q, v, x):
+            alpha = ad.softmax(ad.attention_scores(k, q, v, 3))
+            return ad.sum_(ad.tanh(ad.attention_context(alpha, x)))
+
+        assert_grads_match(loss, [keys, query, v, values], tol=1e-4)
+
+    def test_one_block_is_shared_by_every_row(self):
+        keys, query, v, values = self._arrays(blocks=1)
+        alpha = ad.softmax(ad.attention_scores(Tensor(keys), Tensor(np.tile(query, (3, 1))),
+                                               Tensor(v)))
+        np.testing.assert_array_equal(ad.attention_context(alpha, Tensor(values)).data,
+                                      alpha.data @ values)
+
+    def test_mismatched_blocks_rejected(self):
+        keys, query, v, values = self._arrays()
+        with pytest.raises(TensorError, match="blocks"):
+            ad.attention_scores(Tensor(keys), Tensor(query[:2]), Tensor(v), 3)
+        with pytest.raises(TensorError, match="blocks"):
+            ad.attention_scores(Tensor(keys), Tensor(query), Tensor(v), 5)
+        with pytest.raises(TensorError, match="blocks"):
+            ad.attention_context(Tensor(np.ones((2, 4))), Tensor(values))
+
+
+def test_take_along_values_and_gradients():
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(4, 3))
+    ids = [2, 0, 0, 1]
+    np.testing.assert_array_equal(ad.take_along(Tensor(a), ids).data, a[np.arange(4), ids])
+    assert_grads_match(lambda t: ad.sum_(ad.tanh(ad.take_along(t, ids))), [a], tol=1e-4)
+    with pytest.raises(TensorError, match="out of range"):
+        ad.take_along(Tensor(a), [0, 1, 2, 3])
 
 
 class TestDeferredWeightGradients:
@@ -508,7 +622,7 @@ class TestDtypes:
 
     def test_dropout_mask_keeps_float32(self):
         x = Tensor(np.ones((4, 5), np.float32), requires_grad=True)
-        out = ad.dropout(x, 0.5, "train", np.random.default_rng(0))
+        out = ad.dropout(x, ad.dropout_keep(np.random.default_rng(0), x.shape, 0.5, np.float32))
         assert out.data.dtype == np.float32
         ad.sum_(out).backward()
         assert x.grad.dtype == np.float32

@@ -4,11 +4,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+import qgen.autodiff as ad
 from qgen.autodiff import Tensor, no_grad
 from qgen.beam import generate
 from qgen.config import ConfigError
-from qgen.corpus import EOS, SOS, build_vocabulary, stopword_set
-from qgen.decoder import attention_keys, decode_step, init_decoder, zero_context
+from qgen.corpus import EOS, SOS, SPECIAL_TOKENS, build_vocabulary, stopword_set
+from qgen.decoder import attention_keys, decode_step, init_decoder
 from qgen.encoder import encode
 from qgen.features import FeatureVocab
 from qgen.labeling import label_corpus
@@ -33,8 +34,19 @@ def setup():
 def _encode(model, example):
     clue = model.predict_clues(example, rng=None, mode="eval")
     feats = model.embedder.append_clue_slot(clue.features, clue.weights)
-    fwd, bwd = model.encoder_params()
-    return encode(feats, fwd, bwd, model.config.enc_hidden, mode="eval")
+    return encode([feats], *model.encoder_params())
+
+
+def _start(model, enc, p):
+    """1-d (s_0, zero context, <SOS> embedding) of one hypothesis."""
+    s = init_decoder(enc.last_backward[0], p.w_init, p.b_init)
+    return s, Tensor(np.zeros(enc.states.shape[1])), _word(model, SOS)
+
+
+def _word(model, token):
+    """The decoder's 1-d input embedding of an emitted token."""
+    row = SPECIAL_TOKENS.index(SOS) if token == SOS else model.embedder.decoder_word_row_id(token)
+    return ad.gather_rows(model.params["embed.word"], [row])[0]
 
 
 def _surface_probs(dist, passage_texts: list[str], reduced) -> dict[str, float]:
@@ -75,10 +87,8 @@ def reference_generate(model, example, beam_width, max_len):
     with no_grad():
         enc = _encode(model, example)
         keys = attention_keys(enc.states, p)
-        beam = [RefHypothesis(
-            tokens=[], log_prob=0.0, s=init_decoder(enc.last_backward, p.w_init, p.b_init),
-            c=zero_context(enc.states),
-            w_prev=model.embedder.special_word_embedding(SOS), finished=False)]
+        s, c, w_prev = _start(model, enc, p)
+        beam = [RefHypothesis(tokens=[], log_prob=0.0, s=s, c=c, w_prev=w_prev, finished=False)]
         done = []
         for _ in range(max_len):
             live = [h for h in beam if not h.finished]
@@ -97,7 +107,7 @@ def reference_generate(model, example, beam_width, max_len):
                     else:
                         candidates.append(RefHypothesis(
                             tokens=hyp.tokens + [token], log_prob=lp, s=state.s, c=state.c,
-                            w_prev=model.embedder.decoder_word_embedding(token),
+                            w_prev=_word(model, token),
                             finished=False))
             candidates.sort(key=lambda h: -h.score)
             beam = candidates[:beam_width]
@@ -114,19 +124,17 @@ def greedy_oracle(model, example, max_len):
     with no_grad():
         enc = _encode(model, example)
         keys = attention_keys(enc.states, p)
-        s = init_decoder(enc.last_backward, p.w_init, p.b_init)
-        c = zero_context(enc.states)
-        w_prev = model.embedder.special_word_embedding(SOS)
+        s, c, w_prev = _start(model, enc, p)
         tokens = []
         for _ in range(max_len):
-            state, dist = decode_step(w_prev, c, s, enc.states, keys, p, mode="eval")
+            state, dist = decode_step(w_prev, c, s, enc.states, keys, p)
             merged = _surface_probs(dist, [t.text for t in example.passage], model.reduced)
             token = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
             tokens.append(token)
             if token == EOS:
                 break
             s, c = state.s, state.c
-            w_prev = model.embedder.decoder_word_embedding(token)
+            w_prev = _word(model, token)
     return tokens
 
 

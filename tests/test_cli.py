@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgen.autodiff import ParamStore
-from qgen.cli import main
+from qgen.cli import _replaced_on_success, main
 from qgen.config import ConfigError, ModelConfig
 from qgen.corpus import build_vocabulary, load_corpus, stopword_set
 from qgen.labeling import label_corpus
@@ -200,6 +200,35 @@ class TestTrainGenerateEvaluate:
         report = json.loads(err)
         assert report["error"] == "ConfigError"
         assert report["message"] == f"{field} must be a positive integer, got {value}"
+
+    @pytest.mark.parametrize("flag, value", [("--beam-width", "-3"), ("--max-len", "0")])
+    def test_rejected_run_keeps_existing_predictions(self, pipeline, capsys, flag, value):
+        tmp, data, _, out_dir = pipeline
+        runs = tmp / "kept"
+        runs.mkdir(exist_ok=True)
+        pred, clues = runs / "pred.jsonl", runs / "clues.jsonl"
+        pred.write_bytes(b'{"id": "earlier", "prediction": "what ?", "score": -1.0}\n')
+        clues.write_bytes(b'{"id": "earlier", "clues": []}\n')
+        before = {p.name: p.read_bytes() for p in runs.iterdir()}
+        code, out, err = run_cli(capsys, "generate", "--checkpoint", str(out_dir / "model.npz"),
+                                 "--data", str(data), "--out", str(pred),
+                                 "--clues-out", str(clues), flag, value)
+        assert code == 1 and out == "" and json.loads(err)["error"] == "ConfigError"
+        assert {p.name: p.read_bytes() for p in runs.iterdir()} == before
+
+    def test_interrupted_write_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        target = tmp_path / "pred.jsonl"
+        target.write_bytes(b"earlier\n")
+        with pytest.raises(RuntimeError):
+            with _replaced_on_success(target) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert [p.name for p in tmp_path.iterdir()] == ["pred.jsonl"]
+        assert target.read_bytes() == b"earlier\n"
+        with _replaced_on_success(target) as fh:
+            fh.write("new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["pred.jsonl"]
+        assert target.read_bytes() == b"new\n"
 
     @pytest.mark.parametrize("defect", ["not_json", "no_id", "no_prediction", "not_object"])
     def test_evaluate_rejects_malformed_prediction_line(self, pipeline, capsys, defect):

@@ -12,6 +12,7 @@ from qgen.decoder import (
     pairwise_max,
     teacher_forced_unroll,
 )
+from qgen.encoder import EncoderOutput
 
 from conftest import assert_grads_match
 
@@ -160,49 +161,70 @@ class TestDecodeStep:
         enc = rng.normal(size=(4, 8))
 
         def loss(w):
-            state, dist = _step(w, Tensor(np.zeros(8)), Tensor(np.ones(4) * 0.1),
+            _, dist = _step(w, Tensor(np.zeros(8)), Tensor(np.ones(4) * 0.1),
                                 Tensor(enc), p)
-            return ad.add(ad.sum_(ad.mul(dist.gen, dist.gen)), ad.mul(state.gate, 2.0))
+            return ad.add(ad.sum_(ad.mul(dist.gen, dist.gen)), ad.mul(dist.gate, 2.0))
 
         assert_grads_match(loss, [w_prev], tol=1e-4)
 
 
 class TestTeacherForcedUnroll:
-    def _embed(self, rng):
-        table = {t: Tensor(rng.normal(size=3)) for t in ("a", "b", "<SOS>")}
-        return (lambda tok: table[tok]), table["<SOS>"]
+    SOS, A, B = 0, 1, 2   # rows of the word table
+
+    def _memory(self, rng, lengths=(4,)):
+        n = max(lengths)
+        return EncoderOutput(states=Tensor(rng.normal(size=(len(lengths) * n, 8))),
+                             last_backward=Tensor(rng.normal(size=(len(lengths), 4))),
+                             lengths=np.array(lengths))
 
     def test_step_count_is_question_length_plus_one(self):
         rng = np.random.default_rng(9)
         p, _ = _params(rng)
-        embed, sos = self._embed(rng)
-        enc = Tensor(rng.normal(size=(4, 8)))
-        steps = teacher_forced_unroll(["a", "b", "a"], embed, sos, enc,
-                                      Tensor(rng.normal(size=4)), p)
-        assert len(steps) == 4
+        words = Tensor(rng.normal(size=(3, 3)))
+        dist = teacher_forced_unroll([[self.SOS, self.A, self.B, self.A]], words,
+                                     self._memory(rng), p)
+        assert dist.gen.shape[0] == dist.copy.shape[0] == dist.gate.shape[0] == 4
 
     def test_deterministic_in_eval_mode(self):
         rng = np.random.default_rng(10)
         p, _ = _params(rng)
-        embed, sos = self._embed(rng)
-        enc = Tensor(rng.normal(size=(4, 8)))
-        last = Tensor(rng.normal(size=4))
-        s1 = teacher_forced_unroll(["a", "b"], embed, sos, enc, last, p)
-        s2 = teacher_forced_unroll(["a", "b"], embed, sos, enc, last, p)
-        for (st1, d1), (st2, d2) in zip(s1, s2):
-            np.testing.assert_array_equal(d1.gen.data, d2.gen.data)
-            np.testing.assert_array_equal(st1.s.data, st2.s.data)
+        words = Tensor(rng.normal(size=(3, 3)))
+        enc = self._memory(rng)
+        d1 = teacher_forced_unroll([[self.SOS, self.A, self.B]], words, enc, p)
+        d2 = teacher_forced_unroll([[self.SOS, self.A, self.B]], words, enc, p)
+        for a, b in [(d1.gen, d2.gen), (d1.copy, d2.copy), (d1.gate, d2.gate)]:
+            np.testing.assert_array_equal(a.data, b.data)
 
     def test_state_shapes(self):
         rng = np.random.default_rng(11)
         p, _ = _params(rng, dec_hidden=4, enc_width=8, vocab_out=6)
-        embed, sos = self._embed(rng)
-        enc = Tensor(rng.normal(size=(5, 8)))
-        steps = teacher_forced_unroll(["a"], embed, sos, enc, Tensor(rng.normal(size=4)), p)
-        for state, dist in steps:
-            assert state.s.shape == (4,)
-            assert state.c.shape == (8,)
-            assert state.maxout.shape == (4,)
-            assert state.readout.shape == (8,)
-            assert dist.gen.shape == (6,)
-            assert dist.copy.shape == (5,)
+        words = Tensor(rng.normal(size=(3, 3)))
+        dist = teacher_forced_unroll([[self.SOS, self.A]], words, self._memory(rng, (5,)), p)
+        assert dist.gen.shape == (2, 6)
+        assert dist.copy.shape == (2, 5)
+        assert dist.gate.shape == (2,)
+
+    def test_batch_rows_match_one_example_unrolls(self):
+        """Uneven passages and questions in one batch: every example's rows
+        equal its own unroll, and it attends to no padded position."""
+        rng = np.random.default_rng(12)
+        p, _ = _params(rng)
+        words = Tensor(rng.normal(size=(3, 3)))
+        lengths, n = [3, 1, 5], 5
+        enc = self._memory(rng, lengths)
+        questions = [[self.SOS, self.A, self.B, self.B], [self.SOS], [self.SOS, self.B]]
+        keep = ad.dropout_keep(rng, (7, 4), 0.3)
+        dist = teacher_forced_unroll(questions, words, enc, p, keep)
+        row = 0
+        for b, (ids, length) in enumerate(zip(questions, lengths)):
+            one = EncoderOutput(states=enc.states[b * n:b * n + length],
+                                last_backward=enc.last_backward[b:b + 1],
+                                lengths=np.array([length]))
+            alone = teacher_forced_unroll([ids], words, one, p, keep[row:row + len(ids)])
+            rows = slice(row, row + len(ids))
+            np.testing.assert_allclose(dist.gen.data[rows], alone.gen.data, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dist.gate.data[rows], alone.gate.data, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dist.copy.data[rows, :length], alone.copy.data,
+                                       rtol=0, atol=1e-14)
+            assert (dist.copy.data[rows, length:] == 0).all()
+            row += len(ids)

@@ -3,7 +3,7 @@ import pytest
 
 import qgen.autodiff as ad
 from qgen.autodiff import ParamStore, Tensor, TensorError
-from qgen.encoder import GruCellParams, encode, gru_cell
+from qgen.encoder import GruCellParams, encode, gru_inputs, gru_step
 
 from conftest import assert_grads_match
 
@@ -14,6 +14,10 @@ def _zero_params(input_dim, hidden):
         w_r=Tensor(np.zeros((hidden, input_dim + hidden))), b_r=Tensor(np.zeros(hidden)),
         w_h=Tensor(np.zeros((hidden, input_dim + hidden))), b_h=Tensor(np.zeros(hidden)),
     )
+
+
+def gru_cell(x, h_prev, p):
+    return gru_step(gru_inputs(x, p), h_prev, p)
 
 
 def _random_params(input_dim, hidden, rng):
@@ -57,36 +61,36 @@ class TestEncode:
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         features = Tensor(rng.normal(size=(1, 3)))
-        out = encode(features, fwd, bwd, hidden=4)
+        out = encode([features], fwd, bwd)
         assert out.states.shape == (1, 8)
         expected_f = gru_cell(features[0], Tensor(np.zeros(4)), fwd).data
         expected_b = gru_cell(features[0], Tensor(np.zeros(4)), bwd).data
         np.testing.assert_allclose(out.states.data[0, :4], expected_f)
         np.testing.assert_allclose(out.states.data[0, 4:], expected_b)
-        np.testing.assert_allclose(out.last_backward.data, expected_b)
+        np.testing.assert_allclose(out.last_backward.data[0], expected_b)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(1)
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         with pytest.raises(TensorError, match="non-empty"):
-            encode(Tensor(np.zeros((0, 3))), fwd, bwd, hidden=4)
+            encode([Tensor(np.zeros((0, 3)))], fwd, bwd)
 
     def test_shapes(self):
         rng = np.random.default_rng(4)
         fwd, _ = _random_params(5, 6, rng)
         bwd, _ = _random_params(5, 6, rng)
-        out = encode(Tensor(rng.normal(size=(7, 5))), fwd, bwd, hidden=6)
+        out = encode([Tensor(rng.normal(size=(7, 5)))], fwd, bwd)
         assert out.states.shape == (7, 12)
-        assert out.last_backward.shape == (6,)
+        assert out.last_backward.shape == (1, 6)
 
     def test_reversal_swaps_directions(self):
         rng = np.random.default_rng(5)
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         x = rng.normal(size=(6, 3))
-        out = encode(Tensor(x), fwd, bwd, hidden=4)
-        rev = encode(Tensor(x[::-1].copy()), bwd, fwd, hidden=4)
+        out = encode([Tensor(x)], fwd, bwd)
+        rev = encode([Tensor(x[::-1].copy())], bwd, fwd)
         # forward states on x equal reversed backward states on reverse(x)
         np.testing.assert_allclose(out.states.data[:, :4], rev.states.data[::-1, 4:], atol=1e-12)
         np.testing.assert_allclose(out.states.data[:, 4:], rev.states.data[::-1, :4], atol=1e-12)
@@ -96,10 +100,10 @@ class TestEncode:
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         x = rng.normal(size=(5, 3))
-        base = encode(Tensor(x), fwd, bwd, hidden=4).states.data
+        base = encode([Tensor(x)], fwd, bwd).states.data
         bumped = x.copy()
         bumped[3] += 1.0
-        out = encode(Tensor(bumped), fwd, bwd, hidden=4).states.data
+        out = encode([Tensor(bumped)], fwd, bwd).states.data
         # forward half of positions < 3 untouched; backward half of positions > 3 untouched
         np.testing.assert_array_equal(out[:3, :4], base[:3, :4])
         np.testing.assert_array_equal(out[4:, 4:], base[4:, 4:])
@@ -111,8 +115,10 @@ class TestEncode:
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         x = Tensor(rng.normal(size=(4, 3)))
-        a = encode(x, fwd, bwd, hidden=4, dropout_p=0.5, mode="eval")
-        b = encode(x, fwd, bwd, hidden=4, dropout_p=0.5, mode="eval")
+        # eval mode draws no multipliers: the same as keeping everything
+        a = encode([x], fwd, bwd)
+        ones = ad.dropout_keep(np.random.default_rng(0), x.shape, 0.0)
+        b = encode([x], fwd, bwd, input_keep=ones, output_keep=np.ones((4, 8)))
         np.testing.assert_array_equal(a.states.data, b.states.data)
 
     def test_train_dropout_uses_rng(self):
@@ -120,12 +126,12 @@ class TestEncode:
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         x = Tensor(rng.normal(size=(4, 3)))
-        a = encode(x, fwd, bwd, hidden=4, dropout_p=0.5, mode="train",
-                   rng=np.random.default_rng(0))
-        b = encode(x, fwd, bwd, hidden=4, dropout_p=0.5, mode="train",
-                   rng=np.random.default_rng(0))
-        c = encode(x, fwd, bwd, hidden=4, dropout_p=0.5, mode="train",
-                   rng=np.random.default_rng(1))
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            return encode([x], fwd, bwd, ad.dropout_keep(rng, (4, 3), 0.5),
+                          ad.dropout_keep(rng, (4, 8), 0.5))
+
+        a, b, c = run(0), run(0), run(1)
         np.testing.assert_array_equal(a.states.data, b.states.data)
         assert not np.array_equal(a.states.data, c.states.data)
 
@@ -137,6 +143,69 @@ class TestEncode:
         bwd = GruCellParams.create(store, "b", 2, 3, rng, scale=0.5)
 
         def loss(xv):
-            return ad.sum_(encode(xv, fwd, bwd, hidden=3).states)
+            return ad.sum_(encode([xv], fwd, bwd).states)
 
         assert_grads_match(loss, [x], tol=1e-4)
+
+
+class TestBatchedEncode:
+    """Passages of uneven length, one of them a single token, advance as
+    the rows of one recurrence; each matches its own one-passage run."""
+
+    LENGTHS = [4, 1, 6, 3]
+
+    def _setup(self, seed=10):
+        rng = np.random.default_rng(seed)
+        fwd, _ = _random_params(3, 4, rng)
+        bwd, _ = _random_params(3, 4, rng)
+        xs = [rng.normal(size=(n, 3)) for n in self.LENGTHS]
+        return fwd, bwd, xs
+
+    def test_each_passage_matches_its_own_run(self):
+        fwd, bwd, xs = self._setup()
+        out = encode([Tensor(x) for x in xs], fwd, bwd)
+        n = max(self.LENGTHS)
+        assert out.states.shape == (len(xs) * n, 8) and out.last_backward.shape == (4, 4)
+        np.testing.assert_array_equal(out.mask(), np.arange(n) < np.array(self.LENGTHS)[:, None])
+        for b, x in enumerate(xs):
+            alone = encode([Tensor(x)], fwd, bwd)
+            rows = out.states.data[b * n:b * n + len(x)]
+            np.testing.assert_allclose(rows, alone.states.data, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(out.last_backward.data[b], alone.last_backward.data[0],
+                                       rtol=0, atol=1e-14)
+
+    def test_gradients_match_one_passage_runs(self):
+        fwd, bwd, xs = self._setup(11)
+        w = np.random.default_rng(12).normal(size=(max(self.LENGTHS), 8))
+
+        def loss(states, length):
+            return ad.sum_(ad.mul(ad.tanh(states), w[:length]))
+
+        params = [*vars(fwd).values(), *vars(bwd).values()]
+        xt = [Tensor(x, requires_grad=True) for x in xs]
+        out = encode(xt, fwd, bwd)
+        n = max(self.LENGTHS)
+        total = ad.sum_(ad.tanh(out.last_backward))
+        for b, x in enumerate(xs):
+            total = ad.add(total, loss(out.states[b * n:b * n + len(x)], len(x)))
+        total.backward()
+        batched = [t.grad for t in xt + params]
+        for t in params:
+            t.grad = None
+        singles = [Tensor(x, requires_grad=True) for x in xs]
+        for x in singles:
+            alone = encode([x], fwd, bwd)
+            ad.add(loss(alone.states, x.shape[0]), ad.sum_(ad.tanh(alone.last_backward))).backward()
+        for got, want in zip(batched, [t.grad for t in singles + params]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_output_multipliers_follow_passage_order(self):
+        fwd, bwd, xs = self._setup(13)
+        rng = np.random.default_rng(14)
+        keep = [ad.dropout_keep(rng, (len(x), 8), 0.5) for x in xs]
+        out = encode([Tensor(x) for x in xs], fwd, bwd, output_keep=np.concatenate(keep))
+        n = max(self.LENGTHS)
+        for b, x in enumerate(xs):
+            alone = encode([Tensor(x)], fwd, bwd, output_keep=keep[b])
+            np.testing.assert_allclose(out.states.data[b * n:b * n + len(x)], alone.states.data,
+                                       rtol=0, atol=1e-14)

@@ -1,5 +1,6 @@
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qgen.autodiff import ParamStore, Tensor
 from qgen.clue_predictor import gumbel_noise
 from qgen.config import rng_stream
 from qgen.corpus import build_vocabulary, stopword_set
+from qgen.decoder import ExtendedDistribution
 from qgen.features import FeatureEmbedder, FeatureVocab
 from qgen.labeling import label_corpus
 from qgen.model import QgModel
@@ -50,36 +52,24 @@ class TestLossOracles:
         model, labeled = build_tiny_model()
         ex = labeled[0]
         n = len(ex.base.passage)
-
-        class Probs:
-            pass
-
-        fwd = Probs()
-        fwd.clue = Probs()
         gold = np.asarray(ex.passage_clue_label, dtype=int)
         clue_probs = np.zeros((n, 2))
         clue_probs[np.arange(n), gold] = 1.0
-        fwd.clue.probs = Tensor(clue_probs)
-        steps = []
         copy_labels = list(ex.question_copy_label) + [False]
+        steps = len(copy_labels)
+        gate, gen, copy = np.zeros(steps), np.zeros((steps, len(model.reduced))), np.zeros((steps, n))
         for t, copied in enumerate(copy_labels):
-            state, dist = Probs(), Probs()
             if copied:
-                state.gate = Tensor(np.asarray(1.0))
-                copy = np.zeros(n)
-                copy[ex.copy_alignment[t]] = 1.0 / len(ex.copy_alignment[t])
-                dist.copy = Tensor(copy)
-                dist.gen = Tensor(np.full(len(model.reduced), 1.0 / len(model.reduced)))
+                gate[t] = 1.0
+                copy[t, ex.copy_alignment[t]] = 1.0 / len(ex.copy_alignment[t])
+                gen[t] = 1.0 / len(model.reduced)
             else:
-                state.gate = Tensor(np.asarray(0.0))
-                gen = np.zeros(len(model.reduced))
-                gen[ex.question_target_id[t]] = 1.0
-                dist.gen = Tensor(gen)
-                dist.copy = Tensor(np.full(n, 1.0 / n))
-            dist.gate = state.gate
-            steps.append((state, dist))
-        fwd.steps = steps
-        bd = losses_from_forward(model.config, fwd, ex)
+                gen[t, ex.question_target_id[t]] = 1.0
+                copy[t] = 1.0 / n
+        fwd = SimpleNamespace(
+            clues=[SimpleNamespace(probs=Tensor(clue_probs))],
+            decoder=ExtendedDistribution(gen=Tensor(gen), copy=Tensor(copy), gate=Tensor(gate)))
+        bd = losses_from_forward(model.config, fwd, [ex])
         assert bd.loss_clue.item() == 0.0
         assert bd.loss_gen.item() == 0.0
         assert bd.loss_gate.item() == 0.0
@@ -90,24 +80,25 @@ class TestLossOracles:
         model, labeled = build_tiny_model()
         ex = labeled[0]
         noise = gumbel_noise(rng_stream(5, "gumbel"), (len(ex.base.passage), 2))[1]
-        fwd = model.forward(ex, mode="train", gumbel_noise=noise)
-        bd = losses_from_forward(model.config, fwd, ex)
+        fwd = model.forward([ex], mode="train", gumbel_noise=[noise])
+        bd = losses_from_forward(model.config, fwd, [ex])
+        probs, dist = fwd.clues[0].probs, fwd.decoder
 
         n = len(ex.base.passage)
         clue = 0.0
         for i, lab in enumerate(ex.passage_clue_label):
-            clue -= math.log(fwd.clue.probs.data[i, int(lab)])
+            clue -= math.log(probs.data[i, int(lab)])
         clue /= n
         gen = gate = 0.0
         copy_labels = list(ex.question_copy_label) + [False]
-        for t, (state, dist) in enumerate(fwd.steps):
-            g = state.gate.item()
-            if copy_labels[t]:
+        for t, copied in enumerate(copy_labels):
+            g = dist.gate.data[t]
+            if copied:
                 gate -= math.log(g)
-                gen -= math.log(g * dist.copy.data[ex.copy_alignment[t]].sum())
+                gen -= math.log(g * dist.copy.data[t, ex.copy_alignment[t]].sum())
             else:
                 gate -= math.log(1 - g)
-                gen -= math.log((1 - g) * dist.gen.data[ex.question_target_id[t]])
+                gen -= math.log((1 - g) * dist.gen.data[t, ex.question_target_id[t]])
         gen /= len(copy_labels)
         gate /= len(copy_labels)
         assert bd.loss_clue.item() == pytest.approx(clue, rel=1e-9)
@@ -117,9 +108,10 @@ class TestLossOracles:
 
     def test_gold_clue_source_feeds_labels_to_encoder(self):
         model, labeled = build_tiny_model()
-        fwd = model.forward(labeled[0], mode="train", clue_source="gold",
+        ex = labeled[0]
+        fwd = model.forward([ex], mode="train", clue_source="gold",
                             gumbel_rng=rng_stream(0, "gumbel"))
-        assert fwd.steps is not None
+        assert fwd.decoder.gen.shape == (len(ex.base.question) + 1, len(model.reduced))
 
 
 class TestOnePassagePass:
@@ -141,11 +133,11 @@ class TestOnePassagePass:
     @pytest.mark.parametrize("clue_source", ["predicted", "gold"])
     def test_forward_embeds_once(self, calls, clue_source):
         model, labeled = build_tiny_model()
-        model.forward(labeled[0], mode="train", clue_source=clue_source,
+        model.forward([labeled[0]], mode="train", clue_source=clue_source,
                       gumbel_rng=rng_stream(0, "gumbel"))
         assert len(calls["embed_passage"]) == 1
         assert len(calls["build_adjacency"]) == 1
-        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0]
+        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0][0]
         assert encoder_input._op == "concat" and encoder_input._parents[0] is clue_input
         assert encoder_input.shape[1] == clue_input.shape[1] + model.config.feat_dim
 
@@ -154,7 +146,7 @@ class TestOnePassagePass:
         qgen.beam.generate(model, labeled[0].base, beam_width=3, max_len=4)
         assert len(calls["embed_passage"]) == 1
         assert len(calls["build_adjacency"]) == 1
-        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0]
+        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0][0]
         width = clue_input.shape[1]
         assert encoder_input.shape[1] == width + model.config.feat_dim
         np.testing.assert_array_equal(encoder_input.data[:, :width], clue_input.data)
