@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import zipfile
+import zlib
 from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -92,9 +93,6 @@ class Tensor:
         if self.data.size != 1:
             raise TensorError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -277,41 +275,23 @@ def neg(a) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for (m,k)x(k,n), (k,)x(k,n), (m,k)x(k,) and (k,)x(k,)."""
+    """Matrix product (m,k)x(k,n), or matrix-vector product (m,k)x(k,)."""
     a, b = _operands((a, b))
-    ka = a.shape[-1] if a.ndim else None
-    kb = b.shape[0] if b.ndim else None
-    if a.ndim == 0 or b.ndim == 0 or ka != kb:
-        raise TensorError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
+        raise TensorError(f"matmul: shapes {a.shape} and {b.shape} are not (m,k)x(k,n) or (m,k)x(k,)")
 
     def bw(g):
-        if a.ndim == 2 and b.ndim == 2:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            if a.requires_grad:
-                a._accumulate(b.data @ g)
-            if b.requires_grad:
-                b._accumulate(np.outer(a.data, g))
-        elif a.ndim == 2 and b.ndim == 1:
-            if a.requires_grad:
-                a._accumulate(np.outer(g, b.data))
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        else:  # dot product of two vectors
-            if a.requires_grad:
-                a._accumulate(g * b.data)
-            if b.requires_grad:
-                b._accumulate(g * a.data)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T if b.ndim == 2 else np.outer(g, b.data))
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
     return _node(a.data @ b.data, (a, b), "matmul", bw)
 
 
 def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tensor:
-    """x @ w.T for a (k,) or (m, k) input and an (n, k) weight; w is read in
-    place, never transposed into a copy.
+    """x @ w.T for an (m, k) input and an (n, k) weight; w is read in place,
+    never transposed into a copy.
 
     `cols=(lo, hi)` multiplies x by the weight's columns lo:hi only, a view,
     so one parameter can hold the blocks of a product over [x; h] that are
@@ -323,10 +303,10 @@ def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tens
     weight and range, not one per step.
     """
     x, w = _operands((x, w))
-    if w.ndim != 2 or x.ndim not in (1, 2):
+    if w.ndim != 2 or x.ndim != 2:
         raise TensorError(f"linear: input {x.shape} does not match weight {w.shape}")
     lo, hi = cols if cols is not None else (0, w.shape[1])
-    if not 0 <= lo <= hi <= w.shape[1] or x.shape[-1] != hi - lo:
+    if not 0 <= lo <= hi <= w.shape[1] or x.shape[1] != hi - lo:
         raise TensorError(f"linear: input {x.shape} does not match columns {lo}:{hi} "
                           f"of weight {w.shape}")
     full = hi - lo == w.shape[1]
@@ -337,72 +317,68 @@ def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tens
         if w.requires_grad:
             if w._outer is None:
                 w._outer = {}
-            w._outer.setdefault((lo, hi), []).append(
-                (g.reshape(1, -1), x.data.reshape(1, -1)) if x.ndim == 1 else (g, x.data))
+            w._outer.setdefault((lo, hi), []).append((g, x.data))
 
     return _node(x.data @ (w.data if full else w.data[:, lo:hi]).T, (x, w), "linear", bw)
 
 
 def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) -> Tensor:
-    """Additive attention scores v . tanh(keys_i + query) for every key row.
+    """Additive attention scores v . tanh(key + query), (m, n).
 
-    keys is (blocks * n, a), `blocks` passages of n rows each, and v is (a,).
-    With one block, a (a,) query gives (n,) scores and a (m, a) query gives
-    (m, n), one row per query.  With B blocks, row b of the (B, a) query
-    scores block b only: (B, n).  The (m, n, a) activation stays inside the
+    keys is (blocks * n, a), `blocks` groups of n rows, and v is (a,).  The
+    (m, a) query rows split into `blocks` equal groups in order, and group b
+    scores key group b only: a beam is one block of K rows, a training batch
+    B blocks of one row each.  The (m, n, a) activation stays inside the
     node, so no 3-d tensor enters the graph.
     """
     keys, query, v = _operands((keys, query, v))
-    if (keys.ndim != 2 or v.shape != keys.shape[1:] or query.ndim not in (1, 2)
-            or query.shape[-1] != keys.shape[1] or blocks < 1 or keys.shape[0] % blocks
-            or (blocks > 1 and (query.ndim != 2 or query.shape[0] != blocks))):
+    if (keys.ndim != 2 or query.ndim != 2 or v.shape != keys.shape[1:]
+            or query.shape[1] != keys.shape[1] or blocks < 1
+            or keys.shape[0] % blocks or query.shape[0] % blocks):
         raise TensorError(f"attention_scores: keys {keys.shape}, query {query.shape}, "
                           f"v {v.shape} and {blocks} blocks do not match")
-    if query.ndim == 1:
-        t = np.tanh(keys.data + query.data)
-    else:
-        t = np.tanh(keys.data.reshape(blocks, -1, keys.shape[1]) + query.data[:, None, :])
+    (m, a), n = query.shape, keys.shape[0] // blocks
+    t = np.tanh(keys.data.reshape(blocks, 1, n, a)
+                + query.data.reshape(blocks, -1, 1, a)).reshape(m, n, a)
 
     def bw(g):
         d = g[..., None] * v.data * (1.0 - t * t)
         if keys.requires_grad:
-            keys._accumulate(d.sum(axis=0) if d.ndim == 3 and blocks == 1
-                             else d.reshape(keys.shape))
+            keys._accumulate(d.reshape(blocks, -1, n, a).sum(axis=1).reshape(keys.shape))
         if query.requires_grad:
-            query._accumulate(d.sum(axis=-2))
+            query._accumulate(d.sum(axis=1))
         if v.requires_grad:
-            v._accumulate(np.tensordot(g, t, axes=g.ndim))
+            v._accumulate(np.tensordot(g, t, axes=2))
 
     return _node(t @ v.data, (keys, query, v), "attention_scores", bw)
 
 
 def attention_context(alpha: Tensor, values: Tensor) -> Tensor:
-    """Attention-weighted sums of value rows.
+    """Attention-weighted sums of value rows, (m, d).
 
-    values is (blocks * n, d) for weights alpha of width n.  With one block
-    this is `matmul(alpha, values)`: every row of alpha weights all of
-    values.  With B blocks, row b of the (B, n) alpha weights block b only:
-    (B, d).  The (B, n, d) products stay inside the node.
+    values is (blocks * n, d) for (m, n) weights alpha.  The rows of alpha
+    split into `blocks` equal groups in order, and group b weights value
+    block b only, as in `attention_scores`.  The (blocks, m / blocks, d)
+    products stay inside the node.
     """
     alpha, values = _operands((alpha, values))
-    n = alpha.shape[-1] if alpha.ndim else 0
-    if values.ndim != 2 or alpha.ndim not in (1, 2) or n == 0 or values.shape[0] % n:
+    n = alpha.shape[1] if alpha.ndim == 2 else 0
+    blocks = values.shape[0] // n if values.ndim == 2 and n else 0
+    if blocks == 0 or values.shape[0] != blocks * n or alpha.shape[0] % blocks:
         raise TensorError(f"attention_context: weights {alpha.shape} do not match "
-                          f"values {values.shape}")
-    blocks = values.shape[0] // n
-    if blocks == 1:
-        return matmul(alpha, values)
-    if alpha.ndim != 2 or alpha.shape[0] != blocks:
-        raise TensorError(f"attention_context: {alpha.shape} weights for {blocks} blocks")
+                          f"values {values.shape} in equal blocks")
+    m = alpha.shape[0]
+    a3 = alpha.data.reshape(blocks, -1, n)
     v3 = values.data.reshape(blocks, n, -1)
 
     def bw(g):
+        g3 = g.reshape(blocks, -1, g.shape[1])
         if alpha.requires_grad:
-            alpha._accumulate((v3 @ g[:, :, None])[:, :, 0])
+            alpha._accumulate((g3 @ v3.transpose(0, 2, 1)).reshape(m, n))
         if values.requires_grad:
-            values._accumulate((alpha.data[:, :, None] * g[:, None, :]).reshape(values.shape))
+            values._accumulate((a3.transpose(0, 2, 1) @ g3).reshape(values.shape))
 
-    return _node((alpha.data[:, None, :] @ v3)[:, 0, :], (alpha, values), "attention_context", bw)
+    return _node((a3 @ v3).reshape(m, -1), (alpha, values), "attention_context", bw)
 
 
 def tanh(a) -> Tensor:
@@ -438,20 +414,6 @@ def relu(a) -> Tensor:
             a._accumulate(g * (a.data > 0))
 
     return _node(np.maximum(a.data, 0.0), (a,), "relu", bw)
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        y = np.exp(a.data)
-    if not np.isfinite(y).all():
-        raise TensorError("exp overflow: input outside the supported domain")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * y)
-
-    return _node(y, (a,), "exp", bw)
 
 
 def log(a) -> Tensor:
@@ -581,16 +543,6 @@ def take_along(a: Tensor, ids) -> Tensor:
     return _node(a.data[rows, ids], (a,), "take_along", bw)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return _node(a.data.reshape(shape), (a,), "reshape", bw)
-
-
 def sum_(a: Tensor, axis: Optional[int] = None) -> Tensor:
     a = _as_tensor(a)
 
@@ -687,15 +639,17 @@ class ParamStore:
                                       f"{arrays[name].shape} vs model {t.data.shape}")
             t.data = arrays[name].astype(t.data.dtype, copy=True)
 
-    def save(self, path, meta: Optional[dict] = None) -> None:
-        """Write an .npz-style zip: one .npy per parameter plus a JSON meta entry."""
+    def save(self, path, meta: Optional[dict] = None,
+             arrays: Optional[dict[str, np.ndarray]] = None) -> None:
+        """Write an .npz-style zip: one .npy per parameter, its data or
+        `arrays[name]` in its place, plus a JSON meta entry."""
         header = dict(meta or {})
         header["format_version"] = CHECKPOINT_FORMAT_VERSION
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
             zf.writestr("meta.json", json.dumps(header, sort_keys=True))
             for name, t in self._params.items():
                 buf = io.BytesIO()
-                np.save(buf, t.data, allow_pickle=False)
+                np.save(buf, t.data if arrays is None else arrays[name], allow_pickle=False)
                 zf.writestr(f"params/{name}.npy", buf.getvalue())
 
     @staticmethod
@@ -706,13 +660,20 @@ class ParamStore:
             zf = zipfile.ZipFile(path, "r")
         except zipfile.BadZipFile:
             raise CheckpointError(f"{path} is not a checkpoint (not a zip file)") from None
+
+        def parse(entry: str, kind: str, load: Callable[[bytes], object]):
+            """`load` of an entry's bytes; an entry that is damaged, or is not
+            `kind`, raises a CheckpointError that names it."""
+            try:
+                return load(zf.read(entry))
+            except (zipfile.BadZipFile, zlib.error, ValueError, EOFError) as exc:
+                raise CheckpointError(f"{path} has a {entry} that is damaged or not {kind}: "
+                                      f"{exc}") from None
+
         with zf:
             if "meta.json" not in zf.namelist():
                 raise CheckpointError(f"{path} has no meta.json")
-            try:
-                meta = json.loads(zf.read("meta.json").decode("utf-8"))
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise CheckpointError(f"{path} has a meta.json that is not JSON: {exc}") from None
+            meta = parse("meta.json", "JSON", lambda raw: json.loads(raw.decode("utf-8")))
             if not isinstance(meta, dict):
                 raise CheckpointError(f"{path} has a meta.json that is not a JSON object")
             if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -720,7 +681,7 @@ class ParamStore:
                                       f"expected {CHECKPOINT_FORMAT_VERSION}")
             for entry in zf.namelist():
                 if entry.startswith("params/") and entry.endswith(".npy"):
-                    arrays[entry[len("params/"):-len(".npy")]] = np.load(
-                        io.BytesIO(zf.read(entry)), allow_pickle=False
-                    )
+                    arrays[entry[len("params/"):-len(".npy")]] = parse(
+                        entry, "a .npy array",
+                        lambda raw: np.load(io.BytesIO(raw), allow_pickle=False))
         return arrays, meta

@@ -142,10 +142,7 @@ def _cmd_train(args) -> int:
     if result.best_dev_arrays is not None:
         result.model.params.load_arrays(result.best_dev_arrays)
     result.model.save(out / "model.npz")
-    raw = result.model.params.state_arrays()
-    result.model.params.load_arrays(result.ema.arrays())
-    result.model.save(out / "model_ema.npz")
-    result.model.params.load_arrays(raw)
+    result.model.save(out / "model_ema.npz", result.ema.shadow)
     print(json.dumps({
         "checkpoint": str(out / "model.npz"),
         "checkpoint_ema": str(out / "model_ema.npz"),

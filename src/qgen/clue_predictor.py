@@ -68,17 +68,14 @@ def clue_logits(h: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
 
 @dataclass
 class GumbelSample:
-    u: np.ndarray        # uniform draws
-    g: np.ndarray        # Gumbel noise -log(-log(u))
     y: Tensor            # continuous relaxed sample, rows sum to 1
     y_st: Tensor         # one-hot discretization with pass-through gradient
-    tau: float
 
 
-def gumbel_noise(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
-    u = rng.random(shape)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return u, -np.log(-np.log(u))
+def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
+    """Gumbel noise -log(-log(u)) of uniform draws u, clipped off 0 and 1."""
+    u = np.clip(rng.random(shape), 1e-12, 1.0 - 1e-12)
+    return -np.log(-np.log(u))
 
 
 def gumbel_softmax_sample(logits: Tensor, tau: float, rng: np.random.Generator,
@@ -90,24 +87,16 @@ def gumbel_softmax_sample(logits: Tensor, tau: float, rng: np.random.Generator,
     """
     if tau <= 0:
         raise ConfigError(f"gumbel temperature must be positive, got {tau}")
-    if noise is None:
-        u, g = gumbel_noise(rng, logits.shape)
-    else:
-        g = np.asarray(noise, dtype=float)
-        u = np.exp(-np.exp(-g))
-    perturbed = ad.mul(ad.add(logits, g), 1.0 / tau)
-    y = ad.softmax(perturbed)
-    return GumbelSample(u=u, g=g, y=y, y_st=st_discretize(y), tau=tau)
+    g = gumbel_noise(rng, logits.shape) if noise is None else np.asarray(noise, dtype=float)
+    y = ad.softmax(ad.mul(ad.add(logits, g), 1.0 / tau))
+    return GumbelSample(y=y, y_st=st_discretize(y))
 
 
 def st_discretize(y: Tensor) -> Tensor:
-    """One-hot argmax forward, identity gradient backward (ties -> lower index)."""
-    idx = np.argmax(y.data, axis=-1)
+    """Row-wise one-hot argmax of an (n, k) tensor forward, identity
+    gradient backward (ties -> lower index)."""
     hard = np.zeros_like(y.data)
-    if y.data.ndim == 1:
-        hard[idx] = 1.0
-    else:
-        hard[np.arange(y.data.shape[0]), idx] = 1.0
+    hard[np.arange(y.data.shape[0]), np.argmax(y.data, axis=1)] = 1.0
 
     def bw(g):
         if y.requires_grad:

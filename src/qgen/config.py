@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,12 @@ class ConfigError(ValueError):
 _STREAMS = {"init": 0, "dropout": 1, "gumbel": 2, "shuffle": 3, "toy": 4}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_positive_int(name: str, value) -> None:
-    if not isinstance(value, int) or value <= 0:
+    if not _is_int(value) or value <= 0:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -79,7 +84,12 @@ class ModelConfig:
         ]
         for name in positive_ints:
             check_positive_int(name, getattr(self, name))
-        if not isinstance(self.epochs, int) or self.epochs < 0:
+        for name in ["tau", "dropout", "lr", "beta1", "beta2", "eps", "clip", "ema",
+                     "lambda_clue", "lambda_gen", "lambda_gate"]:
+            v = getattr(self, name)
+            if not (_is_int(v) or isinstance(v, float)) or not math.isfinite(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        if not _is_int(self.epochs) or self.epochs < 0:
             raise ConfigError(f"epochs must be a non-negative integer, got {self.epochs!r}")
         if self.r_h >= self.r_l:
             raise ConfigError(f"r_h must be < r_l, got r_h={self.r_h}, r_l={self.r_l}")
@@ -99,7 +109,7 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be 'float32' or 'float64', got {self.precision!r}")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         return self
 

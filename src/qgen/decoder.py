@@ -84,9 +84,9 @@ class ExtendedDistribution:
     beam step, or of every step of every example in a teacher-forced batch.
     """
 
-    gen: Tensor    # (|reduced vocab|,), or (K, |reduced vocab|)
-    copy: Tensor   # (|passage|,) or (K, |passage|), the attention weights
-    gate: Tensor   # scalar, or (K,)
+    gen: Tensor    # (rows, |reduced vocab|)
+    copy: Tensor   # (rows, |passage|), the attention weights
+    gate: Tensor   # (rows,)
 
 
 def init_decoder(last_backward: Tensor, w_init: Tensor, b_init: Tensor) -> Tensor:
@@ -101,13 +101,13 @@ def attention_keys(enc_states: Tensor, p: DecoderParams) -> Tensor:
 
 def attention(s_t: Tensor, enc_states: Tensor, keys: Tensor, p: DecoderParams,
               mask: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Concatenated attention: scores, softmax weights, weighted context.
+    """Concatenated attention: scores, softmax weights, weighted context,
+    one row of each per row of the (m, dec_hidden) states s_t.
 
-    Without `mask`, enc_states is one passage: a (dec_hidden,) state gives
-    (n,) weights and an (enc_width,) context, and a (K, dec_hidden) stack of
-    states one row of each per state.  A (B, n) `mask` makes enc_states and
-    keys B passages padded to n rows each (`EncoderOutput`): state row b
-    attends to the real positions of passage b only.
+    Without `mask`, enc_states is one passage that every state row attends
+    to.  A (B, n) `mask` makes enc_states and keys B passages padded to n
+    rows each (`EncoderOutput`): state row b attends to the real positions
+    of passage b only.
     """
     blocks = 1 if mask is None else len(mask)
     scores = ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v, blocks)
@@ -159,10 +159,9 @@ def decode_step(
     keys: Tensor,
     p: DecoderParams,
 ) -> tuple[DecoderState, ExtendedDistribution]:
-    """One decoder step over one passage for a single hypothesis (1-d
-    `w_prev`, `c_prev`, `s_prev`) or for K of them stacked as rows; every
-    output gains the same leading K axis.  `keys` is
-    `attention_keys(enc_states, p)`."""
+    """One decoder step over one passage for K hypotheses, their `w_prev`,
+    `c_prev` and `s_prev` stacked as rows; every output has one row per
+    hypothesis.  `keys` is `attention_keys(enc_states, p)`."""
     gru = p.gru
     state = recurrent_step([gru.b_z, gru.b_r, gru.b_h], ad.concat([w_prev, c_prev], axis=-1),
                            s_prev, enc_states, keys, p)

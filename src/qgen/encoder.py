@@ -46,15 +46,14 @@ def gru_inputs(x: Tensor, p: GruCellParams) -> list[Tensor]:
 
 
 def gru_step(inputs: list[Tensor], h_prev: Tensor, p: GruCellParams,
-             context: Tensor | None = None, keep: np.ndarray | None = None) -> Tensor:
+             context: Tensor | None = None) -> Tensor:
     """Standard GRU update, reset gate applied to h before the candidate.
 
     `inputs` are the z, r and candidate pre-activation shares of the
     weights' first columns, bias included (`gru_inputs`); the remaining
     columns act on [context; h], context optional.  When `context` is the
-    whole step input, `inputs` are the three biases alone.  Takes one state
-    or K of them stacked as rows.  A 0/1 `keep` mask the shape of h leaves
-    the rows where it is 0 unchanged.
+    whole step input, `inputs` are the three biases alone.  h_prev is (m,
+    hidden): m states stacked as rows.
     """
     xz, xr, xh = inputs
 
@@ -69,8 +68,6 @@ def gru_step(inputs: list[Tensor], h_prev: Tensor, p: GruCellParams,
     r = ad.sigmoid(ad.add(xr, ad.linear(zr_in, p.w_r, columns(p.w_r, zr_in))))
     cand_in = recurrent(ad.mul(r, h_prev))
     h_cand = ad.tanh(ad.add(xh, ad.linear(cand_in, p.w_h, columns(p.w_h, cand_in))))
-    if keep is not None:
-        z = ad.mul(z, keep)
     return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 
@@ -87,22 +84,19 @@ class EncoderOutput:
         return np.arange(self.lengths.max()) < self.lengths[:, None]
 
 
-def _direction(gates: list[Tensor], positions: np.ndarray, live: np.ndarray,
-               p: GruCellParams) -> tuple[Tensor, Tensor]:
+def _direction(gates: list[Tensor], positions: np.ndarray, p: GruCellParams) -> Tensor:
     """One direction over B sequences in lockstep: step i reads row
-    positions[i, b] of the input shares for sequence b, and carries h of the
-    sequences with live[i, b] False.  Returns the states, step-major
-    (n * B, hidden), and the last state."""
+    positions[i, b] of the input shares for sequence b.  Returns the states,
+    step-major (n * B, hidden)."""
     n, batch = positions.shape
     gates = [ad.gather_rows(g, positions.ravel()) for g in gates]
     hidden = p.w_z.shape[0]
     h = Tensor(np.zeros((batch, hidden), gates[0].data.dtype))
     states = []
     for i in range(n):
-        keep = None if live[i].all() else np.repeat(live[i][:, None], hidden, axis=1)
-        h = gru_step([g[i * batch:(i + 1) * batch] for g in gates], h, p, keep=keep)
+        h = gru_step([g[i * batch:(i + 1) * batch] for g in gates], h, p)
         states.append(h)
-    return ad.concat(states), h
+    return ad.concat(states)
 
 
 def encode(
@@ -116,10 +110,11 @@ def encode(
     concatenate.
 
     The passages' B rows advance together, one time step per GRU step; the
-    backward direction starts at each passage's own last token.  The input
-    shares of the gates are one product over all tokens.  `input_keep` and
-    `output_keep` are dropout multipliers for the stacked input rows and the
-    stacked output states, passage after passage.
+    backward direction starts at each passage's own last token.  A passage's
+    steps past its end fill only its padded positions, which attention
+    masks out.  The input shares of the gates are one product over all
+    tokens.  `input_keep` and `output_keep` are dropout multipliers for the
+    stacked input rows and the stacked output states, passage after passage.
     """
     lengths = np.array([f.shape[0] for f in passages])
     if not len(lengths) or lengths.min() == 0:
@@ -129,12 +124,10 @@ def encode(
     x = ad.dropout(passages[0] if batch == 1 else ad.concat(passages), input_keep)
 
     step = np.arange(n)[:, None]
-    live = step < lengths                                    # (n, B)
-    fwd, _ = _direction(gru_inputs(x, forward_params),
-                        starts + np.minimum(step, lengths - 1), live, forward_params)
-    bwd, last_backward = _direction(gru_inputs(x, backward_params),
-                                    starts + np.maximum(lengths - 1 - step, 0), live,
-                                    backward_params)
+    fwd = _direction(gru_inputs(x, forward_params), starts + np.minimum(step, lengths - 1),
+                     forward_params)
+    bwd = _direction(gru_inputs(x, backward_params), starts + np.maximum(lengths - 1 - step, 0),
+                     backward_params)
 
     # passage-major rows b * n + i, from step-major rows i * B + b; the
     # backward direction reached position i at step length - 1 - i
@@ -148,4 +141,6 @@ def encode(
         padded = np.ones(states.shape, output_keep.dtype)
         padded[(column * n + position)[position < lengths[:, None]]] = output_keep
         states = ad.dropout(states, padded)
+    # each passage's last backward step, at its first token
+    last_backward = ad.gather_rows(bwd, (lengths - 1) * batch + np.arange(batch))
     return EncoderOutput(states=states, last_backward=last_backward, lengths=lengths)

@@ -159,13 +159,11 @@ class FeatureEmbedder:
             return SPECIAL_TOKENS.index(UNK)
         return self.word_row_id(token)
 
-    def embed_passage(self, example: AnnotatedExample,
-                      bio_tags: list[str] | None = None) -> Tensor:
+    def embed_passage(self, example: AnnotatedExample) -> Tensor:
         """(n, clue_input_width) matrix of the shared slots: the clue
         predictor's input, and the encoder's once `append_clue_slot` adds
         the clue indicator."""
         tokens = example.passage
-        bio_tags = bio_tags if bio_tags is not None else tag_answer_bio(example)
         tiers = [
             _TIER_INDEX[tier_of(t.text, self.vocab, self.config.r_h, self.config.r_l)]
             for t in tokens
@@ -178,21 +176,17 @@ class FeatureEmbedder:
             ad.gather_rows(self.params["embed.is_lower"], [int(t.is_lower) for t in tokens]),
             ad.gather_rows(self.params["embed.is_digit"], [int(t.is_digit) for t in tokens]),
             ad.gather_rows(self.params["embed.like_num"], [int(t.like_num) for t in tokens]),
-            ad.gather_rows(self.params["embed.bio"], [_BIO_INDEX[b] for b in bio_tags]),
+            ad.gather_rows(self.params["embed.bio"], [_BIO_INDEX[b] for b in tag_answer_bio(example)]),
             ad.gather_rows(self.params["embed.tier"], tiers),
         ]
         return ad.concat(slots, axis=1)
 
-    def append_clue_slot(self, features: Tensor, clue_weights) -> Tensor:
+    def append_clue_slot(self, features: Tensor, clue_weights: Tensor) -> Tensor:
         """The encoder input: `features` from `embed_passage` with the clue-
         indicator embedding rows, mixed by (possibly relaxed) weights, last.
 
-        `clue_weights` is an (n, 2) tensor of [not-clue, clue] weights, or
-        (n,) binary indicators for the one-hot case.  Keeping the mix a
-        matmul lets straight-through gradients reach the clue predictor.
+        `clue_weights` is an (n, 2) tensor of [not-clue, clue] weights.
+        Keeping the mix a matmul lets straight-through gradients reach the
+        clue predictor.
         """
-        if not isinstance(clue_weights, Tensor):
-            clue_weights = np.asarray(clue_weights, dtype=float)
-            if clue_weights.ndim == 1:  # binary indicators -> one-hot rows
-                clue_weights = np.eye(2)[clue_weights.astype(int)]
         return ad.concat([features, ad.matmul(clue_weights, self.params["embed.clue"])], axis=1)

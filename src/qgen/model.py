@@ -91,14 +91,13 @@ class QgModel:
         return DecoderParams.from_store(self.params)
 
     def predict_clues(self, example: AnnotatedExample, rng: np.random.Generator | None,
-                      mode: str = "eval", noise: np.ndarray | None = None,
-                      bio_tags: list[str] | None = None) -> ClueForward:
+                      mode: str = "eval", noise: np.ndarray | None = None) -> ClueForward:
         """Clue probabilities plus indicators; stochastic only in train/soft mode.
 
         The returned features are the passage's one embedding per pass; the
         encoder reuses them with the clue slot appended.
         """
-        feats = self.embedder.embed_passage(example, bio_tags=bio_tags)
+        feats = self.embedder.embed_passage(example)
         return run_clue_predictor(
             feats, build_adjacency(example), self.gcn_params(),
             self.params["clue.out.w"], self.params["clue.out.b"],
@@ -110,7 +109,6 @@ class QgModel:
         batch: list[LabeledExample],
         mode: str = "eval",
         clue_mode: str | None = None,
-        clue_source: str = "predicted",
         gumbel_rng: np.random.Generator | None = None,
         dropout_rng: np.random.Generator | None = None,
         gumbel_noise: list[np.ndarray] | None = None,
@@ -118,22 +116,17 @@ class QgModel:
         """Run clue prediction example by example, then the encoder and the
         teacher-forced decoder unroll once over the whole batch.
 
-        `clue_source='gold'` feeds gold clue labels to the encoder while the
-        predictor still runs for its loss.  `gumbel_noise`, one array per
-        example, replaces the Gumbel draws (test hook).  The Gumbel and
-        dropout streams are read example by example, in the order a
-        one-example-at-a-time pass reads them.
+        `gumbel_noise`, one array per example, replaces the Gumbel draws
+        (test hook).  The Gumbel and dropout streams are read example by
+        example, in the order a one-example-at-a-time pass reads them.
         """
         clue_mode = clue_mode or ("train" if mode == "train" else "eval")
         clues, enc_inputs = [], []
         for i, example in enumerate(batch):
             clue = self.predict_clues(example.base, gumbel_rng, mode=clue_mode,
-                                      noise=None if gumbel_noise is None else gumbel_noise[i],
-                                      bio_tags=example.answer_bio)
-            weights = (np.asarray(example.passage_clue_label, dtype=int)
-                       if clue_source == "gold" else clue.weights)
+                                      noise=None if gumbel_noise is None else gumbel_noise[i])
             clues.append(clue)
-            enc_inputs.append(self.embedder.append_clue_slot(clue.features, weights))
+            enc_inputs.append(self.embedder.append_clue_slot(clue.features, clue.weights))
         keep = [None] * 3
         if mode == "train" and self.config.dropout > 0:
             keep = self.dropout_keeps(batch, enc_inputs[0].shape[1], dropout_rng)
@@ -161,14 +154,16 @@ class QgModel:
         return [np.concatenate(part) for part in zip(*draws)]
 
     # persistence
-    def save(self, path) -> None:
+    def save(self, path, arrays: dict[str, np.ndarray] | None = None) -> None:
+        """Write the model's parameters, or `arrays` in their place, with the
+        vocabularies and config that `load` needs."""
         meta = {
             "config": self.config.to_dict(),
             "vocab_words": self.vocab.words,
             "reduced_words": self.reduced.words,
             "feature_vocab": self.features.to_dict(),
         }
-        self.params.save(path, meta)
+        self.params.save(path, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "QgModel":

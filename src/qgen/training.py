@@ -100,13 +100,12 @@ def batch_losses(
     dropout_rng: np.random.Generator | None = None,
     mode: str = "train",
     clue_mode: str | None = None,
-    clue_source: str = "predicted",
     gumbel_noise: list[np.ndarray] | None = None,
 ) -> LossBreakdown:
     """Each example's average cross-entropies (over tokens / decode steps),
     from one forward pass over the batch."""
     fwd = model.forward(
-        batch, mode=mode, clue_mode=clue_mode, clue_source=clue_source,
+        batch, mode=mode, clue_mode=clue_mode,
         gumbel_rng=gumbel_rng, dropout_rng=dropout_rng, gumbel_noise=gumbel_noise,
     )
     return losses_from_forward(model.config, fwd, batch)
@@ -119,11 +118,10 @@ def compute_losses(
     dropout_rng: np.random.Generator | None = None,
     mode: str = "train",
     clue_mode: str | None = None,
-    clue_source: str = "predicted",
     gumbel_noise: np.ndarray | None = None,
 ) -> LossBreakdown:
     """`batch_losses` of one example: every field has one entry."""
-    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode, clue_mode, clue_source,
+    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode, clue_mode,
                         None if gumbel_noise is None else [gumbel_noise])
 
 
@@ -202,8 +200,7 @@ def dev_loss(model: QgModel, labeled_dev: list[LabeledExample]) -> float:
     total = 0.0
     with ad.no_grad():
         for start in range(0, len(labeled_dev), model.config.batch):
-            losses = batch_losses(model, labeled_dev[start:start + model.config.batch],
-                                  mode="eval", clue_mode="eval")
+            losses = batch_losses(model, labeled_dev[start:start + model.config.batch], mode="eval")
             for value in losses.total.data.tolist():
                 total += value
     return total / max(len(labeled_dev), 1)

@@ -59,6 +59,14 @@ def micro_corpus():
     return [ex1, ex2]
 
 
+def gold_clue_noise(batch, margin=10.0):
+    """Gumbel noise, one array per labeled example, that puts each sampled
+    clue indicator on its gold label: +margin on the gold column and -margin
+    on the other, far beyond the spread of a small model's clue logits."""
+    return [np.where(np.eye(2, dtype=bool)[np.asarray(ex.passage_clue_label, dtype=int)],
+                     margin, -margin) for ex in batch]
+
+
 def tiny_config(**overrides):
     base = dict(r_h=2, r_l=5, vocab_max=12, word_dim=6, tier_dim=2, feat_dim=2,
                 enc_hidden=8, dec_hidden=8, attn_dim=8, gcn_layers=2, gcn_hidden=8,

@@ -1,11 +1,12 @@
 """The one-example-at-a-time forward pass and losses, kept as the reference
 for the batched path.
 
-Every GRU and decoder step here is its own 1-row graph: the encoder runs
-each direction over one passage, the decoder runs its whole step (GRU,
-attention, readout, maxout, dropout, softmax, copy gate) once per question
-token, and the losses add a few nodes per step.  Dropout multipliers and
-Gumbel noise are drawn where the computation reaches them.
+Every GRU and decoder step here is its own graph over one (1, width) row:
+the encoder runs each direction over one passage, the decoder runs its
+whole step (GRU, attention, readout, maxout, dropout, softmax, copy gate)
+once per question token, and the losses add a few nodes per step.
+Dropout multipliers and Gumbel noise are drawn where the computation
+reaches them.
 """
 
 from __future__ import annotations
@@ -38,24 +39,24 @@ def gru_cell(x, h_prev, p):
 
 
 def encode(features, forward_params, backward_params, dropout_p=0.0, mode="eval", rng=None):
-    """(states (n, 2H), last_backward (H,)) of one passage."""
+    """(states (n, 2H), last_backward (1, H)) of one passage."""
     n, hidden = features.shape[0], forward_params.w_z.shape[0]
     features = _dropout(features, dropout_p, mode, rng)
-    zero = Tensor(np.zeros(hidden, features.data.dtype))
+    zero = Tensor(np.zeros((1, hidden), features.data.dtype))
     h, fwd = zero, []
     for i in range(n):
-        h = gru_cell(features[i], h, forward_params)
-        fwd.append(ad.reshape(h, (1, hidden)))
+        h = gru_cell(features[i:i + 1], h, forward_params)
+        fwd.append(h)
     h, bwd = zero, [None] * n
     for i in reversed(range(n)):
-        h = gru_cell(features[i], h, backward_params)
-        bwd[i] = ad.reshape(h, (1, hidden))
+        h = gru_cell(features[i:i + 1], h, backward_params)
+        bwd[i] = h
     states = ad.concat([ad.concat(fwd, axis=0), ad.concat(bwd, axis=0)], axis=1)
-    return _dropout(states, dropout_p, mode, rng), ad.reshape(bwd[0], (hidden,))
+    return _dropout(states, dropout_p, mode, rng), bwd[0]
 
 
 def decode_step(w_prev, c_prev, s_prev, enc_states, keys, p, mode, dropout_p, rng):
-    """One 1-d decoder step: (s, c, gen, copy, gate)."""
+    """One decoder step of one-row inputs: (s, c, gen, copy, gate), gate (1,)."""
     s_t = gru_cell(ad.concat([w_prev, c_prev], axis=-1), s_prev, p.gru)
     alpha = ad.softmax(ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v))
     context = ad.matmul(alpha, enc_states)
@@ -71,15 +72,15 @@ def teacher_forced_unroll(question, word_row, words, enc_states, last_backward, 
                           mode="eval", dropout_p=0.0, rng=None):
     """len(question) + 1 steps, the last one predicting <EOS>."""
     s = ad.tanh(ad.add(ad.linear(last_backward, p.w_init), p.b_init))
-    c = Tensor(np.zeros(enc_states.shape[1], enc_states.data.dtype))
+    c = Tensor(np.zeros((1, enc_states.shape[1]), enc_states.data.dtype))
     keys = ad.linear(enc_states, p.w_h)
-    w_prev = ad.gather_rows(words, [SPECIAL_TOKENS.index(SOS)])[0]
+    w_prev = ad.gather_rows(words, [SPECIAL_TOKENS.index(SOS)])
     steps = []
     for t in range(len(question) + 1):
         step = decode_step(w_prev, c, s, enc_states, keys, p, mode, dropout_p, rng)
         steps.append(step)
         if t < len(question):
-            w_prev = ad.gather_rows(words, [word_row(question[t])])[0]
+            w_prev = ad.gather_rows(words, [word_row(question[t])])
             s, c = step.s, step.c
     return steps
 
@@ -88,8 +89,9 @@ def _neg_log(p):
     return ad.neg(ad.log(ad.clamp_min(p, PROB_FLOOR)))
 
 
-def _mean(scalars):
-    return ad.mean_(ad.concat([ad.reshape(s, (1,)) for s in scalars]))
+def _mean(terms):
+    """Mean of (1,) terms."""
+    return ad.mean_(ad.concat(terms))
 
 
 def sequence_losses(steps, example):
@@ -105,21 +107,18 @@ def sequence_losses(steps, example):
             gen_terms.append(_neg_log(ad.mul(step.gate, ad.matmul(step.copy, mask))))
         else:
             gate_terms.append(_neg_log(ad.sub(1.0, step.gate)))
-            p_gen = step.gen[example.question_target_id[t]]
+            p_gen = step.gen[:, example.question_target_id[t]]
             gen_terms.append(_neg_log(ad.mul(ad.sub(1.0, step.gate), p_gen)))
     return _mean(gen_terms), _mean(gate_terms)
 
 
 def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="train",
-                   clue_mode=None, clue_source="predicted", gumbel_noise=None):
+                   clue_mode=None, gumbel_noise=None):
     """One example's scalar losses, its steps and its clue pass."""
     cfg = model.config
     clue_mode = clue_mode or ("train" if mode == "train" else "eval")
-    clue = model.predict_clues(example.base, gumbel_rng, mode=clue_mode, noise=gumbel_noise,
-                               bio_tags=example.answer_bio)
-    weights = (np.asarray(example.passage_clue_label, dtype=int) if clue_source == "gold"
-               else clue.weights)
-    features = model.embedder.append_clue_slot(clue.features, weights)
+    clue = model.predict_clues(example.base, gumbel_rng, mode=clue_mode, noise=gumbel_noise)
+    features = model.embedder.append_clue_slot(clue.features, clue.weights)
     states, last_backward = encode(features, *model.encoder_params(), cfg.dropout, mode,
                                    dropout_rng)
     steps = teacher_forced_unroll(example.base.question, model.embedder.decoder_word_row_id,
@@ -140,4 +139,5 @@ def batch_loss(model, batch, gumbel_rng=None, dropout_rng=None, gumbel_noise=Non
     noise = gumbel_noise or [None] * len(batch)
     per_example = [example_losses(model, ex, gumbel_rng, dropout_rng, gumbel_noise=g, **kwargs)
                    for ex, g in zip(batch, noise)]
-    return _mean([r.total for r in per_example]), per_example
+    # a 0-d total times ones(1) is the same value as a (1,) term
+    return _mean([ad.mul(r.total, np.ones(1)) for r in per_example]), per_example

@@ -88,7 +88,7 @@ class TestCriterion1Gradients:
         model = QgModel.build(cfg, vocab, reduced, fv, rng_stream(11, "init"))
         ex = labeled[0]
         assert len(ex.base.passage) == 5
-        noise = gumbel_noise(rng_stream(11, "gumbel"), (5, 2))[1]
+        noise = gumbel_noise(rng_stream(11, "gumbel"), (5, 2))
 
         def loss_value():
             return compute_losses(model, ex, mode="train", clue_mode="soft",
@@ -183,8 +183,8 @@ class TestCriterion3StructuralInvariants:
             p = DecoderParams.create(ParamStore(), word_dim, enc_width, dec_hidden,
                                      attn, vocab_out, rng, scale=1.5)
             w, c, s, enc = (
-                Tensor(rng.normal(size=word_dim)), Tensor(rng.normal(size=enc_width)),
-                Tensor(rng.normal(size=dec_hidden)), Tensor(rng.normal(size=(n, enc_width))))
+                Tensor(rng.normal(size=(1, word_dim))), Tensor(rng.normal(size=(1, enc_width))),
+                Tensor(rng.normal(size=(1, dec_hidden))), Tensor(rng.normal(size=(n, enc_width))))
             state, dist = decode_step(w, c, s, enc, attention_keys(enc, p), p)
             assert abs(dist.copy.data.sum() - 1.0) <= 1e-9
             g = dist.gate.item()
@@ -208,7 +208,7 @@ class TestCriterion3StructuralInvariants:
         rng = rng_stream(2024, "gumbel")
         logits = np.array([1.0, 0.0, -0.5])
         target = np.exp(logits) / np.exp(logits).sum()
-        _, g = gumbel_noise(rng, (100_000, 3))
+        g = gumbel_noise(rng, (100_000, 3))
         choices = np.argmax(logits + g, axis=1)
         freq = np.bincount(choices, minlength=3) / 100_000
         np.testing.assert_allclose(freq, target, atol=0.01)

@@ -17,7 +17,7 @@ from qgen.toydata import make_toy_data
 from qgen.training import batch_losses
 
 import reference
-from conftest import chain_example, micro_corpus, tiny_config, toy_config
+from conftest import chain_example, gold_clue_noise, micro_corpus, tiny_config, toy_config
 
 LOSS_RTOL = 1e-12
 GRAD_TOL = 1e-10
@@ -67,12 +67,19 @@ def _streams(seed):
     return rng_stream(seed, "gumbel"), rng_stream(seed, "dropout")
 
 
-def assert_batch_matches_reference(model, batch, seed=0, **kwargs):
+def assert_batch_matches_reference(model, batch, seed=0, clue_source="predicted", **kwargs):
+    """`clue_source="gold"` gives both passes Gumbel noise that samples each
+    passage's gold clue labels, so the encoder reads the gold labels."""
+    if clue_source == "gold":
+        kwargs["gumbel_noise"] = gold_clue_noise(batch)
     gumbel, dropout = _streams(seed)
     losses = batch_losses(model, batch, gumbel, dropout, **kwargs)
     loss = ad.mean_(losses.total)
     ref_gumbel, ref_dropout = _streams(seed)
     ref_loss, ref_examples = reference.batch_loss(model, batch, ref_gumbel, ref_dropout, **kwargs)
+    if clue_source == "gold" and kwargs.get("mode") == "train":
+        for ex, want in zip(batch, ref_examples):
+            np.testing.assert_array_equal(want.clue.indicators, ex.passage_clue_label)
 
     assert loss.item() == pytest.approx(ref_loss.item(), rel=LOSS_RTOL, abs=0)
     for got, want in zip(losses.per_example(), ref_examples):

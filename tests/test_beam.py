@@ -38,28 +38,29 @@ def _encode(model, example):
 
 
 def _start(model, enc, p):
-    """1-d (s_0, zero context, <SOS> embedding) of one hypothesis."""
-    s = init_decoder(enc.last_backward[0], p.w_init, p.b_init)
-    return s, Tensor(np.zeros(enc.states.shape[1])), _word(model, SOS)
+    """One-row (s_0, zero context, <SOS> embedding) of one hypothesis."""
+    s = init_decoder(enc.last_backward, p.w_init, p.b_init)
+    return s, Tensor(np.zeros((1, enc.states.shape[1]))), _word(model, SOS)
 
 
 def _word(model, token):
-    """The decoder's 1-d input embedding of an emitted token."""
+    """The decoder's one-row input embedding of an emitted token."""
     row = SPECIAL_TOKENS.index(SOS) if token == SOS else model.embedder.decoder_word_row_id(token)
-    return ad.gather_rows(model.params["embed.word"], [row])[0]
+    return ad.gather_rows(model.params["embed.word"], [row])
 
 
 def _surface_probs(dist, passage_texts: list[str], reduced) -> dict[str, float]:
-    """Merge generation and copy probabilities by emitted string."""
+    """Merge a one-row step's generation and copy probabilities by emitted
+    string."""
     gate = dist.gate.item()
     probs: dict[str, float] = {}
-    gen = dist.gen.data
+    gen = dist.gen.data[0]
     for idx in range(len(gen)):
         token = reduced.token_of(idx)
         if token == SOS:
             continue
         probs[token] = probs.get(token, 0.0) + (1.0 - gate) * float(gen[idx])
-    copy = dist.copy.data
+    copy = dist.copy.data[0]
     for i, text in enumerate(passage_texts):
         probs[text] = probs.get(text, 0.0) + gate * float(copy[i])
     return probs
@@ -80,8 +81,8 @@ class RefHypothesis:
 
 
 def reference_generate(model, example, beam_width, max_len):
-    """The per-hypothesis beam: one 1-d decoder step and one dict merge for
-    every live hypothesis, ties broken by (-prob, token) then list order."""
+    """The per-hypothesis beam: one one-row decoder step and one dict merge
+    for every live hypothesis, ties broken by (-prob, token) then list order."""
     passage_texts = [t.text for t in example.passage]
     p = model.decoder_params()
     with no_grad():

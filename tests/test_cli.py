@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 import zipfile
 
 import numpy as np
@@ -255,16 +256,32 @@ class TestTrainGenerateEvaluate:
         assert "ghost" in err
 
 
+def _npy_bytes(a) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
 def _write_checkpoint(path, arrays, meta):
-    """A checkpoint zip laid out like `ParamStore.save`, meta.json optional;
-    a str meta is written as it is."""
+    """An uncompressed checkpoint zip laid out like `ParamStore.save`,
+    meta.json optional; a str meta and bytes arrays are written as they are."""
     with zipfile.ZipFile(path, "w") as zf:
         if meta is not None:
             zf.writestr("meta.json", meta if isinstance(meta, str) else json.dumps(meta))
         for name, a in arrays.items():
-            buf = io.BytesIO()
-            np.save(buf, a)
-            zf.writestr(f"params/{name}.npy", buf.getvalue())
+            zf.writestr(f"params/{name}.npy", a if isinstance(a, bytes) else _npy_bytes(a))
+
+
+def _flip_stored_byte(path, entry):
+    """Flip a byte in the middle of an uncompressed member's data, so that
+    reading the member fails its CRC check."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(entry)
+    raw = bytearray(path.read_bytes())
+    # the data follows a 30-byte local header, the name and the extra field
+    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:info.header_offset + 30])
+    raw[info.header_offset + 30 + name_len + extra_len + info.file_size // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
 
 
 def _corrupt(arrays, meta, defect):
@@ -287,6 +304,13 @@ def _corrupt(arrays, meta, defect):
         arrays["bogus.w"] = np.zeros(2)
     elif defect == "misshaped_param":
         arrays[first] = np.zeros(3)
+    elif defect == "garbage_npy":
+        arrays[first] = b"not an array"
+    elif defect == "truncated_npy":
+        raw = _npy_bytes(arrays[first])
+        arrays[first] = raw[:len(raw) // 2]
+    elif defect == "object_npy":
+        arrays[first] = np.array([{"a": 1}], dtype=object)
     return meta
 
 
@@ -317,11 +341,18 @@ class TestCheckpointErrors:
         ("meta_without_vocab_words", "'vocab_words'"),
         ("meta_without_reduced_words", "'reduced_words'"),
         ("meta_without_feature_vocab", "'feature_vocab'"),
+        ("garbage_npy", "params/embed.word.npy that is damaged or not a .npy array"),
+        ("truncated_npy", "params/embed.word.npy that is damaged or not a .npy array"),
+        ("object_npy", "params/embed.word.npy that is damaged or not a .npy array"),
+        ("npy_bad_crc", "params/embed.word.npy that is damaged or not a .npy array"),
+        ("meta_bad_crc", "meta.json that is damaged or not JSON"),
     ])
     def test_defect_is_reported_as_json(self, pipeline, capsys, tmp_path, defect, words):
         arrays, meta = ParamStore.read(pipeline[3] / "model_ema.npz")
         bad = tmp_path / "model.npz"
         _write_checkpoint(bad, arrays, _corrupt(arrays, meta, defect))
+        if defect.endswith("_bad_crc"):
+            _flip_stored_byte(bad, "meta.json" if defect == "meta_bad_crc" else "params/embed.word.npy")
         report = self._generate(capsys, pipeline, bad)
         assert report["error"] == "CheckpointError"
         assert words in report["message"]
@@ -339,6 +370,28 @@ class TestCliErrors:
         code, _, err = run_cli(capsys, "ingest", "--data", str(data), "--set", "r_h=9999")
         assert code == 1
         assert "r_h" in err
+
+    @pytest.mark.parametrize("key, raw", [
+        ("dropout", "abc"), ("lr", "null"), ("tau", '"x"'), ("beta1", "[1]"),
+        ("lambda_gen", "abc"), ("ema", "abc"), ("batch", "true"), ("epochs", "true"),
+        ("seed", "true")])
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_ill_typed_value_is_reported_as_json(self, tmp_path, capsys, source, key, raw):
+        data = tmp_path / "d.jsonl"
+        main(["make-toy-data", "--n", "2", "--seed", "0", "--out", str(data)])
+        capsys.readouterr()
+        if source == "set":
+            given = ["--set", f"{key}={raw}"]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({key: raw if raw == "abc" else json.loads(raw)}))
+            given = ["--config", str(config)]
+        code, out, err = run_cli(capsys, "train", "--data", str(data),
+                                 "--out", str(tmp_path / "run"), *given)
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "ConfigError"
+        assert key in report["message"]
 
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

@@ -34,17 +34,17 @@ def _params(rng, word_dim=3, enc_width=8, dec_hidden=4, attn_dim=5, vocab_out=6)
 class TestInitDecoder:
     def test_zero_weight_gives_tanh_bias(self):
         b = np.array([0.3, -0.7])
-        s0 = init_decoder(Tensor(np.ones(4)), Tensor(np.zeros((2, 4))), Tensor(b))
-        np.testing.assert_allclose(s0.data, np.tanh(b))
+        s0 = init_decoder(Tensor(np.ones((1, 4))), Tensor(np.zeros((2, 4))), Tensor(b))
+        np.testing.assert_allclose(s0.data, [np.tanh(b)])
 
     def test_identity_weight(self):
         h = np.array([0.2, -0.5, 1.5])
-        s0 = init_decoder(Tensor(h), Tensor(np.eye(3)), Tensor(np.zeros(3)))
-        np.testing.assert_allclose(s0.data, np.tanh(h))
+        s0 = init_decoder(Tensor(h[None]), Tensor(np.eye(3)), Tensor(np.zeros(3)))
+        np.testing.assert_allclose(s0.data, [np.tanh(h)])
 
     def test_range_is_open_unit_interval(self):
         rng = np.random.default_rng(0)
-        s0 = init_decoder(Tensor(rng.normal(size=6) * 10),
+        s0 = init_decoder(Tensor(rng.normal(size=(1, 6)) * 10),
                           Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=4)))
         assert (np.abs(s0.data) < 1).all()
 
@@ -56,38 +56,38 @@ class TestAttention:
         # zero attention weights make every score equal
         p.w_s, p.w_h, p.v = Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 8))), Tensor(np.zeros(5))
         enc = Tensor(rng.normal(size=(6, 8)))
-        alpha, context, _ = _attend(Tensor(rng.normal(size=4)), enc, p)
-        np.testing.assert_allclose(alpha.data, np.full(6, 1 / 6))
-        np.testing.assert_allclose(context.data, enc.data.mean(axis=0))
+        alpha, context, _ = _attend(Tensor(rng.normal(size=(1, 4))), enc, p)
+        np.testing.assert_allclose(alpha.data, np.full((1, 6), 1 / 6))
+        np.testing.assert_allclose(context.data, [enc.data.mean(axis=0)])
 
     def test_single_source_token(self):
         rng = np.random.default_rng(2)
         p, _ = _params(rng)
         enc = Tensor(rng.normal(size=(1, 8)))
-        alpha, context, _ = _attend(Tensor(rng.normal(size=4)), enc, p)
-        np.testing.assert_allclose(alpha.data, [1.0])
-        np.testing.assert_allclose(context.data, enc.data[0])
+        alpha, context, _ = _attend(Tensor(rng.normal(size=(1, 4))), enc, p)
+        np.testing.assert_allclose(alpha.data, [[1.0]])
+        np.testing.assert_allclose(context.data, enc.data)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
         p, _ = _params(rng)
         s = rng.normal(size=4)
         enc = rng.normal(size=(4, 8))
-        alpha, context, scores = _attend(Tensor(s), Tensor(enc), p)
+        alpha, context, scores = _attend(Tensor(s[None]), Tensor(enc), p)
         # direct per-position evaluation
         e = np.array([p.v.data @ np.tanh(p.w_s.data @ s + p.w_h.data @ h) for h in enc])
         a = np.exp(e - e.max())
         a = a / a.sum()
         c = (a[:, None] * enc).sum(axis=0)
-        np.testing.assert_allclose(scores.data, e, atol=1e-12)
-        np.testing.assert_allclose(alpha.data, a, atol=1e-12)
-        np.testing.assert_allclose(context.data, c, atol=1e-12)
+        np.testing.assert_allclose(scores.data, [e], atol=1e-12)
+        np.testing.assert_allclose(alpha.data, [a], atol=1e-12)
+        np.testing.assert_allclose(context.data, [c], atol=1e-12)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(4)
         p, _ = _params(rng)
         for n in (1, 3, 9):
-            alpha, _, _ = _attend(Tensor(rng.normal(size=4)),
+            alpha, _, _ = _attend(Tensor(rng.normal(size=(1, 4))),
                                   Tensor(rng.normal(size=(n, 8))), p)
             assert alpha.data.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -114,15 +114,15 @@ class TestDecodeStep:
         rng = np.random.default_rng(5)
         p, _ = _params(rng, vocab_out=6)
         p.w_out = Tensor(np.zeros((6, 4)))
-        _, dist = _step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
-                        Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(5, 8))), p)
-        np.testing.assert_allclose(dist.gen.data, np.full(6, 1 / 6))
+        _, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 8))),
+                        Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(5, 8))), p)
+        np.testing.assert_allclose(dist.gen.data, np.full((1, 6), 1 / 6))
 
     def test_mixture_normalizes(self):
         rng = np.random.default_rng(6)
         p, _ = _params(rng)
-        state, dist = _step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
-                            Tensor(rng.normal(size=4)),
+        state, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 8))),
+                            Tensor(rng.normal(size=(1, 4))),
                             Tensor(rng.normal(size=(5, 8))), p)
         g = dist.gate.item()
         total = (1 - g) * dist.gen.data.sum() + g * dist.copy.data.sum()
@@ -133,8 +133,8 @@ class TestDecodeStep:
         rng = np.random.default_rng(7)
         p, _ = _params(rng)
         p.b_gate = Tensor(np.asarray(50.0))
-        _, dist = _step(Tensor(rng.normal(size=3)), Tensor(np.zeros(8)),
-                        Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(5, 8))), p)
+        _, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 8))),
+                        Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(5, 8))), p)
         g = dist.gate.item()
         assert g > 1 - 1e-9
         assert g * dist.copy.data.sum() == pytest.approx(1.0, abs=1e-9)
@@ -147,22 +147,23 @@ class TestDecodeStep:
         state, dist = _step(Tensor(w), Tensor(c), Tensor(s), enc, p)
         assert dist.gen.shape == (3, 6) and dist.copy.shape == (3, 5) and dist.gate.shape == (3,)
         for k in range(3):
-            one_state, one = _step(Tensor(w[k]), Tensor(c[k]), Tensor(s[k]), enc, p)
-            np.testing.assert_allclose(state.s.data[k], one_state.s.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state.c.data[k], one_state.c.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dist.gen.data[k], one.gen.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dist.copy.data[k], one.copy.data, rtol=0, atol=1e-12)
+            one_state, one = _step(Tensor(w[k:k + 1]), Tensor(c[k:k + 1]), Tensor(s[k:k + 1]),
+                                   enc, p)
+            np.testing.assert_allclose(state.s.data[k], one_state.s.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.c.data[k], one_state.c.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist.gen.data[k], one.gen.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist.copy.data[k], one.copy.data[0], rtol=0, atol=1e-12)
             assert dist.gate.data[k] == pytest.approx(one.gate.item(), abs=1e-12)
 
     def test_gradients_through_full_step(self):
         rng = np.random.default_rng(8)
         p, store = _params(rng)
-        w_prev = rng.normal(size=3)
+        w_prev = rng.normal(size=(1, 3))
         enc = rng.normal(size=(4, 8))
 
         def loss(w):
-            _, dist = _step(w, Tensor(np.zeros(8)), Tensor(np.ones(4) * 0.1),
-                                Tensor(enc), p)
+            _, dist = _step(w, Tensor(np.zeros((1, 8))), Tensor(np.ones((1, 4)) * 0.1),
+                            Tensor(enc), p)
             return ad.add(ad.sum_(ad.mul(dist.gen, dist.gen)), ad.mul(dist.gate, 2.0))
 
         assert_grads_match(loss, [w_prev], tol=1e-4)

@@ -28,8 +28,8 @@ def _random_params(input_dim, hidden, rng):
 class TestGruCell:
     def test_all_zero_weights_halve_state(self):
         p = _zero_params(3, 4)
-        h_prev = Tensor(np.array([1.0, -2.0, 0.5, 4.0]))
-        h = gru_cell(Tensor(np.ones(3)), h_prev, p)
+        h_prev = Tensor(np.array([[1.0, -2.0, 0.5, 4.0]]))
+        h = gru_cell(Tensor(np.ones((1, 3))), h_prev, p)
         np.testing.assert_allclose(h.data, 0.5 * h_prev.data)
 
     def test_candidate_path_from_zero_state(self):
@@ -38,13 +38,13 @@ class TestGruCell:
         p.w_h = Tensor(rng.normal(size=(4, 7)))
         p.b_h = Tensor(rng.normal(size=4))
         x = np.array([0.3, -1.0, 2.0])
-        h = gru_cell(Tensor(x), Tensor(np.zeros(4)), p)
-        expected = 0.5 * np.tanh(p.w_h.data @ np.concatenate([x, np.zeros(4)]) + p.b_h.data)
+        h = gru_cell(Tensor(x[None]), Tensor(np.zeros((1, 4))), p)
+        expected = 0.5 * np.tanh(p.w_h.data @ np.concatenate([x, np.zeros(4)]) + p.b_h.data)[None]
         np.testing.assert_allclose(h.data, expected, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        x, h0 = rng.normal(size=3), rng.normal(size=4)
+        x, h0 = rng.normal(size=(1, 3)), rng.normal(size=(1, 4))
         ws = rng.normal(size=(3, 4, 7)) * 0.5
         bs = rng.normal(size=(3, 4)) * 0.5
 
@@ -63,11 +63,11 @@ class TestEncode:
         features = Tensor(rng.normal(size=(1, 3)))
         out = encode([features], fwd, bwd)
         assert out.states.shape == (1, 8)
-        expected_f = gru_cell(features[0], Tensor(np.zeros(4)), fwd).data
-        expected_b = gru_cell(features[0], Tensor(np.zeros(4)), bwd).data
-        np.testing.assert_allclose(out.states.data[0, :4], expected_f)
-        np.testing.assert_allclose(out.states.data[0, 4:], expected_b)
-        np.testing.assert_allclose(out.last_backward.data[0], expected_b)
+        expected_f = gru_cell(features, Tensor(np.zeros((1, 4))), fwd).data
+        expected_b = gru_cell(features, Tensor(np.zeros((1, 4))), bwd).data
+        np.testing.assert_allclose(out.states.data[:, :4], expected_f)
+        np.testing.assert_allclose(out.states.data[:, 4:], expected_b)
+        np.testing.assert_allclose(out.last_backward.data, expected_b)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgen.autodiff import ParamStore, sum_
+from qgen.autodiff import ParamStore, Tensor, sum_
 from qgen.config import ConfigError, rng_stream
 from qgen.corpus import LOWFREQ, SPECIAL_TOKENS, UNK, build_vocabulary
 from qgen.features import (
@@ -33,7 +33,8 @@ def setup():
 class TestWidths:
     def test_encoder_width_is_configured_sum(self, setup):
         ex, cfg, _, embedder, _ = setup
-        out = embedder.append_clue_slot(embedder.embed_passage(ex), np.zeros(len(ex.passage), dtype=int))
+        out = embedder.append_clue_slot(embedder.embed_passage(ex),
+                                        Tensor(np.eye(2)[np.zeros(len(ex.passage), dtype=int)]))
         assert out.shape == (len(ex.passage), encoder_input_width(cfg))
         assert encoder_input_width(cfg) == cfg.word_dim + 8 * cfg.feat_dim + cfg.tier_dim
 
@@ -74,10 +75,10 @@ class TestMasking:
         ex, cfg, _, embedder, _ = setup
         n = len(ex.passage)
         shared = embedder.embed_passage(ex)
-        off = embedder.append_clue_slot(shared, np.zeros(n, dtype=int)).data
+        off = embedder.append_clue_slot(shared, Tensor(np.eye(2)[np.zeros(n, dtype=int)])).data
         flags = np.zeros(n, dtype=int)
         flags[3] = 1
-        on = embedder.append_clue_slot(shared, flags).data
+        on = embedder.append_clue_slot(shared, Tensor(np.eye(2)[flags])).data
         width = encoder_input_width(cfg)
         np.testing.assert_array_equal(on[:, :width - cfg.feat_dim], off[:, :width - cfg.feat_dim])
         assert not np.array_equal(on[3, width - cfg.feat_dim:], off[3, width - cfg.feat_dim:])

@@ -25,7 +25,7 @@ from qgen.training import (
     train,
 )
 
-from conftest import micro_corpus, tiny_config, toy_config
+from conftest import gold_clue_noise, micro_corpus, tiny_config, toy_config
 
 
 def build_tiny_model(seed=11, **overrides):
@@ -79,7 +79,7 @@ class TestLossOracles:
         # re-derive the scalar losses from the dumped numeric distributions
         model, labeled = build_tiny_model()
         ex = labeled[0]
-        noise = gumbel_noise(rng_stream(5, "gumbel"), (len(ex.base.passage), 2))[1]
+        noise = gumbel_noise(rng_stream(5, "gumbel"), (len(ex.base.passage), 2))
         fwd = model.forward([ex], mode="train", gumbel_noise=[noise])
         bd = losses_from_forward(model.config, fwd, [ex])
         probs, dist = fwd.clues[0].probs, fwd.decoder
@@ -106,13 +106,6 @@ class TestLossOracles:
         assert bd.loss_gate.item() == pytest.approx(gate, rel=1e-9)
         assert bd.total.item() == pytest.approx(clue + gen + gate, rel=1e-9)
 
-    def test_gold_clue_source_feeds_labels_to_encoder(self):
-        model, labeled = build_tiny_model()
-        ex = labeled[0]
-        fwd = model.forward([ex], mode="train", clue_source="gold",
-                            gumbel_rng=rng_stream(0, "gumbel"))
-        assert fwd.decoder.gen.shape == (len(ex.base.question) + 1, len(model.reduced))
-
 
 class TestOnePassagePass:
     """Each example's passage is embedded and its tree built once; the
@@ -132,9 +125,10 @@ class TestOnePassagePass:
 
     @pytest.mark.parametrize("clue_source", ["predicted", "gold"])
     def test_forward_embeds_once(self, calls, clue_source):
+        """`clue_source="gold"`: Gumbel noise that samples the gold clue labels."""
         model, labeled = build_tiny_model()
-        model.forward([labeled[0]], mode="train", clue_source=clue_source,
-                      gumbel_rng=rng_stream(0, "gumbel"))
+        model.forward([labeled[0]], mode="train", gumbel_rng=rng_stream(0, "gumbel"),
+                      gumbel_noise=gold_clue_noise(labeled[:1]) if clue_source == "gold" else None)
         assert len(calls["embed_passage"]) == 1
         assert len(calls["build_adjacency"]) == 1
         clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0][0]
@@ -264,7 +258,7 @@ class TestEndToEndGradients:
         started = time.time()
         model, labeled = build_tiny_model()
         ex = labeled[0]
-        noise = gumbel_noise(rng_stream(11, "gumbel"), (len(ex.base.passage), 2))[1]
+        noise = gumbel_noise(rng_stream(11, "gumbel"), (len(ex.base.passage), 2))
 
         def loss_value():
             return compute_losses(model, ex, mode="train", clue_mode="soft",
