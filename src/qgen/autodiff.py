@@ -598,7 +598,8 @@ class ParamStore:
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise TensorError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=True)
+        # C order: the optimizer updates parameters in place through 1-d views
+        t = Tensor(np.asarray(data, dtype=self.dtype, order="C"), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -637,7 +638,7 @@ class ParamStore:
             if arrays[name].shape != t.data.shape:
                 raise CheckpointError(f"checkpoint shape mismatch for {name!r}: "
                                       f"{arrays[name].shape} vs model {t.data.shape}")
-            t.data = arrays[name].astype(t.data.dtype, copy=True)
+            t.data = arrays[name].astype(t.data.dtype, order="C")
 
     def save(self, path, meta: Optional[dict] = None,
              arrays: Optional[dict[str, np.ndarray]] = None) -> None:

@@ -23,8 +23,9 @@ from .features import (
 )
 from .labeling import LabeledExample
 
-# what `QgModel.save` writes to meta.json besides the format version
-_META_KEYS = ("config", "vocab_words", "reduced_words", "feature_vocab")
+# what `QgModel.save` writes to meta.json besides the format version, and the
+# JSON type of each
+_META_TYPES = {"config": dict, "vocab_words": list, "reduced_words": list, "feature_vocab": dict}
 
 
 @dataclass
@@ -168,9 +169,13 @@ class QgModel:
     @classmethod
     def load(cls, path) -> "QgModel":
         arrays, meta = ParamStore.read(path)
-        missing = [k for k in _META_KEYS if k not in meta]
+        missing = [k for k in _META_TYPES if k not in meta]
         if missing:
             raise CheckpointError(f"{path} has a meta.json without {missing}")
+        for key, kind in _META_TYPES.items():
+            if not isinstance(meta[key], kind):
+                raise CheckpointError(f"{path} has a meta.json whose {key!r} is not a "
+                                      f"JSON {'object' if kind is dict else 'array'}")
         config = ModelConfig.from_dict(meta["config"])
         vocab = Vocabulary(words=list(meta["vocab_words"]))
         reduced = ReducedTargetVocab(words=list(meta["reduced_words"]))

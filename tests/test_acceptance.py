@@ -132,7 +132,7 @@ class TestCriterion2Overfit:
         config, result, _ = overfit_run
         model = result.model
         raw = model.params.state_arrays()
-        model.params.load_arrays(result.ema.arrays())
+        model.params.load_arrays(result.ema.shadow)
         try:
             pairs = []
             exact = 0

@@ -284,6 +284,10 @@ def _flip_stored_byte(path, entry):
     path.write_bytes(bytes(raw))
 
 
+# a meta.json value of the wrong JSON type, by key
+_ILL_TYPED_META = {"vocab_words": 5, "reduced_words": None, "feature_vocab": [], "config": []}
+
+
 def _corrupt(arrays, meta, defect):
     """Apply one checkpoint defect to a read checkpoint; returns the meta to
     write, None for none."""
@@ -296,6 +300,9 @@ def _corrupt(arrays, meta, defect):
         return json.dumps([meta])
     if defect.startswith("meta_without_"):
         del meta[defect[len("meta_without_"):]]
+    if defect.startswith("ill_typed_"):
+        key = defect[len("ill_typed_"):]
+        meta[key] = _ILL_TYPED_META[key]
     if defect == "wrong_version":
         meta["format_version"] = 99
     elif defect == "missing_param":
@@ -341,6 +348,10 @@ class TestCheckpointErrors:
         ("meta_without_vocab_words", "'vocab_words'"),
         ("meta_without_reduced_words", "'reduced_words'"),
         ("meta_without_feature_vocab", "'feature_vocab'"),
+        ("ill_typed_vocab_words", "'vocab_words' is not a JSON array"),
+        ("ill_typed_reduced_words", "'reduced_words' is not a JSON array"),
+        ("ill_typed_feature_vocab", "'feature_vocab' is not a JSON object"),
+        ("ill_typed_config", "'config' is not a JSON object"),
         ("garbage_npy", "params/embed.word.npy that is damaged or not a .npy array"),
         ("truncated_npy", "params/embed.word.npy that is damaged or not a .npy array"),
         ("object_npy", "params/embed.word.npy that is damaged or not a .npy array"),

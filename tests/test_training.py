@@ -7,7 +7,7 @@ import pytest
 
 import qgen.beam
 import qgen.model
-from qgen.autodiff import ParamStore, Tensor
+from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.clue_predictor import gumbel_noise
 from qgen.config import rng_stream
 from qgen.corpus import build_vocabulary, stopword_set
@@ -17,6 +17,7 @@ from qgen.labeling import label_corpus
 from qgen.model import QgModel
 from qgen.toydata import make_toy_data
 from qgen.training import (
+    SLICE,
     EmaState,
     OptimizerState,
     adam_step,
@@ -213,16 +214,21 @@ def test_in_place_adam_and_ema_match_reference_bit_for_bit(dtype):
     cfg = tiny_config(lr=0.01, clip=0.5)
     rng = np.random.default_rng(4)
     store = ParamStore(dtype)
-    for name, shape in [("w", (3, 4)), ("b", (4,)), ("s", ())]:
+    # "big" spans two slices and ends inside the second; "frozen" gets no gradient
+    shapes = [("w", (3, 4)), ("b", (4,)), ("s", ()), ("big", (3, SLICE // 2 + 7)),
+              ("frozen", (2, 3))]
+    for name, shape in shapes:
         store.add(name, 1e-3 * rng.normal(size=shape))  # small, so the step sets the low bits
     state, ema = OptimizerState(), EmaState(store, decay=0.9)
     ref = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data), t.data.copy())
            for name, t in store.items()}
     for step in range(1, 4):
         for name, t in store.items():
-            t.grad = rng.normal(size=t.shape).astype(dtype)  # about a third beyond the clip
+            # about a third of the entries beyond the clip
+            t.grad = None if name == "frozen" else rng.normal(size=t.shape).astype(dtype)
             data, m, v, shadow = ref[name]
-            data, m, v = _reference_adam(data, t.grad, m, v, step, cfg)
+            grad = np.zeros(t.shape, dtype) if t.grad is None else t.grad
+            data, m, v = _reference_adam(data, grad, m, v, step, cfg)
             ref[name] = (data, m, v, 0.9 * shadow + (1 - 0.9) * data)
         adam_step(store, state, cfg)
         ema.update(store)
@@ -232,6 +238,39 @@ def test_in_place_adam_and_ema_match_reference_bit_for_bit(dtype):
                               (ema.shadow[name], shadow)]:
                 assert got.dtype == dtype, name
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, step)
+
+
+def test_fortran_order_checkpoint_loads_c_contiguous(tmp_path):
+    model, _ = build_tiny_model()
+    saved = model.params.state_arrays()
+    model.save(tmp_path / "c.npz")
+    model.save(tmp_path / "f.npz", {name: np.asarray(a, order="F") for name, a in saved.items()})
+    arrays, _ = ParamStore.read(tmp_path / "f.npz")
+    assert not all(a.flags.c_contiguous for a in arrays.values())
+    cfg = tiny_config(lr=0.01, clip=0.5)
+    rng = np.random.default_rng(5)
+    grads = {name: rng.normal(size=a.shape) for name, a in saved.items()}
+    results = []
+    for path in (tmp_path / "c.npz", tmp_path / "f.npz"):
+        loaded = QgModel.load(path)
+        assert all(t.data.flags.c_contiguous for _, t in loaded.params.items())
+        state, ema = OptimizerState(), EmaState(loaded.params, decay=0.9)
+        for name, t in loaded.params.items():
+            t.grad = grads[name]
+        adam_step(loaded.params, state, cfg)
+        ema.update(loaded.params)
+        results.append([(t.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes(),
+                         ema.shadow[name].tobytes()) for name, t in loaded.params.items()])
+    assert results[0] == results[1]
+
+
+def test_in_place_update_of_a_non_contiguous_parameter_raises():
+    store = ParamStore()
+    w = store.add("w", np.ones((3, 4)))
+    w.data = np.asfortranarray(w.data)  # its 1-d form would be a copy
+    w.grad = np.ones((3, 4))
+    with pytest.raises(TensorError, match="C-contiguous"):
+        adam_step(store, OptimizerState(), tiny_config())
 
 
 class TestEma:
@@ -314,7 +353,7 @@ class TestTrainLoop:
                               result.model.features, rng_stream(cfg.seed, "init"))
         for name, t in result.model.params.items():
             np.testing.assert_array_equal(t.data, fresh.params[name].data)
-        for name, shadow in result.ema.arrays().items():
+        for name, shadow in result.ema.shadow.items():
             np.testing.assert_array_equal(shadow, fresh.params[name].data)
 
     def test_dev_corpus_tracks_best_checkpoint(self):
