@@ -24,6 +24,11 @@ import numpy as np
 _GRAD_ENABLED = True
 _SEQ = itertools.count()
 
+# Entries of one scratch slice for passes that stream a large elementwise
+# computation through L2 instead of DRAM: 256 KB in float64, so the few
+# slices one pass touches fit a 2 MB L2 cache together.
+SLICE = 1 << 15
+
 
 class TensorError(ValueError):
     """Raised on shape/domain violations in tensor operations."""
@@ -328,8 +333,10 @@ def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) ->
     keys is (blocks * n, a), `blocks` groups of n rows, and v is (a,).  The
     (m, a) query rows split into `blocks` equal groups in order, and group b
     scores key group b only: a beam is one block of K rows, a training batch
-    B blocks of one row each.  The (m, n, a) activation stays inside the
-    node, so no 3-d tensor enters the graph.
+    B blocks of one row each.  The (m, n, a) activation never exists whole:
+    the forward pass streams it through one scratch buffer of at most SLICE
+    entries (whole blocks when a block fits, else rows of one block), and
+    backward recomputes it, so no 3-d tensor enters the graph.
     """
     keys, query, v = _operands((keys, query, v))
     if (keys.ndim != 2 or query.ndim != 2 or v.shape != keys.shape[1:]
@@ -338,19 +345,39 @@ def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) ->
         raise TensorError(f"attention_scores: keys {keys.shape}, query {query.shape}, "
                           f"v {v.shape} and {blocks} blocks do not match")
     (m, a), n = query.shape, keys.shape[0] // blocks
-    t = np.tanh(keys.data.reshape(blocks, 1, n, a)
-                + query.data.reshape(blocks, -1, 1, a)).reshape(m, n, a)
+    per = m // blocks                       # query rows per block
+    rows = max(1, SLICE // max(1, n * a))   # query rows per chunk
+    if per <= rows:   # whole blocks per chunk
+        step_r = max(1, per)
+        step_b = min(blocks, rows // step_r)
+    else:             # rows of one block per chunk
+        step_b, step_r = 1, rows
+    k4, q4 = keys.data.reshape(blocks, 1, n, a), query.data.reshape(blocks, per, 1, a)
+    scratch = np.empty(step_b * step_r * n * a, query.data.dtype)
+    out = np.empty((blocks, per, n), query.data.dtype)
+    for b in range(0, blocks, step_b):
+        for r in range(0, per, step_r):
+            kc, qc = k4[b:b + step_b], q4[b:b + step_b, r:r + step_r]
+            t = scratch[:len(kc) * qc.shape[1] * n * a].reshape(len(kc), qc.shape[1], n, a)
+            np.tanh(np.add(kc, qc, out=t), out=t)
+            np.matmul(t, v.data, out=out[b:b + step_b, r:r + step_r])
 
     def bw(g):
-        d = g[..., None] * v.data * (1.0 - t * t)
+        t = np.add(k4, q4).reshape(m, n, a)   # the forward activation again
+        np.tanh(t, out=t)
+        if v.requires_grad:
+            v._accumulate(np.tensordot(g, t, axes=2))
+        d = t   # g v (1 - t t), overwriting t a chunk of rows at a time
+        for r in range(0, m, rows):
+            dc = d[r:r + rows]
+            np.subtract(1.0, np.multiply(dc, dc, out=dc), out=dc)
+            dc *= g[r:r + rows, :, None] * v.data
         if keys.requires_grad:
             keys._accumulate(d.reshape(blocks, -1, n, a).sum(axis=1).reshape(keys.shape))
         if query.requires_grad:
             query._accumulate(d.sum(axis=1))
-        if v.requires_grad:
-            v._accumulate(np.tensordot(g, t, axes=2))
 
-    return _node(t @ v.data, (keys, query, v), "attention_scores", bw)
+    return _node(out.reshape(m, n), (keys, query, v), "attention_scores", bw)
 
 
 def attention_context(alpha: Tensor, values: Tensor) -> Tensor:

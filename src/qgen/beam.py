@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .clue_predictor import ClueForward
 from .config import check_positive_int
 from .corpus import EOS, SOS, SPECIAL_TOKENS, AnnotatedExample
 from .decoder import ExtendedDistribution, attention_keys, decode_step, init_decoder
@@ -62,11 +63,31 @@ class SurfaceTable:
         return np.bincount(bins, terms.ravel(), minlength=k * width).reshape(k, width)
 
 
+def top_k(probs: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k largest entries, largest first and
+    equal values in column order: `np.argsort(-probs, axis=1,
+    kind="stable")[:, :k]` without sorting whole rows.
+
+    A partition finds each row's k-th largest value; only the entries at
+    least that large, ties at the boundary included, are sorted.  With k at
+    least the row width that value is the row's minimum, and the whole row
+    is sorted.
+    """
+    k = min(k, probs.shape[1])
+    kth = -np.partition(-probs, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(probs >= kth)
+    order = np.lexsort((cols, -probs[rows, cols], rows))   # by row, then as argsort
+    counts = np.bincount(rows, minlength=len(probs))
+    return cols[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+
+
 def generate(
     model: QgModel,
     example: AnnotatedExample,
     beam_width: int | None = None,
     max_len: int | None = None,
+    *,
+    clue: ClueForward | None = None,
 ) -> list[BeamHypothesis]:
     """Ranked question hypotheses for a passage + answer span.
 
@@ -74,7 +95,8 @@ def generate(
     stops per hypothesis on <EOS> and globally at max_len.  Every live
     hypothesis proposes its `beam_width` likeliest surfaces, ties in string
     order; the `beam_width` best proposals by score survive, ties in
-    hypothesis-then-proposal order.
+    hypothesis-then-proposal order.  `clue` is the example's eval-mode clue
+    pass when the caller already has it.
     """
     beam_width = beam_width if beam_width is not None else model.config.beam
     max_len = max_len if max_len is not None else model.config.max_len
@@ -85,7 +107,8 @@ def generate(
     words = model.params["embed.word"]
 
     with ad.no_grad():
-        clue = model.predict_clues(example, rng=None, mode="eval")
+        if clue is None:
+            clue = model.predict_clues(example, rng=None, mode="eval")
         enc_features = model.embedder.append_clue_slot(clue.features, clue.weights)
         enc_out = encode([enc_features], *model.encoder_params())
         keys = attention_keys(enc_out.states, p)
@@ -98,7 +121,7 @@ def generate(
         while live and len(live[0].tokens) < max_len:   # live hypotheses share one length
             state, dist = decode_step(w_prev, c, s, enc_out.states, keys, p)
             probs = table.merge(dist)
-            proposals = np.argsort(-probs, axis=1, kind="stable")[:, :beam_width]
+            proposals = top_k(probs, beam_width)
             log_probs = (np.array([h.log_prob for h in live])[:, None] + np.log(
                 np.maximum(np.take_along_axis(probs, proposals, axis=1), PROB_FLOOR))).ravel()
             scores = log_probs / (len(live[0].tokens) + 1)

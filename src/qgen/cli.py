@@ -11,7 +11,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .autodiff import CheckpointError
+from .autodiff import CheckpointError, no_grad
 from .beam import generate as beam_generate
 from .config import ConfigError, ModelConfig, check_positive_int
 from .corpus import IngestError, build_vocabulary, load_corpus, stopword_set, write_corpus
@@ -179,7 +179,10 @@ def _cmd_generate(args) -> int:
     corpus = load_corpus(args.data, require_question=False)
     with _replaced_on_success(args.out) as fh, _replaced_on_success(args.clues_out) as clues_fh:
         for ex in corpus:
-            hyps = beam_generate(model, ex, beam_width=args.beam_width, max_len=args.max_len)
+            with no_grad():
+                clue = model.predict_clues(ex, rng=None, mode="eval")
+            hyps = beam_generate(model, ex, beam_width=args.beam_width, max_len=args.max_len,
+                                 clue=clue)
             best = hyps[0]
             fh.write(json.dumps({
                 "id": ex.id,
@@ -187,7 +190,6 @@ def _cmd_generate(args) -> int:
                 "score": best.score,
             }, sort_keys=True) + "\n")
             if clues_fh is not None:
-                clue = model.predict_clues(ex, rng=None, mode="eval")
                 clues_fh.write(json.dumps({
                     "id": ex.id,
                     "clues": [

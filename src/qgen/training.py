@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor, TensorError
+from .autodiff import SLICE, ParamStore, Tensor, TensorError
 from .config import ModelConfig, rng_stream
 from .corpus import AnnotatedExample, build_vocabulary, stopword_set
 from .features import FeatureVocab
@@ -134,13 +134,6 @@ class OptimizerState:
     step: int = 0
 
 
-# Entries per slice of the optimizer's update.  In float64 the six slices
-# Adam's update touches (gradient, two scratch slices, m, v, weight) take
-# 1.5 MB and stay in a 2 MB L2 cache, so each operand makes one DRAM round
-# trip per step instead of one per elementwise operation.
-SLICE = 1 << 15
-
-
 def _flat(a: np.ndarray) -> np.ndarray:
     """`a` as a 1-d view; an update through it updates `a`."""
     if not a.flags.c_contiguous:
@@ -151,7 +144,10 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 def adam_step(params: ParamStore, state: OptimizerState, config: ModelConfig) -> None:
     """Clip every gradient entry to [-clip, clip], then bias-corrected Adam,
-    in place, one slice of each parameter at a time."""
+    in place, one slice of each parameter at a time.  In float64 the six
+    slices an update touches (gradient, two scratch slices, m, v, weight)
+    take 1.5 MB and stay in L2, so each operand makes one DRAM round trip per
+    step instead of one per elementwise operation."""
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2

@@ -491,6 +491,41 @@ class TestAttentionScores:
         with pytest.raises(TensorError, match="attention_scores"):
             ad.attention_scores(Tensor(np.zeros((6, 4))), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
+    # (blocks, query rows per block, n, a): one (n, a) row over SLICE, rows
+    # of one block in chunks that do not divide them, several blocks per
+    # chunk with one left over, and everything in one chunk
+    CHUNK_SHAPES = [(1, 20, 30, 512), (1, 7, 100, 400), (1, 3, 20, 2000),
+                    (5, 1, 30, 512), (3, 4, 30, 273), (4, 3, 70, 600), (8, 1, 9, 8)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks, per, n, a", CHUNK_SHAPES)
+    def test_chunked_scores_equal_the_one_shot_formula(self, dtype, blocks, per, n, a):
+        rng = np.random.default_rng(blocks * per + n + a)
+        keys = rng.normal(size=(blocks * n, a)).astype(dtype)
+        query = rng.normal(size=(blocks * per, a)).astype(dtype)
+        v = rng.normal(size=a).astype(dtype)
+        t = np.tanh(keys.reshape(blocks, 1, n, a) + query.reshape(blocks, -1, 1, a))
+        want = t.reshape(blocks * per, n, a) @ v
+        got = ad.attention_scores(Tensor(keys), Tensor(query), Tensor(v), blocks).data
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_beam_step_never_holds_the_whole_activation(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        keys, query, v = rng.normal(size=(30, 512)), rng.normal(size=(20, 512)), rng.normal(size=512)
+        keys, query, v = Tensor(keys), Tensor(query), Tensor(v)
+        full = 20 * 30 * 512 * 8
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                ad.attention_scores(keys, query, v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < full / 4
+
 
 class TestNoGrad:
     def test_ops_detached(self):

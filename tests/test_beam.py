@@ -3,10 +3,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgen.autodiff as ad
 from qgen.autodiff import Tensor, no_grad
-from qgen.beam import generate
+from qgen.beam import generate, top_k
 from qgen.config import ConfigError
 from qgen.corpus import EOS, SOS, SPECIAL_TOKENS, build_vocabulary, stopword_set
 from qgen.decoder import attention_keys, decode_step, init_decoder
@@ -165,6 +167,65 @@ class TestAgainstReference:
         assert set(texts) & set(model.reduced.words)
         for ex in corpus[:3] + [repeating]:
             _assert_matches_reference(model, ex, beam_width, max_len)
+
+
+class TestTopK:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort_with_ties(self, data):
+        rows, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        values = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]),
+                                    min_size=rows * width, max_size=rows * width))
+        probs = np.array(values).reshape(rows, width)
+        k = data.draw(st.integers(1, width + 2))
+        want = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+        got = top_k(probs, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("probs", [np.full((3, 1), 0.5), np.full((4, 9), 0.25),
+                                       np.zeros((2, 30))], ids=["one_column", "equal", "zero"])
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 31])
+    def test_single_column_and_all_equal_rows(self, probs, k):
+        want = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(top_k(probs, k), want)
+
+
+@pytest.fixture(scope="module")
+def tied_setup():
+    """A model like `setup`'s with a 21-word reduced vocabulary and a zero
+    generation head, and a setter for its copy-gate bias: every
+    generated-only surface is equally likely, and with the gate shut every
+    reduced-vocabulary surface is."""
+    corpus = make_toy_data(8, seed=6)
+    cfg = tiny_config(r_h=20, r_l=40, vocab_max=200, attn_dim=9, max_len=12)
+    vocab = build_vocabulary(corpus, cfg.vocab_max)
+    _, reduced = label_corpus(corpus, vocab, stopword_set(), cfg.r_h, 2000)
+    model = QgModel.build(cfg, vocab, reduced, FeatureVocab.from_corpus(corpus),
+                          np.random.default_rng(21))
+    model.params["dec.w_out"].data[:] = 0.0
+
+    def with_gate_bias(bias):
+        model.params["dec.gate.b"].data = np.asarray(bias)
+        return model
+    return with_gate_bias, corpus
+
+
+class TestTiedSurfaces:
+    @pytest.mark.parametrize("beam_width, gate_bias", [(1, -50.0), (3, -50.0), (20, 0.0)])
+    def test_tie_heavy_beam_equals_per_hypothesis_beam(self, tied_setup, beam_width, gate_bias):
+        with_gate_bias, corpus = tied_setup
+        model = with_gate_bias(gate_bias)
+        ex = corpus[0]
+        p = model.decoder_params()
+        with no_grad():
+            enc = _encode(model, ex)
+            s, c, w_prev = _start(model, enc, p)
+            _, dist = decode_step(w_prev, c, s, enc.states, attention_keys(enc.states, p), p)
+        values = sorted(_surface_probs(dist, [t.text for t in ex.passage],
+                                       model.reduced).values(), reverse=True)
+        assert values[beam_width - 1] == values[beam_width]   # the first step's K-th place ties
+        for ex in corpus[:4] + [_repeating_passage()]:
+            _assert_matches_reference(model, ex, beam_width, 8)
 
 
 class TestDegenerateInputs:

@@ -6,11 +6,14 @@ import zipfile
 import numpy as np
 import pytest
 
+from qgen import cli
 from qgen.autodiff import ParamStore
+from qgen.beam import generate as beam_generate
 from qgen.cli import _replaced_on_success, main
 from qgen.config import ConfigError, ModelConfig
 from qgen.corpus import build_vocabulary, load_corpus, stopword_set
 from qgen.labeling import label_corpus
+from qgen.model import QgModel
 from qgen.toydata import make_toy_data
 
 
@@ -155,6 +158,35 @@ class TestTrainGenerateEvaluate:
         rows = [json.loads(l) for l in pred.read_text().splitlines()]
         assert len(rows) == 6
         assert {"id", "prediction", "score"} <= set(rows[0])
+
+    def test_clues_out_reuses_the_beams_clue_pass(self, pipeline, capsys, monkeypatch):
+        """One clue pass per example, and the same bytes as a run in which
+        the beam computes its own clue pass and --clues-out another."""
+        tmp, data, _, out_dir = pipeline
+        calls = []
+        predict_clues = QgModel.predict_clues
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return predict_clues(self, *args, **kwargs)
+        monkeypatch.setattr(QgModel, "predict_clues", counted)
+
+        def run(name):
+            calls.clear()
+            pred, clues = tmp / f"pred_{name}.jsonl", tmp / f"clues_{name}.jsonl"
+            code, _, _ = run_cli(capsys, "generate", "--checkpoint", str(out_dir / "model.npz"),
+                                 "--data", str(data), "--out", str(pred),
+                                 "--clues-out", str(clues), "--beam-width", "3")
+            assert code == 0
+            return pred.read_bytes(), clues.read_bytes(), len(calls)
+
+        shared = run("shared")
+        monkeypatch.setattr(cli, "beam_generate",
+                            lambda model, ex, clue, **kwargs: beam_generate(model, ex, **kwargs))
+        separate = run("separate")
+        examples = len(load_corpus(data))
+        assert shared[2] == examples and separate[2] == 2 * examples
+        assert shared[:2] == separate[:2]
 
     def test_generate_missing_checkpoint_fails(self, pipeline, capsys):
         tmp, data, _, _ = pipeline
