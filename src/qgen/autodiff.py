@@ -665,6 +665,9 @@ class ParamStore:
             if arrays[name].shape != t.data.shape:
                 raise CheckpointError(f"checkpoint shape mismatch for {name!r}: "
                                       f"{arrays[name].shape} vs model {t.data.shape}")
+            if not np.issubdtype(arrays[name].dtype, np.floating):
+                raise CheckpointError(f"checkpoint parameter {name!r} has dtype "
+                                      f"{arrays[name].dtype}, not a floating-point type")
             t.data = arrays[name].astype(t.data.dtype, order="C")
 
     def save(self, path, meta: Optional[dict] = None,

@@ -108,9 +108,9 @@ def generate(
 
     with ad.no_grad():
         if clue is None:
-            clue = model.predict_clues(example, rng=None, mode="eval")
+            clue = model.predict_clues([example], rng=None, mode="eval")
         enc_features = model.embedder.append_clue_slot(clue.features, clue.weights)
-        enc_out = encode([enc_features], *model.encoder_params())
+        enc_out = encode(enc_features, [len(example.passage)], *model.encoder_params())
         keys = attention_keys(enc_out.states, p)
         s = init_decoder(enc_out.last_backward, p.w_init, p.b_init)
         c = ad.Tensor(np.zeros((1, enc_out.states.shape[1]), enc_out.states.data.dtype))

@@ -3,9 +3,10 @@ Straight-Through Gumbel-Softmax sample of a binary indicator per token.
 
 The adjacency matrix is the undirected tree plus self-loops; each layer
 averages transformed neighbor features by node degree, so after L layers a
-token's representation sees exactly its <= L-hop neighborhood.  Dependency
-edge types are not encoded here; they already enter through the DEP
-feature embeddings.
+token's representation sees exactly its <= L-hop neighborhood.  A batch's
+passages are one graph, their trees in diagonal blocks, so no token reaches
+another passage.  Dependency edge types are not encoded here; they already
+enter through the DEP feature embeddings.
 """
 
 from __future__ import annotations
@@ -20,37 +21,30 @@ from .config import ConfigError
 from .corpus import AnnotatedExample
 
 
-@dataclass
-class DependencyAdjacency:
-    """A_tilde = A + I for the undirected dependency tree, with degrees."""
-
-    a_tilde: np.ndarray   # (n, n), symmetric, ones on the diagonal
-    degrees: np.ndarray   # (n,), row sums of a_tilde
-    norm: np.ndarray      # a_tilde with rows divided by degree
-
-
-def build_adjacency(example: AnnotatedExample) -> DependencyAdjacency:
-    n = len(example.passage)
-    a = np.eye(n)
-    for i, tok in enumerate(example.passage):
-        if tok.head != i:
-            a[i, tok.head] = 1.0
-            a[tok.head, i] = 1.0
-    d = a.sum(axis=1)
-    return DependencyAdjacency(a_tilde=a, degrees=d, norm=a / d[:, None])
+def build_adjacency(examples: list[AnnotatedExample]) -> np.ndarray:
+    """(N, N) (A + I) / degree over the N tokens of `examples`, passage after
+    passage: each passage's undirected tree is a block on the diagonal."""
+    lengths = [len(ex.passage) for ex in examples]
+    heads = np.concatenate([start + np.array([t.head for t in ex.passage])
+                            for start, ex in zip(np.cumsum(lengths) - lengths, examples)])
+    rows = np.arange(len(heads))
+    a = np.eye(len(heads))
+    a[rows, heads] = a[heads, rows] = 1.0
+    return a / a.sum(axis=1)[:, None]
 
 
-def gcn_layer(h_prev: Tensor, adj: DependencyAdjacency, w: Tensor, b: Tensor) -> Tensor:
-    """One propagation step: h_i = relu(sum_j A~_ij (W h_j) / d_i + b)."""
+def gcn_layer(h_prev: Tensor, adj: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """One propagation step: h_i = relu(sum_j adj_ij (W h_j) + b), `adj` from
+    `build_adjacency`."""
     if w.shape[1] != h_prev.shape[1]:
         raise ad.TensorError(
             f"gcn_layer: weight expects input width {w.shape[1]}, features have {h_prev.shape[1]}"
         )
-    mixed = ad.matmul(adj.norm, ad.linear(h_prev, w))
+    mixed = ad.matmul(adj, ad.linear(h_prev, w))
     return ad.relu(ad.add(mixed, b))
 
 
-def encode_clue_features(features: Tensor, adj: DependencyAdjacency,
+def encode_clue_features(features: Tensor, adj: np.ndarray,
                          layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     """Stack GCN layers; the receptive field grows one hop per layer."""
     if not layer_params:
@@ -107,13 +101,13 @@ def st_discretize(y: Tensor) -> Tensor:
 
 @dataclass
 class ClueForward:
-    features: Tensor       # (n, width) the passage features the predictor read
-    probs: Tensor          # (n, 2) softmax of the logits
-    weights: Tensor        # (n, 2) what the encoder's clue slot consumes
-    indicators: np.ndarray  # (n,) binary decisions
+    features: Tensor       # (N, width) the passage features the predictor read
+    probs: Tensor          # (N, 2) softmax of the logits
+    weights: Tensor        # (N, 2) what the encoder's clue slot consumes
+    indicators: np.ndarray  # (N,) binary decisions
 
 
-def run_clue_predictor(features: Tensor, adj: DependencyAdjacency,
+def run_clue_predictor(features: Tensor, adj: np.ndarray,
                        layer_params: list[tuple[Tensor, Tensor]],
                        w_out: Tensor, b_out: Tensor,
                        tau: float, rng: np.random.Generator, mode: str,
@@ -128,16 +122,11 @@ def run_clue_predictor(features: Tensor, adj: DependencyAdjacency,
     logits = clue_logits(h, w_out, b_out)
     probs = ad.softmax(logits)
     if mode == "eval":
-        idx = np.argmax(probs.data, axis=-1)
-        onehot = np.zeros_like(probs.data)
-        onehot[np.arange(len(idx)), idx] = 1.0
-        return ClueForward(features=features, probs=probs, weights=Tensor(onehot), indicators=idx)
-    if mode == "train":
+        weights = Tensor(np.eye(2, dtype=probs.data.dtype)[np.argmax(probs.data, axis=-1)])
+    elif mode in ("train", "soft"):
         sample = gumbel_softmax_sample(logits, tau, rng, noise=noise)
-        idx = np.argmax(sample.y_st.data, axis=-1)
-        return ClueForward(features=features, probs=probs, weights=sample.y_st, indicators=idx)
-    if mode == "soft":
-        sample = gumbel_softmax_sample(logits, tau, rng, noise=noise)
-        idx = np.argmax(sample.y.data, axis=-1)
-        return ClueForward(features=features, probs=probs, weights=sample.y, indicators=idx)
-    raise ConfigError(f"clue predictor mode must be train/eval/soft, got {mode!r}")
+        weights = sample.y_st if mode == "train" else sample.y
+    else:
+        raise ConfigError(f"clue predictor mode must be train/eval/soft, got {mode!r}")
+    return ClueForward(features=features, probs=probs, weights=weights,
+                       indicators=np.argmax(weights.data, axis=-1))

@@ -103,6 +103,8 @@ def validate_tree(heads: list[int]) -> None:
 
 
 def _parse_example(obj: dict, require_question: bool = True) -> AnnotatedExample:
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
     required = ["id", "passage_tokens", "answer_span"]
     if require_question:
         required.append("question_tokens")
@@ -351,5 +353,10 @@ def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
                 raise ConfigError(
                     f"word-vector file {path} line {lineno}: expected {dim} values, found {len(values)}"
                 )
-            table[word] = np.asarray([float(v) for v in values], dtype=np.float64)
+            try:
+                table[word] = np.asarray([float(v) for v in values], dtype=np.float64)
+            except ValueError:
+                raise ConfigError(
+                    f"word-vector file {path} line {lineno}: a value is not a number"
+                ) from None
     return table

@@ -100,7 +100,8 @@ def _direction(gates: list[Tensor], positions: np.ndarray, p: GruCellParams) -> 
 
 
 def encode(
-    passages: list[Tensor],
+    x: Tensor,
+    lengths: list[int],
     forward_params: GruCellParams,
     backward_params: GruCellParams,
     input_keep: np.ndarray | None = None,
@@ -109,19 +110,21 @@ def encode(
     """Run both directions over every passage from zero initial states and
     concatenate.
 
-    The passages' B rows advance together, one time step per GRU step; the
-    backward direction starts at each passage's own last token.  A passage's
-    steps past its end fill only its padded positions, which attention
-    masks out.  The input shares of the gates are one product over all
-    tokens.  `input_keep` and `output_keep` are dropout multipliers for the
-    stacked input rows and the stacked output states, passage after passage.
+    `x` stacks B passages' token rows, `lengths` rows each.  The B passages
+    advance together, one time step per GRU step; the backward direction
+    starts at each passage's own last token.  A passage's steps past its end
+    fill only its padded positions, which attention masks out.  The input
+    shares of the gates are one product over all tokens.  `input_keep` and
+    `output_keep` are dropout multipliers for the stacked input rows and the
+    stacked output states, passage after passage.
     """
-    lengths = np.array([f.shape[0] for f in passages])
-    if not len(lengths) or lengths.min() == 0:
-        raise ad.TensorError("encode requires non-empty sequences")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if not len(lengths) or lengths.min() <= 0 or lengths.sum() != x.shape[0]:
+        raise ad.TensorError(f"encode requires positive passage lengths that sum to the input's "
+                             f"{x.shape[0]} rows, got {lengths.tolist()}")
     batch, n = len(lengths), int(lengths.max())
     starts = np.cumsum(lengths) - lengths
-    x = ad.dropout(passages[0] if batch == 1 else ad.concat(passages), input_keep)
+    x = ad.dropout(x, input_keep)
 
     step = np.arange(n)[:, None]
     fwd = _direction(gru_inputs(x, forward_params), starts + np.minimum(step, lengths - 1),

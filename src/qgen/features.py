@@ -159,15 +159,17 @@ class FeatureEmbedder:
             return SPECIAL_TOKENS.index(UNK)
         return self.word_row_id(token)
 
-    def embed_passage(self, example: AnnotatedExample) -> Tensor:
-        """(n, clue_input_width) matrix of the shared slots: the clue
+    def embed_passage(self, examples: list[AnnotatedExample]) -> Tensor:
+        """(N, clue_input_width) matrix of the shared slots for every token
+        of `examples`, passage after passage, one gather per table: the clue
         predictor's input, and the encoder's once `append_clue_slot` adds
         the clue indicator."""
-        tokens = example.passage
+        tokens = [t for ex in examples for t in ex.passage]
         tiers = [
             _TIER_INDEX[tier_of(t.text, self.vocab, self.config.r_h, self.config.r_l)]
             for t in tokens
         ]
+        bio = [_BIO_INDEX[b] for ex in examples for b in tag_answer_bio(ex)]
         slots = [
             ad.gather_rows(self.params["embed.word"], [self.word_row_id(t.text) for t in tokens]),
             ad.gather_rows(self.params["embed.ner"], [self.features.index("ner", t.ner) for t in tokens]),
@@ -176,7 +178,7 @@ class FeatureEmbedder:
             ad.gather_rows(self.params["embed.is_lower"], [int(t.is_lower) for t in tokens]),
             ad.gather_rows(self.params["embed.is_digit"], [int(t.is_digit) for t in tokens]),
             ad.gather_rows(self.params["embed.like_num"], [int(t.like_num) for t in tokens]),
-            ad.gather_rows(self.params["embed.bio"], [_BIO_INDEX[b] for b in tag_answer_bio(example)]),
+            ad.gather_rows(self.params["embed.bio"], bio),
             ad.gather_rows(self.params["embed.tier"], tiers),
         ]
         return ad.concat(slots, axis=1)
@@ -185,7 +187,7 @@ class FeatureEmbedder:
         """The encoder input: `features` from `embed_passage` with the clue-
         indicator embedding rows, mixed by (possibly relaxed) weights, last.
 
-        `clue_weights` is an (n, 2) tensor of [not-clue, clue] weights.
+        `clue_weights` is an (N, 2) tensor of [not-clue, clue] weights.
         Keeping the mix a matmul lets straight-through gradients reach the
         clue predictor.
         """

@@ -13,7 +13,7 @@ from .clue_predictor import ClueForward, build_adjacency, run_clue_predictor
 from .config import ModelConfig
 from .corpus import SOS, SPECIAL_TOKENS, AnnotatedExample, ReducedTargetVocab, Vocabulary
 from .decoder import DecoderParams, ExtendedDistribution, teacher_forced_unroll
-from .encoder import EncoderOutput, GruCellParams, encode
+from .encoder import GruCellParams, encode
 from .features import (
     FeatureEmbedder,
     FeatureVocab,
@@ -30,8 +30,7 @@ _META_TYPES = {"config": dict, "vocab_words": list, "reduced_words": list, "feat
 
 @dataclass
 class ModelForward:
-    clues: list[ClueForward]        # one per example, in batch order
-    encoder: EncoderOutput
+    clue: ClueForward               # every passage's tokens as rows, example after example
     decoder: ExtendedDistribution   # every example's steps as rows, example after example
 
 
@@ -91,16 +90,16 @@ class QgModel:
     def decoder_params(self) -> DecoderParams:
         return DecoderParams.from_store(self.params)
 
-    def predict_clues(self, example: AnnotatedExample, rng: np.random.Generator | None,
+    def predict_clues(self, examples: list[AnnotatedExample], rng: np.random.Generator | None,
                       mode: str = "eval", noise: np.ndarray | None = None) -> ClueForward:
-        """Clue probabilities plus indicators; stochastic only in train/soft mode.
-
-        The returned features are the passage's one embedding per pass; the
-        encoder reuses them with the clue slot appended.
-        """
-        feats = self.embedder.embed_passage(example)
+        """Clue probabilities plus indicators for the N tokens of `examples`,
+        passage after passage, from one embedding and one GCN pass; stochastic
+        only in train/soft mode.  The (N, 2) Gumbel draw reads the generator
+        as per-passage draws in batch order would.  The encoder reuses the
+        returned features with the clue slot appended."""
+        feats = self.embedder.embed_passage(examples)
         return run_clue_predictor(
-            feats, build_adjacency(example), self.gcn_params(),
+            feats, build_adjacency(examples), self.gcn_params(),
             self.params["clue.out.w"], self.params["clue.out.b"],
             self.config.tau, rng, mode, noise=noise,
         )
@@ -112,33 +111,29 @@ class QgModel:
         clue_mode: str | None = None,
         gumbel_rng: np.random.Generator | None = None,
         dropout_rng: np.random.Generator | None = None,
-        gumbel_noise: list[np.ndarray] | None = None,
+        gumbel_noise: np.ndarray | None = None,
     ) -> ModelForward:
-        """Run clue prediction example by example, then the encoder and the
-        teacher-forced decoder unroll once over the whole batch.
-
-        `gumbel_noise`, one array per example, replaces the Gumbel draws
-        (test hook).  The Gumbel and dropout streams are read example by
-        example, in the order a one-example-at-a-time pass reads them.
-        """
+        """Clue prediction, the encoder and the teacher-forced decoder unroll,
+        each once over the whole batch.  `gumbel_noise`, (N, 2) over the
+        batch's N passage tokens, replaces the Gumbel draw (test hook).  The
+        Gumbel and dropout streams are read as a one-example-at-a-time pass
+        reads them."""
         clue_mode = clue_mode or ("train" if mode == "train" else "eval")
-        clues, enc_inputs = [], []
-        for i, example in enumerate(batch):
-            clue = self.predict_clues(example.base, gumbel_rng, mode=clue_mode,
-                                      noise=None if gumbel_noise is None else gumbel_noise[i])
-            clues.append(clue)
-            enc_inputs.append(self.embedder.append_clue_slot(clue.features, clue.weights))
+        clue = self.predict_clues([ex.base for ex in batch], gumbel_rng, mode=clue_mode,
+                                  noise=gumbel_noise)
+        enc_input = self.embedder.append_clue_slot(clue.features, clue.weights)
         keep = [None] * 3
         if mode == "train" and self.config.dropout > 0:
-            keep = self.dropout_keeps(batch, enc_inputs[0].shape[1], dropout_rng)
+            keep = self.dropout_keeps(batch, enc_input.shape[1], dropout_rng)
         fwd, bwd = self.encoder_params()
-        enc_out = encode(enc_inputs, fwd, bwd, keep[0], keep[1])
+        enc_out = encode(enc_input, [len(ex.base.passage) for ex in batch], fwd, bwd,
+                         keep[0], keep[1])
         sos = SPECIAL_TOKENS.index(SOS)
         prev_ids = [[sos] + [self.embedder.decoder_word_row_id(t) for t in ex.base.question]
                     for ex in batch]
         decoder = teacher_forced_unroll(prev_ids, self.params["embed.word"], enc_out,
                                         self.decoder_params(), keep[2])
-        return ModelForward(clues=clues, encoder=enc_out, decoder=decoder)
+        return ModelForward(clue=clue, decoder=decoder)
 
     def dropout_keeps(self, batch: list[LabeledExample], input_width: int,
                       rng: np.random.Generator) -> list[np.ndarray]:

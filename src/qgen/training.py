@@ -55,10 +55,11 @@ def _segment_means(terms: Tensor, lengths: list[int]) -> Tensor:
     return ad.mul(ad.matmul(segments, terms), 1.0 / lengths)
 
 
-def clue_loss(clue_probs: list[Tensor], gold_labels: list[list[bool]]) -> Tensor:
-    """(B,) mean cross-entropies of each passage's per-token clue probabilities."""
+def clue_loss(clue_probs: Tensor, gold_labels: list[list[bool]]) -> Tensor:
+    """(B,) mean cross-entropies of each passage's per-token clue
+    probabilities; `clue_probs` holds every passage's (n, 2) rows stacked."""
     gold = np.eye(2)[np.concatenate([np.asarray(g, dtype=int) for g in gold_labels])]
-    p_gold = ad.sum_(ad.mul(ad.concat(clue_probs), gold), axis=1)
+    p_gold = ad.sum_(ad.mul(clue_probs, gold), axis=1)
     return _segment_means(_neg_log(p_gold), [len(g) for g in gold_labels])
 
 
@@ -83,8 +84,7 @@ def sequence_losses(dist, batch: list[LabeledExample]) -> tuple[Tensor, Tensor]:
 
 
 def losses_from_forward(config: ModelConfig, fwd, batch: list[LabeledExample]) -> LossBreakdown:
-    loss_clue = clue_loss([clue.probs for clue in fwd.clues],
-                          [ex.passage_clue_label for ex in batch])
+    loss_clue = clue_loss(fwd.clue.probs, [ex.passage_clue_label for ex in batch])
     loss_gen, loss_gate = sequence_losses(fwd.decoder, batch)
     total = ad.add(
         ad.add(ad.mul(loss_clue, config.lambda_clue), ad.mul(loss_gen, config.lambda_gen)),
@@ -100,7 +100,7 @@ def batch_losses(
     dropout_rng: np.random.Generator | None = None,
     mode: str = "train",
     clue_mode: str | None = None,
-    gumbel_noise: list[np.ndarray] | None = None,
+    gumbel_noise: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Each example's average cross-entropies (over tokens / decode steps),
     from one forward pass over the batch."""
@@ -121,8 +121,7 @@ def compute_losses(
     gumbel_noise: np.ndarray | None = None,
 ) -> LossBreakdown:
     """`batch_losses` of one example: every field has one entry."""
-    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode, clue_mode,
-                        None if gumbel_noise is None else [gumbel_noise])
+    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode, clue_mode, gumbel_noise)
 
 
 @dataclass

@@ -60,11 +60,12 @@ def micro_corpus():
 
 
 def gold_clue_noise(batch, margin=10.0):
-    """Gumbel noise, one array per labeled example, that puts each sampled
-    clue indicator on its gold label: +margin on the gold column and -margin
-    on the other, far beyond the spread of a small model's clue logits."""
-    return [np.where(np.eye(2, dtype=bool)[np.asarray(ex.passage_clue_label, dtype=int)],
-                     margin, -margin) for ex in batch]
+    """(N, 2) Gumbel noise over the N passage tokens of a labeled batch that
+    puts each sampled clue indicator on its gold label: +margin on the gold
+    column and -margin on the other, far beyond the spread of a small model's
+    clue logits."""
+    gold = np.concatenate([np.asarray(ex.passage_clue_label, dtype=int) for ex in batch])
+    return np.where(np.eye(2, dtype=bool)[gold], margin, -margin)
 
 
 def tiny_config(**overrides):

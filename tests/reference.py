@@ -117,7 +117,7 @@ def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="trai
     """One example's scalar losses, its steps and its clue pass."""
     cfg = model.config
     clue_mode = clue_mode or ("train" if mode == "train" else "eval")
-    clue = model.predict_clues(example.base, gumbel_rng, mode=clue_mode, noise=gumbel_noise)
+    clue = model.predict_clues([example.base], gumbel_rng, mode=clue_mode, noise=gumbel_noise)
     features = model.embedder.append_clue_slot(clue.features, clue.weights)
     states, last_backward = encode(features, *model.encoder_params(), cfg.dropout, mode,
                                    dropout_rng)

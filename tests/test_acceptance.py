@@ -156,7 +156,7 @@ class TestCriterion3StructuralInvariants:
         rng = np.random.default_rng(layers)
         n = 9
         ex = chain_example([f"t{i}" for i in range(n)])
-        adj = build_adjacency(ex)
+        adj = build_adjacency([ex])
         params = [(Tensor(rng.normal(size=(6, 6))), Tensor(rng.normal(size=6)))
                   for _ in range(layers)]
         x = rng.normal(size=(n, 6))

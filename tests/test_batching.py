@@ -67,16 +67,22 @@ def _streams(seed):
     return rng_stream(seed, "gumbel"), rng_stream(seed, "dropout")
 
 
-def assert_batch_matches_reference(model, batch, seed=0, clue_source="predicted", **kwargs):
-    """`clue_source="gold"` gives both passes Gumbel noise that samples each
-    passage's gold clue labels, so the encoder reads the gold labels."""
+def assert_batch_matches_reference(model, batch, seed=0, clue_source="predicted",
+                                   gumbel_noise=None, **kwargs):
+    """`gumbel_noise` is the batch's (N, 2) noise, which the reference takes
+    split per example.  `clue_source="gold"` gives both passes Gumbel noise
+    that samples each passage's gold clue labels, so the encoder reads the
+    gold labels."""
     if clue_source == "gold":
-        kwargs["gumbel_noise"] = gold_clue_noise(batch)
+        gumbel_noise = gold_clue_noise(batch)
+    ref_noise = None if gumbel_noise is None else np.split(
+        gumbel_noise, np.cumsum([len(ex.base.passage) for ex in batch])[:-1])
     gumbel, dropout = _streams(seed)
-    losses = batch_losses(model, batch, gumbel, dropout, **kwargs)
+    losses = batch_losses(model, batch, gumbel, dropout, gumbel_noise=gumbel_noise, **kwargs)
     loss = ad.mean_(losses.total)
     ref_gumbel, ref_dropout = _streams(seed)
-    ref_loss, ref_examples = reference.batch_loss(model, batch, ref_gumbel, ref_dropout, **kwargs)
+    ref_loss, ref_examples = reference.batch_loss(model, batch, ref_gumbel, ref_dropout,
+                                                  gumbel_noise=ref_noise, **kwargs)
     if clue_source == "gold" and kwargs.get("mode") == "train":
         for ex, want in zip(batch, ref_examples):
             np.testing.assert_array_equal(want.clue.indicators, ex.passage_clue_label)
@@ -129,8 +135,8 @@ def test_single_example_batch(tiny, index):
 def test_relaxed_clue_sample_with_given_noise(tiny):
     model, labeled = tiny
     batch = [labeled[8], labeled[2]]
-    noise = [np.random.default_rng(i).gumbel(size=(len(ex.base.passage), 2))
-             for i, ex in enumerate(batch)]
+    noise = np.concatenate([np.random.default_rng(i).gumbel(size=(len(ex.base.passage), 2))
+                            for i, ex in enumerate(batch)])
     assert_batch_matches_reference(model, batch, mode="train", clue_mode="soft",
                                    gumbel_noise=noise)
 

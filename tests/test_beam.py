@@ -34,9 +34,9 @@ def setup():
 
 
 def _encode(model, example):
-    clue = model.predict_clues(example, rng=None, mode="eval")
+    clue = model.predict_clues([example], rng=None, mode="eval")
     feats = model.embedder.append_clue_slot(clue.features, clue.weights)
-    return encode([feats], *model.encoder_params())
+    return encode(feats, [len(example.passage)], *model.encoder_params())
 
 
 def _start(model, enc, p):

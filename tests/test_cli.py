@@ -348,6 +348,8 @@ def _corrupt(arrays, meta, defect):
     elif defect == "truncated_npy":
         raw = _npy_bytes(arrays[first])
         arrays[first] = raw[:len(raw) // 2]
+    elif defect == "non_float_param":
+        arrays["dec.gate.b"] = np.array("abc")
     elif defect == "object_npy":
         arrays[first] = np.array([{"a": 1}], dtype=object)
     return meta
@@ -384,6 +386,7 @@ class TestCheckpointErrors:
         ("ill_typed_reduced_words", "'reduced_words' is not a JSON array"),
         ("ill_typed_feature_vocab", "'feature_vocab' is not a JSON object"),
         ("ill_typed_config", "'config' is not a JSON object"),
+        ("non_float_param", "'dec.gate.b' has dtype <U3"),
         ("garbage_npy", "params/embed.word.npy that is damaged or not a .npy array"),
         ("truncated_npy", "params/embed.word.npy that is damaged or not a .npy array"),
         ("object_npy", "params/embed.word.npy that is damaged or not a .npy array"),
@@ -435,6 +438,19 @@ class TestCliErrors:
         report = json.loads(err)
         assert report["error"] == "ConfigError"
         assert key in report["message"]
+
+    def test_bad_word_vector_value_is_reported_as_json(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        main(["make-toy-data", "--n", "2", "--seed", "0", "--out", str(data)])
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("the 0.5 0.25\nof 0.5 abc\n")
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                                 "--vectors", str(vectors), "--set", "word_dim=2")
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "ConfigError"
+        assert f"{vectors} line 2" in report["message"]
 
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgen.autodiff as ad
 from qgen.autodiff import Tensor
@@ -13,7 +15,7 @@ from qgen.clue_predictor import (
     st_discretize,
 )
 from qgen.config import ConfigError, rng_stream
-from qgen.corpus import build_vocabulary, stopword_set
+from qgen.corpus import ReducedTargetVocab, build_vocabulary, stopword_set
 from qgen.features import FeatureVocab
 from qgen.labeling import label_corpus
 from qgen.model import QgModel
@@ -35,35 +37,69 @@ def dense_gcn_oracle(x, a_tilde, w, b, nonlinearity=np.maximum):
     return out
 
 
+def tree_structure(adj):
+    """(A + I, degrees) read back from a row-normalized adjacency: its
+    nonzero pattern, and that pattern's row sums."""
+    a_tilde = (adj > 0).astype(float)
+    return a_tilde, a_tilde.sum(axis=1)
+
+
 class TestAdjacency:
     def test_single_token(self):
-        ex = chain_example(["solo"])
-        adj = build_adjacency(ex)
-        np.testing.assert_array_equal(adj.a_tilde, [[1.0]])
-        np.testing.assert_array_equal(adj.degrees, [1.0])
+        adj = build_adjacency([chain_example(["solo"])])
+        np.testing.assert_array_equal(adj, [[1.0]])
 
     def test_chain_degrees(self):
         ex = chain_example(["a", "b", "c"])
-        adj = build_adjacency(ex)
-        np.testing.assert_array_equal(adj.degrees, [2.0, 3.0, 2.0])
+        _, degrees = tree_structure(build_adjacency([ex]))
+        np.testing.assert_array_equal(degrees, [2.0, 3.0, 2.0])
 
     def test_symmetric_with_unit_diagonal(self, fig1_example):
-        adj = build_adjacency(fig1_example)
+        a_tilde, _ = tree_structure(build_adjacency([fig1_example]))
         n = len(fig1_example.passage)
-        np.testing.assert_array_equal(adj.a_tilde, adj.a_tilde.T)
-        assert adj.a_tilde.trace() == n
+        np.testing.assert_array_equal(a_tilde, a_tilde.T)
+        assert a_tilde.trace() == n
         # a tree contributes n-1 undirected edges
-        assert adj.a_tilde.sum() == n + 2 * (n - 1)
+        assert a_tilde.sum() == n + 2 * (n - 1)
 
     def test_row_normalization(self, fig1_example):
-        adj = build_adjacency(fig1_example)
-        np.testing.assert_allclose(adj.norm.sum(axis=1), np.ones(len(fig1_example.passage)))
+        adj = build_adjacency([fig1_example])
+        a_tilde, degrees = tree_structure(adj)
+        np.testing.assert_allclose(adj.sum(axis=1), np.ones(len(fig1_example.passage)))
+        np.testing.assert_array_equal(adj, a_tilde / degrees[:, None])
+
+
+@st.composite
+def dependency_trees(draw):
+    """A passage of 1-8 tokens whose heads form a random rooted tree: the
+    tokens in a random order, each after the first headed by an earlier one."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    ex = chain_example([f"t{i}" for i in range(n)])
+    for k, i in enumerate(order):
+        ex.passage[i].head = order[draw(st.integers(0, k - 1))] if k else i
+    return ex
+
+
+class TestBatchAdjacency:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(dependency_trees(), min_size=1, max_size=5))
+    def test_block_diagonal_of_each_passage(self, batch):
+        adj = build_adjacency(batch)
+        lengths = [len(ex.passage) for ex in batch]
+        assert adj.shape == (sum(lengths), sum(lengths))
+        expected = np.zeros_like(adj)
+        start = 0
+        for ex, n in zip(batch, lengths):
+            expected[start:start + n, start:start + n] = build_adjacency([ex])
+            start += n
+        np.testing.assert_array_equal(adj, expected)
 
 
 class TestGcnLayer:
     def test_isolated_node_is_plain_relu(self):
         ex = chain_example(["solo"])
-        adj = build_adjacency(ex)
+        adj = build_adjacency([ex])
         x = np.array([[-1.0, 2.0, -3.0, 4.0]])
         out = gcn_layer(Tensor(x), adj, Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0, 0.0, 4.0]])
@@ -71,10 +107,10 @@ class TestGcnLayer:
     def test_matches_dense_oracle_on_chain(self):
         rng = np.random.default_rng(3)
         ex = chain_example(["a", "b", "c"])
-        adj = build_adjacency(ex)
+        adj = build_adjacency([ex])
         x, w, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5)), rng.normal(size=4)
         out = gcn_layer(Tensor(x), adj, Tensor(w), Tensor(b))
-        np.testing.assert_allclose(out.data, dense_gcn_oracle(x, adj.a_tilde, w, b), atol=1e-12)
+        np.testing.assert_allclose(out.data, dense_gcn_oracle(x, tree_structure(adj)[0], w, b), atol=1e-12)
 
     def test_matches_dense_oracle_on_random_trees(self):
         rng = np.random.default_rng(17)
@@ -83,16 +119,16 @@ class TestGcnLayer:
             ex = chain_example([f"t{i}" for i in range(8)])
             for i, t in enumerate(ex.passage):
                 t.head = heads[i]
-            adj = build_adjacency(ex)
+            adj = build_adjacency([ex])
             x, w, b = rng.normal(size=(8, 6)), rng.normal(size=(6, 6)), rng.normal(size=6)
             out = gcn_layer(Tensor(x), adj, Tensor(w), Tensor(b))
-            np.testing.assert_allclose(out.data, dense_gcn_oracle(x, adj.a_tilde, w, b),
+            np.testing.assert_allclose(out.data, dense_gcn_oracle(x, tree_structure(adj)[0], w, b),
                                        atol=1e-10)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         ex = chain_example(["a", "b", "c", "d"])
-        adj = build_adjacency(ex)
+        adj = build_adjacency([ex])
         x = rng.normal(size=(4, 3)) + 0.3
         w, b = rng.normal(size=(3, 3)), rng.normal(size=3)
         assert_grads_match(
@@ -106,7 +142,7 @@ class TestLocality:
         rng = np.random.default_rng(7)
         n = 8
         ex = chain_example([f"t{i}" for i in range(n)])  # tree distance = index gap
-        adj = build_adjacency(ex)
+        adj = build_adjacency([ex])
         params = [(Tensor(rng.normal(size=(6, 6))), Tensor(rng.normal(size=6)))
                   for _ in range(layers)]
         x = rng.normal(size=(n, 6))
@@ -126,7 +162,7 @@ class TestLocality:
 
     def test_default_depth_runs_on_long_parse(self):
         ex = chain_example([f"w{i}" for i in range(30)])
-        adj = build_adjacency(ex)
+        adj = build_adjacency([ex])
         rng = np.random.default_rng(0)
         params = [(Tensor(rng.normal(size=(8, 8))), Tensor(np.zeros(8))) for _ in range(3)]
         out = encode_clue_features(Tensor(rng.normal(size=(30, 8))), adj, params)
@@ -135,7 +171,7 @@ class TestLocality:
     def test_zero_layers_rejected(self):
         ex = chain_example(["a"])
         with pytest.raises(ConfigError):
-            encode_clue_features(Tensor(np.zeros((1, 4))), build_adjacency(ex), [])
+            encode_clue_features(Tensor(np.zeros((1, 4))), build_adjacency([ex]), [])
 
 
 class TestClueLogits:
@@ -232,20 +268,46 @@ class TestPredictClues:
 
     def test_eval_mode_deterministic(self, model):
         m, ex = model
-        a = m.predict_clues(ex, rng=None, mode="eval")
-        b = m.predict_clues(ex, rng=None, mode="eval")
+        a = m.predict_clues([ex], rng=None, mode="eval")
+        b = m.predict_clues([ex], rng=None, mode="eval")
         np.testing.assert_array_equal(a.indicators, b.indicators)
         np.testing.assert_array_equal(a.probs.data, b.probs.data)
 
     def test_train_mode_reproducible_under_seed(self, model):
         m, ex = model
-        a = m.predict_clues(ex, rng=rng_stream(9, "gumbel"), mode="train")
-        b = m.predict_clues(ex, rng=rng_stream(9, "gumbel"), mode="train")
+        a = m.predict_clues([ex], rng=rng_stream(9, "gumbel"), mode="train")
+        b = m.predict_clues([ex], rng=rng_stream(9, "gumbel"), mode="train")
         np.testing.assert_array_equal(a.indicators, b.indicators)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_batch_reads_the_gumbel_stream_as_one_passage_at_a_time(self, precision):
+        """Passages of 9, 7 and 11 tokens: the batch's one (27, 2) draw is
+        the three passages' draws in order, and each passage's sample is the
+        one its own pass makes."""
+        batch = [chain_example([f"w{i % 5}" for i in range(n)], answer_span=(1, 2))
+                 for n in (9, 7, 11)]
+        cfg = tiny_config(r_h=3, r_l=30, vocab_max=100, precision=precision)
+        model = QgModel.build(cfg, build_vocabulary(batch, cfg.vocab_max), ReducedTargetVocab(words=[]),
+                              FeatureVocab.from_corpus(batch), rng_stream(0, "init"))
+        noise = gumbel_noise(rng_stream(3, "gumbel"), (27, 2))
+        one_at_a_time = rng_stream(3, "gumbel")
+        np.testing.assert_array_equal(
+            noise, np.concatenate([gumbel_noise(one_at_a_time, (n, 2)) for n in (9, 7, 11)]))
+
+        rng, alone_rng = rng_stream(3, "gumbel"), rng_stream(3, "gumbel")
+        out = model.predict_clues(batch, rng, mode="train")
+        alone = [model.predict_clues([ex], alone_rng, mode="train") for ex in batch]
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+        np.testing.assert_array_equal(out.indicators, np.concatenate([a.indicators for a in alone]))
+        np.testing.assert_array_equal(out.weights.data,
+                                      np.concatenate([a.weights.data for a in alone]))
+        tol = 1e-12 if precision == "float64" else 1e-5
+        np.testing.assert_allclose(out.probs.data, np.concatenate([a.probs.data for a in alone]),
+                                   rtol=tol, atol=tol)
 
     def test_output_length_matches_passage(self, model):
         m, ex = model
-        out = m.predict_clues(ex, rng=rng_stream(1, "gumbel"), mode="train")
+        out = m.predict_clues([ex], rng=rng_stream(1, "gumbel"), mode="train")
         assert out.indicators.shape == (len(ex.passage),)
         assert out.probs.shape == (len(ex.passage), 2)
         assert set(np.unique(out.indicators)) <= {0, 1}

@@ -74,6 +74,15 @@ class TestLoadCorpus:
         with pytest.raises(IngestError, match=r"line 2.*answer_span"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line", [
+        "5", "null", "[]", json.dumps("id passage_tokens answer_span question_tokens")])
+    def test_record_that_is_not_an_object_names_its_line(self, tmp_path, line):
+        path = _write(tmp_path, [_record("e1")])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(IngestError, match=r"line 2 \(id=\?\): record is not a JSON object"):
+            load_corpus(path)
+
     def test_all_errors_collected(self, tmp_path):
         path = _write(tmp_path, [_record("a", answer=(5, 6)), _record("ok"),
                                  _record("b", heads=[0, 2, 1], answer=(0, 0))])

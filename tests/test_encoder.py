@@ -61,7 +61,7 @@ class TestEncode:
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         features = Tensor(rng.normal(size=(1, 3)))
-        out = encode([features], fwd, bwd)
+        out = encode(features, [1], fwd, bwd)
         assert out.states.shape == (1, 8)
         expected_f = gru_cell(features, Tensor(np.zeros((1, 4))), fwd).data
         expected_b = gru_cell(features, Tensor(np.zeros((1, 4))), bwd).data
@@ -73,14 +73,24 @@ class TestEncode:
         rng = np.random.default_rng(1)
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
-        with pytest.raises(TensorError, match="non-empty"):
-            encode([Tensor(np.zeros((0, 3)))], fwd, bwd)
+        with pytest.raises(TensorError, match="positive"):
+            encode(Tensor(np.zeros((0, 3))), [0], fwd, bwd)
+
+    @pytest.mark.parametrize("rows,lengths,match", [
+        (0, [], r"\[\]"), (3, [4, -1], r"\[4, -1\]"),
+        (5, [2, 2], "input's 5 rows"), (3, [2, 2], "input's 3 rows")])
+    def test_bad_lengths_rejected(self, rows, lengths, match):
+        rng = np.random.default_rng(1)
+        fwd, _ = _random_params(3, 4, rng)
+        bwd, _ = _random_params(3, 4, rng)
+        with pytest.raises(TensorError, match=match):
+            encode(Tensor(np.zeros((rows, 3))), lengths, fwd, bwd)
 
     def test_shapes(self):
         rng = np.random.default_rng(4)
         fwd, _ = _random_params(5, 6, rng)
         bwd, _ = _random_params(5, 6, rng)
-        out = encode([Tensor(rng.normal(size=(7, 5)))], fwd, bwd)
+        out = encode(Tensor(rng.normal(size=(7, 5))), [7], fwd, bwd)
         assert out.states.shape == (7, 12)
         assert out.last_backward.shape == (1, 6)
 
@@ -89,8 +99,8 @@ class TestEncode:
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         x = rng.normal(size=(6, 3))
-        out = encode([Tensor(x)], fwd, bwd)
-        rev = encode([Tensor(x[::-1].copy())], bwd, fwd)
+        out = encode(Tensor(x), [6], fwd, bwd)
+        rev = encode(Tensor(x[::-1].copy()), [6], bwd, fwd)
         # forward states on x equal reversed backward states on reverse(x)
         np.testing.assert_allclose(out.states.data[:, :4], rev.states.data[::-1, 4:], atol=1e-12)
         np.testing.assert_allclose(out.states.data[:, 4:], rev.states.data[::-1, :4], atol=1e-12)
@@ -100,10 +110,10 @@ class TestEncode:
         fwd, _ = _random_params(3, 4, rng)
         bwd, _ = _random_params(3, 4, rng)
         x = rng.normal(size=(5, 3))
-        base = encode([Tensor(x)], fwd, bwd).states.data
+        base = encode(Tensor(x), [5], fwd, bwd).states.data
         bumped = x.copy()
         bumped[3] += 1.0
-        out = encode([Tensor(bumped)], fwd, bwd).states.data
+        out = encode(Tensor(bumped), [5], fwd, bwd).states.data
         # forward half of positions < 3 untouched; backward half of positions > 3 untouched
         np.testing.assert_array_equal(out[:3, :4], base[:3, :4])
         np.testing.assert_array_equal(out[4:, 4:], base[4:, 4:])
@@ -116,9 +126,9 @@ class TestEncode:
         bwd, _ = _random_params(3, 4, rng)
         x = Tensor(rng.normal(size=(4, 3)))
         # eval mode draws no multipliers: the same as keeping everything
-        a = encode([x], fwd, bwd)
+        a = encode(x, [4], fwd, bwd)
         ones = ad.dropout_keep(np.random.default_rng(0), x.shape, 0.0)
-        b = encode([x], fwd, bwd, input_keep=ones, output_keep=np.ones((4, 8)))
+        b = encode(x, [4], fwd, bwd, input_keep=ones, output_keep=np.ones((4, 8)))
         np.testing.assert_array_equal(a.states.data, b.states.data)
 
     def test_train_dropout_uses_rng(self):
@@ -128,7 +138,7 @@ class TestEncode:
         x = Tensor(rng.normal(size=(4, 3)))
         def run(seed):
             rng = np.random.default_rng(seed)
-            return encode([x], fwd, bwd, ad.dropout_keep(rng, (4, 3), 0.5),
+            return encode(x, [4], fwd, bwd, ad.dropout_keep(rng, (4, 3), 0.5),
                           ad.dropout_keep(rng, (4, 8), 0.5))
 
         a, b, c = run(0), run(0), run(1)
@@ -143,7 +153,7 @@ class TestEncode:
         bwd = GruCellParams.create(store, "b", 2, 3, rng, scale=0.5)
 
         def loss(xv):
-            return ad.sum_(encode([xv], fwd, bwd).states)
+            return ad.sum_(encode(xv, [3], fwd, bwd).states)
 
         assert_grads_match(loss, [x], tol=1e-4)
 
@@ -163,12 +173,12 @@ class TestBatchedEncode:
 
     def test_each_passage_matches_its_own_run(self):
         fwd, bwd, xs = self._setup()
-        out = encode([Tensor(x) for x in xs], fwd, bwd)
+        out = encode(Tensor(np.concatenate(xs)), self.LENGTHS, fwd, bwd)
         n = max(self.LENGTHS)
         assert out.states.shape == (len(xs) * n, 8) and out.last_backward.shape == (4, 4)
         np.testing.assert_array_equal(out.mask(), np.arange(n) < np.array(self.LENGTHS)[:, None])
         for b, x in enumerate(xs):
-            alone = encode([Tensor(x)], fwd, bwd)
+            alone = encode(Tensor(x), [len(x)], fwd, bwd)
             rows = out.states.data[b * n:b * n + len(x)]
             np.testing.assert_allclose(rows, alone.states.data, rtol=0, atol=1e-14)
             np.testing.assert_allclose(out.last_backward.data[b], alone.last_backward.data[0],
@@ -183,7 +193,7 @@ class TestBatchedEncode:
 
         params = [*vars(fwd).values(), *vars(bwd).values()]
         xt = [Tensor(x, requires_grad=True) for x in xs]
-        out = encode(xt, fwd, bwd)
+        out = encode(ad.concat(xt), self.LENGTHS, fwd, bwd)
         n = max(self.LENGTHS)
         total = ad.sum_(ad.tanh(out.last_backward))
         for b, x in enumerate(xs):
@@ -194,7 +204,7 @@ class TestBatchedEncode:
             t.grad = None
         singles = [Tensor(x, requires_grad=True) for x in xs]
         for x in singles:
-            alone = encode([x], fwd, bwd)
+            alone = encode(x, [x.shape[0]], fwd, bwd)
             ad.add(loss(alone.states, x.shape[0]), ad.sum_(ad.tanh(alone.last_backward))).backward()
         for got, want in zip(batched, [t.grad for t in singles + params]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -203,9 +213,10 @@ class TestBatchedEncode:
         fwd, bwd, xs = self._setup(13)
         rng = np.random.default_rng(14)
         keep = [ad.dropout_keep(rng, (len(x), 8), 0.5) for x in xs]
-        out = encode([Tensor(x) for x in xs], fwd, bwd, output_keep=np.concatenate(keep))
+        out = encode(Tensor(np.concatenate(xs)), self.LENGTHS, fwd, bwd,
+                     output_keep=np.concatenate(keep))
         n = max(self.LENGTHS)
         for b, x in enumerate(xs):
-            alone = encode([Tensor(x)], fwd, bwd, output_keep=keep[b])
+            alone = encode(Tensor(x), [len(x)], fwd, bwd, output_keep=keep[b])
             np.testing.assert_allclose(out.states.data[b * n:b * n + len(x)], alone.states.data,
                                        rtol=0, atol=1e-14)

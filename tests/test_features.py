@@ -33,14 +33,14 @@ def setup():
 class TestWidths:
     def test_encoder_width_is_configured_sum(self, setup):
         ex, cfg, _, embedder, _ = setup
-        out = embedder.append_clue_slot(embedder.embed_passage(ex),
+        out = embedder.append_clue_slot(embedder.embed_passage([ex]),
                                         Tensor(np.eye(2)[np.zeros(len(ex.passage), dtype=int)]))
         assert out.shape == (len(ex.passage), encoder_input_width(cfg))
         assert encoder_input_width(cfg) == cfg.word_dim + 8 * cfg.feat_dim + cfg.tier_dim
 
     def test_clue_variant_omits_clue_slot(self, setup):
         ex, cfg, _, embedder, _ = setup
-        out = embedder.embed_passage(ex)
+        out = embedder.embed_passage([ex])
         assert out.shape == (len(ex.passage), clue_input_width(cfg))
         assert encoder_input_width(cfg) - clue_input_width(cfg) == cfg.feat_dim
 
@@ -48,7 +48,7 @@ class TestWidths:
 class TestMasking:
     def test_low_freq_tokens_share_word_slot(self, setup):
         ex, cfg, vocab, embedder, params = setup
-        out = embedder.embed_passage(ex).data
+        out = embedder.embed_passage([ex]).data
         # rare3/rare4 rank beyond r_l=4 -> tier L -> shared <l> word row
         i, j = 15, 16
         assert vocab.rank_of(ex.passage[i].text) > cfg.r_l
@@ -59,13 +59,13 @@ class TestMasking:
 
     def test_high_freq_token_uses_own_row(self, setup):
         ex, cfg, vocab, embedder, params = setup
-        out = embedder.embed_passage(ex).data
+        out = embedder.embed_passage([ex]).data
         row = params["embed.word"].data[vocab.id_of("common")]
         np.testing.assert_array_equal(out[0, :cfg.word_dim], row)
 
     def test_mask_reduces_distinct_gradient_rows(self, setup):
         ex, cfg, vocab, embedder, params = setup
-        sum_(embedder.embed_passage(ex)).backward()
+        sum_(embedder.embed_passage([ex])).backward()
         touched = {int(i) for i in np.nonzero(np.abs(params["embed.word"].grad).sum(axis=1))[0]}
         non_low = {vocab.id_of(t.text) for t in ex.passage
                    if vocab.rank_of(t.text) is not None and vocab.rank_of(t.text) <= cfg.r_l}
@@ -74,7 +74,7 @@ class TestMasking:
     def test_clue_toggle_changes_only_last_slot(self, setup):
         ex, cfg, _, embedder, _ = setup
         n = len(ex.passage)
-        shared = embedder.embed_passage(ex)
+        shared = embedder.embed_passage([ex])
         off = embedder.append_clue_slot(shared, Tensor(np.eye(2)[np.zeros(n, dtype=int)])).data
         flags = np.zeros(n, dtype=int)
         flags[3] = 1
@@ -109,12 +109,22 @@ class TestWordTable:
             init_word_table(vocab, rng_stream(4, "init"), cfg.word_dim, path)
 
 
+class TestBatch:
+    def test_batch_rows_are_each_passage_stacked(self, setup):
+        ex, _, _, embedder, _ = setup
+        short = chain_example(["common", "rare1", "17"], answer_span=(1, 2))
+        one = chain_example(["rare7"])
+        batch = [short, ex, one, short]
+        stacked = np.concatenate([embedder.embed_passage([e]).data for e in batch])
+        np.testing.assert_array_equal(embedder.embed_passage(batch).data, stacked)
+
+
 class TestTags:
     def test_unseen_tag_maps_to_unk_row(self, setup):
         ex, cfg, _, embedder, params = setup
         stranger = chain_example(["common"], question=("q", "?"))
         stranger.passage[0].pos = "XKCD"
-        out = embedder.embed_passage(stranger).data
+        out = embedder.embed_passage([stranger]).data
         unk_row = params["embed.pos"].data[-1]
         pos_slot = slice(cfg.word_dim + cfg.feat_dim, cfg.word_dim + 2 * cfg.feat_dim)
         np.testing.assert_array_equal(out[0, pos_slot], unk_row)

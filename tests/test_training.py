@@ -68,7 +68,7 @@ class TestLossOracles:
                 gen[t, ex.question_target_id[t]] = 1.0
                 copy[t] = 1.0 / n
         fwd = SimpleNamespace(
-            clues=[SimpleNamespace(probs=Tensor(clue_probs))],
+            clue=SimpleNamespace(probs=Tensor(clue_probs)),
             decoder=ExtendedDistribution(gen=Tensor(gen), copy=Tensor(copy), gate=Tensor(gate)))
         bd = losses_from_forward(model.config, fwd, [ex])
         assert bd.loss_clue.item() == 0.0
@@ -81,9 +81,9 @@ class TestLossOracles:
         model, labeled = build_tiny_model()
         ex = labeled[0]
         noise = gumbel_noise(rng_stream(5, "gumbel"), (len(ex.base.passage), 2))
-        fwd = model.forward([ex], mode="train", gumbel_noise=[noise])
+        fwd = model.forward([ex], mode="train", gumbel_noise=noise)
         bd = losses_from_forward(model.config, fwd, [ex])
-        probs, dist = fwd.clues[0].probs, fwd.decoder
+        probs, dist = fwd.clue.probs, fwd.decoder
 
         n = len(ex.base.passage)
         clue = 0.0
@@ -109,8 +109,9 @@ class TestLossOracles:
 
 
 class TestOnePassagePass:
-    """Each example's passage is embedded and its tree built once; the
-    encoder reads the clue predictor's input with the clue slot appended."""
+    """A batch's passages are embedded, their trees built and the clue GCN
+    run once, over the stacked tokens; the encoder reads the clue
+    predictor's input with the clue slot appended."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -126,22 +127,32 @@ class TestOnePassagePass:
 
     @pytest.mark.parametrize("clue_source", ["predicted", "gold"])
     def test_forward_embeds_once(self, calls, clue_source):
-        """`clue_source="gold"`: Gumbel noise that samples the gold clue labels."""
+        """A batch of one and a batch of three.  `clue_source="gold"`: Gumbel
+        noise that samples the gold clue labels."""
         model, labeled = build_tiny_model()
-        model.forward([labeled[0]], mode="train", gumbel_rng=rng_stream(0, "gumbel"),
-                      gumbel_noise=gold_clue_noise(labeled[:1]) if clue_source == "gold" else None)
-        assert len(calls["embed_passage"]) == 1
-        assert len(calls["build_adjacency"]) == 1
-        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0][0]
-        assert encoder_input._op == "concat" and encoder_input._parents[0] is clue_input
-        assert encoder_input.shape[1] == clue_input.shape[1] + model.config.feat_dim
+        for picks in ([0], [1, 0, 1]):
+            calls.clear()
+            batch = [labeled[i] for i in picks]
+            model.forward(batch, mode="train", gumbel_rng=rng_stream(0, "gumbel"),
+                          gumbel_noise=gold_clue_noise(batch) if clue_source == "gold" else None)
+            assert len(calls["embed_passage"]) == 1
+            assert len(calls["build_adjacency"]) == 1
+            assert len(calls["run_clue_predictor"]) == 1
+            lengths = [len(ex.base.passage) for ex in batch]
+            assert [len(ex.passage) for ex in calls["embed_passage"][0][1]] == lengths
+            clue_input, (encoder_input, encoded_lengths) = (calls["run_clue_predictor"][0][0],
+                                                            calls["encode"][0][:2])
+            assert list(encoded_lengths) == lengths
+            assert clue_input.shape[0] == sum(lengths)
+            assert encoder_input._op == "concat" and encoder_input._parents[0] is clue_input
+            assert encoder_input.shape[1] == clue_input.shape[1] + model.config.feat_dim
 
     def test_generate_embeds_once(self, calls):
         model, labeled = build_tiny_model()
         qgen.beam.generate(model, labeled[0].base, beam_width=3, max_len=4)
         assert len(calls["embed_passage"]) == 1
         assert len(calls["build_adjacency"]) == 1
-        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0][0]
+        clue_input, encoder_input = calls["run_clue_predictor"][0][0], calls["encode"][0][0]
         width = clue_input.shape[1]
         assert encoder_input.shape[1] == width + model.config.feat_dim
         np.testing.assert_array_equal(encoder_input.data[:, :width], clue_input.data)
