@@ -14,9 +14,11 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
 import zipfile
 import zlib
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,8 +77,8 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._seq = next(_SEQ)
-        # (g, x) rows of `linear` uses not yet summed into grad, by column
-        # range; see `_flush_outer`
+        # (g, x) rows of `linear` and `gru_cell` uses not yet summed into
+        # grad, by column range; see `_flush_outer`
         self._outer: Optional[dict] = None
 
     @property
@@ -112,8 +114,15 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
+    def _defer_outer(self, cols: tuple[int, int], g: np.ndarray, x: np.ndarray) -> None:
+        """Hold a product's (g, x) rows for its weight columns `cols` until
+        `_flush_outer`."""
+        if self._outer is None:
+            self._outer = {}
+        self._outer.setdefault(cols, []).append((g, x))
+
     def _flush_outer(self) -> None:
-        """Add every deferred `linear` contribution sum_i g_i.T @ x_i to its
+        """Add every deferred contribution sum_i g_i.T @ x_i to its
         columns, one product of the stacked rows per column range."""
         outer, self._outer = self._outer, None
         for (lo, hi), rows in outer.items():
@@ -135,7 +144,7 @@ class Tensor:
 
         Every consumer of a tensor has a larger `_seq` than the tensor, so
         when the walk reaches it all of its consumers have run and the
-        weight-gradient rows `linear` deferred to it are complete.
+        weight-gradient rows deferred to it are complete.
         """
         if self.data.size != 1:
             raise TensorError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -320,11 +329,101 @@ def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tens
         if x.requires_grad:
             x._accumulate(g @ (w.data if full else w.data[:, lo:hi]))
         if w.requires_grad:
-            if w._outer is None:
-                w._outer = {}
-            w._outer.setdefault((lo, hi), []).append((g, x.data))
+            w._defer_outer((lo, hi), g, x.data)
 
     return _node(x.data @ (w.data if full else w.data[:, lo:hi]).T, (x, w), "linear", bw)
+
+
+def gru_cell(gates: Sequence[Tensor], weights: Sequence[Tensor], h_prev: Tensor,
+             context: Optional[Tensor] = None, rows: Optional[slice] = None) -> Tensor:
+    """One GRU step over (m, hidden) state rows, as one graph node.
+
+        z  = sigmoid(x_z + [c; h] W_z'),   r = sigmoid(x_r + [c; h] W_r')
+        h~ = tanh(x_h + [c; r h] W_h'),    h' = (1 - z) h + z h~
+
+    `weights` are (W_z, W_r, W_h), (hidden, k) each; W' is a weight's last
+    columns, as many as [c; h] is wide, and the context c is optional.
+    `gates` are x_z, x_r and x_h, the pre-activation shares of the weights'
+    first columns: rows `rows` of each, or whole tensors that broadcast
+    against the state, such as the three biases when c is the whole input.
+
+    The forward values are those of the graph of `linear(..., cols)`, `add`,
+    `sigmoid`, `tanh`, `mul` and `sub` nodes, and backward adds gradients
+    in that graph's reverse-walk order, with the weights' (g, x) rows
+    deferred under the same column ranges, so both are bit-identical to it.
+    """
+    parents = _operands((*gates, *weights, h_prev) + (() if context is None else (context,)))
+    gates, (w_z, w_r, w_h), h_prev = parents[:3], parents[3:6], parents[6]
+    context = parents[7] if context is not None else None
+    hidden, width = h_prev.shape[-1], w_z.shape[-1]
+    c = 0 if context is None else context.shape[-1]
+    lo = width - c - hidden
+    if (h_prev.ndim != 2 or lo < 0 or any(w.shape != (hidden, width) for w in (w_z, w_r, w_h))
+            or (context is not None and context.shape != (len(h_prev.data), c))):
+        raise TensorError(f"gru_cell: state {h_prev.shape}, context "
+                          f"{getattr(context, 'shape', None)} and weights {w_z.shape} do not match")
+    cols = (lo, width)
+    xz, xr, xh = (x.data if rows is None else x.data[rows] for x in gates)
+    h = h_prev.data
+
+    def stacked(s):   # [c; s], the input of the weights' last columns
+        return s if context is None else np.concatenate([context.data, s], axis=-1)
+
+    def block(w):
+        return w.data if lo == 0 else w.data[:, lo:]
+
+    zr_in = stacked(h)
+    z = _sigmoid(xz + zr_in @ block(w_z).T)
+    r = _sigmoid(xr + zr_in @ block(w_r).T)
+    cand_in = stacked(r * h)
+    h_cand = np.tanh(xh + cand_in @ block(w_h).T)
+    omz = 1.0 - z
+
+    def to_input(x: Tensor, g: np.ndarray) -> None:
+        if x.requires_grad:
+            if rows is None:
+                x._accumulate(_unbroadcast(g, x.shape))
+            else:
+                x._grad_buffer()[rows] += g
+
+    c_grad = context is not None and context.requires_grad
+
+    def unstack(g):   # the gradient of [c; s]: c's share to the context, s's returned
+        if c_grad:
+            context._accumulate(g[:, :c])
+        return g[:, c:]
+
+    def bw(g):
+        # the nodes of the unfused graph, last created first
+        dz = g * h_cand                        # z h~
+        d_cand = g * z
+        if h_prev.requires_grad:               # (1 - z) h
+            h_prev._accumulate(g * omz)
+        dz -= g * h                            # 1 - z
+        d_cand *= 1.0 - h_cand * h_cand        # tanh
+        to_input(gates[2], d_cand)
+        if w_h.requires_grad:
+            w_h._defer_outer(cols, d_cand, cand_in)
+        d_rh = unstack(d_cand @ block(w_h))    # [c; r h] W_h'
+        if h_prev.requires_grad:               # r h
+            h_prev._accumulate(d_rh * r)
+        dr = d_rh * h * r * (1.0 - r)          # sigmoid
+        dz = dz * z * (1.0 - z)
+        for x, d, w in ((gates[1], dr, w_r), (gates[0], dz, w_z)):
+            to_input(x, d)
+            if w.requires_grad:
+                w._defer_outer(cols, d, zr_in)
+        if h_prev.requires_grad or c_grad:     # [c; h] W_r', then [c; h] W_z'
+            d_r, d_z = dr @ block(w_r), dz @ block(w_z)
+            if context is None:                # each product's own share of h
+                h_prev._accumulate(d_r)
+                h_prev._accumulate(d_z)
+            else:                              # summed in [c; h] before it splits
+                d_h = unstack(d_r + d_z)
+                if h_prev.requires_grad:
+                    h_prev._accumulate(d_h)
+
+    return _node(omz * h + z * h_cand, parents, "gru_cell", bw)
 
 
 def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) -> Tensor:
@@ -419,12 +518,15 @@ def tanh(a) -> Tensor:
     return _node(y, (a,), "tanh", bw)
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|) <= 1: no overflow
     e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a) -> Tensor:
+    a = _as_tensor(a)
+    y = _sigmoid(a.data)
 
     def bw(g):
         if a.requires_grad:
@@ -615,6 +717,19 @@ def dropout(a: Tensor, keep: Optional[np.ndarray]) -> Tensor:
 CHECKPOINT_FORMAT_VERSION = 1
 
 
+@contextmanager
+def replaced_on_success(path):
+    """A temporary path next to `path` that replaces it only when the block
+    completes; on failure it is deleted and `path` is left as it was."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 class ParamStore:
     """Named trainable tensors of one dtype, with lossless checkpoint round-trips."""
 
@@ -673,10 +788,11 @@ class ParamStore:
     def save(self, path, meta: Optional[dict] = None,
              arrays: Optional[dict[str, np.ndarray]] = None) -> None:
         """Write an .npz-style zip: one .npy per parameter, its data or
-        `arrays[name]` in its place, plus a JSON meta entry."""
+        `arrays[name]` in its place, plus a JSON meta entry.  An interrupted
+        save leaves an earlier file at `path` as it was."""
         header = dict(meta or {})
         header["format_version"] = CHECKPOINT_FORMAT_VERSION
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        with replaced_on_success(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED) as zf:
             zf.writestr("meta.json", json.dumps(header, sort_keys=True))
             for name, t in self._params.items():
                 buf = io.BytesIO()

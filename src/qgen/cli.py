@@ -11,7 +11,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .autodiff import CheckpointError, no_grad
+from .autodiff import CheckpointError, no_grad, replaced_on_success
 from .beam import generate as beam_generate
 from .config import ConfigError, ModelConfig, check_positive_int
 from .corpus import IngestError, build_vocabulary, load_corpus, stopword_set, write_corpus
@@ -159,14 +159,8 @@ def _replaced_on_success(path):
     if path is None:
         yield None
         return
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replaced_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _cmd_generate(args) -> int:

@@ -120,7 +120,8 @@ def _parse_example(obj: dict, require_question: bool = True) -> AnnotatedExample
     passage = [_parse_token(t, i) for i, t in enumerate(raw_passage)]
     validate_tree([t.head for t in passage])
     span = obj["answer_span"]
-    if not (isinstance(span, list) and len(span) == 2 and all(isinstance(v, int) for v in span)):
+    if not (isinstance(span, list) and len(span) == 2) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in span):
         raise ValueError("answer_span must be [start, end]")
     start, end = span
     if not 0 <= start <= end < len(passage):

@@ -139,14 +139,16 @@ def output_head(w_prev: Tensor, state: DecoderState, p: DecoderParams,
 
 
 def recurrent_step(inputs: list[Tensor], context: Tensor, s_prev: Tensor, enc_states: Tensor,
-                   keys: Tensor, p: DecoderParams, mask: np.ndarray | None = None) -> DecoderState:
+                   keys: Tensor, p: DecoderParams, mask: np.ndarray | None = None,
+                   rows: slice | None = None) -> DecoderState:
     """GRU over [w_prev; c_prev], then attention; `mask` as in `attention`.
 
-    `inputs` and `context` split the GRU input as `gru_step` takes it: the
-    word's `gru_inputs` and c_prev when the word's share is computed ahead
-    for every step, or the biases and all of [w_prev; c_prev].
+    `inputs`, `context` and `rows` split the GRU input as `gru_step` takes
+    it: the rows of this step in every step's `gru_inputs` and c_prev when
+    the word's share is computed ahead, or the biases and all of [w_prev;
+    c_prev].
     """
-    s_t = gru_step(inputs, s_prev, p.gru, context=context)
+    s_t = gru_step(inputs, s_prev, p.gru, context=context, rows=rows)
     alpha, context, _ = attention(s_t, enc_states, keys, p, mask)
     return DecoderState(s=s_t, c=context, alpha=alpha)
 
@@ -199,8 +201,8 @@ def teacher_forced_unroll(
     c = Tensor(np.zeros((batch, enc.states.shape[1]), enc.states.data.dtype))
     rows: list[DecoderState] = []
     for i in range(len(t)):
-        state = recurrent_step([g[i * batch:(i + 1) * batch] for g in inputs], c, s,
-                               enc.states, keys, p, mask)
+        state = recurrent_step(inputs, c, s, enc.states, keys, p, mask,
+                               rows=slice(i * batch, (i + 1) * batch))
         rows.append(state)
         s, c = state.s, state.c
     # step-major row t * B + b of every step, in example-major order

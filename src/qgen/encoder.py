@@ -46,29 +46,18 @@ def gru_inputs(x: Tensor, p: GruCellParams) -> list[Tensor]:
 
 
 def gru_step(inputs: list[Tensor], h_prev: Tensor, p: GruCellParams,
-             context: Tensor | None = None) -> Tensor:
-    """Standard GRU update, reset gate applied to h before the candidate.
+             context: Tensor | None = None, rows: slice | None = None) -> Tensor:
+    """Standard GRU update, reset gate applied to h before the candidate:
+    one `ad.gru_cell` node.
 
     `inputs` are the z, r and candidate pre-activation shares of the
-    weights' first columns, bias included (`gru_inputs`); the remaining
-    columns act on [context; h], context optional.  When `context` is the
-    whole step input, `inputs` are the three biases alone.  h_prev is (m,
-    hidden): m states stacked as rows.
+    weights' first columns, bias included (`gru_inputs`), or their rows
+    `rows` when they hold every step's; the remaining columns act on
+    [context; h], context optional.  When `context` is the whole step
+    input, `inputs` are the three biases alone.  h_prev is (m, hidden): m
+    states stacked as rows.
     """
-    xz, xr, xh = inputs
-
-    def recurrent(h):
-        return h if context is None else ad.concat([context, h], axis=-1)
-
-    def columns(w, x):
-        return w.shape[1] - x.shape[-1], w.shape[1]
-
-    zr_in = recurrent(h_prev)
-    z = ad.sigmoid(ad.add(xz, ad.linear(zr_in, p.w_z, columns(p.w_z, zr_in))))
-    r = ad.sigmoid(ad.add(xr, ad.linear(zr_in, p.w_r, columns(p.w_r, zr_in))))
-    cand_in = recurrent(ad.mul(r, h_prev))
-    h_cand = ad.tanh(ad.add(xh, ad.linear(cand_in, p.w_h, columns(p.w_h, cand_in))))
-    return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
+    return ad.gru_cell(inputs, (p.w_z, p.w_r, p.w_h), h_prev, context, rows)
 
 
 @dataclass
@@ -94,7 +83,7 @@ def _direction(gates: list[Tensor], positions: np.ndarray, p: GruCellParams) -> 
     h = Tensor(np.zeros((batch, hidden), gates[0].data.dtype))
     states = []
     for i in range(n):
-        h = gru_step([g[i * batch:(i + 1) * batch] for g in gates], h, p)
+        h = gru_step(gates, h, p, rows=slice(i * batch, (i + 1) * batch))
         states.append(h)
     return ad.concat(states)
 

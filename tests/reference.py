@@ -7,6 +7,9 @@ whole step (GRU, attention, readout, maxout, dropout, softmax, copy gate)
 once per question token, and the losses add a few nodes per step.
 Dropout multipliers and Gumbel noise are drawn where the computation
 reaches them.
+
+`gru_step_unfused` is the GRU step as the graph of small nodes that the
+one-node `ad.gru_cell` must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -35,6 +38,27 @@ def gru_cell(x, h_prev, p):
     r = ad.sigmoid(ad.add(ad.linear(xh, p.w_r), p.b_r))
     xrh = ad.concat([x, ad.mul(r, h_prev)], axis=-1)
     h_cand = ad.tanh(ad.add(ad.linear(xrh, p.w_h), p.b_h))
+    return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
+
+
+def gru_step_unfused(inputs, h_prev, p, context=None):
+    """`encoder.gru_step` node by node: the three products of the weights'
+    last columns over [context; h] and the gate arithmetic are each their
+    own `linear(..., cols)`, `add`, `sigmoid`, `tanh`, `mul` or `sub` node;
+    `inputs` are the z, r and candidate shares of this step."""
+    xz, xr, xh = inputs
+
+    def recurrent(h):
+        return h if context is None else ad.concat([context, h], axis=-1)
+
+    def columns(w, x):
+        return w.shape[1] - x.shape[-1], w.shape[1]
+
+    zr_in = recurrent(h_prev)
+    z = ad.sigmoid(ad.add(xz, ad.linear(zr_in, p.w_z, columns(p.w_z, zr_in))))
+    r = ad.sigmoid(ad.add(xr, ad.linear(zr_in, p.w_r, columns(p.w_r, zr_in))))
+    cand_in = recurrent(ad.mul(r, h_prev))
+    h_cand = ad.tanh(ad.add(xh, ad.linear(cand_in, p.w_h, columns(p.w_h, cand_in))))
     return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 

@@ -601,6 +601,22 @@ class TestParamStore:
         with pytest.raises(CheckpointError, match="missing"):
             other.load_arrays(arrays)
 
+    def test_interrupted_save_keeps_the_earlier_checkpoint(self, tmp_path):
+        store = ParamStore()
+        store.add("a", np.arange(3.0))
+        store.add("b", np.ones((2, 2)))
+        path = tmp_path / "model.npz"
+        store.save(path, {"step": 1})
+        before = path.read_bytes()
+        # "b" is missing: the save fails after "a" is written
+        with pytest.raises(KeyError, match="'b'"):
+            store.save(path, {"step": 2}, arrays={"a": np.zeros(3)})
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        assert path.read_bytes() == before
+        store.save(path, {"step": 3})
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        assert ParamStore.read(path)[1]["step"] == 3
+
     def test_zero_grad(self):
         store = ParamStore()
         w = store.add("w", np.ones(2))

@@ -108,6 +108,19 @@ class TestIngestAndStats:
         assert code == 1
         assert "IngestError" in err
 
+    def test_boolean_answer_span_is_reported_as_json(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        main(["make-toy-data", "--n", "2", "--seed", "0", "--out", str(data)])
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        records[1]["answer_span"] = [False, True]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "ingest", "--data", str(data))
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "IngestError"
+        assert "line 2" in report["message"] and "answer_span" in report["message"]
+
     def test_stats_summary_and_csvs(self, data, tmp_path, capsys):
         out_dir = tmp_path / "stats"
         code, out, _ = run_cli(capsys, "stats", "--data", str(data), "--set", "r_h=5",

@@ -74,6 +74,14 @@ class TestLoadCorpus:
         with pytest.raises(IngestError, match=r"line 2.*answer_span"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("span", [[False, True], [0, True], [0.0, 1], "0 1", [0]])
+    def test_answer_span_of_non_integers_rejected(self, tmp_path, span):
+        rec = _record("b1")
+        rec["answer_span"] = span
+        path = _write(tmp_path, [rec])
+        with pytest.raises(IngestError, match=r"b1.*answer_span must be \[start, end\]"):
+            load_corpus(path)
+
     @pytest.mark.parametrize("line", [
         "5", "null", "[]", json.dumps("id passage_tokens answer_span question_tokens")])
     def test_record_that_is_not_an_object_names_its_line(self, tmp_path, line):

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ import qgen.model
 from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.clue_predictor import gumbel_noise
 from qgen.config import rng_stream
-from qgen.corpus import build_vocabulary, stopword_set
+from qgen.corpus import EOS, build_vocabulary, stopword_set
 from qgen.decoder import ExtendedDistribution
 from qgen.features import FeatureEmbedder, FeatureVocab
 from qgen.labeling import label_corpus
@@ -26,7 +27,7 @@ from qgen.training import (
     train,
 )
 
-from conftest import gold_clue_noise, micro_corpus, tiny_config, toy_config
+from conftest import chain_example, gold_clue_noise, micro_corpus, tiny_config, toy_config
 
 
 def build_tiny_model(seed=11, **overrides):
@@ -376,6 +377,42 @@ class TestTrainLoop:
         assert all(r.dev_total is not None for r in result.log)
 
 
+class TestOneTokenPassage:
+    """A passage of one token runs the encoder's GRU one step per direction:
+    it trains, and the trained model generates for it with and without a
+    question."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        cfg = tiny_config(epochs=1, batch=1)
+        example = chain_example(["Paris"], question=("where", "?"))
+        return train([example], cfg), example
+
+    def test_trains_one_step(self, trained):
+        result, _ = trained
+        model = result.model
+        assert len(result.log) == 1 and math.isfinite(result.log[0].total)
+        fresh = QgModel.build(model.config, model.vocab, model.reduced, model.features,
+                              rng_stream(model.config.seed, "init"))
+        for prefix in ("enc.fwd", "enc.bwd", "dec.gru"):
+            for name in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
+                key = f"{prefix}.{name}"
+                moved = not np.array_equal(model.params[key].data, fresh.params[key].data)
+                # the encoder's one step resets a zero state: its reset gate has
+                # no gradient, and Adam leaves it as it was
+                assert moved == (prefix == "dec.gru" or name[-1] != "r"), key
+
+    @pytest.mark.parametrize("question", [["where", "?"], []])
+    def test_generates(self, trained, question):
+        result, example = trained
+        max_len = 5
+        hyps = qgen.beam.generate(result.model, replace(example, question=question), 3, max_len)
+        assert hyps
+        for hyp in hyps:
+            assert hyp.tokens[-1] == EOS or len(hyp.tokens) == max_len
+            assert math.isfinite(hyp.log_prob)
+
+
 class TestFloat32:
     def test_tracks_float64_losses_and_round_trips(self, tmp_path):
         corpus = make_toy_data(8, seed=1)
@@ -419,7 +456,7 @@ class TestFloat32:
                 if id(p) not in seen:
                     seen.add(id(p))
                     stack.append(p)
-        assert {"dropout", "st_discretize", "attention_scores", "linear"} <= ops
+        assert {"dropout", "st_discretize", "attention_scores", "linear", "gru_cell"} <= ops
         loss.backward()
         for name, t in model.params.items():
             assert t.grad is None or t.grad.dtype == np.float32, name
