@@ -345,7 +345,7 @@ def gru_cell(gates: Sequence[Tensor], weights: Sequence[Tensor], h_prev: Tensor,
     columns, as many as [c; h] is wide, and the context c is optional.
     `gates` are x_z, x_r and x_h, the pre-activation shares of the weights'
     first columns: rows `rows` of each, or whole tensors that broadcast
-    against the state, such as the three biases when c is the whole input.
+    against the state, such as a beam step's (m, hidden) shares.
 
     The forward values are those of the graph of `linear(..., cols)`, `add`,
     `sigmoid`, `tanh`, `mul` and `sub` nodes, and backward adds gradients

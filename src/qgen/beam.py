@@ -3,11 +3,13 @@
 At every step the generation and copy paths are merged per surface token
 (probabilities of identical strings summed) before pruning; hypotheses are
 ranked by length-normalized log-probability and finish on <EOS>.  One decoder
-step advances every live hypothesis, their states stacked as rows.
+step advances every live hypothesis; their states and attention weights are
+stacked as rows.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,7 @@ from . import autodiff as ad
 from .clue_predictor import ClueForward
 from .config import check_positive_int
 from .corpus import EOS, SOS, SPECIAL_TOKENS, AnnotatedExample
-from .decoder import ExtendedDistribution, attention_keys, decode_step, init_decoder
+from .decoder import ExtendedDistribution, decode_step, init_decoder, passage_memory
 from .encoder import encode
 from .model import QgModel
 from .training import PROB_FLOOR
@@ -40,17 +42,26 @@ class BeamHypothesis:
 class SurfaceTable:
     """The strings one decoder step can emit for a passage: the reduced
     vocabulary without <SOS>, and the passage words.  Columns are in string
-    order, so a stable sort by descending probability breaks ties by string."""
+    order, so a stable sort by descending probability breaks ties by string.
+    Only the passage words outside the vocabulary's strings are merged into
+    the model's `vocab_surfaces` per passage."""
 
     def __init__(self, model: QgModel, passage_texts: list[str]):
-        vocab = [model.reduced.token_of(i) for i in range(len(model.reduced))]
-        self.gen_ids = np.array([i for i, token in enumerate(vocab) if token != SOS])
-        sources = [vocab[i] for i in self.gen_ids] + passage_texts
-        self.tokens = sorted(set(sources))
-        column = {token: j for j, token in enumerate(self.tokens)}
-        self.columns = np.array([column[t] for t in sources])
-        self.eos = column[EOS]
-        self.word_rows = np.array([model.embedder.decoder_word_row_id(t) for t in self.tokens])
+        vocab = model.vocab_surfaces
+        new = sorted(set(passage_texts).difference(vocab.column))
+        self.tokens = list(heapq.merge(vocab.tokens, new))
+        fresh = set(new)
+        is_new = np.array([t in fresh for t in self.tokens], dtype=bool)
+        moved, new_columns = np.flatnonzero(~is_new), np.flatnonzero(is_new)
+        column = dict(zip(new, new_columns.tolist()))
+        self.gen_ids = vocab.gen_ids
+        self.columns = np.concatenate([moved[vocab.gen_columns], np.array(
+            [column[t] if t in column else moved[vocab.column[t]] for t in passage_texts],
+            dtype=np.int64)])
+        self.eos = int(moved[vocab.column[EOS]])
+        self.word_rows = np.empty(len(self.tokens), dtype=np.int64)
+        self.word_rows[moved] = vocab.word_rows
+        self.word_rows[new_columns] = [model.embedder.decoder_word_row_id(t) for t in new]
 
     def merge(self, dist: ExtendedDistribution) -> np.ndarray:
         """(K, surfaces) emission probabilities, one row per hypothesis.  Each
@@ -111,15 +122,15 @@ def generate(
             clue = model.predict_clues([example], rng=None, mode="eval")
         enc_features = model.embedder.append_clue_slot(clue.features, clue.weights)
         enc_out = encode(enc_features, [len(example.passage)], *model.encoder_params())
-        keys = attention_keys(enc_out.states, p)
+        memory = passage_memory(enc_out.states, p)
         s = init_decoder(enc_out.last_backward, p.w_init, p.b_init)
-        c = ad.Tensor(np.zeros((1, enc_out.states.shape[1]), enc_out.states.data.dtype))
+        alpha = ad.Tensor(np.zeros((1, len(example.passage)), enc_out.states.data.dtype))
         w_prev = ad.gather_rows(words, [SPECIAL_TOKENS.index(SOS)])
         live = [BeamHypothesis(tokens=[], log_prob=0.0, finished=False)]
         done: list[BeamHypothesis] = []
 
         while live and len(live[0].tokens) < max_len:   # live hypotheses share one length
-            state, dist = decode_step(w_prev, c, s, enc_out.states, keys, p)
+            s_t, dist = decode_step(w_prev, alpha, s, memory, p)
             probs = table.merge(dist)
             proposals = top_k(probs, beam_width)
             log_probs = (np.array([h.log_prob for h in live])[:, None] + np.log(
@@ -132,7 +143,7 @@ def generate(
             done += [h for h in hyps if h.finished]
             live = [h for h in hyps if not h.finished]
             going = cols != table.eos
-            s, c = ad.gather_rows(state.s, rows[going]), ad.gather_rows(state.c, rows[going])
+            s, alpha = ad.gather_rows(s_t, rows[going]), ad.gather_rows(dist.copy, rows[going])
             w_prev = ad.gather_rows(words, table.word_rows[cols[going]])
 
         return sorted(done + live, key=lambda h: -h.score)

@@ -69,13 +69,6 @@ class DecoderParams:
 
 
 @dataclass
-class DecoderState:
-    s: Tensor        # hidden state
-    c: Tensor        # attention context
-    alpha: Tensor    # attention weights over source positions
-
-
-@dataclass
 class ExtendedDistribution:
     """Per-step output distribution over reduced vocab and source positions.
 
@@ -99,21 +92,45 @@ def attention_keys(enc_states: Tensor, p: DecoderParams) -> Tensor:
     return ad.linear(enc_states, p.w_h)
 
 
-def attention(s_t: Tensor, enc_states: Tensor, keys: Tensor, p: DecoderParams,
-              mask: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Concatenated attention: scores, softmax weights, weighted context,
-    one row of each per row of the (m, dec_hidden) states s_t.
+@dataclass
+class PassageMemory:
+    """What every beam step reads of one passage's (n, enc_width) encoder
+    states H.  The context c = alpha H feeds only linear maps, so c W' =
+    alpha (H W'): the decoder's context columns are applied to H once per
+    passage, and a step multiplies its attention rows by these (n, ·)
+    tables instead of its context rows by the weights."""
 
-    Without `mask`, enc_states is one passage that every state row attends
-    to.  A (B, n) `mask` makes enc_states and keys B passages padded to n
-    rows each (`EncoderOutput`): state row b attends to the real positions
-    of passage b only.
+    keys: Tensor          # attention_keys(H)
+    gates: list[Tensor]   # H times the context columns of the GRU's W_z, W_r, W_h
+    readout: Tensor       # H W_rc^T, (n, 2 * dec_hidden)
+    copy_gate: Tensor     # H w_cc, (n,)
+
+
+def passage_memory(enc_states: Tensor, p: DecoderParams) -> PassageMemory:
+    """The context projections of one passage, computed once for every step."""
+    word = p.w_rw.shape[1]
+    cols = (word, word + enc_states.shape[1])
+    return PassageMemory(
+        keys=attention_keys(enc_states, p),
+        gates=[ad.linear(enc_states, w, cols) for w in (p.gru.w_z, p.gru.w_r, p.gru.w_h)],
+        readout=ad.linear(enc_states, p.w_rc),
+        copy_gate=ad.matmul(enc_states, p.w_cc),
+    )
+
+
+def attention(s_t: Tensor, keys: Tensor, p: DecoderParams,
+              mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Concatenated attention: softmax weights and scores over the source
+    positions, one row of each per row of the (m, dec_hidden) states s_t.
+
+    Without `mask`, keys are one passage's that every state row attends
+    to.  A (B, n) `mask` makes keys B passages padded to n rows each
+    (`EncoderOutput`): state row b attends to the real positions of
+    passage b only.
     """
     blocks = 1 if mask is None else len(mask)
     scores = ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v, blocks)
-    alpha = ad.softmax(scores, mask=mask)
-    context = ad.attention_context(alpha, enc_states)
-    return alpha, context, scores
+    return ad.softmax(scores, mask=mask), scores
 
 
 def pairwise_max(r: Tensor) -> Tensor:
@@ -123,51 +140,40 @@ def pairwise_max(r: Tensor) -> Tensor:
     return ad.maximum(r[..., 0::2], r[..., 1::2])
 
 
-def output_head(w_prev: Tensor, state: DecoderState, p: DecoderParams,
+def output_head(w_prev: Tensor, s: Tensor, alpha: Tensor, readout_context: Tensor,
+                gate_context: Tensor, p: DecoderParams,
                 maxout_keep: np.ndarray | None = None) -> ExtendedDistribution:
-    """The step outputs from its input word, state and context, row by row:
-    maxout readout, dropout, generation softmax and copy gate.  The next
-    step reads none of it, so a teacher-forced unroll runs it once over all
-    its steps."""
-    r_t = ad.add(ad.add(ad.linear(w_prev, p.w_rw), ad.linear(state.c, p.w_rc)),
-                 ad.linear(state.s, p.w_rs))
+    """The step outputs from its input word, state and attention, row by
+    row: maxout readout, dropout, generation softmax and copy gate.  The
+    context enters as its two terms, W_rc c (`readout_context`) and w_cc . c
+    (`gate_context`).  The next step reads none of it, so a teacher-forced
+    unroll runs it once over all its steps."""
+    r_t = ad.add(ad.add(ad.linear(w_prev, p.w_rw), readout_context), ad.linear(s, p.w_rs))
     m_t = ad.dropout(pairwise_max(r_t), maxout_keep)
     gen = ad.softmax(ad.linear(m_t, p.w_out))
-    gate = ad.sigmoid(ad.add(ad.add(ad.matmul(state.s, p.w_cs), ad.matmul(state.c, p.w_cc)),
-                             p.b_gate))
-    return ExtendedDistribution(gen=gen, copy=state.alpha, gate=gate)
-
-
-def recurrent_step(inputs: list[Tensor], context: Tensor, s_prev: Tensor, enc_states: Tensor,
-                   keys: Tensor, p: DecoderParams, mask: np.ndarray | None = None,
-                   rows: slice | None = None) -> DecoderState:
-    """GRU over [w_prev; c_prev], then attention; `mask` as in `attention`.
-
-    `inputs`, `context` and `rows` split the GRU input as `gru_step` takes
-    it: the rows of this step in every step's `gru_inputs` and c_prev when
-    the word's share is computed ahead, or the biases and all of [w_prev;
-    c_prev].
-    """
-    s_t = gru_step(inputs, s_prev, p.gru, context=context, rows=rows)
-    alpha, context, _ = attention(s_t, enc_states, keys, p, mask)
-    return DecoderState(s=s_t, c=context, alpha=alpha)
+    gate = ad.sigmoid(ad.add(ad.add(ad.matmul(s, p.w_cs), gate_context), p.b_gate))
+    return ExtendedDistribution(gen=gen, copy=alpha, gate=gate)
 
 
 def decode_step(
     w_prev: Tensor,
-    c_prev: Tensor,
+    alpha_prev: Tensor,
     s_prev: Tensor,
-    enc_states: Tensor,
-    keys: Tensor,
+    memory: PassageMemory,
     p: DecoderParams,
-) -> tuple[DecoderState, ExtendedDistribution]:
+) -> tuple[Tensor, ExtendedDistribution]:
     """One decoder step over one passage for K hypotheses, their `w_prev`,
-    `c_prev` and `s_prev` stacked as rows; every output has one row per
-    hypothesis.  `keys` is `attention_keys(enc_states, p)`."""
-    gru = p.gru
-    state = recurrent_step([gru.b_z, gru.b_r, gru.b_h], ad.concat([w_prev, c_prev], axis=-1),
-                           s_prev, enc_states, keys, p)
-    return state, output_head(w_prev, state, p)
+    `alpha_prev` (the previous step's attention, all zeros at the start,
+    where the context is zero) and `s_prev` stacked as rows: the new states
+    and the step's distribution, one row per hypothesis.  The context is
+    never formed: each of its terms is an attention row times a
+    `passage_memory` table."""
+    inputs = [ad.add(x, ad.matmul(alpha_prev, m))
+              for x, m in zip(gru_inputs(w_prev, p.gru), memory.gates)]
+    s_t = gru_step(inputs, s_prev, p.gru)
+    alpha, _ = attention(s_t, memory.keys, p)
+    return s_t, output_head(w_prev, s_t, alpha, ad.matmul(alpha, memory.readout),
+                            ad.matmul(alpha, memory.copy_gate), p)
 
 
 def teacher_forced_unroll(
@@ -181,10 +187,11 @@ def teacher_forced_unroll(
     `prev_ids[b]` of the word table, <SOS> and then its question, so it
     takes len(prev_ids[b]) steps, the last one predicting <EOS>.
 
-    The B examples advance together as rows of one recurrent step; each
-    attends to its own passage in `enc`.  The output head then runs once
-    over every example's steps, stacked example after example, which is
-    also the row order of `maxout_keep`.
+    The B examples advance together as rows of one recurrent step, a GRU
+    over [w_prev; c_prev] and then attention; each attends to its own
+    passage in `enc`.  The output head then runs once over every example's
+    steps, stacked example after example, which is also the row order of
+    `maxout_keep`.
     """
     steps = np.array([len(ids) for ids in prev_ids])
     batch = len(steps)
@@ -199,14 +206,14 @@ def teacher_forced_unroll(
     mask = enc.mask()
     s = init_decoder(enc.last_backward, p.w_init, p.b_init)
     c = Tensor(np.zeros((batch, enc.states.shape[1]), enc.states.data.dtype))
-    rows: list[DecoderState] = []
+    rows: list[tuple[Tensor, Tensor, Tensor]] = []   # (s, c, alpha) of each step
     for i in range(len(t)):
-        state = recurrent_step(inputs, c, s, enc.states, keys, p, mask,
-                               rows=slice(i * batch, (i + 1) * batch))
-        rows.append(state)
-        s, c = state.s, state.c
+        s = gru_step(inputs, s, p.gru, context=c, rows=slice(i * batch, (i + 1) * batch))
+        alpha, _ = attention(s, keys, p, mask)
+        c = ad.attention_context(alpha, enc.states)
+        rows.append((s, c, alpha))
     # step-major row t * B + b of every step, in example-major order
     order = np.concatenate([np.arange(n) * batch + b for b, n in enumerate(steps)])
-    stacked = DecoderState(*(ad.gather_rows(ad.concat([getattr(r, f) for r in rows]), order)
-                             for f in ("s", "c", "alpha")))
-    return output_head(w_prev, stacked, p, maxout_keep)
+    s, c, alpha = (ad.gather_rows(ad.concat(list(field)), order) for field in zip(*rows))
+    return output_head(w_prev, s, alpha, ad.linear(c, p.w_rc), ad.matmul(c, p.w_cc), p,
+                       maxout_keep)

@@ -53,9 +53,8 @@ def gru_step(inputs: list[Tensor], h_prev: Tensor, p: GruCellParams,
     `inputs` are the z, r and candidate pre-activation shares of the
     weights' first columns, bias included (`gru_inputs`), or their rows
     `rows` when they hold every step's; the remaining columns act on
-    [context; h], context optional.  When `context` is the whole step
-    input, `inputs` are the three biases alone.  h_prev is (m, hidden): m
-    states stacked as rows.
+    [context; h], context optional.  h_prev is (m, hidden): m states
+    stacked as rows.
     """
     return ad.gru_cell(inputs, (p.w_z, p.w_r, p.w_h), h_prev, context, rows)
 

@@ -4,6 +4,7 @@ around one parameter store, and handles checkpoint round-trips."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,20 @@ _META_TYPES = {"config": dict, "vocab_words": list, "reduced_words": list, "feat
 class ModelForward:
     clue: ClueForward               # every passage's tokens as rows, example after example
     decoder: ExtendedDistribution   # every example's steps as rows, example after example
+
+
+class VocabSurfaces:
+    """The strings the generation head can emit, the reduced vocabulary
+    without <SOS>: sorted and unique, with their decoder word rows.  This is
+    the half of every beam's surface table that no passage changes."""
+
+    def __init__(self, reduced: ReducedTargetVocab, embedder: FeatureEmbedder):
+        vocab = [reduced.token_of(i) for i in range(len(reduced))]
+        self.gen_ids = np.array([i for i, token in enumerate(vocab) if token != SOS])
+        self.tokens = sorted({vocab[i] for i in self.gen_ids})
+        self.column = {token: j for j, token in enumerate(self.tokens)}
+        self.gen_columns = np.array([self.column[vocab[i]] for i in self.gen_ids])
+        self.word_rows = np.array([embedder.decoder_word_row_id(t) for t in self.tokens])
 
 
 class QgModel:
@@ -89,6 +104,11 @@ class QgModel:
 
     def decoder_params(self) -> DecoderParams:
         return DecoderParams.from_store(self.params)
+
+    @cached_property
+    def vocab_surfaces(self) -> VocabSurfaces:
+        """Built on first use, once per model: its vocabularies never change."""
+        return VocabSurfaces(self.reduced, self.embedder)
 
     def predict_clues(self, examples: list[AnnotatedExample], rng: np.random.Generator | None,
                       mode: str = "eval", noise: np.ndarray | None = None) -> ClueForward:

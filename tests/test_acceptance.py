@@ -23,7 +23,7 @@ from qgen.clue_predictor import (
 )
 from qgen.config import ModelConfig, rng_stream
 from qgen.corpus import build_vocabulary, load_corpus, stopword_set
-from qgen.decoder import DecoderParams, attention_keys, decode_step
+from qgen.decoder import DecoderParams, decode_step, passage_memory
 from qgen.features import FeatureVocab
 from qgen.labeling import label_clue_words, label_copy_words, label_corpus
 from qgen.metrics import corpus_bleu, meteor, rouge_l
@@ -182,10 +182,10 @@ class TestCriterion3StructuralInvariants:
             n = int(rng.integers(1, 9))
             p = DecoderParams.create(ParamStore(), word_dim, enc_width, dec_hidden,
                                      attn, vocab_out, rng, scale=1.5)
-            w, c, s, enc = (
-                Tensor(rng.normal(size=(1, word_dim))), Tensor(rng.normal(size=(1, enc_width))),
+            w, alpha, s, enc = (
+                Tensor(rng.normal(size=(1, word_dim))), Tensor(rng.dirichlet(np.ones(n), 1)),
                 Tensor(rng.normal(size=(1, dec_hidden))), Tensor(rng.normal(size=(n, enc_width))))
-            state, dist = decode_step(w, c, s, enc, attention_keys(enc, p), p)
+            _, dist = decode_step(w, alpha, s, passage_memory(enc, p), p)
             assert abs(dist.copy.data.sum() - 1.0) <= 1e-9
             g = dist.gate.item()
             mixture = (1 - g) * dist.gen.data.sum() + g * dist.copy.data.sum()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qgen.autodiff as ad
 from qgen.autodiff import CheckpointError, ParamStore, Tensor, TensorError
-from qgen.decoder import DecoderParams, attention_keys, decode_step
+from qgen.decoder import DecoderParams, decode_step, passage_memory
 
 from conftest import assert_grads_match
 
@@ -543,26 +543,29 @@ class TestNoGrad:
         rng = np.random.default_rng(13)
         p = DecoderParams.create(ParamStore(), 3, 8, 4, 5, 6, rng)
         enc = Tensor(rng.normal(size=(5, 8)))
-        created = []
+        created, ops = [], []
         node = ad._node
 
-        def recording_node(*args):
-            out = node(*args)
+        def recording_node(data, parents, op, backward):
+            out = node(data, parents, op, backward)
             created.append(weakref.ref(out))
+            ops.append(op)
             return out
 
         monkeypatch.setattr(ad, "_node", recording_node)
         gc.disable()
         try:
             with ad.no_grad():
-                keys = attention_keys(enc, p)
+                memory = passage_memory(enc, p)
                 created.clear()
-                state, dist = decode_step(Tensor(rng.normal(size=(2, 3))), Tensor(np.zeros((2, 8))),
-                                          Tensor(rng.normal(size=(2, 4))), enc, keys, p)
-            assert len(created) > 20
-            returned = {id(t) for t in (*vars(state).values(), *vars(dist).values())}
+                ops.clear()
+                s_t, dist = decode_step(Tensor(rng.normal(size=(2, 3))), Tensor(np.zeros((2, 5))),
+                                        Tensor(rng.normal(size=(2, 4))), memory, p)
+            # the step ran: GRU, attention, readout and copy gate
+            assert {"gru_cell", "attention_scores", "softmax", "linear", "sigmoid"} <= set(ops)
+            returned = {id(t) for t in (s_t, *vars(dist).values())}
             assert {id(ref()) for ref in created if ref() is not None} <= returned
-            del state, dist
+            del s_t, dist
             assert all(ref() is None for ref in created)
         finally:
             gc.enable()

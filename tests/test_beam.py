@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import qgen.autodiff as ad
 from qgen.autodiff import Tensor, no_grad
-from qgen.beam import generate, top_k
+from qgen.beam import SurfaceTable, generate, top_k
 from qgen.config import ConfigError
 from qgen.corpus import EOS, SOS, SPECIAL_TOKENS, build_vocabulary, stopword_set
-from qgen.decoder import attention_keys, decode_step, init_decoder
+from qgen.decoder import init_decoder
 from qgen.encoder import encode
 from qgen.features import FeatureVocab
 from qgen.labeling import label_corpus
@@ -19,6 +19,7 @@ from qgen.model import QgModel
 from qgen.toydata import make_toy_data
 from qgen.training import PROB_FLOOR
 
+import reference
 from conftest import chain_example, tiny_config
 
 
@@ -43,6 +44,13 @@ def _start(model, enc, p):
     """One-row (s_0, zero context, <SOS> embedding) of one hypothesis."""
     s = init_decoder(enc.last_backward, p.w_init, p.b_init)
     return s, Tensor(np.zeros((1, enc.states.shape[1]))), _word(model, SOS)
+
+
+def _step(w_prev, c, s, enc, p):
+    """The one-row decoder step of the context c, as the one-example
+    reference pass takes it: (s, c, gen, copy, gate)."""
+    return reference.decode_step(w_prev, c, s, enc.states, ad.linear(enc.states, p.w_h), p,
+                                 "eval", 0.0, None)
 
 
 def _word(model, token):
@@ -83,13 +91,13 @@ class RefHypothesis:
 
 
 def reference_generate(model, example, beam_width, max_len):
-    """The per-hypothesis beam: one one-row decoder step and one dict merge
-    for every live hypothesis, ties broken by (-prob, token) then list order."""
+    """The per-hypothesis beam: one one-row decoder step of the context and
+    one dict merge for every live hypothesis, ties broken by (-prob, token)
+    then list order."""
     passage_texts = [t.text for t in example.passage]
     p = model.decoder_params()
     with no_grad():
         enc = _encode(model, example)
-        keys = attention_keys(enc.states, p)
         s, c, w_prev = _start(model, enc, p)
         beam = [RefHypothesis(tokens=[], log_prob=0.0, s=s, c=c, w_prev=w_prev, finished=False)]
         done = []
@@ -99,8 +107,8 @@ def reference_generate(model, example, beam_width, max_len):
                 break
             candidates = []
             for hyp in live:
-                state, dist = decode_step(hyp.w_prev, hyp.c, hyp.s, enc.states, keys, p)
-                merged = _surface_probs(dist, passage_texts, model.reduced)
+                step = _step(hyp.w_prev, hyp.c, hyp.s, enc, p)
+                merged = _surface_probs(step, passage_texts, model.reduced)
                 top = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width]
                 for token, prob in top:
                     lp = hyp.log_prob + math.log(max(prob, PROB_FLOOR))
@@ -109,7 +117,7 @@ def reference_generate(model, example, beam_width, max_len):
                             hyp, tokens=hyp.tokens + [token], log_prob=lp, finished=True))
                     else:
                         candidates.append(RefHypothesis(
-                            tokens=hyp.tokens + [token], log_prob=lp, s=state.s, c=state.c,
+                            tokens=hyp.tokens + [token], log_prob=lp, s=step.s, c=step.c,
                             w_prev=_word(model, token),
                             finished=False))
             candidates.sort(key=lambda h: -h.score)
@@ -126,17 +134,16 @@ def greedy_oracle(model, example, max_len):
     p = model.decoder_params()
     with no_grad():
         enc = _encode(model, example)
-        keys = attention_keys(enc.states, p)
         s, c, w_prev = _start(model, enc, p)
         tokens = []
         for _ in range(max_len):
-            state, dist = decode_step(w_prev, c, s, enc.states, keys, p)
-            merged = _surface_probs(dist, [t.text for t in example.passage], model.reduced)
+            step = _step(w_prev, c, s, enc, p)
+            merged = _surface_probs(step, [t.text for t in example.passage], model.reduced)
             token = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
             tokens.append(token)
             if token == EOS:
                 break
-            s, c = state.s, state.c
+            s, c = step.s, step.c
             w_prev = _word(model, token)
     return tokens
 
@@ -167,6 +174,36 @@ class TestAgainstReference:
         assert set(texts) & set(model.reduced.words)
         for ex in corpus[:3] + [repeating]:
             _assert_matches_reference(model, ex, beam_width, max_len)
+
+
+def _surface_table_from_scratch(model, passage_texts):
+    """(tokens, columns, eos, word_rows) with every string of the reduced
+    vocabulary and the passage sorted and looked up anew."""
+    vocab = [model.reduced.token_of(i) for i in range(len(model.reduced))]
+    sources = [t for t in vocab if t != SOS] + passage_texts
+    tokens = sorted(set(sources))
+    column = {token: j for j, token in enumerate(tokens)}
+    return (tokens, np.array([column[t] for t in sources]), column[EOS],
+            np.array([model.embedder.decoder_word_row_id(t) for t in tokens]))
+
+
+class TestSurfaceTable:
+    def test_equals_the_table_built_from_scratch(self, setup, tied_setup):
+        """Passage words inside and outside the reduced vocabulary, repeated,
+        sorting before, between and after its strings; two models with
+        different reduced vocabularies keep their own halves."""
+        model, corpus = setup
+        tied, _ = tied_setup
+        for m in (model, tied(0.0), model):
+            inside = sorted(set(m.reduced.words) - {SOS})
+            for passage in (corpus[0], corpus[5], _repeating_passage()):
+                texts = [t.text for t in passage.passage] + ["!", inside[1], "zzz", "!", EOS]
+                assert set(texts) - set(inside) and set(texts) & set(inside)
+                table = SurfaceTable(m, texts)
+                tokens, columns, eos, word_rows = _surface_table_from_scratch(m, texts)
+                assert table.tokens == tokens and table.eos == eos
+                for got, want in ((table.columns, columns), (table.word_rows, word_rows)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTopK:
@@ -220,8 +257,8 @@ class TestTiedSurfaces:
         with no_grad():
             enc = _encode(model, ex)
             s, c, w_prev = _start(model, enc, p)
-            _, dist = decode_step(w_prev, c, s, enc.states, attention_keys(enc.states, p), p)
-        values = sorted(_surface_probs(dist, [t.text for t in ex.passage],
+            first = _step(w_prev, c, s, enc, p)
+        values = sorted(_surface_probs(first, [t.text for t in ex.passage],
                                        model.reduced).values(), reverse=True)
         assert values[beam_width - 1] == values[beam_width]   # the first step's K-th place ties
         for ex in corpus[:4] + [_repeating_passage()]:

@@ -10,19 +10,23 @@ from qgen.decoder import (
     decode_step,
     init_decoder,
     pairwise_max,
+    passage_memory,
     teacher_forced_unroll,
 )
 from qgen.encoder import EncoderOutput
 
+import reference
 from conftest import assert_grads_match
 
 
 def _attend(s, enc, p):
-    return attention(s, enc, attention_keys(enc, p), p)
+    """(alpha, context, scores)."""
+    alpha, scores = attention(s, attention_keys(enc, p), p)
+    return alpha, ad.attention_context(alpha, enc), scores
 
 
-def _step(w_prev, c_prev, s_prev, enc, p):
-    return decode_step(w_prev, c_prev, s_prev, enc, attention_keys(enc, p), p)
+def _step(w_prev, alpha_prev, s_prev, enc, p):
+    return decode_step(w_prev, alpha_prev, s_prev, passage_memory(enc, p), p)
 
 
 def _params(rng, word_dim=3, enc_width=8, dec_hidden=4, attn_dim=5, vocab_out=6):
@@ -114,16 +118,16 @@ class TestDecodeStep:
         rng = np.random.default_rng(5)
         p, _ = _params(rng, vocab_out=6)
         p.w_out = Tensor(np.zeros((6, 4)))
-        _, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 8))),
+        _, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 5))),
                         Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(5, 8))), p)
         np.testing.assert_allclose(dist.gen.data, np.full((1, 6), 1 / 6))
 
     def test_mixture_normalizes(self):
         rng = np.random.default_rng(6)
         p, _ = _params(rng)
-        state, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 8))),
-                            Tensor(rng.normal(size=(1, 4))),
-                            Tensor(rng.normal(size=(5, 8))), p)
+        _, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 5))),
+                        Tensor(rng.normal(size=(1, 4))),
+                        Tensor(rng.normal(size=(5, 8))), p)
         g = dist.gate.item()
         total = (1 - g) * dist.gen.data.sum() + g * dist.copy.data.sum()
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -133,7 +137,7 @@ class TestDecodeStep:
         rng = np.random.default_rng(7)
         p, _ = _params(rng)
         p.b_gate = Tensor(np.asarray(50.0))
-        _, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 8))),
+        _, dist = _step(Tensor(rng.normal(size=(1, 3))), Tensor(np.zeros((1, 5))),
                         Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(5, 8))), p)
         g = dist.gate.item()
         assert g > 1 - 1e-9
@@ -142,18 +146,41 @@ class TestDecodeStep:
     def test_stacked_rows_match_single_steps(self):
         rng = np.random.default_rng(12)
         p, _ = _params(rng)
-        w, c, s = rng.normal(size=(3, 3)), rng.normal(size=(3, 8)), rng.normal(size=(3, 4))
+        w, a, s = rng.normal(size=(3, 3)), rng.dirichlet(np.ones(5), 3), rng.normal(size=(3, 4))
         enc = Tensor(rng.normal(size=(5, 8)))
-        state, dist = _step(Tensor(w), Tensor(c), Tensor(s), enc, p)
+        s_t, dist = _step(Tensor(w), Tensor(a), Tensor(s), enc, p)
         assert dist.gen.shape == (3, 6) and dist.copy.shape == (3, 5) and dist.gate.shape == (3,)
         for k in range(3):
-            one_state, one = _step(Tensor(w[k:k + 1]), Tensor(c[k:k + 1]), Tensor(s[k:k + 1]),
-                                   enc, p)
-            np.testing.assert_allclose(state.s.data[k], one_state.s.data[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state.c.data[k], one_state.c.data[0], rtol=0, atol=1e-12)
+            one_s, one = _step(Tensor(w[k:k + 1]), Tensor(a[k:k + 1]), Tensor(s[k:k + 1]), enc, p)
+            np.testing.assert_allclose(s_t.data[k], one_s.data[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(dist.gen.data[k], one.gen.data[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(dist.copy.data[k], one.copy.data[0], rtol=0, atol=1e-12)
             assert dist.gate.data[k] == pytest.approx(one.gate.item(), abs=1e-12)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_equals_the_context_step(self, dtype, tol):
+        """Attention rows times the per-passage projections give the step of
+        the context c = alpha H: K rows, the first all zeros as at the start
+        of a beam, where the context is zero."""
+        rng = np.random.default_rng(14)
+        store = ParamStore(dtype)
+        p = DecoderParams.create(store, 3, 8, 4, 5, 6, rng, scale=0.5)
+        store["dec.gate.b"].data[...] = 0.3
+        enc = Tensor(rng.normal(size=(7, 8)).astype(dtype))
+        alpha = np.concatenate([np.zeros((1, 7)), rng.dirichlet(np.ones(7), 3)]).astype(dtype)
+        w, s = rng.normal(size=(4, 3)).astype(dtype), rng.normal(size=(4, 4)).astype(dtype)
+        with ad.no_grad():
+            s_t, dist = _step(Tensor(w), Tensor(alpha), Tensor(s), enc, p)
+            keys = attention_keys(enc, p)
+            for k in range(4):
+                c = Tensor(alpha[k:k + 1] @ enc.data)
+                want = reference.decode_step(Tensor(w[k:k + 1]), c, Tensor(s[k:k + 1]), enc,
+                                             keys, p, "eval", 0.0, None)
+                for got, ref in ((s_t, want.s), (dist.gen, want.gen), (dist.copy, want.copy)):
+                    assert got.data.dtype == dtype
+                    np.testing.assert_allclose(got.data[k], ref.data[0], rtol=tol, atol=tol)
+                np.testing.assert_allclose(dist.gate.data[k], want.gate.data[0], rtol=tol, atol=tol)
+        assert not alpha[0].any()
 
     def test_gradients_through_full_step(self):
         rng = np.random.default_rng(8)
@@ -162,7 +189,7 @@ class TestDecodeStep:
         enc = rng.normal(size=(4, 8))
 
         def loss(w):
-            _, dist = _step(w, Tensor(np.zeros((1, 8))), Tensor(np.ones((1, 4)) * 0.1),
+            _, dist = _step(w, Tensor(np.full((1, 4), 0.25)), Tensor(np.ones((1, 4)) * 0.1),
                             Tensor(enc), p)
             return ad.add(ad.sum_(ad.mul(dist.gen, dist.gen)), ad.mul(dist.gate, 2.0))
 

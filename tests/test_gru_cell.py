@@ -69,16 +69,15 @@ def _recurrence(step, case, with_context):
 
 
 def _beam_step(step, case):
-    """`decoder.decode_step`: the biases are the input shares, and the whole
-    [w_prev; c_prev] is the context."""
-    p = case.p
-    context = ad.concat([case.x[:BATCH], case.c0], axis=-1)
-    out = step([p.b_z, p.b_r, p.b_h], case.h0, p, context, None)
-    return out, ad.sum_(ad.mul(ad.tanh(out), case.head[:BATCH])), []
+    """`decoder.decode_step`: whole (K, hidden) input shares, one row per
+    hypothesis, and no context."""
+    gates = gru_inputs(case.x[:BATCH], case.p)
+    out = step(gates, case.h0, case.p, None, None)
+    return out, ad.sum_(ad.mul(ad.tanh(out), case.head[:BATCH])), gates
 
 
 def _run(step, dtype, shape, passes=1):
-    case = _Case(dtype, C_DIM if shape != "encoder" else 0)
+    case = _Case(dtype, C_DIM if shape == "decoder" else 0)
     if shape == "beam":
         out, loss, gates = _beam_step(step, case)
     else:
@@ -105,16 +104,16 @@ def test_fused_step_is_byte_identical_to_the_node_graph(dtype, shape, passes):
         assert (got is None) == (want is None), k
         if got is not None:
             _assert_same_bytes(got, want)
-    if shape != "encoder":   # the context leaf is reached
+    if shape == "decoder":   # the context leaf is reached
         assert grads[2] is not None
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_beam_step_under_no_grad(dtype):
-    case = _Case(dtype, C_DIM)
+    case = _Case(dtype, 0)
     with ad.no_grad():
         out, _, _ = _beam_step(fused, case)
-        want, _, _ = _beam_step(unfused, _Case(dtype, C_DIM))
+        want, _, _ = _beam_step(unfused, _Case(dtype, 0))
     _assert_same_bytes(out.data, want.data)
     assert not out.requires_grad and out._parents == () and out._backward is None
     assert all(t.grad is None for t in case.leaves())
