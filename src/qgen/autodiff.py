@@ -335,7 +335,7 @@ def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tens
 
 
 def gru_cell(gates: Sequence[Tensor], weights: Sequence[Tensor], h_prev: Tensor,
-             context: Optional[Tensor] = None, rows: Optional[slice] = None) -> Tensor:
+             context: Optional[Tensor] = None, rows: Optional[np.ndarray] = None) -> Tensor:
     """One GRU step over (m, hidden) state rows, as one graph node.
 
         z  = sigmoid(x_z + [c; h] W_z'),   r = sigmoid(x_r + [c; h] W_r')
@@ -344,8 +344,10 @@ def gru_cell(gates: Sequence[Tensor], weights: Sequence[Tensor], h_prev: Tensor,
     `weights` are (W_z, W_r, W_h), (hidden, k) each; W' is a weight's last
     columns, as many as [c; h] is wide, and the context c is optional.
     `gates` are x_z, x_r and x_h, the pre-activation shares of the weights'
-    first columns: rows `rows` of each, or whole tensors that broadcast
-    against the state, such as a beam step's (m, hidden) shares.
+    first columns: rows `rows` of each (an index array with one distinct
+    row per state, or a slice), read without a gather node, or whole
+    tensors that broadcast against the state, such as a beam step's
+    (m, hidden) shares.
 
     The forward values are those of the graph of `linear(..., cols)`, `add`,
     `sigmoid`, `tanh`, `mul` and `sub` nodes, and backward adds gradients
@@ -533,16 +535,6 @@ def sigmoid(a) -> Tensor:
             a._accumulate(g * y * (1.0 - y))
 
     return _node(y, (a,), "sigmoid", bw)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
-
-    return _node(np.maximum(a.data, 0.0), (a,), "relu", bw)
 
 
 def log(a) -> Tensor:
@@ -792,7 +784,7 @@ class ParamStore:
         save leaves an earlier file at `path` as it was."""
         header = dict(meta or {})
         header["format_version"] = CHECKPOINT_FORMAT_VERSION
-        with replaced_on_success(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED) as zf:
+        with replaced_on_success(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zf:
             zf.writestr("meta.json", json.dumps(header, sort_keys=True))
             for name, t in self._params.items():
                 buf = io.BytesIO()

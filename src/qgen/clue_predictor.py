@@ -41,7 +41,7 @@ def gcn_layer(h_prev: Tensor, adj: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
             f"gcn_layer: weight expects input width {w.shape[1]}, features have {h_prev.shape[1]}"
         )
     mixed = ad.matmul(adj, ad.linear(h_prev, w))
-    return ad.relu(ad.add(mixed, b))
+    return ad.clamp_min(ad.add(mixed, b), 0.0)
 
 
 def encode_clue_features(features: Tensor, adj: np.ndarray,

@@ -209,9 +209,6 @@ class Vocabulary:
     def table_size(self) -> int:
         return len(SPECIAL_TOKENS) + len(self.words)
 
-    def special_id(self, token: str) -> int:
-        return SPECIAL_TOKENS.index(token)
-
 
 def build_vocabulary(corpus: list[AnnotatedExample], max_size: int = 20000) -> Vocabulary:
     if not corpus:

@@ -200,15 +200,15 @@ def teacher_forced_unroll(
     t = np.arange(steps.max())[:, None]
     # step t of example b reads row first[b] + t; finished rows repeat their last
     # step, and nothing reads what they compute
-    inputs = [ad.gather_rows(g, (first + np.minimum(t, steps - 1)).ravel())
-              for g in gru_inputs(w_prev, p.gru)]
+    positions = first + np.minimum(t, steps - 1)
+    inputs = gru_inputs(w_prev, p.gru)
     keys = attention_keys(enc.states, p)
     mask = enc.mask()
     s = init_decoder(enc.last_backward, p.w_init, p.b_init)
     c = Tensor(np.zeros((batch, enc.states.shape[1]), enc.states.data.dtype))
     rows: list[tuple[Tensor, Tensor, Tensor]] = []   # (s, c, alpha) of each step
-    for i in range(len(t)):
-        s = gru_step(inputs, s, p.gru, context=c, rows=slice(i * batch, (i + 1) * batch))
+    for step_rows in positions:
+        s = gru_step(inputs, s, p.gru, context=c, rows=step_rows)
         alpha, _ = attention(s, keys, p, mask)
         c = ad.attention_context(alpha, enc.states)
         rows.append((s, c, alpha))

@@ -46,15 +46,15 @@ def gru_inputs(x: Tensor, p: GruCellParams) -> list[Tensor]:
 
 
 def gru_step(inputs: list[Tensor], h_prev: Tensor, p: GruCellParams,
-             context: Tensor | None = None, rows: slice | None = None) -> Tensor:
+             context: Tensor | None = None, rows: np.ndarray | None = None) -> Tensor:
     """Standard GRU update, reset gate applied to h before the candidate:
     one `ad.gru_cell` node.
 
     `inputs` are the z, r and candidate pre-activation shares of the
-    weights' first columns, bias included (`gru_inputs`), or their rows
-    `rows` when they hold every step's; the remaining columns act on
-    [context; h], context optional.  h_prev is (m, hidden): m states
-    stacked as rows.
+    weights' first columns, bias included (`gru_inputs`), or the m rows
+    `rows` of them, one per state, when they hold every step's; the
+    remaining columns act on [context; h], context optional.  h_prev is
+    (m, hidden): m states stacked as rows.
     """
     return ad.gru_cell(inputs, (p.w_z, p.w_r, p.w_h), h_prev, context, rows)
 
@@ -74,15 +74,12 @@ class EncoderOutput:
 
 def _direction(gates: list[Tensor], positions: np.ndarray, p: GruCellParams) -> Tensor:
     """One direction over B sequences in lockstep: step i reads row
-    positions[i, b] of the input shares for sequence b.  Returns the states,
-    step-major (n * B, hidden)."""
-    n, batch = positions.shape
-    gates = [ad.gather_rows(g, positions.ravel()) for g in gates]
-    hidden = p.w_z.shape[0]
-    h = Tensor(np.zeros((batch, hidden), gates[0].data.dtype))
+    positions[i, b] of the input shares for sequence b, in place.  Returns
+    the states, step-major (n * B, hidden)."""
+    h = Tensor(np.zeros((positions.shape[1], p.w_z.shape[0]), gates[0].data.dtype))
     states = []
-    for i in range(n):
-        h = gru_step(gates, h, p, rows=slice(i * batch, (i + 1) * batch))
+    for rows in positions:
+        h = gru_step(gates, h, p, rows=rows)
         states.append(h)
     return ad.concat(states)
 

@@ -58,8 +58,8 @@ def _segment_means(terms: Tensor, lengths: list[int]) -> Tensor:
 def clue_loss(clue_probs: Tensor, gold_labels: list[list[bool]]) -> Tensor:
     """(B,) mean cross-entropies of each passage's per-token clue
     probabilities; `clue_probs` holds every passage's (n, 2) rows stacked."""
-    gold = np.eye(2)[np.concatenate([np.asarray(g, dtype=int) for g in gold_labels])]
-    p_gold = ad.sum_(ad.mul(clue_probs, gold), axis=1)
+    gold = np.concatenate([np.asarray(g, dtype=int) for g in gold_labels])
+    p_gold = ad.take_along(clue_probs, gold)
     return _segment_means(_neg_log(p_gold), [len(g) for g in gold_labels])
 
 

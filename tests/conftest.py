@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qgen.autodiff import Tensor
 from qgen.config import ModelConfig
@@ -19,6 +20,19 @@ def chain_example(texts, answer_span=(0, 0), question=("what", "?")):
     passage[0].dep = "ROOT"
     return AnnotatedExample(id="chain", passage=passage, answer_span=answer_span,
                             question=list(question))
+
+
+@st.composite
+def dependency_trees(draw, max_tokens=8):
+    """A passage of 1 to `max_tokens` tokens whose heads form a random rooted
+    tree: the tokens in a random order, each after the first headed by an
+    earlier one."""
+    n = draw(st.integers(1, max_tokens))
+    order = draw(st.permutations(range(n)))
+    ex = chain_example([f"t{i}" for i in range(n)])
+    for k, i in enumerate(order):
+        ex.passage[i].head = order[draw(st.integers(0, k - 1))] if k else i
+    return ex
 
 
 @pytest.fixture

@@ -8,8 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qgen.autodiff as ad
+import qgen.decoder
+import qgen.encoder
+from qgen.beam import generate
 from qgen.config import rng_stream
-from qgen.corpus import build_vocabulary, stopword_set
+from qgen.corpus import EOS, build_vocabulary, stopword_set
 from qgen.features import FeatureVocab
 from qgen.labeling import label_corpus
 from qgen.model import QgModel
@@ -17,7 +20,8 @@ from qgen.toydata import make_toy_data
 from qgen.training import batch_losses
 
 import reference
-from conftest import chain_example, gold_clue_noise, micro_corpus, tiny_config, toy_config
+from conftest import (chain_example, dependency_trees, gold_clue_noise, micro_corpus,
+                      tiny_config, toy_config)
 
 LOSS_RTOL = 1e-12
 GRAD_TOL = 1e-10
@@ -30,8 +34,7 @@ def _uneven_corpus():
     return make_toy_data(6, seed=3) + micro_corpus() + [one_token, three]
 
 
-def _build(config):
-    corpus = _uneven_corpus()
+def _build(config, corpus):
     vocab = build_vocabulary(corpus, config.vocab_max)
     labeled, reduced = label_corpus(corpus, vocab, stopword_set(), config.r_h,
                                     config.reduced_vocab_size)
@@ -48,7 +51,7 @@ def _model(name, dropout):
     if (name, dropout) not in _MODELS:
         config = {"tiny": tiny_config(r_h=3, r_l=40, vocab_max=200, dropout=dropout),
                   "toy": toy_config(dropout=dropout)}[name]
-        _MODELS[name, dropout] = _build(config)
+        _MODELS[name, dropout] = _build(config, _uneven_corpus())
     return _MODELS[name, dropout]
 
 
@@ -177,3 +180,68 @@ def test_batched_loss_equals_reference_on_random_batches(tiny, data):
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
     assert_batch_matches_reference(model, [labeled[i] for i in picks], seed=seed, mode=mode,
                                    clue_source=clue_source)
+
+
+def test_gru_cells_read_the_input_shares_in_place(tiny, monkeypatch):
+    """No gather sits between `gru_inputs` and `gru_cell`: on a ragged batch
+    the first three parents of every GRU step, encoder and decoder, are the
+    tensors `gru_inputs` returned."""
+    model, labeled = tiny
+    batch = labeled[4:]
+    shares, gru_inputs = set(), qgen.encoder.gru_inputs
+
+    def recording(x, p):
+        out = gru_inputs(x, p)
+        shares.update(id(t) for t in out)
+        return out
+
+    monkeypatch.setattr(qgen.encoder, "gru_inputs", recording)
+    monkeypatch.setattr(qgen.decoder, "gru_inputs", recording)
+    dist = model.forward(batch, mode="train", gumbel_rng=rng_stream(0, "gumbel"),
+                         dropout_rng=rng_stream(0, "dropout")).decoder
+    cells, seen, stack = [], set(), [dist.gen, dist.copy, dist.gate]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t._op == "gru_cell":
+                cells.append(t)
+            stack.extend(t._parents)
+    assert len(shares) == 9   # both encoder directions and the decoder
+    steps = 2 * max(len(ex.base.passage) for ex in batch) + max(len(ex.base.question)
+                                                                for ex in batch) + 1
+    assert len(cells) == steps
+    for cell in cells:
+        assert all(id(t) in shares for t in cell._parents[:3])
+
+
+WORDS = ["what", "who", "is", "the", "of", "?"]
+
+
+@st.composite
+def ragged_corpora(draw):
+    """1-4 passages of 1-10 tokens with random trees and answer spans, each
+    with a 1-6-token question of passage words and words of `WORDS`."""
+    corpus = draw(st.lists(dependency_trees(max_tokens=10), min_size=1, max_size=4))
+    for ex in corpus:
+        n = len(ex.passage)
+        start = draw(st.integers(0, n - 1))
+        ex.answer_span = (start, draw(st.integers(start, n - 1)))
+        words = [t.text for t in ex.passage] + WORDS
+        ex.question = draw(st.lists(st.sampled_from(words), min_size=1, max_size=6))
+    return corpus
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpus=ragged_corpora(), seed=st.integers(0, 2 ** 16))
+def test_random_ragged_batches(corpus, seed):
+    """Every padding shape: the batched step equals the one-example
+    reference, and beam search over each passage without its question
+    terminates with finite scores."""
+    model, labeled = _build(tiny_config(dropout=0.3, seed=seed), corpus)
+    assert_batch_matches_reference(model, labeled, seed=seed, mode="train")
+    for ex in corpus:
+        ex.question = []
+        for hyp in generate(model, ex, beam_width=3, max_len=5):
+            assert hyp.tokens[-1] == EOS or len(hyp.tokens) == 5
+            assert np.isfinite(hyp.score)

@@ -416,6 +416,16 @@ class TestCheckpointErrors:
         assert report["error"] == "CheckpointError"
         assert words in report["message"]
 
+    def test_flipped_byte_in_a_saved_checkpoint(self, pipeline, capsys, tmp_path):
+        """`ParamStore.save` stores its members, so a damaged byte reaches
+        the reader's CRC check as it lies in the file."""
+        bad = tmp_path / "model.npz"
+        bad.write_bytes((pipeline[3] / "model.npz").read_bytes())
+        _flip_stored_byte(bad, "params/dec.w_out.npy")
+        report = self._generate(capsys, pipeline, bad)
+        assert report["error"] == "CheckpointError"
+        assert "params/dec.w_out.npy that is damaged" in report["message"]
+
 
 class TestCliErrors:
     def test_unknown_command_is_usage_error(self):

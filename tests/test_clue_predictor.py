@@ -21,7 +21,7 @@ from qgen.labeling import label_corpus
 from qgen.model import QgModel
 from qgen.toydata import make_toy_data
 
-from conftest import assert_grads_match, chain_example, tiny_config
+from conftest import assert_grads_match, chain_example, dependency_trees, tiny_config
 
 
 def dense_gcn_oracle(x, a_tilde, w, b, nonlinearity=np.maximum):
@@ -67,18 +67,6 @@ class TestAdjacency:
         a_tilde, degrees = tree_structure(adj)
         np.testing.assert_allclose(adj.sum(axis=1), np.ones(len(fig1_example.passage)))
         np.testing.assert_array_equal(adj, a_tilde / degrees[:, None])
-
-
-@st.composite
-def dependency_trees(draw):
-    """A passage of 1-8 tokens whose heads form a random rooted tree: the
-    tokens in a random order, each after the first headed by an earlier one."""
-    n = draw(st.integers(1, 8))
-    order = draw(st.permutations(range(n)))
-    ex = chain_example([f"t{i}" for i in range(n)])
-    for k, i in enumerate(order):
-        ex.passage[i].head = order[draw(st.integers(0, k - 1))] if k else i
-    return ex
 
 
 class TestBatchAdjacency:

@@ -8,6 +8,7 @@ from qgen.config import ConfigError
 from qgen.corpus import (
     EOS,
     SOS,
+    SPECIAL_TOKENS,
     UNK,
     IngestError,
     ReducedTargetVocab,
@@ -133,7 +134,7 @@ class TestVocabulary:
         corpus = [chain_example(["the", "the", "cat"], question=("dog", "?"))]
         vocab = build_vocabulary(corpus, max_size=1)
         assert vocab.words == ["the"]
-        assert vocab.id_of("cat") == vocab.special_id(UNK)
+        assert vocab.id_of("cat") == SPECIAL_TOKENS.index(UNK)
 
     def test_counts_pool_passage_and_question(self):
         corpus = [chain_example(["cat"], question=("cat", "cat", "?"))]

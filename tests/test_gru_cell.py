@@ -13,6 +13,9 @@ from conftest import assert_grads_match
 from reference import gru_step_unfused
 
 HIDDEN, X_DIM, C_DIM, BATCH, STEPS = 5, 3, 4, 2, 3
+# each step's rows of the input shares, read in place: out of order, distinct
+# within a step, row 3 read at two steps and row 2 never
+INDEX_ROWS = np.array([[3, 0], [5, 3], [1, 4]])
 
 
 def fused(gates, h, p, context, rows):
@@ -47,17 +50,21 @@ class _Case:
         return [self.x, self.h0, self.c0, self.w_c, *self.store.tensors()]
 
 
-def _recurrence(step, case, with_context):
+def _recurrence(step, case, with_context, index_rows):
     """STEPS steps over the rows of every step's input shares, as
     `encoder._direction` (no context) and `decoder.teacher_forced_unroll`
-    (a context that each state feeds into the next step) run them.  Each
-    state also feeds the stacked states made after the loop, so a state's
-    gradient has a part before its step runs and parts after."""
-    gates = [ad.gather_rows(g, np.arange(STEPS * BATCH)) for g in gru_inputs(case.x, case.p)]
+    (a context that each state feeds into the next step) run them: the rows
+    `INDEX_ROWS[i]` of the shares themselves, or a slice of their step-major
+    copy.  Each state also feeds the stacked states made after the loop, so
+    a state's gradient has a part before its step runs and parts after."""
+    gates = gru_inputs(case.x, case.p)
+    if not index_rows:
+        gates = [ad.gather_rows(g, np.arange(STEPS * BATCH)) for g in gates]
     h, c = case.h0, case.c0 if with_context else None
     states = []
     for i in range(STEPS):
-        h = step(gates, h, case.p, c, slice(i * BATCH, (i + 1) * BATCH))
+        rows = INDEX_ROWS[i] if index_rows else slice(i * BATCH, (i + 1) * BATCH)
+        h = step(gates, h, case.p, c, rows)
         states.append(h)
         if with_context:
             c = ad.tanh(ad.linear(h, case.w_c))
@@ -76,12 +83,12 @@ def _beam_step(step, case):
     return out, ad.sum_(ad.mul(ad.tanh(out), case.head[:BATCH])), gates
 
 
-def _run(step, dtype, shape, passes=1):
+def _run(step, dtype, shape, passes, index_rows):
     case = _Case(dtype, C_DIM if shape == "decoder" else 0)
     if shape == "beam":
         out, loss, gates = _beam_step(step, case)
     else:
-        out, loss, gates = _recurrence(step, case, shape == "decoder")
+        out, loss, gates = _recurrence(step, case, shape == "decoder", index_rows)
     for _ in range(passes):
         loss.backward()
     return out.data, [t.grad for t in case.leaves() + gates]
@@ -92,12 +99,9 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("shape", ["encoder", "decoder", "beam"])
-@pytest.mark.parametrize("passes", [1, 2])
-def test_fused_step_is_byte_identical_to_the_node_graph(dtype, shape, passes):
-    out, grads = _run(fused, dtype, shape, passes)
-    want_out, want_grads = _run(unfused, dtype, shape, passes)
+def _assert_fused_matches_unfused(dtype, shape, passes, index_rows):
+    out, grads = _run(fused, dtype, shape, passes, index_rows)
+    want_out, want_grads = _run(unfused, dtype, shape, passes, index_rows)
     _assert_same_bytes(out, want_out)
     assert len(grads) == len(want_grads)
     for k, (got, want) in enumerate(zip(grads, want_grads)):
@@ -106,6 +110,20 @@ def test_fused_step_is_byte_identical_to_the_node_graph(dtype, shape, passes):
             _assert_same_bytes(got, want)
     if shape == "decoder":   # the context leaf is reached
         assert grads[2] is not None
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", ["encoder", "decoder", "beam"])
+@pytest.mark.parametrize("passes", [1, 2])
+def test_fused_step_is_byte_identical_to_the_node_graph(dtype, shape, passes):
+    _assert_fused_matches_unfused(dtype, shape, passes, index_rows=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", ["encoder", "decoder"])
+@pytest.mark.parametrize("passes", [1, 2])
+def test_fused_step_reading_index_rows_is_byte_identical(dtype, shape, passes):
+    _assert_fused_matches_unfused(dtype, shape, passes, index_rows=True)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -128,8 +146,9 @@ def test_one_node_per_step():
                                                              case.p.w_r, case.p.w_h]}
 
 
-def test_gradients_match_finite_differences():
-    """With a context, and rows of input shares twice as tall as the state."""
+def _assert_grads_match_finite_differences(rows):
+    """With a context, and rows `rows` of input shares twice as tall as the
+    state."""
     rng = np.random.default_rng(3)
     k = C_DIM + HIDDEN + X_DIM
     arrays = [*(rng.normal(size=(2 * BATCH, HIDDEN)) for _ in range(3)),
@@ -138,10 +157,18 @@ def test_gradients_match_finite_differences():
     head = rng.normal(size=(BATCH, HIDDEN))
 
     def loss(xz, xr, xh, wz, wr, wh, h, c):
-        out = ad.gru_cell([xz, xr, xh], [wz, wr, wh], h, c, rows=slice(BATCH, 2 * BATCH))
+        out = ad.gru_cell([xz, xr, xh], [wz, wr, wh], h, c, rows=rows)
         return ad.sum_(ad.mul(out, head))
 
     assert_grads_match(loss, arrays)
+
+
+def test_gradients_match_finite_differences():
+    _assert_grads_match_finite_differences(slice(BATCH, 2 * BATCH))
+
+
+def test_index_row_gradients_match_finite_differences():
+    _assert_grads_match_finite_differences(np.array([3, 0]))
 
 
 def test_mismatched_shapes_rejected():
