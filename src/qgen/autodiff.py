@@ -78,7 +78,7 @@ class Tensor:
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._seq = next(_SEQ)
         # (g, x) rows of `linear` and `gru_cell` uses not yet summed into
-        # grad, by column range; see `_flush_outer`
+        # grad, by (row range, column range); see `_flush_outer`
         self._outer: Optional[dict] = None
 
     @property
@@ -114,24 +114,25 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
-    def _defer_outer(self, cols: tuple[int, int], g: np.ndarray, x: np.ndarray) -> None:
-        """Hold a product's (g, x) rows for its weight columns `cols` until
-        `_flush_outer`."""
+    def _defer_outer(self, rows: tuple[int, int], cols: tuple[int, int], g: np.ndarray,
+                     x: np.ndarray) -> None:
+        """Hold a product's (g, x) rows for the weight block `rows` x `cols`
+        until `_flush_outer`."""
         if self._outer is None:
             self._outer = {}
-        self._outer.setdefault(cols, []).append((g, x))
+        self._outer.setdefault((rows, cols), []).append((g, x))
 
     def _flush_outer(self) -> None:
-        """Add every deferred contribution sum_i g_i.T @ x_i to its
-        columns, one product of the stacked rows per column range."""
+        """Add every deferred contribution sum_i g_i.T @ x_i to its block,
+        one product of the stacked rows per block."""
         outer, self._outer = self._outer, None
-        for (lo, hi), rows in outer.items():
-            gs, xs = zip(*rows)
+        for ((r0, r1), (c0, c1)), pairs in outer.items():
+            gs, xs = zip(*pairs)
             total = (np.concatenate(gs).T @ np.concatenate(xs)).astype(self.data.dtype, copy=False)
-            if self.grad is None and hi - lo == self.data.shape[1]:
+            if self.grad is None and total.shape == self.data.shape:
                 self.grad = total
             else:
-                self._grad_buffer()[:, lo:hi] += total
+                self._grad_buffer()[r0:r1, c0:c1] += total
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -312,9 +313,9 @@ def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tens
     computed at different times.
 
     Backward defers w's gradient g.T @ x: the (g, x) rows wait on w, grouped
-    by column range, until `Tensor.backward` reaches w and sums every use of
-    each range in one GEMM, so an unrolled recurrence costs one product per
-    weight and range, not one per step.
+    by block, until `Tensor.backward` reaches w and sums every use of each
+    block in one GEMM, so an unrolled recurrence costs one product per
+    weight and block, not one per step.
     """
     x, w = _operands((x, w))
     if w.ndim != 2 or x.ndim != 2:
@@ -329,65 +330,63 @@ def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tens
         if x.requires_grad:
             x._accumulate(g @ (w.data if full else w.data[:, lo:hi]))
         if w.requires_grad:
-            w._defer_outer((lo, hi), g, x.data)
+            w._defer_outer((0, w.shape[0]), (lo, hi), g, x.data)
 
     return _node(x.data @ (w.data if full else w.data[:, lo:hi]).T, (x, w), "linear", bw)
 
 
-def gru_cell(gates: Sequence[Tensor], weights: Sequence[Tensor], h_prev: Tensor,
-             context: Optional[Tensor] = None, rows: Optional[np.ndarray] = None) -> Tensor:
+def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, context: Optional[Tensor] = None,
+             rows: Optional[np.ndarray] = None) -> Tensor:
     """One GRU step over (m, hidden) state rows, as one graph node.
 
-        z  = sigmoid(x_z + [c; h] W_z'),   r = sigmoid(x_r + [c; h] W_r')
-        h~ = tanh(x_h + [c; r h] W_h'),    h' = (1 - z) h + z h~
+        [z; r] = sigmoid(x_zr + [c; h] W_zr'),   W_zr = [W_z; W_r]
+        h~ = tanh(x_h + [c; r h] W_h'),          h' = (1 - z) h + z h~
 
-    `weights` are (W_z, W_r, W_h), (hidden, k) each; W' is a weight's last
-    columns, as many as [c; h] is wide, and the context c is optional.
-    `gates` are x_z, x_r and x_h, the pre-activation shares of the weights'
-    first columns: rows `rows` of each (an index array with one distinct
-    row per state, or a slice), read without a gather node, or whole
-    tensors that broadcast against the state, such as a beam step's
-    (m, hidden) shares.
+    `w` stacks the gates' weights as rows [W_z; W_r; W_h], (3 hidden, k); W'
+    is a row block's last columns, as many as [c; h] is wide, and the
+    context c is optional.  `gates` holds [x_z, x_r, x_h], the
+    pre-activation shares of w's first columns: rows `rows` of it (an index
+    array with one distinct row per state, or a slice), read without a
+    gather node, or all of it; either way (m, 3 hidden).
 
-    The forward values are those of the graph of `linear(..., cols)`, `add`,
-    `sigmoid`, `tanh`, `mul` and `sub` nodes, and backward adds gradients
-    in that graph's reverse-walk order, with the weights' (g, x) rows
-    deferred under the same column ranges, so both are bit-identical to it.
+    A step makes two products, [c; h] W_zr' and [c; r h] W_h'.  The forward
+    values are those of the graph of `slice`, `linear(..., cols)`, `add`,
+    `sigmoid`, `tanh`, `mul` and `sub` nodes over the row blocks W_zr and
+    W_h, and backward adds gradients in that graph's reverse-walk order,
+    with w's (g, x) rows deferred under the same blocks, so both are
+    bit-identical to it.
     """
-    parents = _operands((*gates, *weights, h_prev) + (() if context is None else (context,)))
-    gates, (w_z, w_r, w_h), h_prev = parents[:3], parents[3:6], parents[6]
-    context = parents[7] if context is not None else None
-    hidden, width = h_prev.shape[-1], w_z.shape[-1]
+    parents = _operands((gates, w, h_prev) + (() if context is None else (context,)))
+    gates, w, h_prev = parents[:3]
+    context = parents[3] if context is not None else None
+    if h_prev.ndim != 2 or gates.ndim != 2 or w.ndim != 2:
+        raise TensorError(f"gru_cell: state {h_prev.shape}, shares {gates.shape} and "
+                          f"weight {w.shape} are not all 2-d")
+    (m, hidden), width = h_prev.shape, w.shape[1]
     c = 0 if context is None else context.shape[-1]
     lo = width - c - hidden
-    if (h_prev.ndim != 2 or lo < 0 or any(w.shape != (hidden, width) for w in (w_z, w_r, w_h))
-            or (context is not None and context.shape != (len(h_prev.data), c))):
+    if (lo < 0 or w.shape[0] != 3 * hidden
+            or (context is not None and context.shape != (m, c))):
         raise TensorError(f"gru_cell: state {h_prev.shape}, context "
-                          f"{getattr(context, 'shape', None)} and weights {w_z.shape} do not match")
+                          f"{getattr(context, 'shape', None)} and weight {w.shape} do not match")
+    key = slice(None) if rows is None else rows
+    x = gates.data[key]
+    if x.shape != (m, 3 * hidden):
+        raise TensorError(f"gru_cell: shares {x.shape} do not match state {h_prev.shape}: "
+                          f"expected {(m, 3 * hidden)}")
     cols = (lo, width)
-    xz, xr, xh = (x.data if rows is None else x.data[rows] for x in gates)
     h = h_prev.data
+    w_zr, w_cand = w.data[:2 * hidden, lo:], w.data[2 * hidden:, lo:]
 
-    def stacked(s):   # [c; s], the input of the weights' last columns
+    def stacked(s):   # [c; s], the input of the weight's last columns
         return s if context is None else np.concatenate([context.data, s], axis=-1)
 
-    def block(w):
-        return w.data if lo == 0 else w.data[:, lo:]
-
     zr_in = stacked(h)
-    z = _sigmoid(xz + zr_in @ block(w_z).T)
-    r = _sigmoid(xr + zr_in @ block(w_r).T)
+    zr = _sigmoid(x[:, :2 * hidden] + zr_in @ w_zr.T)
+    z, r = zr[:, :hidden], zr[:, hidden:]
     cand_in = stacked(r * h)
-    h_cand = np.tanh(xh + cand_in @ block(w_h).T)
+    h_cand = np.tanh(x[:, 2 * hidden:] + cand_in @ w_cand.T)
     omz = 1.0 - z
-
-    def to_input(x: Tensor, g: np.ndarray) -> None:
-        if x.requires_grad:
-            if rows is None:
-                x._accumulate(_unbroadcast(g, x.shape))
-            else:
-                x._grad_buffer()[rows] += g
-
     c_grad = context is not None and context.requires_grad
 
     def unstack(g):   # the gradient of [c; s]: c's share to the context, s's returned
@@ -403,27 +402,22 @@ def gru_cell(gates: Sequence[Tensor], weights: Sequence[Tensor], h_prev: Tensor,
             h_prev._accumulate(g * omz)
         dz -= g * h                            # 1 - z
         d_cand *= 1.0 - h_cand * h_cand        # tanh
-        to_input(gates[2], d_cand)
-        if w_h.requires_grad:
-            w_h._defer_outer(cols, d_cand, cand_in)
-        d_rh = unstack(d_cand @ block(w_h))    # [c; r h] W_h'
+        if w.requires_grad:
+            w._defer_outer((2 * hidden, 3 * hidden), cols, d_cand, cand_in)
+        d_rh = unstack(d_cand @ w_cand)        # [c; r h] W_h'
         if h_prev.requires_grad:               # r h
             h_prev._accumulate(d_rh * r)
-        dr = d_rh * h * r * (1.0 - r)          # sigmoid
-        dz = dz * z * (1.0 - z)
-        for x, d, w in ((gates[1], dr, w_r), (gates[0], dz, w_z)):
-            to_input(x, d)
-            if w.requires_grad:
-                w._defer_outer(cols, d, zr_in)
-        if h_prev.requires_grad or c_grad:     # [c; h] W_r', then [c; h] W_z'
-            d_r, d_z = dr @ block(w_r), dz @ block(w_z)
-            if context is None:                # each product's own share of h
-                h_prev._accumulate(d_r)
-                h_prev._accumulate(d_z)
-            else:                              # summed in [c; h] before it splits
-                d_h = unstack(d_r + d_z)
-                if h_prev.requires_grad:
-                    h_prev._accumulate(d_h)
+        d_zr = np.concatenate([dz, d_rh * h], axis=1)
+        d_zr *= zr                             # sigmoid
+        d_zr *= 1.0 - zr
+        if gates.requires_grad:
+            gates._grad_buffer()[key] += np.concatenate([d_zr, d_cand], axis=1)
+        if w.requires_grad:
+            w._defer_outer((0, 2 * hidden), cols, d_zr, zr_in)
+        if h_prev.requires_grad or c_grad:     # [c; h] W_zr'
+            d_h = unstack(d_zr @ w_zr)
+            if h_prev.requires_grad:
+                h_prev._accumulate(d_h)
 
     return _node(omz * h + z * h_cand, parents, "gru_cell", bw)
 
@@ -706,7 +700,7 @@ def dropout(a: Tensor, keep: Optional[np.ndarray]) -> Tensor:
     return _node(a.data * keep, (a,), "dropout", bw)
 
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @contextmanager

@@ -114,14 +114,14 @@ def generate(
     check_positive_int("beam_width", beam_width)
     check_positive_int("max_len", max_len)
     table = SurfaceTable(model, [t.text for t in example.passage])
-    p = model.decoder_params()
+    p = model.dec
     words = model.params["embed.word"]
 
     with ad.no_grad():
         if clue is None:
             clue = model.predict_clues([example], rng=None, mode="eval")
         enc_features = model.embedder.append_clue_slot(clue.features, clue.weights)
-        enc_out = encode(enc_features, [len(example.passage)], *model.encoder_params())
+        enc_out = encode(enc_features, [len(example.passage)], model.enc_fwd, model.enc_bwd)
         memory = passage_memory(enc_out.states, p)
         s = init_decoder(enc_out.last_backward, p.w_init, p.b_init)
         alpha = ad.Tensor(np.zeros((1, len(example.passage)), enc_out.states.data.dtype))

@@ -14,7 +14,8 @@ from pathlib import Path
 from .autodiff import CheckpointError, no_grad, replaced_on_success
 from .beam import generate as beam_generate
 from .config import ConfigError, ModelConfig, check_positive_int
-from .corpus import IngestError, build_vocabulary, load_corpus, stopword_set, write_corpus
+from .corpus import (IngestError, build_vocabulary, load_corpus, stopword_set, utf8_lines,
+                     write_corpus)
 from .labeling import dump_labeled_corpus, label_corpus
 from .metrics import MetricError, evaluate_pairs
 from .model import QgModel
@@ -76,6 +77,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_stats(args) -> int:
     config = _load_config(args)
     corpus = load_corpus(args.data)
+    out = Path(args.out_dir) if args.out_dir else None
+    if out is not None:   # before the summary, so that a path in the way prints nothing
+        out.mkdir(parents=True, exist_ok=True)
     vocab = build_vocabulary(corpus, config.vocab_max)
     labeled, _ = label_corpus(corpus, vocab, stopword_set(),
                               config.r_h, config.reduced_vocab_size)
@@ -102,9 +106,7 @@ def _cmd_stats(args) -> int:
         },
     }
     print(json.dumps(summary, sort_keys=True))
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         with open(out / "rank_histogram.csv", "w", encoding="utf-8") as fh:
             fh.write("population,bucket,count\n")
             for name, pop in [("all", hist.all_words), ("generated", hist.generated),
@@ -201,23 +203,22 @@ def _cmd_evaluate(args) -> int:
     refs = {ex.id: ex.question for ex in load_corpus(args.ref)}
     pairs = []
     missing = []
-    with open(args.pred, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                obj = None
-            if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
-                    and isinstance(obj.get("prediction"), str)):
-                raise CliError(f"{args.pred} line {lineno}: expected a JSON object with "
-                               f"string \"id\" and \"prediction\" fields")
-            if obj["id"] not in refs:
-                missing.append(obj["id"])
-                continue
-            pairs.append((obj["prediction"].split(), refs[obj["id"]]))
+    for lineno, line in utf8_lines(args.pred, CliError):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            obj = None
+        if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+                and isinstance(obj.get("prediction"), str)):
+            raise CliError(f"{args.pred} line {lineno}: expected a JSON object with "
+                           f"string \"id\" and \"prediction\" fields")
+        if obj["id"] not in refs:
+            missing.append(obj["id"])
+            continue
+        pairs.append((obj["prediction"].split(), refs[obj["id"]]))
     if missing:
         raise CliError(f"{len(missing)} prediction id(s) absent from the reference file: {missing[:5]}")
     report = evaluate_pairs(pairs)
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, CheckpointError, ConfigError, IngestError, MetricError,
-            TrainingError, FileNotFoundError) as e:
+            TrainingError, OSError) as e:   # OSError: a path that cannot be read or made
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
 

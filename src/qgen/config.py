@@ -129,8 +129,8 @@ class ModelConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 d = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+            except ValueError as e:   # not JSON, or not UTF-8
+                raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
         if not isinstance(d, dict):
             raise ConfigError(f"config file {path} must hold a flat JSON object")
         return cls.from_dict(d)

@@ -19,6 +19,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -135,6 +136,19 @@ def _parse_example(obj: dict, require_question: bool = True) -> AnnotatedExample
     return AnnotatedExample(id=ex_id, passage=passage, answer_span=(start, end), question=list(question))
 
 
+def utf8_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """(line number, line) of a text file, each line decoded as UTF-8 on its
+    own, so that a line that is not UTF-8 raises `error` naming the file
+    and the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise error(f"{path} line {lineno} is not UTF-8 text: {e.reason} "
+                            f"at byte {e.start}") from None
+
+
 def load_corpus(path, require_question: bool = True) -> list[AnnotatedExample]:
     """Parse and validate a JSON-lines corpus, preserving file order.
 
@@ -144,21 +158,20 @@ def load_corpus(path, require_question: bool = True) -> list[AnnotatedExample]:
     """
     examples = []
     errors = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                errors.append(f"line {lineno}: invalid JSON ({e.msg})")
-                continue
-            try:
-                examples.append(_parse_example(obj, require_question))
-            except ValueError as e:
-                ex_id = obj.get("id", "?") if isinstance(obj, dict) else "?"
-                errors.append(f"line {lineno} (id={ex_id}): {e}")
+    for lineno, line in utf8_lines(path, IngestError):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            errors.append(f"line {lineno}: invalid JSON ({e.msg})")
+            continue
+        try:
+            examples.append(_parse_example(obj, require_question))
+        except ValueError as e:
+            ex_id = obj.get("id", "?") if isinstance(obj, dict) else "?"
+            errors.append(f"line {lineno} (id={ex_id}): {e}")
     if errors:
         raise IngestError(f"{len(errors)} malformed record(s) in {path}:\n" + "\n".join(errors))
     return examples
@@ -341,20 +354,19 @@ def stopwords_digest() -> str:
 def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
     """Read whitespace-separated pre-trained vectors: token then `dim` floats."""
     table: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ConfigError(
-                    f"word-vector file {path} line {lineno}: expected {dim} values, found {len(values)}"
-                )
-            try:
-                table[word] = np.asarray([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise ConfigError(
-                    f"word-vector file {path} line {lineno}: a value is not a number"
-                ) from None
+    for lineno, line in utf8_lines(path, ConfigError):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) < 2:
+            continue
+        word, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise ConfigError(
+                f"word-vector file {path} line {lineno}: expected {dim} values, found {len(values)}"
+            )
+        try:
+            table[word] = np.asarray([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise ConfigError(
+                f"word-vector file {path} line {lineno}: a value is not a number"
+            ) from None
     return table

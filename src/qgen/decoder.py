@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .encoder import EncoderOutput, GruCellParams, gru_inputs, gru_step
+from .encoder import EncoderOutput, GruCellParams, gru_inputs
 
 
 @dataclass
@@ -60,13 +60,6 @@ class DecoderParams:
             b_gate=b("gate.b", ()),
         )
 
-    @classmethod
-    def from_store(cls, params: ParamStore) -> "DecoderParams":
-        names = ["w_init", "b_init", "attn.w_s", "attn.w_h", "attn.v", "w_rw", "w_rc",
-                 "w_rs", "w_out", "gate.w_cs", "gate.w_cc", "gate.b"]
-        return cls(GruCellParams.from_store(params, "dec.gru"),
-                   *(params[f"dec.{n}"] for n in names))
-
 
 @dataclass
 class ExtendedDistribution:
@@ -100,10 +93,10 @@ class PassageMemory:
     passage, and a step multiplies its attention rows by these (n, ·)
     tables instead of its context rows by the weights."""
 
-    keys: Tensor          # attention_keys(H)
-    gates: list[Tensor]   # H times the context columns of the GRU's W_z, W_r, W_h
-    readout: Tensor       # H W_rc^T, (n, 2 * dec_hidden)
-    copy_gate: Tensor     # H w_cc, (n,)
+    keys: Tensor        # attention_keys(H)
+    gates: Tensor       # H times the context columns of the GRU's weight, (n, 3 * dec_hidden)
+    readout: Tensor     # H W_rc^T, (n, 2 * dec_hidden)
+    copy_gate: Tensor   # H w_cc, (n,)
 
 
 def passage_memory(enc_states: Tensor, p: DecoderParams) -> PassageMemory:
@@ -112,7 +105,7 @@ def passage_memory(enc_states: Tensor, p: DecoderParams) -> PassageMemory:
     cols = (word, word + enc_states.shape[1])
     return PassageMemory(
         keys=attention_keys(enc_states, p),
-        gates=[ad.linear(enc_states, w, cols) for w in (p.gru.w_z, p.gru.w_r, p.gru.w_h)],
+        gates=ad.linear(enc_states, p.gru.w, cols),
         readout=ad.linear(enc_states, p.w_rc),
         copy_gate=ad.matmul(enc_states, p.w_cc),
     )
@@ -168,9 +161,8 @@ def decode_step(
     and the step's distribution, one row per hypothesis.  The context is
     never formed: each of its terms is an attention row times a
     `passage_memory` table."""
-    inputs = [ad.add(x, ad.matmul(alpha_prev, m))
-              for x, m in zip(gru_inputs(w_prev, p.gru), memory.gates)]
-    s_t = gru_step(inputs, s_prev, p.gru)
+    inputs = ad.add(gru_inputs(w_prev, p.gru), ad.matmul(alpha_prev, memory.gates))
+    s_t = ad.gru_cell(inputs, p.gru.w, s_prev)
     alpha, _ = attention(s_t, memory.keys, p)
     return s_t, output_head(w_prev, s_t, alpha, ad.matmul(alpha, memory.readout),
                             ad.matmul(alpha, memory.copy_gate), p)
@@ -208,7 +200,7 @@ def teacher_forced_unroll(
     c = Tensor(np.zeros((batch, enc.states.shape[1]), enc.states.data.dtype))
     rows: list[tuple[Tensor, Tensor, Tensor]] = []   # (s, c, alpha) of each step
     for step_rows in positions:
-        s = gru_step(inputs, s, p.gru, context=c, rows=step_rows)
+        s = ad.gru_cell(inputs, p.gru.w, s, context=c, rows=step_rows)
         alpha, _ = attention(s, keys, p, mask)
         c = ad.attention_context(alpha, enc.states)
         rows.append((s, c, alpha))

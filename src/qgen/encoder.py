@@ -12,51 +12,26 @@ from .autodiff import ParamStore, Tensor
 
 @dataclass
 class GruCellParams:
-    """Update/reset/candidate gates for one direction; weights act on [x; h]."""
+    """One GRU: the update, reset and candidate gates' weights stacked as
+    rows [W_z; W_r; W_h], acting on [x; h], and their biases stacked alike."""
 
-    w_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    b_h: Tensor
+    w: Tensor   # (3 * hidden, input + hidden)
+    b: Tensor   # (3 * hidden,)
 
     @classmethod
     def create(cls, params: ParamStore, prefix: str, input_dim: int, hidden: int,
                rng: np.random.Generator, scale: float = 0.08) -> "GruCellParams":
-        def w(name):
-            return params.add(f"{prefix}.{name}", rng.uniform(-scale, scale, size=(hidden, input_dim + hidden)))
-
-        def b(name):
-            return params.add(f"{prefix}.{name}", np.zeros(hidden))
-
-        return cls(w_z=w("w_z"), b_z=b("b_z"), w_r=w("w_r"), b_r=b("b_r"), w_h=w("w_h"), b_h=b("b_h"))
-
-    @classmethod
-    def from_store(cls, params: ParamStore, prefix: str) -> "GruCellParams":
-        return cls(*(params[f"{prefix}.{n}"] for n in ("w_z", "b_z", "w_r", "b_r", "w_h", "b_h")))
+        # one draw of the three (hidden, input + hidden) blocks, in row order
+        w = params.add(f"{prefix}.w", rng.uniform(-scale, scale, size=(3 * hidden, input_dim + hidden)))
+        return cls(w=w, b=params.add(f"{prefix}.b", np.zeros(3 * hidden)))
 
 
-def gru_inputs(x: Tensor, p: GruCellParams) -> list[Tensor]:
+def gru_inputs(x: Tensor, p: GruCellParams) -> Tensor:
     """The input's share of the z, r and candidate pre-activations, bias
-    included: x times the first x-width columns of each weight.  A recurrence
-    takes it for all its inputs at once, before the time loop."""
-    cols = (0, x.shape[-1])
-    return [ad.add(ad.linear(x, w, cols), b) for w, b in ((p.w_z, p.b_z), (p.w_r, p.b_r), (p.w_h, p.b_h))]
-
-
-def gru_step(inputs: list[Tensor], h_prev: Tensor, p: GruCellParams,
-             context: Tensor | None = None, rows: np.ndarray | None = None) -> Tensor:
-    """Standard GRU update, reset gate applied to h before the candidate:
-    one `ad.gru_cell` node.
-
-    `inputs` are the z, r and candidate pre-activation shares of the
-    weights' first columns, bias included (`gru_inputs`), or the m rows
-    `rows` of them, one per state, when they hold every step's; the
-    remaining columns act on [context; h], context optional.  h_prev is
-    (m, hidden): m states stacked as rows.
-    """
-    return ad.gru_cell(inputs, (p.w_z, p.w_r, p.w_h), h_prev, context, rows)
+    included, (rows, 3 * hidden): x times the first x-width columns of the
+    weight.  A recurrence takes it for all its inputs at once, before the
+    time loop, and `ad.gru_cell` reads each step's rows of it."""
+    return ad.add(ad.linear(x, p.w, (0, x.shape[-1])), p.b)
 
 
 @dataclass
@@ -72,14 +47,14 @@ class EncoderOutput:
         return np.arange(self.lengths.max()) < self.lengths[:, None]
 
 
-def _direction(gates: list[Tensor], positions: np.ndarray, p: GruCellParams) -> Tensor:
+def _direction(gates: Tensor, positions: np.ndarray, p: GruCellParams) -> Tensor:
     """One direction over B sequences in lockstep: step i reads row
     positions[i, b] of the input shares for sequence b, in place.  Returns
     the states, step-major (n * B, hidden)."""
-    h = Tensor(np.zeros((positions.shape[1], p.w_z.shape[0]), gates[0].data.dtype))
+    h = Tensor(np.zeros((positions.shape[1], p.w.shape[0] // 3), gates.data.dtype))
     states = []
     for rows in positions:
-        h = gru_step(gates, h, p, rows=rows)
+        h = ad.gru_cell(gates, p.w, h, rows=rows)
         states.append(h)
     return ad.concat(states)
 

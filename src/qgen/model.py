@@ -53,13 +53,20 @@ class QgModel:
     """The full question generation model over one parameter store."""
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, reduced: ReducedTargetVocab,
-                 feature_vocab: FeatureVocab, params: ParamStore):
+                 feature_vocab: FeatureVocab, params: ParamStore,
+                 gcn: list[tuple[Tensor, Tensor]], enc_fwd: GruCellParams,
+                 enc_bwd: GruCellParams, dec: DecoderParams):
         self.config = config
         self.vocab = vocab
         self.reduced = reduced
         self.features = feature_vocab
         self.params = params
         self.embedder = FeatureEmbedder(params, config, vocab, feature_vocab)
+        # views of `params`' tensors; `load` rebinds their data in place
+        self.gcn = gcn            # (w, b) of each GCN layer
+        self.enc_fwd = enc_fwd
+        self.enc_bwd = enc_bwd
+        self.dec = dec
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocabulary, reduced: ReducedTargetVocab,
@@ -69,18 +76,19 @@ class QgModel:
         build_feature_tables(params, config, vocab, feature_vocab, rng, vectors_file)
 
         gcn_in = clue_input_width(config)
+        gcn = []
         for layer in range(config.gcn_layers):
             d_in = gcn_in if layer == 0 else config.gcn_hidden
-            params.add(f"clue.gcn{layer}.w", rng.uniform(-0.08, 0.08, size=(config.gcn_hidden, d_in)))
-            params.add(f"clue.gcn{layer}.b", np.zeros(config.gcn_hidden))
+            w = params.add(f"clue.gcn{layer}.w", rng.uniform(-0.08, 0.08, size=(config.gcn_hidden, d_in)))
+            gcn.append((w, params.add(f"clue.gcn{layer}.b", np.zeros(config.gcn_hidden))))
         params.add("clue.out.w", rng.uniform(-0.08, 0.08, size=(2, config.gcn_hidden)))
         params.add("clue.out.b", np.zeros(2))
 
         enc_in = encoder_input_width(config)
-        GruCellParams.create(params, "enc.fwd", enc_in, config.enc_hidden, rng)
-        GruCellParams.create(params, "enc.bwd", enc_in, config.enc_hidden, rng)
+        enc_fwd = GruCellParams.create(params, "enc.fwd", enc_in, config.enc_hidden, rng)
+        enc_bwd = GruCellParams.create(params, "enc.bwd", enc_in, config.enc_hidden, rng)
 
-        DecoderParams.create(
+        dec = DecoderParams.create(
             params,
             word_dim=config.word_dim,
             enc_width=2 * config.enc_hidden,
@@ -89,21 +97,7 @@ class QgModel:
             vocab_out=len(reduced),
             rng=rng,
         )
-        return cls(config, vocab, reduced, feature_vocab, params)
-
-    # parameter views
-    def gcn_params(self) -> list[tuple[Tensor, Tensor]]:
-        return [
-            (self.params[f"clue.gcn{layer}.w"], self.params[f"clue.gcn{layer}.b"])
-            for layer in range(self.config.gcn_layers)
-        ]
-
-    def encoder_params(self) -> tuple[GruCellParams, GruCellParams]:
-        return (GruCellParams.from_store(self.params, "enc.fwd"),
-                GruCellParams.from_store(self.params, "enc.bwd"))
-
-    def decoder_params(self) -> DecoderParams:
-        return DecoderParams.from_store(self.params)
+        return cls(config, vocab, reduced, feature_vocab, params, gcn, enc_fwd, enc_bwd, dec)
 
     @cached_property
     def vocab_surfaces(self) -> VocabSurfaces:
@@ -119,7 +113,7 @@ class QgModel:
         returned features with the clue slot appended."""
         feats = self.embedder.embed_passage(examples)
         return run_clue_predictor(
-            feats, build_adjacency(examples), self.gcn_params(),
+            feats, build_adjacency(examples), self.gcn,
             self.params["clue.out.w"], self.params["clue.out.b"],
             self.config.tau, rng, mode, noise=noise,
         )
@@ -145,14 +139,13 @@ class QgModel:
         keep = [None] * 3
         if mode == "train" and self.config.dropout > 0:
             keep = self.dropout_keeps(batch, enc_input.shape[1], dropout_rng)
-        fwd, bwd = self.encoder_params()
-        enc_out = encode(enc_input, [len(ex.base.passage) for ex in batch], fwd, bwd,
-                         keep[0], keep[1])
+        enc_out = encode(enc_input, [len(ex.base.passage) for ex in batch], self.enc_fwd,
+                         self.enc_bwd, keep[0], keep[1])
         sos = SPECIAL_TOKENS.index(SOS)
         prev_ids = [[sos] + [self.embedder.decoder_word_row_id(t) for t in ex.base.question]
                     for ex in batch]
         decoder = teacher_forced_unroll(prev_ids, self.params["embed.word"], enc_out,
-                                        self.decoder_params(), keep[2])
+                                        self.dec, keep[2])
         return ModelForward(clue=clue, decoder=decoder)
 
     def dropout_keeps(self, batch: list[LabeledExample], input_width: int,

@@ -32,21 +32,38 @@ def _dropout(x, p, mode, rng):
 
 
 def gru_cell(x, h_prev, p):
-    """GRU update over [x; h], each gate one product over the whole row."""
+    """GRU update over [x; h], each gate one product over the whole row by
+    its row block of the stacked weight."""
+    hidden = h_prev.shape[1]
+    w_z, w_r, w_h = (p.w[i * hidden:(i + 1) * hidden] for i in range(3))
+    b_z, b_r, b_h = (p.b[i * hidden:(i + 1) * hidden] for i in range(3))
     xh = ad.concat([x, h_prev], axis=-1)
-    z = ad.sigmoid(ad.add(ad.linear(xh, p.w_z), p.b_z))
-    r = ad.sigmoid(ad.add(ad.linear(xh, p.w_r), p.b_r))
+    z = ad.sigmoid(ad.add(ad.linear(xh, w_z), b_z))
+    r = ad.sigmoid(ad.add(ad.linear(xh, w_r), b_r))
     xrh = ad.concat([x, ad.mul(r, h_prev)], axis=-1)
-    h_cand = ad.tanh(ad.add(ad.linear(xrh, p.w_h), p.b_h))
+    h_cand = ad.tanh(ad.add(ad.linear(xrh, w_h), b_h))
     return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 
-def gru_step_unfused(inputs, h_prev, p, context=None):
-    """`encoder.gru_step` node by node: the three products of the weights'
-    last columns over [context; h] and the gate arithmetic are each their
-    own `linear(..., cols)`, `add`, `sigmoid`, `tanh`, `mul` or `sub` node;
-    `inputs` are the z, r and candidate shares of this step."""
-    xz, xr, xh = inputs
+def gru_row_blocks(w):
+    """The row blocks [W_z; W_r] and W_h of a stacked GRU weight as slice
+    nodes.  A recurrence takes them once, so the (g, x) rows of each
+    block's every step wait on one tensor, as they wait on one block of w
+    in `ad.gru_cell`."""
+    hidden = w.shape[0] // 3
+    return w[:2 * hidden], w[2 * hidden:]
+
+
+def gru_step_unfused(gates, h_prev, blocks, context=None):
+    """`ad.gru_cell` node by node: the two products of the row blocks' last
+    columns over [context; h], [z; r] in one and the candidate in the
+    other, and the gate arithmetic are each their own `slice`,
+    `linear(..., cols)`, `add`, `sigmoid`, `tanh`, `mul` or `sub` node;
+    `gates` are this step's (m, 3 hidden) shares and `blocks` come from
+    `gru_row_blocks`."""
+    w_zr, w_h = blocks
+    hidden = h_prev.shape[1]
+    x_zr, x_h = gates[:, :2 * hidden], gates[:, 2 * hidden:]
 
     def recurrent(h):
         return h if context is None else ad.concat([context, h], axis=-1)
@@ -55,16 +72,16 @@ def gru_step_unfused(inputs, h_prev, p, context=None):
         return w.shape[1] - x.shape[-1], w.shape[1]
 
     zr_in = recurrent(h_prev)
-    z = ad.sigmoid(ad.add(xz, ad.linear(zr_in, p.w_z, columns(p.w_z, zr_in))))
-    r = ad.sigmoid(ad.add(xr, ad.linear(zr_in, p.w_r, columns(p.w_r, zr_in))))
+    zr = ad.sigmoid(ad.add(x_zr, ad.linear(zr_in, w_zr, columns(w_zr, zr_in))))
+    z, r = zr[:, :hidden], zr[:, hidden:]
     cand_in = recurrent(ad.mul(r, h_prev))
-    h_cand = ad.tanh(ad.add(xh, ad.linear(cand_in, p.w_h, columns(p.w_h, cand_in))))
+    h_cand = ad.tanh(ad.add(x_h, ad.linear(cand_in, w_h, columns(w_h, cand_in))))
     return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 
 def encode(features, forward_params, backward_params, dropout_p=0.0, mode="eval", rng=None):
     """(states (n, 2H), last_backward (1, H)) of one passage."""
-    n, hidden = features.shape[0], forward_params.w_z.shape[0]
+    n, hidden = features.shape[0], forward_params.w.shape[0] // 3
     features = _dropout(features, dropout_p, mode, rng)
     zero = Tensor(np.zeros((1, hidden), features.data.dtype))
     h, fwd = zero, []
@@ -143,11 +160,11 @@ def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="trai
     clue_mode = clue_mode or ("train" if mode == "train" else "eval")
     clue = model.predict_clues([example.base], gumbel_rng, mode=clue_mode, noise=gumbel_noise)
     features = model.embedder.append_clue_slot(clue.features, clue.weights)
-    states, last_backward = encode(features, *model.encoder_params(), cfg.dropout, mode,
+    states, last_backward = encode(features, model.enc_fwd, model.enc_bwd, cfg.dropout, mode,
                                    dropout_rng)
     steps = teacher_forced_unroll(example.base.question, model.embedder.decoder_word_row_id,
                                   model.params["embed.word"], states, last_backward,
-                                  model.decoder_params(), mode, cfg.dropout, dropout_rng)
+                                  model.dec, mode, cfg.dropout, dropout_rng)
     gold = np.eye(2)[np.asarray(example.passage_clue_label, dtype=int)]
     loss_clue = ad.mean_(_neg_log(ad.sum_(ad.mul(clue.probs, gold), axis=1)))
     loss_gen, loss_gate = sequence_losses(steps, example)

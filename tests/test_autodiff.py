@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgen.autodiff as ad
-from qgen.autodiff import CheckpointError, ParamStore, Tensor, TensorError
+from qgen.autodiff import CHECKPOINT_FORMAT_VERSION, CheckpointError, ParamStore, Tensor, TensorError
 from qgen.decoder import DecoderParams, decode_step, passage_memory
 
 from conftest import assert_grads_match
@@ -586,7 +586,7 @@ class TestParamStore:
         path = tmp_path / "ckpt.npz"
         store.save(path, {"config": {"seed": 1}})
         arrays, meta = ParamStore.read(path)
-        assert meta["format_version"] == 1
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION
         assert meta["config"] == {"seed": 1}
         for name, t in store.items():
             assert arrays[name].dtype == t.data.dtype
@@ -615,7 +615,7 @@ class TestParamStore:
             for name in src.namelist():
                 dst.writestr(name, src.read(name))
         (a, meta_a), (b, meta_b) = ParamStore.read(stored), ParamStore.read(deflated)
-        assert meta_a == meta_b == {"format_version": 1, "step": 4}
+        assert meta_a == meta_b == {"format_version": CHECKPOINT_FORMAT_VERSION, "step": 4}
         assert a.keys() == b.keys() == {"layer.w", "layer.b"}
         for name, t in store.items():
             assert a[name].dtype == b[name].dtype == t.data.dtype

@@ -37,7 +37,7 @@ def setup():
 def _encode(model, example):
     clue = model.predict_clues([example], rng=None, mode="eval")
     feats = model.embedder.append_clue_slot(clue.features, clue.weights)
-    return encode(feats, [len(example.passage)], *model.encoder_params())
+    return encode(feats, [len(example.passage)], model.enc_fwd, model.enc_bwd)
 
 
 def _start(model, enc, p):
@@ -95,7 +95,7 @@ def reference_generate(model, example, beam_width, max_len):
     one dict merge for every live hypothesis, ties broken by (-prob, token)
     then list order."""
     passage_texts = [t.text for t in example.passage]
-    p = model.decoder_params()
+    p = model.dec
     with no_grad():
         enc = _encode(model, example)
         s, c, w_prev = _start(model, enc, p)
@@ -131,7 +131,7 @@ def reference_generate(model, example, beam_width, max_len):
 
 def greedy_oracle(model, example, max_len):
     """Independent argmax chain over the merged surface distribution."""
-    p = model.decoder_params()
+    p = model.dec
     with no_grad():
         enc = _encode(model, example)
         s, c, w_prev = _start(model, enc, p)
@@ -253,7 +253,7 @@ class TestTiedSurfaces:
         with_gate_bias, corpus = tied_setup
         model = with_gate_bias(gate_bias)
         ex = corpus[0]
-        p = model.decoder_params()
+        p = model.dec
         with no_grad():
             enc = _encode(model, ex)
             s, c, w_prev = _start(model, enc, p)

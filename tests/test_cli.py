@@ -481,3 +481,44 @@ class TestCliErrors:
         code, _, err = run_cli(capsys, "ingest", "--data", str(data), "--set", "bogus=1")
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize("case, error", [
+        ("ingest_not_utf8", "IngestError"), ("evaluate_not_utf8", "CliError"),
+        ("config_not_utf8", "ConfigError"), ("vectors_not_utf8", "ConfigError"),
+        ("ingest_directory", "IsADirectoryError"), ("config_directory", "IsADirectoryError"),
+        ("train_out_is_a_file", "FileExistsError"), ("stats_out_is_a_file", "FileExistsError")])
+    def test_unusable_path_is_reported_as_json(self, tmp_path, capsys, case, error):
+        """A file that is not UTF-8, a directory where a file is read, or a
+        file where a directory is made: exit status 1 and a JSON error that
+        names the path, not a traceback."""
+        data = tmp_path / "d.jsonl"
+        main(["make-toy-data", "--n", "2", "--seed", "0", "--out", str(data)])
+        capsys.readouterr()
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe not text\n")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"the 0.5 0.25\n\xff 0.5 0.25\n")
+        regular = tmp_path / "regular"
+        regular.write_text("a file\n")
+        train = ["train", "--data", str(data), "--set", "epochs=1", "--set", "word_dim=2"]
+        # each case's arguments and a part of the message that names the path
+        argv, named = {
+            "ingest_not_utf8": (["ingest", "--data", str(binary)], f"{binary} line 1"),
+            "evaluate_not_utf8": (["evaluate", "--pred", str(binary), "--ref", str(data)],
+                                  f"{binary} line 1"),
+            "config_not_utf8": (["ingest", "--data", str(data), "--config", str(binary)],
+                                str(binary)),
+            "vectors_not_utf8": (train + ["--out", str(tmp_path / "run"), "--vectors",
+                                          str(vectors)], f"{vectors} line 2"),
+            "ingest_directory": (["ingest", "--data", str(tmp_path)], str(tmp_path)),
+            "config_directory": (["ingest", "--data", str(data), "--config", str(tmp_path)],
+                                 str(tmp_path)),
+            "train_out_is_a_file": (train + ["--out", str(regular)], str(regular)),
+            "stats_out_is_a_file": (["stats", "--data", str(data), "--out-dir", str(regular)],
+                                    str(regular)),
+        }[case]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == error
+        assert named in report["message"]

@@ -3,21 +3,18 @@ import pytest
 
 import qgen.autodiff as ad
 from qgen.autodiff import ParamStore, Tensor, TensorError
-from qgen.encoder import GruCellParams, encode, gru_inputs, gru_step
+from qgen.encoder import GruCellParams, encode, gru_inputs
 
 from conftest import assert_grads_match
 
 
 def _zero_params(input_dim, hidden):
-    return GruCellParams(
-        w_z=Tensor(np.zeros((hidden, input_dim + hidden))), b_z=Tensor(np.zeros(hidden)),
-        w_r=Tensor(np.zeros((hidden, input_dim + hidden))), b_r=Tensor(np.zeros(hidden)),
-        w_h=Tensor(np.zeros((hidden, input_dim + hidden))), b_h=Tensor(np.zeros(hidden)),
-    )
+    return GruCellParams(w=Tensor(np.zeros((3 * hidden, input_dim + hidden))),
+                         b=Tensor(np.zeros(3 * hidden)))
 
 
 def gru_cell(x, h_prev, p):
-    return gru_step(gru_inputs(x, p), h_prev, p)
+    return ad.gru_cell(gru_inputs(x, p), p.w, h_prev)
 
 
 def _random_params(input_dim, hidden, rng):
@@ -35,24 +32,23 @@ class TestGruCell:
     def test_candidate_path_from_zero_state(self):
         rng = np.random.default_rng(0)
         p = _zero_params(3, 4)
-        p.w_h = Tensor(rng.normal(size=(4, 7)))
-        p.b_h = Tensor(rng.normal(size=4))
+        w_h, b_h = rng.normal(size=(4, 7)), rng.normal(size=4)
+        p.w.data[8:], p.b.data[8:] = w_h, b_h   # the candidate's row block
         x = np.array([0.3, -1.0, 2.0])
         h = gru_cell(Tensor(x[None]), Tensor(np.zeros((1, 4))), p)
-        expected = 0.5 * np.tanh(p.w_h.data @ np.concatenate([x, np.zeros(4)]) + p.b_h.data)[None]
+        expected = 0.5 * np.tanh(w_h @ np.concatenate([x, np.zeros(4)]) + b_h)[None]
         np.testing.assert_allclose(h.data, expected, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         x, h0 = rng.normal(size=(1, 3)), rng.normal(size=(1, 4))
-        ws = rng.normal(size=(3, 4, 7)) * 0.5
-        bs = rng.normal(size=(3, 4)) * 0.5
+        w = rng.normal(size=(12, 7)) * 0.5
+        b = rng.normal(size=12) * 0.5
 
-        def loss(xv, hv, wz, bz, wr, br, wh, bh):
-            p = GruCellParams(w_z=wz, b_z=bz, w_r=wr, b_r=br, w_h=wh, b_h=bh)
-            return ad.sum_(gru_cell(xv, hv, p))
+        def loss(xv, hv, wv, bv):
+            return ad.sum_(gru_cell(xv, hv, GruCellParams(w=wv, b=bv)))
 
-        assert_grads_match(loss, [x, h0, ws[0], bs[0], ws[1], bs[1], ws[2], bs[2]], tol=1e-4)
+        assert_grads_match(loss, [x, h0, w, b], tol=1e-4)
 
 
 class TestEncode:

@@ -7,10 +7,10 @@ import pytest
 
 import qgen.autodiff as ad
 from qgen.autodiff import ParamStore, Tensor, TensorError
-from qgen.encoder import GruCellParams, gru_inputs, gru_step
+from qgen.encoder import GruCellParams, gru_inputs
 
 from conftest import assert_grads_match
-from reference import gru_step_unfused
+from reference import gru_row_blocks, gru_step_unfused
 
 HIDDEN, X_DIM, C_DIM, BATCH, STEPS = 5, 3, 4, 2, 3
 # each step's rows of the input shares, read in place: out of order, distinct
@@ -18,12 +18,16 @@ HIDDEN, X_DIM, C_DIM, BATCH, STEPS = 5, 3, 4, 2, 3
 INDEX_ROWS = np.array([[3, 0], [5, 3], [1, 4]])
 
 
-def fused(gates, h, p, context, rows):
-    return gru_step(gates, h, p, context=context, rows=rows)
+def fused(w):
+    """A step over the stacked weight `w` itself."""
+    return lambda gates, h, context, rows: ad.gru_cell(gates, w, h, context, rows)
 
 
-def unfused(gates, h, p, context, rows):
-    return gru_step_unfused(gates if rows is None else [g[rows] for g in gates], h, p, context)
+def unfused(w):
+    """A step over the row blocks of `w`, sliced once here, for every step."""
+    blocks = gru_row_blocks(w)
+    return lambda gates, h, context, rows: gru_step_unfused(
+        gates if rows is None else gates[rows], h, blocks, context)
 
 
 class _Case:
@@ -34,8 +38,7 @@ class _Case:
         rng = np.random.default_rng(seed)
         self.store = ParamStore(dtype)
         self.p = GruCellParams.create(self.store, "g", X_DIM + context_dim, HIDDEN, rng, scale=0.5)
-        for name in ("b_z", "b_r", "b_h"):   # nonzero biases
-            self.store[f"g.{name}"].data[:] = rng.normal(size=HIDDEN)
+        self.store["g.b"].data[:] = rng.normal(size=3 * HIDDEN)   # nonzero biases
 
         def leaf(*shape):
             return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
@@ -50,7 +53,7 @@ class _Case:
         return [self.x, self.h0, self.c0, self.w_c, *self.store.tensors()]
 
 
-def _recurrence(step, case, with_context, index_rows):
+def _recurrence(make_step, case, with_context, index_rows):
     """STEPS steps over the rows of every step's input shares, as
     `encoder._direction` (no context) and `decoder.teacher_forced_unroll`
     (a context that each state feeds into the next step) run them: the rows
@@ -59,12 +62,13 @@ def _recurrence(step, case, with_context, index_rows):
     a state's gradient has a part before its step runs and parts after."""
     gates = gru_inputs(case.x, case.p)
     if not index_rows:
-        gates = [ad.gather_rows(g, np.arange(STEPS * BATCH)) for g in gates]
+        gates = ad.gather_rows(gates, np.arange(STEPS * BATCH))
+    step = make_step(case.p.w)
     h, c = case.h0, case.c0 if with_context else None
     states = []
     for i in range(STEPS):
         rows = INDEX_ROWS[i] if index_rows else slice(i * BATCH, (i + 1) * BATCH)
-        h = step(gates, h, case.p, c, rows)
+        h = step(gates, h, c, rows)
         states.append(h)
         if with_context:
             c = ad.tanh(ad.linear(h, case.w_c))
@@ -75,11 +79,11 @@ def _recurrence(step, case, with_context, index_rows):
     return out, loss, gates
 
 
-def _beam_step(step, case):
-    """`decoder.decode_step`: whole (K, hidden) input shares, one row per
+def _beam_step(make_step, case):
+    """`decoder.decode_step`: whole (K, 3 hidden) input shares, one row per
     hypothesis, and no context."""
     gates = gru_inputs(case.x[:BATCH], case.p)
-    out = step(gates, case.h0, case.p, None, None)
+    out = make_step(case.p.w)(gates, case.h0, None, None)
     return out, ad.sum_(ad.mul(ad.tanh(out), case.head[:BATCH])), gates
 
 
@@ -91,7 +95,7 @@ def _run(step, dtype, shape, passes, index_rows):
         out, loss, gates = _recurrence(step, case, shape == "decoder", index_rows)
     for _ in range(passes):
         loss.backward()
-    return out.data, [t.grad for t in case.leaves() + gates]
+    return out.data, [t.grad for t in case.leaves() + [gates]]
 
 
 def _assert_same_bytes(got, want):
@@ -140,10 +144,9 @@ def test_beam_step_under_no_grad(dtype):
 def test_one_node_per_step():
     case = _Case(np.float64, 0)
     gates = gru_inputs(case.x, case.p)
-    out = fused(gates, case.h0, case.p, None, slice(0, BATCH))
+    out = fused(case.p.w)(gates, case.h0, None, slice(0, BATCH))
     assert out._op == "gru_cell"
-    assert {id(t) for t in out._parents} == {id(t) for t in [*gates, case.h0, case.p.w_z,
-                                                             case.p.w_r, case.p.w_h]}
+    assert [id(t) for t in out._parents] == [id(gates), id(case.p.w), id(case.h0)]
 
 
 def _assert_grads_match_finite_differences(rows):
@@ -151,13 +154,12 @@ def _assert_grads_match_finite_differences(rows):
     state."""
     rng = np.random.default_rng(3)
     k = C_DIM + HIDDEN + X_DIM
-    arrays = [*(rng.normal(size=(2 * BATCH, HIDDEN)) for _ in range(3)),
-              *(rng.normal(size=(HIDDEN, k)) * 0.5 for _ in range(3)),
+    arrays = [rng.normal(size=(2 * BATCH, 3 * HIDDEN)), rng.normal(size=(3 * HIDDEN, k)) * 0.5,
               rng.normal(size=(BATCH, HIDDEN)), rng.normal(size=(BATCH, C_DIM))]
     head = rng.normal(size=(BATCH, HIDDEN))
 
-    def loss(xz, xr, xh, wz, wr, wh, h, c):
-        out = ad.gru_cell([xz, xr, xh], [wz, wr, wh], h, c, rows=rows)
+    def loss(x, w, h, c):
+        out = ad.gru_cell(x, w, h, c, rows=rows)
         return ad.sum_(ad.mul(out, head))
 
     assert_grads_match(loss, arrays)
@@ -173,9 +175,18 @@ def test_index_row_gradients_match_finite_differences():
 
 def test_mismatched_shapes_rejected():
     rng = np.random.default_rng(4)
-    w = [Tensor(rng.normal(size=(HIDDEN, HIDDEN + 1))) for _ in range(3)]
-    gates = [Tensor(np.zeros(HIDDEN)) for _ in range(3)]
-    with pytest.raises(TensorError, match="gru_cell"):
-        ad.gru_cell(gates, w, Tensor(np.zeros((2, HIDDEN))), Tensor(np.zeros((2, 2))))
-    with pytest.raises(TensorError, match="gru_cell"):
-        ad.gru_cell(gates, w[:2] + [Tensor(np.zeros((HIDDEN, 2)))], Tensor(np.zeros((2, HIDDEN))))
+    w = Tensor(rng.normal(size=(3 * HIDDEN, HIDDEN + 1)))
+    gates = Tensor(np.zeros((2, 3 * HIDDEN)))
+    state = Tensor(np.zeros((2, HIDDEN)))
+    with pytest.raises(TensorError, match="gru_cell"):   # no columns left for the context
+        ad.gru_cell(gates, w, state, Tensor(np.zeros((2, 2))))
+    with pytest.raises(TensorError, match="gru_cell"):   # three gates' rows, not two
+        ad.gru_cell(gates, Tensor(np.zeros((2 * HIDDEN, HIDDEN + 1))), state)
+    with pytest.raises(TensorError, match="gru_cell"):   # one share row for two states
+        ad.gru_cell(Tensor(np.zeros((1, 3 * HIDDEN))), w, state)
+    with pytest.raises(TensorError, match="gru_cell"):   # two gates' shares
+        ad.gru_cell(Tensor(np.zeros((2, 2 * HIDDEN))), w, state)
+    with pytest.raises(TensorError, match="gru_cell"):   # rows leave one share for two states
+        ad.gru_cell(Tensor(np.zeros((4, 3 * HIDDEN))), w, state, rows=slice(3, 5))
+    with pytest.raises(TensorError, match="gru_cell"):   # shares of one state, not a matrix
+        ad.gru_cell(Tensor(np.zeros(3 * HIDDEN)), w, state)
