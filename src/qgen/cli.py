@@ -203,6 +203,7 @@ def _cmd_evaluate(args) -> int:
     refs = {ex.id: ex.question for ex in load_corpus(args.ref)}
     pairs = []
     missing = []
+    first_line = {}   # prediction id -> the line it was first read from
     for lineno, line in utf8_lines(args.pred, CliError):
         line = line.strip()
         if not line:
@@ -215,6 +216,10 @@ def _cmd_evaluate(args) -> int:
                 and isinstance(obj.get("prediction"), str)):
             raise CliError(f"{args.pred} line {lineno}: expected a JSON object with "
                            f"string \"id\" and \"prediction\" fields")
+        if obj["id"] in first_line:
+            raise CliError(f"{args.pred} line {lineno}: id {obj['id']!r} repeats the id of "
+                           f"line {first_line[obj['id']]}")
+        first_line[obj["id"]] = lineno
         if obj["id"] not in refs:
             missing.append(obj["id"])
             continue

@@ -74,7 +74,7 @@ class ModelConfig:
     max_len: int = 30
     # misc
     seed: int = 0
-    precision: str = "float64"
+    precision: str = "float32"
 
     def validate(self) -> "ModelConfig":
         positive_ints = [

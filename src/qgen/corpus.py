@@ -158,6 +158,7 @@ def load_corpus(path, require_question: bool = True) -> list[AnnotatedExample]:
     """
     examples = []
     errors = []
+    first_line = {}   # id -> the line it was first read from
     for lineno, line in utf8_lines(path, IngestError):
         line = line.strip()
         if not line:
@@ -168,10 +169,17 @@ def load_corpus(path, require_question: bool = True) -> list[AnnotatedExample]:
             errors.append(f"line {lineno}: invalid JSON ({e.msg})")
             continue
         try:
-            examples.append(_parse_example(obj, require_question))
+            example = _parse_example(obj, require_question)
         except ValueError as e:
             ex_id = obj.get("id", "?") if isinstance(obj, dict) else "?"
             errors.append(f"line {lineno} (id={ex_id}): {e}")
+            continue
+        if example.id in first_line:
+            errors.append(f"line {lineno} (id={example.id}): repeats the id of line "
+                          f"{first_line[example.id]}")
+            continue
+        first_line[example.id] = lineno
+        examples.append(example)
     if errors:
         raise IngestError(f"{len(errors)} malformed record(s) in {path}:\n" + "\n".join(errors))
     return examples
@@ -369,4 +377,6 @@ def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
             raise ConfigError(
                 f"word-vector file {path} line {lineno}: a value is not a number"
             ) from None
+        if not np.isfinite(table[word]).all():
+            raise ConfigError(f"word-vector file {path} line {lineno}: a value is not finite")
     return table

@@ -85,7 +85,7 @@ def gold_clue_noise(batch, margin=10.0):
 def tiny_config(**overrides):
     base = dict(r_h=2, r_l=5, vocab_max=12, word_dim=6, tier_dim=2, feat_dim=2,
                 enc_hidden=8, dec_hidden=8, attn_dim=8, gcn_layers=2, gcn_hidden=8,
-                dropout=0.0, seed=11)
+                dropout=0.0, seed=11, precision="float64")
     base.update(overrides)
     return ModelConfig(**base).validate()
 
@@ -95,7 +95,7 @@ def toy_config(**overrides):
     base = dict(r_h=8, r_l=60, word_dim=48, tier_dim=8, feat_dim=8,
                 enc_hidden=64, dec_hidden=64, attn_dim=48, gcn_layers=2,
                 gcn_hidden=32, dropout=0.0, lr=0.003, batch=8, epochs=300,
-                ema=0.9, seed=3)
+                ema=0.9, seed=3, precision="float64")
     base.update(overrides)
     return ModelConfig(**base).validate()
 

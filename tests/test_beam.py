@@ -41,9 +41,10 @@ def _encode(model, example):
 
 
 def _start(model, enc, p):
-    """One-row (s_0, zero context, <SOS> embedding) of one hypothesis."""
+    """One-row (s_0, zero context, <SOS> embedding) of one hypothesis, in
+    the model's dtype."""
     s = init_decoder(enc.last_backward, p.w_init, p.b_init)
-    return s, Tensor(np.zeros((1, enc.states.shape[1]))), _word(model, SOS)
+    return s, Tensor(np.zeros((1, enc.states.shape[1]), enc.states.data.dtype)), _word(model, SOS)
 
 
 def _step(w_prev, c, s, enc, p):
@@ -158,22 +159,46 @@ def _assert_matches_reference(model, example, beam_width, max_len):
     want = reference_generate(model, example, beam_width, max_len)
     assert [h.tokens for h in got] == [h.tokens for h in want]
     assert [h.finished for h in got] == [h.finished for h in want]
-    np.testing.assert_allclose([h.log_prob for h in got], [h.log_prob for h in want],
-                               rtol=0, atol=1e-9)
+    if model.config.precision == "float64":
+        np.testing.assert_allclose([h.log_prob for h in got], [h.log_prob for h in want],
+                                   rtol=0, atol=1e-9)
+    else:
+        # the two passes round float32 products summed in different orders
+        np.testing.assert_allclose([h.score for h in got], [h.score for h in want],
+                                   rtol=1e-5, atol=0)
     return got
+
+
+@pytest.fixture(scope="module")
+def setup32(setup):
+    """`setup`'s model built in float32 from the same draws."""
+    model, corpus = setup
+    return QgModel.build(replace(model.config, precision="float32"), model.vocab,
+                         model.reduced, model.features, np.random.default_rng(21)), corpus
+
+
+def _assert_matches_reference_on_toy_passages(model, corpus, beam_width, max_len):
+    repeating = _repeating_passage()
+    texts = [t.text for t in repeating.passage]
+    assert len(set(texts)) < len(texts)
+    assert set(texts) & set(model.reduced.words)
+    for ex in corpus[:3] + [repeating]:
+        _assert_matches_reference(model, ex, beam_width, max_len)
 
 
 class TestAgainstReference:
     @pytest.mark.parametrize("max_len", [1, 4, 12])
     @pytest.mark.parametrize("beam_width", [1, 3, 5, 20])
     def test_batched_beam_equals_per_hypothesis_beam(self, setup, beam_width, max_len):
-        model, corpus = setup
-        repeating = _repeating_passage()
-        texts = [t.text for t in repeating.passage]
-        assert len(set(texts)) < len(texts)
-        assert set(texts) & set(model.reduced.words)
-        for ex in corpus[:3] + [repeating]:
-            _assert_matches_reference(model, ex, beam_width, max_len)
+        _assert_matches_reference_on_toy_passages(*setup, beam_width, max_len)
+
+    @pytest.mark.parametrize("max_len", [1, 4, 12])
+    @pytest.mark.parametrize("beam_width", [1, 3, 5, 20])
+    def test_float32_batched_beam_equals_per_hypothesis_beam(self, setup32, beam_width,
+                                                             max_len):
+        model, corpus = setup32
+        assert all(t.data.dtype == np.float32 for t in model.params.tensors())
+        _assert_matches_reference_on_toy_passages(model, corpus, beam_width, max_len)
 
 
 def _surface_table_from_scratch(model, passage_texts):
@@ -336,10 +361,8 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=f"{field} must be a positive integer"):
             generate(model, corpus[0], beam_width=beam_width, max_len=max_len)
 
-    def test_float32_model(self, setup):
-        model, corpus = setup
-        m32 = QgModel.build(replace(model.config, precision="float32"), model.vocab,
-                            model.reduced, model.features, np.random.default_rng(21))
+    def test_float32_model(self, setup32):
+        m32, corpus = setup32
         for ex in corpus[:3]:
             hyps = generate(m32, ex, beam_width=4, max_len=8)
             scores = [h.score for h in hyps]

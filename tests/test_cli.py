@@ -143,10 +143,11 @@ def pipeline(tmp_path_factory):
     config = tmp / "config.json"
     out_dir = tmp / "run"
     main(["make-toy-data", "--n", "6", "--seed", "4", "--out", str(data)])
-    ModelConfig(r_h=5, r_l=40, word_dim=16, tier_dim=4, feat_dim=4,
-                enc_hidden=12, dec_hidden=12, attn_dim=8, gcn_layers=2,
-                gcn_hidden=8, dropout=0.0, lr=0.003, batch=3, epochs=2,
-                ema=0.9, seed=5, beam=3, max_len=10).save(config)
+    # no precision: the run takes the default
+    config.write_text(json.dumps(dict(r_h=5, r_l=40, word_dim=16, tier_dim=4, feat_dim=4,
+                                      enc_hidden=12, dec_hidden=12, attn_dim=8, gcn_layers=2,
+                                      gcn_hidden=8, dropout=0.0, lr=0.003, batch=3, epochs=2,
+                                      ema=0.9, seed=5, beam=3, max_len=10)))
     code = main(["train", "--config", str(config), "--data", str(data),
                  "--out", str(out_dir)])
     assert code == 0
@@ -161,6 +162,16 @@ class TestTrainGenerateEvaluate:
         log = [json.loads(l) for l in (out_dir / "train_log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in log] == [1, 2]
         assert all("total" in r for r in log)
+
+    def test_config_without_precision_trains_float32(self, pipeline):
+        _, _, config, out_dir = pipeline
+        assert "precision" not in json.loads(config.read_text())
+        for ckpt in ("model.npz", "model_ema.npz"):
+            arrays, meta = ParamStore.read(out_dir / ckpt)
+            assert meta["config"]["precision"] == "float32"
+            assert all(a.dtype == np.float32 for a in arrays.values()), ckpt
+        loaded = QgModel.load(out_dir / "model.npz")
+        assert all(t.data.dtype == np.float32 for t in loaded.params.tensors())
 
     def test_generate_writes_predictions(self, pipeline, capsys):
         tmp, data, _, out_dir = pipeline
@@ -291,6 +302,35 @@ class TestTrainGenerateEvaluate:
         report = json.loads(err)
         assert report["error"] == "CliError"
         assert "line 3" in report["message"]
+
+    def test_evaluate_rejects_repeated_prediction_id(self, pipeline, capsys):
+        """A repeated id would be scored twice: exit 1 with one JSON error
+        that names the repeating line."""
+        tmp, data, _, _ = pipeline
+        ids = [ex.id for ex in load_corpus(data)]
+        pred = tmp / "repeated.jsonl"
+        pred.write_text("".join(json.dumps({"id": i, "prediction": "what ?"}) + "\n"
+                                for i in ids[:2] + ids[:1]))
+        code, out, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--ref", str(data))
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "CliError"
+        assert f"{pred} line 3: id {ids[0]!r} repeats the id of line 1" == report["message"]
+
+    def test_evaluate_rejects_reference_with_repeated_id(self, pipeline, capsys):
+        """References are looked up by id, so a repeated one would pair a
+        prediction with whichever record came last."""
+        tmp, data, _, _ = pipeline
+        lines = data.read_text().splitlines(keepends=True)
+        ref, pred = tmp / "repeated_ref.jsonl", tmp / "one_pred.jsonl"
+        ref.write_text("".join(lines + lines[1:2]))
+        pred.write_text(json.dumps({"id": json.loads(lines[1])["id"], "prediction": "what ?"}))
+        code, out, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--ref", str(ref))
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "IngestError"
+        assert f"line {len(lines) + 1} " in report["message"]
+        assert "repeats the id of line 2" in report["message"]
 
     def test_unknown_prediction_id_fails(self, pipeline, capsys):
         tmp, data, _, _ = pipeline
@@ -474,6 +514,22 @@ class TestCliErrors:
         report = json.loads(err)
         assert report["error"] == "ConfigError"
         assert f"{vectors} line 2" in report["message"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+    def test_non_finite_word_vector_value_is_reported_as_json(self, tmp_path, capsys, value):
+        """`float` parses these, and the first loss would be the first to
+        fail on them."""
+        data = tmp_path / "d.jsonl"
+        main(["make-toy-data", "--n", "2", "--seed", "0", "--out", str(data)])
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"the 0.5 0.25\nof 0.5 {value}\n")
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                                 "--vectors", str(vectors), "--set", "word_dim=2")
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "ConfigError"
+        assert report["message"] == f"word-vector file {vectors} line 2: a value is not finite"
 
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

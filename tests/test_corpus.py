@@ -92,6 +92,12 @@ class TestLoadCorpus:
         with pytest.raises(IngestError, match=r"line 2 \(id=\?\): record is not a JSON object"):
             load_corpus(path)
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        path = _write(tmp_path, [_record("e1"), _record("e2"), _record("e1", n=4)])
+        with pytest.raises(IngestError, match=r"1 malformed.*\nline 3 \(id=e1\): repeats "
+                                              r"the id of line 1$"):
+            load_corpus(path)
+
     def test_all_errors_collected(self, tmp_path):
         path = _write(tmp_path, [_record("a", answer=(5, 6)), _record("ok"),
                                  _record("b", heads=[0, 2, 1], answer=(0, 0))])

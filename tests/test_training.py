@@ -10,7 +10,7 @@ import qgen.beam
 import qgen.model
 from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.clue_predictor import gumbel_noise
-from qgen.config import rng_stream
+from qgen.config import ModelConfig, rng_stream
 from qgen.corpus import EOS, build_vocabulary, stopword_set
 from qgen.decoder import ExtendedDistribution
 from qgen.features import FeatureEmbedder, FeatureVocab
@@ -442,7 +442,7 @@ class TestFloat32:
         corpus = make_toy_data(8, seed=1)
         kw = dict(epochs=4, batch=4, seed=5, word_dim=24, enc_hidden=24, dec_hidden=24,
                   attn_dim=16, gcn_hidden=12)
-        ref = train(corpus, toy_config(**kw))
+        ref = train(corpus, toy_config(precision="float64", **kw))
         f32 = train(corpus, toy_config(precision="float32", **kw))
         # float32 rounding (eps 1.2e-7) accumulated over 8 Adam steps, with margin
         for a, b in zip(ref.log, f32.log):
@@ -466,6 +466,21 @@ class TestFloat32:
         assert [(h.tokens, h.log_prob) for h in after] == [(h.tokens, h.log_prob) for h in before]
         assert Tensor(np.zeros(2)).data.dtype == np.float64
         assert all(t.data.dtype == np.float32 for t in loaded.params.tensors())
+
+    def test_float64_checkpoint_loads_as_float64_under_the_float32_default(self, tmp_path):
+        """The checkpoint's config names its precision, so a float64 model
+        comes back in float64, bit for bit."""
+        assert ModelConfig().precision == "float32"
+        m64, labeled = build_tiny_model(precision="float64")
+        m64.save(tmp_path / "m64.npz")
+        loaded = QgModel.load(tmp_path / "m64.npz")
+        assert loaded.config.precision == "float64"
+        for name, t in loaded.params.items():
+            assert t.data.dtype == np.float64, name
+            assert t.data.tobytes() == m64.params[name].data.tobytes(), name
+        want = qgen.beam.generate(m64, labeled[0].base, 3, 6)
+        got = qgen.beam.generate(loaded, labeled[0].base, 3, 6)
+        assert [(h.tokens, h.log_prob) for h in got] == [(h.tokens, h.log_prob) for h in want]
 
     def test_training_graph_is_float32_throughout(self):
         model, labeled = build_tiny_model(precision="float32", dropout=0.3)
