@@ -2,8 +2,12 @@
 
 Tensors wrap numpy arrays (0-, 1- or 2-dimensional) and record the ops that
 produced them so that `backward` on a scalar loss fills the `grad` buffer of
-every tensor created with `requires_grad=True`.  Gradients accumulate
-additively; callers zero them between optimization steps.
+every tensor created with `requires_grad=True`.
+
+How long a gradient lives: a leaf's gradient is only ever added into, and a
+packed `ParamStore` parameter's is a view of the store's flat `grad` buffer,
+which `zero_grad` zero-fills in place between optimization steps.  An op
+output's gradient lasts one pass: `backward` clears it at the next.
 
 Broadcasting in the arithmetic ops is restricted to: equal shapes, scalar vs
 tensor, and row-vector (n,) against matrix (m, n).
@@ -26,9 +30,8 @@ import numpy as np
 _GRAD_ENABLED = True
 _SEQ = itertools.count()
 
-# Entries of one scratch slice for passes that stream a large elementwise
-# computation through L2 instead of DRAM: 256 KB in float64, so the few
-# slices one pass touches fit a 2 MB L2 cache together.
+# Entries of the scratch buffer that `attention_scores` streams its activation
+# through instead of DRAM: 128 KB in float32, 256 KB in float64, inside a 2 MB L2.
 SLICE = 1 << 15
 
 
@@ -108,8 +111,8 @@ class Tensor:
             self.grad += g
 
     def _grad_buffer(self) -> np.ndarray:
-        """This pass's grad array, zero-filled on first use, for ops that
-        scatter into part of it."""
+        """The grad array, zero-filled on first use, for ops that scatter
+        into part of it."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         return self.grad
@@ -129,19 +132,13 @@ class Tensor:
         for ((r0, r1), (c0, c1)), pairs in outer.items():
             gs, xs = zip(*pairs)
             total = (np.concatenate(gs).T @ np.concatenate(xs)).astype(self.data.dtype, copy=False)
-            if self.grad is None and total.shape == self.data.shape:
-                self.grad = total
-            else:
-                self._grad_buffer()[r0:r1, c0:c1] += total
-
-    def zero_grad(self) -> None:
-        self.grad = None
+            self._grad_buffer()[r0:r1, c0:c1] += total
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
 
-        Repeated calls without zeroing accumulate into `grad`: each pass
-        computes a fresh d(loss)/d(tensor) and adds it to what was there.
+        Repeated calls without zeroing accumulate into a leaf's `grad`: each
+        pass computes a fresh d(loss)/d(leaf) and adds it to what was there.
 
         Every consumer of a tensor has a larger `_seq` than the tensor, so
         when the walk reaches it all of its consumers have run and the
@@ -160,11 +157,8 @@ class Tensor:
                     seen.add(id(p))
                     stack.append(p)
         nodes.sort(key=lambda t: t._seq, reverse=True)
-        # stash pre-existing grads so this pass propagates only its own seed
-        stashed = {}
-        for t in nodes:
-            if t.grad is not None:
-                stashed[id(t)] = t.grad
+        for t in nodes:   # an op output propagates only this pass's gradient
+            if t._backward is not None:
                 t.grad = None
         self._accumulate(np.ones_like(self.data))
         for t in nodes:
@@ -172,10 +166,6 @@ class Tensor:
                 t._flush_outer()
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
-        for t in nodes:
-            prior = stashed.get(id(t))
-            if prior is not None:
-                t.grad = prior if t.grad is None else t.grad + prior
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -717,31 +707,29 @@ def replaced_on_success(path):
 
 
 class ParamStore:
-    """Named trainable tensors of one dtype, with lossless checkpoint round-trips."""
+    """Named trainable tensors of one dtype, with lossless checkpoint round-trips.
+
+    `pack`, run by the first `zero_grad`, `adam_step` or `EmaState`, makes
+    each parameter's data and grad views of two flat C-contiguous buffers,
+    `data` and `grad`, at the same offsets, so the optimizer walks each once.
+    """
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Tensor] = {}
+        self.data = self.grad = None   # the flat buffers, once packed
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise TensorError(f"duplicate parameter name {name!r}")
-        # C order: the optimizer updates parameters in place through 1-d views
-        t = Tensor(np.asarray(data, dtype=self.dtype, order="C"), requires_grad=True)
+        if self.data is not None:
+            raise TensorError(f"cannot add parameter {name!r} to a packed store")
+        t = Tensor(np.array(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
         return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self):
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -749,14 +737,37 @@ class ParamStore:
     def tensors(self):
         return list(self._params.values())
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view of a flat array laid out like `data`."""
+        ends = np.cumsum([t.data.size for t in self._params.values()], dtype=np.int64)
+        return {name: flat[end - t.data.size:end].reshape(t.data.shape)
+                for (name, t), end in zip(self._params.items(), ends)}
+
+    def pack(self) -> None:
+        """Move every parameter's data and grad into its views of `data` and
+        `grad`; idempotent.  A view rebound since raises, as the walks over
+        the buffers would not see it."""
+        if self.data is None:
+            size = sum(t.data.size for t in self._params.values())
+            self.data, self.grad = np.empty(size, self.dtype), np.zeros(size, self.dtype)
+            for t, w, g in zip(self.tensors(), self.views(self.data).values(),
+                               self.views(self.grad).values()):
+                w[...] = t.data
+                g[...] = 0 if t.grad is None else t.grad
+                t.data, t.grad = w, g
+        for name, t in self._params.items():
+            if t.data.base is not self.data or getattr(t.grad, "base", None) is not self.grad:
+                raise TensorError(f"parameter {name!r} was rebound after packing; write in place")
+
     def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
+        self.pack()
+        self.grad.fill(0)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy `arrays` into the parameters in place, cast to the store's dtype."""
         extra = sorted(set(arrays) - set(self._params))
         if extra:
             raise CheckpointError(f"checkpoint has unknown parameters {extra}")
@@ -769,7 +780,7 @@ class ParamStore:
             if not np.issubdtype(arrays[name].dtype, np.floating):
                 raise CheckpointError(f"checkpoint parameter {name!r} has dtype "
                                       f"{arrays[name].dtype}, not a floating-point type")
-            t.data = arrays[name].astype(t.data.dtype, order="C")
+            t.data[...] = arrays[name]
 
     def save(self, path, meta: Optional[dict] = None,
              arrays: Optional[dict[str, np.ndarray]] = None) -> None:

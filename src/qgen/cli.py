@@ -5,6 +5,7 @@ KEY=VALUE flags override individual fields."""
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -130,7 +131,9 @@ def _cmd_train(args) -> int:
     corpus = load_corpus(args.data)
     dev = load_corpus(args.dev) if args.dev else None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    for path in (out, *out.parents):   # a file in the way fails before training
+        if path.exists() and not path.is_dir():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
 
     def progress(record):
         line = record.to_json()
@@ -138,12 +141,11 @@ def _cmd_train(args) -> int:
             print(line, file=sys.stderr)
 
     result = train(corpus, config, dev_corpus=dev, vectors_file=args.vectors, progress=progress)
+    out.mkdir(parents=True, exist_ok=True)   # only now: a failed run leaves no --out
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
         for record in result.log:
             fh.write(record.to_json() + "\n")
-    if result.best_dev_arrays is not None:
-        result.model.params.load_arrays(result.best_dev_arrays)
-    result.model.save(out / "model.npz")
+    result.model.save(out / "model.npz", result.best_dev_arrays)   # None: the last weights
     result.model.save(out / "model_ema.npz", result.ema.shadow)
     print(json.dumps({
         "checkpoint": str(out / "model.npz"),

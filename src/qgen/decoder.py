@@ -112,9 +112,9 @@ def passage_memory(enc_states: Tensor, p: DecoderParams) -> PassageMemory:
 
 
 def attention(s_t: Tensor, keys: Tensor, p: DecoderParams,
-              mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Concatenated attention: softmax weights and scores over the source
-    positions, one row of each per row of the (m, dec_hidden) states s_t.
+              mask: np.ndarray | None = None) -> Tensor:
+    """Concatenated attention: softmax weights over the source positions,
+    one row per row of the (m, dec_hidden) states s_t.
 
     Without `mask`, keys are one passage's that every state row attends
     to.  A (B, n) `mask` makes keys B passages padded to n rows each
@@ -122,8 +122,7 @@ def attention(s_t: Tensor, keys: Tensor, p: DecoderParams,
     passage b only.
     """
     blocks = 1 if mask is None else len(mask)
-    scores = ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v, blocks)
-    return ad.softmax(scores, mask=mask), scores
+    return ad.softmax(ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v, blocks), mask=mask)
 
 
 def pairwise_max(r: Tensor) -> Tensor:
@@ -163,7 +162,7 @@ def decode_step(
     `passage_memory` table."""
     inputs = ad.add(gru_inputs(w_prev, p.gru), ad.matmul(alpha_prev, memory.gates))
     s_t = ad.gru_cell(inputs, p.gru.w, s_prev)
-    alpha, _ = attention(s_t, memory.keys, p)
+    alpha = attention(s_t, memory.keys, p)
     return s_t, output_head(w_prev, s_t, alpha, ad.matmul(alpha, memory.readout),
                             ad.matmul(alpha, memory.copy_gate), p)
 
@@ -201,7 +200,7 @@ def teacher_forced_unroll(
     rows: list[tuple[Tensor, Tensor, Tensor]] = []   # (s, c, alpha) of each step
     for step_rows in positions:
         s = ad.gru_cell(inputs, p.gru.w, s, context=c, rows=step_rows)
-        alpha, _ = attention(s, keys, p, mask)
+        alpha = attention(s, keys, p, mask)
         c = ad.attention_context(alpha, enc.states)
         rows.append((s, c, alpha))
     # step-major row t * B + b of every step, in example-major order

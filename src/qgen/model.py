@@ -62,7 +62,7 @@ class QgModel:
         self.features = feature_vocab
         self.params = params
         self.embedder = FeatureEmbedder(params, config, vocab, feature_vocab)
-        # views of `params`' tensors; `load` rebinds their data in place
+        # views of `params`' tensors; `load` writes their data in place
         self.gcn = gcn            # (w, b) of each GCN layer
         self.enc_fwd = enc_fwd
         self.enc_bwd = enc_bwd

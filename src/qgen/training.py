@@ -10,12 +10,12 @@ generated step scores (1 - g_c) * P_gen(target id).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SLICE, ParamStore, Tensor, TensorError
+from .autodiff import ParamStore, Tensor
 from .config import ModelConfig, rng_stream
 from .corpus import AnnotatedExample, build_vocabulary, stopword_set
 from .features import FeatureVocab
@@ -23,6 +23,9 @@ from .labeling import LabeledExample, label_corpus, label_example
 from .model import QgModel
 
 PROB_FLOOR = 1e-12
+# Bytes of one slice of the optimizer's walks, whatever the precision: the six
+# slices an Adam update touches take 1.5 MB and stay in a 2 MB L2 together.
+SLICE_BYTES = 1 << 18
 
 
 class TrainingError(RuntimeError):
@@ -126,80 +129,70 @@ def compute_losses(
 
 @dataclass
 class OptimizerState:
-    """Per-parameter Adam moments and the shared step counter."""
+    """Adam's moments, laid out like `ParamStore.data`, and the step counter."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
-
-
-def _flat(a: np.ndarray) -> np.ndarray:
-    """`a` as a 1-d view; an update through it updates `a`."""
-    if not a.flags.c_contiguous:
-        raise TensorError(f"{a.shape} array is not C-contiguous; "
-                          "an in-place update of its copy would be lost")
-    return a.reshape(-1)
 
 
 def adam_step(params: ParamStore, state: OptimizerState, config: ModelConfig) -> None:
     """Clip every gradient entry to [-clip, clip], then bias-corrected Adam,
-    in place, one slice of each parameter at a time.  In float64 the six
-    slices an update touches (gradient, two scratch slices, m, v, weight)
-    take 1.5 MB and stay in L2, so each operand makes one DRAM round trip per
-    step instead of one per elementwise operation."""
+    in place, in one walk over the packed store's flat buffers a slice at a
+    time, so each operand makes one DRAM round trip per step instead of one
+    per elementwise operation."""
+    params.pack()
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params.data), np.zeros_like(params.data)
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-    clipped, work = np.empty((2, SLICE), params.dtype)
-    for name, tensor in params.items():
-        if name not in state.m:
-            state.m[name] = np.zeros(tensor.shape, tensor.data.dtype)
-            state.v[name] = np.zeros(tensor.shape, tensor.data.dtype)
-        w, m, v = _flat(tensor.data), _flat(state.m[name]), _flat(state.v[name])
-        grad = None if tensor.grad is None else tensor.grad.reshape(-1)
-        # per slice, the operation order of
-        # data - lr * (m / c1) / (sqrt(v / c2) + eps) with m, v updated first
-        for start in range(0, w.size, SLICE):
-            s = slice(start, start + SLICE)
-            ms, vs = m[s], v[s]
-            g, tmp = clipped[:ms.size], work[:ms.size]
-            if grad is None:
-                g.fill(0)
-            else:
-                np.clip(grad[s], -config.clip, config.clip, out=g)
-            ms *= b1
-            ms += np.multiply(g, 1 - b1, out=tmp)
-            vs *= b2
-            np.multiply(g, 1 - b2, out=tmp)
-            tmp *= g
-            vs += tmp
-            np.divide(vs, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += config.eps
-            np.divide(ms, c1, out=g)
-            g *= config.lr
-            g /= tmp
-            w[s] -= g
+    w, grad, m, v = params.data, params.grad, state.m, state.v
+    n = SLICE_BYTES // w.itemsize
+    clipped, work = np.empty((2, n), params.dtype)
+    # per slice, the operation order of
+    # data - lr * (m / c1) / (sqrt(v / c2) + eps) with m, v updated first
+    for start in range(0, w.size, n):
+        s = slice(start, start + n)
+        ms, vs = m[s], v[s]
+        g, tmp = clipped[:ms.size], work[:ms.size]
+        np.clip(grad[s], -config.clip, config.clip, out=g)
+        ms *= b1
+        ms += np.multiply(g, 1 - b1, out=tmp)
+        vs *= b2
+        np.multiply(g, 1 - b2, out=tmp)
+        tmp *= g
+        vs += tmp
+        np.divide(vs, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += config.eps
+        np.divide(ms, c1, out=g)
+        g *= config.lr
+        g /= tmp
+        w[s] -= g
 
 
 class EmaState:
-    """Shadow copy of every trainable parameter, decayed toward the params."""
+    """Shadow copy of every trainable parameter, decayed toward the params:
+    `flat`, laid out like `ParamStore.data`, and its views by name, `shadow`."""
 
     def __init__(self, params: ParamStore, decay: float):
+        params.pack()
         self.decay = decay
-        self.shadow = {name: t.data.copy() for name, t in params.items()}
+        self.flat = params.data.copy()
+        self.shadow = params.views(self.flat)
 
     def update(self, params: ParamStore) -> None:
         """shadow = d * shadow + (1 - d) * param, in place, one slice at a time."""
-        d = self.decay
-        work = np.empty(SLICE, params.dtype)
-        for name, t in params.items():
-            shadow, w = _flat(self.shadow[name]), t.data.reshape(-1)
-            for start in range(0, shadow.size, SLICE):
-                part = shadow[start:start + SLICE]
-                part *= d
-                part += np.multiply(w[start:start + SLICE], 1 - d, out=work[:part.size])
+        params.pack()
+        d, w = self.decay, params.data
+        n = SLICE_BYTES // w.itemsize
+        work = np.empty(n, params.dtype)
+        for start in range(0, self.flat.size, n):
+            part = self.flat[start:start + n]
+            part *= d
+            part += np.multiply(w[start:start + n], 1 - d, out=work[:part.size])
 
 
 @dataclass
@@ -286,13 +279,7 @@ def train(
             ad.mean_(breakdown.total).backward()
             adam_step(model.params, opt, config)
             ema.update(model.params)
-        record = EpochLog(
-            epoch=epoch,
-            loss_clue=sums["loss_clue"] / seen,
-            loss_gen=sums["loss_gen"] / seen,
-            loss_gate=sums["loss_gate"] / seen,
-            total=sums["total"] / seen,
-        )
+        record = EpochLog(epoch=epoch, **{k: v / seen for k, v in sums.items()})
         if labeled_dev is not None:
             record.dev_total = dev_loss(model, labeled_dev)
             if record.dev_total < best_dev:

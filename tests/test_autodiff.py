@@ -473,7 +473,7 @@ class TestDeferredWeightGradients:
         ad.sum_(ad.tanh(other)).backward()
         np.testing.assert_allclose(wt.grad, np.outer(np.ones(len(w)), x1), rtol=0, atol=1e-12)
         # a pass that reaches w only through a non-linear op flushes nothing stale
-        wt.zero_grad()
+        wt.grad.fill(0)
         ad.sum_(ad.mul(wt, wt)).backward()
         np.testing.assert_array_equal(wt.grad, 2 * w)
 
@@ -653,9 +653,26 @@ class TestParamStore:
         store = ParamStore()
         w = store.add("w", np.ones(2))
         ad.sum_(ad.mul(w, w)).backward()
-        assert w.grad is not None
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0])
         store.zero_grad()
-        assert w.grad is None
+        grad = w.grad
+        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        assert grad.base is store.grad   # zeroed in place, in the packed buffer
+        ad.sum_(ad.mul(w, w)).backward()
+        store.zero_grad()
+        assert w.grad is grad and not grad.any()
+
+    def test_pack_keeps_values_and_a_gradient_already_held(self):
+        store = ParamStore()
+        w = store.add("w", np.array([1.0, -2.0]))
+        b = store.add("b", np.array(3.0))
+        ad.sum_(ad.mul(w, w)).backward()   # b gets no gradient
+        store.pack()
+        np.testing.assert_array_equal(store.data, [1.0, -2.0, 3.0])
+        np.testing.assert_array_equal(store.grad, [2.0, -4.0, 0.0])
+        assert w.data.base is store.data and b.grad.base is store.grad
+        store.pack()   # idempotent
+        assert w.data.base is store.data
 
 
 class TestDtypes:

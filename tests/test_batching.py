@@ -68,7 +68,8 @@ def tiny():
 def _grads(model, loss):
     model.params.zero_grad()
     loss.backward()
-    return {name: t.grad for name, t in model.params.items()}
+    # copies: the next zero_grad zeroes these views in place
+    return {name: t.grad.copy() for name, t in model.params.items()}
 
 
 def _streams(seed):

@@ -530,6 +530,7 @@ class TestCliErrors:
         report = json.loads(err)
         assert report["error"] == "ConfigError"
         assert report["message"] == f"word-vector file {vectors} line 2: a value is not finite"
+        assert not (tmp_path / "run").exists()   # a failed run leaves no --out behind
 
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

@@ -21,8 +21,9 @@ from conftest import assert_grads_match
 
 def _attend(s, enc, p):
     """(alpha, context, scores)."""
-    alpha, scores = attention(s, attention_keys(enc, p), p)
-    return alpha, ad.attention_context(alpha, enc), scores
+    keys = attention_keys(enc, p)
+    alpha = attention(s, keys, p)
+    return alpha, ad.attention_context(alpha, enc), ad.attention_scores(keys, ad.linear(s, p.w_s), p.v)
 
 
 def _step(w_prev, alpha_prev, s_prev, enc, p):

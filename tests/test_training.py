@@ -18,7 +18,7 @@ from qgen.labeling import label_corpus
 from qgen.model import QgModel
 from qgen.toydata import make_toy_data
 from qgen.training import (
-    SLICE,
+    SLICE_BYTES,
     EmaState,
     OptimizerState,
     adam_step,
@@ -177,21 +177,23 @@ class TestAdam:
         cfg = self._config(lr=0.001)
         store = ParamStore()
         w = store.add("w", np.asarray(5.0))
-        w.grad = np.asarray(1.0)
+        store.zero_grad()
+        w.grad[...] = 1.0
         adam_step(store, OptimizerState(), cfg)
         assert w.data == pytest.approx(5.0 - 0.001, abs=1e-9)
 
     def test_gradient_clipping(self):
         cfg = self._config(clip=5.0)
-        a = ParamStore()
-        wa = a.add("w", np.asarray(0.0))
-        wa.grad = np.asarray(100.0)
-        adam_step(a, OptimizerState(), cfg)
-        b = ParamStore()
-        wb = b.add("w", np.asarray(0.0))
-        wb.grad = np.asarray(5.0)
-        adam_step(b, OptimizerState(), cfg)
-        assert wa.data == wb.data
+        steps = {}
+        for g in (100.0, 5.0, 4.0):
+            store = ParamStore()
+            w = store.add("w", np.asarray(0.0))
+            store.zero_grad()
+            w.grad[...] = g
+            adam_step(store, OptimizerState(), cfg)
+            steps[g] = float(w.data)
+        assert steps[100.0] == steps[5.0]
+        assert steps[5.0] != steps[4.0]   # the step sees the gradient at all
 
     def test_bias_correction_against_reference(self):
         # independent scalar Adam oracle over a few steps
@@ -203,7 +205,8 @@ class TestAdam:
         x = 1.0
         for t in range(1, 6):
             g = 2.0 * x  # pretend loss x^2 evaluated at the oracle's x
-            w.grad = np.asarray(2.0 * float(w.data))
+            store.zero_grad()
+            w.grad[...] = 2.0 * float(w.data)
             adam_step(store, state, cfg)
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
@@ -226,8 +229,8 @@ def test_in_place_adam_and_ema_match_reference_bit_for_bit(dtype):
     cfg = tiny_config(lr=0.01, clip=0.5)
     rng = np.random.default_rng(4)
     store = ParamStore(dtype)
-    # "big" spans two slices and ends inside the second; "frozen" gets no gradient
-    shapes = [("w", (3, 4)), ("b", (4,)), ("s", ()), ("big", (3, SLICE // 2 + 7)),
+    # "big" spans two slices or more and ends inside one; "frozen" gets no gradient
+    shapes = [("w", (3, 4)), ("b", (4,)), ("s", ()), ("big", (3, SLICE_BYTES // 8 + 7)),
               ("frozen", (2, 3))]
     for name, shape in shapes:
         store.add(name, 1e-3 * rng.normal(size=shape))  # small, so the step sets the low bits
@@ -235,18 +238,20 @@ def test_in_place_adam_and_ema_match_reference_bit_for_bit(dtype):
     ref = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data), t.data.copy())
            for name, t in store.items()}
     for step in range(1, 4):
+        store.zero_grad()
         for name, t in store.items():
             # about a third of the entries beyond the clip
-            t.grad = None if name == "frozen" else rng.normal(size=t.shape).astype(dtype)
+            if name != "frozen":
+                t.grad[...] = rng.normal(size=t.shape)
             data, m, v, shadow = ref[name]
-            grad = np.zeros(t.shape, dtype) if t.grad is None else t.grad
-            data, m, v = _reference_adam(data, grad, m, v, step, cfg)
+            data, m, v = _reference_adam(data, t.grad, m, v, step, cfg)
             ref[name] = (data, m, v, 0.9 * shadow + (1 - 0.9) * data)
         adam_step(store, state, cfg)
         ema.update(store)
+        moments = store.views(state.m), store.views(state.v)
         for name, t in store.items():
             data, m, v, shadow = ref[name]
-            for got, want in [(t.data, data), (state.m[name], m), (state.v[name], v),
+            for got, want in [(t.data, data), (moments[0][name], m), (moments[1][name], v),
                               (ema.shadow[name], shadow)]:
                 assert got.dtype == dtype, name
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, step)
@@ -267,11 +272,13 @@ def test_fortran_order_checkpoint_loads_c_contiguous(tmp_path):
         loaded = QgModel.load(path)
         assert all(t.data.flags.c_contiguous for _, t in loaded.params.items())
         state, ema = OptimizerState(), EmaState(loaded.params, decay=0.9)
+        loaded.params.zero_grad()
         for name, t in loaded.params.items():
-            t.grad = grads[name]
+            t.grad[...] = grads[name]
         adam_step(loaded.params, state, cfg)
         ema.update(loaded.params)
-        results.append([(t.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes(),
+        m, v = loaded.params.views(state.m), loaded.params.views(state.v)
+        results.append([(t.data.tobytes(), m[name].tobytes(), v[name].tobytes(),
                          ema.shadow[name].tobytes()) for name, t in loaded.params.items()])
     assert results[0] == results[1]
 
@@ -282,7 +289,7 @@ def test_loaded_model_views_hold_the_checkpoint(tmp_path):
     not the rebuilt model's initial ones."""
     model, _ = build_tiny_model()
     for _, t in model.params.items():
-        t.data = t.data + 1.0
+        t.data += 1.0
     model.save(tmp_path / "m.npz")
     loaded = QgModel.load(tmp_path / "m.npz")
     last = len(loaded.gcn) - 1
@@ -295,13 +302,25 @@ def test_loaded_model_views_hold_the_checkpoint(tmp_path):
         assert t.data.tobytes() == model.params[name].data.tobytes(), name
 
 
-def test_in_place_update_of_a_non_contiguous_parameter_raises():
+@pytest.mark.parametrize("field", ["data", "grad"])
+def test_rebinding_a_packed_parameter_raises(field):
+    """The flat walk would not see a rebound array: its update would be lost."""
     store = ParamStore()
     w = store.add("w", np.ones((3, 4)))
-    w.data = np.asfortranarray(w.data)  # its 1-d form would be a copy
-    w.grad = np.ones((3, 4))
-    with pytest.raises(TensorError, match="C-contiguous"):
+    store.add("b", np.zeros(4))
+    store.zero_grad()
+    setattr(w, field, np.ones((3, 4)))
+    with pytest.raises(TensorError, match="'w'"):
         adam_step(store, OptimizerState(), tiny_config())
+
+
+def test_adding_to_a_packed_store_raises():
+    store = ParamStore()
+    store.add("w", np.ones(3))
+    EmaState(store, decay=0.9)
+    with pytest.raises(TensorError, match="packed"):
+        store.add("b", np.zeros(3))
+    assert [name for name, _ in store.items()] == ["w"]
 
 
 class TestEma:
@@ -309,7 +328,7 @@ class TestEma:
         store = ParamStore()
         w = store.add("w", np.asarray(0.0))
         ema = EmaState(store, decay=0.9)
-        w.data = np.asarray(10.0)
+        w.data[...] = 10.0
         ema.update(store)
         assert ema.shadow["w"] == pytest.approx(1.0)  # 0.9*0 + 0.1*10
 
@@ -317,7 +336,7 @@ class TestEma:
         store = ParamStore()
         store.add("w", np.asarray(4.0))
         ema = EmaState(store, decay=0.5)
-        ema.shadow["w"] = np.asarray(0.0)
+        ema.shadow["w"][...] = 0.0
         for _ in range(60):
             ema.update(store)
         assert ema.shadow["w"] == pytest.approx(4.0, abs=1e-12)
