@@ -34,6 +34,11 @@ _SEQ = itertools.count()
 # through instead of DRAM: 128 KB in float32, 256 KB in float64, inside a 2 MB L2.
 SLICE = 1 << 15
 
+# Rows at or below which `_times_t` issues a float32 x @ w.T as (w @ x.T).T:
+# OpenBLAS's sgemm runs that form 1.3-2.4x faster at 4-32 rows (a beam step's,
+# a recurrence step's), about as fast at 64, and up to 1.7x slower at 256-960.
+ROW_CUT = 64
+
 
 class TensorError(ValueError):
     """Raised on shape/domain violations in tensor operations."""
@@ -294,9 +299,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), "matmul", bw)
 
 
+def _times_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T, row-major.  A float32 product of at most ROW_CUT rows runs
+    as (w @ x.T).T, which gives the same bytes, and is copied back to rows,
+    so that reductions over its rows sum in the same order."""
+    if x.shape[0] <= ROW_CUT and x.dtype == w.dtype == np.float32:
+        return np.ascontiguousarray((w @ x.T).T)
+    return x @ w.T
+
+
 def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tensor:
     """x @ w.T for an (m, k) input and an (n, k) weight; w is read in place,
-    never transposed into a copy.
+    never transposed into a copy.  A float32 product of at most ROW_CUT rows,
+    a beam step's or a recurrence step's, is issued as (w @ x.T).T, the form
+    OpenBLAS runs faster at so few rows, and copied back to rows (`_times_t`).
 
     `cols=(lo, hi)` multiplies x by the weight's columns lo:hi only, a view,
     so one parameter can hold the blocks of a product over [x; h] that are
@@ -322,7 +338,7 @@ def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tens
         if w.requires_grad:
             w._defer_outer((0, w.shape[0]), (lo, hi), g, x.data)
 
-    return _node(x.data @ (w.data if full else w.data[:, lo:hi]).T, (x, w), "linear", bw)
+    return _node(_times_t(x.data, w.data if full else w.data[:, lo:hi]), (x, w), "linear", bw)
 
 
 def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, context: Optional[Tensor] = None,
@@ -339,12 +355,13 @@ def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, context: Optional[Tensor]
     array with one distinct row per state, or a slice), read without a
     gather node, or all of it; either way (m, 3 hidden).
 
-    A step makes two products, [c; h] W_zr' and [c; r h] W_h'.  The forward
-    values are those of the graph of `slice`, `linear(..., cols)`, `add`,
-    `sigmoid`, `tanh`, `mul` and `sub` nodes over the row blocks W_zr and
-    W_h, and backward adds gradients in that graph's reverse-walk order,
-    with w's (g, x) rows deferred under the same blocks, so both are
-    bit-identical to it.
+    A step makes two products, [c; h] W_zr' and [c; r h] W_h', each issued
+    as `linear` issues its own, in the faster form at ROW_CUT rows or fewer
+    (`_times_t`).  The forward values are those of the graph of `slice`,
+    `linear(..., cols)`, `add`, `sigmoid`, `tanh`, `mul` and `sub` nodes
+    over the row blocks W_zr and W_h, and backward adds gradients in that
+    graph's reverse-walk order, with w's (g, x) rows deferred under the same
+    blocks, so both are bit-identical to it.
     """
     parents = _operands((gates, w, h_prev) + (() if context is None else (context,)))
     gates, w, h_prev = parents[:3]
@@ -372,10 +389,10 @@ def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, context: Optional[Tensor]
         return s if context is None else np.concatenate([context.data, s], axis=-1)
 
     zr_in = stacked(h)
-    zr = _sigmoid(x[:, :2 * hidden] + zr_in @ w_zr.T)
+    zr = _sigmoid(x[:, :2 * hidden] + _times_t(zr_in, w_zr))
     z, r = zr[:, :hidden], zr[:, hidden:]
     cand_in = stacked(r * h)
-    h_cand = np.tanh(x[:, 2 * hidden:] + cand_in @ w_cand.T)
+    h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(cand_in, w_cand))
     omz = 1.0 - z
     c_grad = context is not None and context.requires_grad
 

@@ -305,6 +305,23 @@ class TestLinear:
         with pytest.raises(TensorError, match=r"\(1, 4\).*\(5, 3\)"):
             ad.linear(Tensor(np.zeros((1, 4))), Tensor(np.zeros((5, 3))))
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-13)])
+    @pytest.mark.parametrize("rows", [1, 4, 20, ad.ROW_CUT, ad.ROW_CUT + 1, 120])
+    @pytest.mark.parametrize("cols", [None, (8, 32)])
+    def test_either_side_of_the_row_cut(self, dtype, tol, rows, cols):
+        """A float32 product of at most ROW_CUT rows is issued in another
+        form; it is x @ w.T, up to the summation order a CPU's kernels may
+        pick, and row-major, so reductions over its rows add in the same
+        order."""
+        rng = np.random.default_rng(rows)
+        w = rng.normal(size=(48, 40)).astype(dtype)
+        w_cols = w if cols is None else w[:, cols[0]:cols[1]]
+        x = rng.normal(size=(rows, w_cols.shape[1])).astype(dtype)
+        got = ad.linear(Tensor(x), Tensor(w), cols).data
+        assert got.dtype == dtype and got.shape == (rows, 48) and got.flags.c_contiguous
+        want = x @ w_cols.T
+        assert np.all(np.abs(got - want) <= tol * (np.abs(x) @ np.abs(w_cols).T))
+
 
 class TestColumnRanges:
     """`linear(x, w, cols)` multiplies by a column block of w in place; the

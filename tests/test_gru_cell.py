@@ -141,6 +141,28 @@ def test_beam_step_under_no_grad(dtype):
     assert all(t.grad is None for t in case.leaves())
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [ad.ROW_CUT, ad.ROW_CUT + 1])
+def test_step_either_side_of_the_row_cut(dtype, rows):
+    """A float32 cell's two products are issued in another form up to
+    ROW_CUT state rows, as `linear`'s are: forward and gradients stay the
+    node graph's bytes on both sides of the cut."""
+
+    def run(step):
+        rng = np.random.default_rng(6)
+        store = ParamStore(dtype)
+        p = GruCellParams.create(store, "g", X_DIM + C_DIM, HIDDEN, rng, scale=0.5)
+        x, h, c = (Tensor(rng.normal(size=(rows, k)).astype(dtype), requires_grad=True)
+                   for k in (X_DIM, HIDDEN, C_DIM))
+        gates = gru_inputs(x, p)
+        out = step(p.w)(gates, h, c, None)
+        ad.sum_(ad.mul(ad.tanh(out), rng.normal(size=(rows, HIDDEN)).astype(dtype))).backward()
+        return [out.data] + [t.grad for t in (x, h, c, *store.tensors())]
+
+    for got, want in zip(run(fused), run(unfused), strict=True):
+        _assert_same_bytes(got, want)
+
+
 def test_one_node_per_step():
     case = _Case(np.float64, 0)
     gates = gru_inputs(case.x, case.p)
