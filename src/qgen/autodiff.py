@@ -731,8 +731,9 @@ class ParamStore:
     `data` and `grad`, at the same offsets, so the optimizer walks each once.
     """
 
-    def __init__(self, dtype=np.float64):
+    def __init__(self, dtype=np.float64, rng: Optional[np.random.Generator] = None):
         self.dtype = np.dtype(dtype)
+        self.rng = rng
         self._params: dict[str, Tensor] = {}
         self.data = self.grad = None   # the flat buffers, once packed
 
@@ -744,6 +745,15 @@ class ParamStore:
         t = Tensor(np.array(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
         return t
+
+    def draw(self, name: str, shape, scale: float) -> Tensor:
+        """Add a parameter of uniform(-scale, scale) weights, drawn in float64
+        from the store's generator and cast: every initial weight is drawn
+        here.  Without a generator it is zeros, which only `QgModel.load`
+        uses, as the checkpoint then fills every parameter."""
+        if self.rng is None:
+            return self.add(name, np.zeros(shape, self.dtype))
+        return self.add(name, self.rng.uniform(-scale, scale, size=shape))
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -780,9 +790,6 @@ class ParamStore:
         self.pack()
         self.grad.fill(0)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy `arrays` into the parameters in place, cast to the store's dtype."""
         extra = sorted(set(arrays) - set(self._params))
@@ -799,18 +806,18 @@ class ParamStore:
                                       f"{arrays[name].dtype}, not a floating-point type")
             t.data[...] = arrays[name]
 
-    def save(self, path, meta: Optional[dict] = None,
-             arrays: Optional[dict[str, np.ndarray]] = None) -> None:
-        """Write an .npz-style zip: one .npy per parameter, its data or
-        `arrays[name]` in its place, plus a JSON meta entry.  An interrupted
-        save leaves an earlier file at `path` as it was."""
+    def save(self, path, meta: Optional[dict] = None, data: Optional[np.ndarray] = None) -> None:
+        """Write an .npz-style zip: one .npy per parameter, its data or its
+        view of `data`, a flat array laid out like `self.data`, plus a JSON
+        meta entry.  An interrupted save leaves an earlier file as it was."""
         header = dict(meta or {})
         header["format_version"] = CHECKPOINT_FORMAT_VERSION
+        arrays = self.views(data) if data is not None else {n: t.data for n, t in self.items()}
         with replaced_on_success(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zf:
             zf.writestr("meta.json", json.dumps(header, sort_keys=True))
-            for name, t in self._params.items():
+            for name, array in arrays.items():
                 buf = io.BytesIO()
-                np.save(buf, t.data if arrays is None else arrays[name], allow_pickle=False)
+                np.save(buf, array, allow_pickle=False)
                 zf.writestr(f"params/{name}.npy", buf.getvalue())
 
     @staticmethod

@@ -145,8 +145,8 @@ def _cmd_train(args) -> int:
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
         for record in result.log:
             fh.write(record.to_json() + "\n")
-    result.model.save(out / "model.npz", result.best_dev_arrays)   # None: the last weights
-    result.model.save(out / "model_ema.npz", result.ema.shadow)
+    result.model.save(out / "model.npz", result.best_dev_data)   # None: the last weights
+    result.model.save(out / "model_ema.npz", result.ema.flat)
     print(json.dumps({
         "checkpoint": str(out / "model.npz"),
         "checkpoint_ema": str(out / "model_ema.npz"),

@@ -35,17 +35,16 @@ class DecoderParams:
 
     @classmethod
     def create(cls, params: ParamStore, word_dim: int, enc_width: int, dec_hidden: int,
-               attn_dim: int, vocab_out: int, rng: np.random.Generator,
-               scale: float = 0.08) -> "DecoderParams":
+               attn_dim: int, vocab_out: int, scale: float = 0.08) -> "DecoderParams":
         def w(name, shape):
-            return params.add(f"dec.{name}", rng.uniform(-scale, scale, size=shape))
+            return params.draw(f"dec.{name}", shape, scale)
 
         def b(name, size):
             return params.add(f"dec.{name}", np.zeros(size))
 
         readout = 2 * dec_hidden
         return cls(
-            gru=GruCellParams.create(params, "dec.gru", word_dim + enc_width, dec_hidden, rng, scale),
+            gru=GruCellParams.create(params, "dec.gru", word_dim + enc_width, dec_hidden, scale),
             w_init=w("w_init", (dec_hidden, enc_width // 2)),
             b_init=b("b_init", dec_hidden),
             w_s=w("attn.w_s", (attn_dim, dec_hidden)),

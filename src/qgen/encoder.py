@@ -20,9 +20,9 @@ class GruCellParams:
 
     @classmethod
     def create(cls, params: ParamStore, prefix: str, input_dim: int, hidden: int,
-               rng: np.random.Generator, scale: float = 0.08) -> "GruCellParams":
+               scale: float = 0.08) -> "GruCellParams":
         # one draw of the three (hidden, input + hidden) blocks, in row order
-        w = params.add(f"{prefix}.w", rng.uniform(-scale, scale, size=(3 * hidden, input_dim + hidden)))
+        w = params.draw(f"{prefix}.w", (3 * hidden, input_dim + hidden), scale)
         return cls(w=w, b=params.add(f"{prefix}.b", np.zeros(3 * hidden)))
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .config import ModelConfig
@@ -91,45 +89,30 @@ def clue_input_width(config: ModelConfig) -> int:
     return config.word_dim + 7 * config.feat_dim + config.tier_dim
 
 
-def init_word_table(
-    vocab: Vocabulary,
-    rng: np.random.Generator,
-    dim: int,
-    vectors_file=None,
-) -> np.ndarray:
-    """Word-embedding table: pre-trained rows where covered, uniform(-0.1, 0.1)
-    elsewhere.  Rows 0..4 are the special tokens, then words by rank."""
-    table = rng.uniform(-0.1, 0.1, size=(vocab.table_size, dim))
-    if vectors_file is not None:
-        vectors = load_word_vectors(vectors_file, dim)
-        for word in vocab.words:
-            if word in vectors:
-                table[vocab.id_of(word)] = vectors[word]
-    return table
-
-
 def build_feature_tables(
     params: ParamStore,
     config: ModelConfig,
     vocab: Vocabulary,
     feature_vocab: FeatureVocab,
-    rng: np.random.Generator,
     vectors_file=None,
 ) -> None:
-    """Register every embedding table in the parameter store."""
-    params.add("embed.word", init_word_table(vocab, rng, config.word_dim, vectors_file))
-
-    def table(name: str, rows: int, dim: int):
-        params.add(name, rng.uniform(-0.1, 0.1, size=(rows, dim)))
-
-    table("embed.ner", feature_vocab.rows("ner"), config.feat_dim)
-    table("embed.pos", feature_vocab.rows("pos"), config.feat_dim)
-    table("embed.dep", feature_vocab.rows("dep"), config.feat_dim)
+    """Register every embedding table in the parameter store, drawn from
+    uniform(-0.1, 0.1).  Rows 0..4 of the word table are the special tokens,
+    then words by rank; a word in `vectors_file` takes its pre-trained row."""
+    word = params.draw("embed.word", (vocab.table_size, config.word_dim), 0.1)
+    if vectors_file is not None:
+        vectors = load_word_vectors(vectors_file, config.word_dim)
+        for w in vocab.words:
+            if w in vectors:
+                word.data[vocab.id_of(w)] = vectors[w]
+    params.draw("embed.ner", (feature_vocab.rows("ner"), config.feat_dim), 0.1)
+    params.draw("embed.pos", (feature_vocab.rows("pos"), config.feat_dim), 0.1)
+    params.draw("embed.dep", (feature_vocab.rows("dep"), config.feat_dim), 0.1)
     for name in _BOOL_FEATURES:
-        table(f"embed.{name}", 2, config.feat_dim)
-    table("embed.bio", 3, config.feat_dim)
-    table("embed.tier", 3, config.tier_dim)
-    table("embed.clue", 2, config.feat_dim)
+        params.draw(f"embed.{name}", (2, config.feat_dim), 0.1)
+    params.draw("embed.bio", (3, config.feat_dim), 0.1)
+    params.draw("embed.tier", (3, config.tier_dim), 0.1)
+    params.draw("embed.clue", (2, config.feat_dim), 0.1)
 
 
 class FeatureEmbedder:

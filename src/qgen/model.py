@@ -24,9 +24,25 @@ from .features import (
 )
 from .labeling import LabeledExample
 
-# what `QgModel.save` writes to meta.json besides the format version, and the
-# JSON type of each
-_META_TYPES = {"config": dict, "vocab_words": list, "reduced_words": list, "feature_vocab": dict}
+# what `QgModel.save` writes to meta.json besides the format version
+_META_KEYS = ("config", "vocab_words", "reduced_words", "feature_vocab")
+
+
+def _check_meta(path, meta: dict) -> None:
+    """Raise a CheckpointError that names `path` and the key unless `meta`
+    holds what `QgModel.save` writes."""
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise CheckpointError(f"{path} has a meta.json without {missing}")
+    for key in ("config", "feature_vocab"):
+        if not isinstance(meta[key], dict):
+            raise CheckpointError(f"{path} has a meta.json whose {key!r} is not a JSON object")
+    tags = meta["feature_vocab"]
+    for key, words in [("vocab_words", meta["vocab_words"]), ("reduced_words", meta["reduced_words"]),
+                       *((f"feature_vocab.{k}", tags.get(k)) for k in ("pos", "ner", "dep"))]:
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise CheckpointError(f"{path} has a meta.json whose {key!r} is not a JSON array "
+                                  "of strings")
 
 
 @dataclass
@@ -70,23 +86,24 @@ class QgModel:
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocabulary, reduced: ReducedTargetVocab,
-              feature_vocab: FeatureVocab, rng: np.random.Generator,
+              feature_vocab: FeatureVocab, rng: np.random.Generator | None,
               vectors_file=None) -> "QgModel":
-        params = ParamStore(config.precision)
-        build_feature_tables(params, config, vocab, feature_vocab, rng, vectors_file)
+        """Every initial weight is drawn from `rng`; with None, it is zero."""
+        params = ParamStore(config.precision, rng)
+        build_feature_tables(params, config, vocab, feature_vocab, vectors_file)
 
         gcn_in = clue_input_width(config)
         gcn = []
         for layer in range(config.gcn_layers):
             d_in = gcn_in if layer == 0 else config.gcn_hidden
-            w = params.add(f"clue.gcn{layer}.w", rng.uniform(-0.08, 0.08, size=(config.gcn_hidden, d_in)))
+            w = params.draw(f"clue.gcn{layer}.w", (config.gcn_hidden, d_in), 0.08)
             gcn.append((w, params.add(f"clue.gcn{layer}.b", np.zeros(config.gcn_hidden))))
-        params.add("clue.out.w", rng.uniform(-0.08, 0.08, size=(2, config.gcn_hidden)))
+        params.draw("clue.out.w", (2, config.gcn_hidden), 0.08)
         params.add("clue.out.b", np.zeros(2))
 
         enc_in = encoder_input_width(config)
-        enc_fwd = GruCellParams.create(params, "enc.fwd", enc_in, config.enc_hidden, rng)
-        enc_bwd = GruCellParams.create(params, "enc.bwd", enc_in, config.enc_hidden, rng)
+        enc_fwd = GruCellParams.create(params, "enc.fwd", enc_in, config.enc_hidden)
+        enc_bwd = GruCellParams.create(params, "enc.bwd", enc_in, config.enc_hidden)
 
         dec = DecoderParams.create(
             params,
@@ -95,7 +112,6 @@ class QgModel:
             dec_hidden=config.dec_hidden,
             attn_dim=config.attn_dim,
             vocab_out=len(reduced),
-            rng=rng,
         )
         return cls(config, vocab, reduced, feature_vocab, params, gcn, enc_fwd, enc_bwd, dec)
 
@@ -163,32 +179,26 @@ class QgModel:
         return [np.concatenate(part) for part in zip(*draws)]
 
     # persistence
-    def save(self, path, arrays: dict[str, np.ndarray] | None = None) -> None:
-        """Write the model's parameters, or `arrays` in their place, with the
-        vocabularies and config that `load` needs."""
+    def save(self, path, data: np.ndarray | None = None) -> None:
+        """Write the parameters, or `data` laid out like `params.data` in
+        their place, with the vocabularies and config that `load` needs."""
         meta = {
             "config": self.config.to_dict(),
             "vocab_words": self.vocab.words,
             "reduced_words": self.reduced.words,
             "feature_vocab": self.features.to_dict(),
         }
-        self.params.save(path, meta, arrays)
+        self.params.save(path, meta, data)
 
     @classmethod
     def load(cls, path) -> "QgModel":
+        """Built without drawing: the checkpoint fills every parameter."""
         arrays, meta = ParamStore.read(path)
-        missing = [k for k in _META_TYPES if k not in meta]
-        if missing:
-            raise CheckpointError(f"{path} has a meta.json without {missing}")
-        for key, kind in _META_TYPES.items():
-            if not isinstance(meta[key], kind):
-                raise CheckpointError(f"{path} has a meta.json whose {key!r} is not a "
-                                      f"JSON {'object' if kind is dict else 'array'}")
+        _check_meta(path, meta)
         config = ModelConfig.from_dict(meta["config"])
         vocab = Vocabulary(words=list(meta["vocab_words"]))
         reduced = ReducedTargetVocab(words=list(meta["reduced_words"]))
         feature_vocab = FeatureVocab.from_dict(meta["feature_vocab"])
-        model = cls.build(config, vocab, reduced, feature_vocab,
-                          np.random.default_rng(0))
+        model = cls.build(config, vocab, reduced, feature_vocab, None)
         model.params.load_arrays(arrays)
         return model

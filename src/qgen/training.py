@@ -174,14 +174,13 @@ def adam_step(params: ParamStore, state: OptimizerState, config: ModelConfig) ->
 
 
 class EmaState:
-    """Shadow copy of every trainable parameter, decayed toward the params:
-    `flat`, laid out like `ParamStore.data`, and its views by name, `shadow`."""
+    """Shadow copy of the parameters, decayed toward them: `flat`, laid out
+    like `ParamStore.data`."""
 
     def __init__(self, params: ParamStore, decay: float):
         params.pack()
         self.decay = decay
         self.flat = params.data.copy()
-        self.shadow = params.views(self.flat)
 
     def update(self, params: ParamStore) -> None:
         """shadow = d * shadow + (1 - d) * param, in place, one slice at a time."""
@@ -214,7 +213,7 @@ class TrainResult:
     model: QgModel
     ema: EmaState
     log: list[EpochLog]
-    best_dev_arrays: dict[str, np.ndarray] | None
+    best_dev_data: np.ndarray | None   # laid out like `ParamStore.data`
 
 
 def dev_loss(model: QgModel, labeled_dev: list[LabeledExample]) -> float:
@@ -258,7 +257,7 @@ def train(
 
     log: list[EpochLog] = []
     best_dev = float("inf")
-    best_arrays = None
+    best_data = None
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(labeled))
         sums = {"loss_clue": 0.0, "loss_gen": 0.0, "loss_gate": 0.0, "total": 0.0}
@@ -284,10 +283,10 @@ def train(
             record.dev_total = dev_loss(model, labeled_dev)
             if record.dev_total < best_dev:
                 best_dev = record.dev_total
-                best_arrays = model.params.state_arrays()
+                best_data = model.params.data.copy()
         log.append(record)
         if progress is not None:
             progress(record)
         if stop_total is not None and record.total < stop_total:
             break
-    return TrainResult(model=model, ema=ema, log=log, best_dev_arrays=best_arrays)
+    return TrainResult(model=model, ema=ema, log=log, best_dev_data=best_data)

@@ -131,8 +131,8 @@ class TestCriterion2Overfit:
     def test_greedy_decoding_reproduces_training_questions(self, overfit_run, toy_corpus):
         config, result, _ = overfit_run
         model = result.model
-        raw = model.params.state_arrays()
-        model.params.load_arrays(result.ema.shadow)
+        raw = model.params.data.copy()
+        model.params.data[...] = result.ema.flat
         try:
             pairs = []
             exact = 0
@@ -145,7 +145,7 @@ class TestCriterion2Overfit:
             assert exact >= 0.9 * len(toy_corpus)
             assert bleu4 > 90.0
         finally:
-            model.params.load_arrays(raw)
+            model.params.data[...] = raw
         _passed(2, f"greedy reproduction {exact}/{len(toy_corpus)} exact, "
                    f"train BLEU-4 {bleu4:.2f}")
 
@@ -180,8 +180,8 @@ class TestCriterion3StructuralInvariants:
             attn = int(rng.integers(2, 6))
             vocab_out = int(rng.integers(4, 9))
             n = int(rng.integers(1, 9))
-            p = DecoderParams.create(ParamStore(), word_dim, enc_width, dec_hidden,
-                                     attn, vocab_out, rng, scale=1.5)
+            p = DecoderParams.create(ParamStore(rng=rng), word_dim, enc_width, dec_hidden,
+                                     attn, vocab_out, scale=1.5)
             w, alpha, s, enc = (
                 Tensor(rng.normal(size=(1, word_dim))), Tensor(rng.dirichlet(np.ones(n), 1)),
                 Tensor(rng.normal(size=(1, dec_hidden))), Tensor(rng.normal(size=(n, enc_width))))

@@ -212,6 +212,28 @@ class TestTrainGenerateEvaluate:
         assert shared[2] == examples and separate[2] == 2 * examples
         assert shared[:2] == separate[:2]
 
+    @pytest.mark.parametrize("unasked", ["without_key", "empty"])
+    def test_generation_ignores_the_question(self, pipeline, capsys, unasked):
+        """Passages whose questions are gone, or empty, get the same
+        predictions, byte for byte."""
+        tmp, data, _, out_dir = pipeline
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        for record in records:
+            if unasked == "empty":
+                record["question_tokens"] = []
+            else:
+                del record["question_tokens"]
+        unasked_data = tmp / f"unasked_{unasked}.jsonl"
+        unasked_data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        predictions = []
+        for name, source in (("asked", data), (unasked, unasked_data)):
+            pred = tmp / f"pred_{name}.jsonl"
+            code, _, _ = run_cli(capsys, "generate", "--checkpoint", str(out_dir / "model.npz"),
+                                 "--data", str(source), "--out", str(pred), "--beam-width", "3")
+            assert code == 0
+            predictions.append(pred.read_bytes())
+        assert predictions[0] == predictions[1]
+
     def test_generate_missing_checkpoint_fails(self, pipeline, capsys):
         tmp, data, _, _ = pipeline
         code, _, err = run_cli(capsys, "generate", "--checkpoint", str(tmp / "nope.npz"),
@@ -369,14 +391,29 @@ def _flip_stored_byte(path, entry):
     path.write_bytes(bytes(raw))
 
 
-# a meta.json value of the wrong JSON type, by key
-_ILL_TYPED_META = {"vocab_words": 5, "reduced_words": None, "feature_vocab": [], "config": []}
+# an ill-typed meta.json value, by defect: the key it replaces, dotted inside
+# feature_vocab, and the value
+_ILL_TYPED_META = {
+    "vocab_words": ("vocab_words", 5),
+    "vocab_word_numbers": ("vocab_words", ["the", 7]),
+    "reduced_words": ("reduced_words", None),
+    "reduced_word_numbers": ("reduced_words", ["what", 2.5]),
+    "feature_vocab": ("feature_vocab", []),
+    "pos": ("feature_vocab.pos", 5),
+    "config": ("config", []),
+}
 
 
 def _corrupt(arrays, meta, defect):
     """Apply one checkpoint defect to a read checkpoint; returns the meta to
     write, None for none."""
     first = next(iter(arrays))
+
+    def holder(key):
+        """The object that holds `key`, and the key's last part."""
+        outer, _, last = key.rpartition(".")
+        return (meta[outer] if outer else meta), last
+
     if defect == "no_meta":
         return None
     if defect == "meta_not_json":
@@ -384,10 +421,12 @@ def _corrupt(arrays, meta, defect):
     if defect == "meta_not_object":
         return json.dumps([meta])
     if defect.startswith("meta_without_"):
-        del meta[defect[len("meta_without_"):]]
+        obj, key = holder(defect[len("meta_without_"):])
+        del obj[key]
     if defect.startswith("ill_typed_"):
-        key = defect[len("ill_typed_"):]
-        meta[key] = _ILL_TYPED_META[key]
+        key, value = _ILL_TYPED_META[defect[len("ill_typed_"):]]
+        obj, key = holder(key)
+        obj[key] = value
     if defect == "wrong_version":
         meta["format_version"] = 99
     elif defect == "missing_param":
@@ -439,6 +478,10 @@ class TestCheckpointErrors:
         ("ill_typed_reduced_words", "'reduced_words' is not a JSON array"),
         ("ill_typed_feature_vocab", "'feature_vocab' is not a JSON object"),
         ("ill_typed_config", "'config' is not a JSON object"),
+        ("meta_without_feature_vocab.pos", "'feature_vocab.pos' is not a JSON array of strings"),
+        ("ill_typed_pos", "'feature_vocab.pos' is not a JSON array of strings"),
+        ("ill_typed_vocab_word_numbers", "'vocab_words' is not a JSON array of strings"),
+        ("ill_typed_reduced_word_numbers", "'reduced_words' is not a JSON array of strings"),
         ("non_float_param", "'dec.gate.b' has dtype <U3"),
         ("garbage_npy", "params/embed.word.npy that is damaged or not a .npy array"),
         ("truncated_npy", "params/embed.word.npy that is damaged or not a .npy array"),

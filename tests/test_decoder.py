@@ -31,9 +31,9 @@ def _step(w_prev, alpha_prev, s_prev, enc, p):
 
 
 def _params(rng, word_dim=3, enc_width=8, dec_hidden=4, attn_dim=5, vocab_out=6):
-    store = ParamStore()
+    store = ParamStore(rng=rng)
     return DecoderParams.create(store, word_dim, enc_width, dec_hidden, attn_dim,
-                                vocab_out, rng, scale=0.5), store
+                                vocab_out, scale=0.5), store
 
 
 class TestInitDecoder:
@@ -164,8 +164,8 @@ class TestDecodeStep:
         the context c = alpha H: K rows, the first all zeros as at the start
         of a beam, where the context is zero."""
         rng = np.random.default_rng(14)
-        store = ParamStore(dtype)
-        p = DecoderParams.create(store, 3, 8, 4, 5, 6, rng, scale=0.5)
+        store = ParamStore(dtype, rng)
+        p = DecoderParams.create(store, 3, 8, 4, 5, 6, scale=0.5)
         store["dec.gate.b"].data[...] = 0.3
         enc = Tensor(rng.normal(size=(7, 8)).astype(dtype))
         alpha = np.concatenate([np.zeros((1, 7)), rng.dirichlet(np.ones(7), 3)]).astype(dtype)

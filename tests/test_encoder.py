@@ -18,8 +18,8 @@ def gru_cell(x, h_prev, p):
 
 
 def _random_params(input_dim, hidden, rng):
-    store = ParamStore()
-    return GruCellParams.create(store, "g", input_dim, hidden, rng, scale=0.5), store
+    store = ParamStore(rng=rng)
+    return GruCellParams.create(store, "g", input_dim, hidden, scale=0.5), store
 
 
 class TestGruCell:
@@ -144,9 +144,9 @@ class TestEncode:
     def test_encode_gradients(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(3, 2))
-        store = ParamStore()
-        fwd = GruCellParams.create(store, "f", 2, 3, rng, scale=0.5)
-        bwd = GruCellParams.create(store, "b", 2, 3, rng, scale=0.5)
+        store = ParamStore(rng=rng)
+        fwd = GruCellParams.create(store, "f", 2, 3, scale=0.5)
+        bwd = GruCellParams.create(store, "b", 2, 3, scale=0.5)
 
         def loss(xv):
             return ad.sum_(encode(xv, [3], fwd, bwd).states)

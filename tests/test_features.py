@@ -10,7 +10,6 @@ from qgen.features import (
     build_feature_tables,
     clue_input_width,
     encoder_input_width,
-    init_word_table,
 )
 
 from conftest import chain_example, tiny_config
@@ -24,8 +23,8 @@ def setup():
     cfg = tiny_config(r_h=1, r_l=4, vocab_max=50)
     vocab = build_vocabulary(corpus, cfg.vocab_max)
     fv = FeatureVocab.from_corpus(corpus)
-    params = ParamStore()
-    build_feature_tables(params, cfg, vocab, fv, rng_stream(0, "init"))
+    params = ParamStore(rng=rng_stream(0, "init"))
+    build_feature_tables(params, cfg, vocab, fv)
     embedder = FeatureEmbedder(params, cfg, vocab, fv)
     return corpus[0], cfg, vocab, embedder, params
 
@@ -85,11 +84,17 @@ class TestMasking:
         np.testing.assert_array_equal(on[2, width - cfg.feat_dim:], off[2, width - cfg.feat_dim:])
 
 
+def _word_table(setup, vectors_file=None) -> np.ndarray:
+    """The word table of a fresh store drawn from one seed's init stream."""
+    _, cfg, vocab, embedder, _ = setup
+    params = ParamStore(rng=rng_stream(4, "init"))
+    build_feature_tables(params, cfg, vocab, embedder.features, vectors_file)
+    return params["embed.word"].data
+
+
 class TestWordTable:
     def test_reproducible_random_init(self, setup):
-        _, cfg, vocab, _, _ = setup
-        a = init_word_table(vocab, rng_stream(4, "init"), cfg.word_dim)
-        b = init_word_table(vocab, rng_stream(4, "init"), cfg.word_dim)
+        a, b = _word_table(setup), _word_table(setup)
         np.testing.assert_array_equal(a, b)
         assert np.abs(a).max() <= 0.1
 
@@ -98,15 +103,17 @@ class TestWordTable:
         vec = " ".join(["common"] + [str(0.5)] * cfg.word_dim)
         path = tmp_path / "vecs.txt"
         path.write_text(vec + "\n")
-        table = init_word_table(vocab, rng_stream(4, "init"), cfg.word_dim, path)
-        np.testing.assert_array_equal(table[vocab.id_of("common")], [0.5] * cfg.word_dim)
+        table, drawn = _word_table(setup, path), _word_table(setup)
+        common = vocab.id_of("common")
+        np.testing.assert_array_equal(table[common], [0.5] * cfg.word_dim)
+        # every other row keeps its draw
+        np.testing.assert_array_equal(np.delete(table, common, 0), np.delete(drawn, common, 0))
 
     def test_dimension_mismatch_rejected(self, setup, tmp_path):
-        _, cfg, vocab, _, _ = setup
         path = tmp_path / "vecs.txt"
         path.write_text("common 1.0 2.0\n")
         with pytest.raises(ConfigError):
-            init_word_table(vocab, rng_stream(4, "init"), cfg.word_dim, path)
+            _word_table(setup, path)
 
 
 class TestBatch:

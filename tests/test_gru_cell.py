@@ -36,8 +36,8 @@ class _Case:
 
     def __init__(self, dtype, context_dim, seed=0):
         rng = np.random.default_rng(seed)
-        self.store = ParamStore(dtype)
-        self.p = GruCellParams.create(self.store, "g", X_DIM + context_dim, HIDDEN, rng, scale=0.5)
+        self.store = ParamStore(dtype, rng)
+        self.p = GruCellParams.create(self.store, "g", X_DIM + context_dim, HIDDEN, scale=0.5)
         self.store["g.b"].data[:] = rng.normal(size=3 * HIDDEN)   # nonzero biases
 
         def leaf(*shape):
@@ -150,8 +150,8 @@ def test_step_either_side_of_the_row_cut(dtype, rows):
 
     def run(step):
         rng = np.random.default_rng(6)
-        store = ParamStore(dtype)
-        p = GruCellParams.create(store, "g", X_DIM + C_DIM, HIDDEN, rng, scale=0.5)
+        store = ParamStore(dtype, rng)
+        p = GruCellParams.create(store, "g", X_DIM + C_DIM, HIDDEN, scale=0.5)
         x, h, c = (Tensor(rng.normal(size=(rows, k)).astype(dtype), requires_grad=True)
                    for k in (X_DIM, HIDDEN, C_DIM))
         gates = gru_inputs(x, p)

@@ -248,20 +248,23 @@ def test_in_place_adam_and_ema_match_reference_bit_for_bit(dtype):
             ref[name] = (data, m, v, 0.9 * shadow + (1 - 0.9) * data)
         adam_step(store, state, cfg)
         ema.update(store)
-        moments = store.views(state.m), store.views(state.v)
+        moments = store.views(state.m), store.views(state.v), store.views(ema.flat)
         for name, t in store.items():
             data, m, v, shadow = ref[name]
             for got, want in [(t.data, data), (moments[0][name], m), (moments[1][name], v),
-                              (ema.shadow[name], shadow)]:
+                              (moments[2][name], shadow)]:
                 assert got.dtype == dtype, name
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, step)
 
 
 def test_fortran_order_checkpoint_loads_c_contiguous(tmp_path):
     model, _ = build_tiny_model()
-    saved = model.params.state_arrays()
     model.save(tmp_path / "c.npz")
-    model.save(tmp_path / "f.npz", {name: np.asarray(a, order="F") for name, a in saved.items()})
+    saved, meta = ParamStore.read(tmp_path / "c.npz")
+    fortran = ParamStore(model.params.dtype)
+    for name, a in saved.items():   # `save` writes each array in its own order
+        fortran.add(name, a).data = np.asarray(a, order="F")
+    fortran.save(tmp_path / "f.npz", meta)
     arrays, _ = ParamStore.read(tmp_path / "f.npz")
     assert not all(a.flags.c_contiguous for a in arrays.values())
     cfg = tiny_config(lr=0.01, clip=0.5)
@@ -277,9 +280,9 @@ def test_fortran_order_checkpoint_loads_c_contiguous(tmp_path):
             t.grad[...] = grads[name]
         adam_step(loaded.params, state, cfg)
         ema.update(loaded.params)
-        m, v = loaded.params.views(state.m), loaded.params.views(state.v)
+        m, v, shadow = (loaded.params.views(a) for a in (state.m, state.v, ema.flat))
         results.append([(t.data.tobytes(), m[name].tobytes(), v[name].tobytes(),
-                         ema.shadow[name].tobytes()) for name, t in loaded.params.items()])
+                         shadow[name].tobytes()) for name, t in loaded.params.items()])
     assert results[0] == results[1]
 
 
@@ -300,6 +303,25 @@ def test_loaded_model_views_hold_the_checkpoint(tmp_path):
     for name, t in views.items():
         assert t is loaded.params[name], name
         assert t.data.tobytes() == model.params[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_load_draws_nothing(tmp_path, monkeypatch, precision):
+    """`load` builds the model without a generator, and the checkpoint,
+    written from a flat array, fills every parameter byte for byte."""
+    model, _ = build_tiny_model(precision=precision)
+    model.params.pack()
+    saved = model.params.data + 1   # not the build's draws
+    model.save(tmp_path / "m.npz", saved)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load made a generator")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = QgModel.load(tmp_path / "m.npz")
+    assert loaded.params.rng is None
+    loaded.params.pack()
+    assert loaded.params.data.dtype == precision
+    assert loaded.params.data.tobytes() == saved.tobytes()
 
 
 @pytest.mark.parametrize("field", ["data", "grad"])
@@ -330,16 +352,16 @@ class TestEma:
         ema = EmaState(store, decay=0.9)
         w.data[...] = 10.0
         ema.update(store)
-        assert ema.shadow["w"] == pytest.approx(1.0)  # 0.9*0 + 0.1*10
+        assert ema.flat == pytest.approx([1.0])  # 0.9*0 + 0.1*10
 
     def test_converges_to_frozen_params(self):
         store = ParamStore()
         store.add("w", np.asarray(4.0))
         ema = EmaState(store, decay=0.5)
-        ema.shadow["w"][...] = 0.0
+        ema.flat[...] = 0.0
         for _ in range(60):
             ema.update(store)
-        assert ema.shadow["w"] == pytest.approx(4.0, abs=1e-12)
+        assert ema.flat == pytest.approx([4.0], abs=1e-12)
 
 
 class TestEndToEndGradients:
@@ -403,15 +425,15 @@ class TestTrainLoop:
                               result.model.features, rng_stream(cfg.seed, "init"))
         for name, t in result.model.params.items():
             np.testing.assert_array_equal(t.data, fresh.params[name].data)
-        for name, shadow in result.ema.shadow.items():
-            np.testing.assert_array_equal(shadow, fresh.params[name].data)
+        fresh.params.pack()
+        np.testing.assert_array_equal(result.ema.flat, fresh.params.data)
 
     def test_dev_corpus_tracks_best_checkpoint(self):
         corpus = make_toy_data(6, seed=3)
         cfg = toy_config(epochs=4, batch=3, seed=1, word_dim=16, enc_hidden=12,
                          dec_hidden=12, attn_dim=8, gcn_hidden=8)
         result = train(corpus, cfg, dev_corpus=make_toy_data(3, seed=8))
-        assert result.best_dev_arrays is not None
+        assert result.best_dev_data is not None
         assert all(r.dev_total is not None for r in result.log)
 
 
