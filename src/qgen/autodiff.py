@@ -34,6 +34,10 @@ _SEQ = itertools.count()
 # through instead of DRAM: 128 KB in float32, 256 KB in float64, inside a 2 MB L2.
 SLICE = 1 << 15
 
+# Entries of the float64 scratch that `ParamStore.draw` fills a weight through:
+# 64 KB, below glibc malloc's 128 KB mmap threshold, so it reuses heap pages.
+DRAW_SLICE = 1 << 13
+
 # Rows at or below which `_times_t` issues a float32 x @ w.T as (w @ x.T).T:
 # OpenBLAS's sgemm runs that form 1.3-2.4x faster at 4-32 rows (a beam step's,
 # a recurrence step's), about as fast at 64, and up to 1.7x slower at 256-960.
@@ -738,22 +742,38 @@ class ParamStore:
         self.data = self.grad = None   # the flat buffers, once packed
 
     def add(self, name: str, data) -> Tensor:
+        """Add a parameter holding a copy of `data` in the store's dtype."""
+        return self._adopt(name, np.array(data, dtype=self.dtype))
+
+    def _adopt(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise TensorError(f"duplicate parameter name {name!r}")
         if self.data is not None:
             raise TensorError(f"cannot add parameter {name!r} to a packed store")
-        t = Tensor(np.array(data, dtype=self.dtype), requires_grad=True)
+        t = Tensor(data, requires_grad=True)
         self._params[name] = t
         return t
 
     def draw(self, name: str, shape, scale: float) -> Tensor:
         """Add a parameter of uniform(-scale, scale) weights, drawn in float64
         from the store's generator and cast: every initial weight is drawn
-        here.  Without a generator it is zeros, which only `QgModel.load`
-        uses, as the checkpoint then fills every parameter."""
+        here.  The draw goes in slices of DRAW_SLICE entries through one
+        float64 scratch, -scale + 2 scale u as `rng.uniform` computes it, so
+        it gives `rng.uniform(-scale, scale, shape)`'s bytes without a
+        full-size float64 temporary.  Without a generator it is zeros, which
+        only `QgModel.load` uses, as the checkpoint then fills every
+        parameter."""
         if self.rng is None:
-            return self.add(name, np.zeros(shape, self.dtype))
-        return self.add(name, self.rng.uniform(-scale, scale, size=shape))
+            return self._adopt(name, np.zeros(shape, self.dtype))
+        out = np.empty(shape, self.dtype)
+        flat, scratch = out.reshape(-1), np.empty(DRAW_SLICE)
+        for lo in range(0, flat.size, DRAW_SLICE):
+            u = scratch[:flat.size - lo]
+            self.rng.random(out=u)
+            u *= 2 * scale
+            u += -scale
+            flat[lo:lo + len(u)] = u
+        return self._adopt(name, out)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -765,8 +785,13 @@ class ParamStore:
         return list(self._params.values())
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter's view of a flat array laid out like `data`."""
+        """Each parameter's view of a flat array laid out like `data`: 1-d,
+        with one entry per parameter entry."""
         ends = np.cumsum([t.data.size for t in self._params.values()], dtype=np.int64)
+        size = int(ends[-1]) if len(ends) else 0
+        if flat.ndim != 1 or flat.size != size:
+            raise TensorError(f"a flat array of shape {flat.shape} ({flat.size} entries) does "
+                              f"not lay out the store's {size} entries")
         return {name: flat[end - t.data.size:end].reshape(t.data.shape)
                 for (name, t), end in zip(self._params.items(), ends)}
 

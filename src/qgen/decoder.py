@@ -131,38 +131,47 @@ def pairwise_max(r: Tensor) -> Tensor:
     return ad.maximum(r[..., 0::2], r[..., 1::2])
 
 
-def output_head(w_prev: Tensor, s: Tensor, alpha: Tensor, readout_context: Tensor,
+def output_head(word_readout: Tensor, s: Tensor, alpha: Tensor, readout_context: Tensor,
                 gate_context: Tensor, p: DecoderParams,
                 maxout_keep: np.ndarray | None = None) -> ExtendedDistribution:
-    """The step outputs from its input word, state and attention, row by
-    row: maxout readout, dropout, generation softmax and copy gate.  The
-    context enters as its two terms, W_rc c (`readout_context`) and w_cc . c
+    """The step outputs from its state and attention, row by row: maxout
+    readout, dropout, generation softmax and copy gate.  The input word
+    enters as its readout term W_rw w_prev (`word_readout`), and the
+    context as its two terms, W_rc c (`readout_context`) and w_cc . c
     (`gate_context`).  The next step reads none of it, so a teacher-forced
     unroll runs it once over all its steps."""
-    r_t = ad.add(ad.add(ad.linear(w_prev, p.w_rw), readout_context), ad.linear(s, p.w_rs))
+    r_t = ad.add(ad.add(word_readout, readout_context), ad.linear(s, p.w_rs))
     m_t = ad.dropout(pairwise_max(r_t), maxout_keep)
     gen = ad.softmax(ad.linear(m_t, p.w_out))
     gate = ad.sigmoid(ad.add(ad.add(ad.matmul(s, p.w_cs), gate_context), p.b_gate))
     return ExtendedDistribution(gen=gen, copy=alpha, gate=gate)
 
 
+def word_terms(w_prev: Tensor, p: DecoderParams) -> tuple[Tensor, Tensor]:
+    """The two terms of a step that depend on its input word alone, row by
+    row: the word's share of the GRU's pre-activations (`gru_inputs`) and
+    its readout term W_rw w_prev."""
+    return gru_inputs(w_prev, p.gru), ad.linear(w_prev, p.w_rw)
+
+
 def decode_step(
-    w_prev: Tensor,
+    word_gates: Tensor,
+    word_readout: Tensor,
     alpha_prev: Tensor,
     s_prev: Tensor,
     memory: PassageMemory,
     p: DecoderParams,
 ) -> tuple[Tensor, ExtendedDistribution]:
-    """One decoder step over one passage for K hypotheses, their `w_prev`,
-    `alpha_prev` (the previous step's attention, all zeros at the start,
-    where the context is zero) and `s_prev` stacked as rows: the new states
-    and the step's distribution, one row per hypothesis.  The context is
-    never formed: each of its terms is an attention row times a
-    `passage_memory` table."""
-    inputs = ad.add(gru_inputs(w_prev, p.gru), ad.matmul(alpha_prev, memory.gates))
+    """One decoder step over one passage for K hypotheses, their input
+    words' `word_terms`, `alpha_prev` (the previous step's attention, all
+    zeros at the start, where the context is zero) and `s_prev` stacked as
+    rows: the new states and the step's distribution, one row per
+    hypothesis.  The context is never formed: each of its terms is an
+    attention row times a `passage_memory` table."""
+    inputs = ad.add(word_gates, ad.matmul(alpha_prev, memory.gates))
     s_t = ad.gru_cell(inputs, p.gru.w, s_prev)
     alpha = attention(s_t, memory.keys, p)
-    return s_t, output_head(w_prev, s_t, alpha, ad.matmul(alpha, memory.readout),
+    return s_t, output_head(word_readout, s_t, alpha, ad.matmul(alpha, memory.readout),
                             ad.matmul(alpha, memory.copy_gate), p)
 
 
@@ -205,5 +214,8 @@ def teacher_forced_unroll(
     # step-major row t * B + b of every step, in example-major order
     order = np.concatenate([np.arange(n) * batch + b for b, n in enumerate(steps)])
     s, c, alpha = (ad.gather_rows(ad.concat(list(field)), order) for field in zip(*rows))
-    return output_head(w_prev, s, alpha, ad.linear(c, p.w_rc), ad.matmul(c, p.w_cc), p,
+    # the word's readout term after the context's: backward walks the nodes in
+    # creation order, which fixes the order in which gradients are summed
+    readout_context, gate_context = ad.linear(c, p.w_rc), ad.matmul(c, p.w_cc)
+    return output_head(ad.linear(w_prev, p.w_rw), s, alpha, readout_context, gate_context, p,
                        maxout_keep)

@@ -9,7 +9,10 @@ Dropout multipliers and Gumbel noise are drawn where the computation
 reaches them.
 
 `gru_step_unfused` is the GRU step as the graph of small nodes that the
-one-node `ad.gru_cell` must reproduce byte for byte.
+one-node `ad.gru_cell` must reproduce byte for byte.  `surface_merge` and
+`top_k` are the beam's surface merge and proposal selection in their
+first, plainer form, which `beam.SurfaceTable.merge` and `beam.top_k` must
+reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -182,3 +185,27 @@ def batch_loss(model, batch, gumbel_rng=None, dropout_rng=None, gumbel_noise=Non
                    for ex, g in zip(batch, noise)]
     # a 0-d total times ones(1) is the same value as a (1,) term
     return _mean([ad.mul(r.total, np.ones(1)) for r in per_example]), per_example
+
+
+def surface_merge(table, dist):
+    """(K, surfaces) float64 emission probabilities as one `np.bincount`
+    over every source of `table` (a `beam.SurfaceTable`): each column adds
+    its generation term first, then its copy terms in passage order."""
+    gate = dist.gate.data.astype(np.float64)[:, None]
+    terms = np.concatenate([(1.0 - gate) * dist.gen.data[:, table.gen_ids],
+                            gate * dist.copy.data], axis=1)
+    k, width = len(terms), len(table.tokens)
+    bins = (np.arange(k)[:, None] * width + table.columns).ravel()
+    return np.bincount(bins, terms.ravel(), minlength=k * width).reshape(k, width)
+
+
+def top_k(probs, k):
+    """Column indices of each row's k largest entries, largest first and
+    equal values in column order: a partition at the k-th largest value,
+    then a sort of the entries at least that large."""
+    k = min(k, probs.shape[1])
+    kth = -np.partition(-probs, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(probs >= kth)
+    order = np.lexsort((cols, -probs[rows, cols], rows))   # by row, then as argsort
+    counts = np.bincount(rows, minlength=len(probs))
+    return cols[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]

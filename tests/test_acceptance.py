@@ -23,7 +23,7 @@ from qgen.clue_predictor import (
 )
 from qgen.config import ModelConfig, rng_stream
 from qgen.corpus import build_vocabulary, load_corpus, stopword_set
-from qgen.decoder import DecoderParams, decode_step, passage_memory
+from qgen.decoder import DecoderParams, decode_step, passage_memory, word_terms
 from qgen.features import FeatureVocab
 from qgen.labeling import label_clue_words, label_copy_words, label_corpus
 from qgen.metrics import corpus_bleu, meteor, rouge_l
@@ -185,7 +185,7 @@ class TestCriterion3StructuralInvariants:
             w, alpha, s, enc = (
                 Tensor(rng.normal(size=(1, word_dim))), Tensor(rng.dirichlet(np.ones(n), 1)),
                 Tensor(rng.normal(size=(1, dec_hidden))), Tensor(rng.normal(size=(n, enc_width))))
-            _, dist = decode_step(w, alpha, s, passage_memory(enc, p), p)
+            _, dist = decode_step(*word_terms(w, p), alpha, s, passage_memory(enc, p), p)
             assert abs(dist.copy.data.sum() - 1.0) <= 1e-9
             g = dist.gate.item()
             mixture = (1 - g) * dist.gen.data.sum() + g * dist.copy.data.sum()

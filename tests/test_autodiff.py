@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qgen.autodiff as ad
 from qgen.autodiff import CHECKPOINT_FORMAT_VERSION, CheckpointError, ParamStore, Tensor, TensorError
-from qgen.decoder import DecoderParams, decode_step, passage_memory
+from qgen.decoder import DecoderParams, decode_step, passage_memory, word_terms
 
 from conftest import assert_grads_match
 
@@ -576,7 +576,8 @@ class TestNoGrad:
                 memory = passage_memory(enc, p)
                 created.clear()
                 ops.clear()
-                s_t, dist = decode_step(Tensor(rng.normal(size=(2, 3))), Tensor(np.zeros((2, 5))),
+                s_t, dist = decode_step(*word_terms(Tensor(rng.normal(size=(2, 3))), p),
+                                        Tensor(np.zeros((2, 5))),
                                         Tensor(rng.normal(size=(2, 4))), memory, p)
             # the step ran: GRU, attention, readout and copy gate
             assert {"gru_cell", "attention_scores", "softmax", "linear", "sigmoid"} <= set(ops)
@@ -673,6 +674,38 @@ class TestParamStore:
         store.save(path, {"step": 3})
         assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
         assert ParamStore.read(path)[1]["step"] == 3
+
+    @pytest.mark.parametrize("flat", [np.arange(10.0), np.arange(5.0), np.arange(7.0)[None]],
+                             ids=["too_long", "too_short", "not_1d"])
+    def test_flat_array_of_the_wrong_size_rejected(self, tmp_path, flat):
+        """`views` and `save(data=...)` name both sizes, and the earlier file
+        stays in place."""
+        store = ParamStore()
+        store.add("a", np.arange(3.0))
+        store.add("b", np.ones((2, 2)))
+        path = tmp_path / "model.npz"
+        store.save(path, {"step": 1})
+        before = path.read_bytes()
+        for call in (lambda: store.views(flat), lambda: store.save(path, {"step": 2}, data=flat)):
+            with pytest.raises(TensorError, match=rf"\({flat.size} entries\).*store's 7 entries"):
+                call()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_draw_gives_the_bytes_of_one_uniform_draw(self, dtype):
+        """Drawn in slices, a weight is `rng.uniform(-scale, scale)` cast,
+        and the generator is left where that draw leaves it."""
+        shapes = [(), (3,), (ad.DRAW_SLICE,), (ad.DRAW_SLICE + 1, 1), (3 * ad.DRAW_SLICE - 5, 2),
+                  (0, 4)]
+        store, rng = ParamStore(dtype, np.random.default_rng(9)), np.random.default_rng(9)
+        for i, shape in enumerate(shapes):
+            scale = 0.05 * (i + 1)
+            got = store.draw(f"w{i}", shape, scale).data
+            want = np.array(rng.uniform(-scale, scale, size=shape), dtype=dtype)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert store.rng.random() == rng.random()
 
     def test_zero_grad(self):
         store = ParamStore()

@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgen.autodiff as ad
-from qgen.autodiff import Tensor, no_grad
-from qgen.beam import SurfaceTable, generate, top_k
+import qgen.beam
+from qgen.autodiff import ParamStore, Tensor, no_grad
+from qgen.beam import SurfaceTable, WordTermCache, generate, top_k
 from qgen.config import ConfigError
 from qgen.corpus import EOS, SOS, SPECIAL_TOKENS, build_vocabulary, stopword_set
-from qgen.decoder import init_decoder
+from qgen.decoder import DecoderParams, ExtendedDistribution, init_decoder, word_terms
 from qgen.encoder import encode
 from qgen.features import FeatureVocab
 from qgen.labeling import label_corpus
@@ -231,6 +233,70 @@ class TestSurfaceTable:
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+class TestSurfaceMerge:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_bincount_merge(self, setup, data):
+        """Byte for byte: passage words repeated, inside and outside the
+        reduced vocabulary, gates of exactly 0 and 1, 1 to 20 hypotheses."""
+        model, _ = setup
+        inside = sorted(set(model.reduced.words) - {SOS})
+        pool = inside[:4] + [EOS, "zzz", "Erin", "!", "aardvark"]
+        texts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+        k = data.draw(st.integers(1, 20))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        gates = data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.5, 1e-3, 0.999]),
+                                   min_size=k, max_size=k))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dist = ExtendedDistribution(
+            gen=Tensor(rng.dirichlet(np.ones(len(model.reduced)), k).astype(dtype)),
+            copy=Tensor(rng.dirichlet(np.ones(len(texts)), k).astype(dtype)),
+            gate=Tensor(np.array(gates, dtype)))
+        table = SurfaceTable(model, texts)
+        got, want = table.merge(dist), reference.surface_merge(table, dist)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestWordTermCache:
+    def test_rows_equal_the_k_row_products(self, monkeypatch):
+        """At the paper's float32 GRU shape, (1536, 1836): steps with one
+        hypothesis, and with zero, one and several new words, give the bytes
+        of the step's whole K-row products; a step with no new word
+        multiplies nothing."""
+        rng = np.random.default_rng(3)
+        store = ParamStore(np.float32, rng)
+        p = DecoderParams.create(store, 300, 1024, 512, 8, 5)
+        assert p.gru.w.shape == (1536, 1836)
+        words = store.draw("embed.word", (50, 300), 0.1)
+        table = SimpleNamespace(word_rows=np.arange(80) % 50)   # columns c and c + 50 share a row
+        calls = []
+        monkeypatch.setattr(qgen.beam, "word_terms",
+                            lambda w, p: calls.append(len(w.data)) or word_terms(w, p))
+        cache = WordTermCache(table, words, p)
+        steps = [[3], [3, 3, 5, 7, 7, 9, 11, 3, 5, 5, 12, 13, 7, 9, 9, 3, 3, 5, 7, 11],
+                 [11, 9, 7, 5, 3, 53, 12, 13, 7, 7, 5, 5, 9, 9, 11, 3, 3, 12, 13, 7],
+                 [3, 5, 7, 40, 40, 9, 11, 3, 5, 5, 12, 13, 7, 9, 9, 3, 53, 5, 7, 11],
+                 [40, 3], [60, 61], [62], [70, 71, 72, 20]]
+        seen, new_counts = set(), []
+        for columns in steps:
+            calls.clear()
+            with no_grad():
+                gates, readout = cache(np.array(columns))
+                want = word_terms(ad.gather_rows(words, table.word_rows[columns]), p)
+            for got, ref in ((gates, want[0]), (readout, want[1])):
+                assert got.data.dtype == np.float32 and got.shape == ref.shape
+                assert got.data.tobytes() == ref.data.tobytes()
+            if len(columns) == 1:   # one hypothesis: its one-row product, uncached
+                assert calls == [1]
+                continue
+            new = set(table.word_rows[columns].tolist()) - seen
+            new_counts.append(len(new))
+            assert calls == ([max(2, len(new))] if new else [])
+            seen |= new
+        assert new_counts == [7, 0, 1, 0, 1, 3]
+
+
 class TestTopK:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -242,6 +308,17 @@ class TestTopK:
         k = data.draw(st.integers(1, width + 2))
         want = np.argsort(-probs, axis=1, kind="stable")[:, :k]
         got = top_k(probs, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference_selection(self, data):
+        """Up to 20 rows of up to 80 columns, few distinct values."""
+        rows, width = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 80))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        probs = rng.choice(rng.random(data.draw(st.integers(1, 6))), size=(rows, width))
+        k = data.draw(st.integers(1, width + 2))
+        got, want = top_k(probs, k), reference.top_k(probs, k)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("probs", [np.full((3, 1), 0.5), np.full((4, 9), 0.25),

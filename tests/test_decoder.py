@@ -12,6 +12,7 @@ from qgen.decoder import (
     pairwise_max,
     passage_memory,
     teacher_forced_unroll,
+    word_terms,
 )
 from qgen.encoder import EncoderOutput
 
@@ -27,7 +28,7 @@ def _attend(s, enc, p):
 
 
 def _step(w_prev, alpha_prev, s_prev, enc, p):
-    return decode_step(w_prev, alpha_prev, s_prev, passage_memory(enc, p), p)
+    return decode_step(*word_terms(w_prev, p), alpha_prev, s_prev, passage_memory(enc, p), p)
 
 
 def _params(rng, word_dim=3, enc_width=8, dec_hidden=4, attn_dim=5, vocab_out=6):
