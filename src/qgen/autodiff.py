@@ -345,65 +345,53 @@ def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tens
     return _node(_times_t(x.data, w.data if full else w.data[:, lo:hi]), (x, w), "linear", bw)
 
 
-def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, context: Optional[Tensor] = None,
-             rows: Optional[np.ndarray] = None) -> Tensor:
+def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, rows: Optional[np.ndarray] = None,
+             extra: Optional[Tensor] = None) -> Tensor:
     """One GRU step over (m, hidden) state rows, as one graph node.
 
-        [z; r] = sigmoid(x_zr + [c; h] W_zr'),   W_zr = [W_z; W_r]
-        h~ = tanh(x_h + [c; r h] W_h'),          h' = (1 - z) h + z h~
+        [z; r] = sigmoid(x_zr + h W_zr'),   W_zr = [W_z; W_r]
+        h~ = tanh(x_h + (r h) W_h'),        h' = (1 - z) h + z h~
 
-    `w` stacks the gates' weights as rows [W_z; W_r; W_h], (3 hidden, k); W'
-    is a row block's last columns, as many as [c; h] is wide, and the
-    context c is optional.  `gates` holds [x_z, x_r, x_h], the
-    pre-activation shares of w's first columns: rows `rows` of it (an index
-    array with one distinct row per state, or a slice), read without a
-    gather node, or all of it; either way (m, 3 hidden).
+    `w` stacks the gates' weights as rows [W_z; W_r; W_h], (3 hidden, k);
+    W' is a row block's last hidden columns.  x = [x_z, x_r, x_h] is the
+    step's (m, 3 hidden) share of the pre-activations from w's other
+    columns: rows `rows` of `gates` (an index array with one distinct row
+    per state, or a slice), read without a gather node, or all of it, plus
+    `extra` when given, a share that the step forms itself.
 
-    A step makes two products, [c; h] W_zr' and [c; r h] W_h', each issued
-    as `linear` issues its own, in the faster form at ROW_CUT rows or fewer
-    (`_times_t`).  The forward values are those of the graph of `slice`,
-    `linear(..., cols)`, `add`, `sigmoid`, `tanh`, `mul` and `sub` nodes
+    A step makes two products, h W_zr' and (r h) W_h', each issued as
+    `linear` issues its own, in the faster form at ROW_CUT rows or fewer
+    (`_times_t`).  The forward values are those of the graph of `add`,
+    `slice`, `linear(..., cols)`, `sigmoid`, `tanh`, `mul` and `sub` nodes
     over the row blocks W_zr and W_h, and backward adds gradients in that
     graph's reverse-walk order, with w's (g, x) rows deferred under the same
     blocks, so both are bit-identical to it.
     """
-    parents = _operands((gates, w, h_prev) + (() if context is None else (context,)))
+    parents = _operands((gates, w, h_prev) + (() if extra is None else (extra,)))
     gates, w, h_prev = parents[:3]
-    context = parents[3] if context is not None else None
+    extra = parents[3] if extra is not None else None
     if h_prev.ndim != 2 or gates.ndim != 2 or w.ndim != 2:
         raise TensorError(f"gru_cell: state {h_prev.shape}, shares {gates.shape} and "
                           f"weight {w.shape} are not all 2-d")
     (m, hidden), width = h_prev.shape, w.shape[1]
-    c = 0 if context is None else context.shape[-1]
-    lo = width - c - hidden
-    if (lo < 0 or w.shape[0] != 3 * hidden
-            or (context is not None and context.shape != (m, c))):
-        raise TensorError(f"gru_cell: state {h_prev.shape}, context "
-                          f"{getattr(context, 'shape', None)} and weight {w.shape} do not match")
+    lo = width - hidden
+    if lo < 0 or w.shape[0] != 3 * hidden:
+        raise TensorError(f"gru_cell: state {h_prev.shape} and weight {w.shape} do not match")
     key = slice(None) if rows is None else rows
     x = gates.data[key]
-    if x.shape != (m, 3 * hidden):
-        raise TensorError(f"gru_cell: shares {x.shape} do not match state {h_prev.shape}: "
-                          f"expected {(m, 3 * hidden)}")
+    if x.shape != (m, 3 * hidden) or (extra is not None and extra.shape != x.shape):
+        raise TensorError(f"gru_cell: shares {x.shape} and {getattr(extra, 'shape', None)} "
+                          f"do not match state {h_prev.shape}: expected {(m, 3 * hidden)}")
+    if extra is not None:
+        x = x + extra.data
     cols = (lo, width)
     h = h_prev.data
     w_zr, w_cand = w.data[:2 * hidden, lo:], w.data[2 * hidden:, lo:]
-
-    def stacked(s):   # [c; s], the input of the weight's last columns
-        return s if context is None else np.concatenate([context.data, s], axis=-1)
-
-    zr_in = stacked(h)
-    zr = _sigmoid(x[:, :2 * hidden] + _times_t(zr_in, w_zr))
+    zr = _sigmoid(x[:, :2 * hidden] + _times_t(h, w_zr))
     z, r = zr[:, :hidden], zr[:, hidden:]
-    cand_in = stacked(r * h)
-    h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(cand_in, w_cand))
+    rh = r * h
+    h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(rh, w_cand))
     omz = 1.0 - z
-    c_grad = context is not None and context.requires_grad
-
-    def unstack(g):   # the gradient of [c; s]: c's share to the context, s's returned
-        if c_grad:
-            context._accumulate(g[:, :c])
-        return g[:, c:]
 
     def bw(g):
         # the nodes of the unfused graph, last created first
@@ -414,21 +402,22 @@ def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, context: Optional[Tensor]
         dz -= g * h                            # 1 - z
         d_cand *= 1.0 - h_cand * h_cand        # tanh
         if w.requires_grad:
-            w._defer_outer((2 * hidden, 3 * hidden), cols, d_cand, cand_in)
-        d_rh = unstack(d_cand @ w_cand)        # [c; r h] W_h'
+            w._defer_outer((2 * hidden, 3 * hidden), cols, d_cand, rh)
+        d_rh = d_cand @ w_cand                 # (r h) W_h'
         if h_prev.requires_grad:               # r h
             h_prev._accumulate(d_rh * r)
         d_zr = np.concatenate([dz, d_rh * h], axis=1)
         d_zr *= zr                             # sigmoid
         d_zr *= 1.0 - zr
+        d_x = np.concatenate([d_zr, d_cand], axis=1)
         if gates.requires_grad:
-            gates._grad_buffer()[key] += np.concatenate([d_zr, d_cand], axis=1)
+            gates._grad_buffer()[key] += d_x
+        if extra is not None and extra.requires_grad:
+            extra._accumulate(d_x)
         if w.requires_grad:
-            w._defer_outer((0, 2 * hidden), cols, d_zr, zr_in)
-        if h_prev.requires_grad or c_grad:     # [c; h] W_zr'
-            d_h = unstack(d_zr @ w_zr)
-            if h_prev.requires_grad:
-                h_prev._accumulate(d_h)
+            w._defer_outer((0, 2 * hidden), cols, d_zr, h)
+        if h_prev.requires_grad:               # h W_zr'
+            h_prev._accumulate(d_zr @ w_zr)
 
     return _node(omz * h + z * h_cand, parents, "gru_cell", bw)
 
@@ -487,16 +476,16 @@ def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) ->
 
 
 def attention_context(alpha: Tensor, values: Tensor) -> Tensor:
-    """Attention-weighted sums of value rows, (m, d).
+    """Attention-weighted sums of value rows, (m, d), or of values, (m,).
 
-    values is (blocks * n, d) for (m, n) weights alpha.  The rows of alpha
-    split into `blocks` equal groups in order, and group b weights value
-    block b only, as in `attention_scores`.  The (blocks, m / blocks, d)
-    products stay inside the node.
+    values is (blocks * n, d) or (blocks * n,) for (m, n) weights alpha.
+    The rows of alpha split into `blocks` equal groups in order, and group b
+    weights value block b only, as in `attention_scores`.  The
+    (blocks, m / blocks, d) products stay inside the node.
     """
     alpha, values = _operands((alpha, values))
     n = alpha.shape[1] if alpha.ndim == 2 else 0
-    blocks = values.shape[0] // n if values.ndim == 2 and n else 0
+    blocks = values.shape[0] // n if values.ndim and n else 0
     if blocks == 0 or values.shape[0] != blocks * n or alpha.shape[0] % blocks:
         raise TensorError(f"attention_context: weights {alpha.shape} do not match "
                           f"values {values.shape} in equal blocks")
@@ -505,13 +494,14 @@ def attention_context(alpha: Tensor, values: Tensor) -> Tensor:
     v3 = values.data.reshape(blocks, n, -1)
 
     def bw(g):
-        g3 = g.reshape(blocks, -1, g.shape[1])
+        g3 = g.reshape(blocks, -1, v3.shape[2])
         if alpha.requires_grad:
             alpha._accumulate((g3 @ v3.transpose(0, 2, 1)).reshape(m, n))
         if values.requires_grad:
             values._accumulate((a3.transpose(0, 2, 1) @ g3).reshape(values.shape))
 
-    return _node((a3 @ v3).reshape(m, -1), (alpha, values), "attention_context", bw)
+    return _node((a3 @ v3).reshape((m, -1)[:values.ndim]), (alpha, values),
+                 "attention_context", bw)
 
 
 def tanh(a) -> Tensor:
@@ -637,11 +627,12 @@ def slice_(a: Tensor, key) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Select rows `ids` from a 2-d table; backward scatters additively."""
+    """Select rows `ids` from a 2-d table, or entries from a 1-d one;
+    backward scatters additively."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if table.ndim != 2:
-        raise TensorError("gather_rows expects a 2-d table")
+    if table.ndim not in (1, 2):
+        raise TensorError("gather_rows expects a 1-d or 2-d table")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise TensorError(f"gather_rows: id out of range for table with {table.shape[0]} rows")
 

@@ -168,6 +168,8 @@ def _replaced_on_success(path):
 
 
 def _cmd_generate(args) -> int:
+    if args.clues_out is not None and Path(args.clues_out).resolve() == Path(args.out).resolve():
+        raise CliError(f"--out and --clues-out name the same file: {args.out}")
     if not Path(args.checkpoint).exists():
         raise CliError(f"checkpoint not found: {args.checkpoint}")
     for name, value in (("beam_width", args.beam_width), ("max_len", args.max_len)):

@@ -79,32 +79,26 @@ def init_decoder(last_backward: Tensor, w_init: Tensor, b_init: Tensor) -> Tenso
     return ad.tanh(ad.add(ad.linear(last_backward, w_init), b_init))
 
 
-def attention_keys(enc_states: Tensor, p: DecoderParams) -> Tensor:
-    """W_h h_i for every source position: (n, attn), computed once per sequence."""
-    return ad.linear(enc_states, p.w_h)
-
-
 @dataclass
 class PassageMemory:
-    """What every beam step reads of one passage's (n, enc_width) encoder
-    states H.  The context c = alpha H feeds only linear maps, so c W' =
-    alpha (H W'): the decoder's context columns are applied to H once per
-    passage, and a step multiplies its attention rows by these (n, ·)
-    tables instead of its context rows by the weights."""
+    """What every decoder step reads of the (B * n, enc_width) encoder
+    states H of B passages.  The context c = alpha H feeds only linear maps,
+    so c W' = alpha (H W'): the context columns of each weight are applied
+    to H once, and a step multiplies its attention rows by these tables
+    (`ad.attention_context`); c itself is never formed."""
 
-    keys: Tensor        # attention_keys(H)
-    gates: Tensor       # H times the context columns of the GRU's weight, (n, 3 * dec_hidden)
-    readout: Tensor     # H W_rc^T, (n, 2 * dec_hidden)
-    copy_gate: Tensor   # H w_cc, (n,)
+    keys: Tensor        # H W_h^T, (B * n, attn)
+    gates: Tensor       # H times the context columns of the GRU's weight, (B * n, 3 * dec_hidden)
+    readout: Tensor     # H W_rc^T, (B * n, 2 * dec_hidden)
+    copy_gate: Tensor   # H w_cc, (B * n,)
 
 
 def passage_memory(enc_states: Tensor, p: DecoderParams) -> PassageMemory:
-    """The context projections of one passage, computed once for every step."""
+    """The context tables of the passages in `enc_states`, once for every step."""
     word = p.w_rw.shape[1]
-    cols = (word, word + enc_states.shape[1])
     return PassageMemory(
-        keys=attention_keys(enc_states, p),
-        gates=ad.linear(enc_states, p.gru.w, cols),
+        keys=ad.linear(enc_states, p.w_h),
+        gates=ad.linear(enc_states, p.gru.w, (word, word + enc_states.shape[1])),
         readout=ad.linear(enc_states, p.w_rc),
         copy_gate=ad.matmul(enc_states, p.w_cc),
     )
@@ -113,13 +107,10 @@ def passage_memory(enc_states: Tensor, p: DecoderParams) -> PassageMemory:
 def attention(s_t: Tensor, keys: Tensor, p: DecoderParams,
               mask: np.ndarray | None = None) -> Tensor:
     """Concatenated attention: softmax weights over the source positions,
-    one row per row of the (m, dec_hidden) states s_t.
-
-    Without `mask`, keys are one passage's that every state row attends
-    to.  A (B, n) `mask` makes keys B passages padded to n rows each
-    (`EncoderOutput`): state row b attends to the real positions of
-    passage b only.
-    """
+    one row per row of the (m, dec_hidden) states s_t.  Without `mask`
+    every row attends to the one passage of `keys`; a (B, n) mask makes
+    keys B passages padded to n rows (`EncoderOutput`), and row b attends
+    to the real positions of passage b only."""
     blocks = 1 if mask is None else len(mask)
     return ad.softmax(ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v, blocks), mask=mask)
 
@@ -136,10 +127,9 @@ def output_head(word_readout: Tensor, s: Tensor, alpha: Tensor, readout_context:
                 maxout_keep: np.ndarray | None = None) -> ExtendedDistribution:
     """The step outputs from its state and attention, row by row: maxout
     readout, dropout, generation softmax and copy gate.  The input word
-    enters as its readout term W_rw w_prev (`word_readout`), and the
-    context as its two terms, W_rc c (`readout_context`) and w_cc . c
-    (`gate_context`).  The next step reads none of it, so a teacher-forced
-    unroll runs it once over all its steps."""
+    enters as W_rw w_prev (`word_readout`), the context as W_rc c
+    (`readout_context`) and w_cc . c (`gate_context`).  No step reads it,
+    so a teacher-forced unroll runs it once over all its steps."""
     r_t = ad.add(ad.add(word_readout, readout_context), ad.linear(s, p.w_rs))
     m_t = ad.dropout(pairwise_max(r_t), maxout_keep)
     gen = ad.softmax(ad.linear(m_t, p.w_out))
@@ -154,6 +144,19 @@ def word_terms(w_prev: Tensor, p: DecoderParams) -> tuple[Tensor, Tensor]:
     return gru_inputs(w_prev, p.gru), ad.linear(w_prev, p.w_rw)
 
 
+def recur(word_gates: Tensor, alpha_prev: Tensor, s_prev: Tensor, memory: PassageMemory,
+          p: DecoderParams, rows: np.ndarray | None = None,
+          mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """The recurrent part of a decoder step, (s_t, alpha): a GRU over
+    [w_prev; c_prev], then `attention` under `mask`.  The word enters as
+    rows `rows` of its GRU share `word_gates`, all of them by default, and
+    the context as the previous attention rows `alpha_prev` (all zeros at
+    the first step) times `memory.gates`."""
+    s_t = ad.gru_cell(word_gates, p.gru.w, s_prev, rows=rows,
+                      extra=ad.attention_context(alpha_prev, memory.gates))
+    return s_t, attention(s_t, memory.keys, p, mask)
+
+
 def decode_step(
     word_gates: Tensor,
     word_readout: Tensor,
@@ -162,15 +165,10 @@ def decode_step(
     memory: PassageMemory,
     p: DecoderParams,
 ) -> tuple[Tensor, ExtendedDistribution]:
-    """One decoder step over one passage for K hypotheses, their input
-    words' `word_terms`, `alpha_prev` (the previous step's attention, all
-    zeros at the start, where the context is zero) and `s_prev` stacked as
-    rows: the new states and the step's distribution, one row per
-    hypothesis.  The context is never formed: each of its terms is an
-    attention row times a `passage_memory` table."""
-    inputs = ad.add(word_gates, ad.matmul(alpha_prev, memory.gates))
-    s_t = ad.gru_cell(inputs, p.gru.w, s_prev)
-    alpha = attention(s_t, memory.keys, p)
+    """One beam step over one passage for K hypotheses, their input words'
+    `word_terms`, `alpha_prev` and `s_prev` stacked as rows: the new states
+    and the step's distribution, one row per hypothesis."""
+    s_t, alpha = recur(word_gates, alpha_prev, s_prev, memory, p)
     return s_t, output_head(word_readout, s_t, alpha, ad.matmul(alpha, memory.readout),
                             ad.matmul(alpha, memory.copy_gate), p)
 
@@ -186,36 +184,38 @@ def teacher_forced_unroll(
     `prev_ids[b]` of the word table, <SOS> and then its question, so it
     takes len(prev_ids[b]) steps, the last one predicting <EOS>.
 
-    The B examples advance together as rows of one recurrent step, a GRU
-    over [w_prev; c_prev] and then attention; each attends to its own
-    passage in `enc`.  The output head then runs once over every example's
-    steps, stacked example after example, which is also the row order of
-    `maxout_keep`.
+    The B examples advance together as the rows of one `recur`, each over
+    its own passage's `passage_memory` block.  The output head then runs
+    once over every example's steps, stacked example after example, which
+    is also the row order of `maxout_keep`.
     """
     steps = np.array([len(ids) for ids in prev_ids])
-    batch = len(steps)
+    batch, longest = len(steps), steps.max()
     w_prev = ad.gather_rows(words, np.concatenate(prev_ids))       # example-major rows
     first = np.cumsum(steps) - steps
-    t = np.arange(steps.max())[:, None]
+    t = np.arange(longest)[:, None]
     # step t of example b reads row first[b] + t; finished rows repeat their last
     # step, and nothing reads what they compute
     positions = first + np.minimum(t, steps - 1)
     inputs = gru_inputs(w_prev, p.gru)
-    keys = attention_keys(enc.states, p)
+    memory = passage_memory(enc.states, p)
     mask = enc.mask()
     s = init_decoder(enc.last_backward, p.w_init, p.b_init)
-    c = Tensor(np.zeros((batch, enc.states.shape[1]), enc.states.data.dtype))
-    rows: list[tuple[Tensor, Tensor, Tensor]] = []   # (s, c, alpha) of each step
+    alpha = Tensor(np.zeros(mask.shape, enc.states.data.dtype))
+    states, alphas = [], []
     for step_rows in positions:
-        s = ad.gru_cell(inputs, p.gru.w, s, context=c, rows=step_rows)
-        alpha = attention(s, keys, p, mask)
-        c = ad.attention_context(alpha, enc.states)
-        rows.append((s, c, alpha))
-    # step-major row t * B + b of every step, in example-major order
-    order = np.concatenate([np.arange(n) * batch + b for b, n in enumerate(steps)])
-    s, c, alpha = (ad.gather_rows(ad.concat(list(field)), order) for field in zip(*rows))
+        s, alpha = recur(inputs, alpha, s, memory, p, step_rows, mask)
+        states.append(s)
+        alphas.append(alpha)
+    # row b * longest + t of `padded` is step t * B + b: one block of steps per
+    # passage, and `real` picks each example's own steps from the blocks
+    padded = (t.T * batch + np.arange(batch)[:, None]).ravel()
+    real = np.concatenate([b * longest + np.arange(n) for b, n in enumerate(steps)])
+    s = ad.gather_rows(ad.concat(states), padded[real])
+    blocks = ad.gather_rows(ad.concat(alphas), padded)
     # the word's readout term after the context's: backward walks the nodes in
     # creation order, which fixes the order in which gradients are summed
-    readout_context, gate_context = ad.linear(c, p.w_rc), ad.matmul(c, p.w_cc)
-    return output_head(ad.linear(w_prev, p.w_rw), s, alpha, readout_context, gate_context, p,
-                       maxout_keep)
+    readout_context, gate_context = (ad.gather_rows(ad.attention_context(blocks, table), real)
+                                     for table in (memory.readout, memory.copy_gate))
+    return output_head(ad.linear(w_prev, p.w_rw), s, ad.gather_rows(blocks, real),
+                       readout_context, gate_context, p, maxout_keep)

@@ -57,28 +57,22 @@ def gru_row_blocks(w):
     return w[:2 * hidden], w[2 * hidden:]
 
 
-def gru_step_unfused(gates, h_prev, blocks, context=None):
-    """`ad.gru_cell` node by node: the two products of the row blocks' last
-    columns over [context; h], [z; r] in one and the candidate in the
-    other, and the gate arithmetic are each their own `slice`,
-    `linear(..., cols)`, `add`, `sigmoid`, `tanh`, `mul` or `sub` node;
-    `gates` are this step's (m, 3 hidden) shares and `blocks` come from
-    `gru_row_blocks`."""
+def gru_step_unfused(gates, h_prev, blocks, extra=None):
+    """`ad.gru_cell` node by node: `extra` added to the step's shares, the
+    two products of the row blocks' last columns, [z; r] over h in one and
+    the candidate over r h in the other, and the gate arithmetic are each
+    their own `add`, `slice`, `linear(..., cols)`, `sigmoid`, `tanh`, `mul`
+    or `sub` node; `gates` are this step's (m, 3 hidden) shares and
+    `blocks` come from `gru_row_blocks`."""
     w_zr, w_h = blocks
     hidden = h_prev.shape[1]
+    if extra is not None:
+        gates = ad.add(gates, extra)
     x_zr, x_h = gates[:, :2 * hidden], gates[:, 2 * hidden:]
-
-    def recurrent(h):
-        return h if context is None else ad.concat([context, h], axis=-1)
-
-    def columns(w, x):
-        return w.shape[1] - x.shape[-1], w.shape[1]
-
-    zr_in = recurrent(h_prev)
-    zr = ad.sigmoid(ad.add(x_zr, ad.linear(zr_in, w_zr, columns(w_zr, zr_in))))
+    cols = (w_zr.shape[1] - hidden, w_zr.shape[1])
+    zr = ad.sigmoid(ad.add(x_zr, ad.linear(h_prev, w_zr, cols)))
     z, r = zr[:, :hidden], zr[:, hidden:]
-    cand_in = recurrent(ad.mul(r, h_prev))
-    h_cand = ad.tanh(ad.add(x_h, ad.linear(cand_in, w_h, columns(w_h, cand_in))))
+    h_cand = ad.tanh(ad.add(x_h, ad.linear(ad.mul(r, h_prev), w_h, cols)))
     return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 

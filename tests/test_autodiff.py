@@ -138,6 +138,13 @@ class TestGatherConcatSlice:
         loss.backward()
         np.testing.assert_array_equal(table.grad, 2 * expected)
 
+    def test_gather_entries_of_a_vector(self):
+        table = Tensor(np.arange(4.0), requires_grad=True)
+        out = ad.gather_rows(table, [3, 0, 3])
+        np.testing.assert_array_equal(out.data, [3.0, 0.0, 3.0])
+        ad.sum_(ad.mul(out, np.array([1.0, 2.0, 4.0]))).backward()
+        np.testing.assert_array_equal(table.grad, [2.0, 0.0, 0.0, 5.0])
+
     def test_gather_out_of_range(self):
         with pytest.raises(TensorError, match="out of range"):
             ad.gather_rows(Tensor(np.ones((3, 4))), [3])
@@ -398,6 +405,18 @@ class TestBlockAttention:
             return ad.sum_(ad.tanh(ad.attention_context(alpha, x)))
 
         assert_grads_match(loss, [keys, query, v, values], tol=1e-4)
+
+    def test_vector_values_match_each_block_alone(self):
+        """(blocks * n,) values: one weighted sum per row of alpha."""
+        rng = np.random.default_rng(24)
+        alpha, values = rng.dirichlet(np.ones(4), 6), rng.normal(size=12)   # 3 blocks of 2 rows
+        out = ad.attention_context(Tensor(alpha), Tensor(values))
+        assert out.shape == (6,)
+        for row in range(6):
+            block = values[4 * (row // 2):4 * (row // 2) + 4]
+            np.testing.assert_allclose(out.data[row], alpha[row] @ block, rtol=0, atol=1e-14)
+        assert_grads_match(lambda a, x: ad.sum_(ad.tanh(ad.attention_context(a, x))),
+                           [alpha, values], tol=1e-4)
 
     def test_one_block_is_shared_by_every_row(self):
         keys, query, v, values = self._arrays(blocks=1)

@@ -233,6 +233,35 @@ def test_gru_cells_read_the_input_shares_in_place(tiny, monkeypatch):
         assert id(cell._parents[0]) in shares
 
 
+def test_only_the_passage_tables_read_the_encoder_states(tiny, monkeypatch):
+    """The decoder never forms the attention context: in a training batch
+    the encoder states feed `passage_memory`'s four products and nothing
+    else, and every step reads them through those tables."""
+    model, labeled = tiny
+    memories, passage_memory = [], qgen.decoder.passage_memory
+
+    def recording(enc_states, p):
+        memory = passage_memory(enc_states, p)
+        memories.append((enc_states, memory))
+        return memory
+
+    monkeypatch.setattr(qgen.decoder, "passage_memory", recording)
+    dist = model.forward(labeled[4:], mode="train", gumbel_rng=rng_stream(0, "gumbel"),
+                         dropout_rng=rng_stream(0, "dropout")).decoder
+    [(states, memory)] = memories
+    readers, seen, stack = [], set(), [dist.gen, dist.copy, dist.gate]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if any(q is states for q in t._parents):
+                readers.append(t)
+            stack.extend(t._parents)
+    tables = [memory.keys, memory.gates, memory.readout, memory.copy_gate]
+    assert sorted(map(id, readers)) == sorted(map(id, tables))
+    assert [t._op for t in tables] == ["linear", "linear", "linear", "matmul"]
+
+
 WORDS = ["what", "who", "is", "the", "of", "?"]
 
 

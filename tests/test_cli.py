@@ -295,6 +295,23 @@ class TestTrainGenerateEvaluate:
         assert code == 1 and out == "" and json.loads(err)["error"] == "ConfigError"
         assert {p.name: p.read_bytes() for p in runs.iterdir()} == before
 
+    def test_same_file_for_predictions_and_clues_is_refused(self, pipeline, capsys):
+        """Both outputs would go through one temporary file: exit 1 with one
+        JSON error before the model loads, and the earlier file unchanged."""
+        tmp, data, _, out_dir = pipeline
+        runs = tmp / "same"
+        (runs / "sub").mkdir(parents=True, exist_ok=True)
+        pred = runs / "pred.jsonl"
+        pred.write_bytes(b'{"id": "earlier", "prediction": "what ?", "score": -1.0}\n')
+        code, out, err = run_cli(capsys, "generate", "--checkpoint", str(out_dir / "model.npz"),
+                                 "--data", str(data), "--out", str(pred),
+                                 "--clues-out", str(runs / "sub" / ".." / "pred.jsonl"))
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "CliError" and str(pred) in report["message"]
+        assert sorted(p.name for p in runs.iterdir()) == ["pred.jsonl", "sub"]
+        assert pred.read_bytes() == b'{"id": "earlier", "prediction": "what ?", "score": -1.0}\n'
+
     def test_interrupted_write_leaves_the_old_file_and_no_temporary(self, tmp_path):
         target = tmp_path / "pred.jsonl"
         target.write_bytes(b"earlier\n")

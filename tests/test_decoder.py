@@ -6,7 +6,6 @@ from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.decoder import (
     DecoderParams,
     attention,
-    attention_keys,
     decode_step,
     init_decoder,
     pairwise_max,
@@ -22,7 +21,7 @@ from conftest import assert_grads_match
 
 def _attend(s, enc, p):
     """(alpha, context, scores)."""
-    keys = attention_keys(enc, p)
+    keys = passage_memory(enc, p).keys
     alpha = attention(s, keys, p)
     return alpha, ad.attention_context(alpha, enc), ad.attention_scores(keys, ad.linear(s, p.w_s), p.v)
 
@@ -173,7 +172,7 @@ class TestDecodeStep:
         w, s = rng.normal(size=(4, 3)).astype(dtype), rng.normal(size=(4, 4)).astype(dtype)
         with ad.no_grad():
             s_t, dist = _step(Tensor(w), Tensor(alpha), Tensor(s), enc, p)
-            keys = attention_keys(enc, p)
+            keys = passage_memory(enc, p).keys
             for k in range(4):
                 c = Tensor(alpha[k:k + 1] @ enc.data)
                 want = reference.decode_step(Tensor(w[k:k + 1]), c, Tensor(s[k:k + 1]), enc,
@@ -233,6 +232,26 @@ class TestTeacherForcedUnroll:
         assert dist.gen.shape == (2, 6)
         assert dist.copy.shape == (2, 5)
         assert dist.gate.shape == (2,)
+
+    def test_rows_match_beam_steps_along_the_gold_prefix(self):
+        """Training and the beam run one recurrence: each row of an unroll is
+        `decode_step` run on one hypothesis that reads the same gold words."""
+        rng = np.random.default_rng(13)
+        p, _ = _params(rng)
+        words = Tensor(rng.normal(size=(3, 3)))
+        enc = self._memory(rng, (5,))
+        ids = [self.SOS, self.A, self.B, self.B, self.A]
+        dist = teacher_forced_unroll([ids], words, enc, p)
+        memory = passage_memory(enc.states, p)
+        s = init_decoder(enc.last_backward, p.w_init, p.b_init)
+        alpha = Tensor(np.zeros((1, 5)))
+        for t, row in enumerate(ids):
+            s, step = decode_step(*word_terms(ad.gather_rows(words, [row]), p), alpha, s,
+                                  memory, p)
+            for got, want in ((dist.gen, step.gen), (dist.copy, step.copy),
+                              (dist.gate, step.gate)):
+                np.testing.assert_allclose(got.data[t], want.data[0], rtol=0, atol=1e-12)
+            alpha = step.copy
 
     def test_batch_rows_match_one_example_unrolls(self):
         """Uneven passages and questions in one batch: every example's rows

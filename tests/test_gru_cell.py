@@ -1,6 +1,7 @@
 """`ad.gru_cell` against the node-by-node GRU step it replaces: the same
-bytes in the forward output and in every gradient, for the encoder's,
-the teacher-forced decoder's and the beam's use of it."""
+bytes in the forward output and in every gradient, for the encoder's use
+of it and the decoder's, which adds an extra share to the step's input
+shares, in a teacher-forced unroll and in a beam step."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qgen.encoder import GruCellParams, gru_inputs
 from conftest import assert_grads_match
 from reference import gru_row_blocks, gru_step_unfused
 
+# C_DIM: the decoder weight's context columns, which the cell does not read
 HIDDEN, X_DIM, C_DIM, BATCH, STEPS = 5, 3, 4, 2, 3
 # each step's rows of the input shares, read in place: out of order, distinct
 # within a step, row 3 read at two steps and row 2 never
@@ -20,24 +22,24 @@ INDEX_ROWS = np.array([[3, 0], [5, 3], [1, 4]])
 
 def fused(w):
     """A step over the stacked weight `w` itself."""
-    return lambda gates, h, context, rows: ad.gru_cell(gates, w, h, context, rows)
+    return lambda gates, h, extra, rows: ad.gru_cell(gates, w, h, rows, extra)
 
 
 def unfused(w):
     """A step over the row blocks of `w`, sliced once here, for every step."""
     blocks = gru_row_blocks(w)
-    return lambda gates, h, context, rows: gru_step_unfused(
-        gates if rows is None else gates[rows], h, blocks, context)
+    return lambda gates, h, extra, rows: gru_step_unfused(
+        gates if rows is None else gates[rows], h, blocks, extra)
 
 
 class _Case:
     """Fresh leaves of one dtype from fixed arrays, so the fused and the
     unfused step build their graphs over equal, separate tensors."""
 
-    def __init__(self, dtype, context_dim, seed=0):
+    def __init__(self, dtype, decoder, seed=0):
         rng = np.random.default_rng(seed)
         self.store = ParamStore(dtype, rng)
-        self.p = GruCellParams.create(self.store, "g", X_DIM + context_dim, HIDDEN, scale=0.5)
+        self.p = GruCellParams.create(self.store, "g", X_DIM + C_DIM * decoder, HIDDEN, scale=0.5)
         self.store["g.b"].data[:] = rng.normal(size=3 * HIDDEN)   # nonzero biases
 
         def leaf(*shape):
@@ -45,18 +47,19 @@ class _Case:
 
         self.x = leaf(STEPS * BATCH, X_DIM)
         self.h0 = leaf(BATCH, HIDDEN)
-        self.c0 = leaf(BATCH, context_dim)
-        self.w_c = leaf(context_dim, HIDDEN)
+        self.e0 = leaf(BATCH, 3 * HIDDEN)
+        self.w_e = leaf(3 * HIDDEN, HIDDEN)
         self.head = rng.normal(size=(STEPS * BATCH, HIDDEN)).astype(dtype)
 
     def leaves(self):
-        return [self.x, self.h0, self.c0, self.w_c, *self.store.tensors()]
+        return [self.x, self.h0, self.e0, self.w_e, *self.store.tensors()]
 
 
-def _recurrence(make_step, case, with_context, index_rows):
+def _recurrence(make_step, case, with_extra, index_rows):
     """STEPS steps over the rows of every step's input shares, as
-    `encoder._direction` (no context) and `decoder.teacher_forced_unroll`
-    (a context that each state feeds into the next step) run them: the rows
+    `encoder._direction` (no extra share) and `decoder.teacher_forced_unroll`
+    (an extra share that each state feeds into the next step, as its
+    attention rows do) run them: the rows
     `INDEX_ROWS[i]` of the shares themselves, or a slice of their step-major
     copy.  Each state also feeds the stacked states made after the loop, so
     a state's gradient has a part before its step runs and parts after."""
@@ -64,31 +67,31 @@ def _recurrence(make_step, case, with_context, index_rows):
     if not index_rows:
         gates = ad.gather_rows(gates, np.arange(STEPS * BATCH))
     step = make_step(case.p.w)
-    h, c = case.h0, case.c0 if with_context else None
+    h, e = case.h0, case.e0 if with_extra else None
     states = []
     for i in range(STEPS):
         rows = INDEX_ROWS[i] if index_rows else slice(i * BATCH, (i + 1) * BATCH)
-        h = step(gates, h, c, rows)
+        h = step(gates, h, e, rows)
         states.append(h)
-        if with_context:
-            c = ad.tanh(ad.linear(h, case.w_c))
+        if with_extra:
+            e = ad.tanh(ad.linear(h, case.w_e))
     out = ad.concat(states)
     loss = ad.add(ad.sum_(ad.mul(ad.tanh(out), case.head)), ad.sum_(ad.mul(case.h0, case.h0)))
-    if with_context:
-        loss = ad.add(loss, ad.sum_(ad.mul(c, c)))
+    if with_extra:
+        loss = ad.add(loss, ad.sum_(ad.mul(e, e)))
     return out, loss, gates
 
 
 def _beam_step(make_step, case):
     """`decoder.decode_step`: whole (K, 3 hidden) input shares, one row per
-    hypothesis, and no context."""
+    hypothesis, and an extra share."""
     gates = gru_inputs(case.x[:BATCH], case.p)
-    out = make_step(case.p.w)(gates, case.h0, None, None)
+    out = make_step(case.p.w)(gates, case.h0, case.e0, None)
     return out, ad.sum_(ad.mul(ad.tanh(out), case.head[:BATCH])), gates
 
 
 def _run(step, dtype, shape, passes, index_rows):
-    case = _Case(dtype, C_DIM if shape == "decoder" else 0)
+    case = _Case(dtype, shape != "encoder")
     if shape == "beam":
         out, loss, gates = _beam_step(step, case)
     else:
@@ -112,7 +115,7 @@ def _assert_fused_matches_unfused(dtype, shape, passes, index_rows):
         assert (got is None) == (want is None), k
         if got is not None:
             _assert_same_bytes(got, want)
-    if shape == "decoder":   # the context leaf is reached
+    if shape != "encoder":   # the extra share's leaf is reached
         assert grads[2] is not None
 
 
@@ -132,10 +135,10 @@ def test_fused_step_reading_index_rows_is_byte_identical(dtype, shape, passes):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_beam_step_under_no_grad(dtype):
-    case = _Case(dtype, 0)
+    case = _Case(dtype, True)
     with ad.no_grad():
         out, _, _ = _beam_step(fused, case)
-        want, _, _ = _beam_step(unfused, _Case(dtype, 0))
+        want, _, _ = _beam_step(unfused, _Case(dtype, True))
     _assert_same_bytes(out.data, want.data)
     assert not out.requires_grad and out._parents == () and out._backward is None
     assert all(t.grad is None for t in case.leaves())
@@ -152,36 +155,38 @@ def test_step_either_side_of_the_row_cut(dtype, rows):
         rng = np.random.default_rng(6)
         store = ParamStore(dtype, rng)
         p = GruCellParams.create(store, "g", X_DIM + C_DIM, HIDDEN, scale=0.5)
-        x, h, c = (Tensor(rng.normal(size=(rows, k)).astype(dtype), requires_grad=True)
-                   for k in (X_DIM, HIDDEN, C_DIM))
+        x, h, e = (Tensor(rng.normal(size=(rows, k)).astype(dtype), requires_grad=True)
+                   for k in (X_DIM, HIDDEN, 3 * HIDDEN))
         gates = gru_inputs(x, p)
-        out = step(p.w)(gates, h, c, None)
+        out = step(p.w)(gates, h, e, None)
         ad.sum_(ad.mul(ad.tanh(out), rng.normal(size=(rows, HIDDEN)).astype(dtype))).backward()
-        return [out.data] + [t.grad for t in (x, h, c, *store.tensors())]
+        return [out.data] + [t.grad for t in (x, h, e, *store.tensors())]
 
     for got, want in zip(run(fused), run(unfused), strict=True):
         _assert_same_bytes(got, want)
 
 
 def test_one_node_per_step():
-    case = _Case(np.float64, 0)
+    case = _Case(np.float64, True)
     gates = gru_inputs(case.x, case.p)
-    out = fused(case.p.w)(gates, case.h0, None, slice(0, BATCH))
-    assert out._op == "gru_cell"
-    assert [id(t) for t in out._parents] == [id(gates), id(case.p.w), id(case.h0)]
+    for extra in (None, case.e0):
+        out = fused(case.p.w)(gates, case.h0, extra, slice(0, BATCH))
+        assert out._op == "gru_cell"
+        assert [id(t) for t in out._parents] == [
+            id(gates), id(case.p.w), id(case.h0)] + ([] if extra is None else [id(extra)])
 
 
 def _assert_grads_match_finite_differences(rows):
-    """With a context, and rows `rows` of input shares twice as tall as the
-    state."""
+    """With an extra share, and rows `rows` of input shares twice as tall as
+    the state."""
     rng = np.random.default_rng(3)
     k = C_DIM + HIDDEN + X_DIM
     arrays = [rng.normal(size=(2 * BATCH, 3 * HIDDEN)), rng.normal(size=(3 * HIDDEN, k)) * 0.5,
-              rng.normal(size=(BATCH, HIDDEN)), rng.normal(size=(BATCH, C_DIM))]
+              rng.normal(size=(BATCH, HIDDEN)), rng.normal(size=(BATCH, 3 * HIDDEN))]
     head = rng.normal(size=(BATCH, HIDDEN))
 
-    def loss(x, w, h, c):
-        out = ad.gru_cell(x, w, h, c, rows=rows)
+    def loss(x, w, h, e):
+        out = ad.gru_cell(x, w, h, rows=rows, extra=e)
         return ad.sum_(ad.mul(out, head))
 
     assert_grads_match(loss, arrays)
@@ -200,8 +205,12 @@ def test_mismatched_shapes_rejected():
     w = Tensor(rng.normal(size=(3 * HIDDEN, HIDDEN + 1)))
     gates = Tensor(np.zeros((2, 3 * HIDDEN)))
     state = Tensor(np.zeros((2, HIDDEN)))
-    with pytest.raises(TensorError, match="gru_cell"):   # no columns left for the context
-        ad.gru_cell(gates, w, state, Tensor(np.zeros((2, 2))))
+    with pytest.raises(TensorError, match="gru_cell"):   # fewer columns than the state
+        ad.gru_cell(gates, Tensor(np.zeros((3 * HIDDEN, HIDDEN - 1))), state)
+    with pytest.raises(TensorError, match="gru_cell"):   # an extra share of two gates
+        ad.gru_cell(gates, w, state, extra=Tensor(np.zeros((2, 2 * HIDDEN))))
+    with pytest.raises(TensorError, match="gru_cell"):   # an extra share for one state
+        ad.gru_cell(gates, w, state, extra=Tensor(np.zeros((1, 3 * HIDDEN))))
     with pytest.raises(TensorError, match="gru_cell"):   # three gates' rows, not two
         ad.gru_cell(gates, Tensor(np.zeros((2 * HIDDEN, HIDDEN + 1))), state)
     with pytest.raises(TensorError, match="gru_cell"):   # one share row for two states
