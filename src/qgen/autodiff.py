@@ -516,9 +516,10 @@ def tanh(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|) <= 1: no overflow
+    # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|) <= 1: no overflow; the
+    # numerator max(e, x >= 0) picks without a branch that random signs mispredict
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
@@ -556,7 +557,9 @@ def maximum(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * ~take_a, b.shape))
 
-    return _node(np.where(take_a, a.data, b.data), (a, b), "maximum", bw)
+    # on x86 np.maximum returns its second operand when -0.0 meets 0.0, so a goes
+    # second and keeps its zero, as np.where(take_a, a, b) would
+    return _node(np.maximum(b.data, a.data), (a, b), "maximum", bw)
 
 
 def clamp_min(a, floor: float) -> Tensor:

@@ -9,7 +9,6 @@ stacked as rows.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,25 +49,32 @@ class SurfaceTable:
     """The strings one decoder step can emit for a passage: the reduced
     vocabulary without <SOS>, and the passage words.  Columns are in string
     order, so a stable sort by descending probability breaks ties by string.
-    Only the passage words outside the vocabulary's strings are merged into
+    Only the passage words outside the vocabulary's strings are inserted into
     the model's `vocab_surfaces` per passage.
 
     Each column sums its sources, the generation terms first and then the
-    copy terms in passage order.  Round r of the sources holds each
-    column's r-th source, so no round names a column twice: round 0 names
-    every column once, and `merge` gathers it, then adds each later round.
-    The passage's copy terms and then the generation head's terms are the
-    columns of one buffer; `first` is the buffer column of each table
-    column's round-0 source, and `later` the (buffer columns, table
-    columns) of each later round."""
+    copy terms in passage order, as `np.bincount` over every source adds
+    them.  Most columns have one source, a generation term; their
+    probability is one product.  The few others, each passage word's column
+    and any column that two generation terms share, are the `merged`
+    columns.  Round r of their sources holds each merged column's r-th
+    source, so no round names a column twice.  The passage's copy terms and
+    then the merged columns' generation terms are the columns of one buffer;
+    `first` is the buffer column of each merged column's round-0 source, and
+    `later` the (buffer columns, merged slots) of each later round.  Taking
+    a column's first term where bincount adds it to 0.0 gives the same
+    bytes, as no term is -0.0."""
 
     def __init__(self, model: QgModel, passage_texts: list[str]):
         vocab = model.vocab_surfaces
         new = sorted(set(passage_texts).difference(vocab.column))
-        self.tokens = list(heapq.merge(vocab.tokens, new))
-        fresh = set(new)
-        is_new = np.array([t in fresh for t in self.tokens], dtype=bool)
-        moved, new_columns = np.flatnonzero(~is_new), np.flatnonzero(is_new)
+        at = np.searchsorted(vocab.sorted, np.array(new, dtype=object))
+        width = len(vocab.tokens)
+        moved = np.arange(width) + np.searchsorted(at, np.arange(width), side="right")
+        new_columns = at + np.arange(len(new))
+        tokens = np.empty(width + len(new), dtype=object)
+        tokens[moved], tokens[new_columns] = vocab.sorted, new
+        self.tokens = tokens.tolist()
         column = dict(zip(new, new_columns.tolist()))
         self.gen_ids = vocab.gen_ids
         self.columns = np.concatenate([moved[vocab.gen_columns], np.array(
@@ -79,52 +85,91 @@ class SurfaceTable:
         self.word_rows[moved] = vocab.word_rows
         self.word_rows[new_columns] = [model.embedder.decoder_word_row_id(t) for t in new]
 
-        n = len(passage_texts)
-        sources = np.concatenate([n + self.gen_ids, np.arange(n)])   # in source order
-        # each source's rank among the sources of its column, in source order
-        order = np.argsort(self.columns, kind="stable")
-        ranked = self.columns[order]
+        n, gen_columns = len(passage_texts), self.columns[:len(self.gen_ids)]
+        single = np.bincount(self.columns, minlength=len(self.tokens))[gen_columns] == 1
+        # each generation id's column where it is the column's one source, else -1
+        self.single_column = np.full(len(model.reduced), -1)
+        self.single_column[self.gen_ids[single]] = gen_columns[single]
+        self.merged_ids = self.gen_ids[~single]
+        sources = np.concatenate([n + np.arange(len(self.merged_ids)), np.arange(n)])
+        self.merged, slot = np.unique(np.concatenate(
+            [gen_columns[~single], self.columns[len(self.gen_ids):]]), return_inverse=True)
+        # each source's rank among the sources of its slot, in source order
+        order = np.argsort(slot, kind="stable")
+        ranked = slot[order]
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order)) - np.searchsorted(ranked, ranked)
-        self.first = np.empty(len(self.tokens), dtype=np.int64)
-        self.first[self.columns[rank == 0]] = sources[rank == 0]
-        self.later = [(sources[rank == r], self.columns[rank == r])
-                      for r in range(1, rank.max() + 1)]
+        self.first = np.empty(len(self.merged), dtype=np.int64)
+        self.first[slot[rank == 0]] = sources[rank == 0]
+        self.later = [(sources[rank == r], slot[rank == r])
+                      for r in range(1, rank.max(initial=0) + 1)]
 
-    def merge(self, dist: ExtendedDistribution) -> np.ndarray:
-        """(K, surfaces) float64 emission probabilities, one row per
-        hypothesis: the additions of `np.bincount` over every source, in its
-        order.  Round 0 takes each column's first term where bincount adds
-        it to 0.0, which gives the same bytes, as no term is -0.0."""
-        gate = dist.gate.data.astype(np.float64)[:, None]
-        n = dist.copy.shape[1]
-        terms = np.empty((len(gate), n + dist.gen.shape[1]))
-        np.multiply(gate, dist.copy.data, out=terms[:, :n])
-        np.multiply(1.0 - gate, dist.gen.data, out=terms[:, n:])
-        out = terms.take(self.first, axis=1)
-        for sources, columns in self.later:
-            out[:, columns] += terms[:, sources]
-        return out
+    def select(self, dist: ExtendedDistribution, log_probs: np.ndarray, length: int,
+               k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The k best one-surface extensions of the hypotheses whose
+        log-probabilities are `log_probs`, as (rows, columns, float64
+        log-probabilities), best first.  They rank by score, the
+        log-probability over `length`, descending, then by row, then by
+        probability descending, then by column.
 
+        That is each row's k likeliest columns, equal ones in column order,
+        then the k best of those proposals by a stable sort of their scores:
+        the score rises with the probability, so a column outside its row's
+        k likeliest has k row-mates ranked ahead of it.
 
-def top_k(probs: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k largest entries, largest first and
-    equal values in column order: `np.argsort(-probs, axis=1,
-    kind="stable")[:, :k]` without sorting whole rows.
+        Every merged column is scored, and so is each row's likeliest
+        generation term where that is a single column.  These are real
+        extensions, so the k-th best of their scores, theta, bounds the k-th
+        best score of all from below, and gives each row the generation term
+        that a single column needs to score theta.  Only the terms at that
+        bound or above are scored, so the (rows, surfaces) table is never
+        formed.  The bound is lowered by a relative margin of 1e-6 in log
+        space, far wider than the rounding of the float64 arithmetic and of
+        its cast to the distribution's dtype.  With fewer than k extensions
+        scored first, theta is -inf and every column is scored."""
+        gate = dist.gate.data.astype(np.float64)
+        keep, gen = 1.0 - gate, dist.gen.data
+        k_rows, n, width = len(gate), dist.copy.shape[1], len(self.merged)
+        terms = np.empty((k_rows, n + len(self.merged_ids)))
+        np.multiply(gate[:, None], dist.copy.data, out=terms[:, :n])
+        np.multiply(keep[:, None], gen.take(self.merged_ids, axis=1), out=terms[:, n:])
+        # the merged columns, then each row's likeliest generation term
+        probs = np.empty((k_rows, width + 1))
+        terms.take(self.first, axis=1, out=probs[:, :width])
+        for sources, slots in self.later:
+            probs[:, slots] += terms[:, sources]
+        likeliest = gen.argmax(axis=1)
+        np.multiply(keep, gen.max(axis=1), out=probs[:, width])
+        lp = log_probs[:, None] + np.log(np.maximum(probs, PROB_FLOOR))
+        scores = lp / length
+        # a likeliest term that a column shares is no extension of its own
+        scores[self.single_column[likeliest] < 0, width] = -np.inf
+        known = scores.ravel()
+        theta = np.partition(known, known.size - k)[known.size - k] if known.size >= k else -np.inf
 
-    A partition finds each row's k-th largest value; only the entries at
-    least that large, ties at the boundary included, are sorted.  With k at
-    least the row width that value is the row's minimum, and the whole row
-    is sorted.
-    """
-    width = probs.shape[1]
-    k = min(k, width)
-    kth = np.partition(probs, width - k, axis=1)[:, width - k:width - k + 1]
-    flat = np.flatnonzero(probs >= kth)      # by row, then column
-    rows, cols = np.divmod(flat, width)
-    order = np.lexsort((-probs.ravel()[flat], rows))   # stable: equal values keep column order
-    counts = np.bincount(rows, minlength=len(probs))
-    return cols[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        # the log-probability that scores theta in each row, less the margin,
+        # and the generation term that reaches it; every term passes where
+        # the floor alone reaches it
+        need = theta * length - log_probs
+        need -= 1e-6 * (1.0 + abs(theta) * length + np.abs(log_probs))
+        tau = np.where(need > np.log(PROB_FLOOR),
+                       np.exp(np.minimum(need, 0.0)) / np.maximum(keep, 1e-300), -np.inf)
+        # no term exceeds 1, so a bound past 2 passes none either way, and casts finite
+        flat = np.flatnonzero(gen >= np.minimum(tau, 2.0).astype(gen.dtype)[:, None])
+        single_rows, ids = np.divmod(flat, gen.shape[1])
+        fit = self.single_column[ids] >= 0
+        single_rows, ids = single_rows[fit], ids[fit]
+        single_p = keep[single_rows] * gen[single_rows, ids]
+        single_lp = log_probs[single_rows] + np.log(np.maximum(single_p, PROB_FLOOR))
+
+        merged_rows, slots = np.divmod(np.flatnonzero(scores[:, :width] >= theta), width)
+        fit = single_lp / length >= theta
+        rows = np.concatenate([merged_rows, single_rows[fit]])
+        cols = np.concatenate([self.merged[slots], self.single_column[ids[fit]]])
+        probs = np.concatenate([probs[merged_rows, slots], single_p[fit]])
+        lp = np.concatenate([lp[merged_rows, slots], single_lp[fit]])
+        best = np.lexsort((cols, -probs, rows, -(lp / length)))[:k]
+        return rows[best], cols[best], lp[best]
 
 
 class WordTermCache:
@@ -205,14 +250,9 @@ def generate(
             terms = (cached(live[:, -1]) if live.shape[1] else
                      word_terms(ad.gather_rows(words, [SPECIAL_TOKENS.index(SOS)]), p))
             s_t, dist = decode_step(*terms, alpha, s, memory, p)
-            probs = table.merge(dist)
-            proposals = top_k(probs, beam_width)
-            log_probs = (live_log_probs[:, None] + np.log(
-                np.maximum(np.take_along_axis(probs, proposals, axis=1), PROB_FLOOR))).ravel()
-            scores = log_probs / (live.shape[1] + 1)
-            best = np.argsort(-scores, kind="stable")[:beam_width]
-            rows, cols = best // proposals.shape[1], proposals.ravel()[best]
-            hyps, log_probs = np.concatenate([live[rows], cols[:, None]], axis=1), log_probs[best]
+            rows, cols, log_probs = table.select(dist, live_log_probs, live.shape[1] + 1,
+                                                 beam_width)
+            hyps = np.concatenate([live[rows], cols[:, None]], axis=1)
             going = cols != table.eos
             done += zip(hyps[~going], log_probs[~going])
             live, live_log_probs = hyps[going], log_probs[going]

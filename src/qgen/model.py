@@ -60,6 +60,7 @@ class VocabSurfaces:
         vocab = [reduced.token_of(i) for i in range(len(reduced))]
         self.gen_ids = np.array([i for i, token in enumerate(vocab) if token != SOS])
         self.tokens = sorted({vocab[i] for i in self.gen_ids})
+        self.sorted = np.array(self.tokens, dtype=object)   # searched with Python's str order
         self.column = {token: j for j, token in enumerate(self.tokens)}
         self.gen_columns = np.array([self.column[vocab[i]] for i in self.gen_ids])
         self.word_rows = np.array([embedder.decoder_word_row_id(t) for t in self.tokens])

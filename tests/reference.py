@@ -9,10 +9,12 @@ Dropout multipliers and Gumbel noise are drawn where the computation
 reaches them.
 
 `gru_step_unfused` is the GRU step as the graph of small nodes that the
-one-node `ad.gru_cell` must reproduce byte for byte.  `surface_merge` and
-`top_k` are the beam's surface merge and proposal selection in their
-first, plainer form, which `beam.SurfaceTable.merge` and `beam.top_k` must
-reproduce byte for byte.
+one-node `ad.gru_cell` must reproduce byte for byte.  `beam_select` is a
+beam step's choice of survivors in its first, plainer form: the whole
+(K, surfaces) table from `surface_merge`, each row's proposals from `top_k`
+and a stable sort of their scores, which `beam.SurfaceTable.select` must
+reproduce byte for byte.  `sigmoid` and `maximum` are the `np.where` forms
+of `ad`'s branch-free sigmoid and maximum.
 """
 
 from __future__ import annotations
@@ -203,3 +205,26 @@ def top_k(probs, k):
     order = np.lexsort((cols, -probs[rows, cols], rows))   # by row, then as argsort
     counts = np.bincount(rows, minlength=len(probs))
     return cols[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+
+
+def beam_select(table, dist, log_probs, length, k):
+    """(rows, columns, log-probabilities) of the k best extensions, best
+    first: each row proposes its k likeliest surfaces, and the k best
+    proposals by score survive, ties in row-then-proposal order."""
+    probs = surface_merge(table, dist)
+    proposals = top_k(probs, k)
+    lp = (log_probs[:, None] + np.log(
+        np.maximum(np.take_along_axis(probs, proposals, axis=1), PROB_FLOOR))).ravel()
+    best = np.argsort(-(lp / length), kind="stable")[:k]
+    return best // proposals.shape[1], proposals.ravel()[best], lp[best]
+
+
+def sigmoid(x):
+    """1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def maximum(a, b):
+    """The larger of a and b, a where they are equal."""
+    return np.where(a >= b, a, b)

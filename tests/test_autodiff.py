@@ -11,6 +11,7 @@ import qgen.autodiff as ad
 from qgen.autodiff import CHECKPOINT_FORMAT_VERSION, CheckpointError, ParamStore, Tensor, TensorError
 from qgen.decoder import DecoderParams, decode_step, passage_memory, word_terms
 
+import reference
 from conftest import assert_grads_match
 
 
@@ -69,6 +70,41 @@ class TestElementwise:
                              np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         out = ad.sigmoid(Tensor(x)).data
         assert out.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_and_maximum_equal_their_where_forms(self, dtype):
+        """Byte for byte against `reference.sigmoid` and `reference.maximum`:
+        signed zeros, infinities, |x| >= 89, where exp(-|x|) leaves float32's
+        normal range, exact ties and ties of -0.0 with 0.0, over contiguous
+        operands and over the strided column pairs of the decoder's maxout."""
+        rng = np.random.default_rng(5)
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, 89.0, -89.0, 88.7, -88.7, 104.0,
+                            -104.0, 745.0, -745.0, 1e4, -1e4, 1.0, -1.0], dtype)
+        x = np.concatenate([special, rng.normal(0, 30, 1000).astype(dtype)])
+        for operand in (x, x[::3], x.reshape(-1, 8)):
+            want = reference.sigmoid(operand)
+            got = ad.sigmoid(Tensor(operand)).data
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+        pool = np.concatenate([special[:4], [1.0, -1.0, 2.5]]).astype(dtype)
+        r = rng.choice(pool, size=(37, 64))
+        a, b = r[:, 0::2], r[:, 1::2]
+        assert (a == b).any() and ((a == 0) & (b == 0) & (np.signbit(a) != np.signbit(b))).any()
+        for lhs, rhs in ((a, b), (b, a), (np.ascontiguousarray(a), np.ascontiguousarray(b)),
+                         (a, b[0]), (a[0, 0], b)):
+            want = reference.maximum(lhs, rhs)
+            got = ad.maximum(Tensor(lhs), Tensor(rhs)).data
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_maximum_propagates_nan_and_routes_the_gradient_as_before(self):
+        """A NaN operand gives NaN, where the `np.where` form gave the other
+        operand; the gradient still goes to a where a >= b, else to b."""
+        a = Tensor([np.nan, 1.0, np.nan, 2.0], requires_grad=True)
+        b = Tensor([0.0, np.nan, np.nan, 2.0], requires_grad=True)
+        out = ad.maximum(a, b)
+        assert np.isnan(out.data[:3]).all() and out.data[3] == 2.0
+        ad.sum_(out).backward()
+        np.testing.assert_array_equal(a.grad, [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0, 0.0])
 
     def test_row_broadcast_add(self):
         m = Tensor(np.ones((2, 3)), requires_grad=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qgen.autodiff as ad
 import qgen.beam
 from qgen.autodiff import ParamStore, Tensor, no_grad
-from qgen.beam import SurfaceTable, WordTermCache, generate, top_k
+from qgen.beam import SurfaceTable, WordTermCache, generate
 from qgen.config import ConfigError
 from qgen.corpus import EOS, SOS, SPECIAL_TOKENS, build_vocabulary, stopword_set
 from qgen.decoder import DecoderParams, ExtendedDistribution, init_decoder, word_terms
@@ -233,29 +233,43 @@ class TestSurfaceTable:
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-class TestSurfaceMerge:
+class TestSelect:
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_equals_the_bincount_merge(self, setup, data):
-        """Byte for byte: passage words repeated, inside and outside the
-        reduced vocabulary, gates of exactly 0 and 1, 1 to 20 hypotheses."""
+    @settings(max_examples=300, deadline=None)
+    def test_equals_merge_top_k_and_stable_sort(self, setup, data):
+        """Rows, columns and log-probabilities, byte for byte, against the
+        whole bincount table, each row's `top_k` and a stable sort: passage
+        words repeated, inside and outside the reduced vocabulary; tied
+        probabilities; gates of exactly 0 and 1; probabilities below
+        `PROB_FLOOR`; 1 to 20 rows, and widths from 1 to past every
+        surface; log-probabilities spread down to -1e4."""
         model, _ = setup
         inside = sorted(set(model.reduced.words) - {SOS})
         pool = inside[:4] + [EOS, "zzz", "Erin", "!", "aardvark"]
         texts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
-        k = data.draw(st.integers(1, 20))
+        rows = data.draw(st.integers(1, 20))
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
         gates = data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.5, 1e-3, 0.999]),
-                                   min_size=k, max_size=k))
+                                   min_size=rows, max_size=rows))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        dist = ExtendedDistribution(
-            gen=Tensor(rng.dirichlet(np.ones(len(model.reduced)), k).astype(dtype)),
-            copy=Tensor(rng.dirichlet(np.ones(len(texts)), k).astype(dtype)),
-            gate=Tensor(np.array(gates, dtype)))
+        gen = rng.dirichlet(np.full(len(model.reduced), data.draw(st.sampled_from([0.02, 1.0]))),
+                            rows)
+        if data.draw(st.booleans()):   # few distinct values: ties within and across rows
+            gen = rng.choice([0.0, 1e-13, 1e-3, 0.01], size=gen.shape)
+        copy = rng.dirichlet(np.ones(len(texts)), rows)
+        if data.draw(st.booleans()):
+            copy = rng.choice([0.0, 1e-13, 0.25, 0.5], size=copy.shape)
+        dist = ExtendedDistribution(gen=Tensor(gen.astype(dtype)), copy=Tensor(copy.astype(dtype)),
+                                    gate=Tensor(np.array(gates, dtype)))
+        spread = data.draw(st.sampled_from([0.0, 1.0, 30.0, 1e4]))
+        log_probs = -spread * rng.random(rows)
+        length = data.draw(st.integers(1, 30))
         table = SurfaceTable(model, texts)
-        got, want = table.merge(dist), reference.surface_merge(table, dist)
-        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        k = data.draw(st.integers(1, len(table.tokens) + 3))
+        got = table.select(dist, log_probs, length, k)   # a RuntimeWarning fails the suite
+        want = reference.beam_select(table, dist, log_probs, length, k)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestWordTermCache:
@@ -298,6 +312,9 @@ class TestWordTermCache:
 
 
 class TestTopK:
+    """`reference.top_k`, the proposals of the oracle that `TestSelect`
+    compares the beam's selection against."""
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_equals_stable_argsort_with_ties(self, data):
@@ -307,7 +324,7 @@ class TestTopK:
         probs = np.array(values).reshape(rows, width)
         k = data.draw(st.integers(1, width + 2))
         want = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-        got = top_k(probs, k)
+        got = reference.top_k(probs, k)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @given(st.data())
@@ -318,7 +335,8 @@ class TestTopK:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         probs = rng.choice(rng.random(data.draw(st.integers(1, 6))), size=(rows, width))
         k = data.draw(st.integers(1, width + 2))
-        got, want = top_k(probs, k), reference.top_k(probs, k)
+        got = reference.top_k(probs, k)
+        want = np.argsort(-probs, axis=1, kind="stable")[:, :k]
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("probs", [np.full((3, 1), 0.5), np.full((4, 9), 0.25),
@@ -326,7 +344,7 @@ class TestTopK:
     @pytest.mark.parametrize("k", [1, 2, 5, 9, 31])
     def test_single_column_and_all_equal_rows(self, probs, k):
         want = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(top_k(probs, k), want)
+        assert np.array_equal(reference.top_k(probs, k), want)
 
 
 @pytest.fixture(scope="module")

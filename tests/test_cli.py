@@ -1,6 +1,7 @@
 import io
 import json
 import struct
+import warnings
 import zipfile
 
 import numpy as np
@@ -10,7 +11,7 @@ from qgen import cli
 from qgen.autodiff import ParamStore
 from qgen.beam import generate as beam_generate
 from qgen.cli import _replaced_on_success, main
-from qgen.config import ConfigError, ModelConfig
+from qgen.config import ConfigError, ModelConfig, rng_stream
 from qgen.corpus import build_vocabulary, load_corpus, stopword_set
 from qgen.labeling import label_corpus
 from qgen.model import QgModel
@@ -639,3 +640,119 @@ class TestCliErrors:
         report = json.loads(err)
         assert report["error"] == error
         assert named in report["message"]
+
+
+def _one_json_error(code, out, err):
+    """The report of a run that failed as it should: exit status 1, nothing
+    on standard output and one JSON object on standard error."""
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    return json.loads(err)
+
+
+# a malformed record, by check: how line 2's record is broken, and the
+# message of the check it fails
+_MALFORMED_RECORDS = {
+    "token_not_object": (lambda r: r["passage_tokens"].__setitem__(0, "Erin"),
+                         "passage token 0 is not an object"),
+    "token_missing_field": (lambda r: r["passage_tokens"][1].pop("pos"),
+                            "passage token 1 missing field 'pos'"),
+    "token_head_not_integer": (lambda r: r["passage_tokens"][0].__setitem__("head", "0"),
+                               "passage token 0 field 'head' must be an integer"),
+    "token_text_not_string": (lambda r: r["passage_tokens"][0].__setitem__("text", 7),
+                              "passage token 0 field 'text' must be str"),
+    "head_out_of_range": (lambda r: r["passage_tokens"][0].__setitem__("head", 99),
+                          "token 0 head 99 out of range"),
+    "id_not_string": (lambda r: r.__setitem__("id", 7), "id must be a string"),
+    "empty_passage": (lambda r: r.__setitem__("passage_tokens", []),
+                      "passage_tokens must be a non-empty array"),
+    "empty_question": (lambda r: r.__setitem__("question_tokens", []),
+                       "question_tokens must be a non-empty array of strings"),
+}
+
+
+class TestMalformedInput:
+    """Each of these checks fails a run with exit status 1 and one JSON
+    error, not a traceback."""
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        main(["make-toy-data", "--n", "2", "--seed", "0", "--out", str(data)])
+        return data, [json.loads(line) for line in data.read_text().splitlines()]
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_RECORDS) + ["invalid_json"])
+    def test_malformed_record_is_reported_as_json(self, records, capsys, case):
+        data, rows = records
+        lines = [json.dumps(r) for r in rows]
+        if case == "invalid_json":
+            lines[1], named = lines[1][:-1], "line 2: invalid JSON"
+        else:
+            breaks, message = _MALFORMED_RECORDS[case]
+            breaks(rows[1])
+            lines[1], named = json.dumps(rows[1]), f": {message}"
+        data.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        report = _one_json_error(*run_cli(capsys, "ingest", "--data", str(data)))
+        assert report["error"] == "IngestError"
+        assert f"1 malformed record(s) in {data}" in report["message"]
+        assert "line 2" in report["message"] and named in report["message"]
+
+    def test_ill_typed_question_in_generation_input_is_reported_as_json(self, pipeline, capsys):
+        tmp, data, _, out_dir = pipeline
+        rows = [json.loads(line) for line in data.read_text().splitlines()]
+        rows[2]["question_tokens"] = "what"
+        unasked = tmp / "question_not_array.jsonl"
+        unasked.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        report = _one_json_error(*run_cli(
+            capsys, "generate", "--checkpoint", str(out_dir / "model.npz"), "--data",
+            str(unasked), "--out", str(tmp / "never.jsonl")))
+        assert report["error"] == "IngestError"
+        assert "line 3" in report["message"]
+        assert "question_tokens, when present, must be an array of strings" in report["message"]
+        assert not (tmp / "never.jsonl").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("lr=0", "lr must be positive, got 0"),
+        ("beta1=1", "beta1 must be in (0, 1), got 1"),
+        ("lambda_gen=-1", "lambda_gen must be non-negative"),
+        ("precision=float16", "precision must be 'float32' or 'float64', got 'float16'")])
+    def test_out_of_range_setting_is_reported_as_json(self, records, capsys, setting, message):
+        data, _ = records
+        capsys.readouterr()
+        report = _one_json_error(*run_cli(capsys, "ingest", "--data", str(data),
+                                          "--set", setting))
+        assert report == {"error": "ConfigError", "message": message}
+
+    def test_config_file_that_is_not_an_object_is_reported_as_json(self, records, tmp_path,
+                                                                   capsys):
+        data, _ = records
+        config = tmp_path / "c.json"
+        config.write_text("[1, 2]\n")
+        capsys.readouterr()
+        report = _one_json_error(*run_cli(capsys, "ingest", "--data", str(data),
+                                          "--config", str(config)))
+        assert report == {"error": "ConfigError",
+                          "message": f"config file {config} must hold a flat JSON object"}
+
+    def test_unknown_rng_stream_is_refused(self):
+        with pytest.raises(ConfigError, match="unknown rng stream 'bogus'"):
+            rng_stream(0, "bogus")
+
+    def test_diverging_run_is_reported_as_json(self, records, tmp_path, capsys):
+        """A learning rate of 1e30 overflows the weights after the first
+        step, so the second batch's loss is not finite.  The overflow
+        warnings on the way are the run's, not the check's."""
+        data, _ = records
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = _one_json_error(*run_cli(
+                capsys, "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                "--set", "lr=1e30", "--set", "batch=1", "--set", "epochs=1",
+                "--set", "word_dim=4", "--set", "enc_hidden=4", "--set", "dec_hidden=4",
+                "--set", "attn_dim=4", "--set", "gcn_hidden=4"))
+        assert report["error"] == "TrainingError"
+        assert report["message"].startswith("non-finite loss at epoch 1 batch 1 (example ")
+        assert not (tmp_path / "run").exists()

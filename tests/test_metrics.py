@@ -94,6 +94,10 @@ class TestRougeL:
         none = [("a b".split(), "c d".split())]
         assert rouge_l(full + none) == pytest.approx(50.0)
 
+    def test_empty_corpus(self):
+        with pytest.raises(MetricError, match="rouge_l on empty corpus"):
+            rouge_l([])
+
 
 class TestMeteor:
     def test_identical_pair_closed_form(self):
@@ -123,6 +127,10 @@ class TestMeteor:
         pred, ref = "a a b".split(), "a b a".split()
         score = meteor([(pred, ref)])
         assert score > 0
+
+    def test_empty_corpus(self):
+        with pytest.raises(MetricError, match="meteor on empty corpus"):
+            meteor([])
 
 
 class TestReportAndProperties:
