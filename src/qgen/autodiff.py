@@ -176,9 +176,6 @@ class Tensor:
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
 
-    def __getitem__(self, key):
-        return slice_(self, key)
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -250,19 +247,6 @@ def add(a, b) -> Tensor:
             b._accumulate(_unbroadcast(g, b.shape))
 
     return _node(a.data + b.data, (a, b), "add", bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _operands((a, b))
-    _check_broadcast(a.data, b.data, "sub")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return _node(a.data - b.data, (a, b), "sub", bw)
 
 
 def mul(a, b) -> Tensor:
@@ -365,7 +349,7 @@ def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, rows: Optional[np.ndarray
     `slice`, `linear(..., cols)`, `sigmoid`, `tanh`, `mul` and `sub` nodes
     over the row blocks W_zr and W_h, and backward adds gradients in that
     graph's reverse-walk order, with w's (g, x) rows deferred under the same
-    blocks, so both are bit-identical to it.
+    blocks, so both are bit-identical to it (`tests/reference.py`).
     """
     parents = _operands((gates, w, h_prev) + (() if extra is None else (extra,)))
     gates, w, h_prev = parents[:3]
@@ -545,21 +529,24 @@ def log(a) -> Tensor:
     return _node(np.log(a.data), (a,), "log", bw)
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
-    a, b = _operands((a, b))
-    _check_broadcast(a.data, b.data, "maximum")
-    take_a = a.data >= b.data
+def maxout(a) -> Tensor:
+    """The larger of each pair of adjacent columns of a 2-d tensor, halving
+    its width; a tie routes the gradient to the pair's first column."""
+    a = _as_tensor(a)
+    if a.ndim != 2 or a.shape[1] % 2:
+        raise TensorError(f"maxout requires a 2-d tensor of even width, got shape {a.shape}")
+    first, second = a.data[:, 0::2], a.data[:, 1::2]
+    take = first >= second
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * take_a, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * ~take_a, b.shape))
+            buf = a._grad_buffer()
+            buf[:, 1::2] += g * ~take
+            buf[:, 0::2] += g * take
 
-    # on x86 np.maximum returns its second operand when -0.0 meets 0.0, so a goes
-    # second and keeps its zero, as np.where(take_a, a, b) would
-    return _node(np.maximum(b.data, a.data), (a, b), "maximum", bw)
+    # on x86 np.maximum returns its second operand when -0.0 meets 0.0, so the
+    # first column goes second and keeps its zero, as np.where(take, first, second)
+    return _node(np.maximum(second, first), (a,), "maxout", bw)
 
 
 def clamp_min(a, floor: float) -> Tensor:
@@ -616,17 +603,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(idx)])
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat", bw)
-
-
-def slice_(a: Tensor, key) -> Tensor:
-    """Basic (integer/slice) indexing with gradient scatter on backward."""
-    a = _as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            a._grad_buffer()[key] += g
-
-    return _node(a.data[key].copy(), (a,), "slice", bw)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:

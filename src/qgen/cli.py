@@ -9,7 +9,7 @@ import errno
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from pathlib import Path
 
 from .autodiff import CheckpointError, no_grad, replaced_on_success
@@ -156,17 +156,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-@contextmanager
-def _replaced_on_success(path):
-    """A text file that replaces `path` only when the block completes; until
-    then it is a temporary file next to `path`, deleted on failure."""
-    if path is None:
-        yield None
-        return
-    with replaced_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
-
-
 def _cmd_generate(args) -> int:
     if args.clues_out is not None and Path(args.clues_out).resolve() == Path(args.out).resolve():
         raise CliError(f"--out and --clues-out name the same file: {args.out}")
@@ -177,7 +166,12 @@ def _cmd_generate(args) -> int:
             check_positive_int(name, value)
     model = QgModel.load(args.checkpoint)
     corpus = load_corpus(args.data, require_question=False)
-    with _replaced_on_success(args.out) as fh, _replaced_on_success(args.clues_out) as clues_fh:
+    clues = args.clues_out
+    # each output is written to a temporary file that replaces it only on success
+    with (replaced_on_success(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh,
+          (replaced_on_success(clues) if clues is not None else nullcontext()) as clues_tmp,
+          (open(clues_tmp, "w", encoding="utf-8") if clues is not None else nullcontext())
+          as clues_fh):
         for ex in corpus:
             with no_grad():
                 clue = model.predict_clues([ex], rng=None, mode="eval")

@@ -359,8 +359,10 @@ def stopwords_digest() -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
-    """Read whitespace-separated pre-trained vectors: token then `dim` floats."""
+def load_word_vectors(path, dim: int, dtype=np.float64) -> dict[str, np.ndarray]:
+    """Read whitespace-separated pre-trained vectors: token then `dim` floats,
+    each of which must be finite once cast to `dtype`, the word table's."""
+    dtype = np.dtype(dtype)
     table: dict[str, np.ndarray] = {}
     for lineno, line in utf8_lines(path, ConfigError):
         parts = line.rstrip("\n").split(" ")
@@ -372,11 +374,14 @@ def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
                 f"word-vector file {path} line {lineno}: expected {dim} values, found {len(values)}"
             )
         try:
-            table[word] = np.asarray([float(v) for v in values], dtype=np.float64)
+            row = np.asarray([float(v) for v in values], dtype=np.float64)
         except ValueError:
             raise ConfigError(
                 f"word-vector file {path} line {lineno}: a value is not a number"
             ) from None
+        with np.errstate(over="ignore"):   # a float64 beyond dtype's range becomes inf
+            table[word] = row.astype(dtype)
         if not np.isfinite(table[word]).all():
-            raise ConfigError(f"word-vector file {path} line {lineno}: a value is not finite")
+            raise ConfigError(f"word-vector file {path} line {lineno}: a value is not finite "
+                              f"in {dtype.name}")
     return table

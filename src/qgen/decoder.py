@@ -115,13 +115,6 @@ def attention(s_t: Tensor, keys: Tensor, p: DecoderParams,
     return ad.softmax(ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v, blocks), mask=mask)
 
 
-def pairwise_max(r: Tensor) -> Tensor:
-    """Maxout over consecutive pairs of the last axis, halving its width."""
-    if r.shape[-1] % 2 != 0:
-        raise ad.TensorError(f"pairwise_max requires even width, got {r.shape[-1]}")
-    return ad.maximum(r[..., 0::2], r[..., 1::2])
-
-
 def output_head(word_readout: Tensor, s: Tensor, alpha: Tensor, readout_context: Tensor,
                 gate_context: Tensor, p: DecoderParams,
                 maxout_keep: np.ndarray | None = None) -> ExtendedDistribution:
@@ -131,7 +124,7 @@ def output_head(word_readout: Tensor, s: Tensor, alpha: Tensor, readout_context:
     (`readout_context`) and w_cc . c (`gate_context`).  No step reads it,
     so a teacher-forced unroll runs it once over all its steps."""
     r_t = ad.add(ad.add(word_readout, readout_context), ad.linear(s, p.w_rs))
-    m_t = ad.dropout(pairwise_max(r_t), maxout_keep)
+    m_t = ad.dropout(ad.maxout(r_t), maxout_keep)
     gen = ad.softmax(ad.linear(m_t, p.w_out))
     gate = ad.sigmoid(ad.add(ad.add(ad.matmul(s, p.w_cs), gate_context), p.b_gate))
     return ExtendedDistribution(gen=gen, copy=alpha, gate=gate)

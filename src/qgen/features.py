@@ -30,7 +30,6 @@ from .corpus import (
 )
 from .labeling import BIO_BEGIN, BIO_INSIDE, BIO_OUTSIDE, tag_answer_bio
 
-UNK_TAG = "<unk-tag>"
 _BOOL_FEATURES = ("is_lower", "is_digit", "like_num")
 _BIO_INDEX = {BIO_OUTSIDE: 0, BIO_BEGIN: 1, BIO_INSIDE: 2}
 _TIER_INDEX = {TIER_HIGH: 0, TIER_MEDIUM: 1, TIER_LOW: 2}
@@ -101,7 +100,7 @@ def build_feature_tables(
     then words by rank; a word in `vectors_file` takes its pre-trained row."""
     word = params.draw("embed.word", (vocab.table_size, config.word_dim), 0.1)
     if vectors_file is not None:
-        vectors = load_word_vectors(vectors_file, config.word_dim)
+        vectors = load_word_vectors(vectors_file, config.word_dim, word.data.dtype)
         for w in vocab.words:
             if w in vectors:
                 word.data[vocab.id_of(w)] = vectors[w]

@@ -8,13 +8,18 @@ once per question token, and the losses add a few nodes per step.
 Dropout multipliers and Gumbel noise are drawn where the computation
 reaches them.
 
-`gru_step_unfused` is the GRU step as the graph of small nodes that the
-one-node `ad.gru_cell` must reproduce byte for byte.  `beam_select` is a
-beam step's choice of survivors in its first, plainer form: the whole
-(K, surfaces) table from `surface_merge`, each row's proposals from `top_k`
-and a stable sort of their scores, which `beam.SurfaceTable.select` must
-reproduce byte for byte.  `sigmoid` and `maximum` are the `np.where` forms
-of `ad`'s branch-free sigmoid and maximum.
+`sub`, `slice_` and `maximum` are graph nodes, built on `ad._node`, that
+only these oracles use, so the core does not keep them; tensor indexing
+is an explicit `slice_` call.  `gru_step_unfused` is the GRU step as the
+graph of small nodes that the one-node `ad.gru_cell` must reproduce byte
+for byte, and `pairwise_max` (two `slice_` nodes and a `maximum`) is the
+graph whose bytes the one-node `ad.maxout` must reproduce, NaN aside.
+`beam_select` is a beam step's choice of survivors in its first, plainer
+form: the whole (K, surfaces) table from `surface_merge`, each row's
+proposals from `top_k` and a stable sort of their scores, which
+`beam.SurfaceTable.select` must reproduce byte for byte.  `sigmoid` and
+`maximum` are the `np.where` forms of `ad`'s branch-free sigmoid and of
+the maximum in `ad.maxout`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import numpy as np
 import qgen.autodiff as ad
 from qgen.autodiff import Tensor
 from qgen.corpus import SOS, SPECIAL_TOKENS
-from qgen.decoder import pairwise_max
 from qgen.training import PROB_FLOOR
 
 
@@ -36,18 +40,67 @@ def _dropout(x, p, mode, rng):
     return ad.dropout(x, ad.dropout_keep(rng, x.shape, p, x.data.dtype))
 
 
+def sub(a, b):
+    """a - b, with `ad.add`'s broadcasting."""
+    a, b = ad._operands((a, b))
+    ad._check_broadcast(a.data, b.data, "sub")
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(ad._unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(ad._unbroadcast(-g, b.shape))
+
+    return ad._node(a.data - b.data, (a, b), "sub", bw)
+
+
+def slice_(a, key):
+    """a.data[key], for an index that names each entry at most once;
+    backward scatters into a's gradient buffer."""
+    a = ad._as_tensor(a)
+
+    def bw(g):
+        if a.requires_grad:
+            a._grad_buffer()[key] += g
+
+    return ad._node(a.data[key].copy(), (a,), "slice", bw)
+
+
+def maximum(a, b):
+    """The larger of two same-shape tensors, a where they are equal, in the
+    `np.where` form; the gradient goes to a where a >= b, else to b."""
+    a, b = ad._operands((a, b))
+    if a.shape != b.shape:
+        raise ad.TensorError(f"maximum: shapes {a.shape} and {b.shape} differ")
+    take_a = a.data >= b.data
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g * take_a)
+        if b.requires_grad:
+            b._accumulate(g * ~take_a)
+
+    return ad._node(np.where(take_a, a.data, b.data), (a, b), "maximum", bw)
+
+
+def pairwise_max(r):
+    """`ad.maxout` unfused: a `slice` node for each column of the pairs of
+    the last axis, then a `maximum` node."""
+    return maximum(slice_(r, np.s_[..., 0::2]), slice_(r, np.s_[..., 1::2]))
+
+
 def gru_cell(x, h_prev, p):
     """GRU update over [x; h], each gate one product over the whole row by
     its row block of the stacked weight."""
     hidden = h_prev.shape[1]
-    w_z, w_r, w_h = (p.w[i * hidden:(i + 1) * hidden] for i in range(3))
-    b_z, b_r, b_h = (p.b[i * hidden:(i + 1) * hidden] for i in range(3))
+    w_z, w_r, w_h = (slice_(p.w, slice(i * hidden, (i + 1) * hidden)) for i in range(3))
+    b_z, b_r, b_h = (slice_(p.b, slice(i * hidden, (i + 1) * hidden)) for i in range(3))
     xh = ad.concat([x, h_prev], axis=-1)
     z = ad.sigmoid(ad.add(ad.linear(xh, w_z), b_z))
     r = ad.sigmoid(ad.add(ad.linear(xh, w_r), b_r))
     xrh = ad.concat([x, ad.mul(r, h_prev)], axis=-1)
     h_cand = ad.tanh(ad.add(ad.linear(xrh, w_h), b_h))
-    return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
+    return ad.add(ad.mul(sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 
 def gru_row_blocks(w):
@@ -56,7 +109,7 @@ def gru_row_blocks(w):
     block's every step wait on one tensor, as they wait on one block of w
     in `ad.gru_cell`."""
     hidden = w.shape[0] // 3
-    return w[:2 * hidden], w[2 * hidden:]
+    return slice_(w, slice(None, 2 * hidden)), slice_(w, slice(2 * hidden, None))
 
 
 def gru_step_unfused(gates, h_prev, blocks, extra=None):
@@ -70,12 +123,12 @@ def gru_step_unfused(gates, h_prev, blocks, extra=None):
     hidden = h_prev.shape[1]
     if extra is not None:
         gates = ad.add(gates, extra)
-    x_zr, x_h = gates[:, :2 * hidden], gates[:, 2 * hidden:]
+    x_zr, x_h = slice_(gates, np.s_[:, :2 * hidden]), slice_(gates, np.s_[:, 2 * hidden:])
     cols = (w_zr.shape[1] - hidden, w_zr.shape[1])
     zr = ad.sigmoid(ad.add(x_zr, ad.linear(h_prev, w_zr, cols)))
-    z, r = zr[:, :hidden], zr[:, hidden:]
+    z, r = slice_(zr, np.s_[:, :hidden]), slice_(zr, np.s_[:, hidden:])
     h_cand = ad.tanh(ad.add(x_h, ad.linear(ad.mul(r, h_prev), w_h, cols)))
-    return ad.add(ad.mul(ad.sub(1.0, z), h_prev), ad.mul(z, h_cand))
+    return ad.add(ad.mul(sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 
 def encode(features, forward_params, backward_params, dropout_p=0.0, mode="eval", rng=None):
@@ -85,11 +138,11 @@ def encode(features, forward_params, backward_params, dropout_p=0.0, mode="eval"
     zero = Tensor(np.zeros((1, hidden), features.data.dtype))
     h, fwd = zero, []
     for i in range(n):
-        h = gru_cell(features[i:i + 1], h, forward_params)
+        h = gru_cell(slice_(features, slice(i, i + 1)), h, forward_params)
         fwd.append(h)
     h, bwd = zero, [None] * n
     for i in reversed(range(n)):
-        h = gru_cell(features[i:i + 1], h, backward_params)
+        h = gru_cell(slice_(features, slice(i, i + 1)), h, backward_params)
         bwd[i] = h
     states = ad.concat([ad.concat(fwd, axis=0), ad.concat(bwd, axis=0)], axis=1)
     return _dropout(states, dropout_p, mode, rng), bwd[0]
@@ -146,9 +199,9 @@ def sequence_losses(steps, example):
             mask[example.copy_alignment[t]] = 1.0
             gen_terms.append(_neg_log(ad.mul(step.gate, ad.matmul(step.copy, mask))))
         else:
-            gate_terms.append(_neg_log(ad.sub(1.0, step.gate)))
-            p_gen = step.gen[:, example.question_target_id[t]]
-            gen_terms.append(_neg_log(ad.mul(ad.sub(1.0, step.gate), p_gen)))
+            gate_terms.append(_neg_log(sub(1.0, step.gate)))
+            p_gen = slice_(step.gen, np.s_[:, example.question_target_id[t]])
+            gen_terms.append(_neg_log(ad.mul(sub(1.0, step.gate), p_gen)))
     return _mean(gen_terms), _mean(gate_terms)
 
 
@@ -224,7 +277,3 @@ def sigmoid(x):
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
-
-def maximum(a, b):
-    """The larger of a and b, a where they are equal."""
-    return np.where(a >= b, a, b)

@@ -33,7 +33,7 @@ from qgen.toydata import make_toy_data
 from qgen.training import compute_losses, train
 
 from conftest import assert_grads_match, chain_example, micro_corpus, tiny_config, toy_config
-from test_autodiff import OP_CASES, _away_from_zero
+from test_autodiff import OP_CASES, op_arrays
 from test_labeling import rule_oracle_clue, rule_oracle_copy
 
 
@@ -62,19 +62,7 @@ class TestCriterion1Gradients:
         rng = np.random.default_rng(42)
         for name, fn, arity, domain in OP_CASES:
             for _ in range(20):
-                if domain == "matrix":
-                    shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-                else:
-                    shape = tuple(rng.integers(1, 5, size=int(rng.integers(1, 3))))
-                if domain == "positive":
-                    arrays = [rng.uniform(0.5, 3.0, size=shape) for _ in range(arity)]
-                elif domain in ("nonzero", "apart"):
-                    arrays = [_away_from_zero(rng, shape) for _ in range(arity)]
-                    if domain == "apart" and np.any(np.abs(arrays[0] - arrays[1]) < 0.05):
-                        arrays[1] = arrays[1] + 0.2
-                else:
-                    arrays = [rng.normal(size=shape) for _ in range(arity)]
-                assert_grads_match(fn, arrays, tol=1e-4)
+                assert_grads_match(fn, op_arrays(rng, arity, domain), tol=1e-4)
 
         # end-to-end: every parameter of the tiny model against central
         # differences, through the differentiable relaxed clue sample

@@ -73,10 +73,10 @@ class TestElementwise:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_and_maximum_equal_their_where_forms(self, dtype):
-        """Byte for byte against `reference.sigmoid` and `reference.maximum`:
-        signed zeros, infinities, |x| >= 89, where exp(-|x|) leaves float32's
-        normal range, exact ties and ties of -0.0 with 0.0, over contiguous
-        operands and over the strided column pairs of the decoder's maxout."""
+        """Byte for byte against `reference.sigmoid`, and `ad.maxout` against
+        `reference.maximum` of its column pairs: signed zeros, infinities,
+        |x| >= 89, where exp(-|x|) leaves float32's normal range, exact ties
+        and ties of -0.0 with 0.0, with either column of a pair first."""
         rng = np.random.default_rng(5)
         special = np.array([-0.0, 0.0, np.inf, -np.inf, 89.0, -89.0, 88.7, -88.7, 104.0,
                             -104.0, 745.0, -745.0, 1e4, -1e4, 1.0, -1.0], dtype)
@@ -89,22 +89,55 @@ class TestElementwise:
         r = rng.choice(pool, size=(37, 64))
         a, b = r[:, 0::2], r[:, 1::2]
         assert (a == b).any() and ((a == 0) & (b == 0) & (np.signbit(a) != np.signbit(b))).any()
-        for lhs, rhs in ((a, b), (b, a), (np.ascontiguousarray(a), np.ascontiguousarray(b)),
-                         (a, b[0]), (a[0, 0], b)):
-            want = reference.maximum(lhs, rhs)
-            got = ad.maximum(Tensor(lhs), Tensor(rhs)).data
+        swapped = np.empty_like(r)
+        swapped[:, 0::2], swapped[:, 1::2] = b, a
+        for pairs in (r, swapped):
+            want = reference.maximum(Tensor(pairs[:, 0::2]), Tensor(pairs[:, 1::2])).data
+            got = ad.maxout(Tensor(pairs)).data
             assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_maximum_propagates_nan_and_routes_the_gradient_as_before(self):
-        """A NaN operand gives NaN, where the `np.where` form gave the other
-        operand; the gradient still goes to a where a >= b, else to b."""
-        a = Tensor([np.nan, 1.0, np.nan, 2.0], requires_grad=True)
-        b = Tensor([0.0, np.nan, np.nan, 2.0], requires_grad=True)
-        out = ad.maximum(a, b)
+        """A NaN in a pair gives NaN, where the `np.where` form of
+        `reference.maximum` gives the other column; the gradient goes where
+        that form sends it: to the first column where it is >= the second,
+        so a tie's to the first, else to the second."""
+        pairs = np.array([[np.nan, 0.0], [1.0, np.nan], [np.nan, np.nan], [2.0, 2.0]])
+        r = Tensor(pairs, requires_grad=True)
+        out = ad.maxout(r)
         assert np.isnan(out.data[:3]).all() and out.data[3] == 2.0
         ad.sum_(out).backward()
-        np.testing.assert_array_equal(a.grad, [0.0, 0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(r.grad, [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        a, b = Tensor(pairs[:, 0], requires_grad=True), Tensor(pairs[:, 1], requires_grad=True)
+        want = reference.maximum(a, b)
+        np.testing.assert_array_equal(want.data, [0.0, np.nan, np.nan, 2.0])
+        ad.sum_(want).backward()
+        np.testing.assert_array_equal(r.grad, np.stack([a.grad, b.grad], axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxout_is_the_bytes_of_the_slice_and_maximum_graph(self, dtype):
+        """Forward values and input gradients against `reference.pairwise_max`,
+        two `slice` nodes and a `maximum`: random pairs with ties, +-0 and
+        gradients of either signed zero."""
+        rng = np.random.default_rng(11)
+        pool = np.array([-0.0, 0.0, 1.0, -1.0, 2.5], dtype)
+        for trial in range(200):
+            shape = (int(rng.integers(1, 6)), 2 * int(rng.integers(1, 6)))
+            x = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                         rng.normal(size=shape)).astype(dtype)
+            g = np.where(rng.random((shape[0], shape[1] // 2)) < 0.3,
+                         rng.choice(pool[:2], (shape[0], shape[1] // 2)),
+                         rng.normal(size=(shape[0], shape[1] // 2))).astype(dtype)
+            outs, grads = [], []
+            for op in (ad.maxout, reference.pairwise_max):
+                t = Tensor(x, requires_grad=True)
+                out = op(t)
+                ad.sum_(ad.mul(out, g)).backward()
+                outs.append(out.data)
+                grads.append(t.grad)
+            assert outs[0].dtype == outs[1].dtype == dtype
+            assert outs[0].tobytes() == outs[1].tobytes()
+            assert grads[0].dtype == grads[1].dtype == dtype
+            assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_row_broadcast_add(self):
         m = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -166,7 +199,7 @@ class TestGatherConcatSlice:
     def test_gather_and_slice_scatter_across_passes(self):
         table = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         loss = ad.add(ad.add(ad.sum_(ad.gather_rows(table, [2, 0, 2])),
-                             ad.sum_(ad.mul(table[1:3], 2.0))),
+                             ad.sum_(ad.mul(reference.slice_(table, slice(1, 3)), 2.0))),
                       ad.sum_(ad.mul(table, table)))
         expected = 2 * table.data + np.array([[1.0], [2.0], [4.0]])
         loss.backward()
@@ -188,11 +221,11 @@ class TestGatherConcatSlice:
     def test_slice_of_concat_roundtrip(self):
         a, b = np.arange(3.0), np.arange(4.0)
         both = ad.concat([Tensor(a), Tensor(b)])
-        np.testing.assert_array_equal(both[0:3].data, a)
+        np.testing.assert_array_equal(reference.slice_(both, slice(0, 3)).data, a)
 
     def test_strided_slice_backward(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
-        ad.sum_(x[0::2]).backward()
+        ad.sum_(reference.slice_(x, slice(0, None, 2))).backward()
         np.testing.assert_array_equal(x.grad, [1, 0, 1, 0, 1, 0])
 
 
@@ -281,19 +314,41 @@ def _away_from_zero(rng, shape):
     return np.where(np.abs(x) < 0.05, x + np.sign(x + 1e-12) * 0.1, x)
 
 
+def op_arrays(rng, arity, domain):
+    """`arity` random inputs of one small shape for an `OP_CASES` op: a
+    matrix, or a 1-d or 2-d shape; "apart" is a matrix of column pairs at
+    least 0.05 apart, where the max could switch."""
+    if domain == "matrix":
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+    elif domain == "apart":
+        shape = (int(rng.integers(1, 5)), 2 * int(rng.integers(1, 3)))
+    else:
+        shape = tuple(rng.integers(1, 5, size=int(rng.integers(1, 3))))
+    if domain == "positive":
+        return [rng.uniform(0.5, 3.0, size=shape) for _ in range(arity)]
+    if domain in ("nonzero", "apart"):
+        arrays = [_away_from_zero(rng, shape) for _ in range(arity)]
+        if domain == "apart":
+            pairs = arrays[0]
+            pairs[:, 1::2] += 0.2 * (np.abs(pairs[:, 0::2] - pairs[:, 1::2]) < 0.05)
+        return arrays
+    return [rng.normal(size=shape) for _ in range(arity)]
+
+
 OP_CASES = [
     ("add", lambda a, b: ad.sum_(ad.add(a, b)), 2, None),
-    ("sub", lambda a, b: ad.sum_(ad.sub(a, b)), 2, None),
+    ("sub", lambda a, b: ad.sum_(reference.sub(a, b)), 2, None),
     ("mul", lambda a, b: ad.sum_(ad.mul(a, b)), 2, None),
     ("neg", lambda a: ad.sum_(ad.neg(a)), 1, None),
     ("tanh", lambda a: ad.sum_(ad.tanh(a)), 1, None),
     ("sigmoid", lambda a: ad.sum_(ad.sigmoid(a)), 1, None),
     ("log", lambda a: ad.sum_(ad.log(a)), 1, "positive"),
     ("softmax", lambda a: ad.sum_(ad.mul(ad.softmax(a), a)), 1, None),
-    ("maximum", lambda a, b: ad.sum_(ad.maximum(a, b)), 2, "apart"),
+    ("maxout", lambda a: ad.sum_(ad.maxout(a)), 1, "apart"),
     ("clamp", lambda a: ad.sum_(ad.clamp_min(a, 0.0)), 1, "nonzero"),
     ("linear2d", lambda x, w: ad.sum_(ad.tanh(ad.linear(x, w))), 2, "matrix"),
-    ("attention2d", lambda k, q, v: ad.sum_(ad.tanh(ad.attention_scores(k, q, v[0]))),
+    ("attention2d",
+     lambda k, q, v: ad.sum_(ad.tanh(ad.attention_scores(k, q, reference.slice_(v, 0)))),
      3, "matrix"),
     ("mean", lambda a: ad.mean_(a), 1, None),
 ]
@@ -304,19 +359,7 @@ def test_op_gradients_on_random_shapes(name, fn, arity, domain):
     """Every differentiable op against central differences on 20 random shapes."""
     rng = np.random.default_rng(42)
     for trial in range(20):
-        if domain == "matrix":
-            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        else:
-            shape = tuple(rng.integers(1, 5, size=int(rng.integers(1, 3))))
-        if domain == "positive":
-            arrays = [rng.uniform(0.5, 3.0, size=shape) for _ in range(arity)]
-        elif domain in ("nonzero", "apart"):
-            arrays = [_away_from_zero(rng, shape) for _ in range(arity)]
-            if domain == "apart" and np.any(np.abs(arrays[0] - arrays[1]) < 0.05):
-                arrays[1] = arrays[1] + 0.2
-        else:
-            arrays = [rng.normal(size=shape) for _ in range(arity)]
-        assert_grads_match(fn, arrays, tol=1e-4)
+        assert_grads_match(fn, op_arrays(rng, arity, domain), tol=1e-4)
 
 
 def test_concat_and_slice_gradients():
@@ -325,7 +368,7 @@ def test_concat_and_slice_gradients():
 
     def loss(x, y):
         both = ad.concat([x, y], axis=0)
-        return ad.sum_(ad.mul(both[1:5], 3.0))
+        return ad.sum_(ad.mul(reference.slice_(both, slice(1, 5)), 3.0))
 
     assert_grads_match(loss, [a, b], tol=1e-6)
 
@@ -386,10 +429,12 @@ class TestColumnRanges:
         w, x1, x2 = self._arrays()
 
         def loss(w, x1, x2):
-            return ad.add(ad.sum_(ad.tanh(ad.add(ad.linear(x1[:, :2], w, (0, 2)),
-                                                 ad.linear(x1[:, 2:], w, (2, 5))))),
-                          ad.add(ad.sum_(ad.tanh(ad.linear(x2[:, 1:3], w, (1, 3)))),
-                                 ad.sum_(ad.tanh(ad.linear(x2[0:1, :2], w, (0, 2))))))
+            x1a, x1b = reference.slice_(x1, np.s_[:, :2]), reference.slice_(x1, np.s_[:, 2:])
+            x2a, x2b = reference.slice_(x2, np.s_[:, 1:3]), reference.slice_(x2, np.s_[0:1, :2])
+            return ad.add(ad.sum_(ad.tanh(ad.add(ad.linear(x1a, w, (0, 2)),
+                                                 ad.linear(x1b, w, (2, 5))))),
+                          ad.add(ad.sum_(ad.tanh(ad.linear(x2a, w, (1, 3)))),
+                                 ad.sum_(ad.tanh(ad.linear(x2b, w, (0, 2))))))
 
         assert_grads_match(loss, [w, x1, x2], tol=1e-4)
 
@@ -797,8 +842,8 @@ class TestDtypes:
 
     def test_constants_take_the_tensor_dtype(self):
         x = Tensor(np.ones(3, np.float32), requires_grad=True)
-        outs = [ad.add(x, np.arange(3.0)), ad.sub(1.0, x), ad.mul(x, 0.5),
-                ad.maximum(x, np.zeros(3)), ad.matmul(np.eye(3), x),
+        outs = [ad.add(x, np.arange(3.0)), ad.add(1.0, x), ad.mul(x, 0.5),
+                ad.mul(np.zeros(3), x), ad.matmul(np.eye(3), x),
                 ad.concat([x, np.zeros(2)])]
         for out in outs:
             assert out.data.dtype == np.float32, out._op
@@ -807,7 +852,7 @@ class TestDtypes:
 
     @pytest.mark.parametrize("op", [
         lambda a, b: ad.add(a, b),
-        lambda a, b: ad.linear(a[None], b[None]),
+        lambda a, b: ad.linear(reference.slice_(a, None), reference.slice_(b, None)),
         lambda a, b: ad.concat([a, b]),
     ])
     def test_mixed_tensor_dtypes_raise(self, op):

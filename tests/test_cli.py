@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from qgen import cli
-from qgen.autodiff import ParamStore
+from qgen.autodiff import ParamStore, replaced_on_success
 from qgen.beam import generate as beam_generate
-from qgen.cli import _replaced_on_success, main
+from qgen.cli import main
 from qgen.config import ConfigError, ModelConfig, rng_stream
 from qgen.corpus import build_vocabulary, load_corpus, stopword_set
 from qgen.labeling import label_corpus
@@ -317,12 +317,12 @@ class TestTrainGenerateEvaluate:
         target = tmp_path / "pred.jsonl"
         target.write_bytes(b"earlier\n")
         with pytest.raises(RuntimeError):
-            with _replaced_on_success(target) as fh:
+            with replaced_on_success(target) as tmp, open(tmp, "w", encoding="utf-8") as fh:
                 fh.write("partial")
                 raise RuntimeError("interrupted")
         assert [p.name for p in tmp_path.iterdir()] == ["pred.jsonl"]
         assert target.read_bytes() == b"earlier\n"
-        with _replaced_on_success(target) as fh:
+        with replaced_on_success(target) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write("new\n")
         assert [p.name for p in tmp_path.iterdir()] == ["pred.jsonl"]
         assert target.read_bytes() == b"new\n"
@@ -576,10 +576,12 @@ class TestCliErrors:
         assert report["error"] == "ConfigError"
         assert f"{vectors} line 2" in report["message"]
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999", "1e39",
+                                       "-3.5e38"])
     def test_non_finite_word_vector_value_is_reported_as_json(self, tmp_path, capsys, value):
         """`float` parses these, and the first loss would be the first to
-        fail on them."""
+        fail on them: 1e39 and -3.5e38 are finite in float64 but not in the
+        default float32 word table."""
         data = tmp_path / "d.jsonl"
         main(["make-toy-data", "--n", "2", "--seed", "0", "--out", str(data)])
         vectors = tmp_path / "vectors.txt"
@@ -590,7 +592,8 @@ class TestCliErrors:
         assert code == 1 and out == ""
         report = json.loads(err)
         assert report["error"] == "ConfigError"
-        assert report["message"] == f"word-vector file {vectors} line 2: a value is not finite"
+        assert report["message"] == (f"word-vector file {vectors} line 2: a value is not finite "
+                                     f"in float32")
         assert not (tmp_path / "run").exists()   # a failed run leaves no --out behind
 
     def test_unknown_set_key_rejected(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ from qgen.decoder import (
     attention,
     decode_step,
     init_decoder,
-    pairwise_max,
     passage_memory,
     teacher_forced_unroll,
     word_terms,
@@ -99,18 +98,18 @@ class TestAttention:
 
 class TestMaxout:
     def test_pairwise_max(self):
-        out = pairwise_max(Tensor(np.array([3.0, 1.0, 0.0, 2.0])))
-        np.testing.assert_array_equal(out.data, [3.0, 2.0])
+        out = ad.maxout(Tensor(np.array([[3.0, 1.0, 0.0, 2.0]])))
+        np.testing.assert_array_equal(out.data, [[3.0, 2.0]])
 
     def test_odd_width_rejected(self):
         with pytest.raises(TensorError, match="even"):
-            pairwise_max(Tensor(np.zeros(5)))
+            ad.maxout(Tensor(np.zeros((1, 5))))
 
     def test_halves_width(self):
-        assert pairwise_max(Tensor(np.zeros(10))).shape == (5,)
+        assert ad.maxout(Tensor(np.zeros((1, 10)))).shape == (1, 5)
 
     def test_rows_pair_independently(self):
-        out = pairwise_max(Tensor(np.array([[3.0, 1.0, 0.0, 2.0], [-1.0, 4.0, 5.0, 5.5]])))
+        out = ad.maxout(Tensor(np.array([[3.0, 1.0, 0.0, 2.0], [-1.0, 4.0, 5.0, 5.5]])))
         np.testing.assert_array_equal(out.data, [[3.0, 2.0], [4.0, 5.5]])
 
 
@@ -266,8 +265,8 @@ class TestTeacherForcedUnroll:
         dist = teacher_forced_unroll(questions, words, enc, p, keep)
         row = 0
         for b, (ids, length) in enumerate(zip(questions, lengths)):
-            one = EncoderOutput(states=enc.states[b * n:b * n + length],
-                                last_backward=enc.last_backward[b:b + 1],
+            one = EncoderOutput(states=reference.slice_(enc.states, slice(b * n, b * n + length)),
+                                last_backward=reference.slice_(enc.last_backward, slice(b, b + 1)),
                                 lengths=np.array([length]))
             alone = teacher_forced_unroll([ids], words, one, p, keep[row:row + len(ids)])
             rows = slice(row, row + len(ids))

@@ -11,7 +11,7 @@ from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.encoder import GruCellParams, gru_inputs
 
 from conftest import assert_grads_match
-from reference import gru_row_blocks, gru_step_unfused
+from reference import gru_row_blocks, gru_step_unfused, slice_
 
 # C_DIM: the decoder weight's context columns, which the cell does not read
 HIDDEN, X_DIM, C_DIM, BATCH, STEPS = 5, 3, 4, 2, 3
@@ -29,7 +29,7 @@ def unfused(w):
     """A step over the row blocks of `w`, sliced once here, for every step."""
     blocks = gru_row_blocks(w)
     return lambda gates, h, extra, rows: gru_step_unfused(
-        gates if rows is None else gates[rows], h, blocks, extra)
+        gates if rows is None else slice_(gates, rows), h, blocks, extra)
 
 
 class _Case:
@@ -85,7 +85,7 @@ def _recurrence(make_step, case, with_extra, index_rows):
 def _beam_step(make_step, case):
     """`decoder.decode_step`: whole (K, 3 hidden) input shares, one row per
     hypothesis, and an extra share."""
-    gates = gru_inputs(case.x[:BATCH], case.p)
+    gates = gru_inputs(slice_(case.x, slice(None, BATCH)), case.p)
     out = make_step(case.p.w)(gates, case.h0, case.e0, None)
     return out, ad.sum_(ad.mul(ad.tanh(out), case.head[:BATCH])), gates
 
