@@ -15,7 +15,6 @@ tensor, and row-vector (n,) against matrix (m, n).
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import os
@@ -681,7 +680,7 @@ def dropout(a: Tensor, keep: Optional[np.ndarray]) -> Tensor:
     return _node(a.data * keep, (a,), "dropout", bw)
 
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @contextmanager
@@ -700,9 +699,9 @@ def replaced_on_success(path):
 class ParamStore:
     """Named trainable tensors of one dtype, with lossless checkpoint round-trips.
 
-    `pack`, run by the first `zero_grad`, `adam_step` or `EmaState`, makes
-    each parameter's data and grad views of two flat C-contiguous buffers,
-    `data` and `grad`, at the same offsets, so the optimizer walks each once.
+    `pack`, run by a load or the first `zero_grad`, `adam_step` or `EmaState`,
+    makes each parameter's data and grad views of two flat buffers, `data`
+    and `grad`, at the same offsets, so the optimizer walks each once.
     """
 
     def __init__(self, dtype=np.float64, rng: Optional[np.random.Generator] = None):
@@ -731,8 +730,7 @@ class ParamStore:
         float64 scratch, -scale + 2 scale u as `rng.uniform` computes it, so
         it gives `rng.uniform(-scale, scale, shape)`'s bytes without a
         full-size float64 temporary.  Without a generator it is zeros, which
-        only `QgModel.load` uses, as the checkpoint then fills every
-        parameter."""
+        only `QgModel.load` uses, before the checkpoint's data replaces them."""
         if self.rng is None:
             return self._adopt(name, np.zeros(shape, self.dtype))
         out = np.empty(shape, self.dtype)
@@ -755,27 +753,34 @@ class ParamStore:
         return list(self._params.values())
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter's view of a flat array laid out like `data`: 1-d,
-        with one entry per parameter entry."""
+        """Each parameter's view of a flat array laid out like `data`: 1-d, of
+        the store's dtype, with one entry per parameter entry."""
         ends = np.cumsum([t.data.size for t in self._params.values()], dtype=np.int64)
         size = int(ends[-1]) if len(ends) else 0
-        if flat.ndim != 1 or flat.size != size:
-            raise TensorError(f"a flat array of shape {flat.shape} ({flat.size} entries) does "
-                              f"not lay out the store's {size} entries")
+        if flat.ndim != 1 or flat.size != size or flat.dtype != self.dtype:
+            raise TensorError(f"a flat {flat.dtype} array of shape {flat.shape} ({flat.size} entries) "
+                              f"does not lay out the store's {size} entries of {self.dtype}")
         return {name: flat[end - t.data.size:end].reshape(t.data.shape)
                 for (name, t), end in zip(self._params.items(), ends)}
 
-    def pack(self) -> None:
+    def layout(self) -> list[list]:
+        """One [name, shape] per parameter, in store order."""
+        return [[name, list(t.data.shape)] for name, t in self._params.items()]
+
+    def pack(self, data: Optional[np.ndarray] = None) -> None:
         """Move every parameter's data and grad into its views of `data` and
-        `grad`; idempotent.  A view rebound since raises, as the walks over
-        the buffers would not see it."""
+        `grad`, or of a flat `data` given to an unpacked store; idempotent.  A
+        view rebound since raises, as the walks over the buffers miss it."""
         if self.data is None:
             size = sum(t.data.size for t in self._params.values())
-            self.data, self.grad = np.empty(size, self.dtype), np.zeros(size, self.dtype)
+            self.data = np.empty(size, self.dtype) if data is None else data
+            self.grad = np.zeros(size, self.dtype)
             for t, w, g in zip(self.tensors(), self.views(self.data).values(),
                                self.views(self.grad).values()):
-                w[...] = t.data
-                g[...] = 0 if t.grad is None else t.grad
+                if data is None:
+                    w[...] = t.data
+                if t.grad is not None:   # `grad` starts zeroed: writing zeros would touch its pages
+                    g[...] = t.grad
                 t.data, t.grad = w, g
         for name, t in self._params.items():
             if t.data.base is not self.data or getattr(t.grad, "base", None) is not self.grad:
@@ -785,66 +790,65 @@ class ParamStore:
         self.pack()
         self.grad.fill(0)
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy `arrays` into the parameters in place, cast to the store's dtype."""
-        extra = sorted(set(arrays) - set(self._params))
-        if extra:
-            raise CheckpointError(f"checkpoint has unknown parameters {extra}")
-        for name, t in self._params.items():
-            if name not in arrays:
-                raise CheckpointError(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != t.data.shape:
-                raise CheckpointError(f"checkpoint shape mismatch for {name!r}: "
-                                      f"{arrays[name].shape} vs model {t.data.shape}")
-            if not np.issubdtype(arrays[name].dtype, np.floating):
-                raise CheckpointError(f"checkpoint parameter {name!r} has dtype "
-                                      f"{arrays[name].dtype}, not a floating-point type")
-            t.data[...] = arrays[name]
-
     def save(self, path, meta: Optional[dict] = None, data: Optional[np.ndarray] = None) -> None:
-        """Write an .npz-style zip: one .npy per parameter, its data or its
-        view of `data`, a flat array laid out like `self.data`, plus a JSON
-        meta entry.  An interrupted save leaves an earlier file as it was."""
-        header = dict(meta or {})
-        header["format_version"] = CHECKPOINT_FORMAT_VERSION
-        arrays = self.views(data) if data is not None else {n: t.data for n, t in self.items()}
-        with replaced_on_success(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zf:
-            zf.writestr("meta.json", json.dumps(header, sort_keys=True))
-            for name, array in arrays.items():
-                buf = io.BytesIO()
-                np.save(buf, array, allow_pickle=False)
-                zf.writestr(f"params/{name}.npy", buf.getvalue())
+        """Write a zip of two stored members, each with ZipInfo's fixed default
+        timestamp: `meta.json`, `meta` plus the format version, dtype and
+        layout, and `data`, the bytes of `data`, a flat array laid out like
+        `self.data`, or else of the parameters.  A failed save keeps the old file."""
+        arrays = self.views(data).values() if data is not None else [t.data for t in self.tensors()]
+        header = dict(meta or {}, format_version=CHECKPOINT_FORMAT_VERSION, dtype=self.dtype.str,
+                      layout=self.layout())
+        with replaced_on_success(path) as tmp, zipfile.ZipFile(tmp, "w") as zf:
+            zf.writestr(zipfile.ZipInfo("meta.json"), json.dumps(header, sort_keys=True))
+            with zf.open(zipfile.ZipInfo("data"), "w") as member:
+                for array in arrays:
+                    member.write(np.ascontiguousarray(array))
 
     @staticmethod
-    def read(path) -> tuple[dict[str, np.ndarray], dict]:
-        """Return (arrays, meta) from a checkpoint written by `save`."""
-        arrays: dict[str, np.ndarray] = {}
+    @contextmanager
+    def read(path):
+        """Yield the checkpoint's meta and `fill(store)`, which packs a store
+        built from it around the file's data once its layout and dtype match."""
         try:
             zf = zipfile.ZipFile(path, "r")
         except zipfile.BadZipFile:
             raise CheckpointError(f"{path} is not a checkpoint (not a zip file)") from None
-
-        def parse(entry: str, kind: str, load: Callable[[bytes], object]):
-            """`load` of an entry's bytes; an entry that is damaged, or is not
-            `kind`, raises a CheckpointError that names it."""
-            try:
-                return load(zf.read(entry))
-            except (zipfile.BadZipFile, zlib.error, ValueError, EOFError) as exc:
-                raise CheckpointError(f"{path} has a {entry} that is damaged or not {kind}: "
-                                      f"{exc}") from None
-
         with zf:
             if "meta.json" not in zf.namelist():
-                raise CheckpointError(f"{path} has no meta.json")
-            meta = parse("meta.json", "JSON", lambda raw: json.loads(raw.decode("utf-8")))
+                raise CheckpointError(f"{path} has no meta.json member")
+            try:
+                meta = json.loads(zf.read("meta.json").decode("utf-8"))
+            except (zipfile.BadZipFile, zlib.error, ValueError, EOFError) as exc:
+                raise CheckpointError(f"{path} has a meta.json that is damaged or not JSON: {exc}") from None
             if not isinstance(meta, dict):
                 raise CheckpointError(f"{path} has a meta.json that is not a JSON object")
             if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-                raise CheckpointError(f"unsupported checkpoint format version {meta.get('format_version')}, "
-                                      f"expected {CHECKPOINT_FORMAT_VERSION}")
-            for entry in zf.namelist():
-                if entry.startswith("params/") and entry.endswith(".npy"):
-                    arrays[entry[len("params/"):-len(".npy")]] = parse(
-                        entry, "a .npy array",
-                        lambda raw: np.load(io.BytesIO(raw), allow_pickle=False))
-        return arrays, meta
+                raise CheckpointError(f"{path} has unsupported checkpoint format version "
+                                      f"{meta.get('format_version')}, expected {CHECKPOINT_FORMAT_VERSION}")
+            yield meta, lambda store: store._fill(zf, path, meta)
+
+    def _fill(self, zf: zipfile.ZipFile, path, meta: dict) -> None:
+        layout, ours = meta.get("layout"), self.layout()
+        if not (isinstance(layout, list) and all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) for e in layout)):
+            raise CheckpointError(f"{path} has a meta.json whose 'layout' is not a list of [name, shape] pairs")
+        if layout != ours:
+            theirs = dict(layout)
+            raise CheckpointError(
+                f"{path} is not laid out as the model: missing parameters "
+                f"{[n for n, _ in ours if n not in theirs]}, unknown parameters "
+                f"{[n for n in theirs if n not in self._params]}, shape mismatch for "
+                f"{[(n, theirs[n], s) for n, s in ours if theirs.get(n, s) != s]}")
+        if meta.get("dtype") != self.dtype.str:
+            raise CheckpointError(f"{path} has data of dtype {meta.get('dtype')!r}, the model {self.dtype.str!r}")
+        flat = np.empty(sum(t.data.size for t in self.tensors()), self.dtype)
+        raw = flat.view(np.uint8)
+        if "data" not in zf.namelist() or zf.getinfo("data").file_size != raw.size:
+            raise CheckpointError(f"{path} has no data member of the {raw.size} bytes its layout needs")
+        try:
+            with zf.open("data") as member:   # in 4 MB reads: one 53 MB read took twice as long
+                for lo in range(0, raw.size, 1 << 22):
+                    member.readinto(raw[lo:lo + (1 << 22)])
+        except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+            raise CheckpointError(f"{path} has a data member that is damaged: {exc}") from None
+        self.pack(flat)

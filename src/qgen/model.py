@@ -24,7 +24,7 @@ from .features import (
 )
 from .labeling import LabeledExample
 
-# what `QgModel.save` writes to meta.json besides the format version
+# what `QgModel.save` writes to meta.json besides `ParamStore.save`'s keys
 _META_KEYS = ("config", "vocab_words", "reduced_words", "feature_vocab")
 
 
@@ -79,7 +79,6 @@ class QgModel:
         self.features = feature_vocab
         self.params = params
         self.embedder = FeatureEmbedder(params, config, vocab, feature_vocab)
-        # views of `params`' tensors; `load` writes their data in place
         self.gcn = gcn            # (w, b) of each GCN layer
         self.enc_fwd = enc_fwd
         self.enc_bwd = enc_bwd
@@ -183,23 +182,19 @@ class QgModel:
     def save(self, path, data: np.ndarray | None = None) -> None:
         """Write the parameters, or `data` laid out like `params.data` in
         their place, with the vocabularies and config that `load` needs."""
-        meta = {
-            "config": self.config.to_dict(),
-            "vocab_words": self.vocab.words,
-            "reduced_words": self.reduced.words,
-            "feature_vocab": self.features.to_dict(),
-        }
-        self.params.save(path, meta, data)
+        self.params.save(path, {"config": self.config.to_dict(), "vocab_words": self.vocab.words,
+                                "reduced_words": self.reduced.words,
+                                "feature_vocab": self.features.to_dict()}, data)
 
     @classmethod
     def load(cls, path) -> "QgModel":
-        """Built without drawing: the checkpoint fills every parameter."""
-        arrays, meta = ParamStore.read(path)
-        _check_meta(path, meta)
-        config = ModelConfig.from_dict(meta["config"])
-        vocab = Vocabulary(words=list(meta["vocab_words"]))
-        reduced = ReducedTargetVocab(words=list(meta["reduced_words"]))
-        feature_vocab = FeatureVocab.from_dict(meta["feature_vocab"])
-        model = cls.build(config, vocab, reduced, feature_vocab, None)
-        model.params.load_arrays(arrays)
+        """Built without drawing, around the checkpoint's data."""
+        with ParamStore.read(path) as (meta, fill):
+            _check_meta(path, meta)
+            config = ModelConfig.from_dict(meta["config"])
+            vocab = Vocabulary(words=list(meta["vocab_words"]))
+            reduced = ReducedTargetVocab(words=list(meta["reduced_words"]))
+            feature_vocab = FeatureVocab.from_dict(meta["feature_vocab"])
+            model = cls.build(config, vocab, reduced, feature_vocab, None)
+            fill(model.params)
         return model

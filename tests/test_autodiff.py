@@ -689,6 +689,17 @@ class TestNoGrad:
             gc.enable()
 
 
+def _reload(path, store):
+    """A store laid out like `store`, filled from the checkpoint at `path`,
+    and the checkpoint's meta."""
+    other = ParamStore(store.dtype)
+    for name, t in store.items():
+        other.add(name, np.zeros(t.shape))
+    with ParamStore.read(path) as (meta, fill):
+        fill(other)
+    return other, meta
+
+
 class TestParamStore:
     def test_duplicate_name_rejected(self):
         store = ParamStore()
@@ -697,31 +708,40 @@ class TestParamStore:
             store.add("w", np.zeros(3))
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
+        """The loaded store is packed around the file's data: its parameters
+        are views of one flat buffer that holds the saved bytes."""
         rng = np.random.default_rng(0)
         store = ParamStore()
         store.add("layer.w", rng.normal(size=(7, 5)))
         store.add("layer.b", rng.normal(size=7))
         path = tmp_path / "ckpt.npz"
         store.save(path, {"config": {"seed": 1}})
-        arrays, meta = ParamStore.read(path)
-        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert meta["config"] == {"seed": 1}
+        loaded, meta = _reload(path, store)
+        assert meta == {"config": {"seed": 1}, "format_version": CHECKPOINT_FORMAT_VERSION,
+                        "dtype": "<f8", "layout": [["layer.w", [7, 5]], ["layer.b", [7]]]}
         for name, t in store.items():
-            assert arrays[name].dtype == t.data.dtype
-            assert (arrays[name] == t.data).all()
+            assert loaded[name].data.base is loaded.data
+            assert loaded[name].data.dtype == t.data.dtype
+            assert loaded[name].data.tobytes() == t.data.tobytes()
 
     def test_checkpoint_members_are_stored(self, tmp_path):
+        """Two stored members with a fixed timestamp, so two saves of the
+        same weights give the same bytes."""
         store = ParamStore()
         store.add("layer.w", np.ones((3, 2)))
-        path = tmp_path / "ckpt.npz"
-        store.save(path)
-        with zipfile.ZipFile(path) as zf:
-            assert {i.filename: i.compress_type for i in zf.infolist()} == {
-                "meta.json": zipfile.ZIP_STORED, "params/layer.w.npy": zipfile.ZIP_STORED}
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        store.save(first)
+        store.save(second)
+        with zipfile.ZipFile(first) as zf:
+            assert [(i.filename, i.compress_type, i.date_time) for i in zf.infolist()] == [
+                ("meta.json", zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0)),
+                ("data", zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))]
+            assert zf.read("data") == np.ones((3, 2)).tobytes()
+        assert first.read_bytes() == second.read_bytes()
 
     def test_deflated_checkpoint_reads_back(self, tmp_path):
-        """Checkpoints whose members are deflated, as earlier versions wrote
-        them, read back to the same array bytes."""
+        """A checkpoint whose members are re-zipped with deflate reads back
+        to the same meta and bytes."""
         rng = np.random.default_rng(1)
         store = ParamStore(np.float32)
         store.add("layer.w", rng.normal(size=(7, 5)))
@@ -732,24 +752,26 @@ class TestParamStore:
                 zipfile.ZipFile(deflated, "w", zipfile.ZIP_DEFLATED) as dst:
             for name in src.namelist():
                 dst.writestr(name, src.read(name))
-        (a, meta_a), (b, meta_b) = ParamStore.read(stored), ParamStore.read(deflated)
-        assert meta_a == meta_b == {"format_version": CHECKPOINT_FORMAT_VERSION, "step": 4}
-        assert a.keys() == b.keys() == {"layer.w", "layer.b"}
+        with zipfile.ZipFile(deflated) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        (a, meta_a), (b, meta_b) = _reload(stored, store), _reload(deflated, store)
+        assert meta_a == meta_b
+        assert meta_a["step"] == 4 and meta_a["dtype"] == "<f4"
         for name, t in store.items():
-            assert a[name].dtype == b[name].dtype == t.data.dtype
-            assert a[name].tobytes() == b[name].tobytes() == t.data.tobytes()
+            assert a[name].data.dtype == b[name].data.dtype == t.data.dtype
+            assert a[name].data.tobytes() == b[name].data.tobytes() == t.data.tobytes()
 
     def test_load_missing_param_rejected(self, tmp_path):
         store = ParamStore()
         store.add("w", np.zeros(3))
         path = tmp_path / "ckpt.npz"
         store.save(path)
-        arrays, _ = ParamStore.read(path)
         other = ParamStore()
         other.add("w", np.zeros(3))
         other.add("extra", np.zeros(2))
-        with pytest.raises(CheckpointError, match="missing"):
-            other.load_arrays(arrays)
+        with pytest.raises(CheckpointError, match=r"missing parameters \['extra'\]"):
+            _reload(path, other)
+        assert other.data is None and not other["w"].data.any()
 
     def test_interrupted_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
         store = ParamStore()
@@ -759,13 +781,13 @@ class TestParamStore:
         store.save(path, {"step": 1})
         before = path.read_bytes()
         # the save fails after "a" is written
-        save = np.save
+        contiguous = np.ascontiguousarray
 
-        def fail_on_b(buf, array, **kwargs):
+        def fail_on_b(array, *args, **kwargs):
             if array.shape == (2, 2):
                 raise OSError("disk full")
-            save(buf, array, **kwargs)
-        monkeypatch.setattr(np, "save", fail_on_b)
+            return contiguous(array, *args, **kwargs)
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_b)
         with pytest.raises(OSError, match="disk full"):
             store.save(path, {"step": 2}, data=np.zeros(7))
         monkeypatch.undo()
@@ -773,13 +795,14 @@ class TestParamStore:
         assert path.read_bytes() == before
         store.save(path, {"step": 3})
         assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
-        assert ParamStore.read(path)[1]["step"] == 3
+        assert _reload(path, store)[1]["step"] == 3
 
-    @pytest.mark.parametrize("flat", [np.arange(10.0), np.arange(5.0), np.arange(7.0)[None]],
-                             ids=["too_long", "too_short", "not_1d"])
+    @pytest.mark.parametrize("flat", [np.arange(10.0), np.arange(5.0), np.arange(7.0)[None],
+                                      np.arange(7.0, dtype=np.float32)],
+                             ids=["too_long", "too_short", "not_1d", "wrong_dtype"])
     def test_flat_array_of_the_wrong_size_rejected(self, tmp_path, flat):
-        """`views` and `save(data=...)` name both sizes, and the earlier file
-        stays in place."""
+        """`views` and `save(data=...)` name both sizes and dtypes, and the
+        earlier file stays in place."""
         store = ParamStore()
         store.add("a", np.arange(3.0))
         store.add("b", np.ones((2, 2)))
@@ -787,7 +810,8 @@ class TestParamStore:
         store.save(path, {"step": 1})
         before = path.read_bytes()
         for call in (lambda: store.views(flat), lambda: store.save(path, {"step": 2}, data=flat)):
-            with pytest.raises(TensorError, match=rf"\({flat.size} entries\).*store's 7 entries"):
+            with pytest.raises(TensorError, match=rf"a flat {flat.dtype} array .*\({flat.size} "
+                                                  r"entries\).*store's 7 entries of float64"):
                 call()
         assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
         assert path.read_bytes() == before

@@ -1,4 +1,3 @@
-import io
 import json
 import struct
 import warnings
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from qgen import cli
-from qgen.autodiff import ParamStore, replaced_on_success
+from qgen.autodiff import replaced_on_success
 from qgen.beam import generate as beam_generate
 from qgen.cli import main
 from qgen.config import ConfigError, ModelConfig, rng_stream
@@ -168,9 +167,8 @@ class TestTrainGenerateEvaluate:
         _, _, config, out_dir = pipeline
         assert "precision" not in json.loads(config.read_text())
         for ckpt in ("model.npz", "model_ema.npz"):
-            arrays, meta = ParamStore.read(out_dir / ckpt)
-            assert meta["config"]["precision"] == "float32"
-            assert all(a.dtype == np.float32 for a in arrays.values()), ckpt
+            meta = json.loads(zipfile.ZipFile(out_dir / ckpt).read("meta.json"))
+            assert meta["config"]["precision"] == "float32" and meta["dtype"] == "<f4", ckpt
         loaded = QgModel.load(out_dir / "model.npz")
         assert all(t.data.dtype == np.float32 for t in loaded.params.tensors())
 
@@ -381,20 +379,20 @@ class TestTrainGenerateEvaluate:
         assert "ghost" in err
 
 
-def _npy_bytes(a) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, a)
-    return buf.getvalue()
+def _read_checkpoint(path):
+    """The meta and the data bytes of a checkpoint."""
+    with zipfile.ZipFile(path) as zf:
+        return json.loads(zf.read("meta.json")), zf.read("data")
 
 
-def _write_checkpoint(path, arrays, meta):
-    """An uncompressed checkpoint zip laid out like `ParamStore.save`,
-    meta.json optional; a str meta and bytes arrays are written as they are."""
+def _write_checkpoint(path, meta, data):
+    """An uncompressed checkpoint zip laid out like `ParamStore.save`, each
+    member optional; a str meta is written as it is."""
     with zipfile.ZipFile(path, "w") as zf:
         if meta is not None:
             zf.writestr("meta.json", meta if isinstance(meta, str) else json.dumps(meta))
-        for name, a in arrays.items():
-            zf.writestr(f"params/{name}.npy", a if isinstance(a, bytes) else _npy_bytes(a))
+        if data is not None:
+            zf.writestr("data", data)
 
 
 def _flip_stored_byte(path, entry):
@@ -422,10 +420,13 @@ _ILL_TYPED_META = {
 }
 
 
-def _corrupt(arrays, meta, defect):
-    """Apply one checkpoint defect to a read checkpoint; returns the meta to
-    write, None for none."""
-    first = next(iter(arrays))
+def _corrupt(meta, data, defect):
+    """Apply one checkpoint defect to a read checkpoint; returns the meta and
+    the data to write, None for none.  A layout defect resizes the data to
+    match, so that the layout check fails and not the length check."""
+    itemsize = np.dtype(meta["dtype"]).itemsize
+    first, first_shape = meta["layout"][0]
+    first_bytes = int(np.prod(first_shape)) * itemsize
 
     def holder(key):
         """The object that holds `key`, and the key's last part."""
@@ -433,11 +434,13 @@ def _corrupt(arrays, meta, defect):
         return (meta[outer] if outer else meta), last
 
     if defect == "no_meta":
-        return None
+        return None, data
+    if defect == "no_data":
+        return meta, None
     if defect == "meta_not_json":
-        return json.dumps(meta)[:-1]
+        return json.dumps(meta)[:-1], data
     if defect == "meta_not_object":
-        return json.dumps([meta])
+        return json.dumps([meta]), data
     if defect.startswith("meta_without_"):
         obj, key = holder(defect[len("meta_without_"):])
         del obj[key]
@@ -447,22 +450,30 @@ def _corrupt(arrays, meta, defect):
         obj[key] = value
     if defect == "wrong_version":
         meta["format_version"] = 99
+    elif defect == "format_2":   # as format 2 wrote it: no dtype, no layout, no data member
+        meta["format_version"] = 2
+        del meta["dtype"], meta["layout"]
+        data = None
+    elif defect == "layout_not_pairs":
+        meta["layout"] = [[first]]
     elif defect == "missing_param":
-        del arrays[first]
+        del meta["layout"][0]
+        data = data[first_bytes:]
     elif defect == "extra_param":
-        arrays["bogus.w"] = np.zeros(2)
+        meta["layout"].append(["bogus.w", [2]])
+        data += bytes(2 * itemsize)
     elif defect == "misshaped_param":
-        arrays[first] = np.zeros(3)
-    elif defect == "garbage_npy":
-        arrays[first] = b"not an array"
-    elif defect == "truncated_npy":
-        raw = _npy_bytes(arrays[first])
-        arrays[first] = raw[:len(raw) // 2]
-    elif defect == "non_float_param":
-        arrays["dec.gate.b"] = np.array("abc")
-    elif defect == "object_npy":
-        arrays[first] = np.array([{"a": 1}], dtype=object)
-    return meta
+        meta["layout"][0][1] = [3]
+        data = bytes(3 * itemsize) + data[first_bytes:]
+    elif defect == "non_float_dtype":
+        meta["dtype"] = "<i8"
+    elif defect == "data_one_short":
+        data = data[:-itemsize]
+    elif defect == "data_one_long":
+        data += bytes(itemsize)
+    elif defect == "data_not_whole":
+        data = data[:-1]
+    return meta, data
 
 
 class TestCheckpointErrors:
@@ -482,7 +493,10 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("defect, words", [
         ("no_meta", "meta.json"),
+        ("no_data", "no data member"),
         ("wrong_version", "format version 99"),
+        ("format_2", "format version 2"),
+        ("layout_not_pairs", "'layout' is not a list of [name, shape] pairs"),
         ("missing_param", "missing parameter"),
         ("extra_param", "bogus.w"),
         ("misshaped_param", "shape mismatch"),
@@ -500,21 +514,21 @@ class TestCheckpointErrors:
         ("ill_typed_pos", "'feature_vocab.pos' is not a JSON array of strings"),
         ("ill_typed_vocab_word_numbers", "'vocab_words' is not a JSON array of strings"),
         ("ill_typed_reduced_word_numbers", "'reduced_words' is not a JSON array of strings"),
-        ("non_float_param", "'dec.gate.b' has dtype <U3"),
-        ("garbage_npy", "params/embed.word.npy that is damaged or not a .npy array"),
-        ("truncated_npy", "params/embed.word.npy that is damaged or not a .npy array"),
-        ("object_npy", "params/embed.word.npy that is damaged or not a .npy array"),
-        ("npy_bad_crc", "params/embed.word.npy that is damaged or not a .npy array"),
+        ("non_float_dtype", "data of dtype '<i8'"),
+        ("data_one_short", "data member of the"),
+        ("data_one_long", "data member of the"),
+        ("data_not_whole", "data member of the"),
+        ("data_bad_crc", "data member that is damaged"),
         ("meta_bad_crc", "meta.json that is damaged or not JSON"),
     ])
     def test_defect_is_reported_as_json(self, pipeline, capsys, tmp_path, defect, words):
-        arrays, meta = ParamStore.read(pipeline[3] / "model_ema.npz")
         bad = tmp_path / "model.npz"
-        _write_checkpoint(bad, arrays, _corrupt(arrays, meta, defect))
+        _write_checkpoint(bad, *_corrupt(*_read_checkpoint(pipeline[3] / "model_ema.npz"), defect))
         if defect.endswith("_bad_crc"):
-            _flip_stored_byte(bad, "meta.json" if defect == "meta_bad_crc" else "params/embed.word.npy")
+            _flip_stored_byte(bad, "meta.json" if defect == "meta_bad_crc" else "data")
         report = self._generate(capsys, pipeline, bad)
         assert report["error"] == "CheckpointError"
+        assert str(bad) in report["message"]
         assert words in report["message"]
 
     def test_flipped_byte_in_a_saved_checkpoint(self, pipeline, capsys, tmp_path):
@@ -522,10 +536,10 @@ class TestCheckpointErrors:
         the reader's CRC check as it lies in the file."""
         bad = tmp_path / "model.npz"
         bad.write_bytes((pipeline[3] / "model.npz").read_bytes())
-        _flip_stored_byte(bad, "params/dec.w_out.npy")
+        _flip_stored_byte(bad, "data")
         report = self._generate(capsys, pipeline, bad)
         assert report["error"] == "CheckpointError"
-        assert "params/dec.w_out.npy that is damaged" in report["message"]
+        assert f"{bad} has a data member that is damaged" in report["message"]
 
 
 class TestCliErrors:

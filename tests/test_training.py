@@ -258,32 +258,49 @@ def test_in_place_adam_and_ema_match_reference_bit_for_bit(dtype):
 
 
 def test_fortran_order_checkpoint_loads_c_contiguous(tmp_path):
+    """Parameters held in Fortran order save the bytes of C order.  The
+    loaded store is packed: every parameter is a C-contiguous view of
+    `params.data`, and `zero_grad`, `adam_step` and `EmaState.update` each
+    run once on it as on the built model."""
     model, _ = build_tiny_model()
     model.save(tmp_path / "c.npz")
-    saved, meta = ParamStore.read(tmp_path / "c.npz")
-    fortran = ParamStore(model.params.dtype)
-    for name, a in saved.items():   # `save` writes each array in its own order
-        fortran.add(name, a).data = np.asarray(a, order="F")
-    fortran.save(tmp_path / "f.npz", meta)
-    arrays, _ = ParamStore.read(tmp_path / "f.npz")
-    assert not all(a.flags.c_contiguous for a in arrays.values())
+    fortran, _ = build_tiny_model()
+    for t in fortran.params.tensors():
+        if t.data.ndim == 2:
+            t.data = np.asfortranarray(t.data)
+    assert not all(t.data.flags.c_contiguous for t in fortran.params.tensors())
+    fortran.save(tmp_path / "f.npz")
+    assert (tmp_path / "f.npz").read_bytes() == (tmp_path / "c.npz").read_bytes()
+    loaded = QgModel.load(tmp_path / "f.npz")
+    for name, t in loaded.params.items():
+        assert t.data.base is loaded.params.data and t.grad.base is loaded.params.grad, name
+        assert t.data.flags.c_contiguous, name
     cfg = tiny_config(lr=0.01, clip=0.5)
     rng = np.random.default_rng(5)
-    grads = {name: rng.normal(size=a.shape) for name, a in saved.items()}
+    grads = {name: rng.normal(size=t.shape) for name, t in model.params.items()}
     results = []
-    for path in (tmp_path / "c.npz", tmp_path / "f.npz"):
-        loaded = QgModel.load(path)
-        assert all(t.data.flags.c_contiguous for _, t in loaded.params.items())
-        state, ema = OptimizerState(), EmaState(loaded.params, decay=0.9)
-        loaded.params.zero_grad()
-        for name, t in loaded.params.items():
+    for m in (model, loaded):
+        state, ema = OptimizerState(), EmaState(m.params, decay=0.9)
+        m.params.zero_grad()
+        for name, t in m.params.items():
             t.grad[...] = grads[name]
-        adam_step(loaded.params, state, cfg)
-        ema.update(loaded.params)
-        m, v, shadow = (loaded.params.views(a) for a in (state.m, state.v, ema.flat))
-        results.append([(t.data.tobytes(), m[name].tobytes(), v[name].tobytes(),
-                         shadow[name].tobytes()) for name, t in loaded.params.items()])
+        adam_step(m.params, state, cfg)
+        ema.update(m.params)
+        results.append([a.tobytes() for a in (m.params.data, state.m, state.v, ema.flat)])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_save_load_save_gives_the_same_bytes(tmp_path, precision):
+    """Two saves of the same weights are the same file, and a loaded model
+    saves back the file it was loaded from."""
+    model, _ = build_tiny_model(precision=precision)
+    model.save(tmp_path / "a.npz")
+    model.save(tmp_path / "b.npz")
+    QgModel.load(tmp_path / "a.npz").save(tmp_path / "c.npz")
+    first = (tmp_path / "a.npz").read_bytes()
+    assert (tmp_path / "b.npz").read_bytes() == first
+    assert (tmp_path / "c.npz").read_bytes() == first
 
 
 def test_loaded_model_views_hold_the_checkpoint(tmp_path):
@@ -428,13 +445,17 @@ class TestTrainLoop:
         fresh.params.pack()
         np.testing.assert_array_equal(result.ema.flat, fresh.params.data)
 
-    def test_dev_corpus_tracks_best_checkpoint(self):
+    def test_dev_corpus_tracks_best_checkpoint(self, tmp_path):
         corpus = make_toy_data(6, seed=3)
         cfg = toy_config(epochs=4, batch=3, seed=1, word_dim=16, enc_hidden=12,
                          dec_hidden=12, attn_dim=8, gcn_hidden=8)
         result = train(corpus, cfg, dev_corpus=make_toy_data(3, seed=8))
         assert result.best_dev_data is not None
         assert all(r.dev_total is not None for r in result.log)
+        # the best-dev and EMA checkpoints, written from flat copies, load back to their bytes
+        for flat in (result.best_dev_data, result.ema.flat):
+            result.model.save(tmp_path / "m.npz", flat)
+            assert QgModel.load(tmp_path / "m.npz").params.data.tobytes() == flat.tobytes()
 
 
 class TestOneTokenPassage:
