@@ -33,7 +33,7 @@ _SEQ = itertools.count()
 # through instead of DRAM: 128 KB in float32, 256 KB in float64, inside a 2 MB L2.
 SLICE = 1 << 15
 
-# Entries of the float64 scratch that `ParamStore.draw` fills a weight through:
+# Entries of the float64 scratch that `ParamStore.uniform` fills a weight through:
 # 64 KB, below glibc malloc's 128 KB mmap threshold, so it reuses heap pages.
 DRAW_SLICE = 1 << 13
 
@@ -88,9 +88,9 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._seq = next(_SEQ)
-        # (g, x) rows of `linear` and `gru_cell` uses not yet summed into
-        # grad, by (row range, column range); see `_flush_outer`
-        self._outer: Optional[dict] = None
+        # the (g, x) rows of every `linear` and `gru_cell` use of this
+        # weight not yet summed into grad; see `_flush_outer`
+        self._outer: Optional[list] = None
 
     @property
     def shape(self):
@@ -125,22 +125,19 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
-    def _defer_outer(self, rows: tuple[int, int], cols: tuple[int, int], g: np.ndarray,
-                     x: np.ndarray) -> None:
-        """Hold a product's (g, x) rows for the weight block `rows` x `cols`
-        until `_flush_outer`."""
+    def _defer_outer(self, g: np.ndarray, x: np.ndarray) -> None:
+        """Hold a product's (g, x) rows until `_flush_outer`."""
         if self._outer is None:
-            self._outer = {}
-        self._outer.setdefault((rows, cols), []).append((g, x))
+            self._outer = []
+        self._outer.append((g, x))
 
     def _flush_outer(self) -> None:
-        """Add every deferred contribution sum_i g_i.T @ x_i to its block,
-        one product of the stacked rows per block."""
-        outer, self._outer = self._outer, None
-        for ((r0, r1), (c0, c1)), pairs in outer.items():
-            gs, xs = zip(*pairs)
-            total = (np.concatenate(gs).T @ np.concatenate(xs)).astype(self.data.dtype, copy=False)
-            self._grad_buffer()[r0:r1, c0:c1] += total
+        """Add every deferred contribution sum_i g_i.T @ x_i to grad as one
+        product of the stacked rows."""
+        gs, xs = zip(*self._outer)
+        self._outer = None
+        grad = self._grad_buffer()
+        grad += (np.concatenate(gs).T @ np.concatenate(xs)).astype(self.data.dtype, copy=False)
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
@@ -295,71 +292,61 @@ def _times_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w.T
 
 
-def linear(x: Tensor, w: Tensor, cols: Optional[tuple[int, int]] = None) -> Tensor:
+def linear(x: Tensor, w: Tensor) -> Tensor:
     """x @ w.T for an (m, k) input and an (n, k) weight; w is read in place,
     never transposed into a copy.  A float32 product of at most ROW_CUT rows,
     a beam step's or a recurrence step's, is issued as (w @ x.T).T, the form
     OpenBLAS runs faster at so few rows, and copied back to rows (`_times_t`).
 
-    `cols=(lo, hi)` multiplies x by the weight's columns lo:hi only, a view,
-    so one parameter can hold the blocks of a product over [x; h] that are
-    computed at different times.
-
-    Backward defers w's gradient g.T @ x: the (g, x) rows wait on w, grouped
-    by block, until `Tensor.backward` reaches w and sums every use of each
-    block in one GEMM, so an unrolled recurrence costs one product per
-    weight and block, not one per step.
+    Backward defers w's gradient g.T @ x: the (g, x) rows wait on w until
+    `Tensor.backward` reaches w and sums every use in one GEMM, so an
+    unrolled recurrence costs one product per weight, not one per step.
     """
     x, w = _operands((x, w))
-    if w.ndim != 2 or x.ndim != 2:
+    if w.ndim != 2 or x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise TensorError(f"linear: input {x.shape} does not match weight {w.shape}")
-    lo, hi = cols if cols is not None else (0, w.shape[1])
-    if not 0 <= lo <= hi <= w.shape[1] or x.shape[1] != hi - lo:
-        raise TensorError(f"linear: input {x.shape} does not match columns {lo}:{hi} "
-                          f"of weight {w.shape}")
-    full = hi - lo == w.shape[1]
 
     def bw(g):
         if x.requires_grad:
-            x._accumulate(g @ (w.data if full else w.data[:, lo:hi]))
+            x._accumulate(g @ w.data)
         if w.requires_grad:
-            w._defer_outer((0, w.shape[0]), (lo, hi), g, x.data)
+            w._defer_outer(g, x.data)
 
-    return _node(_times_t(x.data, w.data if full else w.data[:, lo:hi]), (x, w), "linear", bw)
+    return _node(_times_t(x.data, w.data), (x, w), "linear", bw)
 
 
-def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, rows: Optional[np.ndarray] = None,
-             extra: Optional[Tensor] = None) -> Tensor:
+def gru_cell(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
+             rows: Optional[np.ndarray] = None, extra: Optional[Tensor] = None) -> Tensor:
     """One GRU step over (m, hidden) state rows, as one graph node.
 
-        [z; r] = sigmoid(x_zr + h W_zr'),   W_zr = [W_z; W_r]
-        h~ = tanh(x_h + (r h) W_h'),        h' = (1 - z) h + z h~
+        [z; r] = sigmoid(x_zr + h W_zr'),   W_zr = [W_z; W_r], (2 hidden, hidden)
+        h~ = tanh(x_h + (r h) W_cand'),     h' = (1 - z) h + z h~
 
-    `w` stacks the gates' weights as rows [W_z; W_r; W_h], (3 hidden, k);
-    W' is a row block's last hidden columns.  x = [x_z, x_r, x_h] is the
-    step's (m, 3 hidden) share of the pre-activations from w's other
-    columns: rows `rows` of `gates` (an index array with one distinct row
+    W_zr and W_cand act on the state; x = [x_z, x_r, x_h] is the step's
+    (m, 3 hidden) share of the pre-activations from the gates' other
+    weights: rows `rows` of `gates` (an index array with one distinct row
     per state, or a slice), read without a gather node, or all of it, plus
     `extra` when given, a share that the step forms itself.
 
-    A step makes two products, h W_zr' and (r h) W_h', each issued as
+    A step makes two products, h W_zr' and (r h) W_cand', each issued as
     `linear` issues its own, in the faster form at ROW_CUT rows or fewer
     (`_times_t`).  The forward values are those of the graph of `add`,
-    `slice`, `linear(..., cols)`, `sigmoid`, `tanh`, `mul` and `sub` nodes
-    over the row blocks W_zr and W_h, and backward adds gradients in that
-    graph's reverse-walk order, with w's (g, x) rows deferred under the same
-    blocks, so both are bit-identical to it (`tests/reference.py`).
+    `slice`, `linear`, `sigmoid`, `tanh`, `mul` and `sub` nodes over the two
+    weights, and backward adds gradients in that graph's reverse-walk
+    order, with each weight's (g, x) rows deferred to it as `linear` defers
+    them, so both are bit-identical to it (`tests/reference.py`).
     """
-    parents = _operands((gates, w, h_prev) + (() if extra is None else (extra,)))
-    gates, w, h_prev = parents[:3]
-    extra = parents[3] if extra is not None else None
-    if h_prev.ndim != 2 or gates.ndim != 2 or w.ndim != 2:
-        raise TensorError(f"gru_cell: state {h_prev.shape}, shares {gates.shape} and "
-                          f"weight {w.shape} are not all 2-d")
-    (m, hidden), width = h_prev.shape, w.shape[1]
-    lo = width - hidden
-    if lo < 0 or w.shape[0] != 3 * hidden:
-        raise TensorError(f"gru_cell: state {h_prev.shape} and weight {w.shape} do not match")
+    parents = _operands((gates, w_zr, w_cand, h_prev) + (() if extra is None else (extra,)))
+    gates, w_zr, w_cand, h_prev = parents[:4]
+    extra = parents[4] if extra is not None else None
+    if h_prev.ndim != 2 or gates.ndim != 2:
+        raise TensorError(f"gru_cell: state {h_prev.shape} and shares {gates.shape} "
+                          f"are not both 2-d")
+    m, hidden = h_prev.shape
+    if w_zr.shape != (2 * hidden, hidden) or w_cand.shape != (hidden, hidden):
+        raise TensorError(f"gru_cell: weights {w_zr.shape} and {w_cand.shape} do not match "
+                          f"state {h_prev.shape}: expected {(2 * hidden, hidden)} and "
+                          f"{(hidden, hidden)}")
     key = slice(None) if rows is None else rows
     x = gates.data[key]
     if x.shape != (m, 3 * hidden) or (extra is not None and extra.shape != x.shape):
@@ -367,13 +354,11 @@ def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, rows: Optional[np.ndarray
                           f"do not match state {h_prev.shape}: expected {(m, 3 * hidden)}")
     if extra is not None:
         x = x + extra.data
-    cols = (lo, width)
     h = h_prev.data
-    w_zr, w_cand = w.data[:2 * hidden, lo:], w.data[2 * hidden:, lo:]
-    zr = _sigmoid(x[:, :2 * hidden] + _times_t(h, w_zr))
+    zr = _sigmoid(x[:, :2 * hidden] + _times_t(h, w_zr.data))
     z, r = zr[:, :hidden], zr[:, hidden:]
     rh = r * h
-    h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(rh, w_cand))
+    h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(rh, w_cand.data))
     omz = 1.0 - z
 
     def bw(g):
@@ -384,9 +369,9 @@ def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, rows: Optional[np.ndarray
             h_prev._accumulate(g * omz)
         dz -= g * h                            # 1 - z
         d_cand *= 1.0 - h_cand * h_cand        # tanh
-        if w.requires_grad:
-            w._defer_outer((2 * hidden, 3 * hidden), cols, d_cand, rh)
-        d_rh = d_cand @ w_cand                 # (r h) W_h'
+        if w_cand.requires_grad:
+            w_cand._defer_outer(d_cand, rh)
+        d_rh = d_cand @ w_cand.data            # (r h) W_cand'
         if h_prev.requires_grad:               # r h
             h_prev._accumulate(d_rh * r)
         d_zr = np.concatenate([dz, d_rh * h], axis=1)
@@ -397,10 +382,10 @@ def gru_cell(gates: Tensor, w: Tensor, h_prev: Tensor, rows: Optional[np.ndarray
             gates._grad_buffer()[key] += d_x
         if extra is not None and extra.requires_grad:
             extra._accumulate(d_x)
-        if w.requires_grad:
-            w._defer_outer((0, 2 * hidden), cols, d_zr, h)
+        if w_zr.requires_grad:
+            w_zr._defer_outer(d_zr, h)
         if h_prev.requires_grad:               # h W_zr'
-            h_prev._accumulate(d_zr @ w_zr)
+            h_prev._accumulate(d_zr @ w_zr.data)
 
     return _node(omz * h + z * h_cand, parents, "gru_cell", bw)
 
@@ -711,28 +696,32 @@ class ParamStore:
         self.data = self.grad = None   # the flat buffers, once packed
 
     def add(self, name: str, data) -> Tensor:
-        """Add a parameter holding a copy of `data` in the store's dtype."""
-        return self._adopt(name, np.array(data, dtype=self.dtype))
-
-    def _adopt(self, name: str, data: np.ndarray) -> Tensor:
+        """Add a parameter holding `data` in the store's dtype, cast if it
+        has another and otherwise the array itself, such as a view of a
+        `uniform` draw, until `pack` copies it into the flat buffer."""
         if name in self._params:
             raise TensorError(f"duplicate parameter name {name!r}")
         if self.data is not None:
             raise TensorError(f"cannot add parameter {name!r} to a packed store")
-        t = Tensor(data, requires_grad=True)
+        t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
         return t
 
     def draw(self, name: str, shape, scale: float) -> Tensor:
-        """Add a parameter of uniform(-scale, scale) weights, drawn in float64
-        from the store's generator and cast: every initial weight is drawn
-        here.  The draw goes in slices of DRAW_SLICE entries through one
-        float64 scratch, -scale + 2 scale u as `rng.uniform` computes it, so
-        it gives `rng.uniform(-scale, scale, shape)`'s bytes without a
-        full-size float64 temporary.  Without a generator it is zeros, which
-        only `QgModel.load` uses, before the checkpoint's data replaces them."""
+        """Add a parameter of `uniform(shape, scale)` weights."""
+        return self.add(name, self.uniform(shape, scale))
+
+    def uniform(self, shape, scale: float) -> np.ndarray:
+        """uniform(-scale, scale) weights in the store's dtype, drawn in
+        float64 from the store's generator and cast: every initial weight is
+        drawn here.  The draw goes in slices of DRAW_SLICE entries through
+        one float64 scratch, -scale + 2 scale u as `rng.uniform` computes
+        it, so it gives `rng.uniform(-scale, scale, shape)`'s bytes without
+        a full-size float64 temporary.  Without a generator it is zeros,
+        which only `QgModel.load` uses, before the checkpoint's data
+        replaces them."""
         if self.rng is None:
-            return self._adopt(name, np.zeros(shape, self.dtype))
+            return np.zeros(shape, self.dtype)
         out = np.empty(shape, self.dtype)
         flat, scratch = out.reshape(-1), np.empty(DRAW_SLICE)
         for lo in range(0, flat.size, DRAW_SLICE):
@@ -741,7 +730,7 @@ class ParamStore:
             u *= 2 * scale
             u += -scale
             flat[lo:lo + len(u)] = u
-        return self._adopt(name, out)
+        return out
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

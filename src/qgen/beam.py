@@ -189,7 +189,7 @@ class WordTermCache:
         # the distinct word rows of the table's surfaces, and each column's index among them
         self.rows, self.row_of = np.unique(table.word_rows, return_inverse=True)
         self.slot = np.full(len(self.rows), -1)   # each row's place in `gates` and `readout`
-        self.gates = np.empty((0, p.gru.w.shape[0]), words.data.dtype)
+        self.gates = np.empty((0, p.gru.w_x.shape[0]), words.data.dtype)
         self.readout = np.empty((0, p.w_rw.shape[0]), words.data.dtype)
 
     def __call__(self, columns: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:

@@ -44,7 +44,7 @@ class DecoderParams:
 
         readout = 2 * dec_hidden
         return cls(
-            gru=GruCellParams.create(params, "dec.gru", word_dim + enc_width, dec_hidden, scale),
+            gru=GruCellParams.create(params, "dec.gru", word_dim, dec_hidden, scale, enc_width),
             w_init=w("w_init", (dec_hidden, enc_width // 2)),
             b_init=b("b_init", dec_hidden),
             w_s=w("attn.w_s", (attn_dim, dec_hidden)),
@@ -83,22 +83,21 @@ def init_decoder(last_backward: Tensor, w_init: Tensor, b_init: Tensor) -> Tenso
 class PassageMemory:
     """What every decoder step reads of the (B * n, enc_width) encoder
     states H of B passages.  The context c = alpha H feeds only linear maps,
-    so c W' = alpha (H W'): the context columns of each weight are applied
-    to H once, and a step multiplies its attention rows by these tables
+    so c W' = alpha (H W'): each weight on the context is applied to H
+    once, and a step multiplies its attention rows by these tables
     (`ad.attention_context`); c itself is never formed."""
 
     keys: Tensor        # H W_h^T, (B * n, attn)
-    gates: Tensor       # H times the context columns of the GRU's weight, (B * n, 3 * dec_hidden)
+    gates: Tensor       # H W_c^T, the GRU's context share, (B * n, 3 * dec_hidden)
     readout: Tensor     # H W_rc^T, (B * n, 2 * dec_hidden)
     copy_gate: Tensor   # H w_cc, (B * n,)
 
 
 def passage_memory(enc_states: Tensor, p: DecoderParams) -> PassageMemory:
     """The context tables of the passages in `enc_states`, once for every step."""
-    word = p.w_rw.shape[1]
     return PassageMemory(
         keys=ad.linear(enc_states, p.w_h),
-        gates=ad.linear(enc_states, p.gru.w, (word, word + enc_states.shape[1])),
+        gates=ad.linear(enc_states, p.gru.w_c),
         readout=ad.linear(enc_states, p.w_rc),
         copy_gate=ad.matmul(enc_states, p.w_cc),
     )
@@ -145,7 +144,7 @@ def recur(word_gates: Tensor, alpha_prev: Tensor, s_prev: Tensor, memory: Passag
     rows `rows` of its GRU share `word_gates`, all of them by default, and
     the context as the previous attention rows `alpha_prev` (all zeros at
     the first step) times `memory.gates`."""
-    s_t = ad.gru_cell(word_gates, p.gru.w, s_prev, rows=rows,
+    s_t = ad.gru_cell(word_gates, p.gru.w_zr, p.gru.w_cand, s_prev, rows=rows,
                       extra=ad.attention_context(alpha_prev, memory.gates))
     return s_t, attention(s_t, memory.keys, p, mask)
 

@@ -13,25 +13,35 @@ from .autodiff import ParamStore, Tensor
 @dataclass
 class GruCellParams:
     """One GRU: the update, reset and candidate gates' weights stacked as
-    rows [W_z; W_r; W_h], acting on [x; h], and their biases stacked alike."""
+    rows [W_z; W_r; W_h], each product's columns their own parameter, and
+    their biases stacked alike."""
 
-    w: Tensor   # (3 * hidden, input + hidden)
-    b: Tensor   # (3 * hidden,)
+    w_x: Tensor      # (3 * hidden, input), on the input
+    w_zr: Tensor     # (2 * hidden, hidden), [W_z; W_r] on the state
+    w_cand: Tensor   # (hidden, hidden), W_h on the reset state
+    b: Tensor        # (3 * hidden,)
+    w_c: Tensor | None = None   # (3 * hidden, context), on the decoder's context
 
     @classmethod
     def create(cls, params: ParamStore, prefix: str, input_dim: int, hidden: int,
-               scale: float = 0.08) -> "GruCellParams":
-        # one draw of the three (hidden, input + hidden) blocks, in row order
-        w = params.draw(f"{prefix}.w", (3 * hidden, input_dim + hidden), scale)
-        return cls(w=w, b=params.add(f"{prefix}.b", np.zeros(3 * hidden)))
+               scale: float = 0.08, context_dim: int = 0) -> "GruCellParams":
+        # one draw of the three (hidden, input + context + hidden) gate blocks,
+        # in row order, cut into each product's columns
+        w = params.uniform((3 * hidden, input_dim + context_dim + hidden), scale)
+        state = input_dim + context_dim
+        return cls(w_x=params.add(f"{prefix}.w_x", w[:, :input_dim]),
+                   w_c=params.add(f"{prefix}.w_c", w[:, input_dim:state]) if context_dim else None,
+                   w_zr=params.add(f"{prefix}.w_zr", w[:2 * hidden, state:]),
+                   w_cand=params.add(f"{prefix}.w_cand", w[2 * hidden:, state:]),
+                   b=params.add(f"{prefix}.b", np.zeros(3 * hidden)))
 
 
 def gru_inputs(x: Tensor, p: GruCellParams) -> Tensor:
     """The input's share of the z, r and candidate pre-activations, bias
-    included, (rows, 3 * hidden): x times the first x-width columns of the
-    weight.  A recurrence takes it for all its inputs at once, before the
-    time loop, and `ad.gru_cell` reads each step's rows of it."""
-    return ad.add(ad.linear(x, p.w, (0, x.shape[-1])), p.b)
+    included, (rows, 3 * hidden).  A recurrence takes it for all its inputs
+    at once, before the time loop, and `ad.gru_cell` reads each step's rows
+    of it."""
+    return ad.add(ad.linear(x, p.w_x), p.b)
 
 
 @dataclass
@@ -51,10 +61,10 @@ def _direction(gates: Tensor, positions: np.ndarray, p: GruCellParams) -> Tensor
     """One direction over B sequences in lockstep: step i reads row
     positions[i, b] of the input shares for sequence b, in place.  Returns
     the states, step-major (n * B, hidden)."""
-    h = Tensor(np.zeros((positions.shape[1], p.w.shape[0] // 3), gates.data.dtype))
+    h = Tensor(np.zeros((positions.shape[1], p.w_cand.shape[0]), gates.data.dtype))
     states = []
     for rows in positions:
-        h = ad.gru_cell(gates, p.w, h, rows=rows)
+        h = ad.gru_cell(gates, p.w_zr, p.w_cand, h, rows=rows)
         states.append(h)
     return ad.concat(states)
 

@@ -91,9 +91,13 @@ def pairwise_max(r):
 
 def gru_cell(x, h_prev, p):
     """GRU update over [x; h], each gate one product over the whole row by
-    its row block of the stacked weight."""
+    its row block of the stacked weight [W_x; W_s], put together from the
+    GRU's parameters: W_x is `w_x`, or [w_x | w_c] on the decoder's
+    [word; context] input, and W_s is [w_zr; w_cand]."""
     hidden = h_prev.shape[1]
-    w_z, w_r, w_h = (slice_(p.w, slice(i * hidden, (i + 1) * hidden)) for i in range(3))
+    w_in = p.w_x if p.w_c is None else ad.concat([p.w_x, p.w_c], axis=1)
+    w = ad.concat([w_in, ad.concat([p.w_zr, p.w_cand])], axis=1)
+    w_z, w_r, w_h = (slice_(w, slice(i * hidden, (i + 1) * hidden)) for i in range(3))
     b_z, b_r, b_h = (slice_(p.b, slice(i * hidden, (i + 1) * hidden)) for i in range(3))
     xh = ad.concat([x, h_prev], axis=-1)
     z = ad.sigmoid(ad.add(ad.linear(xh, w_z), b_z))
@@ -103,37 +107,25 @@ def gru_cell(x, h_prev, p):
     return ad.add(ad.mul(sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 
-def gru_row_blocks(w):
-    """The row blocks [W_z; W_r] and W_h of a stacked GRU weight as slice
-    nodes.  A recurrence takes them once, so the (g, x) rows of each
-    block's every step wait on one tensor, as they wait on one block of w
-    in `ad.gru_cell`."""
-    hidden = w.shape[0] // 3
-    return slice_(w, slice(None, 2 * hidden)), slice_(w, slice(2 * hidden, None))
-
-
-def gru_step_unfused(gates, h_prev, blocks, extra=None):
+def gru_step_unfused(gates, h_prev, w_zr, w_cand, extra=None):
     """`ad.gru_cell` node by node: `extra` added to the step's shares, the
-    two products of the row blocks' last columns, [z; r] over h in one and
-    the candidate over r h in the other, and the gate arithmetic are each
-    their own `add`, `slice`, `linear(..., cols)`, `sigmoid`, `tanh`, `mul`
-    or `sub` node; `gates` are this step's (m, 3 hidden) shares and
-    `blocks` come from `gru_row_blocks`."""
-    w_zr, w_h = blocks
+    two products, [z; r] over h by `w_zr` and the candidate over r h by
+    `w_cand`, and the gate arithmetic are each their own `add`, `slice`,
+    `linear`, `sigmoid`, `tanh`, `mul` or `sub` node; `gates` are this
+    step's (m, 3 hidden) shares."""
     hidden = h_prev.shape[1]
     if extra is not None:
         gates = ad.add(gates, extra)
     x_zr, x_h = slice_(gates, np.s_[:, :2 * hidden]), slice_(gates, np.s_[:, 2 * hidden:])
-    cols = (w_zr.shape[1] - hidden, w_zr.shape[1])
-    zr = ad.sigmoid(ad.add(x_zr, ad.linear(h_prev, w_zr, cols)))
+    zr = ad.sigmoid(ad.add(x_zr, ad.linear(h_prev, w_zr)))
     z, r = slice_(zr, np.s_[:, :hidden]), slice_(zr, np.s_[:, hidden:])
-    h_cand = ad.tanh(ad.add(x_h, ad.linear(ad.mul(r, h_prev), w_h, cols)))
+    h_cand = ad.tanh(ad.add(x_h, ad.linear(ad.mul(r, h_prev), w_cand)))
     return ad.add(ad.mul(sub(1.0, z), h_prev), ad.mul(z, h_cand))
 
 
 def encode(features, forward_params, backward_params, dropout_p=0.0, mode="eval", rng=None):
     """(states (n, 2H), last_backward (1, H)) of one passage."""
-    n, hidden = features.shape[0], forward_params.w.shape[0] // 3
+    n, hidden = features.shape[0], forward_params.w_cand.shape[0]
     features = _dropout(features, dropout_p, mode, rng)
     zero = Tensor(np.zeros((1, hidden), features.data.dtype))
     h, fwd = zero, []

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 import zipfile
 
@@ -393,67 +394,18 @@ class TestLinear:
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-13)])
     @pytest.mark.parametrize("rows", [1, 4, 20, ad.ROW_CUT, ad.ROW_CUT + 1, 120])
-    @pytest.mark.parametrize("cols", [None, (8, 32)])
-    def test_either_side_of_the_row_cut(self, dtype, tol, rows, cols):
+    def test_either_side_of_the_row_cut(self, dtype, tol, rows):
         """A float32 product of at most ROW_CUT rows is issued in another
         form; it is x @ w.T, up to the summation order a CPU's kernels may
         pick, and row-major, so reductions over its rows add in the same
         order."""
         rng = np.random.default_rng(rows)
         w = rng.normal(size=(48, 40)).astype(dtype)
-        w_cols = w if cols is None else w[:, cols[0]:cols[1]]
-        x = rng.normal(size=(rows, w_cols.shape[1])).astype(dtype)
-        got = ad.linear(Tensor(x), Tensor(w), cols).data
+        x = rng.normal(size=(rows, 40)).astype(dtype)
+        got = ad.linear(Tensor(x), Tensor(w)).data
         assert got.dtype == dtype and got.shape == (rows, 48) and got.flags.c_contiguous
-        want = x @ w_cols.T
-        assert np.all(np.abs(got - want) <= tol * (np.abs(x) @ np.abs(w_cols).T))
-
-
-class TestColumnRanges:
-    """`linear(x, w, cols)` multiplies by a column block of w in place; the
-    weight gradient is summed per block."""
-
-    def _arrays(self):
-        rng = np.random.default_rng(21)
-        return rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), rng.normal(size=(2, 5))
-
-    def test_blocks_add_up_to_the_full_product(self):
-        w, x, _ = self._arrays()
-        parts = ad.add(ad.linear(Tensor(x[:, :2]), Tensor(w), (0, 2)),
-                       ad.linear(Tensor(x[:, 2:]), Tensor(w), (2, 5)))
-        np.testing.assert_allclose(parts.data, x @ w.T, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ad.linear(Tensor(x[0:1, 1:4]), Tensor(w), (1, 4)).data,
-                                   [w[:, 1:4] @ x[0, 1:4]], rtol=0, atol=1e-12)
-
-    def test_gradients_of_every_range(self):
-        w, x1, x2 = self._arrays()
-
-        def loss(w, x1, x2):
-            x1a, x1b = reference.slice_(x1, np.s_[:, :2]), reference.slice_(x1, np.s_[:, 2:])
-            x2a, x2b = reference.slice_(x2, np.s_[:, 1:3]), reference.slice_(x2, np.s_[0:1, :2])
-            return ad.add(ad.sum_(ad.tanh(ad.add(ad.linear(x1a, w, (0, 2)),
-                                                 ad.linear(x1b, w, (2, 5))))),
-                          ad.add(ad.sum_(ad.tanh(ad.linear(x2a, w, (1, 3)))),
-                                 ad.sum_(ad.tanh(ad.linear(x2b, w, (0, 2))))))
-
-        assert_grads_match(loss, [w, x1, x2], tol=1e-4)
-
-    def test_weight_gradient_equals_sum_of_outer_products(self):
-        w, x1, x2 = self._arrays()
-        wt = Tensor(w, requires_grad=True)
-        ad.add(ad.sum_(ad.linear(Tensor(x1[:, :2]), wt, (0, 2))),
-               ad.add(ad.sum_(ad.linear(Tensor(x2[:, 2:]), wt, (2, 5))),
-                      ad.sum_(ad.linear(Tensor(x2), wt)))).backward()
-        expected = np.outer(np.ones(4), x2.sum(axis=0))
-        expected[:, :2] += np.outer(np.ones(4), x1[:, :2].sum(axis=0))
-        expected[:, 2:] += np.outer(np.ones(4), x2[:, 2:].sum(axis=0))
-        np.testing.assert_allclose(wt.grad, expected, rtol=0, atol=1e-12)
-        assert wt._outer is None
-
-    @pytest.mark.parametrize("width, cols", [(3, (3, 7)), (2, (1, 4)), (3, (-1, 2)), (3, None)])
-    def test_bad_range_rejected(self, width, cols):
-        with pytest.raises(TensorError, match="columns"):
-            ad.linear(Tensor(np.zeros((1, width))), Tensor(np.zeros((4, 5))), cols)
+        want = x @ w.T
+        assert np.all(np.abs(got - want) <= tol * (np.abs(x) @ np.abs(w).T))
 
 
 class TestBlockAttention:
@@ -527,8 +479,9 @@ def test_take_along_values_and_gradients():
 
 
 class TestDeferredWeightGradients:
-    """`linear` defers w's g.T @ x to one GEMM when `backward` reaches w; the
-    result must equal the explicit sum of one outer product per row."""
+    """`linear` and `gru_cell` defer w's g.T @ x to one GEMM when `backward`
+    reaches w; the result must equal the explicit sum of one outer product
+    per row."""
 
     @staticmethod
     def _dtanh(y):
@@ -593,6 +546,49 @@ class TestDeferredWeightGradients:
         wt.grad.fill(0)
         ad.sum_(ad.mul(wt, wt)).backward()
         np.testing.assert_array_equal(wt.grad, 2 * w)
+
+
+    def test_linear_uses_sum_their_outer_products(self):
+        rng = np.random.default_rng(21)
+        w, x1, x2 = rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), rng.normal(size=(2, 5))
+        wt = Tensor(w, requires_grad=True)
+        heads = [rng.normal(size=(n, 4)) for n in (3, 2, 1)]
+        uses = [ad.linear(Tensor(x1), wt), ad.linear(Tensor(x2), wt), ad.linear(Tensor(x2[1:]), wt)]
+        ad.sum_(ad.concat([ad.mul(u, h) for u, h in zip(uses, heads)])).backward()
+        expected = heads[0].T @ x1 + heads[1].T @ x2 + heads[2].T @ x2[1:]
+        np.testing.assert_allclose(wt.grad, expected, rtol=0, atol=1e-12)
+        assert wt._outer is None
+
+    def test_gru_state_weights_sum_every_step(self):
+        """Over a 3-step recurrence, `w_zr` and `w_cand` get the sum of the
+        gradients that a fresh copy of them at each step gets."""
+        rng = np.random.default_rng(23)
+        hidden, m, steps = 3, 2, 3
+        w_zr, w_cand = rng.normal(size=(2 * hidden, hidden)), rng.normal(size=(hidden, hidden))
+        gates, h0 = rng.normal(size=(steps * m, 3 * hidden)), rng.normal(size=(m, hidden))
+        head = rng.normal(size=(m, hidden))
+
+        def run(weights):
+            h = Tensor(h0)
+            for i, (zr, cand) in enumerate(weights):
+                h = ad.gru_cell(Tensor(gates), zr, cand, h, rows=slice(i * m, (i + 1) * m))
+            ad.sum_(ad.mul(h, head)).backward()
+
+        shared = (Tensor(w_zr, requires_grad=True), Tensor(w_cand, requires_grad=True))
+        run([shared] * steps)
+        copies = [(Tensor(w_zr, requires_grad=True), Tensor(w_cand, requires_grad=True))
+                  for _ in range(steps)]
+        run(copies)
+        for k, t in enumerate(shared):
+            np.testing.assert_allclose(t.grad, sum(c[k].grad for c in copies), rtol=0, atol=1e-12)
+            assert t._outer is None
+
+    @pytest.mark.parametrize("zr_shape, cand_shape", [
+        ((6, 2), (3, 3)), ((9, 3), (3, 3)), ((6, 3), (3, 4)), ((3, 3), (6, 3)), ((18,), (3, 3))])
+    def test_mismatched_state_weights_rejected(self, zr_shape, cand_shape):
+        with pytest.raises(TensorError, match=re.escape(f"{zr_shape} and {cand_shape}")):
+            ad.gru_cell(Tensor(np.zeros((2, 9))), Tensor(np.zeros(zr_shape)),
+                        Tensor(np.zeros(cand_shape)), Tensor(np.zeros((2, 3))))
 
 
 class TestAttentionScores:

@@ -169,7 +169,7 @@ def test_dropout_stream_is_read_as_one_example_at_a_time_reads_it(tiny):
     model, labeled = tiny
     batch = [labeled[9], labeled[8], labeled[0]]
     cfg = model.config
-    width = model.params["enc.fwd.w"].shape[1] - cfg.enc_hidden
+    width = model.params["enc.fwd.w_x"].shape[1]
     keeps = model.dropout_keeps(batch, width, rng_stream(4, "dropout"))
     rng = rng_stream(4, "dropout")
     inputs, states, maxouts = [], [], []

@@ -274,14 +274,14 @@ class TestSelect:
 
 class TestWordTermCache:
     def test_rows_equal_the_k_row_products(self, monkeypatch):
-        """At the paper's float32 GRU shape, (1536, 1836): steps with one
+        """At the paper's float32 GRU input width, a (1536, 300) word weight: steps with one
         hypothesis, and with zero, one and several new words, give the bytes
         of the step's whole K-row products; a step with no new word
         multiplies nothing."""
         rng = np.random.default_rng(3)
         store = ParamStore(np.float32, rng)
         p = DecoderParams.create(store, 300, 1024, 512, 8, 5)
-        assert p.gru.w.shape == (1536, 1836)
+        assert p.gru.w_x.shape == (1536, 300)
         words = store.draw("embed.word", (50, 300), 0.1)
         table = SimpleNamespace(word_rows=np.arange(80) % 50)   # columns c and c + 50 share a row
         calls = []

@@ -407,6 +407,27 @@ def _flip_stored_byte(path, entry):
     path.write_bytes(bytes(raw))
 
 
+def _stack_gru_weights(meta, data):
+    """The checkpoint as it was laid out when each GRU's weights were one
+    parameter: `<prefix>.w`, [w_x | w_c | [w_zr; w_cand]], where `w_x` is."""
+    dtype, offset, arrays = np.dtype(meta["dtype"]), 0, {}
+    for name, shape in meta["layout"]:
+        arrays[name] = np.frombuffer(data, dtype, int(np.prod(shape)), offset).reshape(shape)
+        offset += arrays[name].nbytes
+    layout, members = [], []
+    for name, array in arrays.items():
+        prefix, _, part = name.rpartition(".")
+        if part in ("w_c", "w_zr", "w_cand"):
+            continue
+        if part == "w_x":
+            inputs = [array] + [arrays[n] for n in [f"{prefix}.w_c"] if n in arrays]
+            state = np.concatenate([arrays[f"{prefix}.w_zr"], arrays[f"{prefix}.w_cand"]])
+            name, array = f"{prefix}.w", np.concatenate(inputs + [state], axis=1)
+        layout.append([name, list(array.shape)])
+        members.append(array.tobytes())
+    return dict(meta, layout=layout), b"".join(members)
+
+
 # an ill-typed meta.json value, by defect: the key it replaces, dotted inside
 # feature_vocab, and the value
 _ILL_TYPED_META = {
@@ -530,6 +551,21 @@ class TestCheckpointErrors:
         assert report["error"] == "CheckpointError"
         assert str(bad) in report["message"]
         assert words in report["message"]
+
+    def test_stacked_gru_layout_is_refused(self, pipeline, capsys, tmp_path):
+        """A checkpoint of the layout that held each GRU's weights as one
+        `<prefix>.w` has no converter: it is refused, naming the file and
+        the parameters on each side."""
+        bad = tmp_path / "model.npz"
+        _write_checkpoint(bad, *_stack_gru_weights(*_read_checkpoint(pipeline[3] / "model_ema.npz")))
+        report = self._generate(capsys, pipeline, bad)
+        assert report["error"] == "CheckpointError"
+        message = report["message"]
+        assert str(bad) in message
+        missing = message[message.index("missing parameters"):message.index("unknown parameters")]
+        unknown = message[message.index("unknown parameters"):message.index("shape mismatch")]
+        assert "'enc.fwd.w_x'" in missing and "'dec.gru.w_c'" in missing
+        assert "'enc.fwd.w'" in unknown and "'dec.gru.w'" in unknown
 
     def test_flipped_byte_in_a_saved_checkpoint(self, pipeline, capsys, tmp_path):
         """`ParamStore.save` stores its members, so a damaged byte reaches

@@ -3,6 +3,7 @@ import pytest
 
 import qgen.autodiff as ad
 from qgen.autodiff import ParamStore, Tensor, TensorError
+from qgen.decoder import DecoderParams
 from qgen.encoder import GruCellParams, encode, gru_inputs
 
 import reference
@@ -10,12 +11,14 @@ from conftest import assert_grads_match
 
 
 def _zero_params(input_dim, hidden):
-    return GruCellParams(w=Tensor(np.zeros((3 * hidden, input_dim + hidden))),
+    return GruCellParams(w_x=Tensor(np.zeros((3 * hidden, input_dim))),
+                         w_zr=Tensor(np.zeros((2 * hidden, hidden))),
+                         w_cand=Tensor(np.zeros((hidden, hidden))),
                          b=Tensor(np.zeros(3 * hidden)))
 
 
 def gru_cell(x, h_prev, p):
-    return ad.gru_cell(gru_inputs(x, p), p.w, h_prev)
+    return ad.gru_cell(gru_inputs(x, p), p.w_zr, p.w_cand, h_prev)
 
 
 def _random_params(input_dim, hidden, rng):
@@ -34,7 +37,8 @@ class TestGruCell:
         rng = np.random.default_rng(0)
         p = _zero_params(3, 4)
         w_h, b_h = rng.normal(size=(4, 7)), rng.normal(size=4)
-        p.w.data[8:], p.b.data[8:] = w_h, b_h   # the candidate's row block
+        # the candidate's rows: on x, and on the reset state
+        p.w_x.data[8:], p.w_cand.data[:], p.b.data[8:] = w_h[:, :3], w_h[:, 3:], b_h
         x = np.array([0.3, -1.0, 2.0])
         h = gru_cell(Tensor(x[None]), Tensor(np.zeros((1, 4))), p)
         expected = 0.5 * np.tanh(w_h @ np.concatenate([x, np.zeros(4)]) + b_h)[None]
@@ -43,13 +47,56 @@ class TestGruCell:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         x, h0 = rng.normal(size=(1, 3)), rng.normal(size=(1, 4))
-        w = rng.normal(size=(12, 7)) * 0.5
+        w_x, w_zr, w_cand = (rng.normal(size=shape) * 0.5 for shape in [(12, 3), (8, 4), (4, 4)])
         b = rng.normal(size=12) * 0.5
 
-        def loss(xv, hv, wv, bv):
-            return ad.sum_(gru_cell(xv, hv, GruCellParams(w=wv, b=bv)))
+        def loss(xv, hv, w_xv, w_zrv, w_candv, bv):
+            return ad.sum_(gru_cell(xv, hv, GruCellParams(w_x=w_xv, w_zr=w_zrv, w_cand=w_candv,
+                                                          b=bv)))
 
-        assert_grads_match(loss, [x, h0, w, b], tol=1e-4)
+        assert_grads_match(loss, [x, h0, w_x, w_zr, w_cand, b], tol=1e-4)
+
+
+class TestInitialWeights:
+    """A GRU's weights are one (3 hidden, input + hidden) uniform draw, cut
+    into each product's parameter: the draw's bytes, block by block, and
+    the generator left where the stacked draw leaves it."""
+
+    SEED, SCALE = 17, 0.08
+
+    def _assert_one_draw(self, store, input_blocks, p, following):
+        """[input blocks | [w_zr; w_cand]] is the draw, before and after
+        `pack` copies the blocks into the flat buffer, and `following`, the
+        next weight drawn, comes next in the stream."""
+        def stacked():
+            state = np.concatenate([p.w_zr.data, p.w_cand.data])
+            return np.concatenate([t.data for t in input_blocks] + [state], axis=1)
+
+        rng = np.random.default_rng(self.SEED)
+        want = rng.uniform(-self.SCALE, self.SCALE, stacked().shape).tobytes()
+        then = rng.uniform(-self.SCALE, self.SCALE, following.shape).tobytes()
+        for _ in range(2):
+            assert stacked().dtype == np.float64 and stacked().tobytes() == want
+            assert following.data.tobytes() == then
+            store.pack()
+
+    def test_encoder_gru(self):
+        store = ParamStore(np.float64, np.random.default_rng(self.SEED))
+        p = GruCellParams.create(store, "enc.fwd", 7, 4, self.SCALE)
+        following = store.draw("next", (3, 5), self.SCALE)
+        assert [name for name, _ in store.items()] == [
+            "enc.fwd.w_x", "enc.fwd.w_zr", "enc.fwd.w_cand", "enc.fwd.b", "next"]
+        assert p.w_c is None
+        self._assert_one_draw(store, [p.w_x], p, following)
+
+    def test_decoder_gru_with_its_context_weight(self):
+        store = ParamStore(np.float64, np.random.default_rng(self.SEED))
+        p = DecoderParams.create(store, word_dim=5, enc_width=6, dec_hidden=4, attn_dim=3,
+                                 vocab_out=9, scale=self.SCALE)
+        assert p.gru.w_x.shape == (12, 5) and p.gru.w_c.shape == (12, 6)
+        assert store["dec.gru.w_c"] is p.gru.w_c
+        # dec.w_init is the first weight drawn after the GRU's
+        self._assert_one_draw(store, [p.gru.w_x, p.gru.w_c], p.gru, p.w_init)
 
 
 class TestEncode:
@@ -188,7 +235,7 @@ class TestBatchedEncode:
         def loss(states, length):
             return ad.sum_(ad.mul(ad.tanh(states), w[:length]))
 
-        params = [*vars(fwd).values(), *vars(bwd).values()]
+        params = [t for p in (fwd, bwd) for t in vars(p).values() if t is not None]
         xt = [Tensor(x, requires_grad=True) for x in xs]
         out = encode(ad.concat(xt), self.LENGTHS, fwd, bwd)
         n = max(self.LENGTHS)

@@ -11,25 +11,24 @@ from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.encoder import GruCellParams, gru_inputs
 
 from conftest import assert_grads_match
-from reference import gru_row_blocks, gru_step_unfused, slice_
+from reference import gru_step_unfused, slice_
 
-# C_DIM: the decoder weight's context columns, which the cell does not read
+# C_DIM: the width of the decoder GRU's context weight, which the cell does not read
 HIDDEN, X_DIM, C_DIM, BATCH, STEPS = 5, 3, 4, 2, 3
 # each step's rows of the input shares, read in place: out of order, distinct
 # within a step, row 3 read at two steps and row 2 never
 INDEX_ROWS = np.array([[3, 0], [5, 3], [1, 4]])
 
 
-def fused(w):
-    """A step over the stacked weight `w` itself."""
-    return lambda gates, h, extra, rows: ad.gru_cell(gates, w, h, rows, extra)
+def fused(p):
+    """A step of the one-node cell over the GRU `p`'s state weights."""
+    return lambda gates, h, extra, rows: ad.gru_cell(gates, p.w_zr, p.w_cand, h, rows, extra)
 
 
-def unfused(w):
-    """A step over the row blocks of `w`, sliced once here, for every step."""
-    blocks = gru_row_blocks(w)
+def unfused(p):
+    """The same step as a graph of small nodes over the same weights."""
     return lambda gates, h, extra, rows: gru_step_unfused(
-        gates if rows is None else slice_(gates, rows), h, blocks, extra)
+        gates if rows is None else slice_(gates, rows), h, p.w_zr, p.w_cand, extra)
 
 
 class _Case:
@@ -39,7 +38,8 @@ class _Case:
     def __init__(self, dtype, decoder, seed=0):
         rng = np.random.default_rng(seed)
         self.store = ParamStore(dtype, rng)
-        self.p = GruCellParams.create(self.store, "g", X_DIM + C_DIM * decoder, HIDDEN, scale=0.5)
+        self.p = GruCellParams.create(self.store, "g", X_DIM, HIDDEN, scale=0.5,
+                                      context_dim=C_DIM * decoder)
         self.store["g.b"].data[:] = rng.normal(size=3 * HIDDEN)   # nonzero biases
 
         def leaf(*shape):
@@ -66,7 +66,7 @@ def _recurrence(make_step, case, with_extra, index_rows):
     gates = gru_inputs(case.x, case.p)
     if not index_rows:
         gates = ad.gather_rows(gates, np.arange(STEPS * BATCH))
-    step = make_step(case.p.w)
+    step = make_step(case.p)
     h, e = case.h0, case.e0 if with_extra else None
     states = []
     for i in range(STEPS):
@@ -86,7 +86,7 @@ def _beam_step(make_step, case):
     """`decoder.decode_step`: whole (K, 3 hidden) input shares, one row per
     hypothesis, and an extra share."""
     gates = gru_inputs(slice_(case.x, slice(None, BATCH)), case.p)
-    out = make_step(case.p.w)(gates, case.h0, case.e0, None)
+    out = make_step(case.p)(gates, case.h0, case.e0, None)
     return out, ad.sum_(ad.mul(ad.tanh(out), case.head[:BATCH])), gates
 
 
@@ -154,13 +154,13 @@ def test_step_either_side_of_the_row_cut(dtype, rows):
     def run(step):
         rng = np.random.default_rng(6)
         store = ParamStore(dtype, rng)
-        p = GruCellParams.create(store, "g", X_DIM + C_DIM, HIDDEN, scale=0.5)
+        p = GruCellParams.create(store, "g", X_DIM, HIDDEN, scale=0.5, context_dim=C_DIM)
         x, h, e = (Tensor(rng.normal(size=(rows, k)).astype(dtype), requires_grad=True)
                    for k in (X_DIM, HIDDEN, 3 * HIDDEN))
         gates = gru_inputs(x, p)
-        out = step(p.w)(gates, h, e, None)
+        out = step(p)(gates, h, e, None)
         ad.sum_(ad.mul(ad.tanh(out), rng.normal(size=(rows, HIDDEN)).astype(dtype))).backward()
-        return [out.data] + [t.grad for t in (x, h, e, *store.tensors())]
+        return [out.data] + [t.grad for t in (x, h, e, p.w_x, p.w_zr, p.w_cand, p.b)]
 
     for got, want in zip(run(fused), run(unfused), strict=True):
         _assert_same_bytes(got, want)
@@ -170,23 +170,24 @@ def test_one_node_per_step():
     case = _Case(np.float64, True)
     gates = gru_inputs(case.x, case.p)
     for extra in (None, case.e0):
-        out = fused(case.p.w)(gates, case.h0, extra, slice(0, BATCH))
+        out = fused(case.p)(gates, case.h0, extra, slice(0, BATCH))
         assert out._op == "gru_cell"
         assert [id(t) for t in out._parents] == [
-            id(gates), id(case.p.w), id(case.h0)] + ([] if extra is None else [id(extra)])
+            id(gates), id(case.p.w_zr), id(case.p.w_cand), id(case.h0)
+        ] + ([] if extra is None else [id(extra)])
 
 
 def _assert_grads_match_finite_differences(rows):
     """With an extra share, and rows `rows` of input shares twice as tall as
     the state."""
     rng = np.random.default_rng(3)
-    k = C_DIM + HIDDEN + X_DIM
-    arrays = [rng.normal(size=(2 * BATCH, 3 * HIDDEN)), rng.normal(size=(3 * HIDDEN, k)) * 0.5,
-              rng.normal(size=(BATCH, HIDDEN)), rng.normal(size=(BATCH, 3 * HIDDEN))]
+    arrays = [rng.normal(size=(2 * BATCH, 3 * HIDDEN)), rng.normal(size=(2 * HIDDEN, HIDDEN)) * 0.5,
+              rng.normal(size=(HIDDEN, HIDDEN)) * 0.5, rng.normal(size=(BATCH, HIDDEN)),
+              rng.normal(size=(BATCH, 3 * HIDDEN))]
     head = rng.normal(size=(BATCH, HIDDEN))
 
-    def loss(x, w, h, e):
-        out = ad.gru_cell(x, w, h, rows=rows, extra=e)
+    def loss(x, w_zr, w_cand, h, e):
+        out = ad.gru_cell(x, w_zr, w_cand, h, rows=rows, extra=e)
         return ad.sum_(ad.mul(out, head))
 
     assert_grads_match(loss, arrays)
@@ -201,23 +202,20 @@ def test_index_row_gradients_match_finite_differences():
 
 
 def test_mismatched_shapes_rejected():
-    rng = np.random.default_rng(4)
-    w = Tensor(rng.normal(size=(3 * HIDDEN, HIDDEN + 1)))
+    """Shares that do not fit the state; mismatched weights are in
+    `test_autodiff.py::TestDeferredWeightGradients`."""
+    w_zr, w_cand = Tensor(np.zeros((2 * HIDDEN, HIDDEN))), Tensor(np.zeros((HIDDEN, HIDDEN)))
     gates = Tensor(np.zeros((2, 3 * HIDDEN)))
     state = Tensor(np.zeros((2, HIDDEN)))
-    with pytest.raises(TensorError, match="gru_cell"):   # fewer columns than the state
-        ad.gru_cell(gates, Tensor(np.zeros((3 * HIDDEN, HIDDEN - 1))), state)
     with pytest.raises(TensorError, match="gru_cell"):   # an extra share of two gates
-        ad.gru_cell(gates, w, state, extra=Tensor(np.zeros((2, 2 * HIDDEN))))
+        ad.gru_cell(gates, w_zr, w_cand, state, extra=Tensor(np.zeros((2, 2 * HIDDEN))))
     with pytest.raises(TensorError, match="gru_cell"):   # an extra share for one state
-        ad.gru_cell(gates, w, state, extra=Tensor(np.zeros((1, 3 * HIDDEN))))
-    with pytest.raises(TensorError, match="gru_cell"):   # three gates' rows, not two
-        ad.gru_cell(gates, Tensor(np.zeros((2 * HIDDEN, HIDDEN + 1))), state)
+        ad.gru_cell(gates, w_zr, w_cand, state, extra=Tensor(np.zeros((1, 3 * HIDDEN))))
     with pytest.raises(TensorError, match="gru_cell"):   # one share row for two states
-        ad.gru_cell(Tensor(np.zeros((1, 3 * HIDDEN))), w, state)
+        ad.gru_cell(Tensor(np.zeros((1, 3 * HIDDEN))), w_zr, w_cand, state)
     with pytest.raises(TensorError, match="gru_cell"):   # two gates' shares
-        ad.gru_cell(Tensor(np.zeros((2, 2 * HIDDEN))), w, state)
+        ad.gru_cell(Tensor(np.zeros((2, 2 * HIDDEN))), w_zr, w_cand, state)
     with pytest.raises(TensorError, match="gru_cell"):   # rows leave one share for two states
-        ad.gru_cell(Tensor(np.zeros((4, 3 * HIDDEN))), w, state, rows=slice(3, 5))
+        ad.gru_cell(Tensor(np.zeros((4, 3 * HIDDEN))), w_zr, w_cand, state, rows=slice(3, 5))
     with pytest.raises(TensorError, match="gru_cell"):   # shares of one state, not a matrix
-        ad.gru_cell(Tensor(np.zeros(3 * HIDDEN)), w, state)
+        ad.gru_cell(Tensor(np.zeros(3 * HIDDEN)), w_zr, w_cand, state)

@@ -314,8 +314,9 @@ def test_loaded_model_views_hold_the_checkpoint(tmp_path):
     loaded = QgModel.load(tmp_path / "m.npz")
     last = len(loaded.gcn) - 1
     views = {"clue.gcn0.w": loaded.gcn[0][0], f"clue.gcn{last}.b": loaded.gcn[last][1],
-             "enc.fwd.w": loaded.enc_fwd.w, "enc.bwd.b": loaded.enc_bwd.b,
-             "dec.gru.w": loaded.dec.gru.w, "dec.gru.b": loaded.dec.gru.b,
+             "enc.fwd.w_x": loaded.enc_fwd.w_x, "enc.fwd.w_zr": loaded.enc_fwd.w_zr,
+             "enc.bwd.w_cand": loaded.enc_bwd.w_cand, "enc.bwd.b": loaded.enc_bwd.b,
+             "dec.gru.w_c": loaded.dec.gru.w_c, "dec.gru.b": loaded.dec.gru.b,
              "dec.w_out": loaded.dec.w_out}
     for name, t in views.items():
         assert t is loaded.params[name], name
@@ -478,15 +479,20 @@ class TestOneTokenPassage:
         for prefix, hidden in (("enc.fwd", model.config.enc_hidden),
                                ("enc.bwd", model.config.enc_hidden),
                                ("dec.gru", model.config.dec_hidden)):
-            for name in ("w", "b"):
+            for name, gates in (("w_x", "zrh"), ("w_c", "zrh"), ("w_zr", "zr"), ("w_cand", "h"),
+                                ("b", "zrh")):
                 key = f"{prefix}.{name}"
-                for gate, block in zip("zrh", range(0, 3 * hidden, hidden)):
+                if key not in dict(model.params.items()):   # only the decoder reads a context
+                    continue
+                for gate, block in zip(gates, range(0, len(gates) * hidden, hidden)):
                     rows = slice(block, block + hidden)
                     moved = not np.array_equal(model.params[key].data[rows],
                                                fresh.params[key].data[rows])
-                    # the encoder's one step resets a zero state: its reset gate's
-                    # rows have no gradient, and Adam leaves them as they were
-                    assert moved == (prefix == "dec.gru" or gate != "r"), (key, gate)
+                    # the encoder's one step starts from a zero state: its weights on
+                    # the state and its reset gate's rows have no gradient, and Adam
+                    # leaves them as they were
+                    assert moved == (prefix == "dec.gru" or (
+                        gate != "r" and name not in ("w_zr", "w_cand"))), (key, gate)
 
     @pytest.mark.parametrize("question", [["where", "?"], []])
     def test_generates(self, trained, question):
