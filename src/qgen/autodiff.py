@@ -88,7 +88,7 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._seq = next(_SEQ)
-        # the (g, x) rows of every `linear` and `gru_cell` use of this
+        # the (g, x) rows of every `linear` and `gru` use of this
         # weight not yet summed into grad; see `_flush_outer`
         self._outer: Optional[list] = None
 
@@ -315,79 +315,89 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _node(_times_t(x.data, w.data), (x, w), "linear", bw)
 
 
-def gru_cell(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
-             rows: Optional[np.ndarray] = None, extra: Optional[Tensor] = None) -> Tensor:
-    """One GRU step over (m, hidden) state rows, as one graph node.
+def gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
+        rows: Optional[np.ndarray] = None, extra: Optional[Tensor] = None) -> Tensor:
+    """GRU steps over (m, hidden) state rows in lockstep, as one graph node:
+    from `h_prev`, every step's states, step-major, (steps * m, hidden).
 
         [z; r] = sigmoid(x_zr + h W_zr'),   W_zr = [W_z; W_r], (2 hidden, hidden)
         h~ = tanh(x_h + (r h) W_cand'),     h' = (1 - z) h + z h~
 
-    W_zr and W_cand act on the state; x = [x_z, x_r, x_h] is the step's
-    (m, 3 hidden) share of the pre-activations from the gates' other
-    weights: rows `rows` of `gates` (an index array with one distinct row
-    per state, or a slice), read without a gather node, or all of it, plus
-    `extra` when given, a share that the step forms itself.
-
-    A step makes two products, h W_zr' and (r h) W_cand', each issued as
-    `linear` issues its own, in the faster form at ROW_CUT rows or fewer
-    (`_times_t`).  The forward values are those of the graph of `add`,
-    `slice`, `linear`, `sigmoid`, `tanh`, `mul` and `sub` nodes over the two
-    weights, and backward adds gradients in that graph's reverse-walk
-    order, with each weight's (g, x) rows deferred to it as `linear` defers
-    them, so both are bit-identical to it (`tests/reference.py`).
+    x = [x_z, x_r, x_h] is a step's (m, 3 hidden) share of the
+    pre-activations from the gates' other weights: at step t of the
+    (steps, m) schedule `rows`, rows rows[t] of `gates`, distinct, read in
+    place, or all of `gates` in one step by default; plus `extra`, a share
+    that a one-step schedule forms itself.  Each product is issued as
+    `linear` issues its own (`_times_t`).  Forward and gradients are
+    bit-identical to a graph of small nodes per step and a `concat` of the
+    states (`tests/reference.py`): backward walks the steps in reverse, in
+    that graph's reverse-walk order, and defers each weight's (g, x) rows
+    to it as `linear` does.
     """
     parents = _operands((gates, w_zr, w_cand, h_prev) + (() if extra is None else (extra,)))
     gates, w_zr, w_cand, h_prev = parents[:4]
     extra = parents[4] if extra is not None else None
     if h_prev.ndim != 2 or gates.ndim != 2:
-        raise TensorError(f"gru_cell: state {h_prev.shape} and shares {gates.shape} "
-                          f"are not both 2-d")
+        raise TensorError(f"gru: state {h_prev.shape} and shares {gates.shape} are not both 2-d")
     m, hidden = h_prev.shape
     if w_zr.shape != (2 * hidden, hidden) or w_cand.shape != (hidden, hidden):
-        raise TensorError(f"gru_cell: weights {w_zr.shape} and {w_cand.shape} do not match "
+        raise TensorError(f"gru: weights {w_zr.shape} and {w_cand.shape} do not match "
                           f"state {h_prev.shape}: expected {(2 * hidden, hidden)} and "
                           f"{(hidden, hidden)}")
-    key = slice(None) if rows is None else rows
-    x = gates.data[key]
-    if x.shape != (m, 3 * hidden) or (extra is not None and extra.shape != x.shape):
-        raise TensorError(f"gru_cell: shares {x.shape} and {getattr(extra, 'shape', None)} "
-                          f"do not match state {h_prev.shape}: expected {(m, 3 * hidden)}")
-    if extra is not None:
-        x = x + extra.data
-    h = h_prev.data
-    zr = _sigmoid(x[:, :2 * hidden] + _times_t(h, w_zr.data))
-    z, r = zr[:, :hidden], zr[:, hidden:]
-    rh = r * h
-    h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(rh, w_cand.data))
-    omz = 1.0 - z
+    schedule = np.arange(len(gates.data))[None] if rows is None else np.asarray(rows)
+    if schedule.shape[1:] != (m,) or not schedule.size or gates.shape[1] != 3 * hidden:
+        raise TensorError(f"gru: shares {gates.shape} by schedule {schedule.shape} do not match "
+                          f"state {h_prev.shape}: expected (rows, {3 * hidden}) and (steps, {m})")
+    if extra is not None and (len(schedule) != 1 or extra.shape != (m, 3 * hidden)):
+        raise TensorError(f"gru: extra share {extra.shape} is not one step's {(m, 3 * hidden)}")
+    states, saved = [h_prev.data], []
+    for key in schedule:
+        x, h = gates.data[key], states[-1]
+        if extra is not None:
+            x = x + extra.data
+        zr = _sigmoid(x[:, :2 * hidden] + _times_t(h, w_zr.data))
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        rh = r * h
+        h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(rh, w_cand.data))
+        omz = 1.0 - z
+        saved.append((key, h, z, r, zr, rh, h_cand, omz))
+        states.append(omz * h + z * h_cand)
 
     def bw(g):
-        # the nodes of the unfused graph, last created first
-        dz = g * h_cand                        # z h~
-        d_cand = g * z
-        if h_prev.requires_grad:               # (1 - z) h
-            h_prev._accumulate(g * omz)
-        dz -= g * h                            # 1 - z
-        d_cand *= 1.0 - h_cand * h_cand        # tanh
-        if w_cand.requires_grad:
-            w_cand._defer_outer(d_cand, rh)
-        d_rh = d_cand @ w_cand.data            # (r h) W_cand'
-        if h_prev.requires_grad:               # r h
-            h_prev._accumulate(d_rh * r)
-        d_zr = np.concatenate([dz, d_rh * h], axis=1)
-        d_zr *= zr                             # sigmoid
-        d_zr *= 1.0 - zr
-        d_x = np.concatenate([d_zr, d_cand], axis=1)
-        if gates.requires_grad:
-            gates._grad_buffer()[key] += d_x
-        if extra is not None and extra.requires_grad:
-            extra._accumulate(d_x)
-        if w_zr.requires_grad:
-            w_zr._defer_outer(d_zr, h)
-        if h_prev.requires_grad:               # h W_zr'
-            h_prev._accumulate(d_zr @ w_zr.data)
+        d_h = g[-m:]
+        for t in reversed(range(len(saved))):
+            key, h, z, r, zr, rh, h_cand, omz = saved[t]
+            prev = h_prev
+            if t:   # the last step's output: its rows of g, then this step's terms
+                prev = Tensor(h, requires_grad=True)
+                prev.grad = g[(t - 1) * m:t * m].copy()
+            # the nodes of the unfused step, last created first
+            dz = d_h * h_cand                      # z h~
+            d_cand = d_h * z
+            if prev.requires_grad:                 # (1 - z) h
+                prev._accumulate(d_h * omz)
+            dz -= d_h * h                          # 1 - z
+            d_cand *= 1.0 - h_cand * h_cand        # tanh
+            if w_cand.requires_grad:
+                w_cand._defer_outer(d_cand, rh)
+            d_rh = d_cand @ w_cand.data            # (r h) W_cand'
+            if prev.requires_grad:                 # r h
+                prev._accumulate(d_rh * r)
+            d_zr = np.concatenate([dz, d_rh * h], axis=1)
+            d_zr *= zr                             # sigmoid
+            d_zr *= 1.0 - zr
+            d_x = np.concatenate([d_zr, d_cand], axis=1)
+            if gates.requires_grad:
+                gates._grad_buffer()[key] += d_x
+            if extra is not None and extra.requires_grad:
+                extra._accumulate(d_x)
+            if w_zr.requires_grad:
+                w_zr._defer_outer(d_zr, h)
+            if prev.requires_grad:                 # h W_zr'
+                prev._accumulate(d_zr @ w_zr.data)
+            d_h = prev.grad
 
-    return _node(omz * h + z * h_cand, parents, "gru_cell", bw)
+    return _node(np.concatenate(states[1:]), parents, "gru", bw)
 
 
 def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) -> Tensor:

@@ -235,21 +235,11 @@ def build_vocabulary(corpus: list[AnnotatedExample], max_size: int = 20000) -> V
     if not corpus:
         raise IngestError("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    idx = 0
     for ex in corpus:
-        for tok in ex.passage:
-            w = normalize(tok.text)
-            counts[w] += 1
-            first_seen.setdefault(w, idx)
-            idx += 1
-        for q in ex.question:
-            w = normalize(q)
-            counts[w] += 1
-            first_seen.setdefault(w, idx)
-            idx += 1
-    ordered = sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
-    return Vocabulary(words=ordered[:max_size])
+        counts.update(normalize(tok.text) for tok in ex.passage)
+        counts.update(normalize(q) for q in ex.question)
+    # most_common breaks count ties by first insertion: the word seen first
+    return Vocabulary(words=[w for w, _ in counts.most_common(max_size)])
 
 
 TIER_HIGH, TIER_MEDIUM, TIER_LOW = "H", "M", "L"
@@ -309,17 +299,11 @@ def build_reduced_target_vocab(questions, n: int = 2000) -> ReducedTargetVocab:
     `questions` yields (question tokens, copy labels) pairs.
     """
     counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    idx = 0
     for question, copy_labels in questions:
-        for token, copied in zip(question, copy_labels):
-            w = normalize(token)
-            if not copied:
-                counts[w] += 1
-                first_seen.setdefault(w, idx)
-            idx += 1
-    ordered = sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
-    return ReducedTargetVocab(words=ordered[:n])
+        counts.update(normalize(token) for token, copied in zip(question, copy_labels)
+                      if not copied)
+    # ties: the word counted first
+    return ReducedTargetVocab(words=[w for w, _ in counts.most_common(n)])
 
 
 STOPWORDS_VERSION = "v1"

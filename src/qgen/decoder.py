@@ -141,11 +141,12 @@ def recur(word_gates: Tensor, alpha_prev: Tensor, s_prev: Tensor, memory: Passag
           mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """The recurrent part of a decoder step, (s_t, alpha): a GRU over
     [w_prev; c_prev], then `attention` under `mask`.  The word enters as
-    rows `rows` of its GRU share `word_gates`, all of them by default, and
-    the context as the previous attention rows `alpha_prev` (all zeros at
-    the first step) times `memory.gates`."""
-    s_t = ad.gru_cell(word_gates, p.gru.w_zr, p.gru.w_cand, s_prev, rows=rows,
-                      extra=ad.attention_context(alpha_prev, memory.gates))
+    its GRU share `word_gates`, rows `rows[0]` of it for a (1, m) schedule
+    `rows` or all of it by default, and the context as the previous
+    attention rows `alpha_prev` (all zeros at the first step) times
+    `memory.gates`."""
+    s_t = ad.gru(word_gates, p.gru.w_zr, p.gru.w_cand, s_prev, rows=rows,
+                 extra=ad.attention_context(alpha_prev, memory.gates))
     return s_t, attention(s_t, memory.keys, p, mask)
 
 
@@ -195,7 +196,7 @@ def teacher_forced_unroll(
     s = init_decoder(enc.last_backward, p.w_init, p.b_init)
     alpha = Tensor(np.zeros(mask.shape, enc.states.data.dtype))
     states, alphas = [], []
-    for step_rows in positions:
+    for step_rows in positions[:, None]:
         s, alpha = recur(inputs, alpha, s, memory, p, step_rows, mask)
         states.append(s)
         alphas.append(alpha)

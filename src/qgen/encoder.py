@@ -39,8 +39,7 @@ class GruCellParams:
 def gru_inputs(x: Tensor, p: GruCellParams) -> Tensor:
     """The input's share of the z, r and candidate pre-activations, bias
     included, (rows, 3 * hidden).  A recurrence takes it for all its inputs
-    at once, before the time loop, and `ad.gru_cell` reads each step's rows
-    of it."""
+    at once, and `ad.gru` reads each step's rows of it."""
     return ad.add(ad.linear(x, p.w_x), p.b)
 
 
@@ -55,18 +54,6 @@ class EncoderOutput:
     def mask(self) -> np.ndarray:
         """(B, n), True at each passage's real positions."""
         return np.arange(self.lengths.max()) < self.lengths[:, None]
-
-
-def _direction(gates: Tensor, positions: np.ndarray, p: GruCellParams) -> Tensor:
-    """One direction over B sequences in lockstep: step i reads row
-    positions[i, b] of the input shares for sequence b, in place.  Returns
-    the states, step-major (n * B, hidden)."""
-    h = Tensor(np.zeros((positions.shape[1], p.w_cand.shape[0]), gates.data.dtype))
-    states = []
-    for rows in positions:
-        h = ad.gru_cell(gates, p.w_zr, p.w_cand, h, rows=rows)
-        states.append(h)
-    return ad.concat(states)
 
 
 def encode(
@@ -96,11 +83,13 @@ def encode(
     starts = np.cumsum(lengths) - lengths
     x = ad.dropout(x, input_keep)
 
+    # each direction's states, step-major (n * B, hidden): at step i passage b
+    # reads its token min(i, length - 1) forward, max(length - 1 - i, 0) backward
     step = np.arange(n)[:, None]
-    fwd = _direction(gru_inputs(x, forward_params), starts + np.minimum(step, lengths - 1),
-                     forward_params)
-    bwd = _direction(gru_inputs(x, backward_params), starts + np.maximum(lengths - 1 - step, 0),
-                     backward_params)
+    h0 = Tensor(np.zeros((batch, forward_params.w_cand.shape[0]), x.data.dtype))
+    fwd, bwd = (ad.gru(gru_inputs(x, p), p.w_zr, p.w_cand, h0, rows=starts + token)
+                for p, token in ((forward_params, np.minimum(step, lengths - 1)),
+                                 (backward_params, np.maximum(lengths - 1 - step, 0))))
 
     # passage-major rows b * n + i, from step-major rows i * B + b; the
     # backward direction reached position i at step length - 1 - i

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import CheckpointError, ParamStore, Tensor
 from .clue_predictor import ClueForward, build_adjacency, run_clue_predictor
-from .config import ModelConfig
+from .config import ConfigError, ModelConfig
 from .corpus import SOS, SPECIAL_TOKENS, AnnotatedExample, ReducedTargetVocab, Vocabulary
 from .decoder import DecoderParams, ExtendedDistribution, teacher_forced_unroll
 from .encoder import GruCellParams, encode
@@ -138,22 +138,28 @@ class QgModel:
         self,
         batch: list[LabeledExample],
         mode: str = "eval",
-        clue_mode: str | None = None,
         gumbel_rng: np.random.Generator | None = None,
         dropout_rng: np.random.Generator | None = None,
         gumbel_noise: np.ndarray | None = None,
     ) -> ModelForward:
         """Clue prediction, the encoder and the teacher-forced decoder unroll,
-        each once over the whole batch.  `gumbel_noise`, (N, 2) over the
-        batch's N passage tokens, replaces the Gumbel draw (test hook).  The
-        Gumbel and dropout streams are read as a one-example-at-a-time pass
-        reads them."""
-        clue_mode = clue_mode or ("train" if mode == "train" else "eval")
-        clue = self.predict_clues([ex.base for ex in batch], gumbel_rng, mode=clue_mode,
+        each once over the whole batch.  Mode 'train' samples the clues and
+        applies dropout, 'soft' does so with the relaxed clue sample, and
+        'eval' neither (`run_clue_predictor`).  `gumbel_noise`, (N, 2) over
+        the batch's N passage tokens, replaces the Gumbel draw (test hook).
+        The Gumbel and dropout streams are read as a one-example-at-a-time
+        pass reads them."""
+        stochastic = mode in ("train", "soft")
+        if stochastic and gumbel_rng is None and gumbel_noise is None:
+            raise ConfigError(f"a forward in mode {mode!r} draws Gumbel noise: pass gumbel_rng")
+        if stochastic and dropout_rng is None and self.config.dropout > 0:
+            raise ConfigError(f"a forward in mode {mode!r} with dropout draws multipliers: "
+                              f"pass dropout_rng")
+        clue = self.predict_clues([ex.base for ex in batch], gumbel_rng, mode=mode,
                                   noise=gumbel_noise)
         enc_input = self.embedder.append_clue_slot(clue.features, clue.weights)
         keep = [None] * 3
-        if mode == "train" and self.config.dropout > 0:
+        if stochastic and self.config.dropout > 0:
             keep = self.dropout_keeps(batch, enc_input.shape[1], dropout_rng)
         enc_out = encode(enc_input, [len(ex.base.passage) for ex in batch], self.enc_fwd,
                          self.enc_bwd, keep[0], keep[1])

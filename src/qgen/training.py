@@ -102,15 +102,11 @@ def batch_losses(
     gumbel_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
     mode: str = "train",
-    clue_mode: str | None = None,
     gumbel_noise: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Each example's average cross-entropies (over tokens / decode steps),
-    from one forward pass over the batch."""
-    fwd = model.forward(
-        batch, mode=mode, clue_mode=clue_mode,
-        gumbel_rng=gumbel_rng, dropout_rng=dropout_rng, gumbel_noise=gumbel_noise,
-    )
+    from one forward pass over the batch in `mode` (`QgModel.forward`)."""
+    fwd = model.forward(batch, mode, gumbel_rng, dropout_rng, gumbel_noise)
     return losses_from_forward(model.config, fwd, batch)
 
 
@@ -120,11 +116,10 @@ def compute_losses(
     gumbel_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
     mode: str = "train",
-    clue_mode: str | None = None,
     gumbel_noise: np.ndarray | None = None,
 ) -> LossBreakdown:
     """`batch_losses` of one example: every field has one entry."""
-    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode, clue_mode, gumbel_noise)
+    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode, gumbel_noise)
 
 
 @dataclass

@@ -11,9 +11,10 @@ reaches them.
 `sub`, `slice_` and `maximum` are graph nodes, built on `ad._node`, that
 only these oracles use, so the core does not keep them; tensor indexing
 is an explicit `slice_` call.  `gru_step_unfused` is the GRU step as the
-graph of small nodes that the one-node `ad.gru_cell` must reproduce byte
-for byte, and `pairwise_max` (two `slice_` nodes and a `maximum`) is the
-graph whose bytes the one-node `ad.maxout` must reproduce, NaN aside.
+graph of small nodes that the one-node `ad.gru` must reproduce byte for
+byte, step after step, and `pairwise_max` (two `slice_` nodes and a
+`maximum`) is the graph whose bytes the one-node `ad.maxout` must
+reproduce, NaN aside.
 `beam_select` is a beam step's choice of survivors in its first, plainer
 form: the whole (K, surfaces) table from `surface_merge`, each row's
 proposals from `top_k` and a stable sort of their scores, which
@@ -35,7 +36,7 @@ from qgen.training import PROB_FLOOR
 
 
 def _dropout(x, p, mode, rng):
-    if mode != "train" or p == 0:
+    if mode == "eval" or p == 0:
         return x
     return ad.dropout(x, ad.dropout_keep(rng, x.shape, p, x.data.dtype))
 
@@ -108,7 +109,7 @@ def gru_cell(x, h_prev, p):
 
 
 def gru_step_unfused(gates, h_prev, w_zr, w_cand, extra=None):
-    """`ad.gru_cell` node by node: `extra` added to the step's shares, the
+    """A step of `ad.gru` node by node: `extra` added to the step's shares, the
     two products, [z; r] over h by `w_zr` and the candidate over r h by
     `w_cand`, and the gate arithmetic are each their own `add`, `slice`,
     `linear`, `sigmoid`, `tanh`, `mul` or `sub` node; `gates` are this
@@ -198,11 +199,11 @@ def sequence_losses(steps, example):
 
 
 def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="train",
-                   clue_mode=None, gumbel_noise=None):
-    """One example's scalar losses, its steps and its clue pass."""
+                   gumbel_noise=None):
+    """One example's scalar losses, its steps and its clue pass; `mode` as
+    in `QgModel.forward`."""
     cfg = model.config
-    clue_mode = clue_mode or ("train" if mode == "train" else "eval")
-    clue = model.predict_clues([example.base], gumbel_rng, mode=clue_mode, noise=gumbel_noise)
+    clue = model.predict_clues([example.base], gumbel_rng, mode=mode, noise=gumbel_noise)
     features = model.embedder.append_clue_slot(clue.features, clue.weights)
     states, last_backward = encode(features, model.enc_fwd, model.enc_bwd, cfg.dropout, mode,
                                    dropout_rng)

@@ -79,11 +79,11 @@ class TestCriterion1Gradients:
         noise = gumbel_noise(rng_stream(11, "gumbel"), (5, 2))
 
         def loss_value():
-            return compute_losses(model, ex, mode="train", clue_mode="soft",
+            return compute_losses(model, ex, mode="soft",
                                   gumbel_noise=noise).total.item()
 
         model.params.zero_grad()
-        compute_losses(model, ex, mode="train", clue_mode="soft",
+        compute_losses(model, ex, mode="soft",
                        gumbel_noise=noise).total.backward()
         eps = 1e-5
         for name, t in model.params.items():

@@ -479,7 +479,7 @@ def test_take_along_values_and_gradients():
 
 
 class TestDeferredWeightGradients:
-    """`linear` and `gru_cell` defer w's g.T @ x to one GEMM when `backward`
+    """`linear` and `gru` defer w's g.T @ x to one GEMM when `backward`
     reaches w; the result must equal the explicit sum of one outer product
     per row."""
 
@@ -560,25 +560,26 @@ class TestDeferredWeightGradients:
         assert wt._outer is None
 
     def test_gru_state_weights_sum_every_step(self):
-        """Over a 3-step recurrence, `w_zr` and `w_cand` get the sum of the
-        gradients that a fresh copy of them at each step gets."""
+        """Over a 3-step recurrence in one node, `w_zr` and `w_cand` get the
+        sum of the gradients that a fresh copy of them at each one-step
+        node gets."""
         rng = np.random.default_rng(23)
         hidden, m, steps = 3, 2, 3
         w_zr, w_cand = rng.normal(size=(2 * hidden, hidden)), rng.normal(size=(hidden, hidden))
         gates, h0 = rng.normal(size=(steps * m, 3 * hidden)), rng.normal(size=(m, hidden))
-        head = rng.normal(size=(m, hidden))
-
-        def run(weights):
-            h = Tensor(h0)
-            for i, (zr, cand) in enumerate(weights):
-                h = ad.gru_cell(Tensor(gates), zr, cand, h, rows=slice(i * m, (i + 1) * m))
-            ad.sum_(ad.mul(h, head)).backward()
+        head = rng.normal(size=(steps * m, hidden))
+        schedule = np.arange(steps * m).reshape(steps, m)
 
         shared = (Tensor(w_zr, requires_grad=True), Tensor(w_cand, requires_grad=True))
-        run([shared] * steps)
+        out = ad.gru(Tensor(gates), *shared, Tensor(h0), rows=schedule)
+        ad.sum_(ad.mul(out, head)).backward()
         copies = [(Tensor(w_zr, requires_grad=True), Tensor(w_cand, requires_grad=True))
                   for _ in range(steps)]
-        run(copies)
+        h, states = Tensor(h0), []
+        for rows, (zr, cand) in zip(schedule, copies):
+            h = ad.gru(Tensor(gates), zr, cand, h, rows=rows[None])
+            states.append(h)
+        ad.sum_(ad.mul(ad.concat(states), head)).backward()
         for k, t in enumerate(shared):
             np.testing.assert_allclose(t.grad, sum(c[k].grad for c in copies), rtol=0, atol=1e-12)
             assert t._outer is None
@@ -587,8 +588,8 @@ class TestDeferredWeightGradients:
         ((6, 2), (3, 3)), ((9, 3), (3, 3)), ((6, 3), (3, 4)), ((3, 3), (6, 3)), ((18,), (3, 3))])
     def test_mismatched_state_weights_rejected(self, zr_shape, cand_shape):
         with pytest.raises(TensorError, match=re.escape(f"{zr_shape} and {cand_shape}")):
-            ad.gru_cell(Tensor(np.zeros((2, 9))), Tensor(np.zeros(zr_shape)),
-                        Tensor(np.zeros(cand_shape)), Tensor(np.zeros((2, 3))))
+            ad.gru(Tensor(np.zeros((2, 9))), Tensor(np.zeros(zr_shape)),
+                   Tensor(np.zeros(cand_shape)), Tensor(np.zeros((2, 3))))
 
 
 class TestAttentionScores:
@@ -676,7 +677,7 @@ class TestNoGrad:
                                         Tensor(np.zeros((2, 5))),
                                         Tensor(rng.normal(size=(2, 4))), memory, p)
             # the step ran: GRU, attention, readout and copy gate
-            assert {"gru_cell", "attention_scores", "softmax", "linear", "sigmoid"} <= set(ops)
+            assert {"gru", "attention_scores", "softmax", "linear", "sigmoid"} <= set(ops)
             returned = {id(t) for t in (s_t, *vars(dist).values())}
             assert {id(ref()) for ref in created if ref() is not None} <= returned
             del s_t, dist

@@ -158,8 +158,7 @@ def test_relaxed_clue_sample_with_given_noise(tiny):
     batch = [labeled[8], labeled[2]]
     noise = np.concatenate([np.random.default_rng(i).gumbel(size=(len(ex.base.passage), 2))
                             for i, ex in enumerate(batch)])
-    assert_batch_matches_reference(model, batch, mode="train", clue_mode="soft",
-                                   gumbel_noise=noise)
+    assert_batch_matches_reference(model, batch, mode="soft", gumbel_noise=noise)
 
 
 def test_dropout_stream_is_read_as_one_example_at_a_time_reads_it(tiny):
@@ -201,9 +200,10 @@ def test_batched_loss_equals_reference_on_random_batches(tiny, data):
 
 
 def test_gru_cells_read_the_input_shares_in_place(tiny, monkeypatch):
-    """No gather sits between `gru_inputs` and `gru_cell`: on a ragged batch
-    the first parent of every GRU step, encoder and decoder, is a tensor
-    `gru_inputs` returned."""
+    """No gather sits between `gru_inputs` and `ad.gru`: on a ragged batch
+    the first parent of every GRU node, encoder and decoder, is a tensor
+    `gru_inputs` returned.  Each encoder direction is one node over every
+    step of the longest passage, and each decoder step one node."""
     model, labeled = tiny
     batch = labeled[4:]
     shares, gru_inputs = set(), qgen.encoder.gru_inputs
@@ -222,13 +222,14 @@ def test_gru_cells_read_the_input_shares_in_place(tiny, monkeypatch):
         t = stack.pop()
         if id(t) not in seen:
             seen.add(id(t))
-            if t._op == "gru_cell":
+            if t._op == "gru":
                 cells.append(t)
             stack.extend(t._parents)
     assert len(shares) == 3   # both encoder directions and the decoder
-    steps = 2 * max(len(ex.base.passage) for ex in batch) + max(len(ex.base.question)
-                                                                for ex in batch) + 1
-    assert len(cells) == steps
+    longest = max(len(ex.base.passage) for ex in batch)
+    steps = max(len(ex.base.question) for ex in batch) + 1
+    rows = sorted(cell.shape[0] for cell in cells)
+    assert rows == [len(batch)] * steps + [longest * len(batch)] * 2
     for cell in cells:
         assert id(cell._parents[0]) in shares
 

@@ -136,6 +136,14 @@ class TestVocabulary:
         vocab = build_vocabulary(corpus)
         assert vocab.rank_of("a") < vocab.rank_of("b")
 
+    def test_tie_order_is_first_occurrence_not_string_order(self):
+        # the passage before its question, and a cut inside a tie
+        corpus = [chain_example(["zeta", "mu", "alpha", "zeta", "alpha", "mu"],
+                                question=("beta", "?")),
+                  chain_example(["beta", "omega"], question=("omega", "?"))]
+        assert build_vocabulary(corpus).words[:3] == ["zeta", "mu", "alpha"]
+        assert build_vocabulary(corpus, max_size=5).words == ["zeta", "mu", "alpha", "beta", "?"]
+
     def test_truncation_to_max_size(self):
         corpus = [chain_example(["the", "the", "cat"], question=("dog", "?"))]
         vocab = build_vocabulary(corpus, max_size=1)
@@ -206,6 +214,12 @@ class TestReducedTargetVocab:
         reduced = build_reduced_target_vocab(questions, n=2)
         assert reduced.words == ["what", "is"]
         assert reduced.id_of("rare") == ReducedTargetVocab.UNK_ID
+
+    def test_tie_order_is_first_generated_occurrence(self):
+        # "a" occurs first but copied, so "b" is counted first
+        questions = [(["zz", "a", "b"], [False, True, False]), (["a", "yy"], [False, False])]
+        reduced = build_reduced_target_vocab(questions, n=3)
+        assert reduced.words == ["zz", "b", "a"]
 
     def test_copied_tokens_not_counted(self):
         questions = [(["bridge"] * 9 + ["who"], [True] * 9 + [False])]

@@ -17,8 +17,8 @@ def _zero_params(input_dim, hidden):
                          b=Tensor(np.zeros(3 * hidden)))
 
 
-def gru_cell(x, h_prev, p):
-    return ad.gru_cell(gru_inputs(x, p), p.w_zr, p.w_cand, h_prev)
+def gru_step(x, h_prev, p):
+    return ad.gru(gru_inputs(x, p), p.w_zr, p.w_cand, h_prev)
 
 
 def _random_params(input_dim, hidden, rng):
@@ -30,7 +30,7 @@ class TestGruCell:
     def test_all_zero_weights_halve_state(self):
         p = _zero_params(3, 4)
         h_prev = Tensor(np.array([[1.0, -2.0, 0.5, 4.0]]))
-        h = gru_cell(Tensor(np.ones((1, 3))), h_prev, p)
+        h = gru_step(Tensor(np.ones((1, 3))), h_prev, p)
         np.testing.assert_allclose(h.data, 0.5 * h_prev.data)
 
     def test_candidate_path_from_zero_state(self):
@@ -40,7 +40,7 @@ class TestGruCell:
         # the candidate's rows: on x, and on the reset state
         p.w_x.data[8:], p.w_cand.data[:], p.b.data[8:] = w_h[:, :3], w_h[:, 3:], b_h
         x = np.array([0.3, -1.0, 2.0])
-        h = gru_cell(Tensor(x[None]), Tensor(np.zeros((1, 4))), p)
+        h = gru_step(Tensor(x[None]), Tensor(np.zeros((1, 4))), p)
         expected = 0.5 * np.tanh(w_h @ np.concatenate([x, np.zeros(4)]) + b_h)[None]
         np.testing.assert_allclose(h.data, expected, atol=1e-12)
 
@@ -51,7 +51,7 @@ class TestGruCell:
         b = rng.normal(size=12) * 0.5
 
         def loss(xv, hv, w_xv, w_zrv, w_candv, bv):
-            return ad.sum_(gru_cell(xv, hv, GruCellParams(w_x=w_xv, w_zr=w_zrv, w_cand=w_candv,
+            return ad.sum_(gru_step(xv, hv, GruCellParams(w_x=w_xv, w_zr=w_zrv, w_cand=w_candv,
                                                           b=bv)))
 
         assert_grads_match(loss, [x, h0, w_x, w_zr, w_cand, b], tol=1e-4)
@@ -107,8 +107,8 @@ class TestEncode:
         features = Tensor(rng.normal(size=(1, 3)))
         out = encode(features, [1], fwd, bwd)
         assert out.states.shape == (1, 8)
-        expected_f = gru_cell(features, Tensor(np.zeros((1, 4))), fwd).data
-        expected_b = gru_cell(features, Tensor(np.zeros((1, 4))), bwd).data
+        expected_f = gru_step(features, Tensor(np.zeros((1, 4))), fwd).data
+        expected_b = gru_step(features, Tensor(np.zeros((1, 4))), bwd).data
         np.testing.assert_allclose(out.states.data[:, :4], expected_f)
         np.testing.assert_allclose(out.states.data[:, 4:], expected_b)
         np.testing.assert_allclose(out.last_backward.data, expected_b)

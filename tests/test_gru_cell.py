@@ -1,7 +1,9 @@
-"""`ad.gru_cell` against the node-by-node GRU step it replaces: the same
-bytes in the forward output and in every gradient, for the encoder's use
-of it and the decoder's, which adds an extra share to the step's input
-shares, in a teacher-forced unroll and in a beam step."""
+"""`ad.gru` against the node-by-node GRU steps it replaces: the same bytes
+in the forward output and in every gradient.  The encoder's use of it runs
+a whole schedule of steps as one node, against a graph per step and a
+`concat` of the states; the decoder's adds an extra share to the input
+shares of one-step schedules, in a teacher-forced unroll and in a beam
+step."""
 
 import numpy as np
 import pytest
@@ -13,27 +15,38 @@ from qgen.encoder import GruCellParams, gru_inputs
 from conftest import assert_grads_match
 from reference import gru_step_unfused, slice_
 
-# C_DIM: the width of the decoder GRU's context weight, which the cell does not read
+# C_DIM: the width of the decoder GRU's context weight, which the op does not read
 HIDDEN, X_DIM, C_DIM, BATCH, STEPS = 5, 3, 4, 2, 3
 # each step's rows of the input shares, read in place: out of order, distinct
 # within a step, row 3 read at two steps and row 2 never
 INDEX_ROWS = np.array([[3, 0], [5, 3], [1, 4]])
+# each step's rows of a step-major copy of the shares
+STEP_ROWS = np.arange(STEPS * BATCH).reshape(STEPS, BATCH)
 
 
 def fused(p):
-    """A step of the one-node cell over the GRU `p`'s state weights."""
-    return lambda gates, h, extra, rows: ad.gru_cell(gates, p.w_zr, p.w_cand, h, rows, extra)
+    """The steps of schedule `rows` as one node over the GRU `p`'s state
+    weights: every step's states, stacked."""
+    return lambda gates, h, extra, rows: ad.gru(gates, p.w_zr, p.w_cand, h, rows, extra)
 
 
 def unfused(p):
-    """The same step as a graph of small nodes over the same weights."""
-    return lambda gates, h, extra, rows: gru_step_unfused(
-        gates if rows is None else slice_(gates, rows), h, p.w_zr, p.w_cand, extra)
+    """The same steps as a graph of small nodes per step over the same
+    weights, and a `concat` of the states after the last step."""
+    def run(gates, h, extra, rows):
+        states = []
+        for step in [None] if rows is None else rows:
+            h = gru_step_unfused(gates if step is None else slice_(gates, step), h, p.w_zr,
+                                 p.w_cand, extra)
+            states.append(h)
+        return ad.concat(states)
+
+    return run
 
 
 class _Case:
     """Fresh leaves of one dtype from fixed arrays, so the fused and the
-    unfused step build their graphs over equal, separate tensors."""
+    unfused steps build their graphs over equal, separate tensors."""
 
     def __init__(self, dtype, decoder, seed=0):
         rng = np.random.default_rng(seed)
@@ -56,26 +69,28 @@ class _Case:
 
 
 def _recurrence(make_step, case, with_extra, index_rows):
-    """STEPS steps over the rows of every step's input shares, as
-    `encoder._direction` (no extra share) and `decoder.teacher_forced_unroll`
-    (an extra share that each state feeds into the next step, as its
-    attention rows do) run them: the rows
-    `INDEX_ROWS[i]` of the shares themselves, or a slice of their step-major
-    copy.  Each state also feeds the stacked states made after the loop, so
-    a state's gradient has a part before its step runs and parts after."""
+    """STEPS steps over the rows of every step's input shares: the rows
+    `INDEX_ROWS[i]` of the shares themselves, or `STEP_ROWS[i]` of their
+    step-major copy.  Without an extra share, as `encoder.encode` runs
+    them: the whole schedule at once.  With one, as
+    `decoder.teacher_forced_unroll` runs them: one step at a time, each
+    state feeding the next step's extra share, as its attention rows do.
+    The states also feed a loss, and h0 a term of its own, so a state's
+    gradient has a part before its step runs and parts after."""
     gates = gru_inputs(case.x, case.p)
     if not index_rows:
         gates = ad.gather_rows(gates, np.arange(STEPS * BATCH))
+    schedule = INDEX_ROWS if index_rows else STEP_ROWS
     step = make_step(case.p)
-    h, e = case.h0, case.e0 if with_extra else None
-    states = []
-    for i in range(STEPS):
-        rows = INDEX_ROWS[i] if index_rows else slice(i * BATCH, (i + 1) * BATCH)
-        h = step(gates, h, e, rows)
-        states.append(h)
-        if with_extra:
+    if with_extra:
+        h, e, states = case.h0, case.e0, []
+        for rows in schedule:
+            h = step(gates, h, e, rows[None])
+            states.append(h)
             e = ad.tanh(ad.linear(h, case.w_e))
-    out = ad.concat(states)
+        out = ad.concat(states)
+    else:
+        out = step(gates, case.h0, None, schedule)
     loss = ad.add(ad.sum_(ad.mul(ad.tanh(out), case.head)), ad.sum_(ad.mul(case.h0, case.h0)))
     if with_extra:
         loss = ad.add(loss, ad.sum_(ad.mul(e, e)))
@@ -115,6 +130,7 @@ def _assert_fused_matches_unfused(dtype, shape, passes, index_rows):
         assert (got is None) == (want is None), k
         if got is not None:
             _assert_same_bytes(got, want)
+    assert grads[1] is not None   # h0's, through the steps after the first in a recurrence
     if shape != "encoder":   # the extra share's leaf is reached
         assert grads[2] is not None
 
@@ -134,6 +150,29 @@ def test_fused_step_reading_index_rows_is_byte_identical(dtype, shape, passes):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("steps", [1, 2, STEPS])
+def test_k_steps_are_byte_identical_to_k_step_graphs(dtype, steps):
+    """The first k steps of the schedule as one node, against k per-step
+    graphs and a `concat`: the states and the gradient of every leaf, h0's
+    included, with h0 read by nothing but the first step."""
+
+    def run(make_step):
+        case = _Case(dtype, False, seed=steps)
+        gates = gru_inputs(case.x, case.p)
+        out = make_step(case.p)(gates, case.h0, None, INDEX_ROWS[:steps])
+        ad.sum_(ad.mul(ad.tanh(out), case.head[:steps * BATCH])).backward()
+        return [out.data] + [t.grad for t in case.leaves() + [gates]]
+
+    got, want = run(fused), run(unfused)
+    assert got[0].shape == (steps * BATCH, HIDDEN)
+    for k, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert (a is None) == (b is None), k
+        if a is not None:
+            _assert_same_bytes(a, b)
+    assert got[2] is not None   # h0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_beam_step_under_no_grad(dtype):
     case = _Case(dtype, True)
     with ad.no_grad():
@@ -147,7 +186,7 @@ def test_beam_step_under_no_grad(dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("rows", [ad.ROW_CUT, ad.ROW_CUT + 1])
 def test_step_either_side_of_the_row_cut(dtype, rows):
-    """A float32 cell's two products are issued in another form up to
+    """A float32 step's two products are issued in another form up to
     ROW_CUT state rows, as `linear`'s are: forward and gradients stay the
     node graph's bytes on both sides of the cut."""
 
@@ -166,56 +205,66 @@ def test_step_either_side_of_the_row_cut(dtype, rows):
         _assert_same_bytes(got, want)
 
 
-def test_one_node_per_step():
+def test_one_node_per_recurrence():
     case = _Case(np.float64, True)
     gates = gru_inputs(case.x, case.p)
-    for extra in (None, case.e0):
-        out = fused(case.p)(gates, case.h0, extra, slice(0, BATCH))
-        assert out._op == "gru_cell"
+    for extra, rows in ((None, INDEX_ROWS), (case.e0, INDEX_ROWS[:1])):
+        out = fused(case.p)(gates, case.h0, extra, rows)
+        assert out._op == "gru" and out.shape == (len(rows) * BATCH, HIDDEN)
         assert [id(t) for t in out._parents] == [
             id(gates), id(case.p.w_zr), id(case.p.w_cand), id(case.h0)
         ] + ([] if extra is None else [id(extra)])
 
 
-def _assert_grads_match_finite_differences(rows):
-    """With an extra share, and rows `rows` of input shares twice as tall as
-    the state."""
+def _assert_grads_match_finite_differences(rows, with_extra=True):
+    """Over input shares three times as tall as the state."""
     rng = np.random.default_rng(3)
-    arrays = [rng.normal(size=(2 * BATCH, 3 * HIDDEN)), rng.normal(size=(2 * HIDDEN, HIDDEN)) * 0.5,
-              rng.normal(size=(HIDDEN, HIDDEN)) * 0.5, rng.normal(size=(BATCH, HIDDEN)),
-              rng.normal(size=(BATCH, 3 * HIDDEN))]
-    head = rng.normal(size=(BATCH, HIDDEN))
+    arrays = [rng.normal(size=(3 * BATCH, 3 * HIDDEN)), rng.normal(size=(2 * HIDDEN, HIDDEN)) * 0.5,
+              rng.normal(size=(HIDDEN, HIDDEN)) * 0.5, rng.normal(size=(BATCH, HIDDEN))]
+    arrays += [rng.normal(size=(BATCH, 3 * HIDDEN))] if with_extra else []
+    head = rng.normal(size=(len(rows) * BATCH, HIDDEN))
 
-    def loss(x, w_zr, w_cand, h, e):
-        out = ad.gru_cell(x, w_zr, w_cand, h, rows=rows, extra=e)
+    def loss(x, w_zr, w_cand, h, e=None):
+        out = ad.gru(x, w_zr, w_cand, h, rows=rows, extra=e)
         return ad.sum_(ad.mul(out, head))
 
     assert_grads_match(loss, arrays)
 
 
 def test_gradients_match_finite_differences():
-    _assert_grads_match_finite_differences(slice(BATCH, 2 * BATCH))
+    _assert_grads_match_finite_differences(np.arange(BATCH, 2 * BATCH)[None])
 
 
 def test_index_row_gradients_match_finite_differences():
-    _assert_grads_match_finite_differences(np.array([3, 0]))
+    _assert_grads_match_finite_differences(np.array([[3, 0]]))
+
+
+def test_schedule_gradients_match_finite_differences():
+    _assert_grads_match_finite_differences(np.array([[3, 0], [5, 3], [1, 4]]), with_extra=False)
 
 
 def test_mismatched_shapes_rejected():
-    """Shares that do not fit the state; mismatched weights are in
-    `test_autodiff.py::TestDeferredWeightGradients`."""
+    """Shares and schedules that do not fit the state; mismatched weights
+    are in `test_autodiff.py::TestDeferredWeightGradients`."""
     w_zr, w_cand = Tensor(np.zeros((2 * HIDDEN, HIDDEN))), Tensor(np.zeros((HIDDEN, HIDDEN)))
     gates = Tensor(np.zeros((2, 3 * HIDDEN)))
     state = Tensor(np.zeros((2, HIDDEN)))
-    with pytest.raises(TensorError, match="gru_cell"):   # an extra share of two gates
-        ad.gru_cell(gates, w_zr, w_cand, state, extra=Tensor(np.zeros((2, 2 * HIDDEN))))
-    with pytest.raises(TensorError, match="gru_cell"):   # an extra share for one state
-        ad.gru_cell(gates, w_zr, w_cand, state, extra=Tensor(np.zeros((1, 3 * HIDDEN))))
-    with pytest.raises(TensorError, match="gru_cell"):   # one share row for two states
-        ad.gru_cell(Tensor(np.zeros((1, 3 * HIDDEN))), w_zr, w_cand, state)
-    with pytest.raises(TensorError, match="gru_cell"):   # two gates' shares
-        ad.gru_cell(Tensor(np.zeros((2, 2 * HIDDEN))), w_zr, w_cand, state)
-    with pytest.raises(TensorError, match="gru_cell"):   # rows leave one share for two states
-        ad.gru_cell(Tensor(np.zeros((4, 3 * HIDDEN))), w_zr, w_cand, state, rows=slice(3, 5))
-    with pytest.raises(TensorError, match="gru_cell"):   # shares of one state, not a matrix
-        ad.gru_cell(Tensor(np.zeros(3 * HIDDEN)), w_zr, w_cand, state)
+    with pytest.raises(TensorError, match="gru"):   # an extra share of two gates
+        ad.gru(gates, w_zr, w_cand, state, extra=Tensor(np.zeros((2, 2 * HIDDEN))))
+    with pytest.raises(TensorError, match="gru"):   # an extra share for one state
+        ad.gru(gates, w_zr, w_cand, state, extra=Tensor(np.zeros((1, 3 * HIDDEN))))
+    with pytest.raises(TensorError, match="gru"):   # an extra share over two steps
+        ad.gru(gates, w_zr, w_cand, state, rows=np.array([[0, 1], [1, 0]]),
+               extra=Tensor(np.zeros((2, 3 * HIDDEN))))
+    with pytest.raises(TensorError, match="gru"):   # one share row for two states
+        ad.gru(Tensor(np.zeros((1, 3 * HIDDEN))), w_zr, w_cand, state)
+    with pytest.raises(TensorError, match="gru"):   # two gates' shares
+        ad.gru(Tensor(np.zeros((2, 2 * HIDDEN))), w_zr, w_cand, state)
+    with pytest.raises(TensorError, match="gru"):   # shares of one state, not a matrix
+        ad.gru(Tensor(np.zeros(3 * HIDDEN)), w_zr, w_cand, state)
+    shares = Tensor(np.zeros((4, 3 * HIDDEN)))
+    # a step of one row for two states, one step's rows without its step axis,
+    # a slice, and no steps
+    for rows in (np.array([[3]]), np.array([3, 0]), slice(0, 2), np.zeros((0, 2), int)):
+        with pytest.raises(TensorError, match="gru: shares"):
+            ad.gru(shares, w_zr, w_cand, state, rows=rows)

@@ -10,7 +10,7 @@ import qgen.beam
 import qgen.model
 from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.clue_predictor import gumbel_noise
-from qgen.config import ModelConfig, rng_stream
+from qgen.config import ConfigError, ModelConfig, rng_stream
 from qgen.corpus import EOS, build_vocabulary, stopword_set
 from qgen.decoder import ExtendedDistribution
 from qgen.features import FeatureEmbedder, FeatureVocab
@@ -22,6 +22,7 @@ from qgen.training import (
     EmaState,
     OptimizerState,
     adam_step,
+    batch_losses,
     compute_losses,
     losses_from_forward,
     train,
@@ -107,6 +108,36 @@ class TestLossOracles:
         assert bd.loss_gen.item() == pytest.approx(gen, rel=1e-9)
         assert bd.loss_gate.item() == pytest.approx(gate, rel=1e-9)
         assert bd.total.item() == pytest.approx(clue + gen + gate, rel=1e-9)
+
+
+class TestMissingGenerators:
+    """A stochastic forward without the generator it draws from is a
+    ConfigError naming it, from the exported defaults on."""
+
+    def test_defaults_name_the_gumbel_generator(self):
+        model, labeled = build_tiny_model()
+        for losses in (lambda: compute_losses(model, labeled[0]),
+                       lambda: batch_losses(model, labeled[:2])):
+            with pytest.raises(ConfigError, match="gumbel_rng"):
+                losses()
+
+    @pytest.mark.parametrize("mode", ["train", "soft"])
+    def test_dropout_names_the_dropout_generator(self, mode):
+        model, labeled = build_tiny_model(dropout=0.3)
+        with pytest.raises(ConfigError, match="dropout_rng"):
+            compute_losses(model, labeled[0], rng_stream(0, "gumbel"), mode=mode)
+
+    def test_an_unknown_mode_is_named(self):
+        model, labeled = build_tiny_model()
+        with pytest.raises(ConfigError, match="'bogus'"):
+            compute_losses(model, labeled[0], mode="bogus")
+
+    def test_what_a_forward_does_not_draw_it_does_not_need(self):
+        model, labeled = build_tiny_model(dropout=0.3)
+        compute_losses(model, labeled[0], mode="eval")
+        model, labeled = build_tiny_model()   # no dropout, and noise in place of the draw
+        noise = gumbel_noise(rng_stream(5, "gumbel"), (len(labeled[0].base.passage), 2))
+        compute_losses(model, labeled[0], gumbel_noise=noise)
 
 
 class TestOnePassagePass:
@@ -390,11 +421,11 @@ class TestEndToEndGradients:
         noise = gumbel_noise(rng_stream(11, "gumbel"), (len(ex.base.passage), 2))
 
         def loss_value():
-            return compute_losses(model, ex, mode="train", clue_mode="soft",
+            return compute_losses(model, ex, mode="soft",
                                   gumbel_noise=noise).total.item()
 
         model.params.zero_grad()
-        bd = compute_losses(model, ex, mode="train", clue_mode="soft", gumbel_noise=noise)
+        bd = compute_losses(model, ex, mode="soft", gumbel_noise=noise)
         bd.total.backward()
 
         eps = 1e-5
@@ -563,7 +594,7 @@ class TestFloat32:
                 if id(p) not in seen:
                     seen.add(id(p))
                     stack.append(p)
-        assert {"dropout", "st_discretize", "attention_scores", "linear", "gru_cell"} <= ops
+        assert {"dropout", "st_discretize", "attention_scores", "linear", "gru"} <= ops
         loss.backward()
         for name, t in model.params.items():
             assert t.grad is None or t.grad.dtype == np.float32, name
