@@ -29,8 +29,9 @@ import numpy as np
 _GRAD_ENABLED = True
 _SEQ = itertools.count()
 
-# Entries of the scratch buffer that `attention_scores` streams its activation
-# through instead of DRAM: 128 KB in float32, 256 KB in float64, inside a 2 MB L2.
+# Entries of the scratch buffer that `attention_gru` streams a step's attention
+# activation through when no gradient is recorded, as in a beam step, instead of
+# DRAM: 128 KB in float32, 256 KB in float64, inside a 2 MB L2.
 SLICE = 1 << 15
 
 # Entries of the float64 scratch that `ParamStore.uniform` fills a weight through:
@@ -88,8 +89,8 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._seq = next(_SEQ)
-        # the (g, x) rows of every `linear` and `gru` use of this
-        # weight not yet summed into grad; see `_flush_outer`
+        # the (g, x) rows of every product use of this weight not yet
+        # summed into grad; see `_flush_outer`
         self._outer: Optional[list] = None
 
     @property
@@ -315,8 +316,76 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _node(_times_t(x.data, w.data), (x, w), "linear", bw)
 
 
+def _gru_schedule(op: str, gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
+                  rows: Optional[np.ndarray]) -> np.ndarray:
+    """The (steps, m) schedule of a GRU recurrence over the (m, hidden)
+    state `h_prev`, after checking the shares and state weights fit it."""
+    if h_prev.ndim != 2 or gates.ndim != 2:
+        raise TensorError(f"{op}: state {h_prev.shape} and shares {gates.shape} are not both 2-d")
+    m, hidden = h_prev.shape
+    if w_zr.shape != (2 * hidden, hidden) or w_cand.shape != (hidden, hidden):
+        raise TensorError(f"{op}: weights {w_zr.shape} and {w_cand.shape} do not match "
+                          f"state {h_prev.shape}: expected {(2 * hidden, hidden)} and "
+                          f"{(hidden, hidden)}")
+    schedule = np.arange(len(gates.data))[None] if rows is None else np.asarray(rows)
+    if schedule.shape[1:] != (m,) or not schedule.size or gates.shape[1] != 3 * hidden:
+        raise TensorError(f"{op}: shares {gates.shape} by schedule {schedule.shape} do not match "
+                          f"state {h_prev.shape}: expected (rows, {3 * hidden}) and (steps, {m})")
+    return schedule
+
+
+def _gru_step(x: np.ndarray, h: np.ndarray, w_zr: np.ndarray,
+              w_cand: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """One GRU step from the (m, 3 hidden) shares x and the state h: the
+    new state, and what `_gru_step_backward` reads of the step."""
+    hidden = h.shape[1]
+    zr = _sigmoid(x[:, :2 * hidden] + _times_t(h, w_zr))
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    rh = r * h
+    h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(rh, w_cand))
+    omz = 1.0 - z
+    return omz * h + z * h_cand, (h, z, r, zr, rh, h_cand, omz)
+
+
+def _gru_step_backward(d_h: np.ndarray, saved: tuple, prev: Tensor, w_zr: Tensor,
+                       w_cand: Tensor) -> np.ndarray:
+    """Backward of one `_gru_step` from its state's gradient d_h, in the
+    reverse-walk order of the unfused step's nodes (last created first):
+    adds the previous state's three terms to `prev`, defers each weight's
+    (g, x) rows to it as `linear` does, and returns the shares' gradient."""
+    h, z, r, zr, rh, h_cand, omz = saved
+    dz = d_h * h_cand                      # z h~
+    d_cand = d_h * z
+    if prev.requires_grad:                 # (1 - z) h
+        prev._accumulate(d_h * omz)
+    dz -= d_h * h                          # 1 - z
+    d_cand *= 1.0 - h_cand * h_cand        # tanh
+    if w_cand.requires_grad:
+        w_cand._defer_outer(d_cand, rh)
+    d_rh = d_cand @ w_cand.data            # (r h) W_cand'
+    if prev.requires_grad:                 # r h
+        prev._accumulate(d_rh * r)
+    d_zr = np.concatenate([dz, d_rh * h], axis=1)
+    d_zr *= zr                             # sigmoid
+    d_zr *= 1.0 - zr
+    if w_zr.requires_grad:
+        w_zr._defer_outer(d_zr, h)
+    if prev.requires_grad:                 # h W_zr'
+        prev._accumulate(d_zr @ w_zr.data)
+    return np.concatenate([d_zr, d_cand], axis=1)
+
+
+def _state_grad(g: Optional[np.ndarray], h: np.ndarray, lo: int, hi: int) -> Tensor:
+    """An inner state of a recurrence node as a tensor whose gradient
+    starts as rows lo:hi of the node's output gradient g, if any."""
+    state = Tensor(h, requires_grad=True)
+    if g is not None:
+        state.grad = g[lo:hi].copy()
+    return state
+
+
 def gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
-        rows: Optional[np.ndarray] = None, extra: Optional[Tensor] = None) -> Tensor:
+        rows: Optional[np.ndarray] = None) -> Tensor:
     """GRU steps over (m, hidden) state rows in lockstep, as one graph node:
     from `h_prev`, every step's states, step-major, (steps * m, hidden).
 
@@ -326,97 +395,49 @@ def gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
     x = [x_z, x_r, x_h] is a step's (m, 3 hidden) share of the
     pre-activations from the gates' other weights: at step t of the
     (steps, m) schedule `rows`, rows rows[t] of `gates`, distinct, read in
-    place, or all of `gates` in one step by default; plus `extra`, a share
-    that a one-step schedule forms itself.  Each product is issued as
-    `linear` issues its own (`_times_t`).  Forward and gradients are
-    bit-identical to a graph of small nodes per step and a `concat` of the
-    states (`tests/reference.py`): backward walks the steps in reverse, in
-    that graph's reverse-walk order, and defers each weight's (g, x) rows
-    to it as `linear` does.
+    place, or all of `gates` in one step by default.  Each product is
+    issued as `linear` issues its own (`_times_t`).  Forward and gradients
+    are bit-identical to a graph of small nodes per step and a `concat` of
+    the states (`tests/reference.py`): backward walks the steps in reverse,
+    in that graph's reverse-walk order, and defers each weight's (g, x)
+    rows to it as `linear` does.
     """
-    parents = _operands((gates, w_zr, w_cand, h_prev) + (() if extra is None else (extra,)))
-    gates, w_zr, w_cand, h_prev = parents[:4]
-    extra = parents[4] if extra is not None else None
-    if h_prev.ndim != 2 or gates.ndim != 2:
-        raise TensorError(f"gru: state {h_prev.shape} and shares {gates.shape} are not both 2-d")
-    m, hidden = h_prev.shape
-    if w_zr.shape != (2 * hidden, hidden) or w_cand.shape != (hidden, hidden):
-        raise TensorError(f"gru: weights {w_zr.shape} and {w_cand.shape} do not match "
-                          f"state {h_prev.shape}: expected {(2 * hidden, hidden)} and "
-                          f"{(hidden, hidden)}")
-    schedule = np.arange(len(gates.data))[None] if rows is None else np.asarray(rows)
-    if schedule.shape[1:] != (m,) or not schedule.size or gates.shape[1] != 3 * hidden:
-        raise TensorError(f"gru: shares {gates.shape} by schedule {schedule.shape} do not match "
-                          f"state {h_prev.shape}: expected (rows, {3 * hidden}) and (steps, {m})")
-    if extra is not None and (len(schedule) != 1 or extra.shape != (m, 3 * hidden)):
-        raise TensorError(f"gru: extra share {extra.shape} is not one step's {(m, 3 * hidden)}")
+    parents = _operands((gates, w_zr, w_cand, h_prev))
+    gates, w_zr, w_cand, h_prev = parents
+    schedule = _gru_schedule("gru", gates, w_zr, w_cand, h_prev, rows)
+    m = h_prev.shape[0]
     states, saved = [h_prev.data], []
     for key in schedule:
-        x, h = gates.data[key], states[-1]
-        if extra is not None:
-            x = x + extra.data
-        zr = _sigmoid(x[:, :2 * hidden] + _times_t(h, w_zr.data))
-        z, r = zr[:, :hidden], zr[:, hidden:]
-        rh = r * h
-        h_cand = np.tanh(x[:, 2 * hidden:] + _times_t(rh, w_cand.data))
-        omz = 1.0 - z
-        saved.append((key, h, z, r, zr, rh, h_cand, omz))
-        states.append(omz * h + z * h_cand)
+        h, step = _gru_step(gates.data[key], states[-1], w_zr.data, w_cand.data)
+        states.append(h)
+        saved.append(step)
 
     def bw(g):
         d_h = g[-m:]
         for t in reversed(range(len(saved))):
-            key, h, z, r, zr, rh, h_cand, omz = saved[t]
-            prev = h_prev
-            if t:   # the last step's output: its rows of g, then this step's terms
-                prev = Tensor(h, requires_grad=True)
-                prev.grad = g[(t - 1) * m:t * m].copy()
-            # the nodes of the unfused step, last created first
-            dz = d_h * h_cand                      # z h~
-            d_cand = d_h * z
-            if prev.requires_grad:                 # (1 - z) h
-                prev._accumulate(d_h * omz)
-            dz -= d_h * h                          # 1 - z
-            d_cand *= 1.0 - h_cand * h_cand        # tanh
-            if w_cand.requires_grad:
-                w_cand._defer_outer(d_cand, rh)
-            d_rh = d_cand @ w_cand.data            # (r h) W_cand'
-            if prev.requires_grad:                 # r h
-                prev._accumulate(d_rh * r)
-            d_zr = np.concatenate([dz, d_rh * h], axis=1)
-            d_zr *= zr                             # sigmoid
-            d_zr *= 1.0 - zr
-            d_x = np.concatenate([d_zr, d_cand], axis=1)
+            # the last step's output: its rows of g, then this step's terms
+            prev = _state_grad(g, states[t], (t - 1) * m, t * m) if t else h_prev
+            d_x = _gru_step_backward(d_h, saved[t], prev, w_zr, w_cand)
             if gates.requires_grad:
-                gates._grad_buffer()[key] += d_x
-            if extra is not None and extra.requires_grad:
-                extra._accumulate(d_x)
-            if w_zr.requires_grad:
-                w_zr._defer_outer(d_zr, h)
-            if prev.requires_grad:                 # h W_zr'
-                prev._accumulate(d_zr @ w_zr.data)
+                gates._grad_buffer()[schedule[t]] += d_x
             d_h = prev.grad
 
     return _node(np.concatenate(states[1:]), parents, "gru", bw)
 
 
-def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) -> Tensor:
-    """Additive attention scores v . tanh(key + query), (m, n).
+def _attention_scores(keys: np.ndarray, query: np.ndarray, v: np.ndarray, blocks: int,
+                      keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Additive attention scores v . tanh(key + query), (m, n), and the
+    (m, n, a) activation when `keep`, else None.
 
     keys is (blocks * n, a), `blocks` groups of n rows, and v is (a,).  The
     (m, a) query rows split into `blocks` equal groups in order, and group b
     scores key group b only: a beam is one block of K rows, a training batch
-    B blocks of one row each.  The (m, n, a) activation never exists whole:
-    the forward pass streams it through one scratch buffer of at most SLICE
-    entries (whole blocks when a block fits, else rows of one block), and
-    backward recomputes it, so no 3-d tensor enters the graph.
+    B blocks of one row each.  The activation goes a chunk at a time (whole
+    blocks when a block fits in SLICE entries, else rows of one block)
+    through one scratch buffer, or into the kept activation, which backward
+    reads instead of recomputing it; the bytes are the same either way.
     """
-    keys, query, v = _operands((keys, query, v))
-    if (keys.ndim != 2 or query.ndim != 2 or v.shape != keys.shape[1:]
-            or query.shape[1] != keys.shape[1] or blocks < 1
-            or keys.shape[0] % blocks or query.shape[0] % blocks):
-        raise TensorError(f"attention_scores: keys {keys.shape}, query {query.shape}, "
-                          f"v {v.shape} and {blocks} blocks do not match")
     (m, a), n = query.shape, keys.shape[0] // blocks
     per = m // blocks                       # query rows per block
     rows = max(1, SLICE // max(1, n * a))   # query rows per chunk
@@ -425,32 +446,133 @@ def attention_scores(keys: Tensor, query: Tensor, v: Tensor, blocks: int = 1) ->
         step_b = min(blocks, rows // step_r)
     else:             # rows of one block per chunk
         step_b, step_r = 1, rows
-    k4, q4 = keys.data.reshape(blocks, 1, n, a), query.data.reshape(blocks, per, 1, a)
-    scratch = np.empty(step_b * step_r * n * a, query.data.dtype)
-    out = np.empty((blocks, per, n), query.data.dtype)
+    k4, q4 = keys.reshape(blocks, 1, n, a), query.reshape(blocks, per, 1, a)
+    act = np.empty((blocks, per, n, a), query.dtype) if keep else None
+    scratch = None if keep else np.empty(step_b * step_r * n * a, query.dtype)
+    out = np.empty((blocks, per, n), query.dtype)
     for b in range(0, blocks, step_b):
         for r in range(0, per, step_r):
             kc, qc = k4[b:b + step_b], q4[b:b + step_b, r:r + step_r]
-            t = scratch[:len(kc) * qc.shape[1] * n * a].reshape(len(kc), qc.shape[1], n, a)
+            if keep:
+                t = act[b:b + step_b, r:r + step_r]
+            else:
+                t = scratch[:len(kc) * qc.shape[1] * n * a].reshape(len(kc), qc.shape[1], n, a)
             np.tanh(np.add(kc, qc, out=t), out=t)
-            np.matmul(t, v.data, out=out[b:b + step_b, r:r + step_r])
+            np.matmul(t, v, out=out[b:b + step_b, r:r + step_r])
+    return out.reshape(m, n), None if act is None else act.reshape(m, n, a)
+
+
+def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha0: Tensor,
+                  values: Tensor, keys: Tensor, w_s: Tensor, v: Tensor,
+                  rows: Optional[np.ndarray] = None,
+                  mask: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
+    """The decoder's recurrence over (m, hidden) state rows in lockstep, as
+    one graph node: from the state `h0` and the attention weights `alpha0`,
+    every step's states and attention weights, step-major, (steps * m,
+    hidden) and (steps * m, n).  Step t of the (steps, m) schedule `rows`:
+
+        x = rows rows[t] of `gates` + alpha_{t-1} V    (the GRU's shares)
+        h_t = the `gru` step from h_{t-1} over x
+        alpha_t = masked softmax(v . tanh(K + h_t W_s'))
+
+    V (`values`) and K (`keys`) are (blocks * n, .) tables of `blocks`
+    passages of n rows, and the m rows split into `blocks` equal groups in
+    order, group b reading passage b (`attention_context`): a beam step is
+    one block of K rows, a training batch B blocks of one row each.  A
+    (blocks, n) `mask` keeps block b's rows to passage b's True positions;
+    its masked weights are exactly 0.  Without `rows` it is one step over
+    all of `gates`, the beam's case.
+
+    The weights are a second node whose backward hands its gradient to the
+    op.  Forward and gradients are bit-identical to a graph per step of
+    `attention_context`, the `gru` step, a `linear` by `w_s`, additive
+    attention scores and a masked softmax, and a `concat` of the states and
+    of the weights (`tests/reference.py`): backward walks the steps in
+    reverse, in that graph's reverse-walk order, and defers each weight's
+    (g, x) rows to it as `linear` does.
+    """
+    parents = _operands((gates, w_zr, w_cand, h0, alpha0, values, keys, w_s, v))
+    gates, w_zr, w_cand, h0, alpha0, values, keys, w_s, v = parents
+    schedule = _gru_schedule("attention_gru", gates, w_zr, w_cand, h0, rows)
+    (m, hidden), n = h0.shape, (alpha0.shape[1] if alpha0.ndim == 2 else 0)
+    blocks, attn = (keys.shape[0] // n, keys.shape[1]) if n and keys.ndim == 2 else (0, 0)
+    if (not blocks or keys.shape[0] != blocks * n or m % blocks or alpha0.shape != (m, n)
+            or values.shape != (blocks * n, 3 * hidden) or w_s.shape != (attn, hidden)
+            or v.shape != (attn,)):
+        raise TensorError(f"attention_gru: weights {alpha0.shape}, values {values.shape}, keys "
+                          f"{keys.shape}, w_s {w_s.shape} and v {v.shape} do not match state "
+                          f"{h0.shape} in equal blocks")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (blocks, n):
+            raise TensorError(f"attention_gru: mask {mask.shape} is not one row per block, "
+                              f"{(blocks, n)}")
+        if not mask.any(axis=1).all():
+            raise TensorError("attention_gru: all entries of a mask row masked")
+        mask = np.repeat(mask, m // blocks, axis=0)
+    record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    v3 = values.data.reshape(blocks, n, -1)
+    states, weights, saved = [h0.data], [alpha0.data], []
+    for key in schedule:
+        context = (weights[-1].reshape(blocks, -1, n) @ v3).reshape(m, -1)
+        h, step = _gru_step(gates.data[key] + context, states[-1], w_zr.data, w_cand.data)
+        scores, act = _attention_scores(keys.data, _times_t(h, w_s.data), v.data, blocks, record)
+        if mask is not None:
+            scores = np.where(mask, scores, -np.inf)
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        states.append(h)
+        weights.append(e / e.sum(axis=-1, keepdims=True))
+        if record:
+            saved.append((step, act))
+    handed = [None]   # the weights' gradient, from their node
+    chunk = max(1, SLICE // max(1, n * attn))   # rows of the activation's gradient at a time
 
     def bw(g):
-        t = np.add(k4, q4).reshape(m, n, a)   # the forward activation again
-        np.tanh(t, out=t)
-        if v.requires_grad:
-            v._accumulate(np.tensordot(g, t, axes=2))
-        d = t   # g v (1 - t t), overwriting t a chunk of rows at a time
-        for r in range(0, m, rows):
-            dc = d[r:r + rows]
-            np.subtract(1.0, np.multiply(dc, dc, out=dc), out=dc)
-            dc *= g[r:r + rows, :, None] * v.data
-        if keys.requires_grad:
-            keys._accumulate(d.reshape(blocks, -1, n, a).sum(axis=1).reshape(keys.shape))
-        if query.requires_grad:
-            query._accumulate(d.sum(axis=1))
+        g_alpha, handed[0] = handed[0], None
+        d_h = None if g is None else g[-m:].copy()
+        d_alpha = None if g_alpha is None else g_alpha[-m:]
+        for t in reversed(range(len(saved))):
+            step, act = saved[t]
+            if d_alpha is not None:
+                y = weights[t + 1]                 # masked softmax
+                d_scores = y * (d_alpha - (d_alpha * y).sum(axis=-1, keepdims=True))
+                if v.requires_grad:                # v . tanh(K + q), as np.tensordot's product
+                    v._accumulate(np.dot(d_scores.reshape(1, -1), act.reshape(-1, attn))[0])
+                d = np.multiply(act, act)
+                np.subtract(1.0, d, out=d)
+                for r in range(0, m, chunk):
+                    d[r:r + chunk] *= d_scores[r:r + chunk, :, None] * v.data
+                if keys.requires_grad:
+                    keys._accumulate(d.reshape(blocks, -1, n, attn).sum(axis=1).reshape(keys.shape))
+                d_q = d.sum(axis=1)
+                d_s = d_q @ w_s.data               # h W_s'
+                d_h = d_s if d_h is None else np.add(d_h, d_s, out=d_h)
+                if w_s.requires_grad:
+                    w_s._defer_outer(d_q, states[t + 1])
+            prev = _state_grad(g, states[t], (t - 1) * m, t * m) if t else h0
+            d_x = _gru_step_backward(d_h, step, prev, w_zr, w_cand)
+            if gates.requires_grad:
+                gates._grad_buffer()[schedule[t]] += d_x
+            d_x3 = d_x.reshape(blocks, -1, d_x.shape[1])   # alpha_{t-1} V
+            if t or alpha0.requires_grad:
+                d_alpha = (d_x3 @ v3.transpose(0, 2, 1)).reshape(m, n)
+                if not t:
+                    alpha0._accumulate(d_alpha)
+                elif g_alpha is not None:
+                    d_alpha += g_alpha[(t - 1) * m:t * m]
+            if values.requires_grad:
+                a3 = weights[t].reshape(blocks, -1, n)
+                values._accumulate((a3.transpose(0, 2, 1) @ d_x3).reshape(values.shape))
+            d_h = prev.grad
 
-    return _node(out.reshape(m, n), (keys, query, v), "attention_scores", bw)
+    out = _node(np.concatenate(states[1:]), parents, "attention_gru", bw)
+
+    def bw_weights(g):
+        handed[0] = g
+        if out.grad is None:   # nothing read the states: their node is not walked
+            bw(None)
+
+    return out, _node(np.concatenate(weights[1:]), (out,), "attention_gru.weights", bw_weights)
 
 
 def attention_context(alpha: Tensor, values: Tensor) -> Tensor:
@@ -458,7 +580,7 @@ def attention_context(alpha: Tensor, values: Tensor) -> Tensor:
 
     values is (blocks * n, d) or (blocks * n,) for (m, n) weights alpha.
     The rows of alpha split into `blocks` equal groups in order, and group b
-    weights value block b only, as in `attention_scores`.  The
+    weights value block b only, as in `attention_gru`.  The
     (blocks, m / blocks, d) products stay inside the node.
     """
     alpha, values = _operands((alpha, values))
@@ -555,21 +677,10 @@ def clamp_min(a, floor: float) -> Tensor:
     return _node(np.maximum(a.data, floor), (a,), "clamp_min", bw)
 
 
-def softmax(a, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Stable softmax over the last axis; masked entries are exactly 0.
-
-    `mask` is a boolean array (True = keep) matching `a`.  Raises if every
-    entry of a row is masked.
-    """
+def softmax(a) -> Tensor:
+    """Stable softmax over the last axis."""
     a = _as_tensor(a)
     x = a.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise TensorError(f"softmax mask shape {mask.shape} != input shape {x.shape}")
-        if not mask.any(axis=-1).all():
-            raise TensorError("softmax: all entries masked")
-        x = np.where(mask, x, -np.inf)
     m = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=-1, keepdims=True)

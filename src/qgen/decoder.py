@@ -103,17 +103,6 @@ def passage_memory(enc_states: Tensor, p: DecoderParams) -> PassageMemory:
     )
 
 
-def attention(s_t: Tensor, keys: Tensor, p: DecoderParams,
-              mask: np.ndarray | None = None) -> Tensor:
-    """Concatenated attention: softmax weights over the source positions,
-    one row per row of the (m, dec_hidden) states s_t.  Without `mask`
-    every row attends to the one passage of `keys`; a (B, n) mask makes
-    keys B passages padded to n rows (`EncoderOutput`), and row b attends
-    to the real positions of passage b only."""
-    blocks = 1 if mask is None else len(mask)
-    return ad.softmax(ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v, blocks), mask=mask)
-
-
 def output_head(word_readout: Tensor, s: Tensor, alpha: Tensor, readout_context: Tensor,
                 gate_context: Tensor, p: DecoderParams,
                 maxout_keep: np.ndarray | None = None) -> ExtendedDistribution:
@@ -136,18 +125,19 @@ def word_terms(w_prev: Tensor, p: DecoderParams) -> tuple[Tensor, Tensor]:
     return gru_inputs(w_prev, p.gru), ad.linear(w_prev, p.w_rw)
 
 
-def recur(word_gates: Tensor, alpha_prev: Tensor, s_prev: Tensor, memory: PassageMemory,
+def recur(word_gates: Tensor, alpha0: Tensor, s0: Tensor, memory: PassageMemory,
           p: DecoderParams, rows: np.ndarray | None = None,
           mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """The recurrent part of a decoder step, (s_t, alpha): a GRU over
-    [w_prev; c_prev], then `attention` under `mask`.  The word enters as
-    its GRU share `word_gates`, rows `rows[0]` of it for a (1, m) schedule
-    `rows` or all of it by default, and the context as the previous
-    attention rows `alpha_prev` (all zeros at the first step) times
-    `memory.gates`."""
-    s_t = ad.gru(word_gates, p.gru.w_zr, p.gru.w_cand, s_prev, rows=rows,
-                 extra=ad.attention_context(alpha_prev, memory.gates))
-    return s_t, attention(s_t, memory.keys, p, mask)
+    """The recurrent part of the decoder steps of the (steps, m) schedule
+    `rows`, as one `ad.attention_gru` node: every step's states and
+    attention weights, step-major.  Each step is a GRU over [w_prev;
+    c_prev], then attention under `mask` over the passage blocks of
+    `memory`.  The word enters as its GRU share, rows `rows[t]` of
+    `word_gates` at step t or all of it in one step by default, and the
+    context as the previous step's attention rows (`alpha0`, all zeros at
+    the first step) times `memory.gates`."""
+    return ad.attention_gru(word_gates, p.gru.w_zr, p.gru.w_cand, s0, alpha0, memory.gates,
+                            memory.keys, p.w_s, p.v, rows, mask)
 
 
 def decode_step(
@@ -177,10 +167,10 @@ def teacher_forced_unroll(
     `prev_ids[b]` of the word table, <SOS> and then its question, so it
     takes len(prev_ids[b]) steps, the last one predicting <EOS>.
 
-    The B examples advance together as the rows of one `recur`, each over
-    its own passage's `passage_memory` block.  The output head then runs
-    once over every example's steps, stacked example after example, which
-    is also the row order of `maxout_keep`.
+    The B examples advance together as the rows of one `recur` over every
+    step, each over its own passage's `passage_memory` block.  The output
+    head then runs once over every example's steps, stacked example after
+    example, which is also the row order of `maxout_keep`.
     """
     steps = np.array([len(ids) for ids in prev_ids])
     batch, longest = len(steps), steps.max()
@@ -195,17 +185,13 @@ def teacher_forced_unroll(
     mask = enc.mask()
     s = init_decoder(enc.last_backward, p.w_init, p.b_init)
     alpha = Tensor(np.zeros(mask.shape, enc.states.data.dtype))
-    states, alphas = [], []
-    for step_rows in positions[:, None]:
-        s, alpha = recur(inputs, alpha, s, memory, p, step_rows, mask)
-        states.append(s)
-        alphas.append(alpha)
+    states, alphas = recur(inputs, alpha, s, memory, p, positions, mask)
     # row b * longest + t of `padded` is step t * B + b: one block of steps per
     # passage, and `real` picks each example's own steps from the blocks
     padded = (t.T * batch + np.arange(batch)[:, None]).ravel()
     real = np.concatenate([b * longest + np.arange(n) for b, n in enumerate(steps)])
-    s = ad.gather_rows(ad.concat(states), padded[real])
-    blocks = ad.gather_rows(ad.concat(alphas), padded)
+    s = ad.gather_rows(states, padded[real])
+    blocks = ad.gather_rows(alphas, padded)
     # the word's readout term after the context's: backward walks the nodes in
     # creation order, which fixes the order in which gradients are summed
     readout_context, gate_context = (ad.gather_rows(ad.attention_context(blocks, table), real)

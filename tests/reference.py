@@ -8,13 +8,15 @@ once per question token, and the losses add a few nodes per step.
 Dropout multipliers and Gumbel noise are drawn where the computation
 reaches them.
 
-`sub`, `slice_` and `maximum` are graph nodes, built on `ad._node`, that
-only these oracles use, so the core does not keep them; tensor indexing
-is an explicit `slice_` call.  `gru_step_unfused` is the GRU step as the
-graph of small nodes that the one-node `ad.gru` must reproduce byte for
-byte, step after step, and `pairwise_max` (two `slice_` nodes and a
-`maximum`) is the graph whose bytes the one-node `ad.maxout` must
-reproduce, NaN aside.
+`sub`, `slice_`, `maximum`, `attention_scores` and the masked `softmax`
+are graph nodes, built on `ad._node`, that only these oracles use, so the
+core does not keep them; tensor indexing is an explicit `slice_` call.
+`gru_step_unfused` is the GRU step as the graph of small nodes that the
+one-node `ad.gru` must reproduce byte for byte, step after step, and
+`attention_gru_unfused` the decoder's recurrence as the graph per step that
+the one-node `ad.attention_gru` must reproduce.  `pairwise_max` (two
+`slice_` nodes and a `maximum`) is the graph whose bytes the one-node
+`ad.maxout` must reproduce, NaN aside.
 `beam_select` is a beam step's choice of survivors in its first, plainer
 form: the whole (K, surfaces) table from `surface_merge`, each row's
 proposals from `top_k` and a stable sort of their scores, which
@@ -84,6 +86,100 @@ def maximum(a, b):
     return ad._node(np.where(take_a, a.data, b.data), (a, b), "maximum", bw)
 
 
+def softmax(a, mask=None):
+    """Stable softmax over the last axis; entries where the boolean `mask`
+    (True = keep), of `a`'s shape, is False are exactly 0.  Raises if every
+    entry of a row is masked."""
+    a = ad._as_tensor(a)
+    x = a.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.shape:
+            raise ad.TensorError(f"softmax mask shape {mask.shape} != input shape {x.shape}")
+        if not mask.any(axis=-1).all():
+            raise ad.TensorError("softmax: all entries masked")
+        x = np.where(mask, x, -np.inf)
+    y = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    y = y / y.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        if a.requires_grad:
+            inner = (g * y).sum(axis=-1, keepdims=True)
+            a._accumulate(y * (g - inner))
+
+    return ad._node(y, (a,), "softmax", bw)
+
+
+def attention_scores(keys, query, v, blocks=1):
+    """Additive attention scores v . tanh(key + query), (m, n), as their own
+    node: keys is (blocks * n, a), and the (m, a) query rows split into
+    `blocks` equal groups in order, group b scoring key group b only.  The
+    forward pass streams the (m, n, a) activation through one scratch
+    buffer of at most `ad.SLICE` entries, whole blocks when a block fits,
+    else rows of one block, and backward recomputes it."""
+    keys, query, v = ad._operands((keys, query, v))
+    if (keys.ndim != 2 or query.ndim != 2 or v.shape != keys.shape[1:]
+            or query.shape[1] != keys.shape[1] or blocks < 1
+            or keys.shape[0] % blocks or query.shape[0] % blocks):
+        raise ad.TensorError(f"attention_scores: keys {keys.shape}, query {query.shape}, "
+                             f"v {v.shape} and {blocks} blocks do not match")
+    (m, a), n = query.shape, keys.shape[0] // blocks
+    per = m // blocks
+    rows = max(1, ad.SLICE // max(1, n * a))
+    if per <= rows:
+        step_r = max(1, per)
+        step_b = min(blocks, rows // step_r)
+    else:
+        step_b, step_r = 1, rows
+    k4, q4 = keys.data.reshape(blocks, 1, n, a), query.data.reshape(blocks, per, 1, a)
+    scratch = np.empty(step_b * step_r * n * a, query.data.dtype)
+    out = np.empty((blocks, per, n), query.data.dtype)
+    for b in range(0, blocks, step_b):
+        for r in range(0, per, step_r):
+            kc, qc = k4[b:b + step_b], q4[b:b + step_b, r:r + step_r]
+            t = scratch[:len(kc) * qc.shape[1] * n * a].reshape(len(kc), qc.shape[1], n, a)
+            np.tanh(np.add(kc, qc, out=t), out=t)
+            np.matmul(t, v.data, out=out[b:b + step_b, r:r + step_r])
+
+    def bw(g):
+        t = np.tanh(np.add(k4, q4).reshape(m, n, a))   # the forward activation again
+        if v.requires_grad:
+            v._accumulate(np.tensordot(g, t, axes=2))
+        d = t
+        for r in range(0, m, rows):
+            dc = d[r:r + rows]
+            np.subtract(1.0, np.multiply(dc, dc, out=dc), out=dc)
+            dc *= g[r:r + rows, :, None] * v.data
+        if keys.requires_grad:
+            keys._accumulate(d.reshape(blocks, -1, n, a).sum(axis=1).reshape(keys.shape))
+        if query.requires_grad:
+            query._accumulate(d.sum(axis=1))
+
+    return ad._node(out.reshape(m, n), (keys, query, v), "attention_scores", bw)
+
+
+def attention_gru_unfused(gates, w_zr, w_cand, h0, alpha0, values, keys, w_s, v, rows=None,
+                          mask=None):
+    """`ad.attention_gru` as a graph per step: the context share
+    `attention_context(alpha_{t-1}, values)`, the GRU step node by node
+    (`gru_step_unfused`) over a `slice_` of rows `rows[t]` of `gates` (all
+    of them in one step without `rows`), a `linear` by `w_s`, the
+    `attention_scores` of `keys` and the masked `softmax`; then a `concat`
+    of the states and one of the weights.  `mask` is (blocks, n)."""
+    n = alpha0.shape[1]
+    blocks = keys.shape[0] // n
+    per = h0.shape[0] // blocks
+    mask = None if mask is None else np.repeat(mask, per, axis=0)
+    h, alpha, states, weights = h0, alpha0, [], []
+    for key in [None] if rows is None else rows:
+        shares = gates if key is None else slice_(gates, key)
+        h = gru_step_unfused(shares, h, w_zr, w_cand, ad.attention_context(alpha, values))
+        alpha = softmax(attention_scores(keys, ad.linear(h, w_s), v, blocks), mask)
+        states.append(h)
+        weights.append(alpha)
+    return ad.concat(states), ad.concat(weights)
+
+
 def pairwise_max(r):
     """`ad.maxout` unfused: a `slice` node for each column of the pairs of
     the last axis, then a `maximum` node."""
@@ -144,7 +240,7 @@ def encode(features, forward_params, backward_params, dropout_p=0.0, mode="eval"
 def decode_step(w_prev, c_prev, s_prev, enc_states, keys, p, mode, dropout_p, rng):
     """One decoder step of one-row inputs: (s, c, gen, copy, gate), gate (1,)."""
     s_t = gru_cell(ad.concat([w_prev, c_prev], axis=-1), s_prev, p.gru)
-    alpha = ad.softmax(ad.attention_scores(keys, ad.linear(s_t, p.w_s), p.v))
+    alpha = softmax(attention_scores(keys, ad.linear(s_t, p.w_s), p.v))
     context = ad.matmul(alpha, enc_states)
     r_t = ad.add(ad.add(ad.linear(w_prev, p.w_rw), ad.linear(context, p.w_rc)),
                  ad.linear(s_t, p.w_rs))

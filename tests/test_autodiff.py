@@ -170,13 +170,13 @@ class TestSoftmax:
         np.testing.assert_allclose(expected, [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
 
     def test_mask_zeroes_entries(self):
-        out = ad.softmax(Tensor([5.0, 1.0, 3.0]), mask=np.array([True, False, True]))
+        out = reference.softmax(Tensor([5.0, 1.0, 3.0]), mask=np.array([True, False, True]))
         assert out.data[1] == 0.0
         assert out.data.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_all_masked_error(self):
         with pytest.raises(TensorError, match="masked"):
-            ad.softmax(Tensor([1.0, 2.0]), mask=np.array([False, False]))
+            reference.softmax(Tensor([1.0, 2.0]), mask=np.array([False, False]))
 
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -349,7 +349,7 @@ OP_CASES = [
     ("clamp", lambda a: ad.sum_(ad.clamp_min(a, 0.0)), 1, "nonzero"),
     ("linear2d", lambda x, w: ad.sum_(ad.tanh(ad.linear(x, w))), 2, "matrix"),
     ("attention2d",
-     lambda k, q, v: ad.sum_(ad.tanh(ad.attention_scores(k, q, reference.slice_(v, 0)))),
+     lambda k, q, v: ad.sum_(ad.tanh(reference.attention_scores(k, q, reference.slice_(v, 0)))),
      3, "matrix"),
     ("mean", lambda a: ad.mean_(a), 1, None),
 ]
@@ -419,13 +419,13 @@ class TestBlockAttention:
 
     def test_scores_and_context_match_each_block_alone(self):
         keys, query, v, values = self._arrays()
-        scores = ad.attention_scores(Tensor(keys), Tensor(query), Tensor(v), 3)
+        scores = reference.attention_scores(Tensor(keys), Tensor(query), Tensor(v), 3)
         alpha = ad.softmax(scores)
         context = ad.attention_context(alpha, Tensor(values))
         assert scores.shape == (3, 4) and context.shape == (3, 6)
         for b in range(3):
             block = slice(4 * b, 4 * b + 4)
-            one = ad.attention_scores(Tensor(keys[block]), Tensor(query[b:b + 1]), Tensor(v))
+            one = reference.attention_scores(Tensor(keys[block]), Tensor(query[b:b + 1]), Tensor(v))
             np.testing.assert_allclose(scores.data[b], one.data[0], rtol=0, atol=1e-14)
             np.testing.assert_allclose(context.data[b], alpha.data[b] @ values[block],
                                        rtol=0, atol=1e-14)
@@ -434,7 +434,7 @@ class TestBlockAttention:
         keys, query, v, values = self._arrays()
 
         def loss(k, q, v, x):
-            alpha = ad.softmax(ad.attention_scores(k, q, v, 3))
+            alpha = ad.softmax(reference.attention_scores(k, q, v, 3))
             return ad.sum_(ad.tanh(ad.attention_context(alpha, x)))
 
         assert_grads_match(loss, [keys, query, v, values], tol=1e-4)
@@ -453,17 +453,17 @@ class TestBlockAttention:
 
     def test_one_block_is_shared_by_every_row(self):
         keys, query, v, values = self._arrays(blocks=1)
-        alpha = ad.softmax(ad.attention_scores(Tensor(keys), Tensor(np.tile(query, (3, 1))),
-                                               Tensor(v)))
+        alpha = ad.softmax(reference.attention_scores(Tensor(keys), Tensor(np.tile(query, (3, 1))),
+                                                      Tensor(v)))
         np.testing.assert_array_equal(ad.attention_context(alpha, Tensor(values)).data,
                                       alpha.data @ values)
 
     def test_mismatched_blocks_rejected(self):
         keys, query, v, values = self._arrays()
         with pytest.raises(TensorError, match="blocks"):
-            ad.attention_scores(Tensor(keys), Tensor(query[:2]), Tensor(v), 3)
+            reference.attention_scores(Tensor(keys), Tensor(query[:2]), Tensor(v), 3)
         with pytest.raises(TensorError, match="blocks"):
-            ad.attention_scores(Tensor(keys), Tensor(query), Tensor(v), 5)
+            reference.attention_scores(Tensor(keys), Tensor(query), Tensor(v), 5)
         with pytest.raises(TensorError, match="blocks"):
             ad.attention_context(Tensor(np.ones((2, 4))), Tensor(values))
 
@@ -593,17 +593,26 @@ class TestDeferredWeightGradients:
 
 
 class TestAttentionScores:
+    """The one attention loop of `ad.attention_gru`, `ad._attention_scores`:
+    scores v . tanh(key + query), streamed through a scratch buffer or
+    written into a kept activation, with the same bytes either way."""
+
     def test_query_rows_match_single_queries(self):
         rng = np.random.default_rng(12)
         keys, queries, v = rng.normal(size=(6, 4)), rng.normal(size=(3, 4)), rng.normal(size=4)
-        rows = ad.attention_scores(Tensor(keys), Tensor(queries), Tensor(v)).data
-        assert rows.shape == (3, 6)
+        rows, act = ad._attention_scores(keys, queries, v, 1, keep=False)
+        assert rows.shape == (3, 6) and act is None
         for q, row in zip(queries, rows):
             np.testing.assert_allclose(row, np.tanh(keys + q) @ v, rtol=0, atol=1e-12)
 
     def test_mismatched_query_rejected(self):
-        with pytest.raises(TensorError, match="attention_scores"):
-            ad.attention_scores(Tensor(np.zeros((6, 4))), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        """An attention query whose width is not the keys': `w_s` of 3 rows
+        against keys of width 4."""
+        rng = np.random.default_rng(13)
+        leaves = [Tensor(rng.normal(size=shape)) for shape in (
+            (1, 6), (4, 2), (2, 2), (1, 2), (1, 6), (6, 6), (6, 4), (3, 2), (4,))]
+        with pytest.raises(TensorError, match=r"attention_gru: .* w_s \(3, 2\)"):
+            ad.attention_gru(*leaves)
 
     # (blocks, query rows per block, n, a): one (n, a) row over SLICE, rows
     # of one block in chunks that do not divide them, several blocks per
@@ -620,21 +629,28 @@ class TestAttentionScores:
         v = rng.normal(size=a).astype(dtype)
         t = np.tanh(keys.reshape(blocks, 1, n, a) + query.reshape(blocks, -1, 1, a))
         want = t.reshape(blocks * per, n, a) @ v
-        got = ad.attention_scores(Tensor(keys), Tensor(query), Tensor(v), blocks).data
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        for keep in (False, True):
+            got, act = ad._attention_scores(keys, query, v, blocks, keep)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert act.tobytes() == t.tobytes()
 
     def test_beam_step_never_holds_the_whole_activation(self):
+        """A paper-width beam step of `ad.attention_gru` under no_grad, 20
+        hypotheses over 30 positions and 512 attention units, streams its
+        activation instead of keeping it."""
         import tracemalloc
 
         rng = np.random.default_rng(3)
-        keys, query, v = rng.normal(size=(30, 512)), rng.normal(size=(20, 512)), rng.normal(size=512)
-        keys, query, v = Tensor(keys), Tensor(query), Tensor(v)
-        full = 20 * 30 * 512 * 8
+        k, n, a, hidden = 20, 30, 512, 8
+        leaves = [Tensor(rng.normal(size=shape)) for shape in (
+            (k, 3 * hidden), (2 * hidden, hidden), (hidden, hidden), (k, hidden), (k, n),
+            (n, 3 * hidden), (n, a), (a, hidden), (a,))]
+        full = k * n * a * 8
         with ad.no_grad():
             tracemalloc.start()
             try:
-                ad.attention_scores(keys, query, v)
+                ad.attention_gru(*leaves)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -676,8 +692,10 @@ class TestNoGrad:
                 s_t, dist = decode_step(*word_terms(Tensor(rng.normal(size=(2, 3))), p),
                                         Tensor(np.zeros((2, 5))),
                                         Tensor(rng.normal(size=(2, 4))), memory, p)
-            # the step ran: GRU, attention, readout and copy gate
-            assert {"gru", "attention_scores", "softmax", "linear", "sigmoid"} <= set(ops)
+            # the step ran: the recurrence's states and attention weights, the
+            # readout and the copy gate
+            assert {"attention_gru", "attention_gru.weights", "linear", "maxout",
+                    "sigmoid"} <= set(ops)
             returned = {id(t) for t in (s_t, *vars(dist).values())}
             assert {id(ref()) for ref in created if ref() is not None} <= returned
             del s_t, dist

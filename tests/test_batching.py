@@ -200,10 +200,11 @@ def test_batched_loss_equals_reference_on_random_batches(tiny, data):
 
 
 def test_gru_cells_read_the_input_shares_in_place(tiny, monkeypatch):
-    """No gather sits between `gru_inputs` and `ad.gru`: on a ragged batch
-    the first parent of every GRU node, encoder and decoder, is a tensor
-    `gru_inputs` returned.  Each encoder direction is one node over every
-    step of the longest passage, and each decoder step one node."""
+    """No gather sits between `gru_inputs` and the recurrence nodes: on a
+    ragged batch the first parent of every one, encoder and decoder, is a
+    tensor `gru_inputs` returned.  Each encoder direction is one `gru` node
+    over every step of the longest passage, and the decoder one
+    `attention_gru` node over every step of the longest question."""
     model, labeled = tiny
     batch = labeled[4:]
     shares, gru_inputs = set(), qgen.encoder.gru_inputs
@@ -222,14 +223,15 @@ def test_gru_cells_read_the_input_shares_in_place(tiny, monkeypatch):
         t = stack.pop()
         if id(t) not in seen:
             seen.add(id(t))
-            if t._op == "gru":
+            if t._op in ("gru", "attention_gru"):
                 cells.append(t)
             stack.extend(t._parents)
     assert len(shares) == 3   # both encoder directions and the decoder
     longest = max(len(ex.base.passage) for ex in batch)
     steps = max(len(ex.base.question) for ex in batch) + 1
-    rows = sorted(cell.shape[0] for cell in cells)
-    assert rows == [len(batch)] * steps + [longest * len(batch)] * 2
+    assert sorted((cell._op, cell.shape[0]) for cell in cells) == [
+        ("attention_gru", steps * len(batch)), ("gru", longest * len(batch)),
+        ("gru", longest * len(batch))]
     for cell in cells:
         assert id(cell._parents[0]) in shares
 

@@ -5,10 +5,10 @@ import qgen.autodiff as ad
 from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.decoder import (
     DecoderParams,
-    attention,
     decode_step,
     init_decoder,
     passage_memory,
+    recur,
     teacher_forced_unroll,
     word_terms,
 )
@@ -18,11 +18,14 @@ import reference
 from conftest import assert_grads_match
 
 
-def _attend(s, enc, p):
-    """(alpha, context, scores)."""
-    keys = passage_memory(enc, p).keys
-    alpha = attention(s, keys, p)
-    return alpha, ad.attention_context(alpha, enc), ad.attention_scores(keys, ad.linear(s, p.w_s), p.v)
+def _attend(enc, p, rng, rows=1):
+    """(s, alpha, context) of one `recur` step of `rows` random hypotheses
+    over the passage `enc`: the new states, their attention weights and the
+    context alpha H."""
+    gates, _ = word_terms(Tensor(rng.normal(size=(rows, 3))), p)
+    s, alpha = recur(gates, Tensor(np.zeros((rows, enc.shape[0]))),
+                     Tensor(rng.normal(size=(rows, 4))), passage_memory(enc, p), p)
+    return s, alpha, ad.attention_context(alpha, enc)
 
 
 def _step(w_prev, alpha_prev, s_prev, enc, p):
@@ -60,7 +63,7 @@ class TestAttention:
         # zero attention weights make every score equal
         p.w_s, p.w_h, p.v = Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 8))), Tensor(np.zeros(5))
         enc = Tensor(rng.normal(size=(6, 8)))
-        alpha, context, _ = _attend(Tensor(rng.normal(size=(1, 4))), enc, p)
+        _, alpha, context = _attend(enc, p, rng)
         np.testing.assert_allclose(alpha.data, np.full((1, 6), 1 / 6))
         np.testing.assert_allclose(context.data, [enc.data.mean(axis=0)])
 
@@ -68,32 +71,181 @@ class TestAttention:
         rng = np.random.default_rng(2)
         p, _ = _params(rng)
         enc = Tensor(rng.normal(size=(1, 8)))
-        alpha, context, _ = _attend(Tensor(rng.normal(size=(1, 4))), enc, p)
+        _, alpha, context = _attend(enc, p, rng)
         np.testing.assert_allclose(alpha.data, [[1.0]])
         np.testing.assert_allclose(context.data, enc.data)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
         p, _ = _params(rng)
-        s = rng.normal(size=4)
         enc = rng.normal(size=(4, 8))
-        alpha, context, scores = _attend(Tensor(s[None]), Tensor(enc), p)
-        # direct per-position evaluation
-        e = np.array([p.v.data @ np.tanh(p.w_s.data @ s + p.w_h.data @ h) for h in enc])
-        a = np.exp(e - e.max())
-        a = a / a.sum()
-        c = (a[:, None] * enc).sum(axis=0)
-        np.testing.assert_allclose(scores.data, [e], atol=1e-12)
-        np.testing.assert_allclose(alpha.data, [a], atol=1e-12)
-        np.testing.assert_allclose(context.data, [c], atol=1e-12)
+        s, alpha, context = _attend(Tensor(enc), p, rng, rows=2)
+        for k, s_k in enumerate(s.data):
+            # direct per-position evaluation from the step's new state
+            e = np.array([p.v.data @ np.tanh(p.w_s.data @ s_k + p.w_h.data @ h) for h in enc])
+            a = np.exp(e - e.max())
+            a = a / a.sum()
+            np.testing.assert_allclose(alpha.data[k], a, atol=1e-12)
+            np.testing.assert_allclose(context.data[k], (a[:, None] * enc).sum(axis=0), atol=1e-12)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(4)
         p, _ = _params(rng)
         for n in (1, 3, 9):
-            alpha, _, _ = _attend(Tensor(rng.normal(size=(1, 4))),
-                                  Tensor(rng.normal(size=(n, 8))), p)
-            assert alpha.data.sum() == pytest.approx(1.0, abs=1e-9)
+            _, alpha, _ = _attend(Tensor(rng.normal(size=(n, 8))), p, rng, rows=3)
+            np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+
+HIDDEN, ATTN, N = 4, 5, 4
+# the ragged passages of the batch case: three blocks of one row each
+LENGTHS = np.array([4, 2, 3])
+
+
+class _RecurrenceCase:
+    """Fresh leaves of one dtype from fixed arrays for `ad.attention_gru`,
+    so that the op and its per-step graph build over equal, separate
+    tensors: "batch" is B = 3 blocks of one row under a ragged mask, as a
+    teacher-forced unroll runs it; "beam" one block of K = 3 rows without a
+    mask, as a beam step does.  The schedule reads distinct rows of the
+    shares out of order, and two rows are never read."""
+
+    def __init__(self, dtype, shape, steps, seed=0):
+        rng = np.random.default_rng(seed)
+        blocks, m = (3, 3) if shape == "batch" else (1, 3)
+        self.mask = np.arange(N) < LENGTHS[:, None] if shape == "batch" else None
+
+        def leaf(*size, scale=1.0):
+            return Tensor((rng.normal(size=size) * scale).astype(dtype), requires_grad=True)
+
+        self.gates = leaf(steps * m + 2, 3 * HIDDEN)
+        self.w_zr, self.w_cand = leaf(2 * HIDDEN, HIDDEN, scale=0.5), leaf(HIDDEN, HIDDEN, scale=0.5)
+        self.h0 = leaf(m, HIDDEN)
+        self.alpha0 = Tensor(rng.dirichlet(np.ones(N), m).astype(dtype), requires_grad=True)
+        self.values, self.keys = leaf(blocks * N, 3 * HIDDEN), leaf(blocks * N, ATTN)
+        self.w_s, self.v = leaf(ATTN, HIDDEN, scale=0.5), leaf(ATTN)
+        self.rows = rng.permutation(steps * m + 2)[:steps * m].reshape(steps, m)
+        self.head_s = rng.normal(size=(steps * m, HIDDEN)).astype(dtype)
+        self.head_a = rng.normal(size=(steps * m, N)).astype(dtype)
+
+    def leaves(self):
+        return [self.gates, self.h0, self.alpha0, self.values, self.keys, self.v, self.w_s,
+                self.w_zr, self.w_cand]
+
+    def run(self, op, reads, passes=1):
+        """The op's outputs and every leaf's gradient after `passes`
+        backward passes of a loss that reads the states, the weights or
+        both."""
+        states, weights = op(self.gates, self.w_zr, self.w_cand, self.h0, self.alpha0, self.values,
+                             self.keys, self.w_s, self.v, self.rows, self.mask)
+        terms = []
+        if reads in ("states", "both"):
+            terms.append(ad.sum_(ad.mul(ad.tanh(states), self.head_s)))
+        if reads in ("weights", "both"):
+            terms.append(ad.sum_(ad.mul(ad.tanh(weights), self.head_a)))
+        loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+        for _ in range(passes):
+            loss.backward()
+        return [states.data, weights.data] + [t.grad for t in self.leaves()]
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestAttentionGru:
+    """`ad.attention_gru` against the graph per step that it replaces:
+    `attention_context`, the GRU step, the query `linear`, the attention
+    scores and the masked softmax per step, and a `concat` of the states
+    and of the weights (`reference.attention_gru_unfused`)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", ["batch", "beam"])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("reads", ["both", "states", "weights"])
+    def test_k_steps_are_byte_identical_to_k_step_graphs(self, dtype, shape, steps, reads):
+        got = _RecurrenceCase(dtype, shape, steps).run(ad.attention_gru, reads)
+        want = _RecurrenceCase(dtype, shape, steps).run(reference.attention_gru_unfused, reads)
+        for k, (a, b) in enumerate(zip(got, want, strict=True)):
+            assert (a is None) == (b is None), k
+            if a is not None:
+                _assert_same_bytes(a, b)
+        # every leaf is reached, but the scores of a last step that no loss reads
+        unread = {6, 7, 8} if reads == "states" and steps == 1 else set()   # keys, v and w_s
+        assert {k for k, a in enumerate(got) if a is None} == unread
+        if shape == "batch":   # masked weights are exactly 0
+            assert not got[1].reshape(steps, 3, N)[:, np.arange(N) >= LENGTHS[:, None]].any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_two_passes_accumulate_as_the_graph_does(self, dtype):
+        got = _RecurrenceCase(dtype, "batch", 3).run(ad.attention_gru, "both", passes=2)
+        want = _RecurrenceCase(dtype, "batch", 3).run(reference.attention_gru_unfused, "both",
+                                                      passes=2)
+        for a, b in zip(got, want, strict=True):
+            _assert_same_bytes(a, b)
+
+    @pytest.mark.parametrize("shape", ["batch", "beam"])
+    def test_gradients_match_finite_differences(self, shape):
+        case = _RecurrenceCase(np.float64, shape, 3, seed=5)
+        rows, mask, head_s, head_a = case.rows, case.mask, case.head_s, case.head_a
+
+        def loss(gates, h0, alpha0, values, keys, v, w_s, w_zr, w_cand):
+            states, weights = ad.attention_gru(gates, w_zr, w_cand, h0, alpha0, values, keys,
+                                               w_s, v, rows, mask)
+            return ad.add(ad.sum_(ad.mul(ad.tanh(states), head_s)),
+                          ad.sum_(ad.mul(ad.tanh(weights), head_a)))
+
+        assert_grads_match(loss, [t.data for t in case.leaves()])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_beam_step_under_no_grad(self, dtype):
+        """One step over all the shares, as `decode_step` runs it: the
+        graph's bytes, and no history kept."""
+        outs = []
+        for op in (ad.attention_gru, reference.attention_gru_unfused):
+            case = _RecurrenceCase(dtype, "beam", 1)
+            with ad.no_grad():
+                outs.append(op(reference.slice_(case.gates, slice(0, 3)), case.w_zr, case.w_cand,
+                               case.h0, case.alpha0, case.values, case.keys, case.w_s, case.v))
+        for got, want in zip(*outs, strict=True):
+            _assert_same_bytes(got.data, want.data)
+            assert not got.requires_grad and got._parents == () and got._backward is None
+
+    def test_one_node_and_its_weights(self):
+        case = _RecurrenceCase(np.float64, "batch", 3)
+        states, weights = ad.attention_gru(case.gates, case.w_zr, case.w_cand, case.h0,
+                                           case.alpha0, case.values, case.keys, case.w_s, case.v,
+                                           case.rows, case.mask)
+        assert states._op == "attention_gru" and states.shape == (9, HIDDEN)
+        assert [id(t) for t in states._parents] == [id(t) for t in (
+            case.gates, case.w_zr, case.w_cand, case.h0, case.alpha0, case.values, case.keys,
+            case.w_s, case.v)]
+        assert weights._parents == (states,) and weights.shape == (9, N)
+
+    def test_mismatched_inputs_rejected(self):
+        case = _RecurrenceCase(np.float64, "batch", 2)
+        args = [case.gates, case.w_zr, case.w_cand, case.h0, case.alpha0, case.values, case.keys,
+                case.w_s, case.v]
+
+        def call(k, value, rows=case.rows, mask=case.mask):
+            ad.attention_gru(*args[:k], value, *args[k + 1:], rows=rows, mask=mask)
+
+        with pytest.raises(TensorError, match="attention_gru: weights"):   # passages of 3 rows
+            call(4, Tensor(np.zeros((3, 3))))
+        with pytest.raises(TensorError, match="attention_gru: weights"):   # a value table of two gates
+            call(5, Tensor(np.zeros((3 * N, 2 * HIDDEN))))
+        with pytest.raises(TensorError, match="attention_gru: weights"):   # two blocks of keys
+            call(6, Tensor(np.zeros((2 * N, ATTN))))
+        with pytest.raises(TensorError, match="attention_gru: weights"):   # v of the wrong width
+            call(8, Tensor(np.zeros(ATTN + 1)))
+        with pytest.raises(TensorError, match="attention_gru: shares"):    # a step of two rows
+            call(0, case.gates, rows=case.rows[:, :2])
+        with pytest.raises(TensorError, match="attention_gru: weights"):   # weights (2h, 2h)
+            call(1, Tensor(np.zeros((2 * HIDDEN, 2 * HIDDEN))))
+        with pytest.raises(TensorError, match="attention_gru: mask"):
+            call(0, case.gates, mask=case.mask[:2])
+        with pytest.raises(TensorError, match="masked"):
+            call(0, case.gates, mask=case.mask & (np.arange(3) != 1)[:, None])
 
 
 class TestMaxout:

@@ -1,9 +1,11 @@
 """`ad.gru` against the node-by-node GRU steps it replaces: the same bytes
 in the forward output and in every gradient.  The encoder's use of it runs
 a whole schedule of steps as one node, against a graph per step and a
-`concat` of the states; the decoder's adds an extra share to the input
-shares of one-step schedules, in a teacher-forced unroll and in a beam
-step."""
+`concat` of the states.  The "decoder" and "beam" cases run one-step
+schedules over shares that a graph adds an extra share to, each state
+feeding the next step's extra share, as a recurrence whose input depends on
+its state does; the decoder itself runs `ad.attention_gru`, which shares
+the GRU step with `ad.gru` (`tests/test_decoder.py`)."""
 
 import numpy as np
 import pytest
@@ -26,8 +28,16 @@ STEP_ROWS = np.arange(STEPS * BATCH).reshape(STEPS, BATCH)
 
 def fused(p):
     """The steps of schedule `rows` as one node over the GRU `p`'s state
-    weights: every step's states, stacked."""
-    return lambda gates, h, extra, rows: ad.gru(gates, p.w_zr, p.w_cand, h, rows, extra)
+    weights: every step's states, stacked.  An extra share is added by an
+    `add` node to the rows of a one-step schedule, which the node then
+    reads whole."""
+    def run(gates, h, extra, rows):
+        if extra is not None:
+            gates = ad.add(gates if rows is None else ad.gather_rows(gates, rows[0]), extra)
+            rows = None
+        return ad.gru(gates, p.w_zr, p.w_cand, h, rows)
+
+    return run
 
 
 def unfused(p):
@@ -72,9 +82,9 @@ def _recurrence(make_step, case, with_extra, index_rows):
     """STEPS steps over the rows of every step's input shares: the rows
     `INDEX_ROWS[i]` of the shares themselves, or `STEP_ROWS[i]` of their
     step-major copy.  Without an extra share, as `encoder.encode` runs
-    them: the whole schedule at once.  With one, as
-    `decoder.teacher_forced_unroll` runs them: one step at a time, each
-    state feeding the next step's extra share, as its attention rows do.
+    them: the whole schedule at once.  With one: one step at a time, each
+    state feeding the next step's extra share, as the decoder's attention
+    rows feed its context share.
     The states also feed a loss, and h0 a term of its own, so a state's
     gradient has a part before its step runs and parts after."""
     gates = gru_inputs(case.x, case.p)
@@ -98,7 +108,7 @@ def _recurrence(make_step, case, with_extra, index_rows):
 
 
 def _beam_step(make_step, case):
-    """`decoder.decode_step`: whole (K, 3 hidden) input shares, one row per
+    """A beam step's shape: whole (K, 3 hidden) input shares, one row per
     hypothesis, and an extra share."""
     gates = gru_inputs(slice_(case.x, slice(None, BATCH)), case.p)
     out = make_step(case.p)(gates, case.h0, case.e0, None)
@@ -208,25 +218,21 @@ def test_step_either_side_of_the_row_cut(dtype, rows):
 def test_one_node_per_recurrence():
     case = _Case(np.float64, True)
     gates = gru_inputs(case.x, case.p)
-    for extra, rows in ((None, INDEX_ROWS), (case.e0, INDEX_ROWS[:1])):
-        out = fused(case.p)(gates, case.h0, extra, rows)
-        assert out._op == "gru" and out.shape == (len(rows) * BATCH, HIDDEN)
-        assert [id(t) for t in out._parents] == [
-            id(gates), id(case.p.w_zr), id(case.p.w_cand), id(case.h0)
-        ] + ([] if extra is None else [id(extra)])
+    out = fused(case.p)(gates, case.h0, None, INDEX_ROWS)
+    assert out._op == "gru" and out.shape == (len(INDEX_ROWS) * BATCH, HIDDEN)
+    assert [id(t) for t in out._parents] == [
+        id(gates), id(case.p.w_zr), id(case.p.w_cand), id(case.h0)]
 
 
-def _assert_grads_match_finite_differences(rows, with_extra=True):
+def _assert_grads_match_finite_differences(rows):
     """Over input shares three times as tall as the state."""
     rng = np.random.default_rng(3)
     arrays = [rng.normal(size=(3 * BATCH, 3 * HIDDEN)), rng.normal(size=(2 * HIDDEN, HIDDEN)) * 0.5,
               rng.normal(size=(HIDDEN, HIDDEN)) * 0.5, rng.normal(size=(BATCH, HIDDEN))]
-    arrays += [rng.normal(size=(BATCH, 3 * HIDDEN))] if with_extra else []
     head = rng.normal(size=(len(rows) * BATCH, HIDDEN))
 
-    def loss(x, w_zr, w_cand, h, e=None):
-        out = ad.gru(x, w_zr, w_cand, h, rows=rows, extra=e)
-        return ad.sum_(ad.mul(out, head))
+    def loss(x, w_zr, w_cand, h):
+        return ad.sum_(ad.mul(ad.gru(x, w_zr, w_cand, h, rows=rows), head))
 
     assert_grads_match(loss, arrays)
 
@@ -240,7 +246,7 @@ def test_index_row_gradients_match_finite_differences():
 
 
 def test_schedule_gradients_match_finite_differences():
-    _assert_grads_match_finite_differences(np.array([[3, 0], [5, 3], [1, 4]]), with_extra=False)
+    _assert_grads_match_finite_differences(np.array([[3, 0], [5, 3], [1, 4]]))
 
 
 def test_mismatched_shapes_rejected():
@@ -249,13 +255,6 @@ def test_mismatched_shapes_rejected():
     w_zr, w_cand = Tensor(np.zeros((2 * HIDDEN, HIDDEN))), Tensor(np.zeros((HIDDEN, HIDDEN)))
     gates = Tensor(np.zeros((2, 3 * HIDDEN)))
     state = Tensor(np.zeros((2, HIDDEN)))
-    with pytest.raises(TensorError, match="gru"):   # an extra share of two gates
-        ad.gru(gates, w_zr, w_cand, state, extra=Tensor(np.zeros((2, 2 * HIDDEN))))
-    with pytest.raises(TensorError, match="gru"):   # an extra share for one state
-        ad.gru(gates, w_zr, w_cand, state, extra=Tensor(np.zeros((1, 3 * HIDDEN))))
-    with pytest.raises(TensorError, match="gru"):   # an extra share over two steps
-        ad.gru(gates, w_zr, w_cand, state, rows=np.array([[0, 1], [1, 0]]),
-               extra=Tensor(np.zeros((2, 3 * HIDDEN))))
     with pytest.raises(TensorError, match="gru"):   # one share row for two states
         ad.gru(Tensor(np.zeros((1, 3 * HIDDEN))), w_zr, w_cand, state)
     with pytest.raises(TensorError, match="gru"):   # two gates' shares

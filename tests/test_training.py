@@ -594,7 +594,8 @@ class TestFloat32:
                 if id(p) not in seen:
                     seen.add(id(p))
                     stack.append(p)
-        assert {"dropout", "st_discretize", "attention_scores", "linear", "gru"} <= ops
+        assert {"dropout", "st_discretize", "attention_gru", "attention_gru.weights", "linear",
+                "gru"} <= ops
         loss.backward()
         for name, t in model.params.items():
             assert t.grad is None or t.grad.dtype == np.float32, name
