@@ -375,19 +375,27 @@ def _gru_step_backward(d_h: np.ndarray, saved: tuple, prev: Tensor, w_zr: Tensor
     return np.concatenate([d_zr, d_cand], axis=1)
 
 
-def _state_grad(g: Optional[np.ndarray], h: np.ndarray, lo: int, hi: int) -> Tensor:
-    """An inner state of a recurrence node as a tensor whose gradient
-    starts as rows lo:hi of the node's output gradient g, if any."""
+def _state_grad(g: Optional[np.ndarray], h: np.ndarray, t: int) -> Tensor:
+    """The states after step t of a recurrence node as a tensor whose
+    gradient starts as their rows of the node's output gradient g, if any,
+    (m, steps, d) as `_by_member` gives it."""
     state = Tensor(h, requires_grad=True)
     if g is not None:
-        state.grad = g[lo:hi].copy()
+        state.grad = g[:, t].copy()
     return state
 
 
+def _by_member(g: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:
+    """A recurrence node's member-major (m * steps, d) output gradient as
+    (m, steps, d): [:, t] is every member's row after step t."""
+    return None if g is None else g.reshape(m, -1, g.shape[1])
+
+
 def gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
-        rows: Optional[np.ndarray] = None) -> Tensor:
+        rows: np.ndarray) -> Tensor:
     """GRU steps over (m, hidden) state rows in lockstep, as one graph node:
-    from `h_prev`, every step's states, step-major, (steps * m, hidden).
+    from `h_prev`, every step's states, member-major, (m * steps, hidden),
+    row b * steps + t being row b's state after step t.
 
         [z; r] = sigmoid(x_zr + h W_zr'),   W_zr = [W_z; W_r], (2 hidden, hidden)
         h~ = tanh(x_h + (r h) W_cand'),     h' = (1 - z) h + z h~
@@ -395,17 +403,17 @@ def gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
     x = [x_z, x_r, x_h] is a step's (m, 3 hidden) share of the
     pre-activations from the gates' other weights: at step t of the
     (steps, m) schedule `rows`, rows rows[t] of `gates`, distinct, read in
-    place, or all of `gates` in one step by default.  Each product is
-    issued as `linear` issues its own (`_times_t`).  Forward and gradients
-    are bit-identical to a graph of small nodes per step and a `concat` of
-    the states (`tests/reference.py`): backward walks the steps in reverse,
-    in that graph's reverse-walk order, and defers each weight's (g, x)
-    rows to it as `linear` does.
+    place.  Each product is issued as `linear` issues its own
+    (`_times_t`).  Forward and gradients are bit-identical to a graph of
+    small nodes per step and a member-major stack of the states
+    (`tests/reference.py`): backward walks the steps in reverse, in that
+    graph's reverse-walk order, and defers each weight's (g, x) rows to it
+    as `linear` does.
     """
     parents = _operands((gates, w_zr, w_cand, h_prev))
     gates, w_zr, w_cand, h_prev = parents
     schedule = _gru_schedule("gru", gates, w_zr, w_cand, h_prev, rows)
-    m = h_prev.shape[0]
+    m, hidden = h_prev.shape
     states, saved = [h_prev.data], []
     for key in schedule:
         h, step = _gru_step(gates.data[key], states[-1], w_zr.data, w_cand.data)
@@ -413,16 +421,17 @@ def gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
         saved.append(step)
 
     def bw(g):
-        d_h = g[-m:]
+        g = _by_member(g, m)
+        d_h = g[:, -1]
         for t in reversed(range(len(saved))):
             # the last step's output: its rows of g, then this step's terms
-            prev = _state_grad(g, states[t], (t - 1) * m, t * m) if t else h_prev
+            prev = _state_grad(g, states[t], t - 1) if t else h_prev
             d_x = _gru_step_backward(d_h, saved[t], prev, w_zr, w_cand)
             if gates.requires_grad:
                 gates._grad_buffer()[schedule[t]] += d_x
             d_h = prev.grad
 
-    return _node(np.concatenate(states[1:]), parents, "gru", bw)
+    return _node(np.stack(states[1:], axis=1).reshape(-1, hidden), parents, "gru", bw)
 
 
 def _attention_scores(keys: np.ndarray, query: np.ndarray, v: np.ndarray, blocks: int,
@@ -468,8 +477,9 @@ def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha
                   mask: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
     """The decoder's recurrence over (m, hidden) state rows in lockstep, as
     one graph node: from the state `h0` and the attention weights `alpha0`,
-    every step's states and attention weights, step-major, (steps * m,
-    hidden) and (steps * m, n).  Step t of the (steps, m) schedule `rows`:
+    every step's states and attention weights, member-major as in `gru`,
+    (m * steps, hidden) and (m * steps, n).  Step t of the (steps, m)
+    schedule `rows`:
 
         x = rows rows[t] of `gates` + alpha_{t-1} V    (the GRU's shares)
         h_t = the `gru` step from h_{t-1} over x
@@ -486,10 +496,10 @@ def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha
     The weights are a second node whose backward hands its gradient to the
     op.  Forward and gradients are bit-identical to a graph per step of
     `attention_context`, the `gru` step, a `linear` by `w_s`, additive
-    attention scores and a masked softmax, and a `concat` of the states and
-    of the weights (`tests/reference.py`): backward walks the steps in
-    reverse, in that graph's reverse-walk order, and defers each weight's
-    (g, x) rows to it as `linear` does.
+    attention scores and a masked softmax, and a member-major stack of the
+    states and of the weights (`tests/reference.py`): backward walks the
+    steps in reverse, in that graph's reverse-walk order, and defers each
+    weight's (g, x) rows to it as `linear` does.
     """
     parents = _operands((gates, w_zr, w_cand, h0, alpha0, values, keys, w_s, v))
     gates, w_zr, w_cand, h0, alpha0, values, keys, w_s, v = parents
@@ -528,9 +538,9 @@ def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha
     chunk = max(1, SLICE // max(1, n * attn))   # rows of the activation's gradient at a time
 
     def bw(g):
-        g_alpha, handed[0] = handed[0], None
-        d_h = None if g is None else g[-m:].copy()
-        d_alpha = None if g_alpha is None else g_alpha[-m:]
+        g, g_alpha, handed[0] = _by_member(g, m), _by_member(handed[0], m), None
+        d_h = None if g is None else g[:, -1].copy()
+        d_alpha = None if g_alpha is None else g_alpha[:, -1]
         for t in reversed(range(len(saved))):
             step, act = saved[t]
             if d_alpha is not None:
@@ -549,7 +559,7 @@ def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha
                 d_h = d_s if d_h is None else np.add(d_h, d_s, out=d_h)
                 if w_s.requires_grad:
                     w_s._defer_outer(d_q, states[t + 1])
-            prev = _state_grad(g, states[t], (t - 1) * m, t * m) if t else h0
+            prev = _state_grad(g, states[t], t - 1) if t else h0
             d_x = _gru_step_backward(d_h, step, prev, w_zr, w_cand)
             if gates.requires_grad:
                 gates._grad_buffer()[schedule[t]] += d_x
@@ -559,20 +569,21 @@ def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha
                 if not t:
                     alpha0._accumulate(d_alpha)
                 elif g_alpha is not None:
-                    d_alpha += g_alpha[(t - 1) * m:t * m]
+                    d_alpha += g_alpha[:, t - 1]
             if values.requires_grad:
                 a3 = weights[t].reshape(blocks, -1, n)
                 values._accumulate((a3.transpose(0, 2, 1) @ d_x3).reshape(values.shape))
             d_h = prev.grad
 
-    out = _node(np.concatenate(states[1:]), parents, "attention_gru", bw)
+    out = _node(np.stack(states[1:], axis=1).reshape(-1, hidden), parents, "attention_gru", bw)
 
     def bw_weights(g):
         handed[0] = g
         if out.grad is None:   # nothing read the states: their node is not walked
             bw(None)
 
-    return out, _node(np.concatenate(weights[1:]), (out,), "attention_gru.weights", bw_weights)
+    return out, _node(np.stack(weights[1:], axis=1).reshape(-1, n), (out,),
+                      "attention_gru.weights", bw_weights)
 
 
 def attention_context(alpha: Tensor, values: Tensor) -> Tensor:

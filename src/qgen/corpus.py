@@ -15,7 +15,6 @@ to itself.  Answer spans are inclusive token indices into the passage.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -306,8 +305,6 @@ def build_reduced_target_vocab(questions, n: int = 2000) -> ReducedTargetVocab:
     return ReducedTargetVocab(words=[w for w, _ in counts.most_common(n)])
 
 
-STOPWORDS_VERSION = "v1"
-
 _STOPWORD_LIST = """
 i me my myself we our ours ourselves you your yours yourself yourselves
 he him his himself she her hers herself it its itself they them their theirs themselves
@@ -332,15 +329,10 @@ def stopword_set() -> frozenset[str]:
     """The pinned English stopword list shipped with this package.
 
     Membership tests should be done on `normalize`d tokens.  The list is
-    versioned (`STOPWORDS_VERSION`) and hash-pinned in the test suite so that
-    labeling stays reproducible across releases.
+    hash-pinned in the test suite so that labeling stays reproducible across
+    releases.
     """
     return _STOPWORDS
-
-
-def stopwords_digest() -> str:
-    payload = "\n".join(sorted(_STOPWORDS)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
 
 
 def load_word_vectors(path, dim: int, dtype=np.float64) -> dict[str, np.ndarray]:

@@ -125,35 +125,44 @@ def word_terms(w_prev: Tensor, p: DecoderParams) -> tuple[Tensor, Tensor]:
     return gru_inputs(w_prev, p.gru), ad.linear(w_prev, p.w_rw)
 
 
-def recur(word_gates: Tensor, alpha0: Tensor, s0: Tensor, memory: PassageMemory,
-          p: DecoderParams, rows: np.ndarray | None = None,
-          mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """The recurrent part of the decoder steps of the (steps, m) schedule
-    `rows`, as one `ad.attention_gru` node: every step's states and
-    attention weights, step-major.  Each step is a GRU over [w_prev;
-    c_prev], then attention under `mask` over the passage blocks of
-    `memory`.  The word enters as its GRU share, rows `rows[t]` of
-    `word_gates` at step t or all of it in one step by default, and the
-    context as the previous step's attention rows (`alpha0`, all zeros at
-    the first step) times `memory.gates`."""
-    return ad.attention_gru(word_gates, p.gru.w_zr, p.gru.w_cand, s0, alpha0, memory.gates,
-                            memory.keys, p.w_s, p.v, rows, mask)
-
-
 def decode_step(
     word_gates: Tensor,
     word_readout: Tensor,
-    alpha_prev: Tensor,
-    s_prev: Tensor,
+    alpha0: Tensor,
+    s0: Tensor,
     memory: PassageMemory,
     p: DecoderParams,
+    rows: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+    real: np.ndarray | None = None,
+    maxout_keep: np.ndarray | None = None,
 ) -> tuple[Tensor, ExtendedDistribution]:
-    """One beam step over one passage for K hypotheses, their input words'
-    `word_terms`, `alpha_prev` and `s_prev` stacked as rows: the new states
-    and the step's distribution, one row per hypothesis."""
-    s_t, alpha = recur(word_gates, alpha_prev, s_prev, memory, p)
-    return s_t, output_head(word_readout, s_t, alpha, ad.matmul(alpha, memory.readout),
-                            ad.matmul(alpha, memory.copy_gate), p)
+    """The decoder's steps over m state rows in lockstep, from `s0` and
+    `alpha0` (all zeros at a first step): every step of the (steps, m)
+    schedule `rows`, or one step over all of `word_gates` by default, a
+    beam step's case.  Rows are member-major, row b * steps + t being
+    member b's step t, and the states and distributions returned are those
+    of the rows `real`, all of them by default; `maxout_keep` is in their
+    order.  A beam step's members are K hypotheses of one passage, a
+    training batch's its B examples, one per passage.
+
+    The recurrence is one `ad.attention_gru` node: each step is a GRU over
+    [w_prev; c_prev], then attention under `mask` over the passage blocks
+    of `memory`.  Step t reads rows `rows[t]` of the words' GRU shares
+    `word_gates` (`word_terms`), and the context enters as the previous
+    step's attention rows times `memory.gates`; the output head reads it
+    as the attention rows times `memory.readout` and `memory.copy_gate`."""
+    states, alphas = ad.attention_gru(word_gates, p.gru.w_zr, p.gru.w_cand, s0, alpha0,
+                                      memory.gates, memory.keys, p.w_s, p.v, rows, mask)
+    # the contexts before the copy rows: backward walks the nodes in creation
+    # order, which fixes the order in which the weights' gradients are summed
+    readout_context, gate_context = (ad.attention_context(alphas, table)
+                                     for table in (memory.readout, memory.copy_gate))
+    if real is not None:
+        states, readout_context, gate_context, alphas = (
+            ad.gather_rows(t, real) for t in (states, readout_context, gate_context, alphas))
+    return states, output_head(word_readout, states, alphas, readout_context, gate_context, p,
+                               maxout_keep)
 
 
 def teacher_forced_unroll(
@@ -167,34 +176,22 @@ def teacher_forced_unroll(
     `prev_ids[b]` of the word table, <SOS> and then its question, so it
     takes len(prev_ids[b]) steps, the last one predicting <EOS>.
 
-    The B examples advance together as the rows of one `recur` over every
-    step, each over its own passage's `passage_memory` block.  The output
-    head then runs once over every example's steps, stacked example after
-    example, which is also the row order of `maxout_keep`.
+    The B examples advance together as the members of one `decode_step`
+    over every step, each over its own passage's `passage_memory` block.
+    The output head runs over each example's own steps, stacked example
+    after example, which is also the row order of `maxout_keep`.
     """
     steps = np.array([len(ids) for ids in prev_ids])
-    batch, longest = len(steps), steps.max()
-    w_prev = ad.gather_rows(words, np.concatenate(prev_ids))       # example-major rows
+    longest = steps.max()
     first = np.cumsum(steps) - steps
-    t = np.arange(longest)[:, None]
-    # step t of example b reads row first[b] + t; finished rows repeat their last
-    # step, and nothing reads what they compute
-    positions = first + np.minimum(t, steps - 1)
-    inputs = gru_inputs(w_prev, p.gru)
+    # step t of example b reads row first[b] + t of the words; finished rows
+    # repeat their last step, and nothing reads what they compute
+    rows = first + np.minimum(np.arange(longest)[:, None], steps - 1)
+    real = np.concatenate([b * longest + np.arange(n) for b, n in enumerate(steps)])
+    word_gates, word_readout = word_terms(ad.gather_rows(words, np.concatenate(prev_ids)), p)
     memory = passage_memory(enc.states, p)
     mask = enc.mask()
-    s = init_decoder(enc.last_backward, p.w_init, p.b_init)
-    alpha = Tensor(np.zeros(mask.shape, enc.states.data.dtype))
-    states, alphas = recur(inputs, alpha, s, memory, p, positions, mask)
-    # row b * longest + t of `padded` is step t * B + b: one block of steps per
-    # passage, and `real` picks each example's own steps from the blocks
-    padded = (t.T * batch + np.arange(batch)[:, None]).ravel()
-    real = np.concatenate([b * longest + np.arange(n) for b, n in enumerate(steps)])
-    s = ad.gather_rows(states, padded[real])
-    blocks = ad.gather_rows(alphas, padded)
-    # the word's readout term after the context's: backward walks the nodes in
-    # creation order, which fixes the order in which gradients are summed
-    readout_context, gate_context = (ad.gather_rows(ad.attention_context(blocks, table), real)
-                                     for table in (memory.readout, memory.copy_gate))
-    return output_head(ad.linear(w_prev, p.w_rw), s, ad.gather_rows(blocks, real),
-                       readout_context, gate_context, p, maxout_keep)
+    s0 = init_decoder(enc.last_backward, p.w_init, p.b_init)
+    alpha0 = Tensor(np.zeros(mask.shape, enc.states.data.dtype))
+    return decode_step(word_gates, word_readout, alpha0, s0, memory, p, rows, mask, real,
+                       maxout_keep)[1]

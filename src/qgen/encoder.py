@@ -83,26 +83,23 @@ def encode(
     starts = np.cumsum(lengths) - lengths
     x = ad.dropout(x, input_keep)
 
-    # each direction's states, step-major (n * B, hidden): at step i passage b
-    # reads its token min(i, length - 1) forward, max(length - 1 - i, 0) backward
-    step = np.arange(n)[:, None]
+    # each direction's states, member-major (B * n, hidden): row b * n + i is
+    # passage b's state after step i, which reads its token min(i, length - 1)
+    # forward and max(length - 1 - i, 0) backward
+    position, column = np.arange(n), np.arange(batch)[:, None]
     h0 = Tensor(np.zeros((batch, forward_params.w_cand.shape[0]), x.data.dtype))
     fwd, bwd = (ad.gru(gru_inputs(x, p), p.w_zr, p.w_cand, h0, rows=starts + token)
-                for p, token in ((forward_params, np.minimum(step, lengths - 1)),
-                                 (backward_params, np.maximum(lengths - 1 - step, 0))))
+                for p, token in ((forward_params, np.minimum(position[:, None], lengths - 1)),
+                                 (backward_params, np.maximum(lengths - 1 - position[:, None], 0))))
 
-    # passage-major rows b * n + i, from step-major rows i * B + b; the
-    # backward direction reached position i at step length - 1 - i
-    position = np.arange(n)
-    column = np.arange(batch)[:, None]
-    states = ad.concat([
-        ad.gather_rows(fwd, (position * batch + column).ravel()),
-        ad.gather_rows(bwd, (np.maximum(lengths[:, None] - 1 - position, 0) * batch + column).ravel()),
-    ], axis=1)
+    # forward rows are in passage order already; the backward direction
+    # reached position i at step length - 1 - i
+    backward = column * n + np.maximum(lengths[:, None] - 1 - position, 0)
+    states = ad.concat([fwd, ad.gather_rows(bwd, backward.ravel())], axis=1)
     if output_keep is not None:
         padded = np.ones(states.shape, output_keep.dtype)
         padded[(column * n + position)[position < lengths[:, None]]] = output_keep
         states = ad.dropout(states, padded)
     # each passage's last backward step, at its first token
-    last_backward = ad.gather_rows(bwd, (lengths - 1) * batch + np.arange(batch))
+    last_backward = ad.gather_rows(bwd, np.arange(batch) * n + lengths - 1)
     return EncoderOutput(states=states, last_backward=last_backward, lengths=lengths)

@@ -8,15 +8,15 @@ once per question token, and the losses add a few nodes per step.
 Dropout multipliers and Gumbel noise are drawn where the computation
 reaches them.
 
-`sub`, `slice_`, `maximum`, `attention_scores` and the masked `softmax`
-are graph nodes, built on `ad._node`, that only these oracles use, so the
-core does not keep them; tensor indexing is an explicit `slice_` call.
-`gru_step_unfused` is the GRU step as the graph of small nodes that the
-one-node `ad.gru` must reproduce byte for byte, step after step, and
-`attention_gru_unfused` the decoder's recurrence as the graph per step that
-the one-node `ad.attention_gru` must reproduce.  `pairwise_max` (two
-`slice_` nodes and a `maximum`) is the graph whose bytes the one-node
-`ad.maxout` must reproduce, NaN aside.
+`sub`, `slice_`, `maximum`, `attention_scores`, the masked `softmax` and
+`member_major` are graph nodes, built on `ad._node`, that only these
+oracles use, so the core does not keep them; tensor indexing is an
+explicit `slice_` call.  `gru_step_unfused` is the GRU step as the graph of
+small nodes that the one-node `ad.gru` must reproduce byte for byte, step
+after step, and `attention_gru_unfused` the decoder's recurrence as the
+graph per step that the one-node `ad.attention_gru` must reproduce.
+`pairwise_max` (two `slice_` nodes and a `maximum`) is the graph whose
+bytes the one-node `ad.maxout` must reproduce, NaN aside.
 `beam_select` is a beam step's choice of survivors in its first, plainer
 form: the whole (K, surfaces) table from `surface_merge`, each row's
 proposals from `top_k` and a stable sort of their scores, which
@@ -110,6 +110,18 @@ def softmax(a, mask=None):
     return ad._node(y, (a,), "softmax", bw)
 
 
+def member_major(steps):
+    """The (m, d) tensors of a recurrence's steps stacked member after
+    member, (m * steps, d), row b * steps + t being row b of step t: a
+    `concat` along the columns, read as rows by a node of its own."""
+    wide = ad.concat(steps, axis=1)
+
+    def bw(g):
+        wide._accumulate(g.reshape(wide.shape))
+
+    return ad._node(wide.data.reshape(-1, steps[0].shape[1]), (wide,), "member_major", bw)
+
+
 def attention_scores(keys, query, v, blocks=1):
     """Additive attention scores v . tanh(key + query), (m, n), as their own
     node: keys is (blocks * n, a), and the (m, a) query rows split into
@@ -164,8 +176,9 @@ def attention_gru_unfused(gates, w_zr, w_cand, h0, alpha0, values, keys, w_s, v,
     `attention_context(alpha_{t-1}, values)`, the GRU step node by node
     (`gru_step_unfused`) over a `slice_` of rows `rows[t]` of `gates` (all
     of them in one step without `rows`), a `linear` by `w_s`, the
-    `attention_scores` of `keys` and the masked `softmax`; then a `concat`
-    of the states and one of the weights.  `mask` is (blocks, n)."""
+    `attention_scores` of `keys` and the masked `softmax`; then a
+    `member_major` stack of the states and one of the weights.  `mask` is
+    (blocks, n)."""
     n = alpha0.shape[1]
     blocks = keys.shape[0] // n
     per = h0.shape[0] // blocks
@@ -177,7 +190,7 @@ def attention_gru_unfused(gates, w_zr, w_cand, h0, alpha0, values, keys, w_s, v,
         alpha = softmax(attention_scores(keys, ad.linear(h, w_s), v, blocks), mask)
         states.append(h)
         weights.append(alpha)
-    return ad.concat(states), ad.concat(weights)
+    return member_major(states), member_major(weights)
 
 
 def pairwise_max(r):

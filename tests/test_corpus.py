@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,7 +18,6 @@ from qgen.corpus import (
     load_corpus,
     load_word_vectors,
     stopword_set,
-    stopwords_digest,
     tier_of,
     write_corpus,
 )
@@ -248,7 +248,8 @@ class TestStopwords:
 
     def test_pinned_size_and_digest(self):
         assert len(stopword_set()) == STOPWORD_COUNT
-        assert stopwords_digest() == STOPWORD_SHA256
+        payload = "\n".join(sorted(stopword_set())).encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest() == STOPWORD_SHA256
 
 
 class TestWordVectors:

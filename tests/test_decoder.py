@@ -8,7 +8,6 @@ from qgen.decoder import (
     decode_step,
     init_decoder,
     passage_memory,
-    recur,
     teacher_forced_unroll,
     word_terms,
 )
@@ -19,13 +18,13 @@ from conftest import assert_grads_match
 
 
 def _attend(enc, p, rng, rows=1):
-    """(s, alpha, context) of one `recur` step of `rows` random hypotheses
+    """(s, alpha, context) of one `decode_step` of `rows` random hypotheses
     over the passage `enc`: the new states, their attention weights and the
     context alpha H."""
-    gates, _ = word_terms(Tensor(rng.normal(size=(rows, 3))), p)
-    s, alpha = recur(gates, Tensor(np.zeros((rows, enc.shape[0]))),
-                     Tensor(rng.normal(size=(rows, 4))), passage_memory(enc, p), p)
-    return s, alpha, ad.attention_context(alpha, enc)
+    s, dist = decode_step(*word_terms(Tensor(rng.normal(size=(rows, 3))), p),
+                          Tensor(np.zeros((rows, enc.shape[0]))),
+                          Tensor(rng.normal(size=(rows, 4))), passage_memory(enc, p), p)
+    return s, dist.copy, ad.attention_context(dist.copy, enc)
 
 
 def _step(w_prev, alpha_prev, s_prev, enc, p):
@@ -174,7 +173,7 @@ class TestAttentionGru:
         unread = {6, 7, 8} if reads == "states" and steps == 1 else set()   # keys, v and w_s
         assert {k for k, a in enumerate(got) if a is None} == unread
         if shape == "batch":   # masked weights are exactly 0
-            assert not got[1].reshape(steps, 3, N)[:, np.arange(N) >= LENGTHS[:, None]].any()
+            assert not got[1][np.repeat(np.arange(N) >= LENGTHS[:, None], steps, axis=0)].any()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_two_passes_accumulate_as_the_graph_does(self, dtype):

@@ -18,7 +18,8 @@ def _zero_params(input_dim, hidden):
 
 
 def gru_step(x, h_prev, p):
-    return ad.gru(gru_inputs(x, p), p.w_zr, p.w_cand, h_prev)
+    """One step of x's rows, one per state row."""
+    return ad.gru(gru_inputs(x, p), p.w_zr, p.w_cand, h_prev, np.arange(x.shape[0])[None])
 
 
 def _random_params(input_dim, hidden, rng):

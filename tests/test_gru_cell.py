@@ -1,11 +1,13 @@
 """`ad.gru` against the node-by-node GRU steps it replaces: the same bytes
 in the forward output and in every gradient.  The encoder's use of it runs
 a whole schedule of steps as one node, against a graph per step and a
-`concat` of the states.  The "decoder" and "beam" cases run one-step
-schedules over shares that a graph adds an extra share to, each state
-feeding the next step's extra share, as a recurrence whose input depends on
-its state does; the decoder itself runs `ad.attention_gru`, which shares
-the GRU step with `ad.gru` (`tests/test_decoder.py`)."""
+member-major stack of the states.  The "decoder" and "beam" cases chain
+one-step `ad.gru` nodes over shares that a graph adds an extra share to,
+each state feeding the next step's extra share, as a recurrence whose input
+depends on its state does: separate nodes over the same state weights, whose
+deferred weight gradients must sum as the per-step graphs' do.  The decoder
+itself runs `ad.attention_gru`, which shares the GRU step with `ad.gru`
+(`tests/test_decoder.py`)."""
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from qgen.autodiff import ParamStore, Tensor, TensorError
 from qgen.encoder import GruCellParams, gru_inputs
 
 from conftest import assert_grads_match
-from reference import gru_step_unfused, slice_
+from reference import gru_step_unfused, member_major, slice_
 
 # C_DIM: the width of the decoder GRU's context weight, which the op does not read
 HIDDEN, X_DIM, C_DIM, BATCH, STEPS = 5, 3, 4, 2, 3
@@ -28,13 +30,14 @@ STEP_ROWS = np.arange(STEPS * BATCH).reshape(STEPS, BATCH)
 
 def fused(p):
     """The steps of schedule `rows` as one node over the GRU `p`'s state
-    weights: every step's states, stacked.  An extra share is added by an
-    `add` node to the rows of a one-step schedule, which the node then
-    reads whole."""
+    weights: every step's states, member-major.  An extra share is added by
+    an `add` node to the rows of a one-step schedule (all rows of the shares
+    without one), which the node then reads as a one-step schedule of its
+    own."""
     def run(gates, h, extra, rows):
         if extra is not None:
             gates = ad.add(gates if rows is None else ad.gather_rows(gates, rows[0]), extra)
-            rows = None
+            rows = np.arange(extra.shape[0])[None]
         return ad.gru(gates, p.w_zr, p.w_cand, h, rows)
 
     return run
@@ -42,14 +45,14 @@ def fused(p):
 
 def unfused(p):
     """The same steps as a graph of small nodes per step over the same
-    weights, and a `concat` of the states after the last step."""
+    weights, and a member-major stack of the states after the last step."""
     def run(gates, h, extra, rows):
         states = []
         for step in [None] if rows is None else rows:
             h = gru_step_unfused(gates if step is None else slice_(gates, step), h, p.w_zr,
                                  p.w_cand, extra)
             states.append(h)
-        return ad.concat(states)
+        return member_major(states)
 
     return run
 
@@ -83,8 +86,7 @@ def _recurrence(make_step, case, with_extra, index_rows):
     `INDEX_ROWS[i]` of the shares themselves, or `STEP_ROWS[i]` of their
     step-major copy.  Without an extra share, as `encoder.encode` runs
     them: the whole schedule at once.  With one: one step at a time, each
-    state feeding the next step's extra share, as the decoder's attention
-    rows feed its context share.
+    state feeding the next step's extra share.
     The states also feed a loss, and h0 a term of its own, so a state's
     gradient has a part before its step runs and parts after."""
     gates = gru_inputs(case.x, case.p)
@@ -163,7 +165,7 @@ def test_fused_step_reading_index_rows_is_byte_identical(dtype, shape, passes):
 @pytest.mark.parametrize("steps", [1, 2, STEPS])
 def test_k_steps_are_byte_identical_to_k_step_graphs(dtype, steps):
     """The first k steps of the schedule as one node, against k per-step
-    graphs and a `concat`: the states and the gradient of every leaf, h0's
+    graphs and a member-major stack: the states and the gradient of every leaf, h0's
     included, with h0 read by nothing but the first step."""
 
     def run(make_step):
@@ -198,18 +200,18 @@ def test_beam_step_under_no_grad(dtype):
 def test_step_either_side_of_the_row_cut(dtype, rows):
     """A float32 step's two products are issued in another form up to
     ROW_CUT state rows, as `linear`'s are: forward and gradients stay the
-    node graph's bytes on both sides of the cut."""
+    node graph's bytes on both sides of the cut, over two steps."""
 
     def run(step):
         rng = np.random.default_rng(6)
         store = ParamStore(dtype, rng)
-        p = GruCellParams.create(store, "g", X_DIM, HIDDEN, scale=0.5, context_dim=C_DIM)
-        x, h, e = (Tensor(rng.normal(size=(rows, k)).astype(dtype), requires_grad=True)
-                   for k in (X_DIM, HIDDEN, 3 * HIDDEN))
+        p = GruCellParams.create(store, "g", X_DIM, HIDDEN, scale=0.5)
+        x, h = (Tensor(rng.normal(size=(n, k)).astype(dtype), requires_grad=True)
+                for n, k in ((2 * rows, X_DIM), (rows, HIDDEN)))
         gates = gru_inputs(x, p)
-        out = step(p)(gates, h, e, None)
-        ad.sum_(ad.mul(ad.tanh(out), rng.normal(size=(rows, HIDDEN)).astype(dtype))).backward()
-        return [out.data] + [t.grad for t in (x, h, e, p.w_x, p.w_zr, p.w_cand, p.b)]
+        out = step(p)(gates, h, None, np.arange(2 * rows).reshape(2, rows))
+        ad.sum_(ad.mul(ad.tanh(out), rng.normal(size=(2 * rows, HIDDEN)).astype(dtype))).backward()
+        return [out.data] + [t.grad for t in (x, h, p.w_x, p.w_zr, p.w_cand, p.b)]
 
     for got, want in zip(run(fused), run(unfused), strict=True):
         _assert_same_bytes(got, want)
@@ -255,12 +257,11 @@ def test_mismatched_shapes_rejected():
     w_zr, w_cand = Tensor(np.zeros((2 * HIDDEN, HIDDEN))), Tensor(np.zeros((HIDDEN, HIDDEN)))
     gates = Tensor(np.zeros((2, 3 * HIDDEN)))
     state = Tensor(np.zeros((2, HIDDEN)))
-    with pytest.raises(TensorError, match="gru"):   # one share row for two states
-        ad.gru(Tensor(np.zeros((1, 3 * HIDDEN))), w_zr, w_cand, state)
+    step = np.array([[0, 1]])
     with pytest.raises(TensorError, match="gru"):   # two gates' shares
-        ad.gru(Tensor(np.zeros((2, 2 * HIDDEN))), w_zr, w_cand, state)
+        ad.gru(Tensor(np.zeros((2, 2 * HIDDEN))), w_zr, w_cand, state, step)
     with pytest.raises(TensorError, match="gru"):   # shares of one state, not a matrix
-        ad.gru(Tensor(np.zeros(3 * HIDDEN)), w_zr, w_cand, state)
+        ad.gru(Tensor(np.zeros(3 * HIDDEN)), w_zr, w_cand, state, step)
     shares = Tensor(np.zeros((4, 3 * HIDDEN)))
     # a step of one row for two states, one step's rows without its step axis,
     # a slice, and no steps
