@@ -738,6 +738,29 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _node(table.data[ids], (table,), "gather", bw)
 
 
+def embed(tables: Sequence[Tensor], ids) -> Tensor:
+    """Row ids[i, k] of 2-d table k for every column k, the tables' rows
+    side by side: (N, their total width) from (N, len(tables)) ids.
+    Backward scatters additively into each table, the last table first, as
+    one `gather_rows` per table and a `concat` would."""
+    tables = _operands(tuple(tables))
+    ids = np.asarray(ids, dtype=np.int64)
+    if {t.ndim for t in tables} != {2} or ids.shape[1:] != (len(tables),):
+        raise TensorError(f"embed: {ids.shape} ids for {len(tables)} tables, each 2-d")
+    for k, t in enumerate(tables):
+        if ids.size and (ids[:, k].min() < 0 or ids[:, k].max() >= t.shape[0]):
+            raise TensorError(f"embed: id out of range in column {k}, a table of {t.shape[0]} rows")
+    offsets = np.cumsum([0] + [t.shape[1] for t in tables])
+
+    def bw(g):
+        for k in reversed(range(len(tables))):
+            if tables[k].requires_grad:
+                np.add.at(tables[k]._grad_buffer(), ids[:, k], g[:, offsets[k]:offsets[k + 1]])
+
+    return _node(np.concatenate([t.data[ids[:, k]] for k, t in enumerate(tables)], axis=1),
+                 tables, "embed", bw)
+
+
 def take_along(a: Tensor, ids) -> Tensor:
     """Entry ids[i] of row i of a 2-d tensor, as an (m,) vector."""
     a = _as_tensor(a)

@@ -235,7 +235,7 @@ def generate(
 
     with ad.no_grad():
         if clue is None:
-            clue = model.predict_clues([example], rng=None, mode="eval")
+            clue = model.predict_clues(model.embedder.collate([example]), rng=None, mode="eval")
         enc_features = model.embedder.append_clue_slot(clue.features, clue.weights)
         enc_out = encode(enc_features, [len(example.passage)], model.enc_fwd, model.enc_bwd)
         memory = passage_memory(enc_out.states, p)

@@ -174,7 +174,7 @@ def _cmd_generate(args) -> int:
           as clues_fh):
         for ex in corpus:
             with no_grad():
-                clue = model.predict_clues([ex], rng=None, mode="eval")
+                clue = model.predict_clues(model.embedder.collate([ex]), rng=None, mode="eval")
             hyps = beam_generate(model, ex, beam_width=args.beam_width, max_len=args.max_len,
                                  clue=clue)
             best = hyps[0]

@@ -18,15 +18,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, _node
 from .config import ConfigError
-from .corpus import AnnotatedExample
+from .features import Batch
 
 
-def build_adjacency(examples: list[AnnotatedExample]) -> np.ndarray:
-    """(N, N) (A + I) / degree over the N tokens of `examples`, passage after
+def build_adjacency(batch: Batch) -> np.ndarray:
+    """(N, N) (A + I) / degree over the N tokens of `batch`, passage after
     passage: each passage's undirected tree is a block on the diagonal."""
-    lengths = [len(ex.passage) for ex in examples]
-    heads = np.concatenate([start + np.array([t.head for t in ex.passage])
-                            for start, ex in zip(np.cumsum(lengths) - lengths, examples)])
+    heads = batch.heads
     rows = np.arange(len(heads))
     a = np.eye(len(heads))
     a[rows, heads] = a[heads, rows] = 1.0
@@ -66,8 +64,10 @@ class GumbelSample:
     y_st: Tensor         # one-hot discretization with pass-through gradient
 
 
-def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
+def gumbel_noise(rng: np.random.Generator | None, shape) -> np.ndarray:
     """Gumbel noise -log(-log(u)) of uniform draws u, clipped off 0 and 1."""
+    if rng is None:
+        raise ConfigError("a clue pass in train or soft mode draws Gumbel noise: pass gumbel_rng")
     u = np.clip(rng.random(shape), 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .encoder import EncoderOutput, GruCellParams, gru_inputs
+from .features import Batch
 
 
 @dataclass
@@ -166,31 +167,31 @@ def decode_step(
 
 
 def teacher_forced_unroll(
-    prev_ids: list[list[int]],
+    batch: Batch,
     words: Tensor,
     enc: EncoderOutput,
     p: DecoderParams,
     maxout_keep: np.ndarray | None = None,
 ) -> ExtendedDistribution:
-    """Decode a batch with gold previous tokens: example b reads the rows
-    `prev_ids[b]` of the word table, <SOS> and then its question, so it
-    takes len(prev_ids[b]) steps, the last one predicting <EOS>.
+    """Decode a batch with gold previous tokens: example b reads its
+    `batch.steps[b]` rows of `batch.word_rows` in the word table, <SOS> and
+    then its question, one a step, the last step predicting <EOS>.
 
     The B examples advance together as the members of one `decode_step`
     over every step, each over its own passage's `passage_memory` block.
     The output head runs over each example's own steps, stacked example
     after example, which is also the row order of `maxout_keep`.
     """
-    steps = np.array([len(ids) for ids in prev_ids])
+    steps = batch.steps
     longest = steps.max()
     first = np.cumsum(steps) - steps
     # step t of example b reads row first[b] + t of the words; finished rows
     # repeat their last step, and nothing reads what they compute
     rows = first + np.minimum(np.arange(longest)[:, None], steps - 1)
-    real = np.concatenate([b * longest + np.arange(n) for b, n in enumerate(steps)])
-    word_gates, word_readout = word_terms(ad.gather_rows(words, np.concatenate(prev_ids)), p)
+    real = np.flatnonzero(np.arange(longest) < steps[:, None])   # b * longest + t, t < steps[b]
+    word_gates, word_readout = word_terms(ad.gather_rows(words, batch.word_rows), p)
     memory = passage_memory(enc.states, p)
-    mask = enc.mask()
+    mask = np.arange(batch.lengths.max()) < batch.lengths[:, None]   # each passage's positions
     s0 = init_decoder(enc.last_backward, p.w_init, p.b_init)
     alpha0 = Tensor(np.zeros(mask.shape, enc.states.data.dtype))
     return decode_step(word_gates, word_readout, alpha0, s0, memory, p, rows, mask, real,

@@ -49,11 +49,6 @@ class EncoderOutput:
 
     states: Tensor         # (B * n, 2 * hidden): [forward; backward] per token, passage-major
     last_backward: Tensor  # (B, hidden): backward state at each passage's first token
-    lengths: np.ndarray    # (B,) passage lengths
-
-    def mask(self) -> np.ndarray:
-        """(B, n), True at each passage's real positions."""
-        return np.arange(self.lengths.max()) < self.lengths[:, None]
 
 
 def encode(
@@ -102,4 +97,4 @@ def encode(
         states = ad.dropout(states, padded)
     # each passage's last backward step, at its first token
     last_backward = ad.gather_rows(bwd, np.arange(batch) * n + lengths - 1)
-    return EncoderOutput(states=states, last_backward=last_backward, lengths=lengths)
+    return EncoderOutput(states=states, last_backward=last_backward)

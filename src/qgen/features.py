@@ -5,18 +5,22 @@ like_num | answer-BIO | frequency-tier | clue-indicator].  The clue
 predictor reads the first nine slots; the encoder reads the same matrix with
 the clue slot appended from the predictor's output.  Low-frequency (tier L)
 words use a shared <l> row in place of their word embedding; every other
-slot stays token-specific.
+slot stays token-specific.  `FeatureEmbedder.collate` maps a batch's tokens
+to the int arrays of a `Batch` once, and every layer reads those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .config import ModelConfig
 from .corpus import (
     LOWFREQ,
+    SOS,
     SPECIAL_TOKENS,
     TIER_HIGH,
     TIER_LOW,
@@ -28,9 +32,11 @@ from .corpus import (
     normalize,
     tier_of,
 )
-from .labeling import BIO_BEGIN, BIO_INSIDE, BIO_OUTSIDE, tag_answer_bio
+from .labeling import BIO_BEGIN, BIO_INSIDE, BIO_OUTSIDE, LabeledExample, tag_answer_bio
 
 _BOOL_FEATURES = ("is_lower", "is_digit", "like_num")
+# the tables `embed_passage` reads, in slot order: the columns of `Batch.ids`
+_SLOTS = ("word", "ner", "pos", "dep", *_BOOL_FEATURES, "bio", "tier")
 _BIO_INDEX = {BIO_OUTSIDE: 0, BIO_BEGIN: 1, BIO_INSIDE: 2}
 _TIER_INDEX = {TIER_HIGH: 0, TIER_MEDIUM: 1, TIER_LOW: 2}
 
@@ -114,6 +120,23 @@ def build_feature_tables(
     params.draw("embed.clue", (2, config.feat_dim), 0.1)
 
 
+@dataclass
+class Batch:
+    """B examples as int arrays, passage after passage and question after
+    question: N passage tokens, S decoder steps (each question and <EOS>)."""
+
+    ids: np.ndarray         # (N, 9) each token's row in each table of `_SLOTS`
+    lengths: np.ndarray     # (B,) passage lengths
+    heads: np.ndarray       # (N,) each token's tree head, a row of the batch
+    word_rows: np.ndarray   # (S,) decoder input word rows: <SOS>, then the question
+    steps: np.ndarray       # (B,) decoder steps, len(question) + 1
+    # labeled examples only
+    targets: np.ndarray | None = None   # (S,) reduced-vocabulary ids, <EOS> last
+    copied: np.ndarray | None = None    # (S,) bool copy labels, False at <EOS>
+    aligned: tuple[np.ndarray, np.ndarray] | None = None   # (step rows, passage positions)
+    clue: np.ndarray | None = None      # (N,) gold clue labels, 0 or 1
+
+
 class FeatureEmbedder:
     """Assembles concatenated per-token representations from the tables."""
 
@@ -124,46 +147,54 @@ class FeatureEmbedder:
         self.vocab = vocab
         self.features = feature_vocab
 
-    def word_row_id(self, token: str) -> int:
-        """Encoder-side word row with low-frequency masking.
-
-        Tier-L words (including OOV) collapse onto the shared <l> row.
-        """
+    def word_and_tier_rows(self, token: str) -> tuple[int, int]:
+        """Encoder-side word row with low-frequency masking, and the
+        frequency tier's row.  Tier-L words (OOV included) share the <l> row."""
         tier = tier_of(token, self.vocab, self.config.r_h, self.config.r_l)
-        if tier == TIER_LOW:
-            return SPECIAL_TOKENS.index(LOWFREQ)
-        return self.vocab.id_of(token)
+        row = SPECIAL_TOKENS.index(LOWFREQ) if tier == TIER_LOW else self.vocab.id_of(token)
+        return row, _TIER_INDEX[tier]
 
     def decoder_word_row_id(self, token: str) -> int:
         """Decoder-input word row: <l> for in-vocabulary tier-L words, the
         token's own row otherwise, <UNK> when out of vocabulary."""
         if normalize(token) not in self.vocab:
             return SPECIAL_TOKENS.index(UNK)
-        return self.word_row_id(token)
+        return self.word_and_tier_rows(token)[0]
 
-    def embed_passage(self, examples: list[AnnotatedExample]) -> Tensor:
+    def collate(self, examples: list[AnnotatedExample] | list[LabeledExample]) -> Batch:
+        """The `Batch` of `examples`, with the labeled fields when every
+        example is a `LabeledExample`."""
+        labeled = bool(examples) and all(isinstance(ex, LabeledExample) for ex in examples)
+        bases = [ex.base for ex in examples] if labeled else examples
+        index, rows = self.features.index, []
+        for ex in bases:
+            for tok, bio in zip(ex.passage, tag_answer_bio(ex)):
+                word, tier = self.word_and_tier_rows(tok.text)
+                rows.append((word, index("ner", tok.ner), index("pos", tok.pos),
+                             index("dep", tok.dep), tok.is_lower, tok.is_digit, tok.like_num,
+                             _BIO_INDEX[bio], tier, tok.head))
+        rows = np.array(rows, dtype=np.int64).reshape(-1, len(_SLOTS) + 1)
+        lengths = np.array([len(ex.passage) for ex in bases], dtype=np.int64)
+        steps = np.array([len(ex.question) + 1 for ex in bases], dtype=np.int64)
+        word_rows = [row for ex in bases for row in
+                     [SPECIAL_TOKENS.index(SOS), *map(self.decoder_word_row_id, ex.question)]]
+        batch = Batch(ids=rows[:, :-1], lengths=lengths, word_rows=np.array(word_rows), steps=steps,
+                      heads=rows[:, -1] + np.repeat(np.cumsum(lengths) - lengths, lengths))
+        if labeled:
+            pairs = [(row + t, i) for ex, row in zip(examples, np.cumsum(steps) - steps)
+                     for t, aligned in enumerate(ex.copy_alignment) for i in aligned]
+            batch.aligned = tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+            batch.targets = np.concatenate([ex.question_target_id for ex in examples])
+            batch.copied = np.concatenate([[*ex.question_copy_label, False] for ex in examples])
+            batch.clue = np.concatenate([ex.passage_clue_label for ex in examples]).astype(int)
+        return batch
+
+    def embed_passage(self, batch: Batch) -> Tensor:
         """(N, clue_input_width) matrix of the shared slots for every token
-        of `examples`, passage after passage, one gather per table: the clue
+        of `batch`, one `ad.embed` node over the tables: the clue
         predictor's input, and the encoder's once `append_clue_slot` adds
         the clue indicator."""
-        tokens = [t for ex in examples for t in ex.passage]
-        tiers = [
-            _TIER_INDEX[tier_of(t.text, self.vocab, self.config.r_h, self.config.r_l)]
-            for t in tokens
-        ]
-        bio = [_BIO_INDEX[b] for ex in examples for b in tag_answer_bio(ex)]
-        slots = [
-            ad.gather_rows(self.params["embed.word"], [self.word_row_id(t.text) for t in tokens]),
-            ad.gather_rows(self.params["embed.ner"], [self.features.index("ner", t.ner) for t in tokens]),
-            ad.gather_rows(self.params["embed.pos"], [self.features.index("pos", t.pos) for t in tokens]),
-            ad.gather_rows(self.params["embed.dep"], [self.features.index("dep", t.dep) for t in tokens]),
-            ad.gather_rows(self.params["embed.is_lower"], [int(t.is_lower) for t in tokens]),
-            ad.gather_rows(self.params["embed.is_digit"], [int(t.is_digit) for t in tokens]),
-            ad.gather_rows(self.params["embed.like_num"], [int(t.like_num) for t in tokens]),
-            ad.gather_rows(self.params["embed.bio"], bio),
-            ad.gather_rows(self.params["embed.tier"], tiers),
-        ]
-        return ad.concat(slots, axis=1)
+        return ad.embed([self.params[f"embed.{name}"] for name in _SLOTS], batch.ids)
 
     def append_clue_slot(self, features: Tensor, clue_weights: Tensor) -> Tensor:
         """The encoder input: `features` from `embed_passage` with the clue-

@@ -12,17 +12,17 @@ from . import autodiff as ad
 from .autodiff import CheckpointError, ParamStore, Tensor
 from .clue_predictor import ClueForward, build_adjacency, run_clue_predictor
 from .config import ConfigError, ModelConfig
-from .corpus import SOS, SPECIAL_TOKENS, AnnotatedExample, ReducedTargetVocab, Vocabulary
+from .corpus import SOS, ReducedTargetVocab, Vocabulary
 from .decoder import DecoderParams, ExtendedDistribution, teacher_forced_unroll
 from .encoder import GruCellParams, encode
 from .features import (
+    Batch,
     FeatureEmbedder,
     FeatureVocab,
     build_feature_tables,
     clue_input_width,
     encoder_input_width,
 )
-from .labeling import LabeledExample
 
 # what `QgModel.save` writes to meta.json besides `ParamStore.save`'s keys
 _META_KEYS = ("config", "vocab_words", "reduced_words", "feature_vocab")
@@ -120,23 +120,20 @@ class QgModel:
         """Built on first use, once per model: its vocabularies never change."""
         return VocabSurfaces(self.reduced, self.embedder)
 
-    def predict_clues(self, examples: list[AnnotatedExample], rng: np.random.Generator | None,
+    def predict_clues(self, batch: Batch, rng: np.random.Generator | None,
                       mode: str = "eval", noise: np.ndarray | None = None) -> ClueForward:
-        """Clue probabilities plus indicators for the N tokens of `examples`,
+        """Clue probabilities plus indicators for the N tokens of `batch`,
         passage after passage, from one embedding and one GCN pass; stochastic
         only in train/soft mode.  The (N, 2) Gumbel draw reads the generator
         as per-passage draws in batch order would.  The encoder reuses the
         returned features with the clue slot appended."""
-        feats = self.embedder.embed_passage(examples)
-        return run_clue_predictor(
-            feats, build_adjacency(examples), self.gcn,
-            self.params["clue.out.w"], self.params["clue.out.b"],
-            self.config.tau, rng, mode, noise=noise,
-        )
+        return run_clue_predictor(self.embedder.embed_passage(batch), build_adjacency(batch),
+                                  self.gcn, self.params["clue.out.w"], self.params["clue.out.b"],
+                                  self.config.tau, rng, mode, noise=noise)
 
     def forward(
         self,
-        batch: list[LabeledExample],
+        batch: Batch,
         mode: str = "eval",
         gumbel_rng: np.random.Generator | None = None,
         dropout_rng: np.random.Generator | None = None,
@@ -149,28 +146,19 @@ class QgModel:
         the batch's N passage tokens, replaces the Gumbel draw (test hook).
         The Gumbel and dropout streams are read as a one-example-at-a-time
         pass reads them."""
-        stochastic = mode in ("train", "soft")
-        if stochastic and gumbel_rng is None and gumbel_noise is None:
-            raise ConfigError(f"a forward in mode {mode!r} draws Gumbel noise: pass gumbel_rng")
-        if stochastic and dropout_rng is None and self.config.dropout > 0:
+        dropout = mode in ("train", "soft") and self.config.dropout > 0
+        if dropout and dropout_rng is None:
             raise ConfigError(f"a forward in mode {mode!r} with dropout draws multipliers: "
                               f"pass dropout_rng")
-        clue = self.predict_clues([ex.base for ex in batch], gumbel_rng, mode=mode,
-                                  noise=gumbel_noise)
+        clue = self.predict_clues(batch, gumbel_rng, mode=mode, noise=gumbel_noise)
         enc_input = self.embedder.append_clue_slot(clue.features, clue.weights)
-        keep = [None] * 3
-        if stochastic and self.config.dropout > 0:
-            keep = self.dropout_keeps(batch, enc_input.shape[1], dropout_rng)
-        enc_out = encode(enc_input, [len(ex.base.passage) for ex in batch], self.enc_fwd,
-                         self.enc_bwd, keep[0], keep[1])
-        sos = SPECIAL_TOKENS.index(SOS)
-        prev_ids = [[sos] + [self.embedder.decoder_word_row_id(t) for t in ex.base.question]
-                    for ex in batch]
-        decoder = teacher_forced_unroll(prev_ids, self.params["embed.word"], enc_out,
-                                        self.dec, keep[2])
+        keep = self.dropout_keeps(batch, enc_input.shape[1], dropout_rng) if dropout else [None] * 3
+        enc_out = encode(enc_input, batch.lengths, self.enc_fwd, self.enc_bwd, keep[0], keep[1])
+        decoder = teacher_forced_unroll(batch, self.params["embed.word"], enc_out, self.dec,
+                                        keep[2])
         return ModelForward(clue=clue, decoder=decoder)
 
-    def dropout_keeps(self, batch: list[LabeledExample], input_width: int,
+    def dropout_keeps(self, batch: Batch, input_width: int,
                       rng: np.random.Generator) -> list[np.ndarray]:
         """Dropout multipliers for the encoder input, the encoder states and
         the decoder's maxout, each stacked example after example.  Each
@@ -178,10 +166,8 @@ class QgModel:
         draws."""
         cfg = self.config
         draws = [[ad.dropout_keep(rng, shape, cfg.dropout, self.params.dtype) for shape in (
-                    (len(ex.base.passage), input_width),
-                    (len(ex.base.passage), 2 * cfg.enc_hidden),
-                    (len(ex.base.question) + 1, cfg.dec_hidden))]
-                 for ex in batch]
+                    (n, input_width), (n, 2 * cfg.enc_hidden), (steps, cfg.dec_hidden))]
+                 for n, steps in zip(batch.lengths.tolist(), batch.steps.tolist())]
         return [np.concatenate(part) for part in zip(*draws)]
 
     # persistence

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .config import ModelConfig, rng_stream
 from .corpus import AnnotatedExample, build_vocabulary, stopword_set
-from .features import FeatureVocab
+from .features import Batch, FeatureVocab
 from .labeling import LabeledExample, label_corpus, label_example
 from .model import QgModel
 
@@ -51,43 +51,36 @@ def _neg_log(p: Tensor) -> Tensor:
     return ad.neg(ad.log(ad.clamp_min(p, PROB_FLOOR)))
 
 
-def _segment_means(terms: Tensor, lengths: list[int]) -> Tensor:
+def _segment_means(terms: Tensor, lengths: np.ndarray) -> Tensor:
     """(B,) means of consecutive runs of `lengths` entries of a vector."""
-    lengths = np.asarray(lengths)
     segments = np.repeat(np.eye(len(lengths)), lengths, axis=1)
     return ad.mul(ad.matmul(segments, terms), 1.0 / lengths)
 
 
-def clue_loss(clue_probs: Tensor, gold_labels: list[list[bool]]) -> Tensor:
+def clue_loss(clue_probs: Tensor, batch: Batch) -> Tensor:
     """(B,) mean cross-entropies of each passage's per-token clue
     probabilities; `clue_probs` holds every passage's (n, 2) rows stacked."""
-    gold = np.concatenate([np.asarray(g, dtype=int) for g in gold_labels])
-    p_gold = ad.take_along(clue_probs, gold)
-    return _segment_means(_neg_log(p_gold), [len(g) for g in gold_labels])
+    return _segment_means(_neg_log(ad.take_along(clue_probs, batch.clue)), batch.lengths)
 
 
-def sequence_losses(dist, batch: list[LabeledExample]) -> tuple[Tensor, Tensor]:
+def sequence_losses(dist, batch: Batch) -> tuple[Tensor, Tensor]:
     """(B,) generation CEs and copy-gate CEs, each averaged over an example's
     decode steps.  `dist` holds every example's steps as rows, example after
     example; each example's last step predicts <EOS>."""
-    copied = np.concatenate([list(ex.question_copy_label) + [False] for ex in batch])
+    copied = batch.copied
     aligned = np.zeros(dist.copy.shape)
-    row = 0
-    for ex in batch:
-        for t, positions in enumerate(ex.copy_alignment):
-            aligned[row + t, positions] = 1.0
-        row += len(ex.question_target_id)
+    aligned[batch.aligned] = 1.0
     # the gate's probability of the labeled branch: g_c to copy, 1 - g_c to generate
     p_branch = ad.add(ad.mul(dist.gate, 2.0 * copied - 1.0), 1.0 - copied)
     p_copy = ad.sum_(ad.mul(dist.copy, aligned), axis=1)
-    p_gen = ad.take_along(dist.gen, np.concatenate([ex.question_target_id for ex in batch]))
+    p_gen = ad.take_along(dist.gen, batch.targets)
     p_word = ad.mul(p_branch, ad.add(ad.mul(p_copy, copied), ad.mul(p_gen, 1.0 - copied)))
-    steps = [len(ex.question_target_id) for ex in batch]
-    return _segment_means(_neg_log(p_word), steps), _segment_means(_neg_log(p_branch), steps)
+    return (_segment_means(_neg_log(p_word), batch.steps),
+            _segment_means(_neg_log(p_branch), batch.steps))
 
 
-def losses_from_forward(config: ModelConfig, fwd, batch: list[LabeledExample]) -> LossBreakdown:
-    loss_clue = clue_loss(fwd.clue.probs, [ex.passage_clue_label for ex in batch])
+def losses_from_forward(config: ModelConfig, fwd, batch: Batch) -> LossBreakdown:
+    loss_clue = clue_loss(fwd.clue.probs, batch)
     loss_gen, loss_gate = sequence_losses(fwd.decoder, batch)
     total = ad.add(
         ad.add(ad.mul(loss_clue, config.lambda_clue), ad.mul(loss_gen, config.lambda_gen)),
@@ -106,8 +99,9 @@ def batch_losses(
 ) -> LossBreakdown:
     """Each example's average cross-entropies (over tokens / decode steps),
     from one forward pass over the batch in `mode` (`QgModel.forward`)."""
-    fwd = model.forward(batch, mode, gumbel_rng, dropout_rng, gumbel_noise)
-    return losses_from_forward(model.config, fwd, batch)
+    collated = model.embedder.collate(batch)
+    fwd = model.forward(collated, mode, gumbel_rng, dropout_rng, gumbel_noise)
+    return losses_from_forward(model.config, fwd, collated)
 
 
 def compute_losses(

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from qgen.autodiff import Tensor
 from qgen.config import ModelConfig
-from qgen.corpus import AnnotatedExample, AnnotatedToken
+from qgen.corpus import AnnotatedExample, AnnotatedToken, build_vocabulary
+from qgen.features import FeatureEmbedder, FeatureVocab
 
 
 def tok(text, pos="NOUN", ner="", dep="dep", head=0):
@@ -80,6 +81,15 @@ def gold_clue_noise(batch, margin=10.0):
     clue logits."""
     gold = np.concatenate([np.asarray(ex.passage_clue_label, dtype=int) for ex in batch])
     return np.where(np.eye(2, dtype=bool)[gold], margin, -margin)
+
+
+def collate(examples):
+    """The `Batch` of `examples` under vocabularies built from them alone,
+    for tests of what a batch's layout gives: its tree heads, its lengths."""
+    cfg = tiny_config()
+    embedder = FeatureEmbedder(None, cfg, build_vocabulary(examples, cfg.vocab_max),
+                               FeatureVocab.from_corpus(examples))
+    return embedder.collate(examples)
 
 
 def tiny_config(**overrides):

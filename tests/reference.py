@@ -22,7 +22,9 @@ form: the whole (K, surfaces) table from `surface_merge`, each row's
 proposals from `top_k` and a stable sort of their scores, which
 `beam.SurfaceTable.select` must reproduce byte for byte.  `sigmoid` and
 `maximum` are the `np.where` forms of `ad`'s branch-free sigmoid and of
-the maximum in `ad.maxout`.
+the maximum in `ad.maxout`.  `embed_unfused` is the passage embedding as one
+`gather_rows` node per table and a `concat`, the graph whose bytes and
+table gradients the one-node `ad.embed` must reproduce.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ def _dropout(x, p, mode, rng):
     if mode == "eval" or p == 0:
         return x
     return ad.dropout(x, ad.dropout_keep(rng, x.shape, p, x.data.dtype))
+
+
+def embed_unfused(tables, ids):
+    """Column k of `ids` gathered from table k, the tables side by side."""
+    return ad.concat([ad.gather_rows(t, ids[:, k]) for k, t in enumerate(tables)], axis=1)
 
 
 def sub(a, b):
@@ -312,7 +319,8 @@ def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="trai
     """One example's scalar losses, its steps and its clue pass; `mode` as
     in `QgModel.forward`."""
     cfg = model.config
-    clue = model.predict_clues([example.base], gumbel_rng, mode=mode, noise=gumbel_noise)
+    clue = model.predict_clues(model.embedder.collate([example.base]), gumbel_rng, mode=mode,
+                               noise=gumbel_noise)
     features = model.embedder.append_clue_slot(clue.features, clue.weights)
     states, last_backward = encode(features, model.enc_fwd, model.enc_bwd, cfg.dropout, mode,
                                    dropout_rng)

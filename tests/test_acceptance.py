@@ -32,7 +32,8 @@ from qgen.stats import dep_path_stats, rank_distributions
 from qgen.toydata import make_toy_data
 from qgen.training import compute_losses, train
 
-from conftest import assert_grads_match, chain_example, micro_corpus, tiny_config, toy_config
+from conftest import (assert_grads_match, chain_example, collate, micro_corpus, tiny_config,
+                      toy_config)
 from test_autodiff import OP_CASES, op_arrays
 from test_labeling import rule_oracle_clue, rule_oracle_copy
 
@@ -144,7 +145,7 @@ class TestCriterion3StructuralInvariants:
         rng = np.random.default_rng(layers)
         n = 9
         ex = chain_example([f"t{i}" for i in range(n)])
-        adj = build_adjacency([ex])
+        adj = build_adjacency(collate([ex]))
         params = [(Tensor(rng.normal(size=(6, 6))), Tensor(rng.normal(size=6)))
                   for _ in range(layers)]
         x = rng.normal(size=(n, 6))

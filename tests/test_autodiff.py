@@ -363,6 +363,66 @@ def test_op_gradients_on_random_shapes(name, fn, arity, domain):
         assert_grads_match(fn, op_arrays(rng, arity, domain), tol=1e-4)
 
 
+class TestEmbed:
+    """`ad.embed` against the graph it replaces (`reference.embed_unfused`):
+    tables shaped like the passage embedding's nine, word table first."""
+
+    SHAPES = [(40, 6), (5, 2), (6, 2), (7, 2), (2, 2), (2, 2), (2, 2), (3, 2), (3, 4)]
+
+    def _inputs(self, rng, n, dtype=np.float64):
+        tables = [rng.uniform(-1, 1, size=shape).astype(dtype) for shape in self.SHAPES]
+        # drawn with replacement from small tables: every column repeats ids
+        ids = np.stack([rng.integers(0, rows, size=n) for rows, _ in self.SHAPES], axis=1)
+        return tables, ids
+
+    @staticmethod
+    def _run(embed, arrays, ids, rng):
+        """The embedding and every table's gradient under a loss that also
+        gathers from the word table after the embedding, as the decoder does."""
+        tables = [Tensor(a, requires_grad=True) for a in arrays]
+        out = embed(tables, ids)
+        weights = rng.normal(size=out.shape)
+        loss = ad.add(ad.sum_(ad.mul(ad.tanh(out), weights)),
+                      ad.sum_(ad.gather_rows(tables[0], ids[::-1, 0])))
+        loss.backward()
+        return out.data, [t.grad for t in tables]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 4, 37])
+    def test_bytes_and_gradients_equal_the_gather_graph(self, dtype, n):
+        tables, ids = self._inputs(np.random.default_rng(n), n, dtype)
+        if n > 1:
+            ids[1] = ids[0]   # a repeated token
+        out, grads = self._run(ad.embed, tables, ids, np.random.default_rng(0))
+        want, want_grads = self._run(reference.embed_unfused, tables, ids, np.random.default_rng(0))
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        assert out.shape == (n, sum(width for _, width in self.SHAPES))
+        for got, expected in zip(grads, want_grads):
+            assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+    def test_one_node(self):
+        tables, ids = self._inputs(np.random.default_rng(1), 5)
+        out = ad.embed([Tensor(t, requires_grad=True) for t in tables], ids)
+        assert out._op == "embed" and len(out._parents) == len(tables)
+
+    def test_gradients_match_finite_differences(self):
+        tables, ids = self._inputs(np.random.default_rng(2), 6)
+        assert_grads_match(lambda *ts: ad.sum_(ad.tanh(ad.embed(ts, ids))), tables, tol=1e-4)
+
+    @pytest.mark.parametrize("column", range(9))
+    def test_an_id_out_of_range_names_its_column(self, column):
+        tables, ids = self._inputs(np.random.default_rng(3), 4)
+        for bad in (self.SHAPES[column][0], -1):
+            ids[2, column] = bad
+            with pytest.raises(TensorError, match=f"column {column},"):
+                ad.embed([Tensor(t) for t in tables], ids)
+
+    def test_ids_need_one_column_per_table(self):
+        tables, ids = self._inputs(np.random.default_rng(4), 3)
+        with pytest.raises(TensorError, match="each 2-d"):
+            ad.embed([Tensor(t) for t in tables], ids[:, :-1])
+
+
 def test_concat_and_slice_gradients():
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))

@@ -169,7 +169,8 @@ def test_dropout_stream_is_read_as_one_example_at_a_time_reads_it(tiny):
     batch = [labeled[9], labeled[8], labeled[0]]
     cfg = model.config
     width = model.params["enc.fwd.w_x"].shape[1]
-    keeps = model.dropout_keeps(batch, width, rng_stream(4, "dropout"))
+    collated = model.embedder.collate(batch)
+    keeps = model.dropout_keeps(collated, width, rng_stream(4, "dropout"))
     rng = rng_stream(4, "dropout")
     inputs, states, maxouts = [], [], []
     for ex in batch:
@@ -182,7 +183,7 @@ def test_dropout_stream_is_read_as_one_example_at_a_time_reads_it(tiny):
     for got, want in zip(keeps, [np.concatenate(inputs), np.concatenate(states), np.stack(maxouts)]):
         np.testing.assert_array_equal(got, want)
     follow = rng_stream(4, "dropout")
-    model.dropout_keeps(batch, width, follow)
+    model.dropout_keeps(collated, width, follow)
     assert follow.bit_generator.state == rng.bit_generator.state
 
 
@@ -216,7 +217,8 @@ def test_gru_cells_read_the_input_shares_in_place(tiny, monkeypatch):
 
     monkeypatch.setattr(qgen.encoder, "gru_inputs", recording)
     monkeypatch.setattr(qgen.decoder, "gru_inputs", recording)
-    dist = model.forward(batch, mode="train", gumbel_rng=rng_stream(0, "gumbel"),
+    dist = model.forward(model.embedder.collate(batch), mode="train",
+                         gumbel_rng=rng_stream(0, "gumbel"),
                          dropout_rng=rng_stream(0, "dropout")).decoder
     cells, seen, stack = [], set(), [dist.gen, dist.copy, dist.gate]
     while stack:
@@ -249,7 +251,8 @@ def test_only_the_passage_tables_read_the_encoder_states(tiny, monkeypatch):
         return memory
 
     monkeypatch.setattr(qgen.decoder, "passage_memory", recording)
-    dist = model.forward(labeled[4:], mode="train", gumbel_rng=rng_stream(0, "gumbel"),
+    dist = model.forward(model.embedder.collate(labeled[4:]), mode="train",
+                         gumbel_rng=rng_stream(0, "gumbel"),
                          dropout_rng=rng_stream(0, "dropout")).decoder
     [(states, memory)] = memories
     readers, seen, stack = [], set(), [dist.gen, dist.copy, dist.gate]

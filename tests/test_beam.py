@@ -37,7 +37,7 @@ def setup():
 
 
 def _encode(model, example):
-    clue = model.predict_clues([example], rng=None, mode="eval")
+    clue = model.predict_clues(model.embedder.collate([example]), rng=None, mode="eval")
     feats = model.embedder.append_clue_slot(clue.features, clue.weights)
     return encode(feats, [len(example.passage)], model.enc_fwd, model.enc_bwd)
 

@@ -21,7 +21,8 @@ from qgen.labeling import label_corpus
 from qgen.model import QgModel
 from qgen.toydata import make_toy_data
 
-from conftest import assert_grads_match, chain_example, dependency_trees, tiny_config
+from conftest import (assert_grads_match, chain_example, collate, dependency_trees,
+                      tiny_config)
 
 
 def dense_gcn_oracle(x, a_tilde, w, b, nonlinearity=np.maximum):
@@ -46,16 +47,16 @@ def tree_structure(adj):
 
 class TestAdjacency:
     def test_single_token(self):
-        adj = build_adjacency([chain_example(["solo"])])
+        adj = build_adjacency(collate([chain_example(["solo"])]))
         np.testing.assert_array_equal(adj, [[1.0]])
 
     def test_chain_degrees(self):
         ex = chain_example(["a", "b", "c"])
-        _, degrees = tree_structure(build_adjacency([ex]))
+        _, degrees = tree_structure(build_adjacency(collate([ex])))
         np.testing.assert_array_equal(degrees, [2.0, 3.0, 2.0])
 
     def test_symmetric_with_unit_diagonal(self, fig1_example):
-        a_tilde, _ = tree_structure(build_adjacency([fig1_example]))
+        a_tilde, _ = tree_structure(build_adjacency(collate([fig1_example])))
         n = len(fig1_example.passage)
         np.testing.assert_array_equal(a_tilde, a_tilde.T)
         assert a_tilde.trace() == n
@@ -63,7 +64,7 @@ class TestAdjacency:
         assert a_tilde.sum() == n + 2 * (n - 1)
 
     def test_row_normalization(self, fig1_example):
-        adj = build_adjacency([fig1_example])
+        adj = build_adjacency(collate([fig1_example]))
         a_tilde, degrees = tree_structure(adj)
         np.testing.assert_allclose(adj.sum(axis=1), np.ones(len(fig1_example.passage)))
         np.testing.assert_array_equal(adj, a_tilde / degrees[:, None])
@@ -73,21 +74,22 @@ class TestBatchAdjacency:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(dependency_trees(), min_size=1, max_size=5))
     def test_block_diagonal_of_each_passage(self, batch):
-        adj = build_adjacency(batch)
-        lengths = [len(ex.passage) for ex in batch]
-        assert adj.shape == (sum(lengths), sum(lengths))
+        """The adjacency of the batch's collated heads holds the adjacency of
+        each passage's own heads as a block at the passage's start."""
+        collated = collate(batch)
+        adj = build_adjacency(collated)
+        assert adj.shape == (len(collated.heads), len(collated.heads))
         expected = np.zeros_like(adj)
-        start = 0
-        for ex, n in zip(batch, lengths):
-            expected[start:start + n, start:start + n] = build_adjacency([ex])
-            start += n
+        for start, ex in zip(np.cumsum(collated.lengths) - collated.lengths, batch):
+            block = slice(start, start + len(ex.passage))
+            expected[block, block] = build_adjacency(collate([ex]))
         np.testing.assert_array_equal(adj, expected)
 
 
 class TestGcnLayer:
     def test_isolated_node_is_plain_relu(self):
         ex = chain_example(["solo"])
-        adj = build_adjacency([ex])
+        adj = build_adjacency(collate([ex]))
         x = np.array([[-1.0, 2.0, -3.0, 4.0]])
         out = gcn_layer(Tensor(x), adj, Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0, 0.0, 4.0]])
@@ -95,7 +97,7 @@ class TestGcnLayer:
     def test_matches_dense_oracle_on_chain(self):
         rng = np.random.default_rng(3)
         ex = chain_example(["a", "b", "c"])
-        adj = build_adjacency([ex])
+        adj = build_adjacency(collate([ex]))
         x, w, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5)), rng.normal(size=4)
         out = gcn_layer(Tensor(x), adj, Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, dense_gcn_oracle(x, tree_structure(adj)[0], w, b), atol=1e-12)
@@ -107,7 +109,7 @@ class TestGcnLayer:
             ex = chain_example([f"t{i}" for i in range(8)])
             for i, t in enumerate(ex.passage):
                 t.head = heads[i]
-            adj = build_adjacency([ex])
+            adj = build_adjacency(collate([ex]))
             x, w, b = rng.normal(size=(8, 6)), rng.normal(size=(6, 6)), rng.normal(size=6)
             out = gcn_layer(Tensor(x), adj, Tensor(w), Tensor(b))
             np.testing.assert_allclose(out.data, dense_gcn_oracle(x, tree_structure(adj)[0], w, b),
@@ -116,7 +118,7 @@ class TestGcnLayer:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         ex = chain_example(["a", "b", "c", "d"])
-        adj = build_adjacency([ex])
+        adj = build_adjacency(collate([ex]))
         x = rng.normal(size=(4, 3)) + 0.3
         w, b = rng.normal(size=(3, 3)), rng.normal(size=3)
         assert_grads_match(
@@ -130,7 +132,7 @@ class TestLocality:
         rng = np.random.default_rng(7)
         n = 8
         ex = chain_example([f"t{i}" for i in range(n)])  # tree distance = index gap
-        adj = build_adjacency([ex])
+        adj = build_adjacency(collate([ex]))
         params = [(Tensor(rng.normal(size=(6, 6))), Tensor(rng.normal(size=6)))
                   for _ in range(layers)]
         x = rng.normal(size=(n, 6))
@@ -150,7 +152,7 @@ class TestLocality:
 
     def test_default_depth_runs_on_long_parse(self):
         ex = chain_example([f"w{i}" for i in range(30)])
-        adj = build_adjacency([ex])
+        adj = build_adjacency(collate([ex]))
         rng = np.random.default_rng(0)
         params = [(Tensor(rng.normal(size=(8, 8))), Tensor(np.zeros(8))) for _ in range(3)]
         out = encode_clue_features(Tensor(rng.normal(size=(30, 8))), adj, params)
@@ -159,7 +161,7 @@ class TestLocality:
     def test_zero_layers_rejected(self):
         ex = chain_example(["a"])
         with pytest.raises(ConfigError):
-            encode_clue_features(Tensor(np.zeros((1, 4))), build_adjacency([ex]), [])
+            encode_clue_features(Tensor(np.zeros((1, 4))), build_adjacency(collate([ex])), [])
 
 
 class TestClueLogits:
@@ -256,15 +258,16 @@ class TestPredictClues:
 
     def test_eval_mode_deterministic(self, model):
         m, ex = model
-        a = m.predict_clues([ex], rng=None, mode="eval")
-        b = m.predict_clues([ex], rng=None, mode="eval")
+        a = m.predict_clues(m.embedder.collate([ex]), rng=None, mode="eval")
+        b = m.predict_clues(m.embedder.collate([ex]), rng=None, mode="eval")
         np.testing.assert_array_equal(a.indicators, b.indicators)
         np.testing.assert_array_equal(a.probs.data, b.probs.data)
 
     def test_train_mode_reproducible_under_seed(self, model):
         m, ex = model
-        a = m.predict_clues([ex], rng=rng_stream(9, "gumbel"), mode="train")
-        b = m.predict_clues([ex], rng=rng_stream(9, "gumbel"), mode="train")
+        batch = m.embedder.collate([ex])
+        a = m.predict_clues(batch, rng=rng_stream(9, "gumbel"), mode="train")
+        b = m.predict_clues(batch, rng=rng_stream(9, "gumbel"), mode="train")
         np.testing.assert_array_equal(a.indicators, b.indicators)
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
@@ -283,8 +286,9 @@ class TestPredictClues:
             noise, np.concatenate([gumbel_noise(one_at_a_time, (n, 2)) for n in (9, 7, 11)]))
 
         rng, alone_rng = rng_stream(3, "gumbel"), rng_stream(3, "gumbel")
-        out = model.predict_clues(batch, rng, mode="train")
-        alone = [model.predict_clues([ex], alone_rng, mode="train") for ex in batch]
+        out = model.predict_clues(model.embedder.collate(batch), rng, mode="train")
+        alone = [model.predict_clues(model.embedder.collate([ex]), alone_rng, mode="train")
+                 for ex in batch]
         assert rng.bit_generator.state == alone_rng.bit_generator.state
         np.testing.assert_array_equal(out.indicators, np.concatenate([a.indicators for a in alone]))
         np.testing.assert_array_equal(out.weights.data,
@@ -295,7 +299,7 @@ class TestPredictClues:
 
     def test_output_length_matches_passage(self, model):
         m, ex = model
-        out = m.predict_clues([ex], rng=rng_stream(1, "gumbel"), mode="train")
+        out = m.predict_clues(m.embedder.collate([ex]), rng_stream(1, "gumbel"), mode="train")
         assert out.indicators.shape == (len(ex.passage),)
         assert out.probs.shape == (len(ex.passage), 2)
         assert set(np.unique(out.indicators)) <= {0, 1}

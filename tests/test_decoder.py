@@ -12,6 +12,7 @@ from qgen.decoder import (
     word_terms,
 )
 from qgen.encoder import EncoderOutput
+from qgen.features import Batch
 
 import reference
 from conftest import assert_grads_match
@@ -347,20 +348,26 @@ class TestDecodeStep:
         assert_grads_match(loss, [w_prev], tol=1e-4)
 
 
+def _questions(prev_ids, lengths=(4,)):
+    """A `Batch` of what an unroll reads: each example's decoder input word
+    rows, <SOS> first, and its step count, and the passage lengths."""
+    return Batch(ids=None, lengths=np.array(lengths), heads=None,
+                 word_rows=np.concatenate(prev_ids), steps=np.array([len(ids) for ids in prev_ids]))
+
+
 class TestTeacherForcedUnroll:
     SOS, A, B = 0, 1, 2   # rows of the word table
 
     def _memory(self, rng, lengths=(4,)):
         n = max(lengths)
         return EncoderOutput(states=Tensor(rng.normal(size=(len(lengths) * n, 8))),
-                             last_backward=Tensor(rng.normal(size=(len(lengths), 4))),
-                             lengths=np.array(lengths))
+                             last_backward=Tensor(rng.normal(size=(len(lengths), 4))))
 
     def test_step_count_is_question_length_plus_one(self):
         rng = np.random.default_rng(9)
         p, _ = _params(rng)
         words = Tensor(rng.normal(size=(3, 3)))
-        dist = teacher_forced_unroll([[self.SOS, self.A, self.B, self.A]], words,
+        dist = teacher_forced_unroll(_questions([[self.SOS, self.A, self.B, self.A]]), words,
                                      self._memory(rng), p)
         assert dist.gen.shape[0] == dist.copy.shape[0] == dist.gate.shape[0] == 4
 
@@ -369,8 +376,8 @@ class TestTeacherForcedUnroll:
         p, _ = _params(rng)
         words = Tensor(rng.normal(size=(3, 3)))
         enc = self._memory(rng)
-        d1 = teacher_forced_unroll([[self.SOS, self.A, self.B]], words, enc, p)
-        d2 = teacher_forced_unroll([[self.SOS, self.A, self.B]], words, enc, p)
+        d1 = teacher_forced_unroll(_questions([[self.SOS, self.A, self.B]]), words, enc, p)
+        d2 = teacher_forced_unroll(_questions([[self.SOS, self.A, self.B]]), words, enc, p)
         for a, b in [(d1.gen, d2.gen), (d1.copy, d2.copy), (d1.gate, d2.gate)]:
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -378,7 +385,8 @@ class TestTeacherForcedUnroll:
         rng = np.random.default_rng(11)
         p, _ = _params(rng, dec_hidden=4, enc_width=8, vocab_out=6)
         words = Tensor(rng.normal(size=(3, 3)))
-        dist = teacher_forced_unroll([[self.SOS, self.A]], words, self._memory(rng, (5,)), p)
+        dist = teacher_forced_unroll(_questions([[self.SOS, self.A]], (5,)), words,
+                                     self._memory(rng, (5,)), p)
         assert dist.gen.shape == (2, 6)
         assert dist.copy.shape == (2, 5)
         assert dist.gate.shape == (2,)
@@ -391,7 +399,7 @@ class TestTeacherForcedUnroll:
         words = Tensor(rng.normal(size=(3, 3)))
         enc = self._memory(rng, (5,))
         ids = [self.SOS, self.A, self.B, self.B, self.A]
-        dist = teacher_forced_unroll([ids], words, enc, p)
+        dist = teacher_forced_unroll(_questions([ids], (5,)), words, enc, p)
         memory = passage_memory(enc.states, p)
         s = init_decoder(enc.last_backward, p.w_init, p.b_init)
         alpha = Tensor(np.zeros((1, 5)))
@@ -413,13 +421,13 @@ class TestTeacherForcedUnroll:
         enc = self._memory(rng, lengths)
         questions = [[self.SOS, self.A, self.B, self.B], [self.SOS], [self.SOS, self.B]]
         keep = ad.dropout_keep(rng, (7, 4), 0.3)
-        dist = teacher_forced_unroll(questions, words, enc, p, keep)
+        dist = teacher_forced_unroll(_questions(questions, lengths), words, enc, p, keep)
         row = 0
         for b, (ids, length) in enumerate(zip(questions, lengths)):
             one = EncoderOutput(states=reference.slice_(enc.states, slice(b * n, b * n + length)),
-                                last_backward=reference.slice_(enc.last_backward, slice(b, b + 1)),
-                                lengths=np.array([length]))
-            alone = teacher_forced_unroll([ids], words, one, p, keep[row:row + len(ids)])
+                                last_backward=reference.slice_(enc.last_backward, slice(b, b + 1)))
+            alone = teacher_forced_unroll(_questions([ids], [length]), words, one, p,
+                                          keep[row:row + len(ids)])
             rows = slice(row, row + len(ids))
             np.testing.assert_allclose(dist.gen.data[rows], alone.gen.data, rtol=0, atol=1e-14)
             np.testing.assert_allclose(dist.gate.data[rows], alone.gate.data, rtol=0, atol=1e-14)

@@ -1,11 +1,13 @@
 import math
 import time
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qgen.autodiff as ad
 import qgen.beam
 import qgen.model
 from qgen.autodiff import ParamStore, Tensor, TensorError
@@ -72,7 +74,7 @@ class TestLossOracles:
         fwd = SimpleNamespace(
             clue=SimpleNamespace(probs=Tensor(clue_probs)),
             decoder=ExtendedDistribution(gen=Tensor(gen), copy=Tensor(copy), gate=Tensor(gate)))
-        bd = losses_from_forward(model.config, fwd, [ex])
+        bd = losses_from_forward(model.config, fwd, model.embedder.collate([ex]))
         assert bd.loss_clue.item() == 0.0
         assert bd.loss_gen.item() == 0.0
         assert bd.loss_gate.item() == 0.0
@@ -83,8 +85,9 @@ class TestLossOracles:
         model, labeled = build_tiny_model()
         ex = labeled[0]
         noise = gumbel_noise(rng_stream(5, "gumbel"), (len(ex.base.passage), 2))
-        fwd = model.forward([ex], mode="train", gumbel_noise=noise)
-        bd = losses_from_forward(model.config, fwd, [ex])
+        batch = model.embedder.collate([ex])
+        fwd = model.forward(batch, mode="train", gumbel_noise=noise)
+        bd = losses_from_forward(model.config, fwd, batch)
         probs, dist = fwd.clue.probs, fwd.decoder
 
         n = len(ex.base.passage)
@@ -120,6 +123,12 @@ class TestMissingGenerators:
                        lambda: batch_losses(model, labeled[:2])):
             with pytest.raises(ConfigError, match="gumbel_rng"):
                 losses()
+
+    @pytest.mark.parametrize("mode", ["train", "soft"])
+    def test_a_clue_pass_names_the_gumbel_generator(self, mode):
+        model, labeled = build_tiny_model()
+        with pytest.raises(ConfigError, match="gumbel_rng"):
+            model.predict_clues(model.embedder.collate([labeled[0].base]), rng=None, mode=mode)
 
     @pytest.mark.parametrize("mode", ["train", "soft"])
     def test_dropout_names_the_dropout_generator(self, mode):
@@ -165,13 +174,14 @@ class TestOnePassagePass:
         for picks in ([0], [1, 0, 1]):
             calls.clear()
             batch = [labeled[i] for i in picks]
-            model.forward(batch, mode="train", gumbel_rng=rng_stream(0, "gumbel"),
+            model.forward(model.embedder.collate(batch), mode="train",
+                          gumbel_rng=rng_stream(0, "gumbel"),
                           gumbel_noise=gold_clue_noise(batch) if clue_source == "gold" else None)
             assert len(calls["embed_passage"]) == 1
             assert len(calls["build_adjacency"]) == 1
             assert len(calls["run_clue_predictor"]) == 1
             lengths = [len(ex.base.passage) for ex in batch]
-            assert [len(ex.passage) for ex in calls["embed_passage"][0][1]] == lengths
+            assert calls["embed_passage"][0][1].lengths.tolist() == lengths
             clue_input, (encoder_input, encoded_lengths) = (calls["run_clue_predictor"][0][0],
                                                             calls["encode"][0][:2])
             assert list(encoded_lengths) == lengths
@@ -188,6 +198,27 @@ class TestOnePassagePass:
         width = clue_input.shape[1]
         assert encoder_input.shape[1] == width + model.config.feat_dim
         np.testing.assert_array_equal(encoder_input.data[:, :width], clue_input.data)
+
+    def test_a_toy_batch_graph_has_at_most_88_nodes(self):
+        """The train-mode graph of a toy batch of eight, by op: the passage
+        embedding is one `embed` node.  A change that adds nodes shows here."""
+        corpus = make_toy_data(16, 1)
+        cfg = toy_config()
+        vocab = build_vocabulary(corpus, cfg.vocab_max)
+        labeled, reduced = label_corpus(corpus, vocab, stopword_set(), cfg.r_h,
+                                        cfg.reduced_vocab_size)
+        model = QgModel.build(cfg, vocab, reduced, FeatureVocab.from_corpus(corpus),
+                              rng_stream(cfg.seed, "init"))
+        loss = ad.mean_(batch_losses(model, labeled[:8], rng_stream(0, "gumbel")).total)
+        ops, seen, stack = Counter(), set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                ops[t._op] += t._backward is not None
+                stack.extend(t._parents)
+        assert sum(ops.values()) <= 88, ops
+        assert ops["embed"] == 1, ops
 
 
 class TestAdam:
