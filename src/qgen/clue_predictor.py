@@ -58,32 +58,25 @@ def clue_logits(h: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
     return ad.add(ad.linear(h, w_out), b_out)
 
 
-@dataclass
-class GumbelSample:
-    y: Tensor            # continuous relaxed sample, rows sum to 1
-    y_st: Tensor         # one-hot discretization with pass-through gradient
-
-
 def gumbel_noise(rng: np.random.Generator | None, shape) -> np.ndarray:
-    """Gumbel noise -log(-log(u)) of uniform draws u, clipped off 0 and 1."""
+    """Gumbel noise -log(-log(u)) of uniform draws u = `rng.random(shape)`,
+    clipped off 0 and 1: the one source of clue noise."""
     if rng is None:
         raise ConfigError("a clue pass in train or soft mode draws Gumbel noise: pass gumbel_rng")
     u = np.clip(rng.random(shape), 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax_sample(logits: Tensor, tau: float, rng: np.random.Generator,
-                          noise: np.ndarray | None = None) -> GumbelSample:
-    """Relaxed categorical sample y = softmax((log-probs + gumbel noise) / tau).
+def gumbel_softmax_sample(logits: Tensor, tau: float, rng: np.random.Generator) -> Tensor:
+    """Relaxed categorical sample y = softmax((log-probs + gumbel noise) / tau),
+    rows summing to 1.
 
     Row-constant log-normalization cancels inside the softmax, so the raw
-    logits are used directly; `noise` overrides the Gumbel draw (test hook).
+    logits are used directly.
     """
     if tau <= 0:
         raise ConfigError(f"gumbel temperature must be positive, got {tau}")
-    g = gumbel_noise(rng, logits.shape) if noise is None else np.asarray(noise, dtype=float)
-    y = ad.softmax(ad.mul(ad.add(logits, g), 1.0 / tau))
-    return GumbelSample(y=y, y_st=st_discretize(y))
+    return ad.softmax(ad.mul(ad.add(logits, gumbel_noise(rng, logits.shape)), 1.0 / tau))
 
 
 def st_discretize(y: Tensor) -> Tensor:
@@ -110,8 +103,7 @@ class ClueForward:
 def run_clue_predictor(features: Tensor, adj: np.ndarray,
                        layer_params: list[tuple[Tensor, Tensor]],
                        w_out: Tensor, b_out: Tensor,
-                       tau: float, rng: np.random.Generator, mode: str,
-                       noise: np.ndarray | None = None) -> ClueForward:
+                       tau: float, rng: np.random.Generator, mode: str) -> ClueForward:
     """Full predictor pass over pre-embedded features.
 
     mode 'train': stochastic straight-through one-hot (differentiable);
@@ -124,8 +116,9 @@ def run_clue_predictor(features: Tensor, adj: np.ndarray,
     if mode == "eval":
         weights = Tensor(np.eye(2, dtype=probs.data.dtype)[np.argmax(probs.data, axis=-1)])
     elif mode in ("train", "soft"):
-        sample = gumbel_softmax_sample(logits, tau, rng, noise=noise)
-        weights = sample.y_st if mode == "train" else sample.y
+        weights = gumbel_softmax_sample(logits, tau, rng)
+        if mode == "train":
+            weights = st_discretize(weights)
     else:
         raise ConfigError(f"clue predictor mode must be train/eval/soft, got {mode!r}")
     return ClueForward(features=features, probs=probs, weights=weights,

@@ -10,7 +10,9 @@ The on-disk corpus format is UTF-8 JSON-lines, one object per example:
      "question_tokens": ["...", ...]}
 
 `head` indexes the syntactic head within the passage; the root token points
-to itself.  Answer spans are inclusive token indices into the passage.
+to itself.  Answer spans are inclusive token indices into the passage.  No
+passage token's text may be one of `SPECIAL_TOKENS`, whose columns the
+decoder keeps for itself.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ def _parse_token(obj: dict, pos: int) -> AnnotatedToken:
         elif not isinstance(value, typ):
             raise ValueError(f"passage token {pos} field {name!r} must be {typ.__name__}")
         kwargs[name] = value
+    if kwargs["text"] in SPECIAL_TOKENS:
+        raise ValueError(f"passage token {pos} text {kwargs['text']!r} is a special token")
     return AnnotatedToken(**kwargs)
 
 

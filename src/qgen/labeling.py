@@ -32,7 +32,6 @@ class LabeledExample:
     question_target_id: list[int]          # reduced-vocab ids, <EOS> appended
     copy_alignment: list[list[int]]        # matching passage positions per question token
     passage_clue_label: list[bool]
-    answer_bio: list[str]
 
 
 def label_copy_words(
@@ -111,7 +110,6 @@ def _labeled(example: AnnotatedExample, copy_labels: list[bool], alignments: lis
         question_target_id=map_question_targets(example, reduced_vocab),
         copy_alignment=alignments,
         passage_clue_label=label_clue_words(example, stopwords),
-        answer_bio=tag_answer_bio(example),
     )
 
 
@@ -143,6 +141,6 @@ def dump_labeled_corpus(labeled: list[LabeledExample], path) -> None:
                 "question_target_id": ex.question_target_id,
                 "copy_alignment": ex.copy_alignment,
                 "passage_clue_label": ex.passage_clue_label,
-                "answer_bio": ex.answer_bio,
+                "answer_bio": tag_answer_bio(ex.base),
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")

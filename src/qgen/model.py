@@ -121,7 +121,7 @@ class QgModel:
         return VocabSurfaces(self.reduced, self.embedder)
 
     def predict_clues(self, batch: Batch, rng: np.random.Generator | None,
-                      mode: str = "eval", noise: np.ndarray | None = None) -> ClueForward:
+                      mode: str = "eval") -> ClueForward:
         """Clue probabilities plus indicators for the N tokens of `batch`,
         passage after passage, from one embedding and one GCN pass; stochastic
         only in train/soft mode.  The (N, 2) Gumbel draw reads the generator
@@ -129,7 +129,7 @@ class QgModel:
         returned features with the clue slot appended."""
         return run_clue_predictor(self.embedder.embed_passage(batch), build_adjacency(batch),
                                   self.gcn, self.params["clue.out.w"], self.params["clue.out.b"],
-                                  self.config.tau, rng, mode, noise=noise)
+                                  self.config.tau, rng, mode)
 
     def forward(
         self,
@@ -137,20 +137,17 @@ class QgModel:
         mode: str = "eval",
         gumbel_rng: np.random.Generator | None = None,
         dropout_rng: np.random.Generator | None = None,
-        gumbel_noise: np.ndarray | None = None,
     ) -> ModelForward:
         """Clue prediction, the encoder and the teacher-forced decoder unroll,
         each once over the whole batch.  Mode 'train' samples the clues and
         applies dropout, 'soft' does so with the relaxed clue sample, and
-        'eval' neither (`run_clue_predictor`).  `gumbel_noise`, (N, 2) over
-        the batch's N passage tokens, replaces the Gumbel draw (test hook).
-        The Gumbel and dropout streams are read as a one-example-at-a-time
-        pass reads them."""
+        'eval' neither (`run_clue_predictor`).  The Gumbel and dropout
+        streams are read as a one-example-at-a-time pass reads them."""
         dropout = mode in ("train", "soft") and self.config.dropout > 0
         if dropout and dropout_rng is None:
             raise ConfigError(f"a forward in mode {mode!r} with dropout draws multipliers: "
                               f"pass dropout_rng")
-        clue = self.predict_clues(batch, gumbel_rng, mode=mode, noise=gumbel_noise)
+        clue = self.predict_clues(batch, gumbel_rng, mode=mode)
         enc_input = self.embedder.append_clue_slot(clue.features, clue.weights)
         keep = self.dropout_keeps(batch, enc_input.shape[1], dropout_rng) if dropout else [None] * 3
         enc_out = encode(enc_input, batch.lengths, self.enc_fwd, self.enc_bwd, keep[0], keep[1])

@@ -95,12 +95,11 @@ def batch_losses(
     gumbel_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
     mode: str = "train",
-    gumbel_noise: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Each example's average cross-entropies (over tokens / decode steps),
     from one forward pass over the batch in `mode` (`QgModel.forward`)."""
     collated = model.embedder.collate(batch)
-    fwd = model.forward(collated, mode, gumbel_rng, dropout_rng, gumbel_noise)
+    fwd = model.forward(collated, mode, gumbel_rng, dropout_rng)
     return losses_from_forward(model.config, fwd, collated)
 
 
@@ -110,10 +109,9 @@ def compute_losses(
     gumbel_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
     mode: str = "train",
-    gumbel_noise: np.ndarray | None = None,
 ) -> LossBreakdown:
     """`batch_losses` of one example: every field has one entry."""
-    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode, gumbel_noise)
+    return batch_losses(model, [example], gumbel_rng, dropout_rng, mode)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -74,13 +76,38 @@ def micro_corpus():
     return [ex1, ex2]
 
 
-def gold_clue_noise(batch, margin=10.0):
-    """(N, 2) Gumbel noise over the N passage tokens of a labeled batch that
-    puts each sampled clue indicator on its gold label: +margin on the gold
-    column and -margin on the other, far beyond the spread of a small model's
-    clue logits."""
+class ScriptedUniforms:
+    """A stand-in for the Gumbel generator, the one source of clue noise:
+    `random(shape)` returns the next values of `uniforms` in order, so a
+    batch's one draw and its passages' draws one at a time read the same
+    values.  With no script every value is exp(-1), whose Gumbel noise
+    -log(-log(u)) is exactly -0.0.  `bit_generator.state` is how many values
+    have been read, for the checks that compare how far two streams went."""
+
+    def __init__(self, uniforms=None):
+        self.uniforms = None if uniforms is None else np.asarray(uniforms, dtype=float).ravel()
+        self.read = 0
+
+    def random(self, shape):
+        size = int(np.prod(shape))
+        start, self.read = self.read, self.read + size
+        if self.uniforms is None:
+            return np.full(shape, np.exp(-1.0))
+        return self.uniforms[start:self.read].reshape(shape)
+
+    @property
+    def bit_generator(self):
+        return SimpleNamespace(state=self.read)
+
+
+def gold_clue_uniforms(batch):
+    """(N, 2) uniforms over the N passage tokens of a labeled batch that,
+    scripted in place of the Gumbel generator, put each sampled clue
+    indicator on its gold label: u = 1 - 1e-12 (noise +27.6) on the gold
+    column and u = 0 (noise -3.3) on the other, far beyond the spread of a
+    small model's clue logits."""
     gold = np.concatenate([np.asarray(ex.passage_clue_label, dtype=int) for ex in batch])
-    return np.where(np.eye(2, dtype=bool)[gold], margin, -margin)
+    return np.where(np.eye(2, dtype=bool)[gold], 1.0 - 1e-12, 0.0)
 
 
 def collate(examples):

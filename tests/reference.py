@@ -314,13 +314,11 @@ def sequence_losses(steps, example):
     return _mean(gen_terms), _mean(gate_terms)
 
 
-def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="train",
-                   gumbel_noise=None):
+def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="train"):
     """One example's scalar losses, its steps and its clue pass; `mode` as
     in `QgModel.forward`."""
     cfg = model.config
-    clue = model.predict_clues(model.embedder.collate([example.base]), gumbel_rng, mode=mode,
-                               noise=gumbel_noise)
+    clue = model.predict_clues(model.embedder.collate([example.base]), gumbel_rng, mode=mode)
     features = model.embedder.append_clue_slot(clue.features, clue.weights)
     states, last_backward = encode(features, model.enc_fwd, model.enc_bwd, cfg.dropout, mode,
                                    dropout_rng)
@@ -336,12 +334,9 @@ def example_losses(model, example, gumbel_rng=None, dropout_rng=None, mode="trai
                            total=total, steps=steps, clue=clue)
 
 
-def batch_loss(model, batch, gumbel_rng=None, dropout_rng=None, gumbel_noise=None, **kwargs):
-    """(the batch's mean total, each example's losses), one example at a time;
-    `gumbel_noise` holds one array per example."""
-    noise = gumbel_noise or [None] * len(batch)
-    per_example = [example_losses(model, ex, gumbel_rng, dropout_rng, gumbel_noise=g, **kwargs)
-                   for ex, g in zip(batch, noise)]
+def batch_loss(model, batch, gumbel_rng=None, dropout_rng=None, **kwargs):
+    """(the batch's mean total, each example's losses), one example at a time."""
+    per_example = [example_losses(model, ex, gumbel_rng, dropout_rng, **kwargs) for ex in batch]
     # a 0-d total times ones(1) is the same value as a (1,) term
     return _mean([ad.mul(r.total, np.ones(1)) for r in per_example]), per_example
 

@@ -20,8 +20,8 @@ from qgen.toydata import make_toy_data
 from qgen.training import batch_losses
 
 import reference
-from conftest import (chain_example, dependency_trees, gold_clue_noise, micro_corpus,
-                      tiny_config, toy_config)
+from conftest import (ScriptedUniforms, chain_example, dependency_trees, gold_clue_uniforms,
+                      micro_corpus, tiny_config, toy_config)
 
 # (loss relative tolerance, gradient tolerance) by precision.  In float32 the
 # two passes round sums taken in different orders: on these batches losses
@@ -72,27 +72,27 @@ def _grads(model, loss):
     return {name: t.grad.copy() for name, t in model.params.items()}
 
 
-def _streams(seed):
-    return rng_stream(seed, "gumbel"), rng_stream(seed, "dropout")
+def _streams(seed, uniforms=None):
+    """Fresh Gumbel and dropout streams of `seed`, with a script of
+    `uniforms` in place of the Gumbel stream when given."""
+    gumbel = rng_stream(seed, "gumbel") if uniforms is None else ScriptedUniforms(uniforms)
+    return gumbel, rng_stream(seed, "dropout")
 
 
 def assert_batch_matches_reference(model, batch, seed=0, clue_source="predicted",
-                                   gumbel_noise=None, **kwargs):
-    """`gumbel_noise` is the batch's (N, 2) noise, which the reference takes
-    split per example.  `clue_source="gold"` gives both passes Gumbel noise
-    that samples each passage's gold clue labels, so the encoder reads the
-    gold labels.  A float32 model is held to float32 tolerances."""
+                                   uniforms=None, **kwargs):
+    """Each pass reads its own fresh streams (`_streams`).
+    `clue_source="gold"` scripts both passes' Gumbel draws to sample each
+    passage's gold clue labels, so the encoder reads the gold labels.  A
+    float32 model is held to float32 tolerances."""
     loss_rtol, grad_tol = TOLERANCES[model.config.precision]
     if clue_source == "gold":
-        gumbel_noise = gold_clue_noise(batch)
-    ref_noise = None if gumbel_noise is None else np.split(
-        gumbel_noise, np.cumsum([len(ex.base.passage) for ex in batch])[:-1])
-    gumbel, dropout = _streams(seed)
-    losses = batch_losses(model, batch, gumbel, dropout, gumbel_noise=gumbel_noise, **kwargs)
+        uniforms = gold_clue_uniforms(batch)
+    gumbel, dropout = _streams(seed, uniforms)
+    losses = batch_losses(model, batch, gumbel, dropout, **kwargs)
     loss = ad.mean_(losses.total)
-    ref_gumbel, ref_dropout = _streams(seed)
-    ref_loss, ref_examples = reference.batch_loss(model, batch, ref_gumbel, ref_dropout,
-                                                  gumbel_noise=ref_noise, **kwargs)
+    ref_gumbel, ref_dropout = _streams(seed, uniforms)
+    ref_loss, ref_examples = reference.batch_loss(model, batch, ref_gumbel, ref_dropout, **kwargs)
     if clue_source == "gold" and kwargs.get("mode") == "train":
         for ex, want in zip(batch, ref_examples):
             np.testing.assert_array_equal(want.clue.indicators, ex.passage_clue_label)
@@ -156,9 +156,9 @@ def test_single_example_batch(tiny, index):
 def test_relaxed_clue_sample_with_given_noise(tiny):
     model, labeled = tiny
     batch = [labeled[8], labeled[2]]
-    noise = np.concatenate([np.random.default_rng(i).gumbel(size=(len(ex.base.passage), 2))
-                            for i, ex in enumerate(batch)])
-    assert_batch_matches_reference(model, batch, mode="soft", gumbel_noise=noise)
+    uniforms = np.concatenate([np.random.default_rng(i).random((len(ex.base.passage), 2))
+                               for i, ex in enumerate(batch)])
+    assert_batch_matches_reference(model, batch, mode="soft", uniforms=uniforms)
 
 
 def test_dropout_stream_is_read_as_one_example_at_a_time_reads_it(tiny):

@@ -714,6 +714,8 @@ _MALFORMED_RECORDS = {
                                "passage token 0 field 'head' must be an integer"),
     "token_text_not_string": (lambda r: r["passage_tokens"][0].__setitem__("text", 7),
                               "passage token 0 field 'text' must be str"),
+    "token_text_special": (lambda r: r["passage_tokens"][2].__setitem__("text", "<EOS>"),
+                           "passage token 2 text '<EOS>' is a special token"),
     "head_out_of_range": (lambda r: r["passage_tokens"][0].__setitem__("head", 99),
                           "token 0 head 99 out of range"),
     "id_not_string": (lambda r: r.__setitem__("id", 7), "id must be a string"),

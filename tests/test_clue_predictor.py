@@ -21,8 +21,8 @@ from qgen.labeling import label_corpus
 from qgen.model import QgModel
 from qgen.toydata import make_toy_data
 
-from conftest import (assert_grads_match, chain_example, collate, dependency_trees,
-                      tiny_config)
+from conftest import (ScriptedUniforms, assert_grads_match, chain_example, collate,
+                      dependency_trees, tiny_config)
 
 
 def dense_gcn_oracle(x, a_tilde, w, b, nonlinearity=np.maximum):
@@ -185,27 +185,24 @@ class TestClueLogits:
 class TestGumbelSoftmax:
     def test_zero_noise_uniform_logits(self):
         for tau in (0.1, 1.0, 7.0):
-            sample = gumbel_softmax_sample(Tensor(np.zeros((1, 2))), tau,
-                                           rng=None, noise=np.zeros((1, 2)))
-            np.testing.assert_allclose(sample.y.data, [[0.5, 0.5]])
+            y = gumbel_softmax_sample(Tensor(np.zeros((1, 2))), tau, rng=ScriptedUniforms())
+            np.testing.assert_allclose(y.data, [[0.5, 0.5]])
 
     def test_low_temperature_sharpens(self):
-        sample = gumbel_softmax_sample(Tensor(np.array([[5.0, 0.0]])), 0.01,
-                                       rng=None, noise=np.zeros((1, 2)))
-        assert sample.y.data.max() > 0.99
+        y = gumbel_softmax_sample(Tensor(np.array([[5.0, 0.0]])), 0.01, rng=ScriptedUniforms())
+        assert y.data.max() > 0.99
 
     def test_invalid_temperature(self):
         with pytest.raises(ConfigError):
-            gumbel_softmax_sample(Tensor(np.zeros((1, 2))), 0.0, rng=None,
-                                  noise=np.zeros((1, 2)))
+            gumbel_softmax_sample(Tensor(np.zeros((1, 2))), 0.0, rng=ScriptedUniforms())
 
     def test_sample_is_probability_vector_with_matching_argmax(self):
         rng = rng_stream(3, "gumbel")
         sample = gumbel_softmax_sample(Tensor(np.array([[0.3, -0.2], [2.0, 1.0]])), 0.7, rng)
-        y = sample.y.data
+        y = sample.data
         assert (y > 0).all()
         np.testing.assert_allclose(y.sum(axis=1), [1.0, 1.0])
-        hard = sample.y_st.data
+        hard = st_discretize(sample).data
         assert ((hard == 0) | (hard == 1)).all()
         np.testing.assert_array_equal(hard.sum(axis=1), [1.0, 1.0])
         np.testing.assert_array_equal(np.argmax(y, axis=1), np.argmax(hard, axis=1))
@@ -232,12 +229,12 @@ class TestStraightThrough:
         rng = np.random.default_rng(11)
         logits_value = rng.normal(size=(3, 2))
         c = rng.normal(size=(3, 2))
-        noise = np.zeros((3, 2))
 
         def loss_with(hard: bool):
             logits = Tensor(logits_value, requires_grad=True)
-            sample = gumbel_softmax_sample(logits, 1.0, rng=None, noise=noise)
-            y = sample.y_st if hard else sample.y
+            y = gumbel_softmax_sample(logits, 1.0, rng=ScriptedUniforms())
+            if hard:
+                y = st_discretize(y)
             ad.sum_(ad.mul(y, Tensor(c))).backward()
             return logits.grad
 

@@ -98,6 +98,19 @@ class TestLoadCorpus:
                                               r"the id of line 1$"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("special", SPECIAL_TOKENS)
+    def test_special_token_as_passage_text_names_line_id_and_position(self, tmp_path,
+                                                                      special):
+        """A passage word spelled like a special token would share its
+        column in the beam: a copied "<EOS>" would end the question."""
+        odd = _record("odd")
+        odd["passage_tokens"][1]["text"] = special
+        path = _write(tmp_path, [_record("e0"), odd])
+        for require_question in (True, False):
+            with pytest.raises(IngestError, match=rf"1 malformed.*\nline 2 \(id=odd\): passage "
+                                                  rf"token 1 text '{special}' is a special token$"):
+                load_corpus(path, require_question)
+
     def test_all_errors_collected(self, tmp_path):
         path = _write(tmp_path, [_record("a", answer=(5, 6)), _record("ok"),
                                  _record("b", heads=[0, 2, 1], answer=(0, 0))])

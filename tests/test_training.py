@@ -11,7 +11,6 @@ import qgen.autodiff as ad
 import qgen.beam
 import qgen.model
 from qgen.autodiff import ParamStore, Tensor, TensorError
-from qgen.clue_predictor import gumbel_noise
 from qgen.config import ConfigError, ModelConfig, rng_stream
 from qgen.corpus import EOS, build_vocabulary, stopword_set
 from qgen.decoder import ExtendedDistribution
@@ -30,7 +29,8 @@ from qgen.training import (
     train,
 )
 
-from conftest import chain_example, gold_clue_noise, micro_corpus, tiny_config, toy_config
+from conftest import (ScriptedUniforms, chain_example, gold_clue_uniforms, micro_corpus,
+                      tiny_config, toy_config)
 
 
 def build_tiny_model(seed=11, **overrides):
@@ -84,9 +84,8 @@ class TestLossOracles:
         # re-derive the scalar losses from the dumped numeric distributions
         model, labeled = build_tiny_model()
         ex = labeled[0]
-        noise = gumbel_noise(rng_stream(5, "gumbel"), (len(ex.base.passage), 2))
         batch = model.embedder.collate([ex])
-        fwd = model.forward(batch, mode="train", gumbel_noise=noise)
+        fwd = model.forward(batch, mode="train", gumbel_rng=rng_stream(5, "gumbel"))
         bd = losses_from_forward(model.config, fwd, batch)
         probs, dist = fwd.clue.probs, fwd.decoder
 
@@ -144,9 +143,8 @@ class TestMissingGenerators:
     def test_what_a_forward_does_not_draw_it_does_not_need(self):
         model, labeled = build_tiny_model(dropout=0.3)
         compute_losses(model, labeled[0], mode="eval")
-        model, labeled = build_tiny_model()   # no dropout, and noise in place of the draw
-        noise = gumbel_noise(rng_stream(5, "gumbel"), (len(labeled[0].base.passage), 2))
-        compute_losses(model, labeled[0], gumbel_noise=noise)
+        model, labeled = build_tiny_model()   # no dropout
+        compute_losses(model, labeled[0], rng_stream(5, "gumbel"))
 
 
 class TestOnePassagePass:
@@ -169,14 +167,14 @@ class TestOnePassagePass:
     @pytest.mark.parametrize("clue_source", ["predicted", "gold"])
     def test_forward_embeds_once(self, calls, clue_source):
         """A batch of one and a batch of three.  `clue_source="gold"`: Gumbel
-        noise that samples the gold clue labels."""
+        draws scripted to sample the gold clue labels."""
         model, labeled = build_tiny_model()
         for picks in ([0], [1, 0, 1]):
             calls.clear()
             batch = [labeled[i] for i in picks]
-            model.forward(model.embedder.collate(batch), mode="train",
-                          gumbel_rng=rng_stream(0, "gumbel"),
-                          gumbel_noise=gold_clue_noise(batch) if clue_source == "gold" else None)
+            gumbel = (ScriptedUniforms(gold_clue_uniforms(batch)) if clue_source == "gold"
+                      else rng_stream(0, "gumbel"))
+            model.forward(model.embedder.collate(batch), mode="train", gumbel_rng=gumbel)
             assert len(calls["embed_passage"]) == 1
             assert len(calls["build_adjacency"]) == 1
             assert len(calls["run_clue_predictor"]) == 1
@@ -449,14 +447,12 @@ class TestEndToEndGradients:
         started = time.time()
         model, labeled = build_tiny_model()
         ex = labeled[0]
-        noise = gumbel_noise(rng_stream(11, "gumbel"), (len(ex.base.passage), 2))
 
         def loss_value():
-            return compute_losses(model, ex, mode="soft",
-                                  gumbel_noise=noise).total.item()
+            return compute_losses(model, ex, rng_stream(11, "gumbel"), mode="soft").total.item()
 
         model.params.zero_grad()
-        bd = compute_losses(model, ex, mode="soft", gumbel_noise=noise)
+        bd = compute_losses(model, ex, rng_stream(11, "gumbel"), mode="soft")
         bd.total.backward()
 
         eps = 1e-5
