@@ -18,6 +18,7 @@ from .clue_predictor import ClueForward
 from .config import check_positive_int
 from .corpus import EOS, SOS, SPECIAL_TOKENS, AnnotatedExample
 from .decoder import (
+    PROB_FLOOR,
     DecoderParams,
     ExtendedDistribution,
     decode_step,
@@ -27,7 +28,6 @@ from .decoder import (
 )
 from .encoder import encode
 from .model import QgModel
-from .training import PROB_FLOOR
 
 
 @dataclass
@@ -55,15 +55,11 @@ class SurfaceTable:
     Each column sums its sources, the generation terms first and then the
     copy terms in passage order, as `np.bincount` over every source adds
     them.  Most columns have one source, a generation term; their
-    probability is one product.  The few others, each passage word's column
-    and any column that two generation terms share, are the `merged`
-    columns.  Round r of their sources holds each merged column's r-th
-    source, so no round names a column twice.  The passage's copy terms and
-    then the merged columns' generation terms are the columns of one buffer;
-    `first` is the buffer column of each merged column's round-0 source, and
-    `later` the (buffer columns, merged slots) of each later round.  Taking
-    a column's first term where bincount adds it to 0.0 gives the same
-    bytes, as no term is -0.0."""
+    probability is that term, the bytes bincount's 0.0 plus it gives, as no
+    term is -0.0.  The few others, each passage word's column and any column
+    that two generation terms share, are the `merged` columns; `slot` is
+    each of their sources' index among them, in source order, so one
+    `np.bincount` over (row, slot) bins sums them."""
 
     def __init__(self, model: QgModel, passage_texts: list[str]):
         vocab = model.vocab_surfaces
@@ -85,24 +81,14 @@ class SurfaceTable:
         self.word_rows[moved] = vocab.word_rows
         self.word_rows[new_columns] = [model.embedder.decoder_word_row_id(t) for t in new]
 
-        n, gen_columns = len(passage_texts), self.columns[:len(self.gen_ids)]
+        gen_columns = self.columns[:len(self.gen_ids)]
         single = np.bincount(self.columns, minlength=len(self.tokens))[gen_columns] == 1
         # each generation id's column where it is the column's one source, else -1
         self.single_column = np.full(len(model.reduced), -1)
         self.single_column[self.gen_ids[single]] = gen_columns[single]
         self.merged_ids = self.gen_ids[~single]
-        sources = np.concatenate([n + np.arange(len(self.merged_ids)), np.arange(n)])
-        self.merged, slot = np.unique(np.concatenate(
+        self.merged, self.slot = np.unique(np.concatenate(
             [gen_columns[~single], self.columns[len(self.gen_ids):]]), return_inverse=True)
-        # each source's rank among the sources of its slot, in source order
-        order = np.argsort(slot, kind="stable")
-        ranked = slot[order]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order)) - np.searchsorted(ranked, ranked)
-        self.first = np.empty(len(self.merged), dtype=np.int64)
-        self.first[slot[rank == 0]] = sources[rank == 0]
-        self.later = [(sources[rank == r], slot[rank == r])
-                      for r in range(1, rank.max(initial=0) + 1)]
 
     def select(self, dist: ExtendedDistribution, log_probs: np.ndarray, length: int,
                k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,15 +115,14 @@ class SurfaceTable:
         scored first, theta is -inf and every column is scored."""
         gate = dist.gate.data.astype(np.float64)
         keep, gen = 1.0 - gate, dist.gen.data
-        k_rows, n, width = len(gate), dist.copy.shape[1], len(self.merged)
-        terms = np.empty((k_rows, n + len(self.merged_ids)))
-        np.multiply(gate[:, None], dist.copy.data, out=terms[:, :n])
-        np.multiply(keep[:, None], gen.take(self.merged_ids, axis=1), out=terms[:, n:])
+        k_rows, m, width = len(gate), len(self.merged_ids), len(self.merged)
+        terms = np.empty((k_rows, m + dist.copy.shape[1]))
+        np.multiply(keep[:, None], gen.take(self.merged_ids, axis=1), out=terms[:, :m])
+        np.multiply(gate[:, None], dist.copy.data, out=terms[:, m:])
         # the merged columns, then each row's likeliest generation term
-        probs = np.empty((k_rows, width + 1))
-        terms.take(self.first, axis=1, out=probs[:, :width])
-        for sources, slots in self.later:
-            probs[:, slots] += terms[:, sources]
+        bins = np.arange(k_rows)[:, None] * (width + 1) + self.slot
+        probs = np.bincount(bins.ravel(), terms.ravel(),
+                            minlength=k_rows * (width + 1)).reshape(k_rows, width + 1)
         likeliest = gen.argmax(axis=1)
         np.multiply(keep, gen.max(axis=1), out=probs[:, width])
         lp = log_probs[:, None] + np.log(np.maximum(probs, PROB_FLOOR))
@@ -174,9 +159,9 @@ class SurfaceTable:
 
 class WordTermCache:
     """`decoder.word_terms` of the words one `generate` call feeds its
-    decoder, kept by decoder word row: a step multiplies only the rows it
-    has not seen.  The weights may change between calls, so a cache lives
-    for one call.
+    decoder, in tables indexed by the table's distinct word rows: a step
+    multiplies only the rows it has not seen.  The weights may change
+    between calls, so a cache lives for one call.
 
     A row's bytes must be those of the K-row product it replaces.  numpy
     issues a one-row product as a matrix-vector product, which rounds
@@ -188,24 +173,22 @@ class WordTermCache:
         self.words, self.p = words, p
         # the distinct word rows of the table's surfaces, and each column's index among them
         self.rows, self.row_of = np.unique(table.word_rows, return_inverse=True)
-        self.slot = np.full(len(self.rows), -1)   # each row's place in `gates` and `readout`
-        self.gates = np.empty((0, p.gru.w_x.shape[0]), words.data.dtype)
-        self.readout = np.empty((0, p.w_rw.shape[0]), words.data.dtype)
+        self.seen = np.zeros(len(self.rows), dtype=bool)
+        self.gates = np.empty((len(self.rows), p.gru.w_x.shape[0]), words.data.dtype)
+        self.readout = np.empty((len(self.rows), p.w_rw.shape[0]), words.data.dtype)
 
     def __call__(self, columns: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
         """The word terms of the surfaces `columns`, one row each."""
         rows = self.row_of[columns]
         if len(rows) == 1:
             return word_terms(ad.gather_rows(self.words, self.rows[rows]), self.p)
-        new = np.unique(rows[self.slot[rows] < 0])
+        new = np.unique(rows[~self.seen[rows]])
         if len(new):
             twice = np.repeat(new, 2) if len(new) == 1 else new
             gates, readout = word_terms(ad.gather_rows(self.words, self.rows[twice]), self.p)
-            self.slot[new] = len(self.gates) + np.arange(len(new))
-            self.gates = np.concatenate([self.gates, gates.data[:len(new)]])
-            self.readout = np.concatenate([self.readout, readout.data[:len(new)]])
-        slots = self.slot[rows]
-        return ad.Tensor(self.gates[slots]), ad.Tensor(self.readout[slots])
+            self.gates[new], self.readout[new] = gates.data[:len(new)], readout.data[:len(new)]
+            self.seen[new] = True
+        return ad.Tensor(self.gates[rows]), ad.Tensor(self.readout[rows])
 
 
 def generate(

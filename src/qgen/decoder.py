@@ -17,6 +17,10 @@ from .autodiff import ParamStore, Tensor
 from .encoder import EncoderOutput, GruCellParams, gru_inputs
 from .features import Batch
 
+# The least probability whose log is taken: the losses floor the
+# probabilities they score, and the beam the extensions it ranks.
+PROB_FLOOR = 1e-12
+
 
 @dataclass
 class DecoderParams:

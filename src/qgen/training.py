@@ -18,11 +18,11 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .config import ModelConfig, rng_stream
 from .corpus import AnnotatedExample, build_vocabulary, stopword_set
+from .decoder import PROB_FLOOR
 from .features import Batch, FeatureVocab
 from .labeling import LabeledExample, label_corpus, label_example
 from .model import QgModel
 
-PROB_FLOOR = 1e-12
 # Bytes of one slice of the optimizer's walks, whatever the precision: the six
 # slices an Adam update touches take 1.5 MB and stay in a 2 MB L2 together.
 SLICE_BYTES = 1 << 18

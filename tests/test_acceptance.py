@@ -25,16 +25,13 @@ from qgen.clue_predictor import (
 from qgen.config import ModelConfig, rng_stream
 from qgen.corpus import build_vocabulary, load_corpus, stopword_set
 from qgen.decoder import DecoderParams, decode_step, passage_memory, word_terms
-from qgen.features import FeatureVocab
 from qgen.labeling import label_clue_words, label_copy_words, label_corpus
 from qgen.metrics import corpus_bleu, evaluate_pairs, meteor, rouge_l
-from qgen.model import QgModel
 from qgen.stats import dep_path_stats, rank_distributions
 from qgen.toydata import make_toy_data
-from qgen.training import compute_losses, train
+from qgen.training import train
 
-from conftest import (assert_grads_match, chain_example, collate, micro_corpus, tiny_config,
-                      toy_config)
+from conftest import assert_grads_match, chain_example, collate, toy_config
 from test_autodiff import OP_CASES, op_arrays
 from test_labeling import rule_oracle_clue, rule_oracle_copy
 
@@ -59,6 +56,9 @@ def overfit_run(toy_corpus):
 
 class TestCriterion1Gradients:
     def test_gradient_suite(self):
+        """Every differentiable op against central differences.  The end-to-end
+        check, every parameter of the tiny model through the relaxed clue
+        sample, is `tests/test_training.py::TestEndToEndGradients`."""
         started = time.time()
         # every differentiable op on 20 random small shapes
         rng = np.random.default_rng(42)
@@ -66,42 +66,10 @@ class TestCriterion1Gradients:
             for _ in range(20):
                 assert_grads_match(fn, op_arrays(rng, arity, domain), tol=1e-4)
 
-        # end-to-end: every parameter of the tiny model against central
-        # differences, through the differentiable relaxed clue sample
-        corpus = micro_corpus()
-        cfg = tiny_config()
-        vocab = build_vocabulary(corpus, cfg.vocab_max)
-        assert len(vocab) == 12
-        fv = FeatureVocab.from_corpus(corpus)
-        labeled, reduced = label_corpus(corpus, vocab, stopword_set(), cfg.r_h,
-                                        cfg.reduced_vocab_size)
-        model = QgModel.build(cfg, vocab, reduced, fv, rng_stream(11, "init"))
-        ex = labeled[0]
-        assert len(ex.base.passage) == 5
-
-        def loss_value():
-            return compute_losses(model, ex, rng_stream(11, "gumbel"), mode="soft").total.item()
-
-        model.params.zero_grad()
-        compute_losses(model, ex, rng_stream(11, "gumbel"), mode="soft").total.backward()
-        eps = 1e-5
-        for name, t in model.params.items():
-            analytic = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
-            flat = t.data.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = loss_value()
-                flat[i] = orig - eps
-                lo = loss_value()
-                flat[i] = orig
-                fd = (hi - lo) / (2 * eps)
-                rel = abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-6)
-                assert rel < 1e-3, f"{name}[{i}]"
-
         elapsed = time.time() - started
         assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
-        _passed(1, f"op + end-to-end finite-difference checks in {elapsed:.1f}s")
+        _passed(1, f"op finite-difference checks in {elapsed:.1f}s; every parameter end to end "
+                   "in tests/test_training.py::TestEndToEndGradients")
 
 
 class TestCriterion2Overfit:

@@ -271,6 +271,29 @@ class TestSelect:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_column_adds_its_generation_term_first(self, setup, dtype):
+        """A generation surface that is also a passage word three times: its
+        column has four sources.  Under a gate of 0.5 its generation term is
+        0.5 and each copy term 2**-54, half a unit in the last place of 0.5,
+        so added after the generation term each copy term rounds away, and
+        added first the three would round the sum up."""
+        model, _ = setup
+        word = next(w for w in sorted(model.reduced.words) if w not in SPECIAL_TOKENS)
+        assert 0.5 + 2**-54 + 2**-54 + 2**-54 != 2**-54 + 2**-54 + 2**-54 + 0.5
+        texts = ["zzz", word, "!", word, word]
+        gen = np.zeros((1, len(model.reduced)))
+        gen[0, model.reduced.id_of(word)] = 1.0
+        copy = np.array([[0.25, 2**-53, 0.25, 2**-53, 2**-53]])
+        dist = ExtendedDistribution(gen=Tensor(gen.astype(dtype)), copy=Tensor(copy.astype(dtype)),
+                                    gate=Tensor(np.array([0.5], dtype)))
+        table = SurfaceTable(model, texts)
+        got = table.select(dist, np.zeros(1), 1, 3)
+        want = reference.beam_select(table, dist, np.zeros(1), 1, 3)
+        assert table.tokens[got[1][0]] == word and got[2][0] == np.log(0.5)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
 
 class TestWordTermCache:
     def test_rows_equal_the_k_row_products(self, monkeypatch):

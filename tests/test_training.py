@@ -24,7 +24,6 @@ from qgen.training import (
     OptimizerState,
     adam_step,
     batch_losses,
-    compute_losses,
     losses_from_forward,
     train,
 )
@@ -49,7 +48,7 @@ class TestLossOracles:
         model, labeled = build_tiny_model()
         model.params["clue.out.w"].data[:] = 0.0
         model.params["clue.out.b"].data[:] = 0.0
-        bd = compute_losses(model, labeled[0], gumbel_rng=rng_stream(0, "gumbel"))
+        bd = batch_losses(model, [labeled[0]], gumbel_rng=rng_stream(0, "gumbel"))
         assert bd.loss_clue.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_perfect_distributions_give_zero_losses(self):
@@ -118,7 +117,7 @@ class TestMissingGenerators:
 
     def test_defaults_name_the_gumbel_generator(self):
         model, labeled = build_tiny_model()
-        for losses in (lambda: compute_losses(model, labeled[0]),
+        for losses in (lambda: batch_losses(model, [labeled[0]]),
                        lambda: batch_losses(model, labeled[:2])):
             with pytest.raises(ConfigError, match="gumbel_rng"):
                 losses()
@@ -133,18 +132,18 @@ class TestMissingGenerators:
     def test_dropout_names_the_dropout_generator(self, mode):
         model, labeled = build_tiny_model(dropout=0.3)
         with pytest.raises(ConfigError, match="dropout_rng"):
-            compute_losses(model, labeled[0], rng_stream(0, "gumbel"), mode=mode)
+            batch_losses(model, [labeled[0]], rng_stream(0, "gumbel"), mode=mode)
 
     def test_an_unknown_mode_is_named(self):
         model, labeled = build_tiny_model()
         with pytest.raises(ConfigError, match="'bogus'"):
-            compute_losses(model, labeled[0], mode="bogus")
+            batch_losses(model, [labeled[0]], mode="bogus")
 
     def test_what_a_forward_does_not_draw_it_does_not_need(self):
         model, labeled = build_tiny_model(dropout=0.3)
-        compute_losses(model, labeled[0], mode="eval")
+        batch_losses(model, [labeled[0]], mode="eval")
         model, labeled = build_tiny_model()   # no dropout
-        compute_losses(model, labeled[0], rng_stream(5, "gumbel"))
+        batch_losses(model, [labeled[0]], rng_stream(5, "gumbel"))
 
 
 class TestOnePassagePass:
@@ -444,15 +443,18 @@ class TestEma:
 
 class TestEndToEndGradients:
     def test_every_parameter_matches_central_differences(self):
+        """Every parameter entry of the tiny model against central
+        differences, through the relaxed clue sample: the suite's one
+        end-to-end gradient check."""
         started = time.time()
         model, labeled = build_tiny_model()
         ex = labeled[0]
 
         def loss_value():
-            return compute_losses(model, ex, rng_stream(11, "gumbel"), mode="soft").total.item()
+            return batch_losses(model, [ex], rng_stream(11, "gumbel"), mode="soft").total.item()
 
         model.params.zero_grad()
-        bd = compute_losses(model, ex, rng_stream(11, "gumbel"), mode="soft")
+        bd = batch_losses(model, [ex], rng_stream(11, "gumbel"), mode="soft")
         bd.total.backward()
 
         eps = 1e-5
@@ -610,8 +612,8 @@ class TestFloat32:
 
     def test_training_graph_is_float32_throughout(self):
         model, labeled = build_tiny_model(precision="float32", dropout=0.3)
-        loss = compute_losses(model, labeled[0], rng_stream(1, "gumbel"),
-                              rng_stream(1, "dropout"), mode="train").total
+        loss = batch_losses(model, [labeled[0]], rng_stream(1, "gumbel"),
+                            rng_stream(1, "dropout"), mode="train").total
         ops, seen, stack = set(), {id(loss)}, [loss]
         while stack:
             t = stack.pop()
