@@ -29,11 +29,6 @@ import numpy as np
 _GRAD_ENABLED = True
 _SEQ = itertools.count()
 
-# Entries of the scratch buffer that `attention_gru` streams a step's attention
-# activation through when no gradient is recorded, as in a beam step, instead of
-# DRAM: 128 KB in float32, 256 KB in float64, inside a 2 MB L2.
-SLICE = 1 << 15
-
 # Entries of the float64 scratch that `ParamStore.uniform` fills a weight through:
 # 64 KB, below glibc malloc's 128 KB mmap threshold, so it reuses heap pages.
 DRAW_SLICE = 1 << 13
@@ -434,41 +429,20 @@ def gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h_prev: Tensor,
     return _node(np.stack(states[1:], axis=1).reshape(-1, hidden), parents, "gru", bw)
 
 
-def _attention_scores(keys: np.ndarray, query: np.ndarray, v: np.ndarray, blocks: int,
-                      keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Additive attention scores v . tanh(key + query), (m, n), and the
-    (m, n, a) activation when `keep`, else None.
+def _attention_scores(keys: np.ndarray, query: np.ndarray, v: np.ndarray,
+                      blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Additive attention scores v . tanh(key + query), (m, n), and their
+    (m, n, a) activation, which backward reads instead of recomputing it.
 
     keys is (blocks * n, a), `blocks` groups of n rows, and v is (a,).  The
     (m, a) query rows split into `blocks` equal groups in order, and group b
     scores key group b only: a beam is one block of K rows, a training batch
-    B blocks of one row each.  The activation goes a chunk at a time (whole
-    blocks when a block fits in SLICE entries, else rows of one block)
-    through one scratch buffer, or into the kept activation, which backward
-    reads instead of recomputing it; the bytes are the same either way.
+    B blocks of one row each.
     """
     (m, a), n = query.shape, keys.shape[0] // blocks
-    per = m // blocks                       # query rows per block
-    rows = max(1, SLICE // max(1, n * a))   # query rows per chunk
-    if per <= rows:   # whole blocks per chunk
-        step_r = max(1, per)
-        step_b = min(blocks, rows // step_r)
-    else:             # rows of one block per chunk
-        step_b, step_r = 1, rows
-    k4, q4 = keys.reshape(blocks, 1, n, a), query.reshape(blocks, per, 1, a)
-    act = np.empty((blocks, per, n, a), query.dtype) if keep else None
-    scratch = None if keep else np.empty(step_b * step_r * n * a, query.dtype)
-    out = np.empty((blocks, per, n), query.dtype)
-    for b in range(0, blocks, step_b):
-        for r in range(0, per, step_r):
-            kc, qc = k4[b:b + step_b], q4[b:b + step_b, r:r + step_r]
-            if keep:
-                t = act[b:b + step_b, r:r + step_r]
-            else:
-                t = scratch[:len(kc) * qc.shape[1] * n * a].reshape(len(kc), qc.shape[1], n, a)
-            np.tanh(np.add(kc, qc, out=t), out=t)
-            np.matmul(t, v, out=out[b:b + step_b, r:r + step_r])
-    return out.reshape(m, n), None if act is None else act.reshape(m, n, a)
+    act = np.add(keys.reshape(blocks, 1, n, a), query.reshape(blocks, -1, 1, a))
+    np.tanh(act, out=act)
+    return (act @ v).reshape(m, n), act.reshape(m, n, a)
 
 
 def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha0: Tensor,
@@ -526,7 +500,7 @@ def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha
     for key in schedule:
         context = (weights[-1].reshape(blocks, -1, n) @ v3).reshape(m, -1)
         h, step = _gru_step(gates.data[key] + context, states[-1], w_zr.data, w_cand.data)
-        scores, act = _attention_scores(keys.data, _times_t(h, w_s.data), v.data, blocks, record)
+        scores, act = _attention_scores(keys.data, _times_t(h, w_s.data), v.data, blocks)
         if mask is not None:
             scores = np.where(mask, scores, -np.inf)
         e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
@@ -535,7 +509,6 @@ def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha
         if record:
             saved.append((step, act))
     handed = [None]   # the weights' gradient, from their node
-    chunk = max(1, SLICE // max(1, n * attn))   # rows of the activation's gradient at a time
 
     def bw(g):
         g, g_alpha, handed[0] = _by_member(g, m), _by_member(handed[0], m), None
@@ -550,10 +523,11 @@ def attention_gru(gates: Tensor, w_zr: Tensor, w_cand: Tensor, h0: Tensor, alpha
                     v._accumulate(np.dot(d_scores.reshape(1, -1), act.reshape(-1, attn))[0])
                 d = np.multiply(act, act)
                 np.subtract(1.0, d, out=d)
-                for r in range(0, m, chunk):
-                    d[r:r + chunk] *= d_scores[r:r + chunk, :, None] * v.data
-                if keys.requires_grad:
-                    keys._accumulate(d.reshape(blocks, -1, n, attn).sum(axis=1).reshape(keys.shape))
+                d *= d_scores[:, :, None] * v.data
+                if keys.requires_grad:             # each block's rows summed, or its one row
+                    d4 = d.reshape(blocks, -1, n, attn)
+                    g_keys = keys._grad_buffer().reshape(blocks, n, attn)
+                    g_keys += d4[:, 0] if d4.shape[1] == 1 else d4.sum(axis=1)
                 d_q = d.sum(axis=1)
                 d_s = d_q @ w_s.data               # h W_s'
                 d_h = d_s if d_h is None else np.add(d_h, d_s, out=d_h)

@@ -133,9 +133,8 @@ def attention_scores(keys, query, v, blocks=1):
     """Additive attention scores v . tanh(key + query), (m, n), as their own
     node: keys is (blocks * n, a), and the (m, a) query rows split into
     `blocks` equal groups in order, group b scoring key group b only.  The
-    forward pass streams the (m, n, a) activation through one scratch
-    buffer of at most `ad.SLICE` entries, whole blocks when a block fits,
-    else rows of one block, and backward recomputes it."""
+    (m, n, a) activation is one broadcast sum of keys and queries, and
+    backward reads it."""
     keys, query, v = ad._operands((keys, query, v))
     if (keys.ndim != 2 or query.ndim != 2 or v.shape != keys.shape[1:]
             or query.shape[1] != keys.shape[1] or blocks < 1
@@ -143,38 +142,20 @@ def attention_scores(keys, query, v, blocks=1):
         raise ad.TensorError(f"attention_scores: keys {keys.shape}, query {query.shape}, "
                              f"v {v.shape} and {blocks} blocks do not match")
     (m, a), n = query.shape, keys.shape[0] // blocks
-    per = m // blocks
-    rows = max(1, ad.SLICE // max(1, n * a))
-    if per <= rows:
-        step_r = max(1, per)
-        step_b = min(blocks, rows // step_r)
-    else:
-        step_b, step_r = 1, rows
-    k4, q4 = keys.data.reshape(blocks, 1, n, a), query.data.reshape(blocks, per, 1, a)
-    scratch = np.empty(step_b * step_r * n * a, query.data.dtype)
-    out = np.empty((blocks, per, n), query.data.dtype)
-    for b in range(0, blocks, step_b):
-        for r in range(0, per, step_r):
-            kc, qc = k4[b:b + step_b], q4[b:b + step_b, r:r + step_r]
-            t = scratch[:len(kc) * qc.shape[1] * n * a].reshape(len(kc), qc.shape[1], n, a)
-            np.tanh(np.add(kc, qc, out=t), out=t)
-            np.matmul(t, v.data, out=out[b:b + step_b, r:r + step_r])
+    t = np.tanh(keys.data.reshape(blocks, 1, n, a) + query.data.reshape(blocks, -1, 1, a))
+    t = t.reshape(m, n, a)
 
     def bw(g):
-        t = np.tanh(np.add(k4, q4).reshape(m, n, a))   # the forward activation again
         if v.requires_grad:
             v._accumulate(np.tensordot(g, t, axes=2))
-        d = t
-        for r in range(0, m, rows):
-            dc = d[r:r + rows]
-            np.subtract(1.0, np.multiply(dc, dc, out=dc), out=dc)
-            dc *= g[r:r + rows, :, None] * v.data
+        d = np.subtract(1.0, t * t)
+        d *= g[:, :, None] * v.data
         if keys.requires_grad:
             keys._accumulate(d.reshape(blocks, -1, n, a).sum(axis=1).reshape(keys.shape))
         if query.requires_grad:
             query._accumulate(d.sum(axis=1))
 
-    return ad._node(out.reshape(m, n), (keys, query, v), "attention_scores", bw)
+    return ad._node(t @ v.data, (keys, query, v), "attention_scores", bw)
 
 
 def attention_gru_unfused(gates, w_zr, w_cand, h0, alpha0, values, keys, w_s, v, rows=None,
